@@ -15,8 +15,10 @@ use xatu_core::sample::{Sample, SampleMeta};
 use xatu_core::trainer::train;
 use xatu_detectors::cusum::Cusum;
 use xatu_detectors::rf::{RandomForest, RfConfig};
+use xatu_features::blocklist::BlocklistCategory;
+use xatu_features::clustering::ClusteringTracker;
 use xatu_features::table1::FeatureExtractor;
-use xatu_netflow::addr::Ipv4;
+use xatu_netflow::addr::{Ipv4, Prefix, Subnet24};
 use xatu_netflow::binning::MinuteFlows;
 use xatu_netflow::record::{FlowRecord, Protocol, TcpFlags};
 use xatu_netflow::sampler::{PacketSampler, SamplingMode};
@@ -52,6 +54,48 @@ fn bench_feature_extraction(c: &mut Criterion) {
     let bin = bin_with_flows(40);
     c.bench_function("feature_extraction_per_customer_minute_40flows", |b| {
         b.iter(|| black_box(ex.extract(black_box(&bin))))
+    });
+
+    // The paper's record density (~2.4k flows per customer-minute, §5.3)
+    // with every per-flow test live: sources step by 977 addresses, so
+    // they cross a /24 every flow; every fifth /24 is on two blocklists,
+    // every seventh previously attacked this customer, 30.0.0.0/12 is
+    // routed and the bin runs past it into unrouted space.
+    let bin = bin_with_flows(2400);
+    for (k, f) in bin.flows.iter().enumerate() {
+        if k % 5 == 0 {
+            ex.blocklists.add_addr(BlocklistCategory::Scanner, f.src);
+            ex.blocklists.add_addr(BlocklistCategory::BotMirai, f.src);
+        }
+        if k % 7 == 0 {
+            ex.prev_attackers.record(bin.customer, f.src, 0);
+        }
+    }
+    for third in 0..16u8 {
+        let prefix = Prefix::new(Ipv4::from_octets(30, third, 0, 0), 16);
+        ex.spoof.announce(prefix, 64_500 + third as u32);
+    }
+    c.bench_function(
+        "feature_extraction_per_customer_minute_2400flows_aux_loaded",
+        |b| b.iter(|| black_box(ex.extract(black_box(&bin)))),
+    );
+}
+
+fn bench_clustering_coefficients(c: &mut Criterion) {
+    // A carpet bomb: 80 customers, each hit by the same 64 attacker /24s
+    // plus 16 of its own, so every pair of neighbourhoods overlaps.
+    let mut tracker = ClusteringTracker::new(60);
+    let customers: Vec<Ipv4> = (0..80).map(|i| Ipv4::from_octets(20, 0, i, 1)).collect();
+    for (i, &customer) in customers.iter().enumerate() {
+        for s in 0..64 {
+            tracker.record(0, Subnet24(0x2D_0000 + s), customer);
+        }
+        for s in 0..16 {
+            tracker.record(0, Subnet24(0x2E_0000 + i as u32 * 16 + s), customer);
+        }
+    }
+    c.bench_function("clustering_coefficients_80customers_64shared", |b| {
+        b.iter(|| black_box(tracker.coefficients(black_box(customers[40]))))
     });
 }
 
@@ -424,7 +468,8 @@ fn bench_prepare_by_threads(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_feature_extraction, bench_detection_step, bench_lstm_step,
+    targets = bench_feature_extraction, bench_clustering_coefficients,
+              bench_detection_step, bench_lstm_step,
               bench_cusum, bench_rf_inference, bench_sampler, bench_warm_fwd_bwd,
               bench_obs_primitives, bench_safe_loss,
               bench_gate_kernel_exact_vs_fast, bench_dual_block_f64_vs_f32,

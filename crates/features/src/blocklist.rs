@@ -1,13 +1,14 @@
 //! Public-blocklist store (auxiliary signal A1).
 //!
 //! §5.1: Xatu consumes 11 categories of public blocklists, converted to /24
-//! subnets, collected over the observation period. The store keeps one /24
-//! set per category, supports feed updates (blocklists churn), and answers
-//! "is this source blocklisted" with an optional category filter — the
-//! latter drives the per-category ablation of Fig 17 / Appendix E.
+//! subnets, collected over the observation period. The store keeps, per
+//! /24, the set of categories listing it, supports feed updates (blocklists
+//! churn), and answers "is this source blocklisted" with an optional
+//! category filter — the latter drives the per-category ablation of
+//! Fig 17 / Appendix E.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
+use std::collections::hash_map::{Entry, HashMap};
 use xatu_netflow::addr::{Ipv4, Subnet24};
 
 /// The 11 blocklist categories modelled after the paper's selection
@@ -55,9 +56,14 @@ impl BlocklistCategory {
         BlocklistCategory::Community,
     ];
 
-    /// Index into [`BlocklistCategory::ALL`].
-    pub fn index(self) -> usize {
-        Self::ALL.iter().position(|c| *c == self).expect("in ALL")
+    /// Index into [`BlocklistCategory::ALL`] (declaration order).
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
+    /// This category's bit in a [`BlocklistStore`] mask.
+    const fn bit(self) -> u16 {
+        1 << self.index()
     }
 
     /// Display label.
@@ -79,28 +85,40 @@ impl BlocklistCategory {
 }
 
 /// The /24-granularity blocklist store.
-#[derive(Clone, Debug, Default)]
+///
+/// One map from /24 to the bitmask of categories listing it (bit `i` is
+/// `BlocklistCategory::ALL[i]`), so a membership test is one lookup
+/// whatever the number of categories. A /24 no category lists has no
+/// entry. The map keeps the standard hasher: its keys are matched
+/// against exporter-supplied source addresses.
+#[derive(Clone, Debug)]
 pub struct BlocklistStore {
-    sets: [HashSetWrap; 11],
-    enabled: [bool; 11],
+    masks: HashMap<Subnet24, u16>,
+    /// Bitmask of the categories that currently match.
+    enabled: u16,
+    /// Entries per category.
+    counts: [usize; 11],
 }
 
-// Newtype so we can derive Default for the fixed-size array.
-#[derive(Clone, Debug, Default)]
-struct HashSetWrap(HashSet<Subnet24>);
+const ALL_CATEGORIES: u16 = (1 << BlocklistCategory::ALL.len()) - 1;
 
 impl BlocklistStore {
     /// Creates an empty store with every category enabled.
     pub fn new() -> Self {
         BlocklistStore {
-            sets: Default::default(),
-            enabled: [true; 11],
+            masks: HashMap::new(),
+            enabled: ALL_CATEGORIES,
+            counts: [0; 11],
         }
     }
 
     /// Adds a /24 to a category (feed update).
     pub fn add(&mut self, category: BlocklistCategory, subnet: Subnet24) {
-        self.sets[category.index()].0.insert(subnet);
+        let mask = self.masks.entry(subnet).or_insert(0);
+        if *mask & category.bit() == 0 {
+            *mask |= category.bit();
+            self.counts[category.index()] += 1;
+        }
     }
 
     /// Adds an address by its containing /24 (the paper's normalisation).
@@ -110,43 +128,66 @@ impl BlocklistStore {
 
     /// Removes a /24 from a category (delisting).
     pub fn remove(&mut self, category: BlocklistCategory, subnet: Subnet24) {
-        self.sets[category.index()].0.remove(&subnet);
+        let Entry::Occupied(mut entry) = self.masks.entry(subnet) else {
+            return;
+        };
+        let mask = entry.get_mut();
+        if *mask & category.bit() == 0 {
+            return;
+        }
+        *mask &= !category.bit();
+        self.counts[category.index()] -= 1;
+        if *mask == 0 {
+            entry.remove();
+        }
     }
 
     /// Enables/disables a category — the Fig 17 ablation switch. Disabled
     /// categories keep their entries but stop matching.
     pub fn set_enabled(&mut self, category: BlocklistCategory, enabled: bool) {
-        self.enabled[category.index()] = enabled;
+        if enabled {
+            self.enabled |= category.bit();
+        } else {
+            self.enabled &= !category.bit();
+        }
+    }
+
+    fn mask_of(&self, addr: Ipv4) -> u16 {
+        self.masks.get(&addr.subnet24()).copied().unwrap_or(0)
     }
 
     /// True if `addr`'s /24 is on any *enabled* blocklist.
     pub fn contains(&self, addr: Ipv4) -> bool {
-        let s = addr.subnet24();
-        self.sets
-            .iter()
-            .zip(&self.enabled)
-            .any(|(set, &en)| en && set.0.contains(&s))
+        self.mask_of(addr) & self.enabled != 0
     }
 
     /// True if `addr`'s /24 is on the given category (ignores enablement).
     pub fn contains_in(&self, category: BlocklistCategory, addr: Ipv4) -> bool {
-        self.sets[category.index()].0.contains(&addr.subnet24())
+        self.mask_of(addr) & category.bit() != 0
     }
 
     /// Number of /24 entries in a category.
     pub fn category_len(&self, category: BlocklistCategory) -> usize {
-        self.sets[category.index()].0.len()
+        self.counts[category.index()]
     }
 
     /// Total entries across categories (with multiplicity).
     pub fn total_len(&self) -> usize {
-        self.sets.iter().map(|s| s.0.len()).sum()
+        self.counts.iter().sum()
+    }
+}
+
+impl Default for BlocklistStore {
+    /// Same as [`BlocklistStore::new`]: empty, every category enabled.
+    fn default() -> Self {
+        Self::new()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn addr(a: u8, b: u8, c: u8, d: u8) -> Ipv4 {
         Ipv4::from_octets(a, b, c, d)
@@ -202,11 +243,77 @@ mod tests {
     }
 
     #[test]
-    fn all_categories_have_distinct_indices() {
-        let mut seen = std::collections::HashSet::new();
-        for c in BlocklistCategory::ALL {
-            assert!(seen.insert(c.index()));
+    fn index_is_the_position_in_all() {
+        for (i, c) in BlocklistCategory::ALL.iter().enumerate() {
+            assert_eq!(c.index(), i);
         }
-        assert_eq!(seen.len(), 11);
+    }
+
+    #[test]
+    fn default_store_matches_like_new() {
+        // The derived Default used to leave every category disabled, so a
+        // defaulted store matched nothing.
+        let mut bl = BlocklistStore::default();
+        bl.add_addr(BlocklistCategory::Spam, addr(4, 4, 4, 4));
+        assert!(bl.contains(addr(4, 4, 4, 9)));
+    }
+
+    /// The pre-bitmask layout: one /24 set per category and a flag each.
+    struct SetModel {
+        sets: [HashSet<Subnet24>; 11],
+        enabled: [bool; 11],
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn store_agrees_with_an_eleven_set_model(
+            ops in proptest::collection::vec(proptest::arbitrary::any::<u32>(), 0..300),
+        ) {
+            let mut bl = BlocklistStore::new();
+            let mut model = SetModel {
+                sets: Default::default(),
+                enabled: [true; 11],
+            };
+            // Six /24s and eleven categories: double adds, removes of
+            // absent entries and emptied /24s all occur.
+            for op in ops {
+                let cat = BlocklistCategory::ALL[(op >> 8) as usize % 11];
+                let subnet = Subnet24(0x01_0100 + (op >> 16) % 6);
+                match op % 5 {
+                    0 | 1 => {
+                        bl.add(cat, subnet);
+                        model.sets[cat.index()].insert(subnet);
+                    }
+                    2 | 3 => {
+                        bl.remove(cat, subnet);
+                        model.sets[cat.index()].remove(&subnet);
+                    }
+                    _ => {
+                        let on = op >> 24 & 1 == 1;
+                        bl.set_enabled(cat, on);
+                        model.enabled[cat.index()] = on;
+                    }
+                }
+                for s in 0..7 {
+                    let a = Subnet24(0x01_0100 + s).host(7);
+                    let want = (0..11).any(|c| {
+                        model.enabled[c] && model.sets[c].contains(&a.subnet24())
+                    });
+                    assert_eq!(bl.contains(a), want);
+                    for c in BlocklistCategory::ALL {
+                        assert_eq!(
+                            bl.contains_in(c, a),
+                            model.sets[c.index()].contains(&a.subnet24())
+                        );
+                    }
+                }
+                for c in BlocklistCategory::ALL {
+                    assert_eq!(bl.category_len(c), model.sets[c.index()].len());
+                }
+                assert_eq!(bl.total_len(), model.sets.iter().map(HashSet::len).sum::<usize>());
+                // A /24 whose last category was removed leaves no entry.
+                assert!(bl.masks.values().all(|&m| m != 0));
+            }
+        }
     }
 }

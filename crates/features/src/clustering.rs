@@ -17,7 +17,8 @@
 //! with a non-empty neighbourhood. Incidence is recorded over a sliding
 //! window so the coefficient rises as correlated waves approach (Fig 16).
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, VecDeque};
 use xatu_netflow::addr::{Ipv4, Subnet24};
 
 /// The three overlap variants, in Table 1 feature order.
@@ -109,10 +110,83 @@ impl ClusteringTracker {
         if mine.is_empty() {
             return ClusteringCoefficients::default();
         }
-        let my_set: HashSet<&Subnet24> = mine.keys().collect();
         let mut acc = ClusteringCoefficients::default();
         let mut peers = 0usize;
         for (other, theirs) in &self.neighbours {
+            if *other == customer || theirs.is_empty() {
+                continue;
+            }
+            let shared = shared_keys(mine, theirs);
+            let inter = shared as f64;
+            let union = (mine.len() + theirs.len() - shared) as f64;
+            let (a, b) = (mine.len() as f64, theirs.len() as f64);
+            acc.dot += inter / union;
+            acc.min += inter / a.min(b);
+            acc.max += inter / a.max(b);
+            peers += 1;
+        }
+        if peers == 0 {
+            return ClusteringCoefficients::default();
+        }
+        let inv = 1.0 / peers as f64;
+        ClusteringCoefficients {
+            dot: acc.dot * inv,
+            min: acc.min * inv,
+            max: acc.max * inv,
+        }
+    }
+
+    /// Number of customers with active neighbourhoods.
+    pub fn active_customers(&self) -> usize {
+        self.neighbours.len()
+    }
+}
+
+/// `|N(u) ∩ N(v)|` by one merge over the two key ranges, which the maps
+/// already hold in order.
+fn shared_keys(u: &BTreeMap<Subnet24, u32>, v: &BTreeMap<Subnet24, u32>) -> usize {
+    let (mut us, mut vs) = (u.keys(), v.keys());
+    let (mut a, mut b) = (us.next(), vs.next());
+    let mut shared = 0;
+    while let (Some(x), Some(y)) = (a, b) {
+        match x.cmp(y) {
+            Ordering::Less => a = us.next(),
+            Ordering::Greater => b = vs.next(),
+            Ordering::Equal => {
+                shared += 1;
+                a = us.next();
+                b = vs.next();
+            }
+        }
+    }
+    shared
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+
+    fn sn(x: u32) -> Subnet24 {
+        Subnet24(x)
+    }
+
+    fn cust(x: u32) -> Ipv4 {
+        Ipv4(0x0A00_0000 + x)
+    }
+
+    /// The pre-merge `coefficients`, frozen: two `HashSet`s per peer.
+    fn reference_coefficients(t: &ClusteringTracker, customer: Ipv4) -> ClusteringCoefficients {
+        let Some(mine) = t.neighbours.get(&customer) else {
+            return ClusteringCoefficients::default();
+        };
+        if mine.is_empty() {
+            return ClusteringCoefficients::default();
+        }
+        let my_set: HashSet<&Subnet24> = mine.keys().collect();
+        let mut acc = ClusteringCoefficients::default();
+        let mut peers = 0usize;
+        for (other, theirs) in &t.neighbours {
             if *other == customer || theirs.is_empty() {
                 continue;
             }
@@ -136,22 +210,28 @@ impl ClusteringTracker {
         }
     }
 
-    /// Number of customers with active neighbourhoods.
-    pub fn active_customers(&self) -> usize {
-        self.neighbours.len()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sn(x: u32) -> Subnet24 {
-        Subnet24(x)
-    }
-
-    fn cust(x: u32) -> Ipv4 {
-        Ipv4(0x0A00_0000 + x)
+    proptest::proptest! {
+        #[test]
+        fn coefficients_match_hashset_reference_bitwise(
+            ops in proptest::collection::vec(proptest::arbitrary::any::<u32>(), 1..250),
+        ) {
+            let mut t = ClusteringTracker::new(10);
+            let mut now = 0u32;
+            for op in ops {
+                now += op & 1;
+                if op >> 1 & 7 == 0 {
+                    t.expire(now);
+                } else {
+                    t.record(now, sn((op >> 8) % 12), cust((op >> 16) % 9));
+                }
+                // cust(9) never has a neighbourhood.
+                for c in 0..10 {
+                    let got = t.coefficients(cust(c)).as_array();
+                    let want = reference_coefficients(&t, cust(c)).as_array();
+                    assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "customer {c}");
+                }
+            }
+        }
     }
 
     #[test]

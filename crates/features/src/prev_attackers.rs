@@ -54,15 +54,16 @@ impl PrevAttackerTracker {
     /// True if `src`'s /24 previously attacked `customer` (within the
     /// retention horizon, evaluated at `now`).
     pub fn is_previous_attacker(&self, customer: Ipv4, src: Ipv4, now: u32) -> bool {
-        let Some(set) = self.sets.get(&customer) else {
-            return false;
-        };
-        let Some(&last_seen) = set.get(&src.subnet24()) else {
-            return false;
-        };
-        match self.retention_minutes {
-            None => true,
-            Some(ret) => now.saturating_sub(last_seen) <= ret,
+        self.view(customer, now).contains(src)
+    }
+
+    /// `customer`'s set as seen at `now`: the customer is looked up here,
+    /// once, and every source of its bin is then tested against the view.
+    pub(crate) fn view(&self, customer: Ipv4, now: u32) -> PrevAttackerView<'_> {
+        PrevAttackerView {
+            set: self.sets.get(&customer),
+            retention_minutes: self.retention_minutes,
+            now,
         }
     }
 
@@ -85,6 +86,26 @@ impl PrevAttackerTracker {
             for set in self.sets.values_mut() {
                 set.retain(|_, &mut last| now.saturating_sub(last) <= ret);
             }
+        }
+    }
+}
+
+/// One customer's previous attackers at one minute.
+pub(crate) struct PrevAttackerView<'a> {
+    set: Option<&'a HashMap<Subnet24, u32>>,
+    retention_minutes: Option<u32>,
+    now: u32,
+}
+
+impl PrevAttackerView<'_> {
+    /// True if `src`'s /24 is in the set and inside the retention horizon.
+    pub(crate) fn contains(&self, src: Ipv4) -> bool {
+        let Some(&last_seen) = self.set.and_then(|set| set.get(&src.subnet24())) else {
+            return false;
+        };
+        match self.retention_minutes {
+            None => true,
+            Some(ret) => self.now.saturating_sub(last_seen) <= ret,
         }
     }
 }

@@ -5,11 +5,11 @@
 
 use crate::blocklist::BlocklistStore;
 use crate::clustering::ClusteringTracker;
-use crate::frame::{offsets, FeatureFrame, FeatureMask};
+use crate::frame::{offsets, FeatureFrame, FeatureMask, VOLUMETRIC_WIDTH};
 use crate::history::AttackHistory;
 use crate::prev_attackers::PrevAttackerTracker;
 use crate::spoof::SpoofClassifier;
-use crate::volumetric::volumetric_block;
+use crate::volumetric::{distinct_sources, source_key, BlockAcc, FlowFacts, SOURCE_CLASSES};
 use xatu_netflow::binning::MinuteFlows;
 use xatu_netflow::country::CountryMapper;
 
@@ -69,53 +69,56 @@ impl FeatureExtractor {
         let mut frame = FeatureFrame::zeros();
         let now = bin.minute;
         let customer = bin.customer;
+        let mask = self.mask;
 
-        // V block.
-        let v = volumetric_block(&bin.flows, &self.mapper, |_| true);
-        frame.0[offsets::V..offsets::A1].copy_from_slice(&v);
-
-        // A1: flows from blocklisted sources.
-        if self.mask.a1 {
-            let bl = &self.blocklists;
-            let a1 = volumetric_block(&bin.flows, &self.mapper, |f| bl.contains(f.src));
-            frame.0[offsets::A1..offsets::A2].copy_from_slice(&a1);
+        // V and A1–A3 in one walk: each flow is reduced to its facts once,
+        // its source is tested against each auxiliary set once, and it is
+        // added, in arrival order, to every block that selects it. A
+        // masked-out block selects nothing and stays zero.
+        //
+        // A3: ingress-AS attribution is not present in the flow records,
+        // so only bogon/unrouted checks fire here — the invalid-origin
+        // path is exercised when the caller classifies with explicit
+        // ingress data.
+        let prev_attackers = self.prev_attackers.view(customer, now);
+        let mut blocks = [BlockAcc::EMPTY; SOURCE_CLASSES];
+        let mut sources = Vec::with_capacity(bin.flows.len());
+        for f in &bin.flows {
+            let classes = 1
+                | u8::from(mask.a1 && self.blocklists.contains(f.src)) << 1
+                | u8::from(mask.a2 && prev_attackers.contains(f.src)) << 2
+                | u8::from(mask.a3 && self.spoof.is_spoofed_shared(f.src, None)) << 3;
+            let facts = FlowFacts::of(f, &self.mapper);
+            for (k, block) in blocks.iter_mut().enumerate() {
+                if classes >> k & 1 == 1 {
+                    block.add(&facts);
+                }
+            }
+            sources.push(source_key(f.src.0, classes));
         }
-
-        // A2: flows from previous attackers of this customer.
-        if self.mask.a2 {
-            let pa = &self.prev_attackers;
-            let a2 = volumetric_block(&bin.flows, &self.mapper, |f| {
-                pa.is_previous_attacker(customer, f.src, now)
-            });
-            frame.0[offsets::A2..offsets::A3].copy_from_slice(&a2);
-        }
-
-        // A3: flows from spoofed sources. Ingress-AS attribution is not
-        // present in the flow records, so only bogon/unrouted checks fire
-        // here — the invalid-origin path is exercised when the caller
-        // classifies with explicit ingress data.
-        if self.mask.a3 {
-            let spoof = &self.spoof;
-            let a3 = volumetric_block(&bin.flows, &self.mapper, |f| {
-                spoof.is_spoofed_shared(f.src, None)
-            });
-            frame.0[offsets::A3..offsets::A4].copy_from_slice(&a3);
+        let distinct = distinct_sources(&mut sources);
+        for ((block, n), out) in blocks
+            .iter()
+            .zip(distinct)
+            .zip(frame.0[offsets::V..offsets::A4].chunks_exact_mut(VOLUMETRIC_WIDTH))
+        {
+            out.copy_from_slice(&block.finish(n));
         }
 
         // A4: attack-history severities.
-        if self.mask.a4 {
+        if mask.a4 {
             let a4 = self.history.features(customer, now);
             frame.0[offsets::A4..offsets::A5].copy_from_slice(&a4);
         }
 
         // A5: clustering coefficients.
-        if self.mask.a5 {
+        if mask.a5 {
             let a5 = self.clustering.coefficients(customer).as_array();
             frame.0[offsets::A5..].copy_from_slice(&a5);
         }
 
         // The mask zeroes V too if disabled (only used in diagnostics).
-        self.mask.apply(&mut frame);
+        mask.apply(&mut frame);
         frame
     }
 }
@@ -130,7 +133,7 @@ impl Default for FeatureExtractor {
 mod tests {
     use super::*;
     use crate::blocklist::BlocklistCategory;
-    use xatu_netflow::addr::Ipv4;
+    use xatu_netflow::addr::{Ipv4, Prefix};
     use xatu_netflow::attack::{AttackType, Severity};
     use xatu_netflow::record::{FlowRecord, Protocol, TcpFlags};
 
@@ -154,6 +157,91 @@ mod tests {
             minute: 100,
             customer: Ipv4::from_octets(10, 0, 0, 1),
             flows,
+        }
+    }
+
+    /// The pre-fusion `extract_shared`, frozen: one walk of the bin per
+    /// block, each over the frozen reference block.
+    fn extract_four_pass(ex: &FeatureExtractor, bin: &MinuteFlows) -> FeatureFrame {
+        use crate::volumetric::reference_block;
+        let mut frame = FeatureFrame::zeros();
+        let (now, customer) = (bin.minute, bin.customer);
+        let v = reference_block(&bin.flows, &ex.mapper, |_| true);
+        frame.0[offsets::V..offsets::A1].copy_from_slice(&v);
+        if ex.mask.a1 {
+            let a1 = reference_block(&bin.flows, &ex.mapper, |f| ex.blocklists.contains(f.src));
+            frame.0[offsets::A1..offsets::A2].copy_from_slice(&a1);
+        }
+        if ex.mask.a2 {
+            let a2 = reference_block(&bin.flows, &ex.mapper, |f| {
+                ex.prev_attackers.is_previous_attacker(customer, f.src, now)
+            });
+            frame.0[offsets::A2..offsets::A3].copy_from_slice(&a2);
+        }
+        if ex.mask.a3 {
+            let a3 = reference_block(&bin.flows, &ex.mapper, |f| {
+                ex.spoof.is_spoofed_shared(f.src, None)
+            });
+            frame.0[offsets::A3..offsets::A4].copy_from_slice(&a3);
+        }
+        if ex.mask.a4 {
+            let a4 = ex.history.features(customer, now);
+            frame.0[offsets::A4..offsets::A5].copy_from_slice(&a4);
+        }
+        if ex.mask.a5 {
+            let a5 = ex.clustering.coefficients(customer).as_array();
+            frame.0[offsets::A5..].copy_from_slice(&a5);
+        }
+        ex.mask.apply(&mut frame);
+        frame
+    }
+
+    #[test]
+    fn fused_pass_matches_frozen_four_pass_bitwise() {
+        // The wider sweep (seeded worlds, dense bins, retention edges) is
+        // the root package's tests/extract_equivalence.rs.
+        let mut ex = FeatureExtractor::new();
+        let cust = Ipv4::from_octets(10, 0, 0, 1);
+        let listed = Ipv4::from_octets(66, 66, 66, 66);
+        let repeat = Ipv4::from_octets(44, 44, 44, 44);
+        ex.blocklists
+            .add_addr(BlocklistCategory::DdosSource, listed);
+        ex.prev_attackers.record(cust, repeat, 50);
+        ex.prev_attackers.record(cust, listed, 60); // in A1 and A2 at once
+        ex.spoof
+            .announce(Prefix::new(Ipv4::from_octets(44, 0, 0, 0), 8), 100);
+        ex.spoof.ensure_built();
+        ex.history
+            .record(cust, AttackType::UdpFlood, Severity::High, 90);
+        let sources = [
+            listed,
+            repeat,
+            Ipv4::from_octets(66, 66, 66, 1), // listed /24, other host
+            Ipv4::from_octets(44, 1, 2, 3),   // routed, clean
+            Ipv4::from_octets(192, 168, 1, 1), // bogon
+            Ipv4::from_octets(8, 8, 8, 8),    // unrouted
+        ];
+        let mut flows = Vec::new();
+        for i in 0..60u64 {
+            let mut f = flow(sources[(i * 7 % 6) as usize], 900 + 37 * i);
+            f.proto = [Protocol::Udp, Protocol::Tcp, Protocol::Icmp][(i % 3) as usize];
+            f.tcp_flags = TcpFlags(i as u8);
+            f.src_port = [53, 123, 4000][(i % 3) as usize];
+            f.sampling = 1 + (i % 4) as u32 * 100;
+            flows.push(f);
+        }
+        let masks = (1..=5)
+            .map(FeatureMask::with_single_aux)
+            .chain([FeatureMask::all(), FeatureMask::volumetric_only()]);
+        for mask in masks {
+            ex.mask = mask;
+            for b in [bin(flows.clone()), bin(flows[..1].to_vec()), bin(vec![])] {
+                let got = ex.extract_shared(&b);
+                let want = extract_four_pass(&ex, &b);
+                for (i, (g, w)) in got.0.iter().zip(&want.0).enumerate() {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{mask:?} feature {i}");
+                }
+            }
         }
     }
 

@@ -21,9 +21,15 @@
 //! sampling-upscaled estimates, and all counts are log-compressed with
 //! `ln(1+x)` so the LSTM sees bounded dynamic range (raw totals span nine
 //! orders of magnitude).
+//!
+//! The arithmetic has one definition, shared by [`volumetric_block`] and
+//! the fused V/A1/A2/A3 pass of [`crate::table1::FeatureExtractor`]: a
+//! flow is reduced once to [`FlowFacts`] and added to one [`BlockAcc`] per
+//! block that selects it. A block sums its flows in arrival order, so the
+//! number of blocks fed in one walk does not change any `f64` (DESIGN.md
+//! §18).
 
 use crate::frame::VOLUMETRIC_WIDTH;
-use std::collections::HashSet;
 use xatu_netflow::country::CountryMapper;
 use xatu_netflow::record::{FlowRecord, Protocol, TcpFlags};
 
@@ -40,6 +46,144 @@ pub fn compress(x: f64) -> f64 {
     x.max(0.0).ln_1p() / 8.0
 }
 
+/// Number of (bytes, packets) pairs after the five scalar features.
+const PAIRS: usize = (VOLUMETRIC_WIDTH - idx::UDP_BYTES) / 2;
+// First pair of each family, in feature order.
+const PAIR_PROTO: usize = 0;
+const PAIR_SRC_PORT: usize = (idx::SRC_PORTS - idx::UDP_BYTES) / 2;
+const PAIR_DST_PORT: usize = (idx::DST_PORTS - idx::UDP_BYTES) / 2;
+const PAIR_TCP_FLAG: usize = (idx::TCP_FLAGS - idx::UDP_BYTES) / 2;
+const PAIR_COUNTRY: usize = (idx::COUNTRIES - idx::UDP_BYTES) / 2;
+
+/// What one flow contributes to any block that selects it: its upscaled
+/// volume and the set of (bytes, packets) pairs it lands in.
+pub(crate) struct FlowFacts {
+    bytes: f64,
+    packets: f64,
+    /// Bit `i` set: the flow counts toward pair `i` (at most once each).
+    pairs: u32,
+}
+
+impl FlowFacts {
+    pub(crate) fn of(f: &FlowRecord, mapper: &CountryMapper) -> Self {
+        let mut pairs = 0u32;
+        match f.proto {
+            Protocol::Udp => pairs |= 1 << PAIR_PROTO,
+            Protocol::Tcp => {
+                pairs |= 1 << (PAIR_PROTO + 1);
+                for (i, flag) in TcpFlags::ALL.iter().enumerate() {
+                    if f.tcp_flags.has(*flag) {
+                        pairs |= 1 << (PAIR_TCP_FLAG + i);
+                    }
+                }
+            }
+            Protocol::Icmp => pairs |= 1 << (PAIR_PROTO + 2),
+            Protocol::Other(_) => {}
+        }
+        if let Some(i) = POPULAR_PORTS.iter().position(|&pp| pp == f.src_port) {
+            pairs |= 1 << (PAIR_SRC_PORT + i);
+        }
+        if let Some(i) = POPULAR_PORTS.iter().position(|&pp| pp == f.dst_port) {
+            pairs |= 1 << (PAIR_DST_PORT + i);
+        }
+        if let Some(i) = mapper.country(f.src).popular_index() {
+            pairs |= 1 << (PAIR_COUNTRY + i);
+        }
+        FlowFacts {
+            bytes: f.est_bytes() as f64,
+            packets: f.est_packets() as f64,
+            pairs,
+        }
+    }
+}
+
+/// Running sums of one volumetric block.
+#[derive(Clone, Copy)]
+pub(crate) struct BlockAcc {
+    n_flows: usize,
+    sum: [f64; 2],
+    max: [f64; 2],
+    pairs: [[f64; 2]; PAIRS],
+}
+
+impl BlockAcc {
+    pub(crate) const EMPTY: BlockAcc = BlockAcc {
+        n_flows: 0,
+        sum: [0.0; 2],
+        max: [0.0; 2],
+        pairs: [[0.0; 2]; PAIRS],
+    };
+
+    #[inline]
+    pub(crate) fn add(&mut self, f: &FlowFacts) {
+        self.n_flows += 1;
+        self.sum[0] += f.bytes;
+        self.sum[1] += f.packets;
+        self.max[0] = self.max[0].max(f.bytes);
+        self.max[1] = self.max[1].max(f.packets);
+        let mut rest = f.pairs;
+        while rest != 0 {
+            let pair = &mut self.pairs[rest.trailing_zeros() as usize];
+            pair[0] += f.bytes;
+            pair[1] += f.packets;
+            rest &= rest - 1;
+        }
+    }
+
+    /// The finished block, given the number of distinct sources among the
+    /// flows added.
+    pub(crate) fn finish(&self, unique_sources: usize) -> [f64; VOLUMETRIC_WIDTH] {
+        let mean = |sum: f64| {
+            if self.n_flows > 0 {
+                sum / self.n_flows as f64
+            } else {
+                0.0
+            }
+        };
+        let mut out = [0.0f64; VOLUMETRIC_WIDTH];
+        out[0] = compress(unique_sources as f64);
+        out[1] = compress(mean(self.sum[0]));
+        out[2] = compress(self.max[0]);
+        out[3] = compress(mean(self.sum[1]));
+        out[4] = compress(self.max[1]);
+        for (o, pair) in out[idx::UDP_BYTES..].chunks_exact_mut(2).zip(&self.pairs) {
+            o[0] = compress(pair[0]);
+            o[1] = compress(pair[1]);
+        }
+        out
+    }
+}
+
+/// Number of blocks one source key can be counted toward (V, A1, A2, A3).
+pub(crate) const SOURCE_CLASSES: usize = 4;
+
+/// Key for [`distinct_sources`]: the source address above a bitmask of
+/// the blocks (bit `k` = block `k`) its flows were selected into. The
+/// mask must be the same for every flow of one source, which holds when
+/// selection depends on the source address alone.
+#[inline]
+pub(crate) fn source_key(src: u32, classes: u8) -> u64 {
+    debug_assert!(usize::from(classes) < 1 << SOURCE_CLASSES);
+    u64::from(src) << SOURCE_CLASSES | u64::from(classes)
+}
+
+/// Distinct sources per block: sorts and deduplicates the keys once and
+/// counts each surviving source toward the blocks in its mask. O(n log n)
+/// whatever the addresses are — they are exporter-supplied, so neither a
+/// hash set with a weak hasher nor one whose cost an attacker can steer
+/// is used here.
+pub(crate) fn distinct_sources(keys: &mut Vec<u64>) -> [usize; SOURCE_CLASSES] {
+    keys.sort_unstable();
+    keys.dedup();
+    let mut counts = [0usize; SOURCE_CLASSES];
+    for key in keys.iter() {
+        for (k, c) in counts.iter_mut().enumerate() {
+            *c += (key >> k & 1) as usize;
+        }
+    }
+    counts
+}
+
 /// Computes the 63-feature volumetric block over the flows selected by
 /// `select`. Pass `|_| true` for the V block.
 pub fn volumetric_block<F>(
@@ -50,8 +194,55 @@ pub fn volumetric_block<F>(
 where
     F: FnMut(&FlowRecord) -> bool,
 {
+    let mut acc = BlockAcc::EMPTY;
+    let mut sources = Vec::new();
+    for f in flows {
+        if select(f) {
+            acc.add(&FlowFacts::of(f, mapper));
+            sources.push(source_key(f.src.0, 1));
+        }
+    }
+    acc.finish(distinct_sources(&mut sources)[0])
+}
+
+/// Feature index helpers into a volumetric block.
+pub mod idx {
+    /// Unique source count.
+    pub const UNIQUE_SOURCES: usize = 0;
+    /// Mean flow bytes.
+    pub const MEAN_BYTES: usize = 1;
+    /// Max flow bytes.
+    pub const MAX_BYTES: usize = 2;
+    /// UDP bytes.
+    pub const UDP_BYTES: usize = 5;
+    /// TCP bytes.
+    pub const TCP_BYTES: usize = 7;
+    /// ICMP bytes.
+    pub const ICMP_BYTES: usize = 9;
+    /// Start of the per-source-port (bytes, packets) pairs.
+    pub const SRC_PORTS: usize = 11;
+    /// Start of the per-destination-port pairs.
+    pub const DST_PORTS: usize = 21;
+    /// Start of the per-TCP-flag pairs.
+    pub const TCP_FLAGS: usize = 31;
+    /// Start of the per-country pairs.
+    pub const COUNTRIES: usize = 43;
+}
+
+/// The pre-fusion block, frozen: its own walk over the flows, its own
+/// `HashSet` of sources. Tests hold [`volumetric_block`] and the fused
+/// extractor to it bit for bit; nothing else may call it.
+#[cfg(test)]
+pub(crate) fn reference_block<F>(
+    flows: &[FlowRecord],
+    mapper: &CountryMapper,
+    mut select: F,
+) -> [f64; VOLUMETRIC_WIDTH]
+where
+    F: FnMut(&FlowRecord) -> bool,
+{
     let mut out = [0.0f64; VOLUMETRIC_WIDTH];
-    let mut sources: HashSet<u32> = HashSet::new();
+    let mut sources: std::collections::HashSet<u32> = std::collections::HashSet::new();
     let mut n_flows = 0usize;
     let mut sum_bytes = 0.0f64;
     let mut sum_packets = 0.0f64;
@@ -130,37 +321,19 @@ where
     out[3] = compress(mean_packets);
     out[4] = compress(max_packets);
     let mut k = 5;
-    for pair in proto.iter().chain(&sport).chain(&dport).chain(&flags).chain(&country) {
+    for pair in proto
+        .iter()
+        .chain(&sport)
+        .chain(&dport)
+        .chain(&flags)
+        .chain(&country)
+    {
         out[k] = compress(pair[0]);
         out[k + 1] = compress(pair[1]);
         k += 2;
     }
     debug_assert_eq!(k, VOLUMETRIC_WIDTH);
     out
-}
-
-/// Feature index helpers into a volumetric block.
-pub mod idx {
-    /// Unique source count.
-    pub const UNIQUE_SOURCES: usize = 0;
-    /// Mean flow bytes.
-    pub const MEAN_BYTES: usize = 1;
-    /// Max flow bytes.
-    pub const MAX_BYTES: usize = 2;
-    /// UDP bytes.
-    pub const UDP_BYTES: usize = 5;
-    /// TCP bytes.
-    pub const TCP_BYTES: usize = 7;
-    /// ICMP bytes.
-    pub const ICMP_BYTES: usize = 9;
-    /// Start of the per-source-port (bytes, packets) pairs.
-    pub const SRC_PORTS: usize = 11;
-    /// Start of the per-destination-port pairs.
-    pub const DST_PORTS: usize = 21;
-    /// Start of the per-TCP-flag pairs.
-    pub const TCP_FLAGS: usize = 31;
-    /// Start of the per-country pairs.
-    pub const COUNTRIES: usize = 43;
 }
 
 #[cfg(test)]
@@ -269,6 +442,50 @@ mod tests {
         let only1 = volumetric_block(&flows, &mapper, |f| f.src == Ipv4(1));
         assert!(only1[idx::UDP_BYTES] < all[idx::UDP_BYTES]);
         assert!((only1[idx::UNIQUE_SOURCES] - compress(1.0)).abs() < 1e-12);
+    }
+
+    /// A flow decoded from two random words: few distinct sources, ports
+    /// and protocols, so every pair and repeated sources are hit.
+    fn flow_from(w: u64, v: u64) -> FlowRecord {
+        const PORTS: [u16; 8] = [0, 53, 80, 123, 443, 22, 8080, 50_000];
+        FlowRecord {
+            minute: 0,
+            src: Ipv4((((w >> 8) as u32 % 6) << 16) | ((w >> 16) as u32 % 5)),
+            dst: Ipv4(42),
+            proto: match w & 3 {
+                0 => Protocol::Udp,
+                1 => Protocol::Tcp,
+                2 => Protocol::Icmp,
+                _ => Protocol::Other(47),
+            },
+            src_port: PORTS[(w >> 24) as usize % 8],
+            dst_port: PORTS[(w >> 32) as usize % 8],
+            tcp_flags: TcpFlags((w >> 40) as u8),
+            bytes: v % 1_000_003,
+            packets: (v >> 32) % 1_009,
+            sampling: 1 + (w >> 48) as u32 % 1000,
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn block_matches_frozen_reference_bitwise(
+            words in proptest::collection::vec(proptest::arbitrary::any::<u64>(), 0..400),
+            keep in 0u32..6,
+        ) {
+            let mapper = CountryMapper::new();
+            let flows: Vec<FlowRecord> = words
+                .chunks_exact(2)
+                .map(|w| flow_from(w[0], w[1]))
+                .collect();
+            // Selection by source, as the A1/A2/A3 predicates select.
+            let select = |f: &FlowRecord| keep == 0 || (f.src.0 >> 16).is_multiple_of(keep);
+            let got = volumetric_block(&flows, &mapper, select);
+            let want = reference_block(&flows, &mapper, select);
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.to_bits(), w.to_bits(), "feature {i}");
+            }
+        }
     }
 
     #[test]

@@ -177,9 +177,11 @@ impl fmt::Debug for Prefix {
 /// the AS that announces the corresponding prefix").
 #[derive(Clone, Debug)]
 pub struct PrefixTable<V> {
-    // Sorted by (len desc) within lookup; stored flat and scanned per length
-    // bucket. Simple and fast enough for the table sizes in this workspace.
+    // One flat bucket per prefix length, sorted by base at `build`;
+    // lookup binary-searches the non-empty buckets, longest first.
     buckets: Vec<Vec<(u32, V)>>, // buckets[len] -> (base, value)
+    /// Bit `len` set: `buckets[len]` is non-empty.
+    lengths: u64,
 }
 
 impl<V: Clone> Default for PrefixTable<V> {
@@ -193,6 +195,7 @@ impl<V: Clone> PrefixTable<V> {
     pub fn new() -> Self {
         PrefixTable {
             buckets: (0..=32).map(|_| Vec::new()).collect(),
+            lengths: 0,
         }
     }
 
@@ -200,23 +203,35 @@ impl<V: Clone> PrefixTable<V> {
     /// shadow earlier ones on lookup.
     pub fn insert(&mut self, prefix: Prefix, value: V) {
         self.buckets[prefix.len as usize].push((prefix.base, value));
+        self.lengths |= 1 << prefix.len;
     }
 
-    /// Sorts buckets for binary search. Must be called after the last
-    /// `insert` and before the first `lookup`.
+    /// Sorts buckets for binary search, keeping the last insert of each
+    /// prefix. Must be called after the last `insert` and before the first
+    /// `lookup`.
     pub fn build(&mut self) {
         for b in &mut self.buckets {
+            // Stable, so equal bases stay in insertion order …
             b.sort_by_key(|(base, _)| *base);
+            // … and `dedup_by` hands over (later, earlier-kept): move the
+            // later value into the slot that stays.
+            b.dedup_by(|later, kept| {
+                let same = later.0 == kept.0;
+                if same {
+                    std::mem::swap(later, kept);
+                }
+                same
+            });
         }
     }
 
     /// Longest-prefix-match lookup.
     pub fn lookup(&self, addr: Ipv4) -> Option<(&V, u8)> {
-        for len in (0..=32u8).rev() {
+        let mut lengths = self.lengths;
+        while lengths != 0 {
+            let len = (63 - lengths.leading_zeros()) as u8;
+            lengths &= !(1 << len);
             let bucket = &self.buckets[len as usize];
-            if bucket.is_empty() {
-                continue;
-            }
             let masked = addr.0 & Prefix::mask(len);
             if let Ok(i) = bucket.binary_search_by_key(&masked, |(base, _)| *base) {
                 return Some((&bucket[i].1, len));
@@ -319,5 +334,49 @@ mod tests {
         assert_eq!((*v, len), ("coarse", 8));
         assert!(t.lookup(Ipv4::from_octets(11, 0, 0, 1)).is_none());
         assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn prefix_table_last_insert_of_a_prefix_wins() {
+        let mut t = PrefixTable::new();
+        let p = Prefix::new(Ipv4::from_octets(20, 5, 0, 0), 16);
+        // Neighbours on both sides, so the duplicates sit mid-bucket where
+        // a binary search may land on any of them.
+        for third in 0..8u8 {
+            t.insert(Prefix::new(Ipv4::from_octets(20, third, 0, 0), 16), 1000);
+        }
+        for asn in [100, 200, 300] {
+            t.insert(p, asn);
+        }
+        t.build();
+        assert_eq!(t.lookup(Ipv4::from_octets(20, 5, 9, 9)), Some((&300, 16)));
+        assert_eq!(t.len(), 8, "one entry per distinct prefix");
+        // A re-announcement after a build shadows what the build kept.
+        t.insert(p, 400);
+        t.build();
+        assert_eq!(t.lookup(Ipv4::from_octets(20, 5, 9, 9)), Some((&400, 16)));
+    }
+
+    #[test]
+    fn prefix_table_skips_empty_lengths_but_keeps_longest_match() {
+        let mut t = PrefixTable::new();
+        for first in [10u8, 20, 30] {
+            t.insert(
+                Prefix::new(Ipv4::from_octets(first, 0, 0, 0), 8),
+                first as u32,
+            );
+        }
+        t.insert(Prefix::new(Ipv4::from_octets(20, 5, 0, 0), 16), 2005);
+        t.build();
+        assert_eq!(t.lookup(Ipv4::from_octets(20, 5, 1, 1)), Some((&2005, 16)));
+        assert_eq!(t.lookup(Ipv4::from_octets(20, 6, 1, 1)), Some((&20, 8)));
+        assert_eq!(t.lookup(Ipv4::from_octets(30, 5, 1, 1)), Some((&30, 8)));
+        assert_eq!(t.lookup(Ipv4::from_octets(40, 5, 1, 1)), None);
+        // /0 and /32 are the ends of the length mask.
+        t.insert(Prefix::new(Ipv4(0), 0), 0);
+        t.insert(Prefix::new(Ipv4::from_octets(40, 5, 1, 1), 32), 32);
+        t.build();
+        assert_eq!(t.lookup(Ipv4::from_octets(40, 5, 1, 1)), Some((&32, 32)));
+        assert_eq!(t.lookup(Ipv4::from_octets(40, 5, 1, 2)), Some((&0, 0)));
     }
 }

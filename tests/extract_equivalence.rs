@@ -1,0 +1,422 @@
+//! `FeatureExtractor::extract_shared` makes one pass over a bin and feeds
+//! up to four block accumulators; before that it walked the bin once per
+//! block. This file keeps the four-pass extractor, frozen and written
+//! against public items only, and holds the one-pass extractor to it
+//! `to_bits()`-equal on all 273 features. It lives in the root package
+//! because tier-1's `cargo test -q` runs only the root package.
+
+use std::collections::HashSet;
+use xatu::features::blocklist::BlocklistCategory;
+use xatu::features::frame::{offsets, VOLUMETRIC_WIDTH};
+use xatu::features::prev_attackers::PrevAttackerTracker;
+use xatu::features::volumetric::{compress, POPULAR_PORTS};
+use xatu::features::{FeatureExtractor, FeatureFrame, FeatureMask};
+use xatu::netflow::addr::{Ipv4, Prefix};
+use xatu::netflow::attack::Severity;
+use xatu::netflow::binning::MinuteFlows;
+use xatu::netflow::country::CountryMapper;
+use xatu::netflow::record::{FlowRecord, Protocol, TcpFlags};
+use xatu::simnet::{World, WorldConfig};
+
+// ---------------------------------------------------------------------
+// The frozen reference. Do not "tidy" it toward the live code: its value
+// is that it is the old code.
+// ---------------------------------------------------------------------
+
+fn reference_block(
+    flows: &[FlowRecord],
+    mapper: &CountryMapper,
+    mut select: impl FnMut(&FlowRecord) -> bool,
+) -> [f64; VOLUMETRIC_WIDTH] {
+    let mut out = [0.0f64; VOLUMETRIC_WIDTH];
+    let mut sources: HashSet<u32> = HashSet::new();
+    let mut n_flows = 0usize;
+    let mut sum_bytes = 0.0f64;
+    let mut sum_packets = 0.0f64;
+    let mut max_bytes = 0.0f64;
+    let mut max_packets = 0.0f64;
+    let mut proto = [[0.0f64; 2]; 3]; // UDP, TCP, ICMP
+    let mut sport = [[0.0f64; 2]; 5];
+    let mut dport = [[0.0f64; 2]; 5];
+    let mut flags = [[0.0f64; 2]; 6];
+    let mut country = [[0.0f64; 2]; 10];
+
+    for f in flows {
+        if !select(f) {
+            continue;
+        }
+        let b = f.est_bytes() as f64;
+        let p = f.est_packets() as f64;
+        sources.insert(f.src.0);
+        n_flows += 1;
+        sum_bytes += b;
+        sum_packets += p;
+        max_bytes = max_bytes.max(b);
+        max_packets = max_packets.max(p);
+        match f.proto {
+            Protocol::Udp => {
+                proto[0][0] += b;
+                proto[0][1] += p;
+            }
+            Protocol::Tcp => {
+                proto[1][0] += b;
+                proto[1][1] += p;
+            }
+            Protocol::Icmp => {
+                proto[2][0] += b;
+                proto[2][1] += p;
+            }
+            Protocol::Other(_) => {}
+        }
+        if let Some(i) = POPULAR_PORTS.iter().position(|&pp| pp == f.src_port) {
+            sport[i][0] += b;
+            sport[i][1] += p;
+        }
+        if let Some(i) = POPULAR_PORTS.iter().position(|&pp| pp == f.dst_port) {
+            dport[i][0] += b;
+            dport[i][1] += p;
+        }
+        if f.proto == Protocol::Tcp {
+            for (i, flag) in TcpFlags::ALL.iter().enumerate() {
+                if f.tcp_flags.has(*flag) {
+                    flags[i][0] += b;
+                    flags[i][1] += p;
+                }
+            }
+        }
+        if let Some(i) = mapper.country(f.src).popular_index() {
+            country[i][0] += b;
+            country[i][1] += p;
+        }
+    }
+
+    let mean_bytes = if n_flows > 0 {
+        sum_bytes / n_flows as f64
+    } else {
+        0.0
+    };
+    let mean_packets = if n_flows > 0 {
+        sum_packets / n_flows as f64
+    } else {
+        0.0
+    };
+
+    out[0] = compress(sources.len() as f64);
+    out[1] = compress(mean_bytes);
+    out[2] = compress(max_bytes);
+    out[3] = compress(mean_packets);
+    out[4] = compress(max_packets);
+    let mut k = 5;
+    for pair in proto
+        .iter()
+        .chain(&sport)
+        .chain(&dport)
+        .chain(&flags)
+        .chain(&country)
+    {
+        out[k] = compress(pair[0]);
+        out[k + 1] = compress(pair[1]);
+        k += 2;
+    }
+    assert_eq!(k, VOLUMETRIC_WIDTH);
+    out
+}
+
+fn extract_four_pass(ex: &FeatureExtractor, bin: &MinuteFlows) -> FeatureFrame {
+    let mut frame = FeatureFrame::zeros();
+    let now = bin.minute;
+    let customer = bin.customer;
+
+    let v = reference_block(&bin.flows, &ex.mapper, |_| true);
+    frame.0[offsets::V..offsets::A1].copy_from_slice(&v);
+    if ex.mask.a1 {
+        let a1 = reference_block(&bin.flows, &ex.mapper, |f| ex.blocklists.contains(f.src));
+        frame.0[offsets::A1..offsets::A2].copy_from_slice(&a1);
+    }
+    if ex.mask.a2 {
+        let a2 = reference_block(&bin.flows, &ex.mapper, |f| {
+            ex.prev_attackers.is_previous_attacker(customer, f.src, now)
+        });
+        frame.0[offsets::A2..offsets::A3].copy_from_slice(&a2);
+    }
+    if ex.mask.a3 {
+        let a3 = reference_block(&bin.flows, &ex.mapper, |f| {
+            ex.spoof.is_spoofed_shared(f.src, None)
+        });
+        frame.0[offsets::A3..offsets::A4].copy_from_slice(&a3);
+    }
+    if ex.mask.a4 {
+        let a4 = ex.history.features(customer, now);
+        frame.0[offsets::A4..offsets::A5].copy_from_slice(&a4);
+    }
+    if ex.mask.a5 {
+        let a5 = ex.clustering.coefficients(customer).as_array();
+        frame.0[offsets::A5..].copy_from_slice(&a5);
+    }
+    ex.mask.apply(&mut frame);
+    frame
+}
+
+// ---------------------------------------------------------------------
+
+fn all_masks() -> Vec<FeatureMask> {
+    let mut masks = vec![FeatureMask::all(), FeatureMask::volumetric_only()];
+    masks.extend((1..=5).map(FeatureMask::with_single_aux));
+    masks
+}
+
+/// Asserts one-pass ≡ four-pass on `bin` under each of `masks`; returns
+/// the full-mask frame.
+fn assert_equivalent_under(
+    ex: &mut FeatureExtractor,
+    bin: &MinuteFlows,
+    masks: &[FeatureMask],
+    what: &str,
+) -> FeatureFrame {
+    ex.spoof.ensure_built();
+    let mut full = None;
+    for &mask in masks {
+        ex.mask = mask;
+        let got = ex.extract_shared(bin);
+        let want = extract_four_pass(ex, bin);
+        assert_eq!(got.0.len(), 273);
+        for (i, (g, w)) in got.0.iter().zip(&want.0).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "{what}: feature {i} under {mask:?} at minute {} for {}: {g} vs {w}",
+                bin.minute,
+                bin.customer,
+            );
+        }
+        if mask == FeatureMask::all() {
+            full = Some(got);
+        }
+    }
+    ex.mask = FeatureMask::all();
+    full.expect("masks include FeatureMask::all()")
+}
+
+fn assert_equivalent(ex: &mut FeatureExtractor, bin: &MinuteFlows, what: &str) -> FeatureFrame {
+    assert_equivalent_under(ex, bin, &all_masks(), what)
+}
+
+const CUSTOMER: Ipv4 = Ipv4::from_octets(10, 0, 0, 1);
+const MINUTE: u32 = 5000;
+
+fn flow(src: Ipv4, i: u64) -> FlowRecord {
+    const PORTS: [u16; 7] = [0, 53, 80, 123, 443, 22, 40_000];
+    FlowRecord {
+        minute: MINUTE,
+        src,
+        dst: CUSTOMER,
+        proto: match i % 5 {
+            0 | 1 => Protocol::Udp,
+            2 | 3 => Protocol::Tcp,
+            _ if i.is_multiple_of(2) => Protocol::Icmp,
+            _ => Protocol::Other(47),
+        },
+        src_port: PORTS[(i % 7) as usize],
+        dst_port: PORTS[(i / 7 % 7) as usize],
+        tcp_flags: TcpFlags((i * 37) as u8),
+        bytes: 64 + i * 7919 % 150_000,
+        packets: 1 + i * 31 % 900,
+        sampling: [1, 100, 1000][(i % 3) as usize],
+    }
+}
+
+fn bin(flows: Vec<FlowRecord>) -> MinuteFlows {
+    MinuteFlows {
+        minute: MINUTE,
+        customer: CUSTOMER,
+        flows,
+    }
+}
+
+/// An extractor with every auxiliary set loaded: a listed /24 per
+/// category, two routed /8s and a /16, previous attackers and history for
+/// `CUSTOMER`, and a clustering peer.
+fn loaded_extractor() -> FeatureExtractor {
+    let mut ex = FeatureExtractor::new();
+    for (i, cat) in BlocklistCategory::ALL.into_iter().enumerate() {
+        ex.blocklists
+            .add_addr(cat, Ipv4::from_octets(60 + i as u8, 1, 1, 1));
+    }
+    ex.spoof
+        .announce(Prefix::new(Ipv4::from_octets(60, 0, 0, 0), 6), 100);
+    ex.spoof
+        .announce(Prefix::new(Ipv4::from_octets(44, 0, 0, 0), 8), 200);
+    ex.spoof
+        .announce(Prefix::new(Ipv4::from_octets(44, 7, 0, 0), 16), 300);
+    for third in 0..40u8 {
+        ex.prev_attackers
+            .record(CUSTOMER, Ipv4::from_octets(44, 7, third, 9), MINUTE - 100);
+    }
+    ex.prev_attackers
+        .record(CUSTOMER, Ipv4::from_octets(61, 1, 1, 200), MINUTE - 5);
+    ex.history.record(
+        CUSTOMER,
+        xatu::netflow::attack::AttackType::UdpFlood,
+        Severity::Medium,
+        MINUTE - 30,
+    );
+    let peer = Ipv4::from_octets(10, 0, 0, 2);
+    for s in 0..6u8 {
+        let grp = Ipv4::from_octets(44, 7, s, 0).subnet24();
+        ex.clustering.record(MINUTE - 3, grp, CUSTOMER);
+        if s % 2 == 0 {
+            ex.clustering.record(MINUTE - 2, grp, peer);
+        }
+    }
+    ex
+}
+
+/// Sources of every class: listed, listed-and-previous, previous, routed
+/// clean, bogon, unrouted.
+fn mixed_sources() -> Vec<Ipv4> {
+    vec![
+        Ipv4::from_octets(60, 1, 1, 7),
+        Ipv4::from_octets(61, 1, 1, 7),
+        Ipv4::from_octets(44, 7, 3, 1),
+        Ipv4::from_octets(44, 9, 9, 9),
+        Ipv4::from_octets(192, 168, 4, 4),
+        Ipv4::from_octets(100, 64, 1, 1),
+        Ipv4::from_octets(8, 8, 8, 8),
+        Ipv4::from_octets(203, 0, 113, 5),
+    ]
+}
+
+#[test]
+fn empty_and_single_flow_bins() {
+    let mut ex = loaded_extractor();
+    let f = assert_equivalent(&mut ex, &bin(vec![]), "empty bin");
+    assert!(f.0[..offsets::A4].iter().all(|&v| v == 0.0));
+    for (i, src) in mixed_sources().into_iter().enumerate() {
+        assert_equivalent(&mut ex, &bin(vec![flow(src, i as u64)]), "one flow");
+    }
+}
+
+#[test]
+fn bogon_unrouted_and_routed_sources_land_in_the_right_blocks() {
+    let mut ex = loaded_extractor();
+    let flows: Vec<FlowRecord> = mixed_sources()
+        .into_iter()
+        .enumerate()
+        .map(|(i, s)| flow(s, i as u64))
+        .collect();
+    let f = assert_equivalent(&mut ex, &bin(flows), "mixed sources");
+    // 8 sources; 2 listed; 2 previous; 2 bogon + 1 TEST-NET bogon + 1 unrouted.
+    assert_eq!(f.volumetric()[0], compress(8.0));
+    assert_eq!(f.aux_block(1)[0], compress(2.0));
+    assert_eq!(f.aux_block(2)[0], compress(2.0));
+    assert_eq!(f.aux_block(3)[0], compress(4.0));
+}
+
+#[test]
+fn dense_bin_with_sources_repeating_within_and_across_slash24s() {
+    let mut ex = loaded_extractor();
+    let classes = mixed_sources();
+    let mut flows = Vec::new();
+    for i in 0..2400u64 {
+        // 8 classes × 5 /24s × 7 hosts = 280 sources, each seen ~8 times,
+        // interleaved so no block's flows are contiguous.
+        let base = classes[(i % 8) as usize].0 & !0xFFFF;
+        let (subnet, host) = ((i * 13 % 5) as u32, (i * 29 % 7) as u32 + 1);
+        let src = Ipv4(base | (subnet << 8) | host);
+        flows.push(flow(src, i));
+    }
+    let f = assert_equivalent(&mut ex, &bin(flows), "dense bin");
+    for signal in 1..=3 {
+        assert!(
+            f.aux_block(signal)[0] > 0.0,
+            "A{signal} empty in the dense bin"
+        );
+        assert!(f.aux_block(signal)[0] < f.volumetric()[0]);
+    }
+}
+
+#[test]
+fn a_disabled_blocklist_category_stops_matching_in_both() {
+    let mut ex = loaded_extractor();
+    let flows: Vec<FlowRecord> = (0..11u8)
+        .map(|i| flow(Ipv4::from_octets(60 + i, 1, 1, 3), i as u64))
+        .collect();
+    let b = bin(flows);
+    let on = assert_equivalent(&mut ex, &b, "all categories");
+    ex.blocklists.set_enabled(BlocklistCategory::Scanner, false);
+    let off = assert_equivalent(&mut ex, &b, "scanner disabled");
+    assert_eq!(on.aux_block(1)[0], compress(11.0));
+    assert_eq!(off.aux_block(1)[0], compress(10.0));
+}
+
+#[test]
+fn retention_horizon_at_and_just_past() {
+    let src = Ipv4::from_octets(44, 7, 3, 1);
+    for (age, remembered) in [(999, true), (1000, true), (1001, false)] {
+        let mut ex = loaded_extractor();
+        ex.prev_attackers = PrevAttackerTracker::with_retention(1000);
+        ex.prev_attackers.record(CUSTOMER, src, MINUTE - age);
+        let b = bin((0..5).map(|i| flow(src, i)).collect());
+        let f = assert_equivalent(&mut ex, &b, "retention");
+        assert_eq!(f.aux_block(2)[0] > 0.0, remembered, "age {age}");
+    }
+}
+
+/// Seeded simulator minutes, with the trackers fed from the ground-truth
+/// schedule as the pipeline feeds them from alerts, so A2, A4 and A5 are
+/// live beside A1 and A3.
+#[test]
+fn seeded_world_minutes() {
+    for (seed, retention) in [(3u64, None), (29, Some(600))] {
+        let mut world = World::new(WorldConfig::smoke_test(seed));
+        let mut ex = FeatureExtractor::new();
+        if let Some(minutes) = retention {
+            ex.prev_attackers = PrevAttackerTracker::with_retention(minutes);
+        }
+        for (cat, subnet) in world.blocklist_feed() {
+            ex.blocklists.add(BlocklistCategory::ALL[cat], subnet);
+        }
+        for (prefix, asn) in world.routed_prefixes() {
+            ex.spoof.announce(prefix, asn);
+        }
+        let events = world.events().to_vec();
+        assert!(!events.is_empty());
+
+        let mut lit = [false; 6];
+        while !world.finished() {
+            let bins = world.step();
+            let minute = bins[0].minute;
+            ex.clustering.expire(minute);
+            // Every mask on every tenth minute, the full mask on all.
+            let masks = if minute.is_multiple_of(10) {
+                all_masks()
+            } else {
+                vec![FeatureMask::all()]
+            };
+            for bin in &bins {
+                let f = assert_equivalent_under(&mut ex, bin, &masks, "world");
+                lit[0] |= f.volumetric()[0] > 0.0;
+                for (signal, lit) in lit.iter_mut().enumerate().skip(1) {
+                    *lit |= f.aux_block(signal).iter().any(|&v| v > 0.0);
+                }
+            }
+            for e in events
+                .iter()
+                .filter(|e| e.onset <= minute && minute < e.end)
+            {
+                if minute == e.onset {
+                    ex.history
+                        .record(e.victim, e.attack_type, Severity::High, minute);
+                }
+                let Some(bin) = bins.iter().find(|b| b.customer == e.victim) else {
+                    continue;
+                };
+                for f in bin.flows.iter().take(24) {
+                    ex.prev_attackers.record(e.victim, f.src, minute);
+                    ex.clustering.record(minute, f.src.subnet24(), e.victim);
+                }
+            }
+        }
+        assert_eq!(lit, [true; 6], "seed {seed}: a block never lit (V, A1..A5)");
+    }
+}
