@@ -1,0 +1,460 @@
+//! Golden digests of the three detector front-ends.
+//!
+//! Every row streams a fixed input through one front-end —
+//! [`OnlineDetector`], the exact fleet, the fast fleet, or the
+//! [`run_faulted`] driver, solo and with a companion attached — and folds
+//! everything the front-end emits into one FNV-1a digest: the bits of
+//! every hazard and survival, every [`DetectorEvent`] in emission order,
+//! and the bytes [`save_detector`] writes for a mid-run or end-of-run
+//! checkpoint. The constants below were captured from the code as it
+//! stood before the three implementations were collapsed into one core;
+//! the file is the gate that the collapse moved nothing, and it stays as
+//! the gate for any later change that claims the same.
+//!
+//! A row that moves prints its new digest in the failure message. Update a
+//! constant only for a change that is *meant* to move scores, events or
+//! checkpoint bytes, and say so in the change description.
+
+use std::path::PathBuf;
+
+use xatu_core::checkpoint::{attack_type_tag, load_detector, save_detector};
+use xatu_core::config::XatuConfig;
+use xatu_core::faulted::{run_faulted, FaultedRunConfig, RunControl};
+use xatu_core::fleet::{FleetDetector, FleetInput};
+use xatu_core::fusion::{ErrorNormalizer, FusionMode};
+use xatu_core::model::XatuModel;
+use xatu_core::online::{Companion, OnlineDetector};
+use xatu_detectors::traits::DetectorEvent;
+use xatu_features::frame::{NUM_FEATURES, VOLUMETRIC_WIDTH};
+use xatu_netflow::addr::Ipv4;
+use xatu_netflow::attack::AttackType;
+use xatu_nn::init::Initializer;
+use xatu_nn::LstmAutoencoder;
+use xatu_simnet::faults::{FaultKind, FaultSchedule, BUILTIN_SCHEDULES};
+use xatu_simnet::{World, WorldConfig};
+
+/// Incremental FNV-1a over everything a row emits.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn u32(&mut self, v: u32) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.bytes(&v.to_bits().to_le_bytes());
+    }
+
+    fn event(&mut self, e: &DetectorEvent) {
+        let (kind, a) = match e {
+            DetectorEvent::Raised(a) => (1u8, a),
+            DetectorEvent::Ended(a) => (2u8, a),
+        };
+        self.bytes(&[kind, attack_type_tag(a.attack_type)]);
+        self.u32(a.customer.0);
+        self.u32(a.detected_at);
+        self.u32(a.mitigation_end.map_or(u32::MAX, |m| m));
+    }
+
+    fn events(&mut self, events: &[DetectorEvent]) {
+        self.u32(events.len() as u32);
+        for e in events {
+            self.event(e);
+        }
+    }
+}
+
+fn scratch_file(tag: &str) -> PathBuf {
+    let mut p = std::env::temp_dir();
+    p.push(format!("xatu_golden_{}_{tag}", std::process::id()));
+    p
+}
+
+fn cfg() -> XatuConfig {
+    XatuConfig {
+        timescales: (1, 3, 6),
+        short_len: 8,
+        medium_len: 6,
+        long_len: 4,
+        window: 6,
+        hidden: 5,
+        ..XatuConfig::smoke_test()
+    }
+}
+
+const N_CUST: usize = 7;
+const THRESHOLD: f64 = 0.9;
+
+fn addr(c: usize) -> Ipv4 {
+    Ipv4(0x0a00_0000 + c as u32)
+}
+
+/// Sparse-ish frames with an occasional NaN/±∞ (sanitization), a surge on
+/// customer 0 so alerts raise, quiet-end and force-end under
+/// [`THRESHOLD`], and — when `idle` is set — customer 6 sending exactly
+/// all-zero frames outside a short burst, with one planted `-0.0`.
+fn frame(c: usize, m: u32, idle: bool, out: &mut [f64]) {
+    out.fill(0.0);
+    if idle && c == 6 {
+        if (100..112).contains(&m) {
+            out[3] = 1.5 + m as f64 * 0.01;
+            out[17] = -0.7;
+        } else if m == 130 {
+            out[9] = -0.0;
+        }
+        return;
+    }
+    for k in 0..8usize {
+        let idx = (c * 37 + m as usize * 13 + k * 29) % NUM_FEATURES;
+        out[idx] = ((c + 1) as f64 * 0.17 + m as f64 * 0.031 + k as f64 * 0.71).sin();
+    }
+    if m % 23 == 3 && c % 3 == 0 {
+        out[5] = f64::NAN;
+    }
+    if m % 29 == 11 && c == 1 {
+        out[40] = f64::INFINITY;
+        out[41] = f64::NEG_INFINITY;
+    }
+    if c == 0 && (60..90).contains(&m) {
+        out[0] = 3.0;
+    }
+}
+
+/// The degradation schedule: a short outage imputed on return, explicit
+/// gap minutes, a long outage (cold restart: 50 > 3 × window) and a late
+/// joiner.
+fn degradation(c: usize, m: u32) -> FleetInput {
+    if c == 2 && (40..=45).contains(&m) {
+        FleetInput::Skip
+    } else if c == 3 && m % 17 == 0 && m > 0 {
+        FleetInput::Gap
+    } else if c == 4 && (50..100).contains(&m) {
+        FleetInput::Skip
+    } else if c == 5 && m < 20 {
+        FleetInput::Skip
+    } else {
+        FleetInput::Frame
+    }
+}
+
+/// Gap minutes of a built-in fault schedule, as the fleet sees them:
+/// collector outages hit every customer, customer gaps hit their own.
+fn builtin_gaps(plan: &FaultSchedule) -> impl Fn(usize, u32) -> FleetInput + Sync + '_ {
+    move |c, m| {
+        let gap = plan.windows.iter().any(|w| {
+            m >= w.start
+                && m < w.end
+                && match w.kind {
+                    FaultKind::CollectorOutage => true,
+                    FaultKind::CustomerGap => w.customer == Some(c),
+                    _ => false,
+                }
+        });
+        if gap {
+            FleetInput::Gap
+        } else {
+            FleetInput::Frame
+        }
+    }
+}
+
+/// `OnlineDetector` through `schedule`, one customer at a time, killed at
+/// `kill_at` (checkpoint → file → fresh detector) and resumed.
+fn online_digest(
+    n: usize,
+    minutes: u32,
+    kill_at: u32,
+    idle: bool,
+    schedule: impl Fn(usize, u32) -> FleetInput,
+    tag: &str,
+) -> u64 {
+    let c = cfg();
+    let mut det = OnlineDetector::new(XatuModel::new(&c), AttackType::UdpFlood, THRESHOLD, &c);
+    let mut d = Digest::new();
+    let mut buf = vec![0.0; NUM_FEATURES];
+    for m in 0..minutes {
+        if m == kill_at {
+            let path = scratch_file(tag);
+            save_detector(&path, &det.to_checkpoint()).expect("save");
+            d.bytes(&std::fs::read(&path).expect("read back"));
+            det = OnlineDetector::from_checkpoint(&load_detector(&path).expect("load"))
+                .expect("restore");
+            let _ = std::fs::remove_file(&path);
+        }
+        for cst in 0..n {
+            let out = match schedule(cst, m) {
+                FleetInput::Skip => continue,
+                FleetInput::Gap => det.observe_gap(addr(cst), m),
+                FleetInput::Frame => {
+                    frame(cst, m, idle, &mut buf);
+                    det.observe(addr(cst), m, &buf)
+                }
+            };
+            let (hazard, survival, events) = out.expect("in-order minute");
+            d.f64(hazard);
+            d.f64(survival);
+            d.events(&events);
+        }
+        for cst in 0..n {
+            d.f64(det.survival_of(addr(cst)));
+        }
+    }
+    // `close_all` order is not part of the golden (it was map order in
+    // the pre-collapse `OnlineDetector`); the set of events is.
+    let mut closed = det.close_all(minutes);
+    closed.sort_by_key(|e| match e {
+        DetectorEvent::Raised(a) | DetectorEvent::Ended(a) => a.customer.0,
+    });
+    d.events(&closed);
+    d.0
+}
+
+/// A fleet through `schedule`: per-minute events in emission order, every
+/// customer's survival, a mid-run kill/resume through a checkpoint file,
+/// the end-of-run checkpoint bytes and the `close_all` events.
+#[allow(clippy::too_many_arguments)]
+fn fleet_digest(
+    fast: bool,
+    idle_skip: bool,
+    threads: usize,
+    n: usize,
+    minutes: u32,
+    kill_at: u32,
+    idle: bool,
+    schedule: impl Fn(usize, u32) -> FleetInput + Sync,
+    tag: &str,
+) -> u64 {
+    let c = cfg();
+    let model = XatuModel::new(&c);
+    let mut det = if fast {
+        FleetDetector::new_fast(model, AttackType::UdpFlood, THRESHOLD, &c)
+    } else {
+        FleetDetector::new(model, AttackType::UdpFlood, THRESHOLD, &c)
+    };
+    det.set_idle_skip(idle_skip);
+    for cst in 0..n {
+        det.add_customer(addr(cst));
+    }
+    let mut d = Digest::new();
+    let path = scratch_file(tag);
+    for m in 0..minutes {
+        if m == kill_at {
+            save_detector(&path, &det.to_checkpoint()).expect("save");
+            d.bytes(&std::fs::read(&path).expect("read back"));
+            let ck = load_detector(&path).expect("load");
+            det = if fast {
+                FleetDetector::from_checkpoint_fast(&ck)
+            } else {
+                FleetDetector::from_checkpoint(&ck)
+            }
+            .expect("restore");
+            det.set_idle_skip(idle_skip);
+        }
+        let events = det
+            .step_minute_batch(m, threads, |i, _a, out| {
+                let action = schedule(i, m);
+                if matches!(action, FleetInput::Frame) {
+                    frame(i, m, idle, out);
+                }
+                action
+            })
+            .expect("in-order minute");
+        d.events(events);
+        for cst in 0..n {
+            d.f64(det.survival_of(addr(cst)));
+        }
+    }
+    save_detector(&path, &det.to_checkpoint()).expect("save");
+    d.bytes(&std::fs::read(&path).expect("read back"));
+    let _ = std::fs::remove_file(&path);
+    d.events(&det.close_all(minutes));
+    d.0
+}
+
+/// A companion that moves the fused score on most minutes: an untrained
+/// autoencoder scored against a fixed error band.
+fn companion(window: usize) -> Companion {
+    Companion {
+        ae: LstmAutoencoder::new(VOLUMETRIC_WIDTH, 4, &mut Initializer::new(5)),
+        norm: ErrorNormalizer::new(1e-3, 0.5),
+        mode: FusionMode::Logistic {
+            bias: -2.0,
+            w_survival: 3.0,
+            w_ae: 2.5,
+        },
+        window,
+    }
+}
+
+/// `run_faulted` over a three-customer one-day world under the named
+/// built-in schedule, checkpointing (without killing) at mid-run: the
+/// report's survivals and alerts plus the checkpoint file's bytes.
+fn faulted_digest(name: &str, fused: bool) -> u64 {
+    let world = WorldConfig {
+        n_customers: 3,
+        days: 1,
+        ..WorldConfig::smoke_test(11)
+    };
+    let total = World::new(world.clone()).total_minutes();
+    let xatu = XatuConfig {
+        seed: 12,
+        threads: 1,
+        ..XatuConfig::smoke_test()
+    };
+    let run_cfg = FaultedRunConfig {
+        schedule: FaultSchedule::builtin(name, total, 3).expect("builtin resolves"),
+        cdet_silence_limit: 10,
+        companion: fused.then(|| companion(xatu.window)),
+        world,
+        xatu,
+    };
+    let path = scratch_file(&format!("faulted_{name}_{fused}"));
+    let report = run_faulted(
+        XatuModel::new(&run_cfg.xatu),
+        AttackType::UdpFlood,
+        0.5,
+        &run_cfg,
+        RunControl::CheckpointAt {
+            minute: total / 2,
+            path: &path,
+            kill: false,
+        },
+    )
+    .expect("faulted run");
+    let mut d = Digest::new();
+    d.u32(report.minutes_recorded);
+    for &s in &report.survivals {
+        d.f64(s);
+    }
+    d.u32(report.alerts.len() as u32);
+    for a in &report.alerts {
+        d.event(&DetectorEvent::Ended(*a));
+    }
+    d.bytes(&std::fs::read(&path).expect("checkpoint written"));
+    let _ = std::fs::remove_file(&path);
+    d.0
+}
+
+/// Collects `(row, expected, got)` for every row that moved, so one run
+/// reports all of them.
+#[derive(Default)]
+struct Moved(Vec<String>);
+
+impl Moved {
+    fn check(&mut self, row: &str, expected: u64, got: u64) {
+        if expected != got {
+            self.0
+                .push(format!("{row}: expected {expected:#018x}, got {got:#018x}"));
+        }
+    }
+
+    fn finish(self) {
+        assert!(self.0.is_empty(), "golden digests moved:\n{}", self.0.join("\n"));
+    }
+}
+
+const ONLINE_DEGRADATION: u64 = 0x19c2_9910_c063_efc5;
+const EXACT_DEGRADATION: u64 = 0x8a22_e350_8e89_fee5;
+const FAST_DEGRADATION: u64 = 0x351c_1001_c0c2_3676;
+/// Per built-in schedule: `OnlineDetector`, exact fleet, fast fleet. Only
+/// outage and gap windows reach these front-ends directly, so schedules
+/// without them share the clean row.
+const BUILTIN_GAPS: [(u64, u64, u64); 8] = [
+    (0xa3dc_de16_7a2f_6ba2, 0xab43_0ff3_fd3c_e7d3, 0xcc08_690f_26bd_dc91), // clean
+    (0x8803_034d_1084_8268, 0x9d62_1a9f_5f6f_f84d, 0xd236_7bf6_4bc5_4344), // outage
+    (0xf50f_bff1_e842_6133, 0xd932_65c9_31e3_8582, 0x8fbf_7e75_4749_e4f3), // gaps
+    (0xa3dc_de16_7a2f_6ba2, 0xab43_0ff3_fd3c_e7d3, 0xcc08_690f_26bd_dc91), // dup_late
+    (0xa3dc_de16_7a2f_6ba2, 0xab43_0ff3_fd3c_e7d3, 0xcc08_690f_26bd_dc91), // sampling_drift
+    (0xa3dc_de16_7a2f_6ba2, 0xab43_0ff3_fd3c_e7d3, 0xcc08_690f_26bd_dc91), // cdet_dropout
+    (0xa3dc_de16_7a2f_6ba2, 0xab43_0ff3_fd3c_e7d3, 0xcc08_690f_26bd_dc91), // cdet_flap
+    (0xa6e3_f725_1c6b_d649, 0xa0e5_a2bd_1739_ec5e, 0x2695_4fa7_f821_b717), // everything
+];
+/// Per built-in schedule: `run_faulted` solo, fused.
+const FAULTED: [(u64, u64); 8] = [
+    (0x9a78_5554_25eb_be0f, 0xf518_63b4_9ec5_512e), // clean
+    (0xdea8_b71c_1888_dbae, 0x9755_0a09_1ce2_af8c), // outage
+    (0x177d_91bb_7e02_314f, 0x7748_3eac_22ec_02c3), // gaps
+    (0xcf48_c200_ec10_1fd0, 0x204b_070d_4ab0_a8f9), // dup_late
+    (0xdaec_80d2_24c6_e294, 0x2868_5058_44d6_ef9a), // sampling_drift
+    (0x5997_2c9d_6045_1822, 0x2104_8fa5_4896_6fc6), // cdet_dropout
+    (0x379f_46a6_7b25_3072, 0xf991_ee91_681a_cfcd), // cdet_flap
+    (0xe4d9_a0b6_1219_d666, 0xa435_3f6b_64d0_9d2f), // everything
+];
+
+#[test]
+fn degradation_schedule_digests() {
+    let mut moved = Moved::default();
+    moved.check(
+        "online",
+        ONLINE_DEGRADATION,
+        online_digest(N_CUST, 160, 83, false, degradation, "online_deg"),
+    );
+    for threads in [1usize, 4] {
+        moved.check(
+            &format!("exact fleet, {threads} threads"),
+            EXACT_DEGRADATION,
+            fleet_digest(false, true, threads, N_CUST, 160, 83, false, degradation, "exact_deg"),
+        );
+    }
+    for idle_skip in [true, false] {
+        for threads in [1usize, 4] {
+            moved.check(
+                &format!("fast fleet, idle_skip {idle_skip}, {threads} threads"),
+                FAST_DEGRADATION,
+                fleet_digest(true, idle_skip, threads, N_CUST, 220, 97, true, degradation, "fast_deg"),
+            );
+        }
+    }
+    moved.finish();
+}
+
+#[test]
+fn builtin_schedule_gap_digests() {
+    let mut moved = Moved::default();
+    let (n, total) = (N_CUST, 160u32);
+    for (name, want) in BUILTIN_SCHEDULES.iter().zip(BUILTIN_GAPS) {
+        let plan = FaultSchedule::builtin(name, total, n).expect("builtin resolves");
+        let tag = format!("gaps_{name}");
+        moved.check(
+            &format!("{name}: online"),
+            want.0,
+            online_digest(n, total, 71, true, builtin_gaps(&plan), &tag),
+        );
+        for threads in [1usize, 4] {
+            moved.check(
+                &format!("{name}: exact fleet, {threads} threads"),
+                want.1,
+                fleet_digest(false, true, threads, n, total, 71, true, builtin_gaps(&plan), &tag),
+            );
+        }
+        for idle_skip in [true, false] {
+            moved.check(
+                &format!("{name}: fast fleet, idle_skip {idle_skip}"),
+                want.2,
+                fleet_digest(true, idle_skip, 2, n, total, 71, true, builtin_gaps(&plan), &tag),
+            );
+        }
+    }
+    moved.finish();
+}
+
+#[test]
+fn run_faulted_digests() {
+    let mut moved = Moved::default();
+    for (name, want) in BUILTIN_SCHEDULES.iter().zip(FAULTED) {
+        moved.check(&format!("{name}: solo"), want.0, faulted_digest(name, false));
+        moved.check(&format!("{name}: fused"), want.1, faulted_digest(name, true));
+    }
+    moved.finish();
+}
