@@ -246,7 +246,7 @@ fn bench_obs_primitives(c: &mut Criterion) {
 
 /// Exact sigmoid/tanh gate kernel next to the rational fast-activation
 /// variant on the same pre-activation block: the per-element price of the
-/// transcendental calls the `fast-math` scoring path removes.
+/// transcendental calls the fast scoring backend removes.
 fn bench_gate_kernel_exact_vs_fast(c: &mut Criterion) {
     let mut init = Initializer::new(3);
     let lstm = Lstm::new(273, 24, &mut init);

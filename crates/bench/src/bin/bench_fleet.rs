@@ -35,16 +35,15 @@
 //! ≥ 4 cores (single-core CI boxes still check bit-identity); the
 //! absolute 1M wall gates always fire.
 //!
-//! Built with `--features fast-math`, both modes grow fast-path
-//! coverage. The sweep adds a 100k-customer scale on the reduced-
-//! precision backend (gated at ≥1.5× the exact backend's rate measured
-//! in the same run), a 1M-customer idle-heavy scale (70% quiescent
-//! cohort, gated at ≤3.5 s per simulated minute), and a fast-vs-
-//! reference section: exact and fast run the same 10k stream in
-//! lockstep, alert decisions must match minute by minute, and the worst
-//! survival deviation must stay within `FAST_SURVIVAL_EPS`. The smoke
-//! gains the same parity gate at 1k/10k plus fast-backend thread-count
-//! invariance and kill/resume digests.
+//! Both modes cover the fast backend as well. The sweep has a
+//! 100k-customer scale on the reduced-precision backend (gated at ≥1.5×
+//! the exact backend's rate measured in the same run), a 1M-customer
+//! idle-heavy scale (70% quiescent cohort, gated at ≤3.5 s per simulated
+//! minute), and a fast-vs-reference section: exact and fast run the same
+//! 10k stream in lockstep, alert decisions must match minute by minute,
+//! and the worst survival deviation must stay within
+//! `FAST_SURVIVAL_EPS`. The smoke has the same parity gate at 1k/10k plus
+//! fast-backend thread-count invariance and kill/resume digests.
 
 use std::time::Instant;
 use xatu_core::checkpoint::{load_detector, save_detector};
@@ -84,7 +83,6 @@ fn build_fleet(n: usize) -> FleetDetector {
 
 /// [`build_fleet`] on the reduced-precision backend (same model seed, so
 /// fast-vs-exact comparisons share weights).
-#[cfg(feature = "fast-math")]
 fn build_fleet_fast(n: usize) -> FleetDetector {
     let mut fleet = build_fleet(0);
     fleet.enable_fast();
@@ -293,7 +291,6 @@ fn host_parallelism() -> usize {
 /// decisions must agree minute by minute and the worst per-customer
 /// survival deviation must stay within [`xatu_core::fleet::FAST_SURVIVAL_EPS`].
 /// Returns the max deviation, or exits non-zero on divergence.
-#[cfg(feature = "fast-math")]
 fn parity_lockstep(n: usize, minutes: u32, threads: usize, tag: &str) -> f64 {
     use xatu_core::fleet::FAST_SURVIVAL_EPS;
     let traffic = FleetTraffic::new(SEED, n);
@@ -388,7 +385,6 @@ fn smoke() {
     // Fast-backend gates: decision parity + survival tolerance against
     // the exact backend at 1k and 10k, thread-count invariance, and
     // kill/resume on the fast checkpoint path.
-    #[cfg(feature = "fast-math")]
     {
         parity_lockstep(N, END, 2, "smoke fast-parity-1k");
         parity_lockstep(10_000, 12, 2, "smoke fast-parity-10k");
@@ -448,7 +444,6 @@ fn smoke_mt() {
                 std::process::exit(1);
             }
         }
-        #[cfg(feature = "fast-math")]
         {
             let mut base = build_fleet_fast(n);
             let (d1, _) = stream(&mut base, &traffic, 0, END, 1);
@@ -478,7 +473,6 @@ fn digest_mode() {
     let mut exact = build_fleet(N);
     let (d, _) = stream(&mut exact, &traffic, 0, END, 2);
     println!("exact {d:#018x}");
-    #[cfg(feature = "fast-math")]
     {
         let mut fast = build_fleet_fast(N);
         let (df, _) = stream(&mut fast, &traffic, 0, END, 2);
@@ -543,7 +537,6 @@ fn main() {
     // sweep, and 1M with a 70% idle cohort single-core *and* multi-core
     // (absolute wall gates — the quiescence fast path plus SIMD is what
     // makes this scale reachable on one box).
-    #[cfg(feature = "fast-math")]
     let fast_section = {
         let fast_sweep = threads_sweep("fast ", build_fleet_fast, 100_000, 5, host_par, 2.5);
         let rf = &fast_sweep[0];
@@ -594,8 +587,6 @@ fn main() {
         );
         (section, fast_100k_wall, speedup, million_wall, million_mc_wall)
     };
-    #[cfg(not(feature = "fast-math"))]
-    let fast_section = (String::new(), f64::NAN, f64::NAN, f64::NAN, f64::NAN);
 
     let cfg = XatuConfig::default();
     let json = format!(
@@ -621,7 +612,6 @@ fn main() {
         );
         std::process::exit(1);
     }
-    #[cfg(feature = "fast-math")]
     {
         let (_, fast_100k, speedup, million_wall, million_mc_wall) = fast_section;
         if !speedup.is_finite() || speedup < 1.5 {
@@ -656,6 +646,4 @@ fn main() {
             std::process::exit(1);
         }
     }
-    #[cfg(not(feature = "fast-math"))]
-    let _ = fast_section;
 }

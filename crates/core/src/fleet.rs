@@ -1,63 +1,52 @@
 //! Fleet-scale online detection: one detector instance serving 100k+
-//! customers from flat structure-of-arrays state.
+//! customers, a whole minute at a time.
 //!
-//! [`crate::online::OnlineDetector`] keeps each customer's streaming state
-//! in its own heap objects behind a `HashMap` — fine for evaluation runs
-//! over a handful of simulated customers, hostile to an ISP-scale fleet:
-//! every minute walks thousands of scattered allocations and re-derives the
-//! same LSTM weights per customer. [`FleetDetector`] is the same detector —
-//! the same degradation ladder, the same alert lifecycle, the same
-//! checkpoint format, bit-identical outputs — with the per-customer state
-//! transposed into dense arenas indexed by a compact customer id:
+//! [`FleetDetector`] is the batch front-end of the detector core
+//! ([`crate::detector`]): the same rows, ladder, lifecycle and checkpoint
+//! as [`crate::online::OnlineDetector`], advanced for every registered
+//! customer per call instead of one customer per call.
 //!
-//! * **Layout.** Every per-customer quantity lives in one flat vector with
-//!   a fixed per-customer stride (`hidden` floats per dual-state half,
-//!   `window` floats per survival ring, [`NUM_FEATURES`] floats per pooled
-//!   bucket), so a shard of customers is a contiguous slice of every
-//!   arena. An address → dense-id interner ([`FleetDetector::add_customer`])
-//!   assigns ids in registration order; [`FleetDetector::bytes_per_customer`]
-//!   reports the measured footprint.
-//! * **Kernels.** The per-minute hot path advances whole blocks of
-//!   customers through one LSTM step at a time via
-//!   [`Lstm::step_online_block`], which is pinned 0-ULP identical to the
-//!   per-customer [`Lstm::step_online_into`] reference. Rare scalar work
-//!   (gap imputation, cold restarts) runs the reference step
-//!   ([`Lstm::step_online_slices`]) directly on the same arena rows.
-//! * **Sharding.** [`FleetDetector::step_minute_batch`] partitions the id
-//!   space into contiguous blocks ([`xatu_par::block_ranges`]), gives each
-//!   worker disjoint mutable shard views of every arena, and stitches
-//!   events and telemetry back in block order — so alerts, survivals and
-//!   histogram bucket counts are bit-identical for every thread count.
-//!   (The one float a histogram accumulates — its diagnostic `sum` — is
-//!   reduced per worker and is the only quantity outside that guarantee.)
+//! * **Kernels.** [`FleetDetector::step_minute_batch`] advances whole
+//!   blocks of customers through one LSTM step at a time via the block
+//!   kernels, which are pinned 0-ULP identical to the row kernel. Rare
+//!   ragged work (gap imputation) runs the row kernel on the same rows.
+//! * **Sharding.** The id space is partitioned into contiguous blocks
+//!   ([`xatu_par::block_ranges_into`]), each worker gets disjoint mutable
+//!   views of every column, and events and telemetry are stitched back in
+//!   block order — so alerts, survivals and histogram bucket counts are
+//!   bit-identical for every thread count. (The one float a histogram
+//!   accumulates, its diagnostic `sum`, is reduced per worker and is the
+//!   only quantity outside that guarantee.)
+//! * **Backends.** The default backend is exact `f64`.
+//!   [`FleetDetector::enable_fast`] switches to `f32` rows, rational
+//!   activations and quiescence-aware stepping; see DESIGN.md §14 for the
+//!   numeric contract.
 //!
-//! Per minute the batch step runs three phases per shard: **A** (scalar)
-//! validates ordering, bridges gaps by zero-order-hold imputation or cold
-//! restart, sanitizes frames and accumulates pooling buckets; **B**
-//! (batched) advances the short dual states of every driven customer and
-//! the medium/long dual states of every customer whose bucket completed,
-//! over contiguous runs of the arena; **C** (scalar) combines hidden
-//! states, pushes the survival ring, applies the staleness blend and walks
-//! the alert lifecycle. Customers are fully independent, so the phase
-//! regrouping cannot change any value — only the (documented) event
-//! ordering within a minute.
+//! Per minute a worker runs three phases over its shard: **A** (per row)
+//! validates ordering, bridges gaps, takes the minute's input and plans
+//! which timescales step; **B** (batched) advances the dual states over
+//! contiguous runs of planned rows; **C** (per row) runs the survival and
+//! lifecycle tails. Customers are fully independent, so the regrouping
+//! cannot change any value — only the (documented) event ordering within
+//! a minute.
 
-use crate::checkpoint::{CustomerCheckpoint, DetectorCheckpoint, DualStateCheckpoint};
+use crate::checkpoint::DetectorCheckpoint;
 use crate::config::XatuConfig;
+use crate::detector::{
+    catch_up, check_order, finish_row, ingest, push_row, restore, Common, IdleTrajectory, Kernel,
+    Layer, Ledger, Net, Numeric, RowScratch, Shard, Solo, DENSE, NO_TABLE, TIMESCALES,
+};
 use crate::error::XatuError;
-use crate::model::{DualState, ModelConfig, XatuModel};
+use crate::model::XatuModel;
 use crate::online::DetectorObs;
-use std::collections::HashMap;
-use xatu_detectors::alert::Alert;
 use xatu_detectors::traits::DetectorEvent;
 use xatu_features::frame::NUM_FEATURES;
 use xatu_netflow::addr::Ipv4;
 use xatu_netflow::attack::AttackType;
-use xatu_nn::activations::softplus;
 use xatu_nn::lstm::Lstm;
-use xatu_nn::{Dense, LstmState, OnlineBlockWorkspace, Params};
+use xatu_nn::simd::SimdLevel;
+use xatu_nn::Lstm32;
 use xatu_par::{block_ranges_into, WorkerPool};
-use xatu_survival::hazard::RollingSurvival;
 
 /// Upper bound on concurrent shards per minute. Task slots live in a
 /// fixed stack array of this size so the sharded dispatch allocates
@@ -65,16 +54,14 @@ use xatu_survival::hazard::RollingSurvival;
 /// where per-shard stitch overhead dominates on any realistic host).
 const MAX_SHARDS: usize = 64;
 
-/// The reduced-precision fleet backend (`f32` arenas, rational fast
-/// activations, quiescence-aware stepping), compiled only under the
-/// `fast-math` feature. A child module so it can reuse this module's
-/// private sharding/lifecycle machinery; see DESIGN.md §14 for the
-/// precision contract.
-#[cfg(feature = "fast-math")]
-#[path = "fleet_fast.rs"]
-mod fast;
-#[cfg(feature = "fast-math")]
-pub use fast::FAST_SURVIVAL_EPS;
+/// Calibrated tolerance between the fast backend's per-minute survival and
+/// the exact backend's, pinned by the differential tests over the
+/// degraded-input schedule, every built-in fault schedule and idle-heavy
+/// traffic (observed worst case is ~`1.1e-8` on the test configs; the
+/// bound carries several orders of magnitude of margin for larger models
+/// and longer horizons). Alert *decisions* carry no tolerance: raise/end
+/// sequences must match exactly.
+pub const FAST_SURVIVAL_EPS: f64 = 2e-4;
 
 /// What the fill callback reports for one customer at one minute.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -90,632 +77,68 @@ pub enum FleetInput {
     Skip,
 }
 
-/// The dual-state arena for one timescale: both halves of every customer's
-/// bounded-context LSTM state as `n × hidden` row-major matrices, plus the
-/// two context ages. Semantically one [`DualState`] per row, with identical
-/// stepping and promotion arithmetic.
-struct DualArena {
-    aged_h: Vec<f64>,
-    aged_c: Vec<f64>,
-    fresh_h: Vec<f64>,
-    fresh_c: Vec<f64>,
-    aged_age: Vec<u32>,
-    fresh_age: Vec<u32>,
-    period: u32,
-    hidden: usize,
-}
-
-impl DualArena {
-    fn new(hidden: usize, period: u32) -> Self {
-        DualArena {
-            aged_h: Vec::new(),
-            aged_c: Vec::new(),
-            fresh_h: Vec::new(),
-            fresh_c: Vec::new(),
-            aged_age: Vec::new(),
-            fresh_age: Vec::new(),
-            period: period.max(1),
-            hidden,
-        }
-    }
-
-    /// Appends one customer in the [`DualState::new`] cold state.
-    fn push_default(&mut self) {
-        let h = self.hidden;
-        self.aged_h.resize(self.aged_h.len() + h, 0.0);
-        self.aged_c.resize(self.aged_c.len() + h, 0.0);
-        self.fresh_h.resize(self.fresh_h.len() + h, 0.0);
-        self.fresh_c.resize(self.fresh_c.len() + h, 0.0);
-        self.aged_age.push(self.period);
-        self.fresh_age.push(0);
-    }
-
-    fn bytes(&self) -> usize {
-        use std::mem::size_of;
-        (self.aged_h.capacity()
-            + self.aged_c.capacity()
-            + self.fresh_h.capacity()
-            + self.fresh_c.capacity())
-            * size_of::<f64>()
-            + (self.aged_age.capacity() + self.fresh_age.capacity()) * size_of::<u32>()
-    }
-}
-
-/// A contiguous block of one [`DualArena`], owned mutably by one worker.
-struct DualShard<'a> {
-    aged_h: &'a mut [f64],
-    aged_c: &'a mut [f64],
-    fresh_h: &'a mut [f64],
-    fresh_c: &'a mut [f64],
-    aged_age: &'a mut [u32],
-    fresh_age: &'a mut [u32],
-    period: u32,
-    hidden: usize,
-}
-
-impl DualShard<'_> {
-    /// [`DualState::step`] for shard-local customer `j`: step both halves
-    /// with the reference kernel, then advance/promote.
-    fn step_one(&mut self, lstm: &Lstm, j: usize, x: &[f64], z: &mut Vec<f64>) {
-        let h = self.hidden;
-        let r = j * h..(j + 1) * h;
-        lstm.step_online_slices(x, &mut self.aged_h[r.clone()], &mut self.aged_c[r.clone()], z);
-        lstm.step_online_slices(x, &mut self.fresh_h[r.clone()], &mut self.fresh_c[r], z);
-        self.advance_age(j);
-    }
-
-    /// Batched [`DualState::step`] over the contiguous run `a..b`: block
-    /// steps for the aged and fresh halves, then the scalar promotions.
-    /// Rows are independent and block composition cannot move a bit, so
-    /// this is bit-identical to calling [`DualShard::step_one`] per
-    /// customer — and the run is processed in fixed tiles purely for
-    /// locality: a tile's pre-activations, states and inputs stay
-    /// cache-resident instead of streaming a run-sized workspace through
-    /// memory three times per half. The tile is sized to amortise the
-    /// per-block `Wxᵀ` materialisation in the sparse input kernel while
-    /// keeping the two `batch × 4·hidden` pre-activation buffers well
-    /// under typical L2 capacity.
-    fn step_block(
-        &mut self,
-        lstm: &Lstm,
-        a: usize,
-        b: usize,
-        xs: &[f64],
-        ws: &mut OnlineBlockWorkspace,
-    ) {
-        const TILE: usize = 512;
-        let h = self.hidden;
-        let width = xs.len() / (b - a);
-        let mut t = a;
-        while t < b {
-            let e = (t + TILE).min(b);
-            lstm.step_online_dual_block(
-                &xs[(t - a) * width..(e - a) * width],
-                e - t,
-                &mut self.aged_h[t * h..e * h],
-                &mut self.aged_c[t * h..e * h],
-                &mut self.fresh_h[t * h..e * h],
-                &mut self.fresh_c[t * h..e * h],
-                ws,
-            );
-            t = e;
-        }
-        for j in a..b {
-            self.advance_age(j);
-        }
-    }
-
-    /// The post-step age bookkeeping of [`DualState::step`]: both ages
-    /// advance; at `2·period` the fresh half is promoted (swap-then-zero in
-    /// the original — copy-then-zero here, same values, the swapped-out
-    /// aged half is discarded either way).
-    fn advance_age(&mut self, j: usize) {
-        self.aged_age[j] += 1;
-        self.fresh_age[j] += 1;
-        if self.aged_age[j] >= 2 * self.period {
-            let h = self.hidden;
-            let r = j * h..(j + 1) * h;
-            self.aged_h[r.clone()].copy_from_slice(&self.fresh_h[r.clone()]);
-            self.aged_c[r.clone()].copy_from_slice(&self.fresh_c[r.clone()]);
-            self.fresh_h[r.clone()].fill(0.0);
-            self.fresh_c[r].fill(0.0);
-            self.aged_age[j] = self.fresh_age[j];
-            self.fresh_age[j] = 0;
-        }
-    }
-
-    /// Back to the [`DualState::new`] cold state (cold restart).
-    fn reset_row(&mut self, j: usize) {
-        let h = self.hidden;
-        let r = j * h..(j + 1) * h;
-        self.aged_h[r.clone()].fill(0.0);
-        self.aged_c[r.clone()].fill(0.0);
-        self.fresh_h[r.clone()].fill(0.0);
-        self.fresh_c[r].fill(0.0);
-        self.aged_age[j] = self.period;
-        self.fresh_age[j] = 0;
-    }
-}
-
-/// A contiguous block of the rolling-survival arena: one
-/// [`RollingSurvival`] per row with identical push arithmetic.
-struct RingShard<'a> {
-    buf: &'a mut [f64],
-    head: &'a mut [u32],
-    filled: &'a mut [u32],
-    sum: &'a mut [f64],
-    window: usize,
-}
-
-impl RingShard<'_> {
-    /// [`RollingSurvival::push`], verbatim, on row `j`.
-    fn push(&mut self, j: usize, hazard: f64) -> f64 {
-        let w = self.window;
-        let h = if hazard.is_finite() { hazard.max(0.0) } else { 0.0 };
-        let hd = self.head[j] as usize;
-        let slot = &mut self.buf[j * w + hd];
-        self.sum[j] += h - *slot;
-        *slot = h;
-        self.head[j] = ((hd + 1) % w) as u32;
-        self.filled[j] = (self.filled[j] + 1).min(w as u32);
-        if self.sum[j] < 0.0 {
-            self.sum[j] = 0.0;
-        }
-        (-self.sum[j]).exp()
-    }
-
-    /// [`RollingSurvival::new`] on row `j` (cold restart).
-    fn reset_row(&mut self, j: usize) {
-        let w = self.window;
-        self.buf[j * w..(j + 1) * w].fill(0.0);
-        self.head[j] = 0;
-        self.filled[j] = 0;
-        self.sum[j] = 0.0;
-    }
-}
-
-/// Every per-customer quantity of the fleet, as flat arenas indexed by the
-/// dense customer id. Field-for-field this is `online::CustomerState`
-/// transposed into structure-of-arrays form.
-struct FleetArenas {
-    short: DualArena,
-    medium: DualArena,
-    long: DualArena,
-    ring_buf: Vec<f64>,
-    ring_head: Vec<u32>,
-    ring_filled: Vec<u32>,
-    ring_sum: Vec<f64>,
-    /// Partial pooling buckets, `n × NUM_FEATURES`. Between phases A and B
-    /// of a batch step, a row whose bucket just completed temporarily holds
-    /// the *averaged* bucket (scaled in place); it is re-zeroed in phase B.
-    med_partial: Vec<f64>,
-    med_count: Vec<u32>,
-    long_partial: Vec<f64>,
-    long_count: Vec<u32>,
-    /// Last sanitized frame (zero-order-hold source), `n × NUM_FEATURES`.
-    last_frame: Vec<f64>,
-    active_since: Vec<Option<u32>>,
-    quiet_run: Vec<u32>,
-    last_survival: Vec<f64>,
-    observed: Vec<u32>,
-    stale_run: Vec<u32>,
-    last_minute: Vec<Option<u32>>,
-    /// Per-minute phase flags (scratch, valid only inside a batch step).
-    driven: Vec<bool>,
-    med_done: Vec<bool>,
-    long_done: Vec<bool>,
-}
-
-impl FleetArenas {
-    /// Empty arenas. The survival window is not stored here — the detector
-    /// owns the authoritative copy and passes it into every push/shard.
-    fn new(hidden: usize, ctx: (usize, usize, usize)) -> Self {
-        FleetArenas {
-            short: DualArena::new(hidden, ctx.0 as u32),
-            medium: DualArena::new(hidden, ctx.1 as u32),
-            long: DualArena::new(hidden, ctx.2 as u32),
-            ring_buf: Vec::new(),
-            ring_head: Vec::new(),
-            ring_filled: Vec::new(),
-            ring_sum: Vec::new(),
-            med_partial: Vec::new(),
-            med_count: Vec::new(),
-            long_partial: Vec::new(),
-            long_count: Vec::new(),
-            last_frame: Vec::new(),
-            active_since: Vec::new(),
-            quiet_run: Vec::new(),
-            last_survival: Vec::new(),
-            observed: Vec::new(),
-            stale_run: Vec::new(),
-            last_minute: Vec::new(),
-            driven: Vec::new(),
-            med_done: Vec::new(),
-            long_done: Vec::new(),
-        }
-    }
-
-    /// Appends one customer in the cold (`online::entry`) state.
-    fn push_default(&mut self, window: usize) {
-        self.push_scalar(window);
-        self.push_numeric();
-    }
-
-    /// The scalar-bookkeeping half of [`FleetArenas::push_default`]:
-    /// everything that stays `f64`/integer under both backends (survival
-    /// ring, counts, lifecycle scalars, phase flags). The fast backend
-    /// pushes only this half and keeps the numeric vectors empty — its
-    /// `f32` twins live in the fast-state arenas.
-    fn push_scalar(&mut self, window: usize) {
-        self.ring_buf.resize(self.ring_buf.len() + window, 0.0);
-        self.ring_head.push(0);
-        self.ring_filled.push(0);
-        self.ring_sum.push(0.0);
-        self.med_count.push(0);
-        self.long_count.push(0);
-        self.active_since.push(None);
-        self.quiet_run.push(0);
-        self.last_survival.push(1.0);
-        self.observed.push(0);
-        self.stale_run.push(0);
-        self.last_minute.push(None);
-        self.driven.push(false);
-        self.med_done.push(false);
-        self.long_done.push(false);
-    }
-
-    /// The `f64` numeric half of [`FleetArenas::push_default`]: dual LSTM
-    /// states, pooling buckets, ZOH frame.
-    fn push_numeric(&mut self) {
-        self.short.push_default();
-        self.medium.push_default();
-        self.long.push_default();
-        self.med_partial
-            .resize(self.med_partial.len() + NUM_FEATURES, 0.0);
-        self.long_partial
-            .resize(self.long_partial.len() + NUM_FEATURES, 0.0);
-        self.last_frame
-            .resize(self.last_frame.len() + NUM_FEATURES, 0.0);
-    }
-
-    /// Measured arena footprint in bytes (capacities, not lengths).
-    fn bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.short.bytes()
-            + self.medium.bytes()
-            + self.long.bytes()
-            + (self.ring_buf.capacity()
-                + self.ring_sum.capacity()
-                + self.med_partial.capacity()
-                + self.long_partial.capacity()
-                + self.last_frame.capacity()
-                + self.last_survival.capacity())
-                * size_of::<f64>()
-            + (self.ring_head.capacity()
-                + self.ring_filled.capacity()
-                + self.med_count.capacity()
-                + self.long_count.capacity()
-                + self.quiet_run.capacity()
-                + self.observed.capacity()
-                + self.stale_run.capacity())
-                * size_of::<u32>()
-            + (self.active_since.capacity() + self.last_minute.capacity())
-                * size_of::<Option<u32>>()
-            + (self.driven.capacity() + self.med_done.capacity() + self.long_done.capacity())
-                * size_of::<bool>()
-    }
-}
-
-/// Disjoint mutable views of every arena for one contiguous customer
-/// block. `start` is the global id of the first row.
-struct Shard<'a> {
-    start: usize,
-    short: DualShard<'a>,
-    medium: DualShard<'a>,
-    long: DualShard<'a>,
-    ring: RingShard<'a>,
-    med_partial: &'a mut [f64],
-    med_count: &'a mut [u32],
-    long_partial: &'a mut [f64],
-    long_count: &'a mut [u32],
-    last_frame: &'a mut [f64],
-    active_since: &'a mut [Option<u32>],
-    quiet_run: &'a mut [u32],
-    last_survival: &'a mut [f64],
-    observed: &'a mut [u32],
-    stale_run: &'a mut [u32],
-    last_minute: &'a mut [Option<u32>],
-    driven: &'a mut [bool],
-    med_done: &'a mut [bool],
-    long_done: &'a mut [bool],
-}
-
-impl Shard<'_> {
-    fn len(&self) -> usize {
-        self.driven.len()
-    }
-}
-
-/// Carves the next `n * per` elements off the front of `*rest` without
-/// allocating — the substrate of the shard splitters. Replaces the
-/// per-minute `Vec`s the old shard builders allocated, so the sharded
-/// path shares the single-thread path's zero-allocation steady state.
-fn take_rows<'a, T>(rest: &mut &'a mut [T], n: usize, per: usize) -> &'a mut [T] {
-    let r = std::mem::take(rest);
-    let (head, tail) = r.split_at_mut(n * per);
-    *rest = tail;
-    head
-}
-
-/// Allocation-free cursor over a [`DualArena`]: consumes the arena's
-/// vectors front-to-back, handing out one [`DualShard`] per contiguous
-/// customer block.
-struct DualSplit<'a> {
-    aged_h: &'a mut [f64],
-    aged_c: &'a mut [f64],
-    fresh_h: &'a mut [f64],
-    fresh_c: &'a mut [f64],
-    aged_age: &'a mut [u32],
-    fresh_age: &'a mut [u32],
-    period: u32,
-    hidden: usize,
-}
-
-impl<'a> DualSplit<'a> {
-    fn new(a: &'a mut DualArena) -> Self {
-        DualSplit {
-            aged_h: &mut a.aged_h,
-            aged_c: &mut a.aged_c,
-            fresh_h: &mut a.fresh_h,
-            fresh_c: &mut a.fresh_c,
-            aged_age: &mut a.aged_age,
-            fresh_age: &mut a.fresh_age,
-            period: a.period,
-            hidden: a.hidden,
-        }
-    }
-
-    /// The next `n` customers as a shard.
-    fn take(&mut self, n: usize) -> DualShard<'a> {
-        let h = self.hidden;
-        DualShard {
-            aged_h: take_rows(&mut self.aged_h, n, h),
-            aged_c: take_rows(&mut self.aged_c, n, h),
-            fresh_h: take_rows(&mut self.fresh_h, n, h),
-            fresh_c: take_rows(&mut self.fresh_c, n, h),
-            aged_age: take_rows(&mut self.aged_age, n, 1),
-            fresh_age: take_rows(&mut self.fresh_age, n, 1),
-            period: self.period,
-            hidden: h,
-        }
-    }
-}
-
-/// Allocation-free cursor over the whole [`FleetArenas`]: each
-/// [`ShardSplit::take`] yields the next contiguous customer block as a
-/// [`Shard`]. Blocks must be taken in range order starting at 0.
-struct ShardSplit<'a> {
-    window: usize,
-    next_start: usize,
-    short: DualSplit<'a>,
-    medium: DualSplit<'a>,
-    long: DualSplit<'a>,
-    ring_buf: &'a mut [f64],
-    ring_head: &'a mut [u32],
-    ring_filled: &'a mut [u32],
-    ring_sum: &'a mut [f64],
-    med_partial: &'a mut [f64],
-    med_count: &'a mut [u32],
-    long_partial: &'a mut [f64],
-    long_count: &'a mut [u32],
-    last_frame: &'a mut [f64],
-    active_since: &'a mut [Option<u32>],
-    quiet_run: &'a mut [u32],
-    last_survival: &'a mut [f64],
-    observed: &'a mut [u32],
-    stale_run: &'a mut [u32],
-    last_minute: &'a mut [Option<u32>],
-    driven: &'a mut [bool],
-    med_done: &'a mut [bool],
-    long_done: &'a mut [bool],
-}
-
-impl<'a> ShardSplit<'a> {
-    fn new(arenas: &'a mut FleetArenas, window: usize) -> Self {
-        ShardSplit {
-            window,
-            next_start: 0,
-            short: DualSplit::new(&mut arenas.short),
-            medium: DualSplit::new(&mut arenas.medium),
-            long: DualSplit::new(&mut arenas.long),
-            ring_buf: &mut arenas.ring_buf,
-            ring_head: &mut arenas.ring_head,
-            ring_filled: &mut arenas.ring_filled,
-            ring_sum: &mut arenas.ring_sum,
-            med_partial: &mut arenas.med_partial,
-            med_count: &mut arenas.med_count,
-            long_partial: &mut arenas.long_partial,
-            long_count: &mut arenas.long_count,
-            last_frame: &mut arenas.last_frame,
-            active_since: &mut arenas.active_since,
-            quiet_run: &mut arenas.quiet_run,
-            last_survival: &mut arenas.last_survival,
-            observed: &mut arenas.observed,
-            stale_run: &mut arenas.stale_run,
-            last_minute: &mut arenas.last_minute,
-            driven: &mut arenas.driven,
-            med_done: &mut arenas.med_done,
-            long_done: &mut arenas.long_done,
-        }
-    }
-
-    /// The next `n` customers as a shard.
-    fn take(&mut self, n: usize) -> Shard<'a> {
-        let window = self.window;
-        let start = self.next_start;
-        self.next_start += n;
-        Shard {
-            start,
-            short: self.short.take(n),
-            medium: self.medium.take(n),
-            long: self.long.take(n),
-            ring: RingShard {
-                buf: take_rows(&mut self.ring_buf, n, window),
-                head: take_rows(&mut self.ring_head, n, 1),
-                filled: take_rows(&mut self.ring_filled, n, 1),
-                sum: take_rows(&mut self.ring_sum, n, 1),
-                window,
-            },
-            med_partial: take_rows(&mut self.med_partial, n, NUM_FEATURES),
-            med_count: take_rows(&mut self.med_count, n, 1),
-            long_partial: take_rows(&mut self.long_partial, n, NUM_FEATURES),
-            long_count: take_rows(&mut self.long_count, n, 1),
-            last_frame: take_rows(&mut self.last_frame, n, NUM_FEATURES),
-            active_since: take_rows(&mut self.active_since, n, 1),
-            quiet_run: take_rows(&mut self.quiet_run, n, 1),
-            last_survival: take_rows(&mut self.last_survival, n, 1),
-            observed: take_rows(&mut self.observed, n, 1),
-            stale_run: take_rows(&mut self.stale_run, n, 1),
-            last_minute: take_rows(&mut self.last_minute, n, 1),
-            driven: take_rows(&mut self.driven, n, 1),
-            med_done: take_rows(&mut self.med_done, n, 1),
-            long_done: take_rows(&mut self.long_done, n, 1),
-        }
-    }
-}
-
-fn dual_shard_all(a: &mut DualArena) -> DualShard<'_> {
-    DualShard {
-        aged_h: &mut a.aged_h,
-        aged_c: &mut a.aged_c,
-        fresh_h: &mut a.fresh_h,
-        fresh_c: &mut a.fresh_c,
-        aged_age: &mut a.aged_age,
-        fresh_age: &mut a.fresh_age,
-        period: a.period,
-        hidden: a.hidden,
-    }
-}
-
-/// The whole fleet as a single shard — the `threads == 1` path, which
-/// skips even the cursor bookkeeping of [`ShardSplit`] so a steady-state
-/// single-threaded minute performs no heap allocation at all (pinned by
-/// `bench_alloc`'s inference section).
-fn shard_all(arenas: &mut FleetArenas, window: usize) -> Shard<'_> {
-    Shard {
-        start: 0,
-        short: dual_shard_all(&mut arenas.short),
-        medium: dual_shard_all(&mut arenas.medium),
-        long: dual_shard_all(&mut arenas.long),
-        ring: RingShard {
-            buf: &mut arenas.ring_buf,
-            head: &mut arenas.ring_head,
-            filled: &mut arenas.ring_filled,
-            sum: &mut arenas.ring_sum,
-            window,
-        },
-        med_partial: &mut arenas.med_partial,
-        med_count: &mut arenas.med_count,
-        long_partial: &mut arenas.long_partial,
-        long_count: &mut arenas.long_count,
-        last_frame: &mut arenas.last_frame,
-        active_since: &mut arenas.active_since,
-        quiet_run: &mut arenas.quiet_run,
-        last_survival: &mut arenas.last_survival,
-        observed: &mut arenas.observed,
-        stale_run: &mut arenas.stale_run,
-        last_minute: &mut arenas.last_minute,
-        driven: &mut arenas.driven,
-        med_done: &mut arenas.med_done,
-        long_done: &mut arenas.long_done,
-    }
-}
-
-/// Immutable model parts shared by every worker.
-#[derive(Clone, Copy)]
-struct Net<'a> {
-    short: &'a Lstm,
-    medium: &'a Lstm,
-    long: &'a Lstm,
-    head: &'a Dense,
-}
-
-/// Scalar knobs, mirroring `online::Tunables` plus the mode gates.
-#[derive(Clone, Copy)]
-struct Knobs {
-    attack_type: AttackType,
-    threshold: f64,
-    quiet: u32,
-    warmup: u32,
-    max_alert_minutes: u32,
-    med_gran: u32,
-    long_gran: u32,
-    stale_limit: u32,
-    max_imputed_gap: u32,
-    hidden: usize,
-    use_s: bool,
-    use_m: bool,
-    use_l: bool,
-}
-
-/// Per-worker reusable scratch: pre-activation and combiner buffers, the
-/// block workspace, event and telemetry accumulators. Steady-state batch
-/// steps through warm workers allocate nothing.
-struct WorkerScratch {
+/// Per-worker reusable scratch. Steady-state batch steps through warm
+/// workers allocate nothing.
+struct Worker<K: Kernel> {
     frame: Vec<f64>,
-    z: Vec<f64>,
-    input: Vec<f64>,
-    ws: OnlineBlockWorkspace,
+    row: RowScratch<K::S>,
+    block: K::Block,
     runs: Vec<(u32, u32)>,
     impute_events: Vec<DetectorEvent>,
     life_events: Vec<DetectorEvent>,
     obs: DetectorObs,
     err: Option<XatuError>,
-    /// `f32` pre-activation scratch for the fast backend's scalar steps.
-    #[cfg(feature = "fast-math")]
-    z32: Vec<f32>,
-    /// `f32` block workspace for the fast backend's batched steps.
-    #[cfg(feature = "fast-math")]
-    ws32: xatu_nn::OnlineBlockWorkspace32,
 }
 
-impl WorkerScratch {
+impl<K: Kernel> Worker<K> {
     fn new() -> Self {
-        WorkerScratch {
+        Worker {
             frame: vec![0.0; NUM_FEATURES],
-            z: Vec::new(),
-            input: Vec::new(),
-            ws: OnlineBlockWorkspace::new(),
+            row: RowScratch::default(),
+            block: K::Block::default(),
             runs: Vec::new(),
             impute_events: Vec::new(),
             life_events: Vec::new(),
             obs: DetectorObs::default(),
             err: None,
-            #[cfg(feature = "fast-math")]
-            z32: Vec::new(),
-            #[cfg(feature = "fast-math")]
-            ws32: xatu_nn::OnlineBlockWorkspace32::new(),
         }
     }
 }
 
-/// Clears and re-zeroes `v` to length `n`, keeping its allocation.
-fn fit(v: &mut Vec<f64>, n: usize) {
-    v.clear();
-    v.resize(n, 0.0);
+/// One backend's rows and the scratch sized to them.
+struct Lanes<K: Kernel> {
+    numeric: Numeric<K>,
+    workers: Vec<Worker<K>>,
 }
 
-/// Maximal contiguous `true` runs of `flags`, as `(start, end)` pairs.
-fn collect_runs(flags: &[bool], out: &mut Vec<(u32, u32)>) {
+enum Backend {
+    /// Bit-exact `f64`; the kernels are the model's own layers.
+    Exact(Box<Lanes<Lstm>>),
+    Fast(Box<Fast>),
+}
+
+/// Reduced precision: layers widened once to `f32`, their idle
+/// trajectories, `f32` rows.
+struct Fast {
+    kernels: [Lstm32; TIMESCALES],
+    traj: [IdleTrajectory<f32>; TIMESCALES],
+    lanes: Lanes<Lstm32>,
+    /// Whether quiescent rows advance by bookkeeping (default) or every
+    /// driven row runs the dense kernel.
+    idle_skip: bool,
+}
+
+/// Maximal contiguous runs of rows whose flag has `mask` set.
+fn collect_runs(flags: &[u8], mask: u8, out: &mut Vec<(u32, u32)>) {
     out.clear();
     let mut a = 0;
     while a < flags.len() {
-        if !flags[a] {
+        if flags[a] & mask == 0 {
             a += 1;
             continue;
         }
         let mut b = a + 1;
-        while b < flags.len() && flags[b] {
+        while b < flags.len() && flags[b] & mask != 0 {
             b += 1;
         }
         out.push((a as u32, b as u32));
@@ -723,304 +146,213 @@ fn collect_runs(flags: &[bool], out: &mut Vec<(u32, u32)>) {
     }
 }
 
-/// `online::accumulate` on an arena row, with the completed bucket scaled
-/// in place (the caller re-zeroes the row once the bucket is consumed).
-fn accumulate_row(partial: &mut [f64], count: &mut u32, frame: &[f64], gran: u32) -> bool {
-    for (a, v) in partial.iter_mut().zip(frame) {
-        *a += v;
-    }
-    *count += 1;
-    if *count == gran {
-        let inv = 1.0 / gran as f64;
-        for a in partial.iter_mut() {
-            *a *= inv;
+/// One shard through one minute.
+fn run_shard<K, F>(
+    net: &Net<'_, K>,
+    addrs: &[Ipv4],
+    minute: u32,
+    fill: &F,
+    mut sh: Shard<'_, K>,
+    w: &mut Worker<K>,
+) where
+    K: Kernel,
+    F: Fn(usize, Ipv4, &mut [f64]) -> FleetInput,
+{
+    w.impute_events.clear();
+    w.life_events.clear();
+    w.err = None;
+    let len = sh.len();
+
+    // Phase A: ordering, gap bridging (imputed catch-up minutes run the
+    // whole row path here), this minute's input and plan.
+    for j in 0..len {
+        sh.flags.iter_mut().for_each(|f| f[j] = 0);
+        let addr = addrs[sh.start + j];
+        let frame = match fill(sh.start + j, addr, &mut w.frame) {
+            FleetInput::Skip => continue,
+            FleetInput::Gap => None,
+            FleetInput::Frame => Some(&w.frame[..]),
+        };
+        if let Err(e) = check_order(&mut w.obs, sh.last_minute[j], addr, minute) {
+            w.err.get_or_insert(e);
+            continue;
         }
-        *count = 0;
-        true
-    } else {
-        false
+        catch_up(
+            net,
+            &mut w.obs,
+            &mut sh,
+            j,
+            addr,
+            minute,
+            &mut w.row,
+            &mut Solo,
+            &mut w.impute_events,
+        );
+        ingest(net, &mut w.obs, &mut sh, j, frame);
+    }
+
+    // Phase B: block steps over contiguous runs of rows planned DENSE.
+    // Rows are independent and the block kernel is 0-ULP equal to the row
+    // kernel, so run boundaries (and hence shard boundaries) cannot move
+    // a bit.
+    for t in 0..TIMESCALES {
+        collect_runs(sh.flags[t], DENSE, &mut w.runs);
+        for &(a, b) in &w.runs {
+            let (a, b) = (a as usize, b as usize);
+            let span = a * NUM_FEATURES..b * NUM_FEATURES;
+            let xs = if t == 0 { &sh.frame[span] } else { &sh.partial[t - 1][span] };
+            sh.dual[t].step_block(net.layers[t], a, b, xs, &mut w.block);
+        }
+    }
+
+    // Phase C: survival and lifecycle tails, clock advance.
+    for j in 0..len {
+        if sh.flags[0][j] != 0 {
+            let addr = addrs[sh.start + j];
+            finish_row(
+                net,
+                &mut w.obs,
+                &mut sh,
+                j,
+                addr,
+                minute,
+                &mut w.row.input,
+                &mut Solo,
+                &mut w.life_events,
+            );
+        }
     }
 }
 
-/// `online::cold_restart` on arena rows: ends any open alert, resets every
-/// accumulator, re-enters warm-up. Leaves `last_minute` alone.
-fn cold_restart(
-    k: &Knobs,
-    obs: &mut DetectorObs,
-    sh: &mut Shard<'_>,
-    j: usize,
-    addr: Ipv4,
+/// What a minute needs besides the backend's own rows and kernels.
+struct Minute<'a> {
+    addrs: &'a [Ipv4],
+    ledger: &'a mut Ledger,
+    pool: &'a mut Option<WorkerPool>,
+    ranges: &'a mut Vec<(usize, usize)>,
+    obs: &'a mut DetectorObs,
+    events: &'a mut Vec<DetectorEvent>,
     minute: u32,
-    events: &mut Vec<DetectorEvent>,
-) {
-    if let Some(detected_at) = sh.active_since[j].take() {
-        obs.ended.inc();
-        events.push(DetectorEvent::Ended(Alert {
-            customer: addr,
-            attack_type: k.attack_type,
-            detected_at,
-            mitigation_end: Some(minute),
-        }));
-    }
-    sh.short.reset_row(j);
-    sh.medium.reset_row(j);
-    sh.long.reset_row(j);
-    sh.ring.reset_row(j);
-    let f = j * NUM_FEATURES;
-    sh.med_partial[f..f + NUM_FEATURES].fill(0.0);
-    sh.med_count[j] = 0;
-    sh.long_partial[f..f + NUM_FEATURES].fill(0.0);
-    sh.long_count[j] = 0;
-    sh.quiet_run[j] = 0;
-    sh.last_survival[j] = 1.0;
-    sh.observed[j] = 0;
-    sh.last_frame[f..f + NUM_FEATURES].fill(0.0);
-    sh.stale_run[j] = 0;
-    obs.cold_restarts.inc();
+    threads: usize,
 }
 
-/// The tail of `online::step_minute` after the LSTM states have advanced:
-/// combiner input from the aged hidden states, head → softplus hazard,
-/// survival ring push, staleness blend, warm-up gate, alert lifecycle.
-#[allow(clippy::too_many_arguments)]
-fn combine_and_alert(
-    net: Net<'_>,
-    k: &Knobs,
-    obs: &mut DetectorObs,
-    sh: &mut Shard<'_>,
-    j: usize,
-    addr: Ipv4,
-    minute: u32,
-    input: &mut Vec<f64>,
-    events: &mut Vec<DetectorEvent>,
-) {
-    let h = k.hidden;
-    fit(input, 3 * h);
-    let r = j * h..(j + 1) * h;
-    if k.use_s {
-        input[0..h].copy_from_slice(&sh.short.aged_h[r.clone()]);
-    }
-    if k.use_m {
-        input[h..2 * h].copy_from_slice(&sh.medium.aged_h[r.clone()]);
-    }
-    if k.use_l {
-        input[2 * h..3 * h].copy_from_slice(&sh.long.aged_h[r]);
-    }
-    let mut logit = [0.0f64; 1];
-    net.head.forward_into(input, &mut logit);
-    let hazard = softplus(logit[0]);
-    let raw = sh.ring.push(j, hazard);
-
-    let reported = if sh.stale_run[j] == 0 {
-        raw
-    } else {
-        let w = sh.stale_run[j].min(k.stale_limit) as f64 / k.stale_limit as f64;
-        raw + (1.0 - raw) * w
-    };
-    sh.last_survival[j] = reported;
-    sh.observed[j] += 1;
-    obs.survival.observe(reported);
-
-    if sh.observed[j] <= k.warmup {
-        obs.warmup_suppressed.inc();
-        return;
-    }
-    match sh.active_since[j] {
-        None => {
-            if reported < k.threshold && sh.stale_run[j] == 0 {
-                let alert = Alert {
-                    customer: addr,
-                    attack_type: k.attack_type,
-                    detected_at: minute,
-                    mitigation_end: None,
-                };
-                sh.active_since[j] = Some(minute);
-                sh.quiet_run[j] = 0;
-                obs.raised.inc();
-                events.push(DetectorEvent::Raised(alert));
+impl Minute<'_> {
+    /// Shards the fleet over the workers, runs them, and stitches their
+    /// output in block order.
+    fn run<K, F>(self, net: &Net<'_, K>, lanes: &mut Lanes<K>, fill: &F) -> Result<(), XatuError>
+    where
+        K: Kernel,
+        F: Fn(usize, Ipv4, &mut [f64]) -> FleetInput + Sync,
+    {
+        let Minute {
+            addrs,
+            ledger,
+            pool,
+            ranges,
+            obs,
+            events,
+            minute,
+            threads,
+        } = self;
+        let threads = threads.clamp(1, addrs.len()).min(MAX_SHARDS);
+        while lanes.workers.len() < threads {
+            lanes.workers.push(Worker::new());
+        }
+        let mut whole = Shard::new(ledger, &mut lanes.numeric, net.k.window);
+        // The ranges live in reusable scratch, the shard views are carved
+        // by borrow splitting, the task slots sit on the stack and the
+        // worker threads are a persistent parked pool: zero allocations
+        // per minute at any thread count once the pool has spun up.
+        let active = if threads == 1 {
+            run_shard(net, addrs, minute, fill, whole, &mut lanes.workers[0]);
+            1
+        } else {
+            block_ranges_into(addrs.len(), threads, ranges);
+            let parts = ranges.len();
+            let pool = pool.get_or_insert_with(WorkerPool::default);
+            pool.ensure_workers(parts - 1);
+            let mut slots: [Option<(Shard<'_, K>, &mut Worker<K>)>; MAX_SHARDS] =
+                std::array::from_fn(|_| None);
+            for ((&(s, e), w), slot) in ranges.iter().zip(&mut lanes.workers).zip(&mut slots) {
+                *slot = Some((whole.take_front(e - s), w));
             }
-        }
-        Some(detected_at) => {
-            let over_cap = minute.saturating_sub(detected_at) >= k.max_alert_minutes;
-            if reported < k.threshold && !over_cap {
-                sh.quiet_run[j] = 0;
-            } else {
-                sh.quiet_run[j] += 1;
-                if sh.quiet_run[j] >= k.quiet || over_cap {
-                    sh.active_since[j] = None;
-                    sh.quiet_run[j] = 0;
-                    obs.ended.inc();
-                    if over_cap {
-                        obs.force_ended.inc();
-                    }
-                    events.push(DetectorEvent::Ended(Alert {
-                        customer: addr,
-                        attack_type: k.attack_type,
-                        detected_at,
-                        mitigation_end: Some(minute),
-                    }));
+            pool.run_tasks(&mut slots[..parts], &|slot| {
+                if let Some((sh, w)) = slot.take() {
+                    run_shard(net, addrs, minute, fill, sh, w);
                 }
+            });
+            parts
+        };
+
+        // Catch-up events, then lifecycle events, then telemetry and the
+        // first ordering violation — all in block order.
+        let workers = &mut lanes.workers[..active];
+        for w in workers.iter() {
+            events.extend_from_slice(&w.impute_events);
+        }
+        for w in workers.iter() {
+            events.extend_from_slice(&w.life_events);
+        }
+        let mut first_err = None;
+        for w in workers {
+            obs.merge_from(&w.obs);
+            w.obs.reset();
+            if first_err.is_none() {
+                first_err = w.err.take();
             }
         }
-    }
-}
-
-/// `online::step_minute` for one customer, entirely scalar, through the
-/// reference LSTM kernel — used for imputed catch-up minutes, which are
-/// rare and ragged (each customer is at a different point of its gap).
-#[allow(clippy::too_many_arguments)]
-fn scalar_step_minute(
-    net: Net<'_>,
-    k: &Knobs,
-    obs: &mut DetectorObs,
-    sh: &mut Shard<'_>,
-    j: usize,
-    addr: Ipv4,
-    minute: u32,
-    z: &mut Vec<f64>,
-    input: &mut Vec<f64>,
-    events: &mut Vec<DetectorEvent>,
-) {
-    sh.stale_run[j] += 1;
-    obs.gaps_imputed.inc();
-    let f = j * NUM_FEATURES;
-    let med_done = accumulate_row(
-        &mut sh.med_partial[f..f + NUM_FEATURES],
-        &mut sh.med_count[j],
-        &sh.last_frame[f..f + NUM_FEATURES],
-        k.med_gran,
-    );
-    let long_done = accumulate_row(
-        &mut sh.long_partial[f..f + NUM_FEATURES],
-        &mut sh.long_count[j],
-        &sh.last_frame[f..f + NUM_FEATURES],
-        k.long_gran,
-    );
-    if k.use_s {
-        sh.short
-            .step_one(net.short, j, &sh.last_frame[f..f + NUM_FEATURES], z);
-    }
-    if k.use_m && med_done {
-        sh.medium
-            .step_one(net.medium, j, &sh.med_partial[f..f + NUM_FEATURES], z);
-    }
-    if k.use_l && long_done {
-        sh.long
-            .step_one(net.long, j, &sh.long_partial[f..f + NUM_FEATURES], z);
-    }
-    if med_done {
-        sh.med_partial[f..f + NUM_FEATURES].fill(0.0);
-    }
-    if long_done {
-        sh.long_partial[f..f + NUM_FEATURES].fill(0.0);
-    }
-    combine_and_alert(net, k, obs, sh, j, addr, minute, input, events);
-}
-
-/// `online::catch_up` on arena rows: bridges the gap since the customer's
-/// last driven minute — short gaps imputed minute by minute, long gaps
-/// cold-restarted. Minute-ordering is validated by the caller.
-#[allow(clippy::too_many_arguments)]
-fn catch_up(
-    net: Net<'_>,
-    k: &Knobs,
-    obs: &mut DetectorObs,
-    sh: &mut Shard<'_>,
-    j: usize,
-    addr: Ipv4,
-    minute: u32,
-    z: &mut Vec<f64>,
-    input: &mut Vec<f64>,
-    events: &mut Vec<DetectorEvent>,
-) {
-    let Some(last) = sh.last_minute[j] else {
-        return;
-    };
-    let gap = minute - last - 1;
-    if gap == 0 {
-        return;
-    }
-    if gap > k.max_imputed_gap {
-        obs.gap_runs.observe(gap as f64);
-        cold_restart(k, obs, sh, j, addr, minute, events);
-    } else {
-        for m in last + 1..minute {
-            scalar_step_minute(net, k, obs, sh, j, addr, m, z, input, events);
-        }
+        first_err.map_or(Ok(()), Err)
     }
 }
 
 /// The fleet-scale streaming detector for one attack type.
 ///
-/// Behaviourally identical to [`crate::online::OnlineDetector`] — pinned by
-/// tests that drive both through gap/imputation/cold-restart schedules and
-/// compare every survival bit and every lifecycle event — but holding all
-/// per-customer state in flat arenas and advancing the whole fleet through
-/// [`FleetDetector::step_minute_batch`].
+/// Behaviourally identical to [`crate::online::OnlineDetector`] — both
+/// drive the same rows through the same core, and the differential tests
+/// compare every survival bit and every lifecycle event — advancing the
+/// whole fleet through [`FleetDetector::step_minute_batch`].
 pub struct FleetDetector {
-    model: XatuModel,
-    attack_type: AttackType,
-    threshold: f64,
-    window: usize,
-    quiet: u32,
-    warmup: u32,
-    ctx_lens: (usize, usize, usize),
-    max_alert_minutes: u32,
-    addrs: Vec<Ipv4>,
-    index: HashMap<Ipv4, u32>,
-    arenas: FleetArenas,
-    obs: DetectorObs,
-    workers: Vec<WorkerScratch>,
+    common: Common,
+    ledger: Ledger,
+    backend: Backend,
     events: Vec<DetectorEvent>,
     /// Persistent fork-join workers for the `threads > 1` path, spawned
-    /// lazily on the first sharded minute. Keeping the pool (instead of
-    /// scoped spawns) extends the zero-allocation steady state to the
-    /// sharded path.
+    /// lazily on the first sharded minute.
     pool: Option<WorkerPool>,
     /// Reusable buffer for the per-minute shard partition.
-    range_scratch: Vec<(usize, usize)>,
+    ranges: Vec<(usize, usize)>,
     /// [`XatuConfig::no_simd`]: pin the fast backend's `f32` kernels to
     /// the scalar reference instead of auto-dispatching (bit-identical
     /// either way). Captured at construction; checkpoints restored via
     /// [`FleetDetector::from_checkpoint`] fall back to auto/env dispatch.
-    #[cfg_attr(not(feature = "fast-math"), allow(dead_code))]
     no_simd: bool,
-    /// When present, the detector runs the reduced-precision backend:
-    /// LSTM state lives in the fast state's `f32` arenas (the `f64`
-    /// numeric arenas above stay empty) and per-minute stepping goes
-    /// through `step_minute_batch_fast`. `None` — the default, and the
-    /// only state reachable without [`FleetDetector::enable_fast`] — is
-    /// the bit-exact `f64` path.
-    #[cfg(feature = "fast-math")]
-    fast: Option<fast::FastState>,
 }
 
 impl FleetDetector {
     /// Wraps a trained model with a calibrated threshold (mirrors
     /// [`crate::online::OnlineDetector::new`]).
     pub fn new(model: XatuModel, attack_type: AttackType, threshold: f64, cfg: &XatuConfig) -> Self {
-        let hidden = model.cfg.hidden;
-        let ctx = (cfg.short_len, cfg.medium_len, cfg.long_len);
+        let numeric = Numeric::new(model.cfg.hidden, (cfg.short_len, cfg.medium_len, cfg.long_len));
+        Self::assemble(
+            Common::new(model, attack_type, threshold, cfg),
+            Ledger::default(),
+            numeric,
+            cfg.no_simd,
+        )
+    }
+
+    fn assemble(common: Common, ledger: Ledger, numeric: Numeric<Lstm>, no_simd: bool) -> Self {
         FleetDetector {
-            arenas: FleetArenas::new(hidden, ctx),
-            model,
-            attack_type,
-            threshold,
-            window: cfg.window,
-            quiet: 5,
-            warmup: 2 * cfg.window as u32,
-            ctx_lens: ctx,
-            max_alert_minutes: 45,
-            addrs: Vec::new(),
-            index: HashMap::new(),
-            obs: DetectorObs::default(),
-            workers: Vec::new(),
+            common,
+            ledger,
+            backend: Backend::Exact(Box::new(Lanes {
+                numeric,
+                workers: Vec::new(),
+            })),
             events: Vec::new(),
             pool: None,
-            range_scratch: Vec::new(),
-            no_simd: cfg.no_simd,
-            #[cfg(feature = "fast-math")]
-            fast: None,
+            ranges: Vec::new(),
+            no_simd,
         }
     }
 
@@ -1029,121 +361,97 @@ impl FleetDetector {
     /// start in the cold state and go through warm-up, exactly like a
     /// first [`crate::online::OnlineDetector::observe`].
     pub fn add_customer(&mut self, addr: Ipv4) -> usize {
-        if let Some(&i) = self.index.get(&addr) {
-            return i as usize;
+        let (i, new) = self.common.intern(addr);
+        if new {
+            let window = self.common.window;
+            match &mut self.backend {
+                Backend::Exact(lanes) => push_row(&mut self.ledger, &mut lanes.numeric, window),
+                Backend::Fast(fast) => push_row(&mut self.ledger, &mut fast.lanes.numeric, window),
+            }
         }
-        let i = self.addrs.len();
-        self.index.insert(addr, i as u32);
-        self.addrs.push(addr);
-        #[cfg(feature = "fast-math")]
-        if let Some(fs) = &mut self.fast {
-            self.arenas.push_scalar(self.window);
-            fs.push_default();
-            return i;
-        }
-        self.arenas.push_default(self.window);
         i
     }
 
     /// Registered customer count.
     pub fn len(&self) -> usize {
-        self.addrs.len()
+        self.common.addrs.len()
     }
 
     /// True when no customer is registered.
     pub fn is_empty(&self) -> bool {
-        self.addrs.is_empty()
+        self.common.addrs.is_empty()
     }
 
     /// Registered addresses in dense-id order.
     pub fn addrs(&self) -> &[Ipv4] {
-        &self.addrs
+        &self.common.addrs
     }
 
     /// The dense id of `addr`, if registered.
     pub fn customer_index(&self, addr: Ipv4) -> Option<usize> {
-        self.index.get(&addr).map(|&i| i as usize)
+        self.common.id_of(addr)
     }
 
     /// The detector's embedded telemetry. Histogram bucket counts and all
     /// counters are bit-identical for every thread count; histogram `sum`
     /// fields are reduced per worker and may differ in rounding.
     pub fn obs(&self) -> &DetectorObs {
-        &self.obs
+        &self.common.obs
     }
 
     /// Zeroes the embedded telemetry.
     pub fn reset_obs(&mut self) {
-        self.obs = DetectorObs::default();
+        self.common.obs = DetectorObs::default();
     }
 
     /// The calibrated threshold.
     pub fn threshold(&self) -> f64 {
-        self.threshold
+        self.common.threshold
     }
 
     /// Updates the threshold (re-calibration between periods).
     pub fn set_threshold(&mut self, threshold: f64) {
-        self.threshold = threshold;
+        self.common.threshold = threshold;
     }
 
     /// Overrides the warm-up length.
     pub fn set_warmup(&mut self, warmup: u32) {
-        self.warmup = warmup;
+        self.common.warmup = warmup;
     }
 
     /// The attack type this detector serves.
     pub fn attack_type(&self) -> AttackType {
-        self.attack_type
+        self.common.attack_type
     }
 
     /// The force-end cap, in minutes from `detected_at`.
     pub fn max_alert_minutes(&self) -> u32 {
-        self.max_alert_minutes
+        self.common.max_alert_minutes
     }
 
     /// The current rolling survival for a customer (1.0 if unseen).
     pub fn survival_of(&self, addr: Ipv4) -> f64 {
-        self.customer_index(addr)
-            .map_or(1.0, |i| self.arenas.last_survival[i])
+        self.common.survival_of(&self.ledger, addr)
     }
 
-    /// Measured total arena footprint in bytes (excludes the interner,
-    /// which adds roughly 16 bytes per customer, and per-worker scratch,
-    /// which is fleet-size-independent).
+    /// Measured total arena footprint in bytes, including the fast
+    /// backend's trajectory tables (excludes the interner, which adds
+    /// roughly 16 bytes per customer, and per-worker scratch, which is
+    /// fleet-size-independent).
     pub fn arena_bytes(&self) -> usize {
-        #[cfg(feature = "fast-math")]
-        let fast_bytes = self.fast.as_ref().map_or(0, |fs| fs.bytes());
-        #[cfg(not(feature = "fast-math"))]
-        let fast_bytes = 0;
-        self.arenas.bytes()
-            + self.addrs.capacity() * std::mem::size_of::<Ipv4>()
-            + fast_bytes
+        let backend = match &self.backend {
+            Backend::Exact(lanes) => lanes.numeric.bytes(),
+            Backend::Fast(fast) => {
+                fast.lanes.numeric.bytes()
+                    + fast.traj.iter().map(IdleTrajectory::bytes).sum::<usize>()
+            }
+        };
+        self.ledger.bytes() + self.common.addrs.capacity() * std::mem::size_of::<Ipv4>() + backend
     }
 
     /// Measured per-customer state budget in bytes.
     pub fn bytes_per_customer(&self) -> usize {
-        self.arena_bytes() / self.addrs.len().max(1)
-    }
-
-    fn knobs(&self) -> Knobs {
-        let (_, med_gran, long_gran) = self.model.cfg.timescales;
-        let (use_s, use_m, use_l) = self.model.cfg.mode.enabled();
-        Knobs {
-            attack_type: self.attack_type,
-            threshold: self.threshold,
-            quiet: self.quiet,
-            warmup: self.warmup,
-            max_alert_minutes: self.max_alert_minutes,
-            med_gran,
-            long_gran,
-            stale_limit: (self.window as u32).max(1),
-            max_imputed_gap: 3 * self.window as u32,
-            hidden: self.model.cfg.hidden,
-            use_s,
-            use_m,
-            use_l,
-        }
+        self.arena_bytes() / self.common.addrs.len().max(1)
     }
 
     /// Advances every registered customer to `minute` across `threads`
@@ -1176,514 +484,137 @@ impl FleetDetector {
     where
         F: Fn(usize, Ipv4, &mut [f64]) -> FleetInput + Sync,
     {
-        #[cfg(feature = "fast-math")]
-        if self.fast.is_some() {
-            return self.step_minute_batch_fast(minute, threads, fill);
-        }
-        let n = self.addrs.len();
         self.events.clear();
-        if n == 0 {
+        if self.common.addrs.is_empty() {
             return Ok(&self.events);
         }
-        let threads = threads.clamp(1, n).min(MAX_SHARDS);
-        while self.workers.len() < threads {
-            self.workers.push(WorkerScratch::new());
-        }
-        let k = self.knobs();
-        let net = Net {
-            short: self.model.lstm_short(),
-            medium: self.model.lstm_medium(),
-            long: self.model.lstm_long(),
-            head: self.model.head(),
+        let k = self.common.knobs();
+        let job = Minute {
+            addrs: &self.common.addrs,
+            ledger: &mut self.ledger,
+            pool: &mut self.pool,
+            ranges: &mut self.ranges,
+            obs: &mut self.common.obs,
+            events: &mut self.events,
+            minute,
+            threads,
         };
-        let addrs: &[Ipv4] = &self.addrs;
-        let window = self.window;
-        let worker = |(mut sh, w): (Shard<'_>, &mut WorkerScratch)| {
-            let WorkerScratch {
-                frame,
-                z,
-                input,
-                ws,
-                runs,
-                impute_events,
-                life_events,
-                obs,
-                err,
-                ..
-            } = w;
-            impute_events.clear();
-            life_events.clear();
-            *err = None;
-            let len = sh.len();
-
-            // Phase A — scalar: ordering, gap bridging, sanitization,
-            // bucket accumulation. Sets the per-minute flags phase B keys
-            // off. Imputed catch-up minutes run the full scalar reference
-            // step here.
-            for j in 0..len {
-                sh.driven[j] = false;
-                sh.med_done[j] = false;
-                sh.long_done[j] = false;
-                let g = sh.start + j;
-                let addr = addrs[g];
-                let action = fill(g, addr, frame);
-                if matches!(action, FleetInput::Skip) {
-                    continue;
-                }
-                if let Some(last) = sh.last_minute[j] {
-                    if minute <= last {
-                        obs.out_of_order.inc();
-                        if err.is_none() {
-                            *err = Some(XatuError::OutOfOrderMinute {
-                                customer: addr,
-                                minute,
-                                last,
-                            });
-                        }
-                        continue;
-                    }
-                }
-                catch_up(
-                    net, &k, obs, &mut sh, j, addr, minute, z, input, impute_events,
-                );
-                // One fused pass per feature: sanitize (for real frames)
-                // into the ZOH buffer and feed both pooling buckets.
-                // Element-wise identical to sanitize-then-accumulate — the
-                // per-element arithmetic is independent — but one pass over
-                // the customer's rows instead of three.
-                let f = j * NUM_FEATURES;
-                if matches!(action, FleetInput::Gap) {
-                    sh.stale_run[j] += 1;
-                    obs.gaps_imputed.inc();
-                    for e in f..f + NUM_FEATURES {
-                        let v = sh.last_frame[e];
-                        sh.med_partial[e] += v;
-                        sh.long_partial[e] += v;
-                    }
-                } else {
-                    let mut replaced = 0u64;
-                    for (e, &raw) in frame[..NUM_FEATURES].iter().enumerate() {
-                        let v = if raw.is_finite() {
-                            raw
-                        } else {
-                            replaced += 1;
-                            0.0
-                        };
-                        sh.last_frame[f + e] = v;
-                        sh.med_partial[f + e] += v;
-                        sh.long_partial[f + e] += v;
-                    }
-                    if replaced > 0 {
-                        obs.values_sanitized.add(replaced);
-                    }
-                    if sh.stale_run[j] > 0 {
-                        obs.gap_runs.observe(sh.stale_run[j] as f64);
-                        sh.stale_run[j] = 0;
-                    }
-                }
-                sh.med_count[j] += 1;
-                sh.med_done[j] = sh.med_count[j] == k.med_gran;
-                if sh.med_done[j] {
-                    let inv = 1.0 / k.med_gran as f64;
-                    for e in f..f + NUM_FEATURES {
-                        sh.med_partial[e] *= inv;
-                    }
-                    sh.med_count[j] = 0;
-                }
-                sh.long_count[j] += 1;
-                sh.long_done[j] = sh.long_count[j] == k.long_gran;
-                if sh.long_done[j] {
-                    let inv = 1.0 / k.long_gran as f64;
-                    for e in f..f + NUM_FEATURES {
-                        sh.long_partial[e] *= inv;
-                    }
-                    sh.long_count[j] = 0;
-                }
-                sh.driven[j] = true;
+        match &mut self.backend {
+            Backend::Exact(lanes) => job.run(&Net::exact(&self.common.model, k), lanes, &fill),
+            Backend::Fast(fast) => {
+                let layers = std::array::from_fn(|t| Layer {
+                    kernel: &fast.kernels[t],
+                    traj: &fast.traj[t],
+                    skip: fast.idle_skip,
+                });
+                let head = self.common.model.head();
+                job.run(&Net { layers, head, k }, &mut fast.lanes, &fill)
             }
-
-            // Phase B — batched: advance dual states over contiguous runs
-            // of the arenas. Rows are independent and the block kernel is
-            // 0-ULP equal to the scalar one, so run boundaries (and hence
-            // shard boundaries) cannot move a bit.
-            if k.use_s {
-                collect_runs(sh.driven, runs);
-                for &(a, b) in runs.iter() {
-                    let (a, b) = (a as usize, b as usize);
-                    let xs = &sh.last_frame[a * NUM_FEATURES..b * NUM_FEATURES];
-                    sh.short.step_block(net.short, a, b, xs, ws);
-                }
-            }
-            if k.use_m {
-                collect_runs(sh.med_done, runs);
-                for &(a, b) in runs.iter() {
-                    let (a, b) = (a as usize, b as usize);
-                    let xs = &sh.med_partial[a * NUM_FEATURES..b * NUM_FEATURES];
-                    sh.medium.step_block(net.medium, a, b, xs, ws);
-                }
-            }
-            if k.use_l {
-                collect_runs(sh.long_done, runs);
-                for &(a, b) in runs.iter() {
-                    let (a, b) = (a as usize, b as usize);
-                    let xs = &sh.long_partial[a * NUM_FEATURES..b * NUM_FEATURES];
-                    sh.long.step_block(net.long, a, b, xs, ws);
-                }
-            }
-            // Retire consumed buckets (completed rows were scaled in place
-            // in phase A; their counts are already zero).
-            collect_runs(sh.med_done, runs);
-            for &(a, b) in runs.iter() {
-                sh.med_partial[a as usize * NUM_FEATURES..b as usize * NUM_FEATURES].fill(0.0);
-            }
-            collect_runs(sh.long_done, runs);
-            for &(a, b) in runs.iter() {
-                sh.long_partial[a as usize * NUM_FEATURES..b as usize * NUM_FEATURES].fill(0.0);
-            }
-
-            // Phase C — scalar: combiner, survival, staleness blend, alert
-            // lifecycle, clock advance.
-            for j in 0..len {
-                if !sh.driven[j] {
-                    continue;
-                }
-                let addr = addrs[sh.start + j];
-                combine_and_alert(net, &k, obs, &mut sh, j, addr, minute, input, life_events);
-                sh.last_minute[j] = Some(minute);
-            }
-        };
-
-        // Single-threaded, the whole fleet runs as one allocation-free
-        // shard; sharded, the ranges live in reusable `FleetDetector`
-        // scratch, the shard views are carved by a borrow-splitting
-        // cursor, the task slots sit on the stack, and the worker threads
-        // are a persistent parked pool — zero allocations per minute at
-        // any thread count once the pool has spun up.
-        let active = if threads == 1 {
-            worker((shard_all(&mut self.arenas, window), &mut self.workers[0]));
-            1
-        } else {
-            block_ranges_into(n, threads, &mut self.range_scratch);
-            let parts = self.range_scratch.len();
-            let pool = self.pool.get_or_insert_with(WorkerPool::default);
-            pool.ensure_workers(parts - 1);
-            let mut split = ShardSplit::new(&mut self.arenas, window);
-            let mut slots: [Option<(Shard<'_>, &mut WorkerScratch)>; MAX_SHARDS] =
-                std::array::from_fn(|_| None);
-            for ((&(s, e), w), slot) in self
-                .range_scratch
-                .iter()
-                .zip(self.workers.iter_mut())
-                .zip(slots.iter_mut())
-            {
-                *slot = Some((split.take(e - s), w));
-            }
-            pool.run_tasks(&mut slots[..parts], &|slot| {
-                if let Some(task) = slot.take() {
-                    worker(task);
-                }
-            });
-            parts
-        };
-
-        // Stitch in block order: catch-up events, then lifecycle events,
-        // then telemetry and the first ordering violation.
-        let mut first_err = None;
-        for w in &self.workers[..active] {
-            self.events.extend_from_slice(&w.impute_events);
-        }
-        for w in &self.workers[..active] {
-            self.events.extend_from_slice(&w.life_events);
-        }
-        for w in &mut self.workers[..active] {
-            self.obs.merge_from(&w.obs);
-            w.obs.reset();
-            if first_err.is_none() {
-                first_err = w.err.take();
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(&self.events),
-        }
+        }?;
+        Ok(&self.events)
     }
 
     /// Forces any open alerts to end at `minute` (end of evaluation), in
     /// customer-id order.
     pub fn close_all(&mut self, minute: u32) -> Vec<DetectorEvent> {
-        let mut events = Vec::new();
-        for j in 0..self.addrs.len() {
-            if let Some(detected_at) = self.arenas.active_since[j].take() {
-                self.obs.ended.inc();
-                events.push(DetectorEvent::Ended(Alert {
-                    customer: self.addrs[j],
-                    attack_type: self.attack_type,
-                    detected_at,
-                    mitigation_end: Some(minute),
-                }));
-            }
-        }
-        events
+        self.common.close_all(&mut self.ledger, minute)
     }
 
     /// Snapshots the fleet into the *same* checkpoint format as
     /// [`crate::online::OnlineDetector::to_checkpoint`] (customers sorted
     /// by address), so the XCK1 container, the resume driver, and either
-    /// detector implementation can load it interchangeably.
+    /// front-end on either backend can load it interchangeably.
     pub fn to_checkpoint(&mut self) -> DetectorCheckpoint {
-        #[cfg(feature = "fast-math")]
-        if self.fast.is_some() {
-            return self.to_checkpoint_fast();
-        }
-        let mut params = vec![0.0; self.model.param_count()];
-        self.model.export_params_into(&mut params);
-        let h = self.model.cfg.hidden;
-        let w = self.window;
-        let mut order: Vec<usize> = (0..self.addrs.len()).collect();
-        order.sort_unstable_by_key(|&i| self.addrs[i].0);
-        let customers = order
-            .into_iter()
-            .map(|i| {
-                let a = &self.arenas;
-                let dual = [&a.short, &a.medium, &a.long].map(|d| DualStateCheckpoint {
-                    aged_h: d.aged_h[i * h..(i + 1) * h].to_vec(),
-                    aged_c: d.aged_c[i * h..(i + 1) * h].to_vec(),
-                    fresh_h: d.fresh_h[i * h..(i + 1) * h].to_vec(),
-                    fresh_c: d.fresh_c[i * h..(i + 1) * h].to_vec(),
-                    aged_age: d.aged_age[i],
-                    fresh_age: d.fresh_age[i],
-                    period: d.period,
-                });
-                let f = i * NUM_FEATURES;
-                CustomerCheckpoint {
-                    addr: self.addrs[i].0,
-                    dual,
-                    survival: (
-                        w as u64,
-                        a.ring_buf[i * w..(i + 1) * w].to_vec(),
-                        a.ring_head[i] as u64,
-                        a.ring_filled[i] as u64,
-                        a.ring_sum[i],
-                    ),
-                    med_partial: (a.med_partial[f..f + NUM_FEATURES].to_vec(), a.med_count[i]),
-                    long_partial: (
-                        a.long_partial[f..f + NUM_FEATURES].to_vec(),
-                        a.long_count[i],
-                    ),
-                    active_since: a.active_since[i],
-                    quiet_run: a.quiet_run[i],
-                    last_survival: a.last_survival[i],
-                    observed: a.observed[i],
-                    last_frame: a.last_frame[f..f + NUM_FEATURES].to_vec(),
-                    stale_run: a.stale_run[i],
-                    last_minute: a.last_minute[i],
-                }
-            })
-            .collect();
-        DetectorCheckpoint {
-            attack_type: self.attack_type,
-            threshold: self.threshold,
-            window: self.window as u64,
-            quiet: self.quiet,
-            warmup: self.warmup,
-            ctx_lens: (
-                self.ctx_lens.0 as u64,
-                self.ctx_lens.1 as u64,
-                self.ctx_lens.2 as u64,
-            ),
-            max_alert_minutes: self.max_alert_minutes,
-            timescales: self.model.cfg.timescales,
-            hidden: self.model.cfg.hidden as u64,
-            mode: self.model.cfg.mode,
-            params,
-            customers,
+        match &self.backend {
+            Backend::Exact(lanes) => {
+                self.common
+                    .checkpoint(&self.ledger, &lanes.numeric, [&NO_TABLE; TIMESCALES])
+            }
+            Backend::Fast(fast) => {
+                self.common
+                    .checkpoint(&self.ledger, &fast.lanes.numeric, fast.traj.each_ref())
+            }
         }
     }
 
     /// Rebuilds a fleet from a checkpoint — including one written by
-    /// [`crate::online::OnlineDetector::to_checkpoint`] — with the same
-    /// validation, plus the fleet's uniformity requirement: every
-    /// customer's dual-state periods must match the context lengths the
-    /// arena is built for (which every checkpoint either detector writes
-    /// satisfies). Dense ids are assigned in checkpoint (address) order.
+    /// [`crate::online::OnlineDetector::to_checkpoint`] — on the exact
+    /// backend. Dense ids are assigned in checkpoint (address) order.
     pub fn from_checkpoint(ck: &DetectorCheckpoint) -> Result<Self, XatuError> {
-        if ck.timescales.0 == 0 || ck.timescales.1 == 0 || ck.timescales.2 == 0 {
-            return Err(XatuError::invalid_checkpoint(
-                "timescale granularities must be >= 1",
-            ));
-        }
-        let cfg = ModelConfig {
-            timescales: ck.timescales,
-            hidden: ck.hidden as usize,
-            mode: ck.mode,
-        };
-        let mut model = XatuModel::with_config(cfg);
-        if ck.params.len() != model.param_count() {
-            return Err(XatuError::invalid_checkpoint(format!(
-                "checkpoint has {} parameters, model shape needs {}",
-                ck.params.len(),
-                model.param_count()
-            )));
-        }
-        if ck.params.iter().any(|v| !v.is_finite()) {
-            return Err(XatuError::invalid_checkpoint("non-finite model parameter"));
-        }
-        model.import_params_from(&ck.params);
+        let (common, ledger, numeric) = restore(ck)?;
+        Ok(Self::assemble(common, ledger, numeric, false))
+    }
 
-        let window = ck.window as usize;
-        if window == 0 {
-            return Err(XatuError::invalid_checkpoint("survival window must be >= 1"));
-        }
-        let ctx = (
-            ck.ctx_lens.0 as usize,
-            ck.ctx_lens.1 as usize,
-            ck.ctx_lens.2 as usize,
-        );
-        let hidden = ck.hidden as usize;
-        let mut fleet = FleetDetector {
-            arenas: FleetArenas::new(hidden, ctx),
-            model,
-            attack_type: ck.attack_type,
-            threshold: ck.threshold,
-            window,
-            quiet: ck.quiet,
-            warmup: ck.warmup,
-            ctx_lens: ctx,
-            max_alert_minutes: ck.max_alert_minutes,
-            addrs: Vec::new(),
-            index: HashMap::with_capacity(ck.customers.len()),
-            obs: DetectorObs::default(),
-            workers: Vec::new(),
-            events: Vec::new(),
-            pool: None,
-            range_scratch: Vec::new(),
-            no_simd: false,
-            #[cfg(feature = "fast-math")]
-            fast: None,
+    /// Switches this detector to the reduced-precision backend: widens
+    /// the model into `f32` once, precomputes the idle trajectories and
+    /// narrows any existing customer state. Idempotent. The survival
+    /// ring, alert lifecycle and all scalar bookkeeping are untouched —
+    /// only the LSTM state representation changes. See DESIGN.md §14 for
+    /// the accuracy contract.
+    pub fn enable_fast(&mut self) {
+        let Backend::Exact(exact) = &self.backend else {
+            return;
         };
-        for c in &ck.customers {
-            let addr = Ipv4(c.addr);
-            if fleet.index.contains_key(&addr) {
-                return Err(XatuError::invalid_checkpoint(format!(
-                    "customer {} appears twice",
-                    c.addr
-                )));
+        let model = &self.common.model;
+        let kernels = [model.lstm_short(), model.lstm_medium(), model.lstm_long()].map(|layer| {
+            let mut kernel = Lstm32::from_f64(layer);
+            if self.no_simd {
+                // Config knob beats env/auto dispatch.
+                kernel.set_simd(SimdLevel::Scalar);
             }
-            let i = fleet.add_customer(addr);
-            fleet
-                .restore_customer(i, c, ck)
-                .map_err(|e| XatuError::invalid_checkpoint(format!("customer {}: {e}", c.addr)))?;
-        }
+            kernel
+        });
+        let (s, m, l) = self.common.ctx_lens;
+        let periods = [s, m, l];
+        let traj = std::array::from_fn(|t| IdleTrajectory::new(&kernels[t], periods[t] as u32));
+        self.backend = Backend::Fast(Box::new(Fast {
+            lanes: Lanes {
+                numeric: Numeric::narrowed(&exact.numeric),
+                workers: Vec::new(),
+            },
+            kernels,
+            traj,
+            idle_skip: true,
+        }));
+    }
+
+    /// [`FleetDetector::new`] with the fast backend enabled from the
+    /// start.
+    pub fn new_fast(
+        model: XatuModel,
+        attack_type: AttackType,
+        threshold: f64,
+        cfg: &XatuConfig,
+    ) -> Self {
+        let mut det = Self::new(model, attack_type, threshold, cfg);
+        det.enable_fast();
+        det
+    }
+
+    /// [`FleetDetector::from_checkpoint`] followed by
+    /// [`FleetDetector::enable_fast`] — loads any detector checkpoint
+    /// (including one written by the exact backend) into the fast
+    /// backend. A fast → checkpoint → fast round trip is bit-exact
+    /// (the checkpoint stores widened `f32` values).
+    pub fn from_checkpoint_fast(ck: &DetectorCheckpoint) -> Result<Self, XatuError> {
+        let mut fleet = Self::from_checkpoint(ck)?;
+        fleet.enable_fast();
         Ok(fleet)
     }
 
-    /// Validates and loads one customer's checkpoint record into arena row
-    /// `i`. Validation is delegated to [`DualState::restore`] and
-    /// [`RollingSurvival::restore`] — the same code the per-customer
-    /// detector uses — before the values are copied into the arenas.
-    fn restore_customer(
-        &mut self,
-        i: usize,
-        c: &CustomerCheckpoint,
-        ck: &DetectorCheckpoint,
-    ) -> Result<(), String> {
-        let hidden = self.model.cfg.hidden;
-        let arenas = &mut self.arenas;
-        for (d, arena) in c
-            .dual
-            .iter()
-            .zip([&mut arenas.short, &mut arenas.medium, &mut arenas.long])
-        {
-            let ds = DualState::restore(
-                LstmState {
-                    h: d.aged_h.clone(),
-                    c: d.aged_c.clone(),
-                },
-                LstmState {
-                    h: d.fresh_h.clone(),
-                    c: d.fresh_c.clone(),
-                },
-                d.aged_age,
-                d.fresh_age,
-                d.period,
-            )
-            .map_err(String::from)?;
-            if ds.states().0.h.len() != hidden {
-                return Err(format!(
-                    "dual-state hidden size {} does not match model hidden {hidden}",
-                    ds.states().0.h.len()
-                ));
-            }
-            if ds.period() != arena.period {
-                return Err(format!(
-                    "dual-state period {} does not match the fleet period {}",
-                    ds.period(),
-                    arena.period
-                ));
-            }
-            let (aged, fresh) = ds.states();
-            let (aged_age, fresh_age) = ds.ages();
-            let r = i * hidden..(i + 1) * hidden;
-            arena.aged_h[r.clone()].copy_from_slice(&aged.h);
-            arena.aged_c[r.clone()].copy_from_slice(&aged.c);
-            arena.fresh_h[r.clone()].copy_from_slice(&fresh.h);
-            arena.fresh_c[r].copy_from_slice(&fresh.c);
-            arena.aged_age[i] = aged_age;
-            arena.fresh_age[i] = fresh_age;
-        }
+    /// Whether the reduced-precision backend is active.
+    pub fn is_fast(&self) -> bool {
+        matches!(self.backend, Backend::Fast(_))
+    }
 
-        let (w, buf, head, filled, sum) = &c.survival;
-        if *w as usize != self.window {
-            return Err(format!(
-                "survival window {w} does not match detector window {}",
-                self.window
-            ));
+    /// Toggles the quiescence fast path (default on). With it off, every
+    /// driven row runs the dense kernel every step — bit-identical
+    /// results; this is the always-stepping reference the exactness gates
+    /// compare against. No-op on the exact backend.
+    pub fn set_idle_skip(&mut self, on: bool) {
+        if let Backend::Fast(fast) = &mut self.backend {
+            fast.idle_skip = on;
         }
-        let ring = RollingSurvival::restore(
-            *w as usize,
-            buf.clone(),
-            *head as usize,
-            *filled as usize,
-            *sum,
-        )
-        .map_err(String::from)?;
-        let (_, rbuf, rhead, rfilled, rsum) = ring.state();
-        arenas.ring_buf[i * self.window..(i + 1) * self.window].copy_from_slice(rbuf);
-        arenas.ring_head[i] = rhead as u32;
-        arenas.ring_filled[i] = rfilled as u32;
-        arenas.ring_sum[i] = rsum;
-
-        for (name, partial) in [("medium", &c.med_partial), ("long", &c.long_partial)] {
-            if partial.0.len() != NUM_FEATURES {
-                return Err(format!("{name} partial bucket has width {}", partial.0.len()));
-            }
-            if partial.0.iter().any(|v| !v.is_finite()) {
-                return Err(format!("non-finite value in {name} partial bucket"));
-            }
-        }
-        let (_, med_gran, long_gran) = ck.timescales;
-        if c.med_partial.1 >= med_gran || c.long_partial.1 >= long_gran {
-            return Err("partial bucket count at or past its granularity".into());
-        }
-        if c.last_frame.len() != NUM_FEATURES {
-            return Err(format!("last frame has width {}", c.last_frame.len()));
-        }
-        if c.last_frame.iter().any(|v| !v.is_finite()) || !c.last_survival.is_finite() {
-            return Err("non-finite value in customer scalars".into());
-        }
-        let f = i * NUM_FEATURES;
-        arenas.med_partial[f..f + NUM_FEATURES].copy_from_slice(&c.med_partial.0);
-        arenas.med_count[i] = c.med_partial.1;
-        arenas.long_partial[f..f + NUM_FEATURES].copy_from_slice(&c.long_partial.0);
-        arenas.long_count[i] = c.long_partial.1;
-        arenas.last_frame[f..f + NUM_FEATURES].copy_from_slice(&c.last_frame);
-        arenas.active_since[i] = c.active_since;
-        arenas.quiet_run[i] = c.quiet_run;
-        arenas.last_survival[i] = c.last_survival;
-        arenas.observed[i] = c.observed;
-        arenas.stale_run[i] = c.stale_run;
-        arenas.last_minute[i] = c.last_minute;
-        Ok(())
     }
 }
 
@@ -1691,6 +622,9 @@ impl FleetDetector {
 mod tests {
     use super::*;
     use crate::online::OnlineDetector;
+    use std::ops::Range;
+    use xatu_simnet::faults::{FaultKind, FaultSchedule, BUILTIN_SCHEDULES};
+    use xatu_simnet::fleet::{FleetMinute, FleetTraffic};
 
     fn cfg() -> XatuConfig {
         XatuConfig {
@@ -1705,12 +639,29 @@ mod tests {
     }
 
     const N_CUST: usize = 7;
+    /// Near the untrained model's resting survival, so the alert lifecycle
+    /// flaps: raises, quiet-ends and force-ends all fire.
+    const THRESHOLD: f64 = 0.9;
+
+    fn addr(c: usize) -> Ipv4 {
+        Ipv4(0x0a00_0000 + c as u32)
+    }
 
     /// Deterministic sparse-ish frames: a handful of scattered features, an
-    /// occasional NaN (exercising sanitization), and a surge for customer 0
-    /// so alerts actually raise/end under a mid-range threshold.
-    fn fleet_frame(c: usize, m: u32, out: &mut [f64]) {
+    /// occasional NaN (sanitization), a surge for customer 0 so alerts
+    /// raise and end, and an *idle* customer (6): exactly all-zero frames
+    /// outside a short burst, with one planted `-0.0`.
+    fn frame(c: usize, m: u32, out: &mut [f64]) {
         out.fill(0.0);
+        if c == 6 {
+            if (100..112).contains(&m) {
+                out[3] = 1.5 + m as f64 * 0.01;
+                out[17] = -0.7;
+            } else if m == 130 {
+                out[9] = -0.0; // still an idle frame, bit-wise signed
+            }
+            return;
+        }
         for k in 0..8usize {
             let idx = (c * 37 + m as usize * 13 + k * 29) % NUM_FEATURES;
             out[idx] = ((c + 1) as f64 * 0.17 + m as f64 * 0.031 + k as f64 * 0.71).sin();
@@ -1726,7 +677,7 @@ mod tests {
     /// The degraded-input schedule: a short per-customer outage (imputed on
     /// return), explicit gap minutes, a long outage (cold restart: 50 > 3·6)
     /// and a late joiner.
-    fn schedule(c: usize, m: u32) -> FleetInput {
+    fn degradation(c: usize, m: u32) -> FleetInput {
         if c == 2 && (40..=45).contains(&m) {
             FleetInput::Skip
         } else if c == 3 && m % 17 == 0 && m > 0 {
@@ -1740,247 +691,367 @@ mod tests {
         }
     }
 
-    fn fleet_fill(m: u32) -> impl Fn(usize, Ipv4, &mut [f64]) -> FleetInput {
-        move |i, _addr, out| {
-            let action = schedule(i, m);
-            if matches!(action, FleetInput::Frame) {
-                fleet_frame(i, m, out);
+    /// Gap minutes of a built-in fault schedule as a detector sees them:
+    /// collector outages hit everyone, customer gaps hit their customer.
+    fn builtin_gaps(name: &str, total: u32) -> impl Fn(usize, u32) -> FleetInput + Sync {
+        let plan = FaultSchedule::builtin(name, total, N_CUST).expect("builtin name");
+        move |c, m| {
+            let gap = plan.windows.iter().any(|w| {
+                m >= w.start
+                    && m < w.end
+                    && match w.kind {
+                        FaultKind::CollectorOutage => true,
+                        FaultKind::CustomerGap => w.customer == Some(c),
+                        _ => false,
+                    }
+            });
+            if gap {
+                FleetInput::Gap
+            } else {
+                FleetInput::Frame
             }
-            action
         }
     }
 
-    fn new_pair(threshold: f64) -> (OnlineDetector, FleetDetector) {
-        let c = cfg();
-        let model = XatuModel::new(&c);
-        let det = OnlineDetector::new(model.clone(), AttackType::UdpFlood, threshold, &c);
-        let mut fleet = FleetDetector::new(model, AttackType::UdpFlood, threshold, &c);
-        for i in 0..N_CUST {
-            fleet.add_customer(Ipv4(i as u32));
-        }
-        (det, fleet)
+    type Schedule<'a> = &'a (dyn Fn(usize, u32) -> FleetInput + Sync);
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Kind {
+        /// `OnlineDetector`: the scalar row path, one customer per call.
+        Facade,
+        /// Exact fleet at this many threads: the block path.
+        Exact(usize),
+        /// Fast fleet at this many threads, idle skip on or off.
+        Fast(usize, bool),
     }
 
-    /// Events keyed per customer: both implementations preserve each
-    /// customer's event order; only the cross-customer interleaving within
-    /// a minute differs (documented on `step_minute_batch`).
+    /// The three front-ends behind one driving interface.
+    enum Front {
+        Online(OnlineDetector),
+        Fleet(FleetDetector, usize),
+    }
+
+    impl Front {
+        fn wrap(kind: Kind, fleet: impl FnOnce() -> FleetDetector) -> Self {
+            match kind {
+                Kind::Facade => unreachable!("the façade is not a fleet"),
+                Kind::Exact(threads) => Front::Fleet(fleet(), threads),
+                Kind::Fast(threads, idle_skip) => {
+                    let mut det = fleet();
+                    det.enable_fast();
+                    det.set_idle_skip(idle_skip);
+                    Front::Fleet(det, threads)
+                }
+            }
+        }
+
+        fn new(kind: Kind) -> Self {
+            let c = cfg();
+            let model = XatuModel::new(&c);
+            if kind == Kind::Facade {
+                return Front::Online(OnlineDetector::new(model, AttackType::UdpFlood, THRESHOLD, &c));
+            }
+            Self::wrap(kind, || {
+                let mut det = FleetDetector::new(model, AttackType::UdpFlood, THRESHOLD, &c);
+                (0..N_CUST).for_each(|i| {
+                    det.add_customer(addr(i));
+                });
+                det
+            })
+        }
+
+        fn load(kind: Kind, ck: &DetectorCheckpoint) -> Self {
+            if kind == Kind::Facade {
+                return Front::Online(OnlineDetector::from_checkpoint(ck).expect("façade restore"));
+            }
+            Self::wrap(kind, || FleetDetector::from_checkpoint(ck).expect("fleet restore"))
+        }
+
+        fn minute(&mut self, m: u32, schedule: Schedule<'_>) -> Vec<DetectorEvent> {
+            match self {
+                Front::Online(det) => {
+                    let mut events = Vec::new();
+                    let mut buf = vec![0.0; NUM_FEATURES];
+                    for c in 0..N_CUST {
+                        let out = match schedule(c, m) {
+                            FleetInput::Skip => continue,
+                            FleetInput::Gap => det.observe_gap(addr(c), m),
+                            FleetInput::Frame => {
+                                frame(c, m, &mut buf);
+                                det.observe(addr(c), m, &buf)
+                            }
+                        };
+                        events.extend(out.expect("in-order minute").2);
+                    }
+                    events
+                }
+                Front::Fleet(det, threads) => det
+                    .step_minute_batch(m, *threads, |i, _a, out| {
+                        let action = schedule(i, m);
+                        if action == FleetInput::Frame {
+                            frame(i, m, out);
+                        }
+                        action
+                    })
+                    .expect("in-order minute")
+                    .to_vec(),
+            }
+        }
+
+        fn survival_of(&self, a: Ipv4) -> f64 {
+            match self {
+                Front::Online(det) => det.survival_of(a),
+                Front::Fleet(det, _) => det.survival_of(a),
+            }
+        }
+
+        fn checkpoint(&mut self) -> DetectorCheckpoint {
+            match self {
+                Front::Online(det) => det.to_checkpoint(),
+                Front::Fleet(det, _) => det.to_checkpoint(),
+            }
+        }
+
+        fn obs(&self) -> &DetectorObs {
+            match self {
+                Front::Online(det) => det.obs(),
+                Front::Fleet(det, _) => det.obs(),
+            }
+        }
+    }
+
+    /// Everything a front-end emitted over a span: every customer's
+    /// survival after every minute, and the event stream.
+    struct Trace {
+        survivals: Vec<f64>,
+        events: Vec<DetectorEvent>,
+    }
+
+    fn run(front: &mut Front, minutes: Range<u32>, schedule: Schedule<'_>) -> Trace {
+        let mut t = Trace {
+            survivals: Vec::new(),
+            events: Vec::new(),
+        };
+        for m in minutes {
+            t.events.extend(front.minute(m, schedule));
+            t.survivals.extend((0..N_CUST).map(|c| front.survival_of(addr(c))));
+        }
+        t
+    }
+
+    /// Events keyed per customer: every front-end preserves each customer's
+    /// event order; only the cross-customer interleaving within a minute
+    /// differs between the façade and a fleet (documented on
+    /// `step_minute_batch`).
     fn by_customer(events: &[DetectorEvent]) -> Vec<Vec<DetectorEvent>> {
         let mut out = vec![Vec::new(); N_CUST];
         for &e in events {
-            let a = match e {
-                DetectorEvent::Raised(a) | DetectorEvent::Ended(a) => a,
-            };
-            out[a.customer.0 as usize].push(e);
+            let (DetectorEvent::Raised(a) | DetectorEvent::Ended(a)) = e;
+            out[(a.customer.0 - addr(0).0) as usize].push(e);
         }
         out
     }
 
-    /// Drives an [`OnlineDetector`] through the same schedule one customer
-    /// at a time, returning its event stream.
-    fn drive_online(det: &mut OnlineDetector, minutes: std::ops::Range<u32>) -> Vec<DetectorEvent> {
-        let mut events = Vec::new();
-        let mut frame = vec![0.0; NUM_FEATURES];
-        for m in minutes {
-            for cst in 0..N_CUST {
-                let addr = Ipv4(cst as u32);
-                match schedule(cst, m) {
-                    FleetInput::Skip => {}
-                    FleetInput::Gap => {
-                        let (_, _, ev) = det.observe_gap(addr, m).expect("in-order gap");
-                        events.extend(ev);
-                    }
-                    FleetInput::Frame => {
-                        fleet_frame(cst, m, &mut frame);
-                        let (_, _, ev) = det.observe(addr, m, &frame).expect("in-order");
-                        events.extend(ev);
-                    }
-                }
-            }
-        }
-        events
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|s| s.to_bits()).collect()
     }
 
-    fn drive_fleet(
-        fleet: &mut FleetDetector,
-        minutes: std::ops::Range<u32>,
-        threads: usize,
-    ) -> Vec<DetectorEvent> {
-        let mut events = Vec::new();
-        for m in minutes {
-            let ev = fleet
-                .step_minute_batch(m, threads, fleet_fill(m))
-                .expect("in-order batch");
-            events.extend_from_slice(ev);
-        }
-        events
+    /// Bit-equal survivals, equal per-customer event sequences.
+    fn assert_bitwise(what: &str, a: &Trace, b: &Trace) {
+        assert_eq!(bits(&a.survivals), bits(&b.survivals), "{what}: survival bits");
+        assert_eq!(by_customer(&a.events), by_customer(&b.events), "{what}: events");
     }
 
+    /// Equal alert decisions, survivals within `FAST_SURVIVAL_EPS`.
+    fn assert_decisions(what: &str, a: &Trace, b: &Trace) {
+        assert_eq!(by_customer(&a.events), by_customer(&b.events), "{what}: decisions");
+        let dev = a
+            .survivals
+            .iter()
+            .zip(&b.survivals)
+            .map(|(x, y)| (x - y).abs())
+            .fold(0.0, f64::max);
+        assert!(
+            dev <= FAST_SURVIVAL_EPS,
+            "{what}: survival deviation {dev:e} exceeds eps {FAST_SURVIVAL_EPS:e}"
+        );
+    }
+
+    /// The differential harness: every built-in fault schedule plus the
+    /// degradation schedule through the façade (row path), the exact fleet
+    /// at 1/2/4 threads (block path) and the fast fleet, asserting the
+    /// documented relation between every pair, then a kill at mid-run and
+    /// a resume of every front-end from every other's checkpoint.
     #[test]
-    fn fleet_matches_online_detector_bitwise_through_degradation() {
-        // Threshold near the untrained model's resting survival so the
-        // alert lifecycle flaps: raises, quiet-ends, force-ends all fire.
-        let (mut det, mut fleet) = new_pair(0.9);
-        let mut online_events = Vec::new();
-        let mut fleet_events = Vec::new();
-        let mut frame = vec![0.0; NUM_FEATURES];
-        for m in 0..160u32 {
-            for cst in 0..N_CUST {
-                let addr = Ipv4(cst as u32);
-                match schedule(cst, m) {
-                    FleetInput::Skip => {}
-                    FleetInput::Gap => {
-                        let (_, _, ev) = det.observe_gap(addr, m).expect("in-order gap");
-                        online_events.extend(ev);
-                    }
-                    FleetInput::Frame => {
-                        fleet_frame(cst, m, &mut frame);
-                        let (_, _, ev) = det.observe(addr, m, &frame).expect("in-order");
-                        online_events.extend(ev);
+    fn front_ends_agree_on_every_schedule() {
+        let builtin: Vec<_> = BUILTIN_SCHEDULES
+            .iter()
+            .map(|name| (*name, builtin_gaps(name, 160)))
+            .collect();
+        let mut rows: Vec<(&str, u32, Schedule<'_>)> = vec![("degradation", 220, &degradation)];
+        rows.extend(builtin.iter().map(|(name, s)| (*name, 160, s as Schedule<'_>)));
+
+        for (name, total, schedule) in rows {
+            let kill = total / 2 + 3;
+            let kinds = [Kind::Facade, Kind::Exact(2), Kind::Fast(2, true)];
+            let mut fronts = kinds.map(Front::new);
+            let head = fronts.each_mut().map(|f| run(f, 0..kill, schedule));
+            let [facade, exact, fast] = &head;
+
+            // Façade ≡ exact, bitwise — scores, events, telemetry, state.
+            assert_bitwise(&format!("{name}: façade vs exact"), facade, exact);
+            assert!(!exact.events.is_empty() || name != "degradation", "no alert exercised");
+            if xatu_obs::enabled() {
+                let (a, b) = (fronts[0].obs(), fronts[1].obs());
+                for (what, x, y) in [
+                    ("raised", &a.raised, &b.raised),
+                    ("ended", &a.ended, &b.ended),
+                    ("force_ended", &a.force_ended, &b.force_ended),
+                    ("warmup_suppressed", &a.warmup_suppressed, &b.warmup_suppressed),
+                    ("gaps_imputed", &a.gaps_imputed, &b.gaps_imputed),
+                    ("values_sanitized", &a.values_sanitized, &b.values_sanitized),
+                    ("cold_restarts", &a.cold_restarts, &b.cold_restarts),
+                ] {
+                    assert_eq!(x.get(), y.get(), "{name}: {what}");
+                }
+                assert_eq!(a.survival.counts(), b.survival.counts(), "{name}");
+                assert_eq!(a.gap_runs.counts(), b.gap_runs.counts(), "{name}");
+            }
+            let cks = fronts.each_mut().map(Front::checkpoint);
+            assert_eq!(cks[0], cks[1], "{name}: façade and exact checkpoints differ");
+
+            // Exact fleet: the whole event stream is thread-invariant.
+            for threads in [1, 4] {
+                let other = run(&mut Front::new(Kind::Exact(threads)), 0..kill, schedule);
+                assert_eq!(exact.events, other.events, "{name}: {threads} threads, events");
+                assert_bitwise(&format!("{name}: exact at {threads} threads"), exact, &other);
+            }
+
+            // Fast ≈ exact: same decisions in the same order, survival
+            // within tolerance. Idle skip on ≡ off, bitwise, state included.
+            assert_eq!(exact.events, fast.events, "{name}: fast changed decisions");
+            assert_decisions(&format!("{name}: fast vs exact"), exact, fast);
+            let mut stepping = Front::new(Kind::Fast(2, false));
+            let always = run(&mut stepping, 0..kill, schedule);
+            assert_eq!(fast.events, always.events, "{name}: idle skip moved an event");
+            assert_bitwise(&format!("{name}: idle skip on vs off"), fast, &always);
+            assert_eq!(cks[2], stepping.checkpoint(), "{name}: idle skip moved state");
+
+            // Kill, and resume every front-end from every other's file.
+            let tail = fronts.each_mut().map(|f| run(f, kill..total, schedule));
+            for (s, source) in kinds.iter().enumerate() {
+                for (t, target) in kinds.iter().enumerate() {
+                    let what = format!("{name}: {source:?} checkpoint into {target:?}");
+                    let resumed = run(&mut Front::load(*target, &cks[s]), kill..total, schedule);
+                    if s.max(t) < 2 || s == t {
+                        // Within the exact pair, or a backend into itself.
+                        assert_bitwise(&what, &tail[s], &resumed);
+                    } else {
+                        assert_decisions(&what, &tail[s], &resumed);
                     }
                 }
             }
-            let ev = fleet
-                .step_minute_batch(m, 1, fleet_fill(m))
-                .expect("in-order batch");
-            fleet_events.extend_from_slice(ev);
-            for cst in 0..N_CUST {
-                let addr = Ipv4(cst as u32);
-                assert_eq!(
-                    det.survival_of(addr).to_bits(),
-                    fleet.survival_of(addr).to_bits(),
-                    "minute {m}, customer {cst}: survival diverged"
-                );
-            }
         }
-        assert_eq!(by_customer(&online_events), by_customer(&fleet_events));
-        assert!(!online_events.is_empty(), "schedule never exercised alerts");
-        if xatu_obs::enabled() {
-            let (a, b) = (det.obs(), fleet.obs());
-            assert_eq!(a.raised.get(), b.raised.get());
-            assert_eq!(a.ended.get(), b.ended.get());
-            assert_eq!(a.force_ended.get(), b.force_ended.get());
-            assert_eq!(a.warmup_suppressed.get(), b.warmup_suppressed.get());
-            assert_eq!(a.gaps_imputed.get(), b.gaps_imputed.get());
-            assert_eq!(a.values_sanitized.get(), b.values_sanitized.get());
-            assert_eq!(a.cold_restarts.get(), b.cold_restarts.get());
-            assert_eq!(a.survival.count(), b.survival.count());
-            assert_eq!(a.survival.counts(), b.survival.counts());
-            assert_eq!(a.gap_runs.counts(), b.gap_runs.counts());
+    }
+
+    /// Every way a customer record can be corrupt, against both loaders:
+    /// each is rejected, with the same message.
+    #[test]
+    fn both_front_ends_reject_corrupt_checkpoints_identically() {
+        let mut fleet = Front::new(Kind::Exact(2));
+        run(&mut fleet, 0..50, &degradation);
+        let good = fleet.checkpoint();
+        assert!(FleetDetector::from_checkpoint(&good).is_ok());
+        assert!(OnlineDetector::from_checkpoint(&good).is_ok());
+
+        type Corrupt = fn(&mut DetectorCheckpoint);
+        let table: [(&str, Corrupt, &str); 11] = [
+            ("wrong period", |ck| ck.customers[0].dual[1].period += 1, "period"),
+            (
+                "wrong hidden",
+                |ck| {
+                    let d = &mut ck.customers[0].dual[2];
+                    for v in [&mut d.aged_h, &mut d.aged_c, &mut d.fresh_h, &mut d.fresh_c] {
+                        v.push(0.0);
+                    }
+                },
+                "hidden size",
+            ),
+            ("wrong window", |ck| ck.customers[0].survival.0 = 99, "survival window"),
+            (
+                "partial count at its granularity",
+                |ck| ck.customers[0].med_partial.1 = 3,
+                "granularity",
+            ),
+            (
+                "non-finite scalar",
+                |ck| ck.customers[0].last_survival = f64::INFINITY,
+                "non-finite",
+            ),
+            (
+                "non-finite state",
+                |ck| ck.customers[0].dual[0].aged_h[0] = f64::NAN,
+                "non-finite",
+            ),
+            (
+                "duplicate address",
+                |ck| {
+                    let dup = ck.customers[0].clone();
+                    ck.customers.push(dup);
+                },
+                "appears twice",
+            ),
+            ("short frame", |ck| ck.customers[0].last_frame.truncate(10), "last frame"),
+            ("ages out of range", |ck| ck.customers[0].dual[0].aged_age = 1000, "ages"),
+            ("ring cursor", |ck| ck.customers[0].survival.2 = 6, "ring cursor"),
+            (
+                "missing parameter",
+                |ck| {
+                    ck.params.pop();
+                },
+                "parameters",
+            ),
+        ];
+        for (what, corrupt, needle) in table {
+            let mut bad = good.clone();
+            corrupt(&mut bad);
+            let text = |e: Result<(), XatuError>| e.expect_err(what).to_string();
+            let from_fleet = text(FleetDetector::from_checkpoint(&bad).map(drop));
+            let from_online = text(OnlineDetector::from_checkpoint(&bad).map(drop));
+            assert_eq!(from_fleet, from_online, "{what}: the loaders disagree");
+            assert!(from_fleet.contains(needle), "{what}: unexpected error {from_fleet:?}");
         }
     }
 
     #[test]
     fn fleet_is_bit_identical_across_thread_counts() {
-        let (_, mut f1) = new_pair(0.9);
-        let (_, mut f4) = new_pair(0.9);
-        let (_, mut f3) = new_pair(0.9);
-        let e1 = drive_fleet(&mut f1, 0..140, 1);
-        let e4 = drive_fleet(&mut f4, 0..140, 4);
-        let e3 = drive_fleet(&mut f3, 0..140, 3);
-        assert_eq!(e1, e4, "1-thread vs 4-thread event streams diverged");
-        assert_eq!(e1, e3, "1-thread vs 3-thread event streams diverged");
-        for cst in 0..N_CUST {
-            let addr = Ipv4(cst as u32);
-            assert_eq!(f1.survival_of(addr).to_bits(), f4.survival_of(addr).to_bits());
-            assert_eq!(f1.survival_of(addr).to_bits(), f3.survival_of(addr).to_bits());
+        let [t1, t4, t3] = [1, 4, 3].map(|threads| {
+            let mut front = Front::new(Kind::Exact(threads));
+            let trace = run(&mut front, 0..140, &degradation);
+            (trace, front)
+        });
+        for (other, what) in [(&t4, "4-thread"), (&t3, "3-thread")] {
+            assert_eq!(t1.0.events, other.0.events, "1-thread vs {what} event streams");
+            assert_eq!(bits(&t1.0.survivals), bits(&other.0.survivals), "1-thread vs {what}");
         }
         if xatu_obs::enabled() {
-            assert_eq!(f1.obs().survival.counts(), f4.obs().survival.counts());
-            assert_eq!(f1.obs().raised.get(), f4.obs().raised.get());
+            assert_eq!(t1.1.obs().survival.counts(), t4.1.obs().survival.counts());
+            assert_eq!(t1.1.obs().raised.get(), t4.1.obs().raised.get());
         }
-    }
-
-    #[test]
-    fn fleet_checkpoint_interops_with_online_detector_both_ways() {
-        let (mut det, mut fleet) = new_pair(0.9);
-        drive_online(&mut det, 0..80);
-        drive_fleet(&mut fleet, 0..80, 2);
-
-        // Fleet checkpoint → both implementations resume bit-identically.
-        let ck = fleet.to_checkpoint();
-        let mut fleet_resumed = FleetDetector::from_checkpoint(&ck).expect("fleet restore");
-        let mut online_resumed = OnlineDetector::from_checkpoint(&ck).expect("online restore");
-        let ev_orig = drive_fleet(&mut fleet, 80..150, 2);
-        let ev_fleet = drive_fleet(&mut fleet_resumed, 80..150, 4);
-        let ev_online = drive_online(&mut online_resumed, 80..150);
-        assert_eq!(ev_orig, ev_fleet, "fleet→fleet resume diverged");
-        assert_eq!(
-            by_customer(&ev_orig),
-            by_customer(&ev_online),
-            "fleet→online resume diverged"
-        );
-        for cst in 0..N_CUST {
-            let addr = Ipv4(cst as u32);
-            assert_eq!(
-                fleet.survival_of(addr).to_bits(),
-                fleet_resumed.survival_of(addr).to_bits()
-            );
-            assert_eq!(
-                fleet.survival_of(addr).to_bits(),
-                online_resumed.survival_of(addr).to_bits()
-            );
-        }
-
-        // Online checkpoint → fleet resumes bit-identically.
-        let ck2 = det.to_checkpoint();
-        let mut fleet_from_online = FleetDetector::from_checkpoint(&ck2).expect("restore");
-        let ev_det = drive_online(&mut det, 80..150);
-        let ev_f = drive_fleet(&mut fleet_from_online, 80..150, 2);
-        assert_eq!(by_customer(&ev_det), by_customer(&ev_f));
-        for cst in 0..N_CUST {
-            let addr = Ipv4(cst as u32);
-            assert_eq!(
-                det.survival_of(addr).to_bits(),
-                fleet_from_online.survival_of(addr).to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn fleet_rejects_corrupt_checkpoints() {
-        let (_, mut fleet) = new_pair(0.9);
-        drive_fleet(&mut fleet, 0..50, 2);
-        let good = fleet.to_checkpoint();
-        assert!(FleetDetector::from_checkpoint(&good).is_ok());
-
-        let mut bad = good.clone();
-        bad.customers[0].last_frame.truncate(10);
-        assert!(FleetDetector::from_checkpoint(&bad).is_err());
-
-        let mut bad = good.clone();
-        bad.customers[0].dual[0].aged_h[0] = f64::NAN;
-        assert!(FleetDetector::from_checkpoint(&bad).is_err());
-
-        let mut bad = good.clone();
-        bad.customers[0].dual[1].period += 1;
-        assert!(
-            FleetDetector::from_checkpoint(&bad).is_err(),
-            "non-uniform period must be rejected"
-        );
-
-        let mut bad = good.clone();
-        bad.params.pop();
-        assert!(FleetDetector::from_checkpoint(&bad).is_err());
-
-        let mut bad = good.clone();
-        let dup = bad.customers[0].clone();
-        bad.customers.push(dup);
-        assert!(FleetDetector::from_checkpoint(&bad).is_err());
-
-        let mut bad = good;
-        bad.customers[0].survival.0 = 99;
-        assert!(FleetDetector::from_checkpoint(&bad).is_err());
     }
 
     #[test]
     fn out_of_order_batch_is_reported_and_customer_untouched() {
-        let (_, mut fleet) = new_pair(0.9);
-        drive_fleet(&mut fleet, 0..10, 1);
-        let before = fleet.survival_of(Ipv4(1));
+        let mut front = Front::new(Kind::Exact(1));
+        run(&mut front, 0..10, &degradation);
+        let Front::Fleet(mut fleet, _) = front else {
+            unreachable!()
+        };
+        let before = fleet.survival_of(addr(1));
         let err = fleet
             .step_minute_batch(5, 1, |i, _a, out| {
                 if i == 1 {
-                    fleet_frame(1, 5, out);
+                    frame(1, 5, out);
                     FleetInput::Frame
                 } else {
                     FleetInput::Skip
@@ -1990,42 +1061,161 @@ mod tests {
         assert!(matches!(
             err,
             XatuError::OutOfOrderMinute {
-                customer: Ipv4(1),
+                customer,
                 minute: 5,
                 last: 9
-            }
+            } if customer == addr(1)
         ));
-        assert_eq!(before.to_bits(), fleet.survival_of(Ipv4(1)).to_bits());
+        assert_eq!(before.to_bits(), fleet.survival_of(addr(1)).to_bits());
         // The stream continues normally afterwards.
-        fleet
-            .step_minute_batch(10, 1, fleet_fill(10))
-            .expect("in-order batch");
+        run(&mut Front::Fleet(fleet, 1), 10..11, &degradation);
     }
 
     #[test]
     fn close_all_ends_open_alerts() {
-        let (_, mut fleet) = new_pair(0.9);
-        drive_fleet(&mut fleet, 0..60, 2);
-        let open: usize = (0..N_CUST)
-            .filter(|&c| fleet.arenas.active_since[c].is_some())
-            .count();
+        let mut front = Front::new(Kind::Exact(2));
+        run(&mut front, 0..60, &degradation);
+        let Front::Fleet(mut fleet, _) = front else {
+            unreachable!()
+        };
+        let open = fleet.ledger.active_since.iter().flatten().count();
         assert!(open > 0, "no alert open at close time");
         let events = fleet.close_all(60);
         assert_eq!(events.len(), open);
-        assert!(events.iter().all(|e| matches!(e, DetectorEvent::Ended(a) if a.mitigation_end == Some(60))));
+        assert!(events
+            .iter()
+            .all(|e| matches!(e, DetectorEvent::Ended(a) if a.mitigation_end == Some(60))));
         assert!(fleet.close_all(61).is_empty());
     }
 
     #[test]
     fn interner_and_budget_are_reported() {
-        let (_, mut fleet) = new_pair(0.9);
+        let Front::Fleet(mut fleet, _) = Front::new(Kind::Exact(1)) else {
+            unreachable!()
+        };
         assert_eq!(fleet.len(), N_CUST);
-        assert_eq!(fleet.add_customer(Ipv4(3)), 3, "re-adding is idempotent");
-        assert_eq!(fleet.customer_index(Ipv4(6)), Some(6));
+        assert_eq!(fleet.add_customer(addr(3)), 3, "re-adding is idempotent");
+        assert_eq!(fleet.customer_index(addr(6)), Some(6));
         assert_eq!(fleet.customer_index(Ipv4(99)), None);
         assert_eq!(fleet.survival_of(Ipv4(99)), 1.0);
         let per = fleet.bytes_per_customer();
         // hidden 5, window 6: duals 3·4·5·8 = 480B, frames 3·273·8 ≈ 6.5KB.
         assert!(per > 6_000 && per < 64_000, "bytes/customer = {per}");
+    }
+
+    /// Fast → checkpoint → fast resumes bit-identically (the checkpoint
+    /// stores widened f32 values, and full zero-input steps land exactly
+    /// on the trajectory, so losing the indices costs skips, not bits),
+    /// and the resumed state stays equal to the original's.
+    #[test]
+    fn fast_checkpoint_roundtrip_resumes_bitwise() {
+        let mut orig = Front::new(Kind::Fast(1, true));
+        run(&mut orig, 0..97, &degradation);
+        let ck = orig.checkpoint();
+        assert!(FleetDetector::from_checkpoint(&ck).is_ok());
+        let fleet = FleetDetector::from_checkpoint_fast(&ck).expect("fast resume");
+        assert!(fleet.is_fast());
+        let mut resumed = Front::Fleet(fleet, 1);
+        let a = run(&mut orig, 97..180, &degradation);
+        let b = run(&mut resumed, 97..180, &degradation);
+        assert_eq!(a.events, b.events);
+        assert_eq!(bits(&a.survivals), bits(&b.survivals), "resume diverged");
+        assert_eq!(orig.checkpoint(), resumed.checkpoint());
+    }
+
+    /// Thread-count invariance holds on the fast backend: shard
+    /// boundaries cut through skip runs without moving a bit.
+    #[test]
+    fn fast_thread_invariance() {
+        let one = run(&mut Front::new(Kind::Fast(1, true)), 0..150, &degradation);
+        let four = run(&mut Front::new(Kind::Fast(4, true)), 0..150, &degradation);
+        assert_eq!(one.events, four.events);
+        assert_eq!(bits(&one.survivals), bits(&four.survivals));
+    }
+
+    /// Enabling fast mid-stream narrows the live f64 state and keeps
+    /// decisions/tolerance parity with the exact detector from there on.
+    #[test]
+    fn enable_fast_mid_stream_keeps_parity() {
+        let mut exact = Front::new(Kind::Exact(1));
+        let mut late = Front::new(Kind::Exact(1));
+        let mut a = run(&mut exact, 0..70, &degradation);
+        let mut b = run(&mut late, 0..70, &degradation);
+        let Front::Fleet(det, _) = &mut late else {
+            unreachable!()
+        };
+        det.enable_fast();
+        assert!(det.is_fast());
+        det.enable_fast(); // idempotent
+        for (trace, front) in [(&mut a, &mut exact), (&mut b, &mut late)] {
+            let tail = run(front, 70..200, &degradation);
+            trace.events.extend(tail.events);
+            trace.survivals.extend(tail.survivals);
+        }
+        assert_eq!(a.events, b.events);
+        assert_decisions("enable_fast at minute 70", &a, &b);
+    }
+
+    /// On closed-form fleet traffic with an idle cohort — the generator the
+    /// benches use — the skip path engages massively and stays bit-identical
+    /// to always-stepping.
+    #[test]
+    fn idle_fleet_traffic_skip_is_exact() {
+        let traffic = FleetTraffic::with_idle(99, 64, 0.75);
+        let c = cfg();
+        let [mut skipping, mut stepping] = [true, false].map(|idle_skip| {
+            let mut det = FleetDetector::new_fast(XatuModel::new(&c), AttackType::UdpFlood, 0.97, &c);
+            det.set_idle_skip(idle_skip);
+            (0..64).for_each(|i| {
+                det.add_customer(addr(i));
+            });
+            det
+        });
+        for m in 0..180u32 {
+            let fill = |i: usize, _a: Ipv4, out: &mut [f64]| match traffic.fill_frame(i, m, out) {
+                FleetMinute::Frame(_) => FleetInput::Frame,
+                FleetMinute::Missing => FleetInput::Gap,
+            };
+            let ev_a = skipping.step_minute_batch(m, 2, fill).expect("in order").to_vec();
+            let ev_b = stepping.step_minute_batch(m, 2, fill).expect("in order").to_vec();
+            assert_eq!(ev_a, ev_b, "minute {m}");
+            for i in 0..64 {
+                assert_eq!(
+                    skipping.survival_of(addr(i)).to_bits(),
+                    stepping.survival_of(addr(i)).to_bits(),
+                    "minute {m} customer {i}"
+                );
+            }
+        }
+        assert_eq!(skipping.to_checkpoint(), stepping.to_checkpoint());
+    }
+
+    /// The footprint accounting follows the backend: `f32` rows halve the
+    /// numeric columns, and the exact rows are gone once fast is active.
+    #[test]
+    fn fast_arena_accounting() {
+        let c = cfg();
+        let mut exact = FleetDetector::new(XatuModel::new(&c), AttackType::UdpFlood, 0.9, &c);
+        let mut fast = FleetDetector::new_fast(XatuModel::new(&c), AttackType::UdpFlood, 0.9, &c);
+        for i in 0..100 {
+            exact.add_customer(addr(i));
+            fast.add_customer(addr(i));
+        }
+        let Backend::Fast(state) = &fast.backend else {
+            panic!("fast enabled")
+        };
+        let Backend::Exact(lanes) = &exact.backend else {
+            panic!("exact by default")
+        };
+        assert_eq!(state.lanes.numeric.frame.len(), 100 * NUM_FEATURES);
+        assert_eq!(lanes.numeric.frame.len(), 100 * NUM_FEATURES);
+        assert!(state.lanes.numeric.bytes() < lanes.numeric.bytes() * 6 / 10);
+        let tables: usize = state.traj.iter().map(IdleTrajectory::bytes).sum();
+        assert!(tables > 0);
+        assert_eq!(
+            fast.arena_bytes(),
+            fast.ledger.bytes() + fast.common.addrs.capacity() * 4 + state.lanes.numeric.bytes() + tables
+        );
+        assert!(fast.bytes_per_customer() < exact.bytes_per_customer());
     }
 }

@@ -15,9 +15,16 @@
 //!   cross-entropy ablation (Fig 18(d)).
 //! * [`dataset`] — turning a simulated world plus CDet alerts into balanced
 //!   train/validation sample sets (§5.3) and Table 2 statistics.
-//! * [`online`] — the streaming detector: per-(customer, type) LSTM states,
-//!   rolling survival, thresholded alerts, auto-regressive tracker feedback
-//!   (§5.3: during testing Xatu's own detections feed A2/A4/A5).
+//! * `detector` (crate-private) — the detector core: per-customer
+//!   streaming state as flat arena rows (three dual LSTM states, pooling
+//!   buckets, rolling survival, alert lifecycle), generic over the scalar
+//!   width and the LSTM kernel, with one definition each of the
+//!   degradation ladder, the alert lifecycle and the checkpoint
+//!   encoder/validator.
+//! * [`online`] — the per-address front-end of that core: one customer
+//!   per call, thresholded alerts, the optional companion fusion, and
+//!   auto-regressive tracker feedback (§5.3: during testing Xatu's own
+//!   detections feed A2/A4/A5).
 //! * [`pipeline`] — the full experiment: simulate → detect (CDet) → extract
 //!   features → train per-type models → calibrate thresholds on validation
 //!   → evaluate all systems on the test period.
@@ -30,10 +37,10 @@
 //! * [`faulted`] — the fault-injected streaming driver: runs the online
 //!   detector against a [`xatu_simnet::FaultedWorld`] with graceful
 //!   degradation and optional mid-run checkpoint/kill/resume.
-//! * [`fleet`] — the fleet-scale variant of the online detector: the same
-//!   ladder and checkpoint format, with per-customer state transposed into
-//!   flat SoA arenas, cross-customer batched LSTM kernels, and
-//!   thread-invariant sharding for 100k+ customers per box.
+//! * [`fleet`] — the batch front-end of the same core: every customer
+//!   per call through cross-customer batched LSTM kernels and
+//!   thread-invariant sharding, 100k+ customers per box, on the exact
+//!   `f64` backend or, opted into at run time, the `f32` one.
 //! * [`scenarios`] — the adversarial scenario matrix: streams composed
 //!   multi-vector / pulse-wave / low-and-slow / carpet-bomb scenarios
 //!   through both volumetric CDets, the booster and the fleet detector,
@@ -49,6 +56,7 @@ pub mod ae_trainer;
 pub mod checkpoint;
 pub mod config;
 pub mod dataset;
+mod detector;
 pub mod error;
 pub mod eval;
 pub mod faulted;

@@ -1,11 +1,17 @@
 //! The streaming, auto-regressive Xatu detector.
 //!
 //! One [`OnlineDetector`] instance serves one attack type across all
-//! customers. Per customer it keeps the three LSTM states, a partial
-//! medium/long pooling bucket, and a rolling survival accumulator over the
-//! last `window` hazards. An alert is raised when the rolling survival
-//! drops below the calibrated threshold and ends after it has recovered
-//! for a quiet period — the "consistent detection" behaviour §4.2 asks for.
+//! customers, one customer-minute per call. It is the per-address
+//! front-end of the detector core ([`crate::detector`]): each customer is
+//! one row of the same arenas [`crate::fleet::FleetDetector`] batches
+//! over — three dual LSTM states, an open medium/long pooling bucket and a
+//! rolling survival ring over the last `window` hazards — driven through
+//! the core's scalar row path. An alert is raised when the rolling
+//! survival drops below the calibrated threshold and ends after it has
+//! recovered for a quiet period — the "consistent detection" behaviour
+//! §4.2 asks for. What this front-end adds is the optional unsupervised
+//! [`Companion`], fused into the reported survival before the alert
+//! lifecycle acts on it.
 //!
 //! Auto-regression (§5.3): the pipeline feeds every alert this detector
 //! raises back into the A2/A4/A5 trackers of the feature extractor it is
@@ -35,20 +41,22 @@
 //! * **Non-finite feature values are zeroed** on ingestion, before they
 //!   can poison the LSTM cell state; every replacement is counted.
 
-use crate::checkpoint::{CustomerCheckpoint, DetectorCheckpoint, DualStateCheckpoint};
+use crate::checkpoint::DetectorCheckpoint;
 use crate::config::XatuConfig;
+use crate::detector::{
+    observe_row, push_row, restore, Common, Hook, Ledger, Net, Numeric, RowScratch, Shard, Solo,
+    NO_TABLE, TIMESCALES,
+};
 use crate::error::XatuError;
 use crate::fusion::{ErrorNormalizer, FusionMode};
-use crate::model::{DualState, ModelConfig, StreamingState, XatuModel};
-use std::collections::HashMap;
-use xatu_detectors::alert::Alert;
+use crate::model::XatuModel;
 use xatu_detectors::traits::DetectorEvent;
 use xatu_features::frame::{NUM_FEATURES, VOLUMETRIC_WIDTH};
 use xatu_netflow::addr::Ipv4;
 use xatu_netflow::attack::AttackType;
-use xatu_nn::{AeWorkspace, FrameArena, LstmAutoencoder, LstmState, Params};
+use xatu_nn::lstm::Lstm;
+use xatu_nn::{AeWorkspace, FrameArena, LstmAutoencoder};
 use xatu_obs::{Counter, FixedHistogram, GAP_RUN_BOUNDS, SURVIVAL_BOUNDS};
-use xatu_survival::hazard::RollingSurvival;
 
 /// Telemetry embedded in the detector hot path.
 ///
@@ -172,61 +180,33 @@ pub struct Companion {
     pub window: usize,
 }
 
-/// Per-customer streaming state.
+/// One customer's companion window: the last `window` volumetric slices
+/// of the stream its LSTMs saw, real and imputed minutes alike.
 #[derive(Clone)]
-struct CustomerState {
-    lstm: StreamingState,
-    survival: RollingSurvival,
-    /// Partial medium bucket: (sum, count).
-    med_partial: (Vec<f64>, u32),
-    /// Partial long bucket.
-    long_partial: (Vec<f64>, u32),
-    active: Option<Alert>,
-    quiet_run: u32,
-    last_survival: f64,
-    /// Observations seen so far (for warm-up suppression).
-    observed: u32,
-    /// Last sanitized frame — the zero-order-hold imputation source.
-    last_frame: Vec<f64>,
-    /// Consecutive imputed minutes ending at the current step.
-    stale_run: u32,
-    /// Newest minute this customer has been driven to.
-    last_minute: Option<u32>,
-    /// Companion ring buffer: the last `window` volumetric slices, flat
-    /// (`window × VOLUMETRIC_WIDTH`). Empty when no companion is attached.
-    ae_ring: Vec<f64>,
-    /// Next write slot in the ring (frame index, not scalar offset).
-    ae_head: usize,
+struct Ring {
+    /// `window × VOLUMETRIC_WIDTH`, flat.
+    buf: Vec<f64>,
+    /// Next write slot (frame index, not scalar offset).
+    head: usize,
     /// Frames written so far, saturating at the companion window.
-    ae_filled: usize,
+    filled: usize,
 }
 
-/// Scalar knobs copied out of the detector so the per-minute free
-/// functions can borrow the customer map mutably alongside them.
-#[derive(Clone, Copy)]
-struct Tunables {
-    attack_type: AttackType,
-    threshold: f64,
-    window: usize,
-    quiet: u32,
-    warmup: u32,
-    max_alert_minutes: u32,
-    med_gran: u32,
-    long_gran: u32,
-    ctx: (usize, usize, usize),
-    /// Stale run at which the blend saturates and raises are suppressed.
-    stale_limit: u32,
-    /// Longest gap bridged by imputation; anything longer cold-restarts.
-    max_imputed_gap: u32,
-    /// Companion ring length in frames (0 when no companion is attached).
-    ae_window: usize,
+impl Ring {
+    fn new(window: usize) -> Self {
+        Ring {
+            buf: vec![0.0; window * VOLUMETRIC_WIDTH],
+            head: 0,
+            filled: 0,
+        }
+    }
 }
 
-/// Per-call companion context: the trained companion plus the detector's
-/// shared scratch buffers, borrowed alongside the customer map by the
-/// per-minute free functions.
-struct CompanionCtx<'a> {
+/// The fusion hook for one row: the trained companion, that customer's
+/// ring and the detector's shared scratch.
+struct Fused<'a> {
     comp: &'a Companion,
+    ring: &'a mut Ring,
     ws: &'a mut AeWorkspace,
     scratch: &'a mut FrameArena,
     /// Degradation shift for this minute (1 = score purely from the
@@ -234,32 +214,51 @@ struct CompanionCtx<'a> {
     ae_weight: f64,
 }
 
+impl Hook<f64> for Fused<'_> {
+    /// Pushes the minute's volumetric slice and, once the ring holds a full
+    /// window, blends the survival score with the autoencoder's
+    /// reconstruction score. Until then (cold start, post-restore re-warm)
+    /// the solo score passes through untouched.
+    fn fuse(&mut self, obs: &mut DetectorObs, frame: &[f64], reported: f64) -> f64 {
+        let (w, ring) = (self.comp.window, &mut *self.ring);
+        let slot = |t: usize| t * VOLUMETRIC_WIDTH..(t + 1) * VOLUMETRIC_WIDTH;
+        ring.buf[slot(ring.head)].copy_from_slice(&frame[..VOLUMETRIC_WIDTH]);
+        ring.head = (ring.head + 1) % w;
+        ring.filled = (ring.filled + 1).min(w);
+        if ring.filled < w {
+            return reported;
+        }
+        self.scratch.reset(VOLUMETRIC_WIDTH);
+        for i in 0..w {
+            self.scratch.push(&ring.buf[slot((ring.head + i) % w)]);
+        }
+        let err = self.comp.ae.reconstruction_error(self.scratch, self.ws);
+        obs.fusion_ae_minutes.inc();
+        self.comp
+            .mode
+            .fuse(reported, self.comp.norm.score(err), self.ae_weight)
+    }
+
+    fn cold_restart(&mut self) {
+        *self.ring = Ring::new(self.comp.window);
+    }
+}
+
 /// The streaming detector for one attack type.
 #[derive(Clone)]
 pub struct OnlineDetector {
-    model: XatuModel,
-    attack_type: AttackType,
-    threshold: f64,
-    window: usize,
-    quiet: u32,
-    /// Per-customer observations to ignore before alerting: LSTM states
-    /// need to settle from their cold start (the paper's stabilization
-    /// period serves the same purpose at evaluation scale).
-    warmup: u32,
-    /// Training context lengths: the streaming dual states reset on these
-    /// periods so serving matches the training distribution.
-    ctx_lens: (usize, usize, usize),
-    /// Maximum alert duration: the scrubbing centre stops diverting a
-    /// customer's traffic once it runs clean (§2.1), so a stuck alert is
-    /// force-ended after this many minutes and must re-trigger.
-    max_alert_minutes: u32,
-    customers: HashMap<Ipv4, CustomerState>,
-    obs: DetectorObs,
+    common: Common,
+    ledger: Ledger,
+    numeric: Numeric<Lstm>,
+    row: RowScratch<f64>,
     /// Optional unsupervised companion; `None` leaves every observation
     /// bit-identical to a companion-free detector.
     companion: Option<Companion>,
-    /// Shared autoencoder workspace (reused across customers — scoring is
-    /// sequential within one detector).
+    /// One ring per customer, by dense id; kept only while a companion is
+    /// attached.
+    rings: Vec<Ring>,
+    /// Shared autoencoder workspace (scoring is sequential within one
+    /// detector).
     ae_ws: AeWorkspace,
     /// Scratch window assembled from a customer's ring before scoring.
     ae_scratch: FrameArena,
@@ -275,23 +274,27 @@ pub struct OnlineDetector {
 impl OnlineDetector {
     /// Wraps a trained model with a calibrated threshold.
     pub fn new(model: XatuModel, attack_type: AttackType, threshold: f64, cfg: &XatuConfig) -> Self {
+        let numeric = Numeric::new(model.cfg.hidden, (cfg.short_len, cfg.medium_len, cfg.long_len));
+        Self::assemble(
+            Common::new(model, attack_type, threshold, cfg),
+            Ledger::default(),
+            numeric,
+        )
+    }
+
+    fn assemble(common: Common, ledger: Ledger, numeric: Numeric<Lstm>) -> Self {
         OnlineDetector {
-            model,
-            attack_type,
-            threshold,
-            window: cfg.window,
-            quiet: 5,
-            warmup: 2 * cfg.window as u32,
-            ctx_lens: (cfg.short_len, cfg.medium_len, cfg.long_len),
-            max_alert_minutes: 45,
-            customers: HashMap::new(),
-            obs: DetectorObs::default(),
+            rewarm_len: (common.window as u32).max(1),
+            common,
+            ledger,
+            numeric,
+            row: RowScratch::default(),
             companion: None,
+            rings: Vec::new(),
             ae_ws: AeWorkspace::new(),
             ae_scratch: FrameArena::new(VOLUMETRIC_WIDTH),
             feed_degraded: false,
             rewarm_left: 0,
-            rewarm_len: cfg.window.max(1) as u32,
         }
     }
 
@@ -309,13 +312,9 @@ impl OnlineDetector {
             "companion autoencoder must score the volumetric block"
         );
         assert!(companion.window >= 1, "companion window must be >= 1");
-        let flat = companion.window * VOLUMETRIC_WIDTH;
-        for s in self.customers.values_mut() {
-            s.ae_ring.clear();
-            s.ae_ring.resize(flat, 0.0);
-            s.ae_head = 0;
-            s.ae_filled = 0;
-        }
+        self.rings.clear();
+        self.rings
+            .resize_with(self.common.addrs.len(), || Ring::new(companion.window));
         self.companion = Some(companion);
     }
 
@@ -336,10 +335,10 @@ impl OnlineDetector {
             return;
         }
         if degraded && !self.feed_degraded {
-            self.obs.fusion_engaged.inc();
+            self.common.obs.fusion_engaged.inc();
             self.rewarm_left = 0;
         } else if !degraded && self.feed_degraded {
-            self.obs.fusion_recovered.inc();
+            self.common.obs.fusion_recovered.inc();
             self.rewarm_left = self.rewarm_len;
         } else if !degraded && self.rewarm_left > 0 {
             self.rewarm_left -= 1;
@@ -365,58 +364,40 @@ impl OnlineDetector {
 
     /// The detector's embedded telemetry.
     pub fn obs(&self) -> &DetectorObs {
-        &self.obs
+        &self.common.obs
     }
 
     /// Zeroes the embedded telemetry — used when a cloned detector starts a
     /// fresh recording scope (the pipeline's test runs fork the phase-B
     /// checkpoint and must not re-count its observations).
     pub fn reset_obs(&mut self) {
-        self.obs = DetectorObs::default();
+        self.common.obs = DetectorObs::default();
     }
 
     /// The force-end cap, in minutes from `detected_at`.
     pub fn max_alert_minutes(&self) -> u32 {
-        self.max_alert_minutes
+        self.common.max_alert_minutes
     }
 
     /// Overrides the warm-up length (observations per customer before
     /// alerts may fire).
     pub fn set_warmup(&mut self, warmup: u32) {
-        self.warmup = warmup;
+        self.common.warmup = warmup;
     }
 
     /// The calibrated threshold.
     pub fn threshold(&self) -> f64 {
-        self.threshold
+        self.common.threshold
     }
 
     /// Updates the threshold (re-calibration between periods).
     pub fn set_threshold(&mut self, threshold: f64) {
-        self.threshold = threshold;
+        self.common.threshold = threshold;
     }
 
     /// The attack type this detector serves.
     pub fn attack_type(&self) -> AttackType {
-        self.attack_type
-    }
-
-    fn tunables(&self) -> Tunables {
-        let (_, med_gran, long_gran) = self.model.cfg.timescales;
-        Tunables {
-            attack_type: self.attack_type,
-            threshold: self.threshold,
-            window: self.window,
-            quiet: self.quiet,
-            warmup: self.warmup,
-            max_alert_minutes: self.max_alert_minutes,
-            med_gran,
-            long_gran,
-            ctx: self.ctx_lens,
-            stale_limit: (self.window as u32).max(1),
-            max_imputed_gap: 3 * self.window as u32,
-            ae_window: self.companion.as_ref().map_or(0, |c| c.window),
-        }
+        self.common.attack_type
     }
 
     /// Feeds one minute's feature frame for `customer`; returns the hazard,
@@ -439,58 +420,7 @@ impl OnlineDetector {
                 found: frame.len(),
             });
         }
-        let p = self.tunables();
-        let ae_weight = self.companion_weight();
-        let mut ctx = self.companion.as_ref().map(|comp| CompanionCtx {
-            comp,
-            ws: &mut self.ae_ws,
-            scratch: &mut self.ae_scratch,
-            ae_weight,
-        });
-        let state = entry(&mut self.customers, &self.model, &p, customer);
-        let mut events = Vec::new();
-        catch_up(
-            &self.model,
-            &p,
-            &mut self.obs,
-            state,
-            customer,
-            minute,
-            ctx.as_mut(),
-            &mut events,
-        )?;
-
-        // Sanitize the incoming frame into the ZOH buffer in place.
-        let mut replaced = 0u64;
-        for (dst, &v) in state.last_frame.iter_mut().zip(frame) {
-            *dst = if v.is_finite() {
-                v
-            } else {
-                replaced += 1;
-                0.0
-            };
-        }
-        if replaced > 0 {
-            self.obs.values_sanitized.add(replaced);
-        }
-        // A real frame ends any stale run.
-        if state.stale_run > 0 {
-            self.obs.gap_runs.observe(state.stale_run as f64);
-            state.stale_run = 0;
-        }
-        let (hazard, survival) = step_minute(
-            &self.model,
-            &p,
-            &mut self.obs,
-            state,
-            customer,
-            minute,
-            false,
-            ctx.as_mut(),
-            &mut events,
-        );
-        state.last_minute = Some(minute);
-        Ok((hazard, survival, events))
+        self.drive(customer, minute, Some(frame))
     }
 
     /// Drives `customer` through a minute known to be absent (collector
@@ -503,555 +433,84 @@ impl OnlineDetector {
         customer: Ipv4,
         minute: u32,
     ) -> Result<(f64, f64, Vec<DetectorEvent>), XatuError> {
-        let p = self.tunables();
+        self.drive(customer, minute, None)
+    }
+
+    /// Interns the customer and drives its row through the core's scalar
+    /// row path, with the companion (if any) as the fusion hook.
+    fn drive(
+        &mut self,
+        customer: Ipv4,
+        minute: u32,
+        frame: Option<&[f64]>,
+    ) -> Result<(f64, f64, Vec<DetectorEvent>), XatuError> {
+        let (j, new) = self.common.intern(customer);
+        if new {
+            push_row(&mut self.ledger, &mut self.numeric, self.common.window);
+        }
         let ae_weight = self.companion_weight();
-        let mut ctx = self.companion.as_ref().map(|comp| CompanionCtx {
-            comp,
-            ws: &mut self.ae_ws,
-            scratch: &mut self.ae_scratch,
-            ae_weight,
-        });
-        let state = entry(&mut self.customers, &self.model, &p, customer);
+        let net = Net::exact(&self.common.model, self.common.knobs());
+        let mut sh = Shard::new(&mut self.ledger, &mut self.numeric, net.k.window);
+        let (obs, row) = (&mut self.common.obs, &mut self.row);
         let mut events = Vec::new();
-        catch_up(
-            &self.model,
-            &p,
-            &mut self.obs,
-            state,
-            customer,
-            minute,
-            ctx.as_mut(),
-            &mut events,
-        )?;
-        let (hazard, survival) = step_minute(
-            &self.model,
-            &p,
-            &mut self.obs,
-            state,
-            customer,
-            minute,
-            true,
-            ctx.as_mut(),
-            &mut events,
-        );
-        state.last_minute = Some(minute);
+        let (hazard, survival) = match &self.companion {
+            None => observe_row(
+                &net, obs, &mut sh, j, customer, minute, frame, row, &mut Solo, &mut events,
+            ),
+            Some(comp) => {
+                if self.rings.len() <= j {
+                    self.rings.resize_with(j + 1, || Ring::new(comp.window));
+                }
+                let mut hook = Fused {
+                    comp,
+                    ring: &mut self.rings[j],
+                    ws: &mut self.ae_ws,
+                    scratch: &mut self.ae_scratch,
+                    ae_weight,
+                };
+                observe_row(
+                    &net, obs, &mut sh, j, customer, minute, frame, row, &mut hook, &mut events,
+                )
+            }
+        }?;
         Ok((hazard, survival, events))
     }
 
     /// The current rolling survival for a customer (1.0 if unseen).
     pub fn survival_of(&self, customer: Ipv4) -> f64 {
-        self.customers
-            .get(&customer)
-            .map_or(1.0, |s| s.last_survival)
+        self.common.survival_of(&self.ledger, customer)
     }
 
-    /// Forces any open alerts to end at `minute` (end of evaluation).
+    /// Forces any open alerts to end at `minute` (end of evaluation), in
+    /// the order the customers were first observed.
     pub fn close_all(&mut self, minute: u32) -> Vec<DetectorEvent> {
-        let mut events = Vec::new();
-        for state in self.customers.values_mut() {
-            if let Some(mut alert) = state.active.take() {
-                alert.mitigation_end = Some(minute);
-                self.obs.ended.inc();
-                events.push(DetectorEvent::Ended(alert));
-            }
-        }
-        events
+        self.common.close_all(&mut self.ledger, minute)
     }
 
     /// Snapshots the full detector — configuration, model parameters, and
     /// every customer's streaming state — into a checkpoint. Telemetry is
     /// deliberately excluded: counters restart at zero on resume and cover
-    /// the resumed segment only.
+    /// the resumed segment only. Companion state is not checkpointed
+    /// either: a companion is re-attached after restore via
+    /// [`OnlineDetector::set_companion`], which re-warms the rings.
     pub fn to_checkpoint(&mut self) -> DetectorCheckpoint {
-        let mut params = vec![0.0; self.model.param_count()];
-        self.model.export_params_into(&mut params);
-        let mut customers: Vec<&Ipv4> = self.customers.keys().collect();
-        customers.sort_unstable_by_key(|a| a.0);
-        let customers = customers
-            .into_iter()
-            .map(|addr| {
-                let s = &self.customers[addr];
-                let dual = [&s.lstm.short, &s.lstm.medium, &s.lstm.long].map(|d| {
-                    let (aged, fresh) = d.states();
-                    let (aged_age, fresh_age) = d.ages();
-                    DualStateCheckpoint {
-                        aged_h: aged.h.clone(),
-                        aged_c: aged.c.clone(),
-                        fresh_h: fresh.h.clone(),
-                        fresh_c: fresh.c.clone(),
-                        aged_age,
-                        fresh_age,
-                        period: d.period(),
-                    }
-                });
-                let (window, buf, head, filled, sum) = s.survival.state();
-                CustomerCheckpoint {
-                    addr: addr.0,
-                    dual,
-                    survival: (window as u64, buf.to_vec(), head as u64, filled as u64, sum),
-                    med_partial: (s.med_partial.0.clone(), s.med_partial.1),
-                    long_partial: (s.long_partial.0.clone(), s.long_partial.1),
-                    active_since: s.active.map(|a| a.detected_at),
-                    quiet_run: s.quiet_run,
-                    last_survival: s.last_survival,
-                    observed: s.observed,
-                    last_frame: s.last_frame.clone(),
-                    stale_run: s.stale_run,
-                    last_minute: s.last_minute,
-                }
-            })
-            .collect();
-        DetectorCheckpoint {
-            attack_type: self.attack_type,
-            threshold: self.threshold,
-            window: self.window as u64,
-            quiet: self.quiet,
-            warmup: self.warmup,
-            ctx_lens: (
-                self.ctx_lens.0 as u64,
-                self.ctx_lens.1 as u64,
-                self.ctx_lens.2 as u64,
-            ),
-            max_alert_minutes: self.max_alert_minutes,
-            timescales: self.model.cfg.timescales,
-            hidden: self.model.cfg.hidden as u64,
-            mode: self.model.cfg.mode,
-            params,
-            customers,
-        }
+        self.common
+            .checkpoint(&self.ledger, &self.numeric, [&NO_TABLE; TIMESCALES])
     }
 
     /// Rebuilds a detector from a checkpoint, validating every invariant
-    /// the streaming logic depends on (shape agreement, finite floats,
-    /// consistent dual-state ages). The result resumes bit-identically to
-    /// the detector that was snapshotted. Validation failures surface as
+    /// the streaming logic depends on. The result resumes bit-identically
+    /// to the detector that was snapshotted. Validation failures surface as
     /// [`XatuError::InvalidCheckpoint`].
     pub fn from_checkpoint(ck: &DetectorCheckpoint) -> Result<Self, XatuError> {
-        let cfg = ModelConfig {
-            timescales: ck.timescales,
-            hidden: ck.hidden as usize,
-            mode: ck.mode,
-        };
-        if ck.timescales.0 == 0 || ck.timescales.1 == 0 || ck.timescales.2 == 0 {
-            return Err(XatuError::invalid_checkpoint(
-                "timescale granularities must be >= 1",
-            ));
-        }
-        let mut model = XatuModel::with_config(cfg);
-        if ck.params.len() != model.param_count() {
-            return Err(XatuError::invalid_checkpoint(format!(
-                "checkpoint has {} parameters, model shape needs {}",
-                ck.params.len(),
-                model.param_count()
-            )));
-        }
-        if ck.params.iter().any(|v| !v.is_finite()) {
-            return Err(XatuError::invalid_checkpoint("non-finite model parameter"));
-        }
-        model.import_params_from(&ck.params);
-
-        let window = ck.window as usize;
-        if window == 0 {
-            return Err(XatuError::invalid_checkpoint("survival window must be >= 1"));
-        }
-        let mut customers = HashMap::with_capacity(ck.customers.len());
-        for c in &ck.customers {
-            let state = restore_customer(&model, c, window, ck)
-                .map_err(|e| XatuError::invalid_checkpoint(format!("customer {}: {e}", c.addr)))?;
-            if customers.insert(Ipv4(c.addr), state).is_some() {
-                return Err(XatuError::invalid_checkpoint(format!(
-                    "customer {} appears twice",
-                    c.addr
-                )));
-            }
-        }
-        Ok(OnlineDetector {
-            model,
-            attack_type: ck.attack_type,
-            threshold: ck.threshold,
-            window,
-            quiet: ck.quiet,
-            warmup: ck.warmup,
-            ctx_lens: (
-                ck.ctx_lens.0 as usize,
-                ck.ctx_lens.1 as usize,
-                ck.ctx_lens.2 as usize,
-            ),
-            max_alert_minutes: ck.max_alert_minutes,
-            customers,
-            obs: DetectorObs::default(),
-            companion: None,
-            ae_ws: AeWorkspace::new(),
-            ae_scratch: FrameArena::new(VOLUMETRIC_WIDTH),
-            feed_degraded: false,
-            rewarm_left: 0,
-            rewarm_len: (ck.window as u32).max(1),
-        })
-    }
-}
-
-/// Fetches or cold-creates one customer's state. A free function over the
-/// map field (not a method) so the caller can keep borrowing the model and
-/// telemetry alongside the returned state.
-fn entry<'a>(
-    customers: &'a mut HashMap<Ipv4, CustomerState>,
-    model: &XatuModel,
-    p: &Tunables,
-    customer: Ipv4,
-) -> &'a mut CustomerState {
-    let (sl, ml, ll) = p.ctx;
-    customers.entry(customer).or_insert_with(|| CustomerState {
-        lstm: model.new_streaming_state(sl, ml, ll),
-        survival: RollingSurvival::new(p.window),
-        med_partial: (vec![0.0; NUM_FEATURES], 0),
-        long_partial: (vec![0.0; NUM_FEATURES], 0),
-        active: None,
-        quiet_run: 0,
-        last_survival: 1.0,
-        observed: 0,
-        last_frame: vec![0.0; NUM_FEATURES],
-        stale_run: 0,
-        last_minute: None,
-        ae_ring: vec![0.0; p.ae_window * VOLUMETRIC_WIDTH],
-        ae_head: 0,
-        ae_filled: 0,
-    })
-}
-
-/// Rebuilds one customer's state from its checkpoint record.
-fn restore_customer(
-    model: &XatuModel,
-    c: &CustomerCheckpoint,
-    window: usize,
-    ck: &DetectorCheckpoint,
-) -> Result<CustomerState, String> {
-    let [short, medium, long] = &c.dual;
-    let duals: Vec<DualState> = [short, medium, long]
-        .into_iter()
-        .map(|d| {
-            DualState::restore(
-                LstmState {
-                    h: d.aged_h.clone(),
-                    c: d.aged_c.clone(),
-                },
-                LstmState {
-                    h: d.fresh_h.clone(),
-                    c: d.fresh_c.clone(),
-                },
-                d.aged_age,
-                d.fresh_age,
-                d.period,
-            )
-            .map_err(String::from)
-        })
-        .collect::<Result<_, _>>()?;
-    let hidden = model.cfg.hidden;
-    for d in &duals {
-        if d.states().0.h.len() != hidden {
-            return Err(format!(
-                "dual-state hidden size {} does not match model hidden {hidden}",
-                d.states().0.h.len()
-            ));
-        }
-    }
-    let mut it = duals.into_iter();
-    let lstm = StreamingState::from_parts(
-        it.next().expect("three duals"),
-        it.next().expect("three duals"),
-        it.next().expect("three duals"),
-    );
-
-    let (w, buf, head, filled, sum) = &c.survival;
-    if *w as usize != window {
-        return Err(format!("survival window {w} does not match detector window {window}"));
-    }
-    let survival =
-        RollingSurvival::restore(*w as usize, buf.clone(), *head as usize, *filled as usize, *sum)
-            .map_err(String::from)?;
-
-    for (name, partial) in [("medium", &c.med_partial), ("long", &c.long_partial)] {
-        if partial.0.len() != NUM_FEATURES {
-            return Err(format!("{name} partial bucket has width {}", partial.0.len()));
-        }
-        if partial.0.iter().any(|v| !v.is_finite()) {
-            return Err(format!("non-finite value in {name} partial bucket"));
-        }
-    }
-    let (_, med_gran, long_gran) = ck.timescales;
-    if c.med_partial.1 >= med_gran || c.long_partial.1 >= long_gran {
-        return Err("partial bucket count at or past its granularity".into());
-    }
-    if c.last_frame.len() != NUM_FEATURES {
-        return Err(format!("last frame has width {}", c.last_frame.len()));
-    }
-    if c.last_frame.iter().any(|v| !v.is_finite()) || !c.last_survival.is_finite() {
-        return Err("non-finite value in customer scalars".into());
-    }
-    Ok(CustomerState {
-        lstm,
-        survival,
-        med_partial: (c.med_partial.0.clone(), c.med_partial.1),
-        long_partial: (c.long_partial.0.clone(), c.long_partial.1),
-        active: c.active_since.map(|detected_at| Alert {
-            customer: Ipv4(c.addr),
-            attack_type: ck.attack_type,
-            detected_at,
-            mitigation_end: None,
-        }),
-        quiet_run: c.quiet_run,
-        last_survival: c.last_survival,
-        observed: c.observed,
-        last_frame: c.last_frame.clone(),
-        stale_run: c.stale_run,
-        last_minute: c.last_minute,
-        // Companion state is deliberately not checkpointed: a companion is
-        // re-attached after restore via `set_companion`, which re-warms the
-        // rings. The solo resume path stays bit-identical either way.
-        ae_ring: Vec::new(),
-        ae_head: 0,
-        ae_filled: 0,
-    })
-}
-
-/// Validates minute ordering and bridges any gap since the customer's last
-/// observation: short gaps are imputed minute by minute, long gaps
-/// cold-restart the customer.
-#[allow(clippy::too_many_arguments)]
-fn catch_up(
-    model: &XatuModel,
-    p: &Tunables,
-    obs: &mut DetectorObs,
-    state: &mut CustomerState,
-    customer: Ipv4,
-    minute: u32,
-    mut comp: Option<&mut CompanionCtx>,
-    events: &mut Vec<DetectorEvent>,
-) -> Result<(), XatuError> {
-    let Some(last) = state.last_minute else {
-        return Ok(());
-    };
-    if minute <= last {
-        obs.out_of_order.inc();
-        return Err(XatuError::OutOfOrderMinute {
-            customer,
-            minute,
-            last,
-        });
-    }
-    let gap = minute - last - 1;
-    if gap == 0 {
-        return Ok(());
-    }
-    if gap > p.max_imputed_gap {
-        // Imputing hours of fiction would be slower *and* wronger than
-        // admitting the context is gone.
-        obs.gap_runs.observe(gap as f64);
-        cold_restart(model, p, obs, state, minute, events);
-    } else {
-        for m in last + 1..minute {
-            step_minute(model, p, obs, state, customer, m, true, comp.as_deref_mut(), events);
-        }
-    }
-    Ok(())
-}
-
-/// Rebuilds a customer from scratch after an unbridgeable gap: ends any
-/// open alert, resets every accumulator, and re-enters warm-up.
-fn cold_restart(
-    model: &XatuModel,
-    p: &Tunables,
-    obs: &mut DetectorObs,
-    state: &mut CustomerState,
-    minute: u32,
-    events: &mut Vec<DetectorEvent>,
-) {
-    if let Some(mut alert) = state.active.take() {
-        alert.mitigation_end = Some(minute);
-        obs.ended.inc();
-        events.push(DetectorEvent::Ended(alert));
-    }
-    let (sl, ml, ll) = p.ctx;
-    state.lstm = model.new_streaming_state(sl, ml, ll);
-    state.survival = RollingSurvival::new(p.window);
-    state.med_partial.0.iter_mut().for_each(|v| *v = 0.0);
-    state.med_partial.1 = 0;
-    state.long_partial.0.iter_mut().for_each(|v| *v = 0.0);
-    state.long_partial.1 = 0;
-    state.quiet_run = 0;
-    state.last_survival = 1.0;
-    state.observed = 0;
-    state.last_frame.iter_mut().for_each(|v| *v = 0.0);
-    state.stale_run = 0;
-    state.ae_ring.iter_mut().for_each(|v| *v = 0.0);
-    state.ae_head = 0;
-    state.ae_filled = 0;
-    obs.cold_restarts.inc();
-}
-
-/// Advances one customer by one minute, stepping from the sanitized
-/// `last_frame` (the caller has already refreshed it for real minutes;
-/// imputed minutes replay it as-is). Returns `(hazard, reported
-/// survival)`; lifecycle events append to `events`.
-#[allow(clippy::too_many_arguments)]
-fn step_minute(
-    model: &XatuModel,
-    p: &Tunables,
-    obs: &mut DetectorObs,
-    state: &mut CustomerState,
-    customer: Ipv4,
-    minute: u32,
-    imputed: bool,
-    mut comp: Option<&mut CompanionCtx>,
-    events: &mut Vec<DetectorEvent>,
-) -> (f64, f64) {
-    // Disjoint field borrows: the ZOH frame is read while the accumulators
-    // are written.
-    let CustomerState {
-        lstm,
-        survival,
-        med_partial,
-        long_partial,
-        active,
-        quiet_run,
-        last_survival,
-        observed,
-        last_frame,
-        stale_run,
-        ae_ring,
-        ae_head,
-        ae_filled,
-        ..
-    } = state;
-    let frame: &[f64] = last_frame;
-
-    if imputed {
-        *stale_run += 1;
-        obs.gaps_imputed.inc();
-    }
-
-    // The companion ring tracks the exact stream the LSTM sees — real and
-    // imputed minutes both — so its window stays aligned with wall time.
-    if let Some(ctx) = comp.as_deref_mut() {
-        let w = ctx.comp.window;
-        if ae_ring.len() == w * VOLUMETRIC_WIDTH {
-            let start = *ae_head * VOLUMETRIC_WIDTH;
-            ae_ring[start..start + VOLUMETRIC_WIDTH]
-                .copy_from_slice(&frame[..VOLUMETRIC_WIDTH]);
-            *ae_head = (*ae_head + 1) % w;
-            if *ae_filled < w {
-                *ae_filled += 1;
-            }
-        }
-    }
-
-    // Accumulate pooling buckets; complete ones step the coarse LSTMs.
-    let med_bucket = accumulate(med_partial, frame, p.med_gran);
-    let long_bucket = accumulate(long_partial, frame, p.long_gran);
-    let hazard = model.step_streaming(lstm, frame, med_bucket.as_deref(), long_bucket.as_deref());
-    let raw = survival.push(hazard);
-
-    // Staleness blend: with no fresh evidence the reported survival decays
-    // toward 1.0 ("nothing observable is wrong") as the stale run
-    // approaches the survival window. The clean path (stale_run == 0)
-    // reports `raw` untouched, bit-identically to a fault-free run.
-    let reported = if *stale_run == 0 {
-        raw
-    } else {
-        let w = (*stale_run).min(p.stale_limit) as f64 / p.stale_limit as f64;
-        raw + (1.0 - raw) * w
-    };
-
-    // Companion fusion: once the ring holds a full window, blend the
-    // survival score with the autoencoder's reconstruction score. Until
-    // then (cold start, post-restore re-warm) the solo score passes
-    // through untouched — and with no companion attached, this branch
-    // never runs, so every value below stays bit-identical.
-    let reported = match comp {
-        Some(ctx) if *ae_filled == ctx.comp.window && !ae_ring.is_empty() => {
-            let w = ctx.comp.window;
-            ctx.scratch.reset(VOLUMETRIC_WIDTH);
-            for i in 0..w {
-                let t = (*ae_head + i) % w;
-                ctx.scratch
-                    .push(&ae_ring[t * VOLUMETRIC_WIDTH..(t + 1) * VOLUMETRIC_WIDTH]);
-            }
-            let err = ctx.comp.ae.reconstruction_error(ctx.scratch, ctx.ws);
-            let ae_score = ctx.comp.norm.score(err);
-            obs.fusion_ae_minutes.inc();
-            ctx.comp.mode.fuse(reported, ae_score, ctx.ae_weight)
-        }
-        _ => reported,
-    };
-    *last_survival = reported;
-    *observed += 1;
-    obs.survival.observe(reported);
-
-    if *observed <= p.warmup {
-        obs.warmup_suppressed.inc();
-        return (hazard, reported);
-    }
-    match *active {
-        None => {
-            // Stale input can never *raise*: a new alert needs fresh
-            // evidence, and an imputed minute only replays old evidence.
-            // (Open alerts may still *end* on stale input, below.)
-            if reported < p.threshold && *stale_run == 0 {
-                let alert = Alert {
-                    customer,
-                    attack_type: p.attack_type,
-                    detected_at: minute,
-                    mitigation_end: None,
-                };
-                *active = Some(alert);
-                *quiet_run = 0;
-                obs.raised.inc();
-                events.push(DetectorEvent::Raised(alert));
-            }
-        }
-        Some(mut alert) => {
-            let over_cap = minute.saturating_sub(alert.detected_at) >= p.max_alert_minutes;
-            if reported < p.threshold && !over_cap {
-                *quiet_run = 0;
-            } else {
-                *quiet_run += 1;
-                if *quiet_run >= p.quiet || over_cap {
-                    alert.mitigation_end = Some(minute);
-                    *active = None;
-                    *quiet_run = 0;
-                    obs.ended.inc();
-                    if over_cap {
-                        obs.force_ended.inc();
-                    }
-                    events.push(DetectorEvent::Ended(alert));
-                }
-            }
-        }
-    }
-    (hazard, reported)
-}
-
-/// Adds `frame` to a partial bucket; when `gran` frames accumulated,
-/// returns the averaged bucket and resets.
-fn accumulate(partial: &mut (Vec<f64>, u32), frame: &[f64], gran: u32) -> Option<Vec<f64>> {
-    for (a, v) in partial.0.iter_mut().zip(frame) {
-        *a += v;
-    }
-    partial.1 += 1;
-    if partial.1 == gran {
-        let inv = 1.0 / gran as f64;
-        let bucket = partial.0.iter().map(|v| v * inv).collect();
-        partial.0.iter_mut().for_each(|v| *v = 0.0);
-        partial.1 = 0;
-        Some(bucket)
-    } else {
-        None
+        let (common, ledger, numeric) = restore(ck)?;
+        Ok(Self::assemble(common, ledger, numeric))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::XatuConfig;
     use crate::sample::{Sample, SampleMeta};
     use crate::trainer::train;
 
@@ -1189,6 +648,31 @@ mod tests {
         if let DetectorEvent::Ended(a) = events[0] {
             assert_eq!(a.mitigation_end, Some(130));
         }
+    }
+
+    /// `close_all` reports in the order customers were first observed,
+    /// not in map order: the events feed alert logs that are compared
+    /// across runs.
+    #[test]
+    fn close_all_reports_in_first_observe_order() {
+        let c = cfg();
+        // Untrained model, unreachable threshold, no warm-up: every
+        // customer's first observation opens an alert.
+        let mut det = OnlineDetector::new(XatuModel::new(&c), AttackType::UdpFlood, 2.0, &c);
+        det.set_warmup(0);
+        let order = [0x50u32, 0x03, 0x91, 0x2a, 0x77, 0x10, 0xe4, 0x08].map(Ipv4);
+        for cust in order {
+            let (_, _, ev) = obs(&mut det, cust, 0, 0.05);
+            assert!(matches!(ev[..], [DetectorEvent::Raised(_)]));
+        }
+        let closed: Vec<Ipv4> = det
+            .close_all(1)
+            .iter()
+            .map(|e| match e {
+                DetectorEvent::Raised(a) | DetectorEvent::Ended(a) => a.customer,
+            })
+            .collect();
+        assert_eq!(closed, order);
     }
 
     #[test]
@@ -1385,7 +869,7 @@ mod tests {
         // Re-warm-up: the restarted customer cannot alert immediately.
         // Minute 500 was its first post-restart observation, so the
         // warm-up window covers minutes 500..500+warmup-1.
-        for m in 501..(500 + det.warmup) {
+        for m in 501..(500 + det.common.warmup) {
             let (_, _, ev) = obs(&mut det, Ipv4(1), m, 2.0);
             assert!(ev.is_empty(), "alerted during re-warm-up at {m}");
         }
@@ -1568,32 +1052,5 @@ mod tests {
                 40 - c.window as u64 + 1
             );
         }
-    }
-
-    #[test]
-    fn checkpoint_rejects_corrupt_customers() {
-        let c = cfg();
-        let model = trained_model(&c);
-        let mut det = OnlineDetector::new(model, AttackType::UdpFlood, 0.5, &c);
-        for m in 0..50u32 {
-            obs(&mut det, Ipv4(1), m, 0.05);
-        }
-        let good = det.to_checkpoint();
-
-        let mut bad = good.clone();
-        bad.customers[0].last_frame.truncate(10);
-        assert!(OnlineDetector::from_checkpoint(&bad).is_err());
-
-        let mut bad = good.clone();
-        bad.customers[0].dual[0].aged_h[0] = f64::NAN;
-        assert!(OnlineDetector::from_checkpoint(&bad).is_err());
-
-        let mut bad = good.clone();
-        bad.params.pop();
-        assert!(OnlineDetector::from_checkpoint(&bad).is_err());
-
-        let mut bad = good;
-        bad.customers[0].survival.0 = 99;
-        assert!(OnlineDetector::from_checkpoint(&bad).is_err());
     }
 }

@@ -14,12 +14,16 @@
 //! * **Cold start is bounded**: the first pass may allocate (arenas grow
 //!   once), but within a pinned byte ceiling, so trace/workspace bloat
 //!   can't creep in silently.
+//! * **Serving is allocation-free on every front-end**: a warm fleet
+//!   minute at 1 and 4 threads on both backends, and a warm
+//!   `OnlineDetector` observation, perform zero heap allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use xatu_core::config::XatuConfig;
 use xatu_core::fleet::{FleetDetector, FleetInput};
 use xatu_core::model::{ForwardTrace, ModelWorkspace, XatuModel};
+use xatu_core::online::OnlineDetector;
 use xatu_core::sample::{Sample, SampleMeta, WideSample};
 use xatu_features::frame::{NUM_FEATURES, VOLUMETRIC_WIDTH};
 use xatu_netflow::addr::Ipv4;
@@ -231,5 +235,76 @@ fn hot_path_allocation_budget() {
         "steady-state fleet minutes (threads = 4) allocated {} times ({} bytes)",
         f3 - f2,
         fb3 - fb2
+    );
+
+    // --- Fast fleet: the same budget on the f32 backend, where a row
+    // alternates between the dense kernel and trajectory bookkeeping
+    // (customers 24.. send exactly-zero frames).
+    let mut fast = FleetDetector::new_fast(XatuModel::new(&fleet_cfg), AttackType::UdpFlood, 0.0, &fleet_cfg);
+    for i in 0..32u32 {
+        fast.add_customer(Ipv4(0x0a00_0000 + i));
+    }
+    let fast_fill = |i: usize, a: Ipv4, frame: &mut [f64]| {
+        if i >= 24 {
+            frame.fill(0.0);
+            FleetInput::Frame
+        } else {
+            fill(i, a, frame)
+        }
+    };
+    for m in 0..60 {
+        fast.step_minute_batch(m, 1, fast_fill).unwrap();
+    }
+    for m in 60..180 {
+        fast.step_minute_batch(m, 4, fast_fill).unwrap();
+    }
+    for (threads, minutes) in [(1usize, 180..240u32), (4, 240..300)] {
+        let (g0, gb0) = snapshot();
+        for m in minutes {
+            let events = fast.step_minute_batch(m, threads, fast_fill).unwrap();
+            assert!(events.is_empty(), "unexpected lifecycle event at {m}");
+        }
+        let (g1, gb1) = snapshot();
+        assert_eq!(
+            g1 - g0,
+            0,
+            "steady-state fast fleet minutes (threads = {threads}) allocated {} times ({} bytes)",
+            g1 - g0,
+            gb1 - gb0
+        );
+    }
+
+    // --- OnlineDetector: a warm customer's minute with no lifecycle
+    // event allocates nothing — the returned empty `Vec<DetectorEvent>`
+    // does not touch the heap, and a completed pooling bucket is averaged
+    // in place. Real and imputed minutes both, over full medium/long
+    // pooling cycles.
+    let mut online = OnlineDetector::new(XatuModel::new(&fleet_cfg), AttackType::UdpFlood, 0.0, &fleet_cfg);
+    let customer = Ipv4(0x0a00_0001);
+    let mut online_frame = vec![0.0; NUM_FEATURES];
+    online_frame[0] = 0.02;
+    online_frame[1] = 0.1;
+    let drive = |online: &mut OnlineDetector, m: u32| {
+        let (_, _, events) = if m % 7 == 3 {
+            online.observe_gap(customer, m).unwrap()
+        } else {
+            online.observe(customer, m, &online_frame).unwrap()
+        };
+        assert!(events.is_empty(), "unexpected lifecycle event at {m}");
+    };
+    for m in 0..120 {
+        drive(&mut online, m);
+    }
+    let (o0, ob0) = snapshot();
+    for m in 120..240 {
+        drive(&mut online, m);
+    }
+    let (o1, ob1) = snapshot();
+    assert_eq!(
+        o1 - o0,
+        0,
+        "warm OnlineDetector minutes allocated {} times ({} bytes)",
+        o1 - o0,
+        ob1 - ob0
     );
 }

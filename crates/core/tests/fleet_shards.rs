@@ -8,7 +8,7 @@
 //! Every fleet size 1..=17 is driven through a schedule that mixes real
 //! frames, explicit gaps, skips (catch-up imputation) and attack bursts,
 //! and every minute's survivals and lifecycle events are required to be
-//! **bit-identical** across thread counts — and, under `fast-math`,
+//! **bit-identical** across thread counts — and, on the fast backend,
 //! between auto SIMD dispatch and the forced-scalar reference.
 
 use xatu_core::config::XatuConfig;
@@ -118,7 +118,6 @@ fn more_threads_than_customers_clamps_cleanly() {
     }
 }
 
-#[cfg(feature = "fast-math")]
 mod fast {
     use super::*;
 

@@ -28,13 +28,11 @@
 //!   `clamp` would send NaN to the lower bound and poison the state
 //!   with −1; the explicit branch keeps degraded-input tolerance
 //!   (PR 4) intact on the fast path.
-//! - **Scope.** Nothing in the default build calls these kernels: the
-//!   exact `activations::{sigmoid, tanh}` remain the only activations
-//!   on every digest-bearing path unless the `fast-math` feature of
-//!   `xatu-core` routes fleet scoring through [`crate::lstm32`]. The
-//!   module itself is compiled unconditionally so its error bounds are
-//!   enforced by tier-1 `cargo test` and the micro-benches compile
-//!   without feature flags.
+//! - **Scope.** Nothing calls these kernels by default: the exact
+//!   `activations::{sigmoid, tanh}` remain the only activations on
+//!   every digest-bearing path unless a caller switches a fleet to the
+//!   fast backend (`FleetDetector::enable_fast` in `xatu-core`), which
+//!   routes its scoring through [`crate::lstm32`].
 
 /// Maximum absolute error of [`fast_tanh`] vs `f64::tanh` over all
 /// finite inputs. The error is dominated by the saturated region: the
@@ -209,8 +207,8 @@ mod tests {
     /// The default (exact) activations are untouched by this module:
     /// `activations::tanh` is `f64::tanh` bitwise and
     /// `activations::sigmoid` keeps its two-branch stable form, so
-    /// every digest-bearing path is 0-ULP identical to the pre-PR
-    /// build whether or not `fast-math` is enabled downstream.
+    /// every digest-bearing path is 0-ULP identical whether or not a
+    /// fleet elsewhere runs the fast backend.
     #[test]
     fn exact_activations_unchanged() {
         for i in -400..=400 {

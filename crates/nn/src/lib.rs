@@ -32,8 +32,8 @@
 //! (≤64 hidden units), so the extra width costs little and makes gradient
 //! verification exact to ~1e-8. The [`lstm32`]/[`fastmath`] inference
 //! mirrors trade that width for throughput under an explicit, tested
-//! error budget; nothing routes through them unless a downstream crate
-//! opts in (the `fast-math` feature of `xatu-core`).
+//! error budget; nothing routes through them unless a caller opts in at
+//! run time (`FleetDetector::enable_fast` in `xatu-core`).
 
 pub mod activations;
 pub mod adam;

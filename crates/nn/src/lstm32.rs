@@ -1,9 +1,9 @@
 //! Reduced-precision (`f32`) mirrors of the online LSTM scoring kernels.
 //!
-//! The fleet fast path (`xatu-core::fleet` under the `fast-math`
-//! feature) stores per-customer LSTM state in `f32` and runs the gates
-//! through the rational activations in [`crate::fastmath`], halving
-//! memory bandwidth over the `f64` arenas and replacing `exp`/`tanh`
+//! The fleet fast path (`xatu-core::fleet` after
+//! `FleetDetector::enable_fast`) stores per-customer LSTM state in `f32`
+//! and runs the gates through the rational activations in
+//! [`crate::fastmath`], halving memory bandwidth over the `f64` arenas and replacing `exp`/`tanh`
 //! calls with a handful of multiply-adds. Weights are **widened once**
 //! at load time ([`Lstm32::from_f64`]) into an [`Lstm32`]; per-step work
 //! never touches the `f64` layer again.
