@@ -81,21 +81,51 @@ fn bench_feature_extraction(c: &mut Criterion) {
     );
 }
 
-fn bench_clustering_coefficients(c: &mut Criterion) {
-    // A carpet bomb: 80 customers, each hit by the same 64 attacker /24s
-    // plus 16 of its own, so every pair of neighbourhoods overlaps.
-    let mut tracker = ClusteringTracker::new(60);
-    let customers: Vec<Ipv4> = (0..80).map(|i| Ipv4::from_octets(20, 0, i, 1)).collect();
+/// One minute of a carpet bomb: every customer hit by the same `shared`
+/// attacker /24s plus 16 of its own, so every pair of neighbourhoods
+/// overlaps.
+fn record_carpet(tracker: &mut ClusteringTracker, minute: u32, customers: &[Ipv4], shared: u32) {
     for (i, &customer) in customers.iter().enumerate() {
-        for s in 0..64 {
-            tracker.record(0, Subnet24(0x2D_0000 + s), customer);
+        for s in 0..shared {
+            tracker.record(minute, Subnet24(0x2D_0000 + s), customer);
         }
         for s in 0..16 {
-            tracker.record(0, Subnet24(0x2E_0000 + i as u32 * 16 + s), customer);
+            tracker.record(minute, Subnet24(0x2E_0000 + i as u32 * 16 + s), customer);
         }
     }
-    c.bench_function("clustering_coefficients_80customers_64shared", |b| {
-        b.iter(|| black_box(tracker.coefficients(black_box(customers[40]))))
+}
+
+fn bench_clustering_coefficients(c: &mut Criterion) {
+    // The read follows the number of overlapping peers (80 → 320), not the
+    // size of the neighbourhoods (64 → 512 shared attackers).
+    for (n, shared) in [(80u32, 64u32), (320, 64), (80, 512)] {
+        let customers: Vec<Ipv4> = (0..n)
+            .map(|i| Ipv4::from_octets(20, (i >> 8) as u8, i as u8, 1))
+            .collect();
+        let mut tracker = ClusteringTracker::new(60);
+        record_carpet(&mut tracker, 0, &customers, shared);
+        let name = format!("clustering_coefficients_{n}customers_{shared}shared");
+        c.bench_function(&name, |b| {
+            b.iter(|| black_box(tracker.coefficients(black_box(customers[40]))))
+        });
+    }
+}
+
+fn bench_clustering_writes(c: &mut Criterion) {
+    // The write side of the same carpet bomb, where the cost of the read
+    // went: one minute of it (80 × 80 incidences) enters an empty tracker
+    // and leaves the window again, so all 6 400 edges are born and die and
+    // each shared one walks the customers its attacker already reaches.
+    let customers: Vec<Ipv4> = (0..80).map(|i| Ipv4::from_octets(20, 0, i, 1)).collect();
+    let mut tracker = ClusteringTracker::new(60);
+    let mut minute = 0;
+    c.bench_function("clustering_record_expire_carpet", |b| {
+        b.iter(|| {
+            record_carpet(&mut tracker, minute, &customers, 64);
+            minute += 61;
+            tracker.expire(minute);
+            black_box(tracker.edge_count())
+        })
     });
 }
 
@@ -468,7 +498,7 @@ fn bench_prepare_by_threads(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_feature_extraction, bench_clustering_coefficients,
+    targets = bench_feature_extraction, bench_clustering_coefficients, bench_clustering_writes,
               bench_detection_step, bench_lstm_step,
               bench_cusum, bench_rf_inference, bench_sampler, bench_warm_fwd_bwd,
               bench_obs_primitives, bench_safe_loss,

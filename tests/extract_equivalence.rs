@@ -5,13 +5,13 @@
 //! `to_bits()`-equal on all 273 features. It lives in the root package
 //! because tier-1's `cargo test -q` runs only the root package.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use xatu::features::blocklist::BlocklistCategory;
 use xatu::features::frame::{offsets, VOLUMETRIC_WIDTH};
 use xatu::features::prev_attackers::PrevAttackerTracker;
 use xatu::features::volumetric::{compress, POPULAR_PORTS};
 use xatu::features::{FeatureExtractor, FeatureFrame, FeatureMask};
-use xatu::netflow::addr::{Ipv4, Prefix};
+use xatu::netflow::addr::{Ipv4, Prefix, Subnet24};
 use xatu::netflow::attack::Severity;
 use xatu::netflow::binning::MinuteFlows;
 use xatu::netflow::country::CountryMapper;
@@ -261,12 +261,12 @@ fn loaded_extractor() -> FeatureExtractor {
         MINUTE - 30,
     );
     let peer = Ipv4::from_octets(10, 0, 0, 2);
-    for s in 0..6u8 {
-        let grp = Ipv4::from_octets(44, 7, s, 0).subnet24();
-        ex.clustering.record(MINUTE - 3, grp, CUSTOMER);
-        if s % 2 == 0 {
-            ex.clustering.record(MINUTE - 2, grp, peer);
-        }
+    let grp = |s: u8| Ipv4::from_octets(44, 7, s, 0).subnet24();
+    for s in 0..6 {
+        ex.clustering.record(MINUTE - 3, grp(s), CUSTOMER);
+    }
+    for s in [0, 2, 4] {
+        ex.clustering.record(MINUTE - 2, grp(s), peer);
     }
     ex
 }
@@ -419,4 +419,131 @@ fn seeded_world_minutes() {
         }
         assert_eq!(lit, [true; 6], "seed {seed}: a block never lit (V, A1..A5)");
     }
+}
+
+// ---------------------------------------------------------------------
+// A5 at the carpet-bomb shape. `extract_four_pass` above takes A5 from the
+// live tracker, so this reference is separate: the attacker sets are
+// rebuilt from the test's own op list, then the two-`HashSet` arithmetic
+// `ClusteringTracker::coefficients` had before it kept overlaps as state.
+// Frozen, like the block above.
+// ---------------------------------------------------------------------
+
+/// The tracker window `FeatureExtractor::new` configures.
+const A5_WINDOW: u32 = 60;
+
+/// Attacker sets of every customer with an incidence that `expire(expired_at)`
+/// left alive, plus everything recorded since.
+fn live_sets(ops: &[(u32, Subnet24, Ipv4)], expired_at: u32) -> BTreeMap<Ipv4, HashSet<Subnet24>> {
+    let mut sets: BTreeMap<Ipv4, HashSet<Subnet24>> = BTreeMap::new();
+    for &(minute, attacker, customer) in ops {
+        if expired_at.saturating_sub(minute) <= A5_WINDOW {
+            sets.entry(customer).or_default().insert(attacker);
+        }
+    }
+    sets
+}
+
+fn reference_a5(sets: &BTreeMap<Ipv4, HashSet<Subnet24>>, customer: Ipv4) -> [f64; 3] {
+    let Some(mine) = sets.get(&customer) else {
+        return [0.0; 3];
+    };
+    let (mut dot, mut min, mut max) = (0.0f64, 0.0f64, 0.0f64);
+    let mut peers = 0usize;
+    for (other, theirs) in sets {
+        if *other == customer {
+            continue;
+        }
+        let inter = mine.intersection(theirs).count() as f64;
+        let union = mine.union(theirs).count() as f64;
+        let (a, b) = (mine.len() as f64, theirs.len() as f64);
+        dot += inter / union;
+        min += inter / a.min(b);
+        max += inter / a.max(b);
+        peers += 1;
+    }
+    if peers == 0 {
+        return [0.0; 3];
+    }
+    let inv = 1.0 / peers as f64;
+    [dot * inv, min * inv, max * inv]
+}
+
+/// `attack_storm`'s shape: every customer under alert at once, shared plus
+/// private attacker /24s, written and read in the benchmark's order (all
+/// writes of the minute, all extractions, then `expire`). Half the
+/// customers fall silent early, so their edges die while their peers stay
+/// active, and the run continues until the graph is empty.
+#[test]
+fn carpet_bomb_a5_matches_a_reference_rebuilt_from_the_op_list() {
+    const CUSTOMERS: u32 = 36;
+    const SHARED: u32 = 24;
+    const START: u32 = 2000;
+    let customer = |c: u32| Ipv4::from_octets(10, 0, c as u8, 1);
+    let mut ex = FeatureExtractor::new();
+    ex.spoof.ensure_built();
+    let mut ops: Vec<(u32, Subnet24, Ipv4)> = Vec::new();
+    let mut expired_at = 0u32;
+    let (mut most_active, mut lit) = (0usize, 0usize);
+    let mut shrank_while_peers_stayed = false;
+
+    for minute in START..START + 90 {
+        let m = minute - START;
+        for c in 0..CUSTOMERS {
+            // Odd customers are bombed for 10 minutes, even ones for 20.
+            if m >= if c % 2 == 1 { 10 } else { 20 } {
+                continue;
+            }
+            let mut writes = Vec::new();
+            // The last customer only ever sees its own /24s: under alert,
+            // active, overlapping nobody.
+            if c != CUSTOMERS - 1 {
+                writes.extend(
+                    (0..SHARED)
+                        .filter(|s| !(s + c + m).is_multiple_of(3))
+                        .map(|s| Ipv4::from_octets(60, 1, s as u8, 0).subnet24()),
+                );
+            }
+            // 0–3 private /24s, hit twice in the minute (multiplicity 2).
+            for p in 0..c % 4 {
+                let own = Ipv4::from_octets(61, c as u8, p as u8, 0).subnet24();
+                writes.extend([own, own]);
+            }
+            for attacker in writes {
+                ex.clustering.record(minute, attacker, customer(c));
+                ops.push((minute, attacker, customer(c)));
+            }
+        }
+
+        let sets = live_sets(&ops, expired_at);
+        assert_eq!(ex.clustering.active_customers(), sets.len(), "minute {m}");
+        for c in 0..CUSTOMERS {
+            let bin = MinuteFlows {
+                minute,
+                customer: customer(c),
+                flows: vec![],
+            };
+            let got = &ex.extract_shared(&bin).0[offsets::A5..];
+            let want = reference_a5(&sets, customer(c));
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "A5[{i}], customer {c}, minute {m}"
+                );
+            }
+            lit += usize::from(got[0] > 0.0);
+        }
+        shrank_while_peers_stayed |= (1..most_active).contains(&sets.len());
+        most_active = most_active.max(sets.len());
+
+        ex.clustering.expire(minute);
+        expired_at = minute;
+    }
+    assert_eq!(most_active, CUSTOMERS as usize);
+    assert!(lit > 1000, "A5 lit on {lit} customer-minutes");
+    assert!(shrank_while_peers_stayed);
+    assert_eq!(ex.clustering.active_customers(), 0);
+    assert_eq!(ex.clustering.edge_count(), 0);
+    assert_eq!(ex.clustering.overlap_pairs(), 0);
 }
