@@ -412,6 +412,67 @@ fn bench_simd_vs_scalar_f32(c: &mut Criterion) {
     }
 }
 
+/// The exact backend's lane kernel where it lives: the dual-block step at
+/// the fleet geometry over a 450-row block (the `fleet_wide` shard), on
+/// 14 %-dense minute frames and on ~35 %-dense pooled buckets, forced
+/// scalar next to the host's widest level — and the bare kernel on the two
+/// products of one row, `Wx·x` over 39 nonzero inputs and `Wh·h` over all
+/// 24. Bit-identical at every level, so a pure throughput comparison.
+fn bench_exact_lane_kernel(c: &mut Criterion) {
+    use xatu_nn::simd::{self, SimdLevel};
+    use xatu_nn::{LaneIndices, Matrix, OnlineBlockWorkspace};
+    let mut levels = vec![SimdLevel::Scalar, simd::supported()];
+    levels.dedup();
+    let mut init = Initializer::new(5);
+    let mut lstm = Lstm::new(273, 24, &mut init);
+    const BATCH: usize = 450;
+    let h = 24;
+    // Every `stride`-th feature set: 1/7 is the minute frames' ~14 %,
+    // 1/3 a pooled bucket's union support.
+    let rows = |stride: usize| -> Vec<f64> {
+        (0..BATCH * 273)
+            .map(|i| if (i + i / 273) % stride == 0 { (i % 7 + 1) as f64 * 0.2 } else { 0.0 })
+            .collect()
+    };
+    let mut state = [(); 4].map(|_| vec![0.0f64; BATCH * h]);
+    let mut ws = OnlineBlockWorkspace::default();
+    for (suffix, xs) in [("", rows(7)), ("_pooled35", rows(3))] {
+        for &level in &levels {
+            lstm.set_simd(level);
+            let name = format!("dual_block_step_f64_{}_b450_273x24{suffix}", level.name());
+            c.bench_function(&name, |b| {
+                b.iter(|| {
+                    let [ah, ac, fh, fc] = &mut state;
+                    lstm.step_online_dual_block(black_box(&xs), BATCH, ah, ac, fh, fc, &mut ws);
+                    black_box(&ah);
+                })
+            });
+        }
+    }
+    let (mut wxt, mut wht) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+    lstm.wx().transpose_into(&mut wxt);
+    lstm.wh().transpose_into(&mut wht);
+    let x: Vec<f64> = (0..273)
+        .map(|i| if i % 7 == 0 { 0.3 + i as f64 * 1e-3 } else { 0.0 })
+        .collect();
+    let hid: Vec<f64> = (0..h).map(|i| (i as f64 * 0.37).sin()).collect();
+    let (mut nz, mut all) = (LaneIndices::default(), LaneIndices::default());
+    nz.set_nonzero(&x);
+    all.set_all(h);
+    assert_eq!(nz.count(), 39);
+    let mut y = vec![0.0f64; 4 * h];
+    for (name, wt, v, idx) in [("wx_nnz39", &wxt, &x, &nz), ("wh_all24", &wht, &hid, &all)] {
+        for &level in &levels {
+            c.bench_function(&format!("matvec_t_lanes_{name}_out96_{}", level.name()), |b| {
+                b.iter(|| {
+                    wt.matvec_acc_t_lanes(black_box(v), idx, &mut y, level);
+                    black_box(&y);
+                })
+            });
+        }
+    }
+}
+
 fn bench_safe_loss(c: &mut Criterion) {
     let hazards: Vec<f64> = (0..30).map(|i| 0.01 + 0.001 * i as f64).collect();
     c.bench_function("safe_loss_and_grad_30", |b| {
@@ -503,7 +564,7 @@ criterion_group! {
               bench_cusum, bench_rf_inference, bench_sampler, bench_warm_fwd_bwd,
               bench_obs_primitives, bench_safe_loss,
               bench_gate_kernel_exact_vs_fast, bench_dual_block_f64_vs_f32,
-              bench_simd_vs_scalar_f32
+              bench_simd_vs_scalar_f32, bench_exact_lane_kernel
 }
 criterion_group! {
     name = parallel_benches;

@@ -287,6 +287,24 @@ fn host_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
+/// The `host` block of the output: where the numbers were taken.
+fn host_json(nproc: usize, simd: xatu_nn::SimdLevel) -> String {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|text| {
+            let line = text.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split_once(':')?.1.trim().replace('"', "'"))
+        })
+        .unwrap_or_else(|| "unknown".into());
+    format!(
+        "{{ \"nproc\": {nproc}, \"simd\": \"{}\", \"cpu\": \"{cpu}\", \"arch\": \"{}\", \
+         \"obs\": {} }}",
+        simd.name(),
+        std::env::consts::ARCH,
+        xatu_obs::enabled(),
+    )
+}
+
 /// Exact and fast detectors stream the same minutes in lockstep; alert
 /// decisions must agree minute by minute and the worst per-customer
 /// survival deviation must stay within [`xatu_core::fleet::FAST_SURVIVAL_EPS`].
@@ -591,13 +609,13 @@ fn main() {
     let cfg = XatuConfig::default();
     let json = format!(
         "{{\n  \"label\": \"{label}\",\n  \"seed\": {SEED},\n  \"hidden\": {},\n  \
-         \"window\": {},\n  \"host_parallelism\": {host_par},\n  \"simd_level\": \"{}\",\n  \
+         \"window\": {},\n  \"host\": {},\n  \
          \"hundred_k_sim_minute_wall_s\": {hundred_k_minute_wall:.4},\n  \
          \"scales\": [\n{rows}\n  ],\n  \
          \"threads_sweep_100k\": [\n{exact_sweep_json}\n  ]{}\n}}\n",
         cfg.hidden,
         cfg.window,
-        simd_level.name(),
+        host_json(host_par, simd_level),
         fast_section.0,
     );
     let path = format!("BENCH_fleet_{label}.json");

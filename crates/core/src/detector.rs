@@ -62,7 +62,7 @@ use xatu_netflow::attack::AttackType;
 use xatu_nn::activations::softplus;
 use xatu_nn::lstm::Lstm;
 use xatu_nn::{
-    Dense, Lstm32, LstmState, OnlineBlockWorkspace, OnlineBlockWorkspace32, Params,
+    Dense, Lstm32, LstmState, OnlineBlockWorkspace, OnlineBlockWorkspace32, OnlineScratch, Params,
 };
 use xatu_survival::hazard::RollingSurvival;
 
@@ -77,7 +77,7 @@ pub(crate) const DENSE: u8 = 2;
 
 /// What the arenas store and the pooling arithmetic runs in.
 pub(crate) trait Scalar:
-    Copy + PartialEq + Send + Sync + AddAssign + MulAssign + Div<Output = Self> + 'static
+    Copy + Default + PartialEq + Send + Sync + AddAssign + MulAssign + Div<Output = Self> + 'static
 {
     const ZERO: Self;
     const ONE: Self;
@@ -127,7 +127,13 @@ pub(crate) trait Kernel: Sync {
     fn input_dim(&self) -> usize;
     fn hidden_dim(&self) -> usize;
     /// The reference online step on one row's `(h, c)`.
-    fn step_row(&self, x: &[Self::S], h: &mut [Self::S], c: &mut [Self::S], z: &mut Vec<Self::S>);
+    fn step_row(
+        &self,
+        x: &[Self::S],
+        h: &mut [Self::S],
+        c: &mut [Self::S],
+        scratch: &mut OnlineScratch<Self::S>,
+    );
     /// Both halves of `batch` dual states through one step, bit-identical
     /// to two [`Kernel::step_row`] calls per row.
     #[allow(clippy::too_many_arguments)]
@@ -153,8 +159,8 @@ impl Kernel for Lstm {
     fn hidden_dim(&self) -> usize {
         Lstm::hidden_dim(self)
     }
-    fn step_row(&self, x: &[f64], h: &mut [f64], c: &mut [f64], z: &mut Vec<f64>) {
-        self.step_online_slices(x, h, c, z);
+    fn step_row(&self, x: &[f64], h: &mut [f64], c: &mut [f64], scratch: &mut OnlineScratch<f64>) {
+        self.step_online_slices(x, h, c, scratch);
     }
     fn step_dual_block(
         &self,
@@ -180,8 +186,8 @@ impl Kernel for Lstm32 {
     fn hidden_dim(&self) -> usize {
         Lstm32::hidden_dim(self)
     }
-    fn step_row(&self, x: &[f32], h: &mut [f32], c: &mut [f32], z: &mut Vec<f32>) {
-        self.step_online_slices32(x, h, c, z);
+    fn step_row(&self, x: &[f32], h: &mut [f32], c: &mut [f32], scratch: &mut OnlineScratch<f32>) {
+        self.step_online_slices32(x, h, c, &mut scratch.z);
     }
     fn step_dual_block(
         &self,
@@ -339,9 +345,9 @@ impl<S: Scalar> IdleTrajectory<S> {
         let mut cs = vec![S::ZERO; entries * hidden];
         let mut h = vec![S::ZERO; hidden];
         let mut c = vec![S::ZERO; hidden];
-        let mut z = Vec::new();
+        let mut scratch = OnlineScratch::default();
         for k in 1..entries {
-            kernel.step_row(&zero_x, &mut h, &mut c, &mut z);
+            kernel.step_row(&zero_x, &mut h, &mut c, &mut scratch);
             hs[k * hidden..(k + 1) * hidden].copy_from_slice(&h);
             cs[k * hidden..(k + 1) * hidden].copy_from_slice(&c);
         }
@@ -582,14 +588,20 @@ impl<'a, K: Kernel> DualShard<'a, K> {
     }
 
     /// [`DualState::step`] for row `j` through the reference kernel.
-    fn step_one(&mut self, layer: Layer<'_, K>, j: usize, x: &[K::S], z: &mut Vec<K::S>) {
+    fn step_one(
+        &mut self,
+        layer: Layer<'_, K>,
+        j: usize,
+        x: &[K::S],
+        scratch: &mut OnlineScratch<K::S>,
+    ) {
         let r = self.row(j);
         layer
             .kernel
-            .step_row(x, &mut self.aged_h[r.clone()], &mut self.aged_c[r.clone()], z);
+            .step_row(x, &mut self.aged_h[r.clone()], &mut self.aged_c[r.clone()], scratch);
         layer
             .kernel
-            .step_row(x, &mut self.fresh_h[r.clone()], &mut self.fresh_c[r], z);
+            .step_row(x, &mut self.fresh_h[r.clone()], &mut self.fresh_c[r], scratch);
         self.idle[j].stepped(layer.traj.limit());
         self.tick(j);
     }
@@ -597,11 +609,10 @@ impl<'a, K: Kernel> DualShard<'a, K> {
     /// Batched [`DualState::step`] over the contiguous run `a..b`. Rows are
     /// independent and block composition cannot move a bit, so this equals
     /// [`DualShard::step_one`] per row. The run is processed in fixed
-    /// tiles purely for locality: a tile's pre-activations, states and
-    /// inputs stay cache-resident, and the tile is large enough to
-    /// amortise the per-block `Wxᵀ` materialisation of the sparse input
-    /// kernel while its two `batch × 4·hidden` pre-activation buffers stay
-    /// well under typical L2 capacity.
+    /// tiles: large enough to amortise what a kernel sets up per call (the
+    /// exact backend's `Wxᵀ`/`Whᵀ`), small enough that the fast backend's
+    /// two `batch × 4·hidden` pre-activation buffers stay well under
+    /// typical L2 capacity.
     pub(crate) fn step_block(
         &mut self,
         layer: Layer<'_, K>,
@@ -933,21 +944,12 @@ pub(crate) struct Solo;
 impl<S> Hook<S> for Solo {}
 
 /// Scratch of the scalar row path.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub(crate) struct RowScratch<S> {
-    /// LSTM pre-activations.
-    z: Vec<S>,
+    /// Scratch of the LSTM row step.
+    step: OnlineScratch<S>,
     /// Combiner input (`3·hidden`).
     pub input: Vec<f64>,
-}
-
-impl<S> Default for RowScratch<S> {
-    fn default() -> Self {
-        RowScratch {
-            z: Vec::new(),
-            input: Vec::new(),
-        }
-    }
 }
 
 /// Rejects a minute at or before the customer's newest.
@@ -1260,7 +1262,7 @@ pub(crate) fn row_minute<K: Kernel, H: Hook<K::S>>(
     for t in 0..TIMESCALES {
         if sh.flags[t][j] & DENSE != 0 {
             let x = if t == 0 { &sh.frame[r.clone()] } else { &sh.partial[t - 1][r.clone()] };
-            sh.dual[t].step_one(net.layers[t], j, x, &mut row.z);
+            sh.dual[t].step_one(net.layers[t], j, x, &mut row.step);
         }
     }
     finish_row(net, obs, sh, j, addr, minute, &mut row.input, hook, events)

@@ -44,7 +44,7 @@ use xatu_features::frame::NUM_FEATURES;
 use xatu_netflow::addr::Ipv4;
 use xatu_netflow::attack::AttackType;
 use xatu_nn::lstm::Lstm;
-use xatu_nn::simd::SimdLevel;
+use xatu_nn::simd::{self, SimdLevel};
 use xatu_nn::Lstm32;
 use xatu_par::{block_ranges_into, WorkerPool};
 
@@ -321,11 +321,9 @@ pub struct FleetDetector {
     pool: Option<WorkerPool>,
     /// Reusable buffer for the per-minute shard partition.
     ranges: Vec<(usize, usize)>,
-    /// [`XatuConfig::no_simd`]: pin the fast backend's `f32` kernels to
-    /// the scalar reference instead of auto-dispatching (bit-identical
-    /// either way). Captured at construction; checkpoints restored via
-    /// [`FleetDetector::from_checkpoint`] fall back to auto/env dispatch.
-    no_simd: bool,
+    /// The dispatch level of both backends' block kernels; see
+    /// [`FleetDetector::set_simd`].
+    simd: SimdLevel,
 }
 
 impl FleetDetector {
@@ -333,15 +331,23 @@ impl FleetDetector {
     /// [`crate::online::OnlineDetector::new`]).
     pub fn new(model: XatuModel, attack_type: AttackType, threshold: f64, cfg: &XatuConfig) -> Self {
         let numeric = Numeric::new(model.cfg.hidden, (cfg.short_len, cfg.medium_len, cfg.long_len));
-        Self::assemble(
+        let mut det = Self::assemble(
             Common::new(model, attack_type, threshold, cfg),
             Ledger::default(),
             numeric,
-            cfg.no_simd,
-        )
+        );
+        if cfg.no_simd {
+            // Config knob beats env/auto dispatch.
+            det.set_simd(SimdLevel::Scalar);
+        }
+        det
     }
 
-    fn assemble(common: Common, ledger: Ledger, numeric: Numeric<Lstm>, no_simd: bool) -> Self {
+    /// A detector on the exact backend, dispatching as [`simd::detect`]
+    /// says (auto, or scalar under `XATU_NO_SIMD`).
+    fn assemble(mut common: Common, ledger: Ledger, numeric: Numeric<Lstm>) -> Self {
+        let simd = simd::detect();
+        common.model.set_simd(simd);
         FleetDetector {
             common,
             ledger,
@@ -352,7 +358,30 @@ impl FleetDetector {
             events: Vec::new(),
             pool: None,
             ranges: Vec::new(),
-            no_simd,
+            simd,
+        }
+    }
+
+    /// The level the block kernels of this detector dispatch to.
+    pub fn simd_level(&self) -> SimdLevel {
+        self.simd
+    }
+
+    /// Sets the dispatch level of the block kernels — the exact layers'
+    /// and, once [`FleetDetector::enable_fast`] has built them, the `f32`
+    /// ones — clamped to what the host supports. [`SimdLevel::Scalar`]
+    /// pins the reference path; results are bit-identical at every level.
+    ///
+    /// [`FleetDetector::new`] applies [`XatuConfig::no_simd`] through here.
+    /// A checkpoint does not record the level, so a caller that resumes
+    /// under a configuration does the same after
+    /// [`FleetDetector::from_checkpoint`], which by itself follows the
+    /// environment.
+    pub fn set_simd(&mut self, level: SimdLevel) {
+        self.simd = level.min(simd::supported());
+        self.common.model.set_simd(self.simd);
+        if let Backend::Fast(fast) = &mut self.backend {
+            fast.kernels.iter_mut().for_each(|k| k.set_simd(self.simd));
         }
     }
 
@@ -539,10 +568,12 @@ impl FleetDetector {
 
     /// Rebuilds a fleet from a checkpoint — including one written by
     /// [`crate::online::OnlineDetector::to_checkpoint`] — on the exact
-    /// backend. Dense ids are assigned in checkpoint (address) order.
+    /// backend. Dense ids are assigned in checkpoint (address) order. The
+    /// kernels dispatch as the environment says; see
+    /// [`FleetDetector::set_simd`] to resume under a configuration.
     pub fn from_checkpoint(ck: &DetectorCheckpoint) -> Result<Self, XatuError> {
         let (common, ledger, numeric) = restore(ck)?;
-        Ok(Self::assemble(common, ledger, numeric, false))
+        Ok(Self::assemble(common, ledger, numeric))
     }
 
     /// Switches this detector to the reduced-precision backend: widens
@@ -558,10 +589,7 @@ impl FleetDetector {
         let model = &self.common.model;
         let kernels = [model.lstm_short(), model.lstm_medium(), model.lstm_long()].map(|layer| {
             let mut kernel = Lstm32::from_f64(layer);
-            if self.no_simd {
-                // Config knob beats env/auto dispatch.
-                kernel.set_simd(SimdLevel::Scalar);
-            }
+            kernel.set_simd(self.simd);
             kernel
         });
         let (s, m, l) = self.common.ctx_lens;

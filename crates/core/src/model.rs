@@ -30,8 +30,8 @@ use serde::{Deserialize, Serialize};
 use xatu_features::frame::NUM_FEATURES;
 use xatu_nn::activations::{dsoftplus, sigmoid, softplus};
 use xatu_nn::init::Initializer;
-use xatu_nn::lstm::{Lstm, LstmState, LstmTrace, LstmWorkspace};
-use xatu_nn::{Dense, FrameArena, Params};
+use xatu_nn::lstm::{Lstm, LstmState, LstmTrace, LstmWorkspace, OnlineScratch};
+use xatu_nn::{Dense, FrameArena, Params, SimdLevel};
 
 /// The model: three LSTMs + combiner + hazard head.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -185,6 +185,14 @@ impl XatuModel {
     /// The combiner head (crate-internal: fleet batched stepping).
     pub(crate) fn head(&self) -> &Dense {
         &self.head
+    }
+
+    /// Sets the dispatch level of the three layers' block kernels
+    /// (crate-internal: [`crate::FleetDetector::set_simd`]).
+    pub(crate) fn set_simd(&mut self, level: SimdLevel) {
+        for layer in [&mut self.lstm_short, &mut self.lstm_medium, &mut self.lstm_long] {
+            layer.set_simd(level);
+        }
     }
 
     /// Runs the model on a sample, producing hazards for each window step.
@@ -417,7 +425,7 @@ impl XatuModel {
             short: LstmState::zeros(h),
             medium: LstmState::zeros(h),
             long: LstmState::zeros(h),
-            z: Vec::new(),
+            scratch: OnlineScratch::default(),
             input: Vec::new(),
         }
     }
@@ -437,18 +445,18 @@ impl XatuModel {
         let (use_s, use_m, use_l) = self.cfg.mode.enabled();
         if use_s {
             self.lstm_short
-                .step_online_into(minute_frame, &mut state.short, &mut state.z);
+                .step_online_into(minute_frame, &mut state.short, &mut state.scratch);
         }
         if use_m {
             if let Some(b) = med_bucket {
                 self.lstm_medium
-                    .step_online_into(b, &mut state.medium, &mut state.z);
+                    .step_online_into(b, &mut state.medium, &mut state.scratch);
             }
         }
         if use_l {
             if let Some(b) = long_bucket {
                 self.lstm_long
-                    .step_online_into(b, &mut state.long, &mut state.z);
+                    .step_online_into(b, &mut state.long, &mut state.scratch);
             }
         }
         let h = self.cfg.hidden;
@@ -478,8 +486,8 @@ pub struct OnlineState {
     pub medium: LstmState,
     /// Long LSTM state.
     pub long: LstmState,
-    /// Pre-activation scratch shared by the three LSTM steps.
-    z: Vec<f64>,
+    /// Row-step scratch shared by the three LSTM steps.
+    scratch: OnlineScratch<f64>,
     /// Combiner input scratch (`3h`).
     input: Vec<f64>,
 }
@@ -501,8 +509,8 @@ pub struct DualState {
     aged_age: u32,
     fresh_age: u32,
     period: u32,
-    /// Pre-activation scratch for the in-place LSTM steps.
-    z: Vec<f64>,
+    /// Row-step scratch for the in-place LSTM steps.
+    scratch: OnlineScratch<f64>,
 }
 
 impl DualState {
@@ -516,14 +524,14 @@ impl DualState {
             aged_age: period.max(1),
             fresh_age: 0,
             period: period.max(1),
-            z: Vec::new(),
+            scratch: OnlineScratch::default(),
         }
     }
 
     /// Steps both states in place and returns the aged hidden state.
     pub fn step(&mut self, lstm: &Lstm, x: &[f64]) -> &[f64] {
-        lstm.step_online_into(x, &mut self.aged, &mut self.z);
-        lstm.step_online_into(x, &mut self.fresh, &mut self.z);
+        lstm.step_online_into(x, &mut self.aged, &mut self.scratch);
+        lstm.step_online_into(x, &mut self.fresh, &mut self.scratch);
         self.aged_age += 1;
         self.fresh_age += 1;
         if self.aged_age >= 2 * self.period {
@@ -589,7 +597,7 @@ impl DualState {
             aged_age,
             fresh_age,
             period,
-            z: Vec::new(),
+            scratch: OnlineScratch::default(),
         })
     }
 }
@@ -628,7 +636,7 @@ impl OnlineState {
             short,
             medium,
             long,
-            z: Vec::new(),
+            scratch: OnlineScratch::default(),
             input: Vec::new(),
         }
     }
@@ -927,7 +935,7 @@ mod tests {
         let window = Sample::widen(&s.window);
 
         let mut st = model.new_online_state();
-        let mut z = Vec::new();
+        let mut z = OnlineScratch::default();
         for f in &short_ctx {
             model.lstm_short.step_online_into(f, &mut st.short, &mut z);
         }

@@ -8,14 +8,16 @@
 //! Every fleet size 1..=17 is driven through a schedule that mixes real
 //! frames, explicit gaps, skips (catch-up imputation) and attack bursts,
 //! and every minute's survivals and lifecycle events are required to be
-//! **bit-identical** across thread counts — and, on the fast backend,
-//! between auto SIMD dispatch and the forced-scalar reference.
+//! **bit-identical** across thread counts — and, on both backends,
+//! between auto SIMD dispatch and the forced-scalar reference, also
+//! across a mid-run checkpoint.
 
 use xatu_core::config::XatuConfig;
 use xatu_core::fleet::{FleetDetector, FleetInput};
 use xatu_core::model::XatuModel;
 use xatu_netflow::addr::Ipv4;
 use xatu_netflow::attack::AttackType;
+use xatu_nn::SimdLevel;
 
 const MINUTES: u32 = 75;
 
@@ -24,9 +26,12 @@ fn addr(i: usize) -> Ipv4 {
 }
 
 fn build(n: usize) -> FleetDetector {
-    let cfg = XatuConfig::smoke_test();
-    let model = XatuModel::new(&cfg);
-    let mut det = FleetDetector::new(model, AttackType::UdpFlood, 0.35, &cfg);
+    build_with(n, &XatuConfig::smoke_test())
+}
+
+fn build_with(n: usize, cfg: &XatuConfig) -> FleetDetector {
+    let model = XatuModel::new(cfg);
+    let mut det = FleetDetector::new(model, AttackType::UdpFlood, 0.35, cfg);
     for i in 0..n {
         det.add_customer(addr(i));
     }
@@ -58,9 +63,19 @@ fn fill(i: usize, _a: Ipv4, frame: &mut [f64], minute: u32) -> FleetInput {
 /// Drives `det` for [`MINUTES`] at `threads`, returning every minute's
 /// event log and the full per-customer survival trace (as raw bits).
 fn run(mut det: FleetDetector, n: usize, threads: usize) -> (Vec<Vec<u64>>, Vec<u64>) {
+    run_span(&mut det, n, threads, 0..MINUTES)
+}
+
+/// [`run`] over a span of minutes, leaving the detector usable.
+fn run_span(
+    det: &mut FleetDetector,
+    n: usize,
+    threads: usize,
+    minutes: std::ops::Range<u32>,
+) -> (Vec<Vec<u64>>, Vec<u64>) {
     let mut events = Vec::new();
     let mut survivals = Vec::new();
-    for m in 0..MINUTES {
+    for m in minutes {
         let evs = det
             .step_minute_batch(m, threads, |i, a, f| fill(i, a, f, m))
             .unwrap();
@@ -115,6 +130,76 @@ fn more_threads_than_customers_clamps_cleanly() {
         let got = run(build(n), n, 16);
         assert_eq!(reference.0, got.0, "events diverged at n = {n}");
         assert_eq!(reference.1, got.1, "survival bits diverged at n = {n}");
+    }
+}
+
+/// `smoke_test` with `hidden` units and the scalar knob.
+fn cfg_with(hidden: usize, no_simd: bool) -> XatuConfig {
+    XatuConfig {
+        hidden,
+        no_simd,
+        ..XatuConfig::smoke_test()
+    }
+}
+
+#[test]
+fn exact_forced_scalar_matches_auto_simd_dispatch_bitwise() {
+    // The exact lane kernel widens across one customer's outputs, so the
+    // fleet size only moves block boundaries; what matters is the output
+    // count `4·hidden`: 24 has no full 32-wide chunk, 48 is one chunk and
+    // two 8-wide ones.
+    for hidden in [6usize, 12] {
+        for n in [1usize, 3, 4, 7, 8, 9, 15, 16, 17] {
+            for threads in [1usize, 4] {
+                let auto = run(build_with(n, &cfg_with(hidden, false)), n, threads);
+                let scalar = run(build_with(n, &cfg_with(hidden, true)), n, threads);
+                assert_eq!(
+                    auto.0, scalar.0,
+                    "events diverged at hidden = {hidden}, n = {n}, threads = {threads}"
+                );
+                assert_eq!(
+                    auto.1, scalar.1,
+                    "survival bits diverged at hidden = {hidden}, n = {n}, threads = {threads}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn forced_scalar_matches_auto_across_a_mid_run_checkpoint() {
+    // A checkpoint does not record the dispatch level: the resumed
+    // detector follows the environment until `set_simd` pins it, and
+    // pinned, auto and never-interrupted runs agree to the bit on both
+    // backends.
+    let (n, threads, cut) = (9usize, 4usize, 37u32);
+    for fast in [false, true] {
+        let start = || {
+            let mut det = build_with(n, &cfg_with(12, false));
+            if fast {
+                det.enable_fast();
+            }
+            det
+        };
+        let whole = run(start(), n, threads);
+        let mut first = start();
+        let head = run_span(&mut first, n, threads, 0..cut);
+        let ck = first.to_checkpoint();
+        for level in [SimdLevel::Scalar, xatu_nn::simd::supported()] {
+            let mut resumed = if fast {
+                FleetDetector::from_checkpoint_fast(&ck)
+            } else {
+                FleetDetector::from_checkpoint(&ck)
+            }
+            .expect("restore");
+            resumed.set_simd(level);
+            assert_eq!(resumed.simd_level(), level);
+            let tail = run_span(&mut resumed, n, threads, cut..MINUTES);
+            let events: Vec<_> = head.0.iter().chain(&tail.0).cloned().collect();
+            let survivals: Vec<_> = head.1.iter().chain(&tail.1).copied().collect();
+            assert_eq!(whole.0, events, "events diverged, fast = {fast}, {level:?}");
+            assert_eq!(whole.1, survivals, "survival bits diverged, fast = {fast}, {level:?}");
+        }
     }
 }
 

@@ -56,9 +56,9 @@ pub use arena::FrameArena;
 pub use autoencoder::{AeWorkspace, LstmAutoencoder};
 pub use dense::Dense;
 pub use gradpool::GradBufferPool;
-pub use lstm::{Lstm, LstmState, LstmTrace, LstmWorkspace, OnlineBlockWorkspace};
+pub use lstm::{Lstm, LstmState, LstmTrace, LstmWorkspace, OnlineBlockWorkspace, OnlineScratch};
 pub use lstm32::{Lstm32, Matrix32, OnlineBlockWorkspace32};
-pub use matrix::Matrix;
+pub use matrix::{LaneIndices, Matrix};
 pub use simd::SimdLevel;
 
 /// A parameter container that exposes its (parameter, gradient) pairs.

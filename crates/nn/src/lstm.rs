@@ -37,7 +37,8 @@
 use crate::activations::{dsigmoid_from_out, dtanh_from_out, sigmoid, tanh};
 use crate::arena::FrameArena;
 use crate::init::Initializer;
-use crate::matrix::{nonzero_indices_into, Matrix};
+use crate::matrix::{nonzero_indices_into, LaneIndices, Matrix};
+use crate::simd::{self, SimdLevel};
 use crate::Params;
 use serde::{Deserialize, Serialize};
 
@@ -231,34 +232,36 @@ fn fit(v: &mut Vec<f64>, n: usize) {
     v.resize(n, 0.0);
 }
 
-/// Reusable scratch for [`Lstm::step_online_block`]: the block's
-/// pre-activation arena (`batch × 4·hidden`) and the shared sparsity-scan
-/// index buffer. One workspace per fleet shard; buffers are resized with
-/// capacity-keeping operations, so steady-state block steps allocate
-/// nothing.
+/// Caller-held scratch of the online row step: the pre-activations
+/// (`4·hidden`) and the input's nonzero-index list. Grown on first use,
+/// then reused without allocating. Generic so the `f32` mirror
+/// ([`crate::lstm32::Lstm32`]) shares it.
 #[derive(Clone, Debug, Default)]
-pub struct OnlineBlockWorkspace {
-    /// Pre-activations, `batch × 4·hidden`, customer-major.
-    zs: Vec<f64>,
-    /// Ascending nonzero input indices of the row being processed.
-    nz: Vec<u32>,
-    /// Shared input contribution `b + Wx·x` per row, for
-    /// [`Lstm::step_online_dual_block`]'s two states-per-input halves.
-    zx: Vec<f64>,
-    /// `Wxᵀ`, materialised lazily per block call on the first sparse row
-    /// so the sparse kernel streams contiguous transpose rows (see
-    /// [`Matrix::matvec_acc_nz_t`]). Rebuilt every call — the workspace
-    /// never assumes the layer's weights are the ones it last saw.
-    wxt: Matrix,
-    /// Lane scratch for [`Matrix::matvec_acc_nz_t`], `4 × 4·hidden`.
-    lanes: Vec<f64>,
+pub struct OnlineScratch<S> {
+    /// Pre-activations.
+    pub z: Vec<S>,
+    /// Ascending nonzero input indices.
+    pub nz: Vec<u32>,
 }
 
-impl OnlineBlockWorkspace {
-    /// A fresh workspace (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// Reusable scratch for [`Lstm::step_online_dual_block`]. One workspace per
+/// fleet worker; buffers are resized with capacity-keeping operations, so
+/// steady-state block steps allocate nothing.
+#[derive(Clone, Debug, Default)]
+pub struct OnlineBlockWorkspace {
+    /// Shared input contribution `b + Wx·x` of the row being stepped.
+    zx: Vec<f64>,
+    /// Pre-activations of the half being stepped.
+    z: Vec<f64>,
+    /// `Wxᵀ` and `Whᵀ` for [`Matrix::matvec_acc_t_lanes`]. Rebuilt every
+    /// call — one workspace serves every layer of a detector, so it never
+    /// assumes the layer's weights are the ones it last saw.
+    wxt: Matrix,
+    wht: Matrix,
+    /// The row's nonzero input indices.
+    nz: LaneIndices,
+    /// Every hidden index, for `Wh·h`.
+    all: LaneIndices,
 }
 
 /// An LSTM layer: weights, biases and their gradient buffers.
@@ -275,6 +278,10 @@ pub struct Lstm {
     gwh: Option<Matrix>,
     #[serde(skip)]
     gb: Vec<f64>,
+    /// SIMD level of the block step: [`simd::detect`] at construction (so
+    /// `XATU_NO_SIMD` is honored), overridable with [`Lstm::set_simd`].
+    #[serde(skip, default = "simd::detect")]
+    simd: SimdLevel,
 }
 
 impl Lstm {
@@ -294,7 +301,14 @@ impl Lstm {
             gwx: Some(Matrix::zeros(4 * hidden, input)),
             gwh: Some(Matrix::zeros(4 * hidden, hidden)),
             gb: vec![0.0; 4 * hidden],
+            simd: simd::detect(),
         }
+    }
+
+    /// Overrides the level [`Lstm::step_online_dual_block`] dispatches to,
+    /// clamped to what the host supports. Every level is bit-identical.
+    pub fn set_simd(&mut self, level: SimdLevel) {
+        self.simd = level.min(simd::supported());
     }
 
     /// Input dimension.
@@ -389,12 +403,7 @@ impl Lstm {
 
         // z = b + Wx·x + Wh·h_{t−1}  (h_{t−1} read straight from the arena).
         trace.z.copy_from_slice(&self.b);
-        if use_sparse(nnz, self.input) {
-            let nz = &trace.nz_idx[trace.nz_idx.len() - nnz..];
-            self.wx.matvec_acc_nz(x, nz, &mut trace.z);
-        } else {
-            self.wx.matvec_acc(x, &mut trace.z);
-        }
+        self.wx_acc(x, &trace.nz_idx[trace.nz_idx.len() - nnz..], &mut trace.z);
         {
             let h_prev: &[f64] = if t == 0 {
                 &trace.h0
@@ -443,6 +452,17 @@ impl Lstm {
         trace.len = t + 1;
     }
 
+    /// `z += Wx·x` on the row-major weights, given `x`'s nonzero indices:
+    /// the index-list kernel when the frame is sparse enough for it to beat
+    /// the dense one (minute frames are; pooled buckets often are not).
+    fn wx_acc(&self, x: &[f64], nz: &[u32], z: &mut [f64]) {
+        if use_sparse(nz.len(), self.input) {
+            self.wx.matvec_acc_nz(x, nz, z);
+        } else {
+            self.wx.matvec_acc(x, z);
+        }
+    }
+
     /// Appends every frame of `frames` to `trace`.
     pub fn extend_arena(&self, frames: &FrameArena, trace: &mut LstmTrace) {
         for x in frames {
@@ -472,20 +492,26 @@ impl Lstm {
     }
 
     /// Cache-free single-step API for online (auto-regressive) operation:
-    /// updates `state` in place; `z` is caller-held pre-activation scratch
-    /// (grown to `4·hidden` on first use, then reused without allocating).
+    /// updates `state` in place against caller-held scratch.
     ///
     /// # Panics
     /// Panics if `x` or `state` have the wrong dimensions.
-    pub fn step_online_into(&self, x: &[f64], state: &mut LstmState, z: &mut Vec<f64>) {
-        self.step_online_slices(x, &mut state.h, &mut state.c, z);
+    pub fn step_online_into(
+        &self,
+        x: &[f64],
+        state: &mut LstmState,
+        scratch: &mut OnlineScratch<f64>,
+    ) {
+        self.step_online_slices(x, &mut state.h, &mut state.c, scratch);
     }
 
     /// [`Lstm::step_online_into`] on raw state slices, for callers whose
     /// per-customer `(h, c)` rows live in flat structure-of-arrays arenas
     /// rather than in [`LstmState`] objects. This *is* the reference online
     /// step — `step_online_into` delegates here — so arena-resident state
-    /// advances through literally the same code path.
+    /// advances through literally the same code path. Mostly-zero frames
+    /// take `Wx·x` through the nonzero-index kernel, which is bit-identical
+    /// to the dense one.
     ///
     /// # Panics
     /// Panics if `x`, `h_state` or `c_state` have the wrong dimensions.
@@ -494,77 +520,40 @@ impl Lstm {
         x: &[f64],
         h_state: &mut [f64],
         c_state: &mut [f64],
-        z: &mut Vec<f64>,
+        scratch: &mut OnlineScratch<f64>,
     ) {
         assert_eq!(x.len(), self.input, "lstm: input dim");
         assert_eq!(h_state.len(), self.hidden, "lstm: state h dim");
         assert_eq!(c_state.len(), self.hidden, "lstm: state c dim");
-        let h = self.hidden;
+        let OnlineScratch { z, nz } = scratch;
         z.clear();
         z.extend_from_slice(&self.b);
-        self.wx.matvec_acc(x, z);
+        nz.clear();
+        nz.reserve(x.len()); // a denser frame later on never allocates
+        nonzero_indices_into(x, nz);
+        self.wx_acc(x, nz, z);
         self.wh.matvec_acc(h_state, z);
-        for k in 0..h {
-            let i = sigmoid(z[k]);
-            let f = sigmoid(z[h + k]);
-            let g = tanh(z[2 * h + k]);
-            let o = sigmoid(z[3 * h + k]);
-            let c = f * c_state[k] + i * g;
-            c_state[k] = c;
-            h_state[k] = o * tanh(c);
-        }
+        self.gate_block(z, 1, h_state, c_state);
     }
 
-    /// Advances a block of `batch` independent online states through one
-    /// LSTM step: `xs` is `batch × input`, `hs`/`cs` are `batch × hidden`,
-    /// all customer-major flat rows.
+    /// Advances *both* halves of a block of `batch` independent dual online
+    /// states through one step: `xs` is `batch × input`, the four state
+    /// arenas are `batch × hidden`, all customer-major flat rows.
     ///
-    /// Bit-identical (0 ULP) to calling [`Lstm::step_online_into`] once per
-    /// row, pinned by a property test. Per row, the pre-activation is built
+    /// Bit-identical (0 ULP) to two [`Lstm::step_online_slices`] calls per
+    /// row, pinned by a property test. Per row the pre-activation is built
     /// from the same three contributions in the same order — bias copy,
-    /// `+= Wx·x` (each output element one `dot4`-ordered value; the sparse
-    /// index-list kernel used for mostly-zero frames is itself bit-identical
-    /// to the dense one), `+= Wh·h` — and the fused gate/cell/output loop is
-    /// the same scalar code. The throughput win is the recurrent half: `Wh`
-    /// is applied to all rows at once through [`Matrix::matvec_acc_batch`],
-    /// which streams each weight row once per 4 customers instead of once
-    /// per customer, and the whole block shares one sparsity scan buffer.
+    /// `+= Wx·x`, `+= Wh·h`, each output element one `dot4`-ordered value —
+    /// and the gate loop is the same scalar code. What the block saves: the
+    /// input contribution `b + Wx·x` is computed once and reused for the
+    /// aged and fresh halves, and both products run through
+    /// [`Matrix::matvec_acc_t_lanes`] on transposes built once per call —
+    /// `Wx·x` at a cost that follows the row's nonzero count, so sparse
+    /// minute frames and denser pooled buckets take the same path.
     ///
     /// Rows are fully independent, so ragged fleets (customers mid-gap,
     /// mid-imputation, or freshly cold-started) batch together freely and
     /// batch composition can never influence any row's result.
-    ///
-    /// # Panics
-    /// Panics if slice lengths disagree with `batch` and the layer shape.
-    pub fn step_online_block(
-        &self,
-        xs: &[f64],
-        batch: usize,
-        hs: &mut [f64],
-        cs: &mut [f64],
-        ws: &mut OnlineBlockWorkspace,
-    ) {
-        assert_eq!(xs.len(), batch * self.input, "lstm: block xs length");
-        assert_eq!(hs.len(), batch * self.hidden, "lstm: block hs length");
-        assert_eq!(cs.len(), batch * self.hidden, "lstm: block cs length");
-        let h = self.hidden;
-        let OnlineBlockWorkspace { zs, nz, wxt, lanes, .. } = ws;
-        // Length-only resize: every element is overwritten by the bias
-        // copy in `input_preactivations`, so no re-zeroing pass.
-        zs.resize(batch * 4 * h, 0.0);
-        self.input_preactivations(xs, batch, nz, wxt, lanes, zs);
-        // z_c += Wh·h_c for the whole block at once.
-        self.wh.matvec_acc_batch(hs, batch, zs);
-        self.gate_block(zs, batch, hs, cs);
-    }
-
-    /// Advances *both* halves of a block of dual online states through one
-    /// step sharing a single input contribution: for every row,
-    /// `z = b + Wx·x` is computed once and reused for the aged and fresh
-    /// halves (the recurrent `+ Wh·h` differs per half). Bit-identical to
-    /// two [`Lstm::step_online_block`] calls over the same `xs` — the
-    /// shared contribution is the same value either way, merely not
-    /// recomputed — and pinned by a property test.
     ///
     /// # Panics
     /// Panics if slice lengths disagree with `batch` and the layer shape.
@@ -585,78 +574,33 @@ impl Lstm {
         assert_eq!(fresh_hs.len(), batch * self.hidden, "lstm: block hs length");
         assert_eq!(fresh_cs.len(), batch * self.hidden, "lstm: block cs length");
         let h = self.hidden;
-        let OnlineBlockWorkspace { zs, nz, zx, wxt, lanes } = ws;
-        // Length-only resizes: both buffers are fully overwritten (bias
-        // copy / copy_from_slice) before being read.
-        zx.resize(batch * 4 * h, 0.0);
-        self.input_preactivations(xs, batch, nz, wxt, lanes, zx);
-        zs.resize(batch * 4 * h, 0.0);
-        zs.copy_from_slice(zx);
-        self.wh.matvec_acc_batch(aged_hs, batch, zs);
-        self.gate_block(zs, batch, aged_hs, aged_cs);
-        self.wh.matvec_acc_batch(fresh_hs, batch, zx);
-        self.gate_block(zx, batch, fresh_hs, fresh_cs);
-    }
-
-    /// `z_c = b + Wx·x_c` for every row of a block. Mostly-zero rows go
-    /// through the transposed sparse kernel (contiguous weight streaming;
-    /// `Wxᵀ` is materialised once per block on the first sparse row);
-    /// maximal runs of dense rows (pooled buckets are usually dense — a
-    /// bucket's support is the union of its frames') go through
-    /// [`Matrix::matvec_acc_batch`], which streams each `Wx` row once per
-    /// 4 customers instead of once per customer. All kernels are pinned
-    /// bit-identical, so routing cannot move a bit.
-    #[allow(clippy::too_many_arguments)]
-    fn input_preactivations(
-        &self,
-        xs: &[f64],
-        batch: usize,
-        nz: &mut Vec<u32>,
-        wxt: &mut Matrix,
-        lanes: &mut Vec<f64>,
-        zs: &mut [f64],
-    ) {
-        let h4 = 4 * self.hidden;
+        let OnlineBlockWorkspace { zx, z, wxt, wht, nz, all } = ws;
+        self.wx.transpose_into(wxt);
+        self.wh.transpose_into(wht);
+        all.set_all(h);
         for c in 0..batch {
-            zs[c * h4..(c + 1) * h4].copy_from_slice(&self.b);
-        }
-        let mut wxt_ready = false;
-        let mut dense_start = None;
-        for c in 0..=batch {
-            let is_dense = c < batch && {
-                let x = &xs[c * self.input..(c + 1) * self.input];
-                nz.clear();
-                let nnz = nonzero_indices_into(x, nz);
-                if use_sparse(nnz, self.input) {
-                    if !wxt_ready {
-                        self.wx.transpose_into(wxt);
-                        wxt_ready = true;
-                    }
-                    wxt.matvec_acc_nz_t(x, nz, &mut zs[c * h4..(c + 1) * h4], lanes);
-                    false
-                } else {
-                    true
-                }
-            };
-            match (dense_start, is_dense) {
-                (None, true) => dense_start = Some(c),
-                (Some(s), false) => {
-                    self.wx.matvec_acc_batch(
-                        &xs[s * self.input..c * self.input],
-                        c - s,
-                        &mut zs[s * h4..c * h4],
-                    );
-                    dense_start = None;
-                }
-                _ => {}
+            let x = &xs[c * self.input..(c + 1) * self.input];
+            let row = c * h..(c + 1) * h;
+            zx.clear();
+            zx.extend_from_slice(&self.b);
+            nz.set_nonzero(x);
+            wxt.matvec_acc_t_lanes(x, nz, zx, self.simd);
+            z.clear();
+            z.extend_from_slice(zx);
+            for (z, hs, cs) in [
+                (&mut *z, &mut *aged_hs, &mut *aged_cs),
+                (&mut *zx, &mut *fresh_hs, &mut *fresh_cs),
+            ] {
+                wht.matvec_acc_t_lanes(&hs[row.clone()], all, z, self.simd);
+                self.gate_block(z, 1, &mut hs[row.clone()], &mut cs[row.clone()]);
             }
         }
     }
 
     /// The fused gate/cell/output loop over a block's pre-activations, one
-    /// contiguous row per customer — the same scalar arithmetic as
-    /// [`Lstm::step_online_slices`]. Public so the micro-benches can time
-    /// the exact kernel against [`Lstm::gate_block_fast`] in isolation.
+    /// contiguous row per customer — the gate loop of every online step.
+    /// Public so the micro-benches can time the exact kernel against
+    /// [`Lstm::gate_block_fast`] in isolation.
     pub fn gate_block(&self, zs: &[f64], batch: usize, hs: &mut [f64], cs: &mut [f64]) {
         let h = self.hidden;
         for c in 0..batch {
@@ -703,8 +647,7 @@ impl Lstm {
     /// [`Lstm::step_online_into`].
     pub fn step_online(&self, x: &[f64], state: &LstmState) -> LstmState {
         let mut next = state.clone();
-        let mut z = Vec::new();
-        self.step_online_into(x, &mut next, &mut z);
+        self.step_online_into(x, &mut next, &mut OnlineScratch::default());
         next
     }
 
@@ -1159,7 +1102,7 @@ mod tests {
         let xs = seq(3, 10, 1.0);
         let trace = lstm.forward(&xs);
         let mut state = LstmState::zeros(4);
-        let mut z = Vec::new();
+        let mut z = OnlineScratch::default();
         for (t, x) in xs.iter().enumerate() {
             lstm.step_online_into(x, &mut state, &mut z);
             assert_eq!(state.h, trace.h(t));
@@ -1175,11 +1118,46 @@ mod tests {
         let xs = seq(2, 6, 0.9);
         let mut a = LstmState::zeros(3);
         let mut b = LstmState::zeros(3);
-        let mut z = Vec::new();
+        let mut z = OnlineScratch::default();
         for x in &xs {
             a = lstm.step_online(x, &a);
             lstm.step_online_into(x, &mut b, &mut z);
             assert_eq!(a, b);
+        }
+    }
+
+    /// One block workspace serves every layer of a detector, so it must
+    /// carry nothing of the layer it last saw: two different layers stepped
+    /// alternately through one workspace each match their own row steps.
+    #[test]
+    fn block_workspace_carries_nothing_between_layers() {
+        let (input, hidden, batch) = (7, 9, 5);
+        let mut init = Initializer::new(11);
+        let layers = [Lstm::new(input, hidden, &mut init), Lstm::new(input, hidden, &mut init)];
+        let xs: Vec<f64> = seq(input, batch, 0.8).concat();
+        let mut ws = OnlineBlockWorkspace::default();
+        let mut z = OnlineScratch::default();
+        // Per layer: block-stepped arenas and row-stepped references.
+        let mut got = [(); 2].map(|_| [(); 4].map(|_| vec![0.0; batch * hidden]));
+        let mut want = got.clone();
+        for _ in 0..3 {
+            for (l, layer) in layers.iter().enumerate() {
+                let [ah, ac, fh, fc] = &mut got[l];
+                layer.step_online_dual_block(&xs, batch, ah, ac, fh, fc, &mut ws);
+                let [ah, ac, fh, fc] = &mut want[l];
+                for (c, x) in xs.chunks(input).enumerate() {
+                    let r = c * hidden..(c + 1) * hidden;
+                    layer.step_online_slices(x, &mut ah[r.clone()], &mut ac[r.clone()], &mut z);
+                    layer.step_online_slices(x, &mut fh[r.clone()], &mut fc[r], &mut z);
+                }
+                // Move the fresh half off the aged one for the next round.
+                want[l][2].iter_mut().for_each(|v| *v *= 0.5);
+                got[l][2].iter_mut().for_each(|v| *v *= 0.5);
+                let bits = |a: &[Vec<f64>; 4]| -> Vec<u64> {
+                    a.iter().flatten().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(&got[l]), bits(&want[l]), "layer {l}");
+            }
         }
     }
 
@@ -1363,101 +1341,29 @@ mod tests {
             }
         }
 
-        /// The batched block step must match the per-customer online step
-        /// bitwise, at batch sizes around and across the 4-customer tile
-        /// boundary (1, 3, 64), with a ragged fleet: customers carrying
-        /// different-length histories, customers mid-gap re-fed their held
-        /// last frame (zero-order-hold imputation), and customers on all-
-        /// zero frames.
-        #[test]
-        fn online_block_matches_per_customer_bitwise(
-            seed in 0u64..5_000,
-            input in 1usize..6,
-            hidden in 1usize..6,
-            batch_sel in 0usize..3,
-        ) {
-            let batch = [1usize, 3, 64][batch_sel];
-            let mut init = Initializer::new(seed);
-            let lstm = Lstm::new(input, hidden, &mut init);
-            let mut z = Vec::new();
-
-            // Ragged per-customer histories: customer c has seen c % 5
-            // prior frames, so block rows start from genuinely different
-            // states.
-            let mut states: Vec<LstmState> = Vec::with_capacity(batch);
-            let mut frames: Vec<Vec<f64>> = Vec::with_capacity(batch);
-            for c in 0..batch {
-                let mut s = LstmState::zeros(hidden);
-                let pre = gen_seq(seed + c as u64, input, c % 5, 0.9);
-                for x in &pre {
-                    lstm.step_online_into(x, &mut s, &mut z);
-                }
-                let frame = match c % 7 {
-                    // Mid-gap: an all-zero frame.
-                    3 => vec![0.0; input],
-                    // Mid-imputation: the customer's held last frame.
-                    5 if !pre.is_empty() => pre.last().unwrap().clone(),
-                    _ => gen_seq(seed.wrapping_mul(31) + c as u64, input, 1, 1.2)
-                        .pop()
-                        .unwrap(),
-                };
-                states.push(s);
-                frames.push(frame);
-            }
-
-            // Frozen reference: one step_online_into per customer.
-            let mut want = states.clone();
-            for (s, x) in want.iter_mut().zip(&frames) {
-                lstm.step_online_into(x, s, &mut z);
-            }
-
-            // Batched path on flat customer-major arenas.
-            let mut xs = Vec::with_capacity(batch * input);
-            let mut hs = Vec::with_capacity(batch * hidden);
-            let mut cs = Vec::with_capacity(batch * hidden);
-            for (s, x) in states.iter().zip(&frames) {
-                xs.extend_from_slice(x);
-                hs.extend_from_slice(&s.h);
-                cs.extend_from_slice(&s.c);
-            }
-            let mut ws = OnlineBlockWorkspace::new();
-            lstm.step_online_block(&xs, batch, &mut hs, &mut cs, &mut ws);
-            // Warm second step through the same workspace must also agree.
-            for (s, x) in want.iter_mut().zip(&frames) {
-                lstm.step_online_into(x, s, &mut z);
-            }
-            lstm.step_online_block(&xs, batch, &mut hs, &mut cs, &mut ws);
-
-            for (c, w) in want.iter().enumerate() {
-                for (a, b) in hs[c * hidden..(c + 1) * hidden].iter().zip(&w.h) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits());
-                }
-                for (a, b) in cs[c * hidden..(c + 1) * hidden].iter().zip(&w.c) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits());
-                }
-            }
-        }
-
         /// The shared-input dual-block step (aged + fresh halves per input)
-        /// must match two independent per-half reference steps bitwise:
-        /// sharing `b + Wx·x` across halves reuses the identical value.
+        /// must match two independent per-half reference steps bitwise, at
+        /// every dispatch level, cold and through a warm workspace: sharing
+        /// `b + Wx·x` across halves reuses the identical value. Hidden 8
+        /// and 12 reach the kernel's 32-wide output chunk.
         #[test]
         fn online_dual_block_matches_per_half_bitwise(
             seed in 0u64..5_000,
             input in 1usize..6,
-            hidden in 1usize..6,
+            hidden_sel in 0usize..7,
             batch_sel in 0usize..3,
         ) {
+            let hidden = [1usize, 2, 3, 4, 5, 8, 12][hidden_sel];
             let batch = [1usize, 3, 64][batch_sel];
             let mut init = Initializer::new(seed.wrapping_add(77));
-            let lstm = Lstm::new(input, hidden, &mut init);
-            let mut z = Vec::new();
+            let mut lstm = Lstm::new(input, hidden, &mut init);
+            let mut z = OnlineScratch::default();
 
             // Aged and fresh halves at genuinely different points: the
             // aged half has a longer history.
             let mut aged: Vec<LstmState> = Vec::with_capacity(batch);
             let mut fresh: Vec<LstmState> = Vec::with_capacity(batch);
-            let mut frames: Vec<Vec<f64>> = Vec::with_capacity(batch);
+            let mut xs = Vec::with_capacity(batch * input);
             for c in 0..batch {
                 let pre = gen_seq(seed + c as u64, input, 2 + c % 5, 0.9);
                 let mut a = LstmState::zeros(hidden);
@@ -1468,53 +1374,42 @@ mod tests {
                 for x in &pre[..c % 3.min(pre.len())] {
                     lstm.step_online_into(x, &mut f, &mut z);
                 }
-                let frame = if c % 7 == 3 {
-                    vec![0.0; input]
+                if c % 7 == 3 {
+                    xs.extend(std::iter::repeat_n(0.0, input));
                 } else {
-                    gen_seq(seed.wrapping_mul(29) + c as u64, input, 1, 1.1)
-                        .pop()
-                        .unwrap()
-                };
+                    let frame = gen_seq(seed.wrapping_mul(29) + c as u64, input, 1, 1.1);
+                    xs.extend_from_slice(&frame[0]);
+                }
                 aged.push(a);
                 fresh.push(f);
-                frames.push(frame);
             }
+            let flat = |states: &[LstmState]| -> (Vec<f64>, Vec<f64>) {
+                (
+                    states.iter().flat_map(|s| s.h.iter().copied()).collect(),
+                    states.iter().flat_map(|s| s.c.iter().copied()).collect(),
+                )
+            };
+            let ((ah0, ac0), (fh0, fc0)) = (flat(&aged), flat(&fresh));
 
-            let mut want_aged = aged.clone();
-            let mut want_fresh = fresh.clone();
-            for ((a, f), x) in want_aged.iter_mut().zip(want_fresh.iter_mut()).zip(&frames) {
-                lstm.step_online_into(x, a, &mut z);
-                lstm.step_online_into(x, f, &mut z);
-            }
-
-            let mut xs = Vec::with_capacity(batch * input);
-            let (mut ah, mut ac) = (Vec::new(), Vec::new());
-            let (mut fh, mut fc) = (Vec::new(), Vec::new());
-            for ((a, f), x) in aged.iter().zip(&fresh).zip(&frames) {
-                xs.extend_from_slice(x);
-                ah.extend_from_slice(&a.h);
-                ac.extend_from_slice(&a.c);
-                fh.extend_from_slice(&f.h);
-                fc.extend_from_slice(&f.c);
-            }
-            let mut ws = OnlineBlockWorkspace::new();
-            lstm.step_online_dual_block(&xs, batch, &mut ah, &mut ac, &mut fh, &mut fc, &mut ws);
-            // Warm second step through the same workspace must also agree.
-            for ((a, f), x) in want_aged.iter_mut().zip(want_fresh.iter_mut()).zip(&frames) {
-                lstm.step_online_into(x, a, &mut z);
-                lstm.step_online_into(x, f, &mut z);
-            }
-            lstm.step_online_dual_block(&xs, batch, &mut ah, &mut ac, &mut fh, &mut fc, &mut ws);
-
-            for c in 0..batch {
-                for (got, want) in [
-                    (&ah[c * hidden..(c + 1) * hidden], &want_aged[c].h),
-                    (&ac[c * hidden..(c + 1) * hidden], &want_aged[c].c),
-                    (&fh[c * hidden..(c + 1) * hidden], &want_fresh[c].h),
-                    (&fc[c * hidden..(c + 1) * hidden], &want_fresh[c].c),
-                ] {
-                    for (a, b) in got.iter().zip(want) {
-                        prop_assert_eq!(a.to_bits(), b.to_bits());
+            for level in [SimdLevel::Scalar, simd::supported()] {
+                lstm.set_simd(level);
+                let (mut want_aged, mut want_fresh) = (aged.clone(), fresh.clone());
+                let (mut ah, mut ac) = (ah0.clone(), ac0.clone());
+                let (mut fh, mut fc) = (fh0.clone(), fc0.clone());
+                let mut ws = OnlineBlockWorkspace::default();
+                for _ in 0..2 {
+                    for (c, x) in xs.chunks(input).enumerate() {
+                        lstm.step_online_into(x, &mut want_aged[c], &mut z);
+                        lstm.step_online_into(x, &mut want_fresh[c], &mut z);
+                    }
+                    lstm.step_online_dual_block(
+                        &xs, batch, &mut ah, &mut ac, &mut fh, &mut fc, &mut ws,
+                    );
+                    let ((wah, wac), (wfh, wfc)) = (flat(&want_aged), flat(&want_fresh));
+                    for (got, want) in [(&ah, &wah), (&ac, &wac), (&fh, &wfh), (&fc, &wfc)] {
+                        for (a, b) in got.iter().zip(want) {
+                            prop_assert_eq!(a.to_bits(), b.to_bits());
+                        }
                     }
                 }
             }
@@ -1533,7 +1428,7 @@ mod tests {
             let xs = gen_seq(seed, input, len, 1.1);
             let trace = lstm.forward(&xs);
             let mut state = LstmState::zeros(hidden);
-            let mut z = Vec::new();
+            let mut z = OnlineScratch::default();
             for (t, x) in xs.iter().enumerate() {
                 lstm.step_online_into(x, &mut state, &mut z);
                 for (a, b) in state.h.iter().zip(trace.h(t)) {

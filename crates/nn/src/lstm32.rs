@@ -88,11 +88,10 @@ impl Matrix32 {
     }
 
     /// `y += A·x` touching only the columns listed in `nz`, on the
-    /// materialised transpose — the f32 [`Matrix::matvec_acc_nz_t`],
-    /// with the identical lane protocol (lane `j mod 4` per source
-    /// index, fold `(l0+l1)+(l2+l3)`, tail indices after, one
-    /// accumulate into `ys`), so it is bit-identical *in f32* to the
-    /// dense [`Matrix32::matvec_acc`] on the original matrix.
+    /// materialised transpose, with `dot4`'s lane protocol (lane
+    /// `j mod 4` per source index, fold `(l0+l1)+(l2+l3)`, tail indices
+    /// after, one accumulate into `ys`), so it is bit-identical *in f32*
+    /// to the dense [`Matrix32::matvec_acc`] on the original matrix.
     ///
     /// # Panics
     /// Panics if dimensions disagree or an index is out of range.
@@ -138,11 +137,11 @@ impl Matrix32 {
         }
     }
 
-    /// Batched multiply-accumulate over `batch` column vectors — the
-    /// f32 [`Matrix::matvec_acc_batch`] with the same 4-customer tiles,
-    /// 4-wide weight chunks, per-tile `(s0+s1)+(s2+s3)` combine and
-    /// index-order tails, so every output column is bit-identical *in
-    /// f32* to a per-column [`Matrix32::matvec_acc`].
+    /// Batched multiply-accumulate over `batch` column vectors, in
+    /// 4-customer tiles with 4-wide weight chunks, per-tile
+    /// `(s0+s1)+(s2+s3)` combine and index-order tails, so every output
+    /// column is bit-identical *in f32* to a per-column
+    /// [`Matrix32::matvec_acc`].
     ///
     /// # Panics
     /// Panics if slice lengths disagree with `batch` and the shape.
@@ -453,8 +452,7 @@ impl Lstm32 {
 
     /// Per-customer input contribution `b + Wx·x` into `zs`, routing
     /// each row dense (tiled batch kernel over maximal runs) or sparse
-    /// (transposed index kernel) exactly like the f64
-    /// `input_preactivations` — both routes bit-identical in f32.
+    /// (transposed index kernel) — both routes bit-identical in f32.
     #[allow(clippy::too_many_arguments)]
     fn input_preactivations(
         &self,

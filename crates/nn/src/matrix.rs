@@ -3,6 +3,7 @@
 //! Only the kernels the layers actually need are implemented, each written
 //! so the inner loop is over contiguous memory.
 
+use crate::simd::SimdLevel;
 use serde::{Deserialize, Serialize};
 
 /// A dense `rows × cols` matrix of `f64`, row-major.
@@ -144,133 +145,47 @@ impl Matrix {
         }
     }
 
-    /// [`Matrix::matvec_acc_nz`] evaluated on the materialised transpose:
-    /// `self` is `Aᵀ` and this computes `y += A·x` touching only the
-    /// columns of `A` (rows of `self`) listed in `nz`.
+    /// `y += A·x` on the materialised transpose — `self` is `Aᵀ`, `in × out`
+    /// — touching only the inputs listed in `idx`: the exact backend's one
+    /// online kernel, for `Wx·x` on a row's non-zero inputs and `Wh·h` on all.
     ///
-    /// Bit-identical to `A.matvec_acc_nz(x, nz, y)`: the same lane
-    /// contract is replayed with the loop nest flipped. Four lane arrays
-    /// stand in for `dot4`'s four scalar accumulators — column `j` of `A`
-    /// feeds lane `j mod 4`, columns arrive in ascending `j` (the `nz`
-    /// list is ascending), lanes combine per output as `(s0+s1)+(s2+s3)`,
-    /// and the `len % 4` tail columns are folded in afterwards in index
-    /// order. Per output element that is exactly the add sequence the
-    /// row-major kernel performs, so no bit can move. A property test
-    /// pins the equivalence.
+    /// Bit-identical to `A.matvec_acc(x, y)`. Outputs go in chunks of 32
+    /// (then 8, then 1). For a chunk the kernel holds **one `dot4` lane's
+    /// partial sums in registers**, walks that lane's ascending inputs
+    /// `j ≡ l (mod 4)` doing `acc += Aᵀ[j][chunk] · x[j]` — a separate
+    /// multiply and add — parks the lane, folds `(s0+s1)+(s2+s3)`, adds the
+    /// `len % 4` tail inputs in order and does the single `y += s`: per
+    /// output exactly `dot4`'s add sequence. Inputs left out of a non-zero
+    /// list contribute `±0.0` products, which cannot move a bit (see
+    /// [`Matrix::matvec_acc_nz`]). Against walking `A` row by row, every
+    /// weight is one contiguous load per multiply-add and no output needs a
+    /// horizontal fold.
     ///
-    /// The perf win is access shape: the row-major kernel reads ~`nnz`
-    /// scattered elements from every one of `rows` weight rows (a cache
-    /// line fetched per 8 bytes used), while this form streams one
-    /// contiguous `rows`-long transpose row per nonzero input and uses
-    /// every byte it pulls. `lanes` is caller-owned scratch (resized to
-    /// `4·rows`) so steady-state calls allocate nothing.
-    ///
-    /// # Panics
-    /// Panics if dimensions disagree or an index is out of range.
-    pub fn matvec_acc_nz_t(&self, x: &[f64], nz: &[u32], ys: &mut [f64], lanes: &mut Vec<f64>) {
-        assert_eq!(x.len(), self.rows, "matvec_nz_t: x length");
-        assert_eq!(ys.len(), self.cols, "matvec_nz_t: y length");
-        let m = self.cols;
-        let lanes_end = (x.len() - x.len() % 4) as u32;
-        let split = nz.partition_point(|&i| i < lanes_end);
-        let (lane_idx, tail_idx) = nz.split_at(split);
-        lanes.clear();
-        lanes.resize(4 * m, 0.0);
-        let (l0, rest) = lanes.split_at_mut(m);
-        let (l1, rest) = rest.split_at_mut(m);
-        let (l2, l3) = rest.split_at_mut(m);
-        for &j in lane_idx {
-            let j = j as usize;
-            let xj = x[j];
-            let col = self.row(j);
-            let lane: &mut [f64] = match j % 4 {
-                0 => &mut *l0,
-                1 => &mut *l1,
-                2 => &mut *l2,
-                _ => &mut *l3,
-            };
-            for (s, &w) in lane.iter_mut().zip(col) {
-                *s += w * xj;
-            }
-        }
-        // Fold lanes into `l0` exactly as the scalar kernel's
-        // `(s0+s1)+(s2+s3)`, then add the tail columns in index order on
-        // top before the single accumulate into `ys`.
-        for r in 0..m {
-            l0[r] = (l0[r] + l1[r]) + (l2[r] + l3[r]);
-        }
-        for &j in tail_idx {
-            let j = j as usize;
-            let xj = x[j];
-            let col = self.row(j);
-            for (s, &w) in l0.iter_mut().zip(col) {
-                *s += w * xj;
-            }
-        }
-        for (yr, &s) in ys.iter_mut().zip(&*l0) {
-            *yr += s;
-        }
-    }
-
-    /// Batched multiply-accumulate over `batch` column vectors:
-    /// `ys[c·rows .. (c+1)·rows] += A · xs[c·cols .. (c+1)·cols]` for every
-    /// `c` — the cross-customer form of [`Matrix::matvec_acc`].
-    ///
-    /// Bit-identical to calling `matvec_acc` once per column: every output
-    /// element is produced by `dot4`'s exact summation contract (lane
-    /// `l = k mod 4` sums its products in ascending `k`, lanes combine as
-    /// `(s0+s1)+(s2+s3)`, tail added in index order), so tile boundaries —
-    /// and therefore batch composition and shard boundaries — can never
-    /// move a bit. A property test pins the equivalence.
-    ///
-    /// The perf win over a per-column loop is reuse: columns are processed
-    /// in tiles of 4, so each 4-wide chunk of a weight row is loaded once
-    /// and multiplied into 4 inputs while 16 accumulator lanes pipeline,
-    /// instead of re-streaming the whole weight matrix per customer.
+    /// The body is safe Rust, written once and compiled twice: plain, and
+    /// inside an AVX2 `#[target_feature]` wrapper taken when `level` allows
+    /// it and the CPU has it. rustc never contracts a multiply and an add
+    /// into an FMA, so `level` cannot move a bit.
     ///
     /// # Panics
-    /// Panics if slice lengths disagree with `batch` and the matrix shape.
-    pub fn matvec_acc_batch(&self, xs: &[f64], batch: usize, ys: &mut [f64]) {
-        let (rows, cols) = (self.rows, self.cols);
-        assert_eq!(xs.len(), batch * cols, "matvec_batch: xs length");
-        assert_eq!(ys.len(), batch * rows, "matvec_batch: ys length");
-        let tiles = batch - batch % 4;
-        let lanes = cols - cols % 4;
-        for r in 0..rows {
-            let row = self.row(r);
-            let mut c = 0;
-            while c < tiles {
-                let x: [&[f64]; 4] = [
-                    &xs[c * cols..(c + 1) * cols],
-                    &xs[(c + 1) * cols..(c + 2) * cols],
-                    &xs[(c + 2) * cols..(c + 3) * cols],
-                    &xs[(c + 3) * cols..(c + 4) * cols],
-                ];
-                let mut s = [[0.0f64; 4]; 4];
-                let mut k = 0;
-                while k < lanes {
-                    let w = [row[k], row[k + 1], row[k + 2], row[k + 3]];
-                    for (sj, xj) in s.iter_mut().zip(x) {
-                        sj[0] += w[0] * xj[k];
-                        sj[1] += w[1] * xj[k + 1];
-                        sj[2] += w[2] * xj[k + 2];
-                        sj[3] += w[3] * xj[k + 3];
-                    }
-                    k += 4;
-                }
-                for (j, (sj, xj)) in s.iter().zip(x).enumerate() {
-                    let mut acc = (sj[0] + sj[1]) + (sj[2] + sj[3]);
-                    for t in lanes..cols {
-                        acc += row[t] * xj[t];
-                    }
-                    ys[(c + j) * rows + r] += acc;
-                }
-                c += 4;
-            }
-            for cj in tiles..batch {
-                ys[cj * rows + r] += dot4(row, &xs[cj * cols..(cj + 1) * cols]);
-            }
+    /// Panics if dimensions disagree or `idx` was built for another length.
+    pub fn matvec_acc_t_lanes(
+        &self,
+        x: &[f64],
+        idx: &LaneIndices,
+        y: &mut [f64],
+        level: SimdLevel,
+    ) {
+        assert_eq!(x.len(), self.rows, "matvec_t_lanes: x length");
+        assert_eq!(y.len(), self.cols, "matvec_t_lanes: y length");
+        assert_eq!(idx.len, x.len(), "matvec_t_lanes: index list length");
+        #[cfg(target_arch = "x86_64")]
+        if level.min(crate::simd::supported()) == SimdLevel::Avx2 {
+            // SAFETY: `supported()` verified AVX2 on this CPU just above.
+            unsafe { crate::simd::x86::t_lanes_avx2(&self.data, x, idx, y) };
+            return;
         }
+        let _ = level; // only read on x86_64
+        t_lanes(&self.data, x, idx, y);
     }
 
     /// `y += Aᵀ·x` — transposed matrix-vector multiply-accumulate.
@@ -325,12 +240,12 @@ impl Matrix {
     pub fn transpose_into(&self, out: &mut Matrix) {
         out.rows = self.cols;
         out.cols = self.rows;
-        out.data.clear();
+        // Length only — every element is overwritten. Writes run along
+        // `out`'s rows and the strided side is the reads.
         out.data.resize(self.rows * self.cols, 0.0);
-        for r in 0..self.rows {
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            for (c, &v) in row.iter().enumerate() {
-                out.data[c * self.rows + r] = v;
+        for (c, col) in out.data.chunks_exact_mut(self.rows.max(1)).enumerate() {
+            for (v, s) in col.iter_mut().zip(self.data[c..].iter().step_by(self.cols)) {
+                *v = *s;
             }
         }
     }
@@ -408,6 +323,141 @@ pub fn nonzero_indices_into(x: &[f64], out: &mut Vec<u32>) -> usize {
             .map(|(i, _)| i as u32),
     );
     out.len() - before
+}
+
+/// Ascending input indices split the way `dot4` sums them — the four
+/// lanes `j ≡ l (mod 4)` below `len − len % 4`, then the tail — for
+/// [`Matrix::matvec_acc_t_lanes`]. Refilling keeps the allocations.
+#[derive(Clone, Debug, Default)]
+pub struct LaneIndices {
+    lanes: [Vec<u32>; 4],
+    tail: Vec<u32>,
+    /// Length of the input vector the lists were built for.
+    len: usize,
+}
+
+impl LaneIndices {
+    /// The indices of `x`'s exact-nonzero entries (`-0.0` counts as zero).
+    pub fn set_nonzero(&mut self, x: &[f64]) {
+        self.fill(x.len(), |j| x[j] != 0.0);
+    }
+
+    /// Every index below `len`.
+    pub fn set_all(&mut self, len: usize) {
+        self.fill(len, |_| true);
+    }
+
+    /// How many indices are listed.
+    pub fn count(&self) -> usize {
+        self.lanes.iter().map(Vec::len).sum::<usize>() + self.tail.len()
+    }
+
+    /// Branch-free on `keep` — an index is stored at its lane's fill mark,
+    /// which moves on only for a kept one — because at ~14 % density a branch
+    /// per input mispredicts its way to the cost of the matvec it prepares.
+    /// Sizing the lanes in full first means a later input never allocates.
+    #[inline]
+    fn fill(&mut self, len: usize, keep: impl Fn(usize) -> bool) {
+        self.len = len;
+        let lanes_end = len - len % 4;
+        let mut kept = [0usize; 4];
+        self.lanes.iter_mut().for_each(|lane| lane.resize(len / 4, 0));
+        for base in (0..lanes_end).step_by(4) {
+            for (l, lane) in self.lanes.iter_mut().enumerate() {
+                lane[kept[l]] = (base + l) as u32;
+                kept[l] += usize::from(keep(base + l));
+            }
+        }
+        for (lane, n) in self.lanes.iter_mut().zip(kept) {
+            lane.truncate(n);
+        }
+        self.tail.clear();
+        self.tail
+            .extend((lanes_end..len).filter(|&j| keep(j)).map(|j| j as u32));
+    }
+}
+
+/// The one body of [`Matrix::matvec_acc_t_lanes`]: `wt` is `Aᵀ`, row-major
+/// `x.len() × y.len()`. `#[inline(always)]` so that each caller — the plain
+/// entry and the AVX2 wrapper in [`crate::simd`] — compiles its own copy
+/// at its own vector width.
+#[inline(always)]
+pub(crate) fn t_lanes(wt: &[f64], x: &[f64], idx: &LaneIndices, y: &mut [f64]) {
+    let out = y.len();
+    debug_assert_eq!(wt.len(), x.len() * out);
+    debug_assert_eq!(idx.len, x.len());
+    let mut o = 0;
+    while o + 32 <= out {
+        t_lanes_chunk::<32>(wt, out, o, x, idx, y);
+        o += 32;
+    }
+    while o + 8 <= out {
+        t_lanes_chunk::<8>(wt, out, o, x, idx, y);
+        o += 8;
+    }
+    while o < out {
+        t_lanes_chunk::<1>(wt, out, o, x, idx, y);
+        o += 1;
+    }
+}
+
+/// Outputs `o..o + W` of [`t_lanes`]: the four lanes, the fold, the tail,
+/// the one accumulate into `y`.
+#[inline(always)]
+fn t_lanes_chunk<const W: usize>(
+    wt: &[f64],
+    out: usize,
+    o: usize,
+    x: &[f64],
+    idx: &LaneIndices,
+    y: &mut [f64],
+) {
+    let mut s = [[0.0f64; W]; 4];
+    let mut in_range = true;
+    for (sl, lane) in s.iter_mut().zip(&idx.lanes) {
+        in_range &= t_lanes_walk(wt, out, o, x, lane, sl);
+    }
+    let mut acc: [f64; W] = std::array::from_fn(|k| (s[0][k] + s[1][k]) + (s[2][k] + s[3][k]));
+    in_range &= t_lanes_walk(wt, out, o, x, &idx.tail, &mut acc);
+    assert!(in_range, "matvec_t_lanes: index out of range");
+    for (yk, a) in y[o..o + W].iter_mut().zip(acc) {
+        *yk += a;
+    }
+}
+
+/// `acc += Aᵀ[j][o..o + W] · x[j]` for every `j` of `list`, in order, with
+/// the sums in a fixed-size local so they live in registers (32 doubles
+/// are eight `ymm`).
+///
+/// An index past the matrix cannot come out of [`LaneIndices`]; should one
+/// appear, the walk stops there and reports `false`, and the caller panics
+/// once the chunk is done. Leaving the loop instead of panicking inside it
+/// is what lets LLVM vectorize the sums: a panicking exit in the loop body
+/// keeps them scalar.
+#[inline(always)]
+fn t_lanes_walk<const W: usize>(
+    wt: &[f64],
+    out: usize,
+    o: usize,
+    x: &[f64],
+    list: &[u32],
+    acc: &mut [f64; W],
+) -> bool {
+    let mut sums = *acc;
+    let mut in_range = true;
+    for &j in list {
+        let j = j as usize;
+        let row = wt.get(j * out + o..).and_then(<[f64]>::first_chunk::<W>);
+        let (Some(w), Some(&xj)) = (row, x.get(j)) else {
+            in_range = false;
+            break;
+        };
+        for (a, &wk) in sums.iter_mut().zip(w) {
+            *a += wk * xj;
+        }
+    }
+    *acc = sums;
+    in_range
 }
 
 /// `y += α·x` on raw vectors.
@@ -553,6 +603,65 @@ mod tests {
         assert_eq!(t.data.capacity(), cap);
     }
 
+    /// The register-blocked kernel on the transpose must be bit-identical
+    /// to the row-major `matvec_acc`. The whole grid, not a sample: every
+    /// input tail (0–3), every output chunk remainder (32-, 8- and 1-wide,
+    /// up to the paper's hidden 200), zeros planted from none to all of `x`
+    /// (half of them `-0.0`), the non-zero and the all-indices lists, and
+    /// the plain and AVX2 instantiations where the host has both.
+    #[test]
+    fn t_lanes_matches_matvec_acc_bitwise() {
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut value = |scale: f64| ((next() >> 11) as f64 / (1u64 << 52) as f64 - 1.0) * scale;
+        let (mut nz, mut all) = (LaneIndices::default(), LaneIndices::default());
+        let mut at = Matrix::zeros(0, 0);
+        for n_in in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 24, 273] {
+            for n_out in [1usize, 7, 8, 24, 31, 32, 33, 48, 96, 100, 800] {
+                let weights = (0..n_out * n_in).map(|_| value(1.0e6)).collect();
+                let a = Matrix::from_vec(n_out, n_in, weights);
+                a.transpose_into(&mut at);
+                for zero_pct in [0u64, 14, 50, 86, 100] {
+                    let x: Vec<f64> = (0..n_in)
+                        .map(|j| {
+                            let v = value(1.0e3);
+                            match (v.to_bits() % 100 < zero_pct, j % 2) {
+                                (false, _) => v,
+                                (true, 0) => 0.0,
+                                (true, _) => -0.0,
+                            }
+                        })
+                        .collect();
+                    let init = value(1.0e3);
+                    let mut want = vec![init; n_out];
+                    a.matvec_acc(&x, &mut want);
+                    // The lists still hold the previous case: refilling
+                    // must replace it.
+                    nz.set_nonzero(&x);
+                    all.set_all(n_in);
+                    assert_eq!(nz.count(), x.iter().filter(|v| **v != 0.0).count());
+                    assert_eq!(all.count(), n_in);
+                    for idx in [&nz, &all] {
+                        for level in [SimdLevel::Scalar, crate::simd::supported()] {
+                            let mut got = vec![init; n_out];
+                            at.matvec_acc_t_lanes(&x, idx, &mut got, level);
+                            let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|f| f.to_bits()).collect() };
+                            let case = format!("{n_in}x{n_out} {zero_pct}% {level:?}");
+                            assert_eq!(bits(&got), bits(&want), "{case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     use proptest::prelude::*;
 
     proptest! {
@@ -660,78 +769,6 @@ mod tests {
             m.matvec_acc_nz(&x, &nz, &mut got);
             for (g, w) in got.iter().zip(&want) {
                 prop_assert_eq!(g.to_bits(), w.to_bits());
-            }
-        }
-
-        /// The transposed sparse matvec must be bit-identical to the
-        /// row-major sparse matvec on the original matrix, across lane and
-        /// tail column positions and with stale garbage in the lane
-        /// scratch.
-        #[test]
-        fn matvec_acc_nz_t_matches_row_major_bitwise(
-            data in proptest::collection::vec(-1.0e6f64..1.0e6, 3..120),
-            init in -1.0e3f64..1.0e3,
-            zero_mask in 0u32..u32::MAX,
-        ) {
-            let cols = 1 + data.len() % 13;
-            let rows = (data.len().saturating_sub(cols) / cols).max(1);
-            if data.len() < rows * cols + cols {
-                return;
-            }
-            let m = Matrix::from_vec(rows, cols, data[..rows * cols].to_vec());
-            let mut x = data[rows * cols..rows * cols + cols].to_vec();
-            for (i, v) in x.iter_mut().enumerate() {
-                if (zero_mask >> (i % 32)) & 1 == 1 {
-                    *v = 0.0;
-                }
-            }
-            let mut nz = Vec::new();
-            nonzero_indices_into(&x, &mut nz);
-            let mut want = vec![init; rows];
-            m.matvec_acc_nz(&x, &nz, &mut want);
-            let mut t = Matrix::zeros(1, 1);
-            m.transpose_into(&mut t);
-            let mut got = vec![init; rows];
-            // Poisoned scratch: the kernel must fully reinitialise it.
-            let mut lanes = vec![f64::NAN; 2];
-            t.matvec_acc_nz_t(&x, &nz, &mut got, &mut lanes);
-            for (g, w) in got.iter().zip(&want) {
-                prop_assert_eq!(g.to_bits(), w.to_bits());
-            }
-        }
-
-        /// The batched tiled matvec must be bit-identical to one
-        /// `matvec_acc` per column, across tile-boundary batch sizes and
-        /// with planted exact zeros in the inputs.
-        #[test]
-        fn matvec_acc_batch_matches_per_column_bitwise(
-            data in proptest::collection::vec(-1.0e6f64..1.0e6, 3..120),
-            batch in 1usize..10,
-            init in -1.0e3f64..1.0e3,
-            zero_mask in 0u32..u32::MAX,
-        ) {
-            let cols = 1 + data.len() % 13;
-            let rows = (data.len().saturating_sub(cols) / cols).max(1);
-            if data.len() < rows * cols {
-                return;
-            }
-            let m = Matrix::from_vec(rows, cols, data[..rows * cols].to_vec());
-            let mut xs = vec![0.0f64; batch * cols];
-            for (i, v) in xs.iter_mut().enumerate() {
-                if (zero_mask >> (i % 32)) & 1 == 1 {
-                    *v = 0.0;
-                } else {
-                    *v = data[(i * 7 + 3) % data.len()];
-                }
-            }
-            let mut got = vec![init; batch * rows];
-            m.matvec_acc_batch(&xs, batch, &mut got);
-            for c in 0..batch {
-                let mut want = vec![init; rows];
-                m.matvec_acc(&xs[c * cols..(c + 1) * cols], &mut want);
-                for (g, w) in got[c * rows..(c + 1) * rows].iter().zip(&want) {
-                    prop_assert_eq!(g.to_bits(), w.to_bits());
-                }
             }
         }
 

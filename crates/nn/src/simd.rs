@@ -1,8 +1,10 @@
-//! Runtime-dispatched SIMD kernels for the f32 fleet hot path.
+//! Runtime-dispatched SIMD kernels for the fleet hot path: the `f32`
+//! backend's `std::arch` kernels, and the AVX2 instantiation of the exact
+//! backend's one `f64` kernel.
 //!
-//! # The lane-over-batch rule
+//! # The lane-over-batch rule (`f32` backend)
 //!
-//! Every vector kernel here widens across the **customer-batch dimension**
+//! Every `f32` vector kernel here widens across the **customer-batch dimension**
 //! (or, for the elementwise gate kernels, across independent gate slots),
 //! never across a single customer's reduction. Customers are independent
 //! columns, so putting eight customers in the eight lanes of a `ymm`
@@ -30,18 +32,29 @@
 //! `min`/`max` clamp as the scalar `fast_tanh32`. The three masks are
 //! mutually exclusive, so blend order is immaterial.
 //!
+//! # The lane-over-output rule (exact backend)
+//!
+//! [`crate::Matrix::matvec_acc_t_lanes`] widens across the **outputs** of
+//! one customer's matvec: element `k` of a register is output `k`'s
+//! partial sum for one `dot4` lane, so every output keeps the scalar
+//! summation chain and no reduction is ever reordered. The kernel has no
+//! intrinsics at all: its body is safe Rust over fixed-size arrays,
+//! compiled once at the baseline and once inside [`x86::t_lanes_avx2`].
+//! rustc never contracts `a * b + c` into an FMA, so the two copies are
+//! the same IEEE-754 operations at different register widths.
+//!
 //! # Dispatch
 //!
 //! [`detect`] picks the widest level the host supports unless the
 //! `XATU_NO_SIMD` environment variable forces scalar; `XatuConfig`'s
 //! `no_simd` knob overrides both (config > env > auto, mirroring
-//! `XATU_THREADS`). The level is captured at model construction
-//! ([`crate::Lstm32::from_f64`]) and consulted per batched step; the
-//! scalar path remains the reference implementation and the permanent
-//! fallback for non-x86_64 targets and remainder tiles.
+//! `XATU_THREADS`). The level is captured at layer construction
+//! ([`crate::Lstm::new`], [`crate::Lstm32::from_f64`]) and consulted per
+//! batched step; the scalar path remains the reference implementation and
+//! the permanent fallback for non-x86_64 targets and remainder tiles.
 #![deny(unsafe_op_in_unsafe_fn)]
 
-/// SIMD width selector for the f32 batched kernels, ordered by width so
+/// SIMD width selector for the batched kernels, ordered by width so
 /// callers can clamp a requested level to [`supported`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
@@ -103,7 +116,9 @@ pub(crate) mod x86 {
     //! slice reslicing (the only `unsafe` blocks wrap unaligned loads and
     //! stores whose bounds the reslice just proved), and callers assert
     //! the CPU feature by calling through an `unsafe` block guarded by
-    //! [`super::SimdLevel`] dispatch.
+    //! [`super::SimdLevel`] dispatch. Each kernel restates its slice-length
+    //! preconditions as `debug_assert_eq!` on entry, so the dispatch sweeps
+    //! in the test suites check the callers' shapes at every level.
 
     use crate::fastmath::{
         fast_sigmoid32, fast_tanh32, A1, A11, A13, A3, A5, A7, A9, B0, B2, B4, B6, CLAMP,
@@ -112,6 +127,21 @@ pub(crate) mod x86 {
 
     /// Saturation threshold as the f32 the scalar reference compares with.
     const CLAMP32: f32 = CLAMP as f32;
+
+    // ----------------------------------------------------------- f64, AVX2
+
+    /// The AVX2 instantiation of [`crate::matrix::t_lanes`]: the same safe
+    /// body, inlined here so LLVM selects 256-bit multiplies and adds for
+    /// it. No intrinsics, no FMA — bit-identical to the plain copy.
+    #[target_feature(enable = "avx2")]
+    pub(crate) fn t_lanes_avx2(
+        wt: &[f64],
+        x: &[f64],
+        idx: &crate::matrix::LaneIndices,
+        y: &mut [f64],
+    ) {
+        crate::matrix::t_lanes(wt, x, idx, y);
+    }
 
     // ---------------------------------------------------------------- AVX2
 
@@ -197,6 +227,8 @@ pub(crate) mod x86 {
         ys: &mut [f32],
         xt: &mut [f32],
     ) {
+        debug_assert_eq!(xs.len(), batch * cols);
+        debug_assert_eq!(ys.len(), batch * rows);
         assert_eq!(data.len(), rows * cols);
         assert!(xs.len() >= batch * cols && ys.len() >= batch * rows);
         assert_eq!(xt.len(), 8 * cols);
@@ -253,6 +285,9 @@ pub(crate) mod x86 {
         hs: &mut [f32],
         cs: &mut [f32],
     ) {
+        debug_assert_eq!(zs.len(), batch * 4 * hidden);
+        debug_assert_eq!(hs.len(), batch * hidden);
+        debug_assert_eq!(cs.len(), batch * hidden);
         assert!(zs.len() >= batch * 4 * hidden);
         assert!(hs.len() >= batch * hidden && cs.len() >= batch * hidden);
         let vh = hidden - hidden % 8;
@@ -363,6 +398,8 @@ pub(crate) mod x86 {
         ys: &mut [f32],
         xt: &mut [f32],
     ) {
+        debug_assert_eq!(xs.len(), batch * cols);
+        debug_assert_eq!(ys.len(), batch * rows);
         assert_eq!(data.len(), rows * cols);
         assert!(xs.len() >= batch * cols && ys.len() >= batch * rows);
         assert_eq!(xt.len(), 4 * cols);
@@ -413,6 +450,9 @@ pub(crate) mod x86 {
         hs: &mut [f32],
         cs: &mut [f32],
     ) {
+        debug_assert_eq!(zs.len(), batch * 4 * hidden);
+        debug_assert_eq!(hs.len(), batch * hidden);
+        debug_assert_eq!(cs.len(), batch * hidden);
         assert!(zs.len() >= batch * 4 * hidden);
         assert!(hs.len() >= batch * hidden && cs.len() >= batch * hidden);
         let vh = hidden - hidden % 4;
