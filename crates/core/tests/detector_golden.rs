@@ -3,17 +3,23 @@
 //! Every row streams a fixed input through one front-end —
 //! [`OnlineDetector`], the exact fleet, the fast fleet, or the
 //! [`run_faulted`] driver, solo and with a companion attached — and folds
-//! everything the front-end emits into one FNV-1a digest: the bits of
-//! every hazard and survival, every [`DetectorEvent`] in emission order,
-//! and the bytes [`save_detector`] writes for a mid-run or end-of-run
-//! checkpoint. The constants below were captured from the code as it
-//! stood before the three implementations were collapsed into one core;
-//! the file is the gate that the collapse moved nothing, and it stays as
-//! the gate for any later change that claims the same.
+//! what the front-end emits into two FNV-1a digests ([`Golden`]):
+//!
+//! * `events` — every [`DetectorEvent`] in emission order (kind, attack
+//!   type, customer, raise minute, end minute) and nothing else: the
+//!   **decisions**. A change to the numerics (an activation, a kernel's
+//!   rounding) must leave these constants alone; if one moves, the change
+//!   moved a decision and is not a numeric change.
+//! * `full` — the same events plus the bits of every hazard and survival
+//!   and the bytes [`save_detector`] writes for a mid-run or end-of-run
+//!   checkpoint. These move, once and in the last bits, with any change
+//!   that is *meant* to move scores; they are the gate for every change
+//!   that claims to move nothing.
 //!
 //! A row that moves prints its new digest in the failure message. Update a
-//! constant only for a change that is *meant* to move scores, events or
-//! checkpoint bytes, and say so in the change description.
+//! `full` constant only for a change that is meant to move scores or
+//! checkpoint bytes, an `events` constant only for one that is meant to
+//! move decisions, and say so in the change description.
 
 use std::path::PathBuf;
 
@@ -33,27 +39,65 @@ use xatu_nn::LstmAutoencoder;
 use xatu_simnet::faults::{FaultKind, FaultSchedule, BUILTIN_SCHEDULES};
 use xatu_simnet::{World, WorldConfig};
 
-/// Incremental FNV-1a over everything a row emits.
-struct Digest(u64);
+/// Incremental FNV-1a.
+struct Fnv(u64);
 
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-
+impl Fnv {
     fn bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= b as u64;
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
+}
 
-    fn u32(&mut self, v: u32) {
-        self.bytes(&v.to_le_bytes());
+/// What a row's two digests must read: decisions only, and everything.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Golden {
+    events: u64,
+    full: u64,
+}
+
+/// The two running digests of a row. Events fold into both; scores and
+/// checkpoint bytes into `full` only.
+struct Digest {
+    events: Fnv,
+    full: Fnv,
+}
+
+impl Digest {
+    fn new() -> Self {
+        Digest {
+            events: Fnv(0xcbf2_9ce4_8422_2325),
+            full: Fnv(0xcbf2_9ce4_8422_2325),
+        }
     }
 
+    fn finish(self) -> Golden {
+        Golden {
+            events: self.events.0,
+            full: self.full.0,
+        }
+    }
+
+    /// Checkpoint bytes: `full` only.
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.full.bytes(bytes);
+    }
+
+    /// A count that is not a decision (e.g. minutes recorded): `full` only.
+    fn u32(&mut self, v: u32) {
+        self.full.bytes(&v.to_le_bytes());
+    }
+
+    /// A hazard or survival: `full` only.
     fn f64(&mut self, v: f64) {
-        self.bytes(&v.to_bits().to_le_bytes());
+        self.full.bytes(&v.to_bits().to_le_bytes());
+    }
+
+    fn decision(&mut self, bytes: &[u8]) {
+        self.events.bytes(bytes);
+        self.full.bytes(bytes);
     }
 
     fn event(&mut self, e: &DetectorEvent) {
@@ -61,14 +105,14 @@ impl Digest {
             DetectorEvent::Raised(a) => (1u8, a),
             DetectorEvent::Ended(a) => (2u8, a),
         };
-        self.bytes(&[kind, attack_type_tag(a.attack_type)]);
-        self.u32(a.customer.0);
-        self.u32(a.detected_at);
-        self.u32(a.mitigation_end.map_or(u32::MAX, |m| m));
+        self.decision(&[kind, attack_type_tag(a.attack_type)]);
+        self.decision(&a.customer.0.to_le_bytes());
+        self.decision(&a.detected_at.to_le_bytes());
+        self.decision(&a.mitigation_end.map_or(u32::MAX, |m| m).to_le_bytes());
     }
 
     fn events(&mut self, events: &[DetectorEvent]) {
-        self.u32(events.len() as u32);
+        self.decision(&(events.len() as u32).to_le_bytes());
         for e in events {
             self.event(e);
         }
@@ -178,7 +222,7 @@ fn online_digest(
     idle: bool,
     schedule: impl Fn(usize, u32) -> FleetInput,
     tag: &str,
-) -> u64 {
+) -> Golden {
     let c = cfg();
     let mut det = OnlineDetector::new(XatuModel::new(&c), AttackType::UdpFlood, THRESHOLD, &c);
     let mut d = Digest::new();
@@ -217,7 +261,7 @@ fn online_digest(
         DetectorEvent::Raised(a) | DetectorEvent::Ended(a) => a.customer.0,
     });
     d.events(&closed);
-    d.0
+    d.finish()
 }
 
 /// A fleet through `schedule`: per-minute events in emission order, every
@@ -234,7 +278,7 @@ fn fleet_digest(
     idle: bool,
     schedule: impl Fn(usize, u32) -> FleetInput + Sync,
     tag: &str,
-) -> u64 {
+) -> Golden {
     let c = cfg();
     let model = XatuModel::new(&c);
     let mut det = if fast {
@@ -279,7 +323,7 @@ fn fleet_digest(
     d.bytes(&std::fs::read(&path).expect("read back"));
     let _ = std::fs::remove_file(&path);
     d.events(&det.close_all(minutes));
-    d.0
+    d.finish()
 }
 
 /// A companion that moves the fused score on most minutes: an untrained
@@ -300,7 +344,7 @@ fn companion(window: usize) -> Companion {
 /// `run_faulted` over a three-customer one-day world under the named
 /// built-in schedule, checkpointing (without killing) at mid-run: the
 /// report's survivals and alerts plus the checkpoint file's bytes.
-fn faulted_digest(name: &str, fused: bool) -> u64 {
+fn faulted_digest(name: &str, fused: bool) -> Golden {
     let world = WorldConfig {
         n_customers: 3,
         days: 1,
@@ -337,13 +381,15 @@ fn faulted_digest(name: &str, fused: bool) -> u64 {
     for &s in &report.survivals {
         d.f64(s);
     }
-    d.u32(report.alerts.len() as u32);
-    for a in &report.alerts {
-        d.event(&DetectorEvent::Ended(*a));
-    }
+    let alerts: Vec<DetectorEvent> = report
+        .alerts
+        .iter()
+        .map(|a| DetectorEvent::Ended(*a))
+        .collect();
+    d.events(&alerts);
     d.bytes(&std::fs::read(&path).expect("checkpoint written"));
     let _ = std::fs::remove_file(&path);
-    d.0
+    d.finish()
 }
 
 /// Collects `(row, expected, got)` for every row that moved, so one run
@@ -352,44 +398,123 @@ fn faulted_digest(name: &str, fused: bool) -> u64 {
 struct Moved(Vec<String>);
 
 impl Moved {
-    fn check(&mut self, row: &str, expected: u64, got: u64) {
-        if expected != got {
-            self.0
-                .push(format!("{row}: expected {expected:#018x}, got {got:#018x}"));
+    fn check(&mut self, row: &str, expected: Golden, got: Golden) {
+        for (which, expected, got) in [
+            ("events", expected.events, got.events),
+            ("full", expected.full, got.full),
+        ] {
+            if expected != got {
+                self.0.push(format!(
+                    "{row} [{which}]: expected {expected:#018x}, got {got:#018x}"
+                ));
+            }
         }
     }
 
     fn finish(self) {
-        assert!(self.0.is_empty(), "golden digests moved:\n{}", self.0.join("\n"));
+        assert!(
+            self.0.is_empty(),
+            "golden digests moved:\n{}",
+            self.0.join("\n")
+        );
     }
 }
 
-const ONLINE_DEGRADATION: u64 = 0x19c2_9910_c063_efc5;
-const EXACT_DEGRADATION: u64 = 0x8a22_e350_8e89_fee5;
-const FAST_DEGRADATION: u64 = 0x351c_1001_c0c2_3676;
+/// `g(events, full)`.
+const fn g(events: u64, full: u64) -> Golden {
+    Golden { events, full }
+}
+
+const ONLINE_DEGRADATION: Golden = g(0x78e8_6242_81a8_8856, 0x19c2_9910_c063_efc5);
+const EXACT_DEGRADATION: Golden = g(0x89b9_51d9_56ad_bf52, 0x8a22_e350_8e89_fee5);
+const FAST_DEGRADATION: Golden = g(0xe7d9_d008_db53_0b2f, 0x351c_1001_c0c2_3676);
 /// Per built-in schedule: `OnlineDetector`, exact fleet, fast fleet. Only
 /// outage and gap windows reach these front-ends directly, so schedules
 /// without them share the clean row.
-const BUILTIN_GAPS: [(u64, u64, u64); 8] = [
-    (0xa3dc_de16_7a2f_6ba2, 0xab43_0ff3_fd3c_e7d3, 0xcc08_690f_26bd_dc91), // clean
-    (0x8803_034d_1084_8268, 0x9d62_1a9f_5f6f_f84d, 0xd236_7bf6_4bc5_4344), // outage
-    (0xf50f_bff1_e842_6133, 0xd932_65c9_31e3_8582, 0x8fbf_7e75_4749_e4f3), // gaps
-    (0xa3dc_de16_7a2f_6ba2, 0xab43_0ff3_fd3c_e7d3, 0xcc08_690f_26bd_dc91), // dup_late
-    (0xa3dc_de16_7a2f_6ba2, 0xab43_0ff3_fd3c_e7d3, 0xcc08_690f_26bd_dc91), // sampling_drift
-    (0xa3dc_de16_7a2f_6ba2, 0xab43_0ff3_fd3c_e7d3, 0xcc08_690f_26bd_dc91), // cdet_dropout
-    (0xa3dc_de16_7a2f_6ba2, 0xab43_0ff3_fd3c_e7d3, 0xcc08_690f_26bd_dc91), // cdet_flap
-    (0xa6e3_f725_1c6b_d649, 0xa0e5_a2bd_1739_ec5e, 0x2695_4fa7_f821_b717), // everything
+const BUILTIN_GAPS: [[Golden; 3]; 8] = [
+    // clean
+    [
+        g(0x09c9_83c1_9023_5a0d, 0xa3dc_de16_7a2f_6ba2),
+        g(0xd27d_57b8_87e2_ec89, 0xab43_0ff3_fd3c_e7d3),
+        g(0xd27d_57b8_87e2_ec89, 0xcc08_690f_26bd_dc91),
+    ],
+    // outage
+    [
+        g(0x990d_8c10_7d8f_206d, 0x8803_034d_1084_8268),
+        g(0x717e_8b89_21ad_64e7, 0x9d62_1a9f_5f6f_f84d),
+        g(0x717e_8b89_21ad_64e7, 0xd236_7bf6_4bc5_4344),
+    ],
+    // gaps
+    [
+        g(0xaba8_b902_a5a4_ceee, 0xf50f_bff1_e842_6133),
+        g(0x304d_f166_e969_a458, 0xd932_65c9_31e3_8582),
+        g(0x304d_f166_e969_a458, 0x8fbf_7e75_4749_e4f3),
+    ],
+    // dup_late
+    [
+        g(0x09c9_83c1_9023_5a0d, 0xa3dc_de16_7a2f_6ba2),
+        g(0xd27d_57b8_87e2_ec89, 0xab43_0ff3_fd3c_e7d3),
+        g(0xd27d_57b8_87e2_ec89, 0xcc08_690f_26bd_dc91),
+    ],
+    // sampling_drift
+    [
+        g(0x09c9_83c1_9023_5a0d, 0xa3dc_de16_7a2f_6ba2),
+        g(0xd27d_57b8_87e2_ec89, 0xab43_0ff3_fd3c_e7d3),
+        g(0xd27d_57b8_87e2_ec89, 0xcc08_690f_26bd_dc91),
+    ],
+    // cdet_dropout
+    [
+        g(0x09c9_83c1_9023_5a0d, 0xa3dc_de16_7a2f_6ba2),
+        g(0xd27d_57b8_87e2_ec89, 0xab43_0ff3_fd3c_e7d3),
+        g(0xd27d_57b8_87e2_ec89, 0xcc08_690f_26bd_dc91),
+    ],
+    // cdet_flap
+    [
+        g(0x09c9_83c1_9023_5a0d, 0xa3dc_de16_7a2f_6ba2),
+        g(0xd27d_57b8_87e2_ec89, 0xab43_0ff3_fd3c_e7d3),
+        g(0xd27d_57b8_87e2_ec89, 0xcc08_690f_26bd_dc91),
+    ],
+    // everything
+    [
+        g(0x8bf5_cf18_184b_46fb, 0xa6e3_f725_1c6b_d649),
+        g(0x3d1c_8366_0bfd_6ecf, 0xa0e5_a2bd_1739_ec5e),
+        g(0x3d1c_8366_0bfd_6ecf, 0x2695_4fa7_f821_b717),
+    ],
 ];
 /// Per built-in schedule: `run_faulted` solo, fused.
-const FAULTED: [(u64, u64); 8] = [
-    (0x9a78_5554_25eb_be0f, 0xf518_63b4_9ec5_512e), // clean
-    (0xdea8_b71c_1888_dbae, 0x9755_0a09_1ce2_af8c), // outage
-    (0x177d_91bb_7e02_314f, 0x7748_3eac_22ec_02c3), // gaps
-    (0xcf48_c200_ec10_1fd0, 0x204b_070d_4ab0_a8f9), // dup_late
-    (0xdaec_80d2_24c6_e294, 0x2868_5058_44d6_ef9a), // sampling_drift
-    (0x5997_2c9d_6045_1822, 0x2104_8fa5_4896_6fc6), // cdet_dropout
-    (0x379f_46a6_7b25_3072, 0xf991_ee91_681a_cfcd), // cdet_flap
-    (0xe4d9_a0b6_1219_d666, 0xa435_3f6b_64d0_9d2f), // everything
+const FAULTED: [[Golden; 2]; 8] = [
+    [
+        g(0x4d25_767f_9dce_13f5, 0x9a78_5554_25eb_be0f),
+        g(0x6af7_e256_761a_5102, 0xf518_63b4_9ec5_512e),
+    ], // clean
+    [
+        g(0x4d25_767f_9dce_13f5, 0xdea8_b71c_1888_dbae),
+        g(0x853f_07af_9f9a_80a4, 0x9755_0a09_1ce2_af8c),
+    ], // outage
+    [
+        g(0x4d25_767f_9dce_13f5, 0x177d_91bb_7e02_314f),
+        g(0x18cc_4611_5e95_7746, 0x7748_3eac_22ec_02c3),
+    ], // gaps
+    [
+        g(0x4d25_767f_9dce_13f5, 0xcf48_c200_ec10_1fd0),
+        g(0x6af7_e256_761a_5102, 0x204b_070d_4ab0_a8f9),
+    ], // dup_late
+    [
+        g(0x4d25_767f_9dce_13f5, 0xdaec_80d2_24c6_e294),
+        g(0x6af7_e256_761a_5102, 0x2868_5058_44d6_ef9a),
+    ], // sampling_drift
+    [
+        g(0x4d25_767f_9dce_13f5, 0x5997_2c9d_6045_1822),
+        g(0x6af7_e256_761a_5102, 0x2104_8fa5_4896_6fc6),
+    ], // cdet_dropout
+    [
+        g(0x4d25_767f_9dce_13f5, 0x379f_46a6_7b25_3072),
+        g(0x6af7_e256_761a_5102, 0xf991_ee91_681a_cfcd),
+    ], // cdet_flap
+    [
+        g(0x4d25_767f_9dce_13f5, 0xe4d9_a0b6_1219_d666),
+        g(0x03cc_0063_a715_83f0, 0xa435_3f6b_64d0_9d2f),
+    ], // everything
 ];
 
 #[test]
@@ -404,7 +529,17 @@ fn degradation_schedule_digests() {
         moved.check(
             &format!("exact fleet, {threads} threads"),
             EXACT_DEGRADATION,
-            fleet_digest(false, true, threads, N_CUST, 160, 83, false, degradation, "exact_deg"),
+            fleet_digest(
+                false,
+                true,
+                threads,
+                N_CUST,
+                160,
+                83,
+                false,
+                degradation,
+                "exact_deg",
+            ),
         );
     }
     for idle_skip in [true, false] {
@@ -412,7 +547,17 @@ fn degradation_schedule_digests() {
             moved.check(
                 &format!("fast fleet, idle_skip {idle_skip}, {threads} threads"),
                 FAST_DEGRADATION,
-                fleet_digest(true, idle_skip, threads, N_CUST, 220, 97, true, degradation, "fast_deg"),
+                fleet_digest(
+                    true,
+                    idle_skip,
+                    threads,
+                    N_CUST,
+                    220,
+                    97,
+                    true,
+                    degradation,
+                    "fast_deg",
+                ),
             );
         }
     }
@@ -428,21 +573,41 @@ fn builtin_schedule_gap_digests() {
         let tag = format!("gaps_{name}");
         moved.check(
             &format!("{name}: online"),
-            want.0,
+            want[0],
             online_digest(n, total, 71, true, builtin_gaps(&plan), &tag),
         );
         for threads in [1usize, 4] {
             moved.check(
                 &format!("{name}: exact fleet, {threads} threads"),
-                want.1,
-                fleet_digest(false, true, threads, n, total, 71, true, builtin_gaps(&plan), &tag),
+                want[1],
+                fleet_digest(
+                    false,
+                    true,
+                    threads,
+                    n,
+                    total,
+                    71,
+                    true,
+                    builtin_gaps(&plan),
+                    &tag,
+                ),
             );
         }
         for idle_skip in [true, false] {
             moved.check(
                 &format!("{name}: fast fleet, idle_skip {idle_skip}"),
-                want.2,
-                fleet_digest(true, idle_skip, 2, n, total, 71, true, builtin_gaps(&plan), &tag),
+                want[2],
+                fleet_digest(
+                    true,
+                    idle_skip,
+                    2,
+                    n,
+                    total,
+                    71,
+                    true,
+                    builtin_gaps(&plan),
+                    &tag,
+                ),
             );
         }
     }
@@ -453,8 +618,16 @@ fn builtin_schedule_gap_digests() {
 fn run_faulted_digests() {
     let mut moved = Moved::default();
     for (name, want) in BUILTIN_SCHEDULES.iter().zip(FAULTED) {
-        moved.check(&format!("{name}: solo"), want.0, faulted_digest(name, false));
-        moved.check(&format!("{name}: fused"), want.1, faulted_digest(name, true));
+        moved.check(
+            &format!("{name}: solo"),
+            want[0],
+            faulted_digest(name, false),
+        );
+        moved.check(
+            &format!("{name}: fused"),
+            want[1],
+            faulted_digest(name, true),
+        );
     }
     moved.finish();
 }
