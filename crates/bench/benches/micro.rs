@@ -274,31 +274,67 @@ fn bench_obs_primitives(c: &mut Criterion) {
     });
 }
 
-/// Exact sigmoid/tanh gate kernel next to the rational fast-activation
-/// variant on the same pre-activation block: the per-element price of the
-/// transcendental calls the fast scoring backend removes.
-fn bench_gate_kernel_exact_vs_fast(c: &mut Criterion) {
-    let mut init = Initializer::new(3);
-    let lstm = Lstm::new(273, 24, &mut init);
-    const BATCH: usize = 64;
+/// The exact gate kernel (`Lstm::gate_block`: in-tree `sigmoid`/`tanh`
+/// across the hidden lanes) on one `fleet_wide` block, and the two
+/// activations alone over one row's lanes, each at the plain and the AVX2
+/// instantiation of the same body.
+fn bench_gate_kernel(c: &mut Criterion) {
+    use xatu_nn::activations::{sigmoid, tanh};
+    use xatu_nn::simd::{supported, SimdLevel};
+    const BATCH: usize = 450;
     let h = 24;
     let zs: Vec<f64> = (0..BATCH * 4 * h)
         .map(|i| ((i * 37 % 101) as f64 / 101.0 - 0.5) * 6.0)
         .collect();
     let mut hs = vec![0.0f64; BATCH * h];
     let mut cs = vec![0.0f64; BATCH * h];
-    c.bench_function("gate_block_exact_b64_h24", |b| {
-        b.iter(|| {
-            lstm.gate_block(black_box(&zs), BATCH, &mut hs, &mut cs);
-            black_box(&hs);
-        })
-    });
-    c.bench_function("gate_block_fast_b64_h24", |b| {
-        b.iter(|| {
-            lstm.gate_block_fast(black_box(&zs), BATCH, &mut hs, &mut cs);
-            black_box(&hs);
-        })
-    });
+    let mut lstm = Lstm::new(273, h, &mut Initializer::new(3));
+    for level in [SimdLevel::Scalar, supported()] {
+        lstm.set_simd(level);
+        c.bench_function(&format!("gate_block_exact_{}_b450_h24", level.name()), |b| {
+            b.iter(|| {
+                lstm.gate_block(black_box(&zs), BATCH, &mut hs, &mut cs);
+                black_box(&hs);
+            })
+        });
+    }
+
+    #[inline(always)]
+    fn map_row(f: impl Fn(f64) -> f64, xs: &[f64], out: &mut [f64]) {
+        for (o, &x) in out.iter_mut().zip(xs) {
+            *o = f(x);
+        }
+    }
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn map_row_avx2(f: impl Fn(f64) -> f64, xs: &[f64], out: &mut [f64]) {
+        map_row(f, xs, out);
+    }
+    // Generic over the activation's zero-sized fn type, so it inlines into
+    // the lane loop (a `fn` pointer would not).
+    #[inline(always)]
+    fn map_row_at(level: SimdLevel, f: impl Fn(f64) -> f64, xs: &[f64], out: &mut [f64]) {
+        #[cfg(target_arch = "x86_64")]
+        if level == SimdLevel::Avx2 {
+            // SAFETY: the only `Avx2` passed in comes from `supported()`.
+            unsafe { map_row_avx2(f, xs, out) };
+            return;
+        }
+        map_row(f, xs, out);
+    }
+    fn row(c: &mut Criterion, name: &str, f: impl Fn(f64) -> f64 + Copy, xs: &[f64]) {
+        let mut out = vec![0.0f64; xs.len()];
+        for level in [SimdLevel::Scalar, supported()] {
+            c.bench_function(&format!("{name}_{}_{}", xs.len(), level.name()), |b| {
+                b.iter(|| {
+                    map_row_at(level, f, black_box(xs), &mut out);
+                    black_box(&out);
+                })
+            });
+        }
+    }
+    row(c, "sigmoid_row", sigmoid, &zs[..96]);
+    row(c, "tanh_row", tanh, &zs[..24]);
 }
 
 /// The f64 batched dual-state step next to its widen-once f32 twin — the
@@ -563,7 +599,7 @@ criterion_group! {
               bench_detection_step, bench_lstm_step,
               bench_cusum, bench_rf_inference, bench_sampler, bench_warm_fwd_bwd,
               bench_obs_primitives, bench_safe_loss,
-              bench_gate_kernel_exact_vs_fast, bench_dual_block_f64_vs_f32,
+              bench_gate_kernel, bench_dual_block_f64_vs_f32,
               bench_simd_vs_scalar_f32, bench_exact_lane_kernel
 }
 criterion_group! {

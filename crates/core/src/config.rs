@@ -82,14 +82,17 @@ pub struct XatuConfig {
     /// variable if set, else all available cores. Results are bit-identical
     /// for every value — parallelism only changes wall-clock time.
     pub threads: usize,
-    /// Force the scalar reference kernels in the fleet detector's block
-    /// steps — the exact backend's `f64` lane kernel and the fast
-    /// backend's `f32` kernels — mirroring `threads`: `false` = auto (the
-    /// `XATU_NO_SIMD` environment variable if set, else the widest SIMD
-    /// level the host supports), `true` = always scalar. Results are
-    /// bit-identical either way — SIMD only changes wall-clock time. A
-    /// checkpoint does not carry it: after `FleetDetector::from_checkpoint`
-    /// apply it with `FleetDetector::set_simd`.
+    /// Force the scalar instantiation of every dispatched detector kernel
+    /// — the exact `f64` gate and lane kernels (`OnlineDetector` and the
+    /// fleet alike) and the fast backend's `f32` kernels — mirroring
+    /// `threads`: `false` = auto (the `XATU_NO_SIMD` environment variable
+    /// if set, else the widest SIMD level the host supports), `true` =
+    /// always scalar. Results are bit-identical either way — SIMD only
+    /// changes wall-clock time. Applied once, where a detector takes its
+    /// model and this configuration. A checkpoint does not carry it: a
+    /// resumed detector follows the environment (after
+    /// `FleetDetector::from_checkpoint`, `FleetDetector::set_simd` pins
+    /// it). Training dispatches nothing, so it has nothing to apply.
     pub no_simd: bool,
 }
 

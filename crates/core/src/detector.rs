@@ -61,6 +61,7 @@ use xatu_netflow::addr::Ipv4;
 use xatu_netflow::attack::AttackType;
 use xatu_nn::activations::softplus;
 use xatu_nn::lstm::Lstm;
+use xatu_nn::simd::{self, SimdLevel};
 use xatu_nn::{
     Dense, Lstm32, LstmState, OnlineBlockWorkspace, OnlineBlockWorkspace32, OnlineScratch, Params,
 };
@@ -1311,15 +1312,22 @@ pub(crate) struct Common {
     pub addrs: Vec<Ipv4>,
     index: HashMap<Ipv4, u32>,
     pub obs: DetectorObs,
+    /// The dispatch level of the model's online kernels; see
+    /// [`Common::set_simd`].
+    simd: SimdLevel,
 }
 
 impl Common {
+    /// The one place a model meets a configuration, for every front-end:
+    /// [`XatuConfig::no_simd`] beats the environment and auto-detection.
     pub(crate) fn new(
-        model: XatuModel,
+        mut model: XatuModel,
         attack_type: AttackType,
         threshold: f64,
         cfg: &XatuConfig,
     ) -> Self {
+        let simd = if cfg.no_simd { SimdLevel::Scalar } else { simd::detect() };
+        model.set_simd(simd);
         Common {
             model,
             attack_type,
@@ -1332,7 +1340,20 @@ impl Common {
             addrs: Vec::new(),
             index: HashMap::new(),
             obs: DetectorObs::default(),
+            simd,
         }
+    }
+
+    /// The level the model's online kernels dispatch to.
+    pub(crate) fn simd(&self) -> SimdLevel {
+        self.simd
+    }
+
+    /// Sets that level, clamped to what the host supports. Results are
+    /// bit-identical at every level.
+    pub(crate) fn set_simd(&mut self, level: SimdLevel) {
+        self.simd = level.min(simd::supported());
+        self.model.set_simd(self.simd);
     }
 
     pub(crate) fn knobs(&self) -> Knobs {
@@ -1496,6 +1517,10 @@ pub(crate) fn restore(
         return Err(bad("non-finite model parameter".into()));
     }
     model.import_params_from(&ck.params);
+    // A checkpoint does not record the level: resumed detectors follow the
+    // environment.
+    let simd = simd::detect();
+    model.set_simd(simd);
     if ck.window == 0 {
         return Err(bad("survival window must be >= 1".into()));
     }
@@ -1516,6 +1541,7 @@ pub(crate) fn restore(
         addrs: Vec::new(),
         index: HashMap::with_capacity(ck.customers.len()),
         obs: DetectorObs::default(),
+        simd,
     };
     let mut ledger = Ledger::default();
     let mut numeric = Numeric::new(ck.hidden as usize, ctx_lens);

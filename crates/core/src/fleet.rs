@@ -44,7 +44,7 @@ use xatu_features::frame::NUM_FEATURES;
 use xatu_netflow::addr::Ipv4;
 use xatu_netflow::attack::AttackType;
 use xatu_nn::lstm::Lstm;
-use xatu_nn::simd::{self, SimdLevel};
+use xatu_nn::simd::SimdLevel;
 use xatu_nn::Lstm32;
 use xatu_par::{block_ranges_into, WorkerPool};
 
@@ -321,9 +321,6 @@ pub struct FleetDetector {
     pool: Option<WorkerPool>,
     /// Reusable buffer for the per-minute shard partition.
     ranges: Vec<(usize, usize)>,
-    /// The dispatch level of both backends' block kernels; see
-    /// [`FleetDetector::set_simd`].
-    simd: SimdLevel,
 }
 
 impl FleetDetector {
@@ -331,23 +328,15 @@ impl FleetDetector {
     /// [`crate::online::OnlineDetector::new`]).
     pub fn new(model: XatuModel, attack_type: AttackType, threshold: f64, cfg: &XatuConfig) -> Self {
         let numeric = Numeric::new(model.cfg.hidden, (cfg.short_len, cfg.medium_len, cfg.long_len));
-        let mut det = Self::assemble(
+        Self::assemble(
             Common::new(model, attack_type, threshold, cfg),
             Ledger::default(),
             numeric,
-        );
-        if cfg.no_simd {
-            // Config knob beats env/auto dispatch.
-            det.set_simd(SimdLevel::Scalar);
-        }
-        det
+        )
     }
 
-    /// A detector on the exact backend, dispatching as [`simd::detect`]
-    /// says (auto, or scalar under `XATU_NO_SIMD`).
-    fn assemble(mut common: Common, ledger: Ledger, numeric: Numeric<Lstm>) -> Self {
-        let simd = simd::detect();
-        common.model.set_simd(simd);
+    /// A detector on the exact backend.
+    fn assemble(common: Common, ledger: Ledger, numeric: Numeric<Lstm>) -> Self {
         FleetDetector {
             common,
             ledger,
@@ -358,13 +347,12 @@ impl FleetDetector {
             events: Vec::new(),
             pool: None,
             ranges: Vec::new(),
-            simd,
         }
     }
 
-    /// The level the block kernels of this detector dispatch to.
+    /// The level the kernels of this detector dispatch to.
     pub fn simd_level(&self) -> SimdLevel {
-        self.simd
+        self.common.simd()
     }
 
     /// Sets the dispatch level of the block kernels — the exact layers'
@@ -372,16 +360,16 @@ impl FleetDetector {
     /// ones — clamped to what the host supports. [`SimdLevel::Scalar`]
     /// pins the reference path; results are bit-identical at every level.
     ///
-    /// [`FleetDetector::new`] applies [`XatuConfig::no_simd`] through here.
-    /// A checkpoint does not record the level, so a caller that resumes
-    /// under a configuration does the same after
+    /// [`FleetDetector::new`] starts at the level [`XatuConfig::no_simd`]
+    /// asks for. A checkpoint does not record the level, so a caller that
+    /// resumes under a configuration calls this after
     /// [`FleetDetector::from_checkpoint`], which by itself follows the
     /// environment.
     pub fn set_simd(&mut self, level: SimdLevel) {
-        self.simd = level.min(simd::supported());
-        self.common.model.set_simd(self.simd);
+        self.common.set_simd(level);
         if let Backend::Fast(fast) = &mut self.backend {
-            fast.kernels.iter_mut().for_each(|k| k.set_simd(self.simd));
+            let level = self.common.simd();
+            fast.kernels.iter_mut().for_each(|k| k.set_simd(level));
         }
     }
 
@@ -589,7 +577,7 @@ impl FleetDetector {
         let model = &self.common.model;
         let kernels = [model.lstm_short(), model.lstm_medium(), model.lstm_long()].map(|layer| {
             let mut kernel = Lstm32::from_f64(layer);
-            kernel.set_simd(self.simd);
+            kernel.set_simd(self.common.simd());
             kernel
         });
         let (s, m, l) = self.common.ctx_lens;

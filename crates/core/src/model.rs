@@ -187,8 +187,8 @@ impl XatuModel {
         &self.head
     }
 
-    /// Sets the dispatch level of the three layers' block kernels
-    /// (crate-internal: [`crate::FleetDetector::set_simd`]).
+    /// Sets the dispatch level of the three layers' online kernels
+    /// (crate-internal: the detector core applies the configuration's).
     pub(crate) fn set_simd(&mut self, level: SimdLevel) {
         for layer in [&mut self.lstm_short, &mut self.lstm_medium, &mut self.lstm_long] {
             layer.set_simd(level);

@@ -55,6 +55,7 @@ use xatu_features::frame::{NUM_FEATURES, VOLUMETRIC_WIDTH};
 use xatu_netflow::addr::Ipv4;
 use xatu_netflow::attack::AttackType;
 use xatu_nn::lstm::Lstm;
+use xatu_nn::simd::SimdLevel;
 use xatu_nn::{AeWorkspace, FrameArena, LstmAutoencoder};
 use xatu_obs::{Counter, FixedHistogram, GAP_RUN_BOUNDS, SURVIVAL_BOUNDS};
 
@@ -280,6 +281,13 @@ impl OnlineDetector {
             Ledger::default(),
             numeric,
         )
+    }
+
+    /// The level the kernels of this detector dispatch to: scalar under
+    /// [`XatuConfig::no_simd`], else what the environment said when it was
+    /// built or resumed (mirrors `FleetDetector::simd_level`).
+    pub fn simd_level(&self) -> SimdLevel {
+        self.common.simd()
     }
 
     fn assemble(common: Common, ledger: Ledger, numeric: Numeric<Lstm>) -> Self {
@@ -922,6 +930,34 @@ mod tests {
             let (_, s2b, _) = obs(&mut resumed, Ipv4(2), m, 0.05);
             assert_eq!(s1b.to_bits(), s2b.to_bits(), "customer 2 diverged at {m}");
         }
+    }
+
+    /// `XatuConfig::no_simd` reaches this front-end too: the detector
+    /// reports the scalar level and scores the same bits as the auto one.
+    #[test]
+    fn no_simd_config_pins_scalar_and_matches_auto_bitwise() {
+        let c = cfg();
+        let model = trained_model(&c);
+        let forced_cfg = XatuConfig { no_simd: true, ..c };
+        let mut auto = OnlineDetector::new(model.clone(), AttackType::UdpFlood, 0.5, &c);
+        let mut forced = OnlineDetector::new(model, AttackType::UdpFlood, 0.5, &forced_cfg);
+        assert_eq!(auto.simd_level(), xatu_nn::simd::detect());
+        assert_eq!(forced.simd_level(), SimdLevel::Scalar);
+        for m in 0..160u32 {
+            if m == 57 || m == 58 {
+                continue; // a gap, so imputed catch-up rows are compared too
+            }
+            let v = if (100..130).contains(&m) { 2.0 } else { 0.05 };
+            let (h1, s1, e1) = obs(&mut auto, Ipv4(1), m, v);
+            let (h2, s2, e2) = obs(&mut forced, Ipv4(1), m, v);
+            assert_eq!(h1.to_bits(), h2.to_bits(), "hazard diverged at {m}");
+            assert_eq!(s1.to_bits(), s2.to_bits(), "survival diverged at {m}");
+            assert_eq!(e1, e2, "events diverged at {m}");
+        }
+        // A checkpoint does not carry the level: the resumed detector
+        // follows the environment again.
+        let resumed = OnlineDetector::from_checkpoint(&forced.to_checkpoint()).expect("restore");
+        assert_eq!(resumed.simd_level(), xatu_nn::simd::detect());
     }
 
     /// A companion whose normalizer is calibrated on this test's benign

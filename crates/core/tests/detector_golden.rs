@@ -420,13 +420,21 @@ impl Moved {
     }
 }
 
+// History of the constants. `events`: captured with the split (on the
+// `libm` activations) and not moved since. `full`: every row of the exact
+// backend and of `run_faulted` was re-captured once, when `sigmoid`/`tanh`
+// became the in-tree implementations (xatu-nn `activations`): across the
+// 143,448 hazards and survivals the rows fold, 77.5 % kept their bits and
+// the largest |Δ| was 4.4e-16; no `events` constant moved. The fast fleet's
+// rows (its `f32` kernels) did not move at all.
+
 /// `g(events, full)`.
 const fn g(events: u64, full: u64) -> Golden {
     Golden { events, full }
 }
 
-const ONLINE_DEGRADATION: Golden = g(0x78e8_6242_81a8_8856, 0x19c2_9910_c063_efc5);
-const EXACT_DEGRADATION: Golden = g(0x89b9_51d9_56ad_bf52, 0x8a22_e350_8e89_fee5);
+const ONLINE_DEGRADATION: Golden = g(0x78e8_6242_81a8_8856, 0xb524_6c2c_9f98_3a05);
+const EXACT_DEGRADATION: Golden = g(0x89b9_51d9_56ad_bf52, 0x15ae_47bf_28d7_6cd8);
 const FAST_DEGRADATION: Golden = g(0xe7d9_d008_db53_0b2f, 0x351c_1001_c0c2_3676);
 /// Per built-in schedule: `OnlineDetector`, exact fleet, fast fleet. Only
 /// outage and gap windows reach these front-ends directly, so schedules
@@ -434,86 +442,86 @@ const FAST_DEGRADATION: Golden = g(0xe7d9_d008_db53_0b2f, 0x351c_1001_c0c2_3676)
 const BUILTIN_GAPS: [[Golden; 3]; 8] = [
     // clean
     [
-        g(0x09c9_83c1_9023_5a0d, 0xa3dc_de16_7a2f_6ba2),
-        g(0xd27d_57b8_87e2_ec89, 0xab43_0ff3_fd3c_e7d3),
+        g(0x09c9_83c1_9023_5a0d, 0xb770_23e0_44d4_5f71),
+        g(0xd27d_57b8_87e2_ec89, 0x6a64_a65e_e5de_2952),
         g(0xd27d_57b8_87e2_ec89, 0xcc08_690f_26bd_dc91),
     ],
     // outage
     [
-        g(0x990d_8c10_7d8f_206d, 0x8803_034d_1084_8268),
-        g(0x717e_8b89_21ad_64e7, 0x9d62_1a9f_5f6f_f84d),
+        g(0x990d_8c10_7d8f_206d, 0xbe30_e6b4_ca80_6664),
+        g(0x717e_8b89_21ad_64e7, 0x9714_12f3_d51c_80e1),
         g(0x717e_8b89_21ad_64e7, 0xd236_7bf6_4bc5_4344),
     ],
     // gaps
     [
-        g(0xaba8_b902_a5a4_ceee, 0xf50f_bff1_e842_6133),
-        g(0x304d_f166_e969_a458, 0xd932_65c9_31e3_8582),
+        g(0xaba8_b902_a5a4_ceee, 0x5f76_207d_8f05_25df),
+        g(0x304d_f166_e969_a458, 0x28ae_1c40_b9cd_68cf),
         g(0x304d_f166_e969_a458, 0x8fbf_7e75_4749_e4f3),
     ],
     // dup_late
     [
-        g(0x09c9_83c1_9023_5a0d, 0xa3dc_de16_7a2f_6ba2),
-        g(0xd27d_57b8_87e2_ec89, 0xab43_0ff3_fd3c_e7d3),
+        g(0x09c9_83c1_9023_5a0d, 0xb770_23e0_44d4_5f71),
+        g(0xd27d_57b8_87e2_ec89, 0x6a64_a65e_e5de_2952),
         g(0xd27d_57b8_87e2_ec89, 0xcc08_690f_26bd_dc91),
     ],
     // sampling_drift
     [
-        g(0x09c9_83c1_9023_5a0d, 0xa3dc_de16_7a2f_6ba2),
-        g(0xd27d_57b8_87e2_ec89, 0xab43_0ff3_fd3c_e7d3),
+        g(0x09c9_83c1_9023_5a0d, 0xb770_23e0_44d4_5f71),
+        g(0xd27d_57b8_87e2_ec89, 0x6a64_a65e_e5de_2952),
         g(0xd27d_57b8_87e2_ec89, 0xcc08_690f_26bd_dc91),
     ],
     // cdet_dropout
     [
-        g(0x09c9_83c1_9023_5a0d, 0xa3dc_de16_7a2f_6ba2),
-        g(0xd27d_57b8_87e2_ec89, 0xab43_0ff3_fd3c_e7d3),
+        g(0x09c9_83c1_9023_5a0d, 0xb770_23e0_44d4_5f71),
+        g(0xd27d_57b8_87e2_ec89, 0x6a64_a65e_e5de_2952),
         g(0xd27d_57b8_87e2_ec89, 0xcc08_690f_26bd_dc91),
     ],
     // cdet_flap
     [
-        g(0x09c9_83c1_9023_5a0d, 0xa3dc_de16_7a2f_6ba2),
-        g(0xd27d_57b8_87e2_ec89, 0xab43_0ff3_fd3c_e7d3),
+        g(0x09c9_83c1_9023_5a0d, 0xb770_23e0_44d4_5f71),
+        g(0xd27d_57b8_87e2_ec89, 0x6a64_a65e_e5de_2952),
         g(0xd27d_57b8_87e2_ec89, 0xcc08_690f_26bd_dc91),
     ],
     // everything
     [
-        g(0x8bf5_cf18_184b_46fb, 0xa6e3_f725_1c6b_d649),
-        g(0x3d1c_8366_0bfd_6ecf, 0xa0e5_a2bd_1739_ec5e),
+        g(0x8bf5_cf18_184b_46fb, 0xd676_c7b1_47db_dd2c),
+        g(0x3d1c_8366_0bfd_6ecf, 0x7b9f_9132_60b3_c0a7),
         g(0x3d1c_8366_0bfd_6ecf, 0x2695_4fa7_f821_b717),
     ],
 ];
 /// Per built-in schedule: `run_faulted` solo, fused.
 const FAULTED: [[Golden; 2]; 8] = [
     [
-        g(0x4d25_767f_9dce_13f5, 0x9a78_5554_25eb_be0f),
-        g(0x6af7_e256_761a_5102, 0xf518_63b4_9ec5_512e),
+        g(0x4d25_767f_9dce_13f5, 0x57fe_e719_4267_a7fb),
+        g(0x6af7_e256_761a_5102, 0x27a0_8e38_ff6d_2a23),
     ], // clean
     [
-        g(0x4d25_767f_9dce_13f5, 0xdea8_b71c_1888_dbae),
-        g(0x853f_07af_9f9a_80a4, 0x9755_0a09_1ce2_af8c),
+        g(0x4d25_767f_9dce_13f5, 0x6990_d41c_938d_feb4),
+        g(0x853f_07af_9f9a_80a4, 0xc2d0_ad80_c82b_794c),
     ], // outage
     [
-        g(0x4d25_767f_9dce_13f5, 0x177d_91bb_7e02_314f),
-        g(0x18cc_4611_5e95_7746, 0x7748_3eac_22ec_02c3),
+        g(0x4d25_767f_9dce_13f5, 0x9888_d919_f122_2b40),
+        g(0x18cc_4611_5e95_7746, 0x104b_f1f6_f6d1_b426),
     ], // gaps
     [
-        g(0x4d25_767f_9dce_13f5, 0xcf48_c200_ec10_1fd0),
-        g(0x6af7_e256_761a_5102, 0x204b_070d_4ab0_a8f9),
+        g(0x4d25_767f_9dce_13f5, 0xbe01_70dd_99fa_ed71),
+        g(0x6af7_e256_761a_5102, 0xfe0f_b27c_1923_3fb9),
     ], // dup_late
     [
-        g(0x4d25_767f_9dce_13f5, 0xdaec_80d2_24c6_e294),
-        g(0x6af7_e256_761a_5102, 0x2868_5058_44d6_ef9a),
+        g(0x4d25_767f_9dce_13f5, 0xd444_9fb7_3f9f_bd85),
+        g(0x6af7_e256_761a_5102, 0x7fa1_89f9_8bd6_83b2),
     ], // sampling_drift
     [
-        g(0x4d25_767f_9dce_13f5, 0x5997_2c9d_6045_1822),
-        g(0x6af7_e256_761a_5102, 0x2104_8fa5_4896_6fc6),
+        g(0x4d25_767f_9dce_13f5, 0xc043_1113_eafe_b35a),
+        g(0x6af7_e256_761a_5102, 0x06f2_fffd_2949_bbac),
     ], // cdet_dropout
     [
-        g(0x4d25_767f_9dce_13f5, 0x379f_46a6_7b25_3072),
-        g(0x6af7_e256_761a_5102, 0xf991_ee91_681a_cfcd),
+        g(0x4d25_767f_9dce_13f5, 0xb525_a589_c9e6_e7b8),
+        g(0x6af7_e256_761a_5102, 0xf53f_ddd1_47d2_66fd),
     ], // cdet_flap
     [
-        g(0x4d25_767f_9dce_13f5, 0xe4d9_a0b6_1219_d666),
-        g(0x03cc_0063_a715_83f0, 0xa435_3f6b_64d0_9d2f),
+        g(0x4d25_767f_9dce_13f5, 0x59fc_203e_769d_9aea),
+        g(0x03cc_0063_a715_83f0, 0x6f64_ec49_24aa_2104),
     ], // everything
 ];
 

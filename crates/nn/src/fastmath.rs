@@ -1,9 +1,7 @@
-//! Fast rational approximations of the gate activations.
+//! Fast rational approximations of the gate activations, `f32` only: the
+//! scalar reference of the fast fleet backend's kernels.
 //!
-//! The fleet scoring path spends its transcendental budget almost
-//! entirely in `sigmoid`/`tanh` (ROADMAP: ~0.2 s per 100k-customer
-//! simulated minute from `exp`/`tanh` alone). This module provides the
-//! classic odd rational tanh approximation — numerator `x·p(x²)` of
+//! The classic odd rational tanh approximation — numerator `x·p(x²)` of
 //! degree 13, denominator `q(x²)` of degree 6, the same coefficient set
 //! popularized by Eigen's `ptanh` — evaluated in Horner form, plus the
 //! sigmoid derived from it through the exact identity
@@ -11,13 +9,12 @@
 //!
 //! Contract (see DESIGN.md §14):
 //!
-//! - **Error budget.** For every finite input,
-//!   `|fast_tanh(x) − tanh(x)| ≤ FAST_TANH_MAX_ABS_ERR` and
-//!   `|fast_sigmoid(x) − sigmoid(x)| ≤ FAST_SIGMOID_MAX_ABS_ERR`
-//!   (and the analogous `*_32` bounds for the `f32` kernels, evaluated
-//!   against the exact `f64` reference). The bounds are pinned by
-//!   proptests in this module; tightening a coefficient without
-//!   re-pinning the constant is a bug.
+//! - **Error budget.** For every finite input, `fast_tanh32` and
+//!   `fast_sigmoid32` are within [`FAST_TANH32_MAX_ABS_ERR`] /
+//!   [`FAST_SIGMOID32_MAX_ABS_ERR`] of the exact `f64`
+//!   [`crate::activations`]. The bounds are pinned by proptests in this
+//!   module; tightening a coefficient without re-pinning the constant is
+//!   a bug.
 //! - **Saturation.** `|x| ≥ 7.90531110763549805` returns exactly ±1.0
 //!   (explicit branch; the rational form is only fitted inside that
 //!   range), so the approximation never overshoots `[−1, 1]` and
@@ -34,23 +31,12 @@
 //!   fast backend (`FleetDetector::enable_fast` in `xatu-core`), which
 //!   routes its scoring through [`crate::lstm32`].
 
-/// Maximum absolute error of [`fast_tanh`] vs `f64::tanh` over all
-/// finite inputs. The error is dominated by the saturated region: the
-/// input clamp freezes the rational form at `1 − tanh(7.905…) ≈
-/// 2.6e-7` while the true tanh keeps approaching 1; inside the fitted
-/// range the agreement is ~2.4e-8. Measured max 2.61e-7 over a
-/// 40M-point sweep of ±40; pinned with margin by proptest.
-pub const FAST_TANH_MAX_ABS_ERR: f64 = 4e-7;
-
-/// Maximum absolute error of [`fast_sigmoid`] vs the exact sigmoid.
-/// Half the tanh bound by the identity `σ(x) = ½ + ½·tanh(x/2)`
-/// (measured max 1.31e-7 over ±80).
-pub const FAST_SIGMOID_MAX_ABS_ERR: f64 = 2e-7;
-
-/// Maximum absolute error of [`fast_tanh32`] (widened to `f64`) vs
-/// `f64::tanh`: f32 rounding of the Horner evaluation (~4 ULP at
-/// |tanh| ≈ 1) on top of the f64 budget. Measured max 4.11e-7 over a
-/// 40M-point sweep of ±40.
+/// Maximum absolute error of [`fast_tanh32`] (widened to `f64`) vs the
+/// exact `tanh`. Two terms: the saturated region — the input clamp freezes
+/// the rational form at `1 − tanh(7.905…) ≈ 2.6e-7` while the true tanh
+/// keeps approaching 1 (inside the fitted range the fit agrees to
+/// ~2.4e-8) — and f32 rounding of the Horner evaluation (~4 ULP at
+/// |tanh| ≈ 1). Measured max 4.11e-7 over a 40M-point sweep of ±40.
 pub const FAST_TANH32_MAX_ABS_ERR: f64 = 1e-6;
 
 /// Maximum absolute error of [`fast_sigmoid32`] (widened to `f64`) vs
@@ -81,51 +67,10 @@ pub(crate) const B2: f64 = 2.268_434_632_439_00e-3;
 pub(crate) const B4: f64 = 1.185_347_056_866_54e-4;
 pub(crate) const B6: f64 = 1.198_258_394_667_02e-6;
 
-/// Rational tanh approximation, `f64` in and out.
+/// Rational tanh approximation in `f32`.
 ///
 /// `NaN → 0.0`, `±∞ → ±1.0`, otherwise within
-/// [`FAST_TANH_MAX_ABS_ERR`] of `f64::tanh`.
-#[inline]
-pub fn fast_tanh(x: f64) -> f64 {
-    if !x.is_finite() {
-        // Must precede the saturation branch: a bare clamp would send
-        // NaN to a bound and return ±1 instead of the sanitized 0.
-        if x.is_nan() {
-            return 0.0;
-        }
-        return if x > 0.0 { 1.0 } else { -1.0 };
-    }
-    if x >= CLAMP {
-        return 1.0;
-    }
-    if x <= -CLAMP {
-        return -1.0;
-    }
-    let x2 = x * x;
-    let p = A13;
-    let p = p * x2 + A11;
-    let p = p * x2 + A9;
-    let p = p * x2 + A7;
-    let p = p * x2 + A5;
-    let p = p * x2 + A3;
-    let p = p * x2 + A1;
-    let q = B6;
-    let q = q * x2 + B4;
-    let q = q * x2 + B2;
-    let q = q * x2 + B0;
-    (x * p / q).clamp(-1.0, 1.0)
-}
-
-/// Sigmoid via the exact identity `σ(x) = ½ + ½·tanh(x/2)`.
-///
-/// `NaN → 0.5`, `+∞ → 1.0`, `−∞ → 0.0`, otherwise within
-/// [`FAST_SIGMOID_MAX_ABS_ERR`] of the exact sigmoid.
-#[inline]
-pub fn fast_sigmoid(x: f64) -> f64 {
-    0.5 + 0.5 * fast_tanh(0.5 * x)
-}
-
-/// [`fast_tanh`] evaluated entirely in `f32`.
+/// [`FAST_TANH32_MAX_ABS_ERR`] of the exact `tanh`.
 #[inline]
 pub fn fast_tanh32(x: f32) -> f32 {
     if !x.is_finite() {
@@ -155,7 +100,10 @@ pub fn fast_tanh32(x: f32) -> f32 {
     (x * p / q).clamp(-1.0, 1.0)
 }
 
-/// [`fast_sigmoid`] evaluated entirely in `f32`.
+/// Sigmoid via the exact identity `σ(x) = ½ + ½·tanh(x/2)`, in `f32`.
+///
+/// `NaN → 0.5`, `+∞ → 1.0`, `−∞ → 0.0`, otherwise within
+/// [`FAST_SIGMOID32_MAX_ABS_ERR`] of the exact sigmoid.
 #[inline]
 pub fn fast_sigmoid32(x: f32) -> f32 {
     0.5 + 0.5 * fast_tanh32(0.5 * x)
@@ -169,12 +117,6 @@ mod tests {
 
     #[test]
     fn sanitizes_non_finite() {
-        assert_eq!(fast_tanh(f64::NAN), 0.0);
-        assert_eq!(fast_tanh(f64::INFINITY), 1.0);
-        assert_eq!(fast_tanh(f64::NEG_INFINITY), -1.0);
-        assert_eq!(fast_sigmoid(f64::NAN), 0.5);
-        assert_eq!(fast_sigmoid(f64::INFINITY), 1.0);
-        assert_eq!(fast_sigmoid(f64::NEG_INFINITY), 0.0);
         assert_eq!(fast_tanh32(f32::NAN), 0.0);
         assert_eq!(fast_tanh32(f32::INFINITY), 1.0);
         assert_eq!(fast_tanh32(f32::NEG_INFINITY), -1.0);
@@ -186,42 +128,18 @@ mod tests {
     #[test]
     fn saturates_exactly_and_stays_bounded() {
         for &x in &[CLAMP, 8.0, 20.0, 700.0, 1e300] {
-            assert_eq!(fast_tanh(x), 1.0);
-            assert_eq!(fast_tanh(-x), -1.0);
             assert_eq!(fast_tanh32(x as f32), 1.0);
             assert_eq!(fast_tanh32(-x as f32), -1.0);
         }
-        assert_eq!(fast_sigmoid(2.0 * CLAMP), 1.0);
-        assert_eq!(fast_sigmoid(-2.0 * CLAMP), 0.0);
+        assert_eq!(fast_sigmoid32(2.0 * CLAMP as f32), 1.0);
+        assert_eq!(fast_sigmoid32(-2.0 * CLAMP as f32), 0.0);
     }
 
     #[test]
     fn zero_is_exact() {
-        assert_eq!(fast_tanh(0.0), 0.0);
-        assert_eq!(fast_tanh(-0.0), 0.0);
-        assert_eq!(fast_sigmoid(0.0), 0.5);
         assert_eq!(fast_tanh32(0.0), 0.0);
+        assert_eq!(fast_tanh32(-0.0), 0.0);
         assert_eq!(fast_sigmoid32(0.0), 0.5);
-    }
-
-    /// The default (exact) activations are untouched by this module:
-    /// `activations::tanh` is `f64::tanh` bitwise and
-    /// `activations::sigmoid` keeps its two-branch stable form, so
-    /// every digest-bearing path is 0-ULP identical whether or not a
-    /// fleet elsewhere runs the fast backend.
-    #[test]
-    fn exact_activations_unchanged() {
-        for i in -400..=400 {
-            let x = i as f64 * 0.1;
-            assert_eq!(activations::tanh(x).to_bits(), x.tanh().to_bits());
-            let s = if x >= 0.0 {
-                1.0 / (1.0 + (-x).exp())
-            } else {
-                let e = x.exp();
-                e / (1.0 + e)
-            };
-            assert_eq!(activations::sigmoid(x).to_bits(), s.to_bits());
-        }
     }
 
     proptest! {
@@ -229,29 +147,15 @@ mod tests {
         /// sides saturate to ±1 within 1e-30, so sampling wide and
         /// dense-near-zero covers the whole domain.
         #[test]
-        fn tanh_error_bound(x in -40.0f64..40.0) {
-            let err = (fast_tanh(x) - x.tanh()).abs();
-            prop_assert!(err <= FAST_TANH_MAX_ABS_ERR,
-                "x={x} err={err:e} > {FAST_TANH_MAX_ABS_ERR:e}");
-        }
-
-        #[test]
-        fn tanh_error_bound_dense(x in -4.0f64..4.0) {
-            let err = (fast_tanh(x) - x.tanh()).abs();
-            prop_assert!(err <= FAST_TANH_MAX_ABS_ERR,
-                "x={x} err={err:e} > {FAST_TANH_MAX_ABS_ERR:e}");
-        }
-
-        #[test]
-        fn sigmoid_error_bound(x in -80.0f64..80.0) {
-            let err = (fast_sigmoid(x) - activations::sigmoid(x)).abs();
-            prop_assert!(err <= FAST_SIGMOID_MAX_ABS_ERR,
-                "x={x} err={err:e} > {FAST_SIGMOID_MAX_ABS_ERR:e}");
-        }
-
-        #[test]
         fn tanh32_error_bound(x in -40.0f32..40.0) {
-            let err = (fast_tanh32(x) as f64 - (x as f64).tanh()).abs();
+            let err = (fast_tanh32(x) as f64 - activations::tanh(x as f64)).abs();
+            prop_assert!(err <= FAST_TANH32_MAX_ABS_ERR,
+                "x={x} err={err:e} > {FAST_TANH32_MAX_ABS_ERR:e}");
+        }
+
+        #[test]
+        fn tanh32_error_bound_dense(x in -4.0f32..4.0) {
+            let err = (fast_tanh32(x) as f64 - activations::tanh(x as f64)).abs();
             prop_assert!(err <= FAST_TANH32_MAX_ABS_ERR,
                 "x={x} err={err:e} > {FAST_TANH32_MAX_ABS_ERR:e}");
         }
@@ -267,13 +171,8 @@ mod tests {
         /// Range guarantee: outputs never leave [−1, 1] / [0, 1] for
         /// any input bit pattern, finite or not.
         #[test]
-        fn range_guarantee(bits in any::<u64>()) {
-            let x = f64::from_bits(bits);
-            let t = fast_tanh(x);
-            prop_assert!((-1.0..=1.0).contains(&t));
-            let s = fast_sigmoid(x);
-            prop_assert!((0.0..=1.0).contains(&s));
-            let x32 = f32::from_bits(bits as u32);
+        fn range_guarantee(bits in any::<u32>()) {
+            let x32 = f32::from_bits(bits);
             let t32 = fast_tanh32(x32);
             prop_assert!((-1.0..=1.0).contains(&t32));
             let s32 = fast_sigmoid32(x32);

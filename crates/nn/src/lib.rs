@@ -9,8 +9,9 @@
 //! * [`arena::FrameArena`] — flat structure-of-arrays storage for sequences
 //!   of equal-width frames; the substrate of the allocation-free hot path
 //!   (traces, widened samples, input gradients).
-//! * [`activations`] — numerically-stable sigmoid / tanh / softplus with
-//!   derivatives.
+//! * [`activations`] — sigmoid / tanh / softplus with derivatives. Sigmoid
+//!   and tanh are in-tree (no `libm`): branch-free IEEE `+ − × ÷` on one
+//!   `exp`, the same bits on every host and at every SIMD width.
 //! * [`dense::Dense`] — fully-connected layer with bias.
 //! * [`lstm::Lstm`] — an LSTM with hand-derived backpropagation through time,
 //!   verified against central finite differences in the test-suite.
@@ -20,8 +21,9 @@
 //! * [`init`] — Xavier/Glorot initialisation from a seeded RNG.
 //! * [`gradcheck`] — finite-difference utilities used pervasively in tests.
 //! * [`serialize`] — JSON weight (de)serialization for saved models.
-//! * [`fastmath`] — rational `fast_sigmoid`/`fast_tanh` with pinned
-//!   max-abs-error bounds, for feature-gated reduced-precision scoring.
+//! * [`fastmath`] — `f32`-only rational `fast_sigmoid32`/`fast_tanh32` with
+//!   pinned max-abs-error bounds: the scalar reference of the fast
+//!   backend's gate kernels.
 //! * [`lstm32`] — `f32` widen-once mirrors of the online scoring
 //!   kernels ([`lstm32::Lstm32`], [`lstm32::Matrix32`]).
 //! * [`autoencoder`] — an LSTM encoder–decoder over feature windows

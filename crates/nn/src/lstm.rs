@@ -264,6 +264,34 @@ pub struct OnlineBlockWorkspace {
     all: LaneIndices,
 }
 
+/// The one body of [`Lstm::gate_block`], compiled at the baseline here and
+/// again inside [`simd::x86::gate_rows_avx2`]. The lanes are a row's hidden
+/// units, each an independent chain of IEEE `+ − × ÷`, so both copies return
+/// the bits of calling [`sigmoid`]/[`tanh`] one element at a time. Zipped
+/// slices, no index: a panicking exit would stop LLVM vectorizing the loop.
+#[inline(always)]
+pub(crate) fn gate_rows(zs: &[f64], hidden: usize, hs: &mut [f64], cs: &mut [f64]) {
+    let rows = zs
+        .chunks_exact(4 * hidden)
+        .zip(hs.chunks_exact_mut(hidden))
+        .zip(cs.chunks_exact_mut(hidden));
+    for ((z, hc), cc) in rows {
+        let (zi, z) = z.split_at(hidden);
+        let (zf, z) = z.split_at(hidden);
+        let (zg, zo) = z.split_at(hidden);
+        let lanes = zi.iter().zip(zf).zip(zg).zip(zo).zip(cc.iter_mut()).zip(hc.iter_mut());
+        for (((((&zi, &zf), &zg), &zo), c), h) in lanes {
+            let i = sigmoid(zi);
+            let f = sigmoid(zf);
+            let g = tanh(zg);
+            let o = sigmoid(zo);
+            let cv = f * *c + i * g;
+            *c = cv;
+            *h = o * tanh(cv);
+        }
+    }
+}
+
 /// An LSTM layer: weights, biases and their gradient buffers.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Lstm {
@@ -278,8 +306,9 @@ pub struct Lstm {
     gwh: Option<Matrix>,
     #[serde(skip)]
     gb: Vec<f64>,
-    /// SIMD level of the block step: [`simd::detect`] at construction (so
-    /// `XATU_NO_SIMD` is honored), overridable with [`Lstm::set_simd`].
+    /// SIMD level of the online kernels: [`simd::detect`] at construction
+    /// (so `XATU_NO_SIMD` is honored), overridable with [`Lstm::set_simd`].
+    /// Never above [`simd::supported`] — [`Lstm::gate_block`] relies on it.
     #[serde(skip, default = "simd::detect")]
     simd: SimdLevel,
 }
@@ -305,8 +334,10 @@ impl Lstm {
         }
     }
 
-    /// Overrides the level [`Lstm::step_online_dual_block`] dispatches to,
-    /// clamped to what the host supports. Every level is bit-identical.
+    /// Overrides the level the online kernels dispatch to — the gate loop of
+    /// every online step ([`Lstm::gate_block`]: row path and block path) and
+    /// the block path's matvecs ([`Lstm::step_online_dual_block`]) — clamped
+    /// to what the host supports. Every level is bit-identical.
     pub fn set_simd(&mut self, level: SimdLevel) {
         self.simd = level.min(simd::supported());
     }
@@ -598,49 +629,26 @@ impl Lstm {
     }
 
     /// The fused gate/cell/output loop over a block's pre-activations, one
-    /// contiguous row per customer — the gate loop of every online step.
-    /// Public so the micro-benches can time the exact kernel against
-    /// [`Lstm::gate_block_fast`] in isolation.
+    /// contiguous row per customer — the gate loop of every online step,
+    /// [`gate_rows`] at this layer's SIMD level. Every level is
+    /// bit-identical.
+    ///
+    /// # Panics
+    /// Panics if slice lengths disagree with `batch` and the layer shape.
     pub fn gate_block(&self, zs: &[f64], batch: usize, hs: &mut [f64], cs: &mut [f64]) {
         let h = self.hidden;
-        for c in 0..batch {
-            let z = &zs[c * 4 * h..(c + 1) * 4 * h];
-            let hc = &mut hs[c * h..(c + 1) * h];
-            let cc = &mut cs[c * h..(c + 1) * h];
-            for k in 0..h {
-                let i = sigmoid(z[k]);
-                let f = sigmoid(z[h + k]);
-                let g = tanh(z[2 * h + k]);
-                let o = sigmoid(z[3 * h + k]);
-                let cv = f * cc[k] + i * g;
-                cc[k] = cv;
-                hc[k] = o * tanh(cv);
-            }
+        assert_eq!(zs.len(), batch * 4 * h, "lstm: gate zs length");
+        assert_eq!(hs.len(), batch * h, "lstm: gate hs length");
+        assert_eq!(cs.len(), batch * h, "lstm: gate cs length");
+        #[cfg(target_arch = "x86_64")]
+        if self.simd == SimdLevel::Avx2 {
+            // SAFETY: `simd` is private and only ever holds a level clamped
+            // to `simd::supported()` (`new`, `set_simd`, the serde default),
+            // so AVX2 was detected at runtime.
+            unsafe { simd::x86::gate_rows_avx2(zs, h, hs, cs) };
+            return;
         }
-    }
-
-    /// [`Lstm::gate_block`] with the rational fast activations from
-    /// [`crate::fastmath`] — same f64 arithmetic otherwise. Not used by
-    /// any digest-bearing path (the fleet fast path runs the `f32`
-    /// kernels in [`crate::lstm32`]); it exists to measure the pure
-    /// transcendental cost delta at equal precision and bandwidth.
-    pub fn gate_block_fast(&self, zs: &[f64], batch: usize, hs: &mut [f64], cs: &mut [f64]) {
-        use crate::fastmath::{fast_sigmoid, fast_tanh};
-        let h = self.hidden;
-        for c in 0..batch {
-            let z = &zs[c * 4 * h..(c + 1) * 4 * h];
-            let hc = &mut hs[c * h..(c + 1) * h];
-            let cc = &mut cs[c * h..(c + 1) * h];
-            for k in 0..h {
-                let i = fast_sigmoid(z[k]);
-                let f = fast_sigmoid(z[h + k]);
-                let g = fast_tanh(z[2 * h + k]);
-                let o = fast_sigmoid(z[3 * h + k]);
-                let cv = f * cc[k] + i * g;
-                cc[k] = cv;
-                hc[k] = o * fast_tanh(cv);
-            }
-        }
+        gate_rows(zs, h, hs, cs);
     }
 
     /// Allocating single-step convenience wrapper over
@@ -1157,6 +1165,50 @@ mod tests {
                     a.iter().flatten().map(|v| v.to_bits()).collect()
                 };
                 assert_eq!(bits(&got[l]), bits(&want[l]), "layer {l}");
+            }
+        }
+    }
+
+    /// The gate kernel's two instantiations and the element-at-a-time loop
+    /// agree to the bit at every vector remainder, edge inputs included.
+    #[test]
+    fn gate_block_levels_match_scalar_elements_bitwise() {
+        let edges = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 5e-324, 745.0, -745.0, 0.875];
+        for hidden in (1..=9).chain([12, 24, 31, 32, 33]) {
+            let mut plain = Lstm::new(1, hidden, &mut Initializer::new(3));
+            let mut wide = plain.clone();
+            plain.set_simd(SimdLevel::Scalar);
+            wide.set_simd(simd::supported());
+            for batch in [1usize, 2, 7, 450] {
+                let n = batch * hidden;
+                let mut zs: Vec<f64> =
+                    (0..4 * n).map(|j| ((j * 37 + hidden) as f64 * 0.618).sin() * 9.0).collect();
+                for (j, &e) in edges.iter().enumerate() {
+                    zs[(j * 13) % (4 * n)] = e;
+                }
+                let cs0: Vec<f64> = (0..n).map(|j| (j as f64 * 0.37).cos() * 2.0).collect();
+                let mut want = (vec![0.0; n], cs0.clone());
+                for (r, z) in zs.chunks(4 * hidden).enumerate() {
+                    for k in 0..hidden {
+                        let (i, f) = (sigmoid(z[k]), sigmoid(z[hidden + k]));
+                        let (g, o) = (tanh(z[2 * hidden + k]), sigmoid(z[3 * hidden + k]));
+                        let c = f * want.1[r * hidden + k] + i * g;
+                        want.1[r * hidden + k] = c;
+                        want.0[r * hidden + k] = o * tanh(c);
+                    }
+                }
+                // NaN stays NaN; which payload survives an operation on two
+                // NaNs is the one thing operand order may change.
+                let bits = |v: &[f64]| -> Vec<u64> {
+                    v.iter().map(|x| if x.is_nan() { u64::MAX } else { x.to_bits() }).collect()
+                };
+                for layer in [&plain, &wide] {
+                    let mut got = (vec![0.0; n], cs0.clone());
+                    layer.gate_block(&zs, batch, &mut got.0, &mut got.1);
+                    let at = format!("hidden {hidden} batch {batch} {:?}", layer.simd);
+                    assert_eq!(bits(&got.0), bits(&want.0), "h, {at}");
+                    assert_eq!(bits(&got.1), bits(&want.1), "c, {at}");
+                }
             }
         }
     }
