@@ -77,6 +77,9 @@ pub struct ScenarioReport {
     /// Per-detector scores, in matrix order (NetScout, FastNetMon,
     /// booster, fleet booster).
     pub scores: Vec<DetectorScore>,
+    /// The alert log each score was computed from, in the order of
+    /// `scores`.
+    pub alerts: Vec<Vec<Alert>>,
     /// Customers, in world order — the column order of `survivals`.
     pub customers: Vec<Ipv4>,
     /// Per-minute recorded survivals, row-major: for each minute, the
@@ -296,6 +299,7 @@ pub fn run_scenario(
         family,
         spans,
         scores,
+        alerts: vec![ns_alerts, fnm_alerts, booster_alerts, fleet_alerts],
         customers,
         survivals,
     })

@@ -1,9 +1,10 @@
 //! Golden digests of the three detector front-ends.
 //!
 //! Every row streams a fixed input through one front-end —
-//! [`OnlineDetector`], the exact fleet, the fast fleet, or the
-//! [`run_faulted`] driver, solo and with a companion attached — and folds
-//! what the front-end emits into two FNV-1a digests ([`Golden`]):
+//! [`OnlineDetector`], the exact fleet, the fast fleet, the
+//! [`run_faulted`] driver, solo and with a companion attached, or the
+//! [`run_scenario`] matrix — and folds what the front-end emits into two
+//! FNV-1a digests ([`Golden`]):
 //!
 //! * `events` — every [`DetectorEvent`] in emission order (kind, attack
 //!   type, customer, raise minute, end minute) and nothing else: the
@@ -30,6 +31,8 @@ use xatu_core::fleet::{FleetDetector, FleetInput};
 use xatu_core::fusion::{ErrorNormalizer, FusionMode};
 use xatu_core::model::XatuModel;
 use xatu_core::online::{Companion, OnlineDetector};
+use xatu_core::scenarios::{run_scenario, ScenarioRunConfig};
+use xatu_detectors::alert::Alert;
 use xatu_detectors::traits::DetectorEvent;
 use xatu_features::frame::{NUM_FEATURES, VOLUMETRIC_WIDTH};
 use xatu_netflow::addr::Ipv4;
@@ -37,7 +40,7 @@ use xatu_netflow::attack::AttackType;
 use xatu_nn::init::Initializer;
 use xatu_nn::LstmAutoencoder;
 use xatu_simnet::faults::{FaultKind, FaultSchedule, BUILTIN_SCHEDULES};
-use xatu_simnet::{World, WorldConfig};
+use xatu_simnet::{ScenarioFamily, World, WorldConfig};
 
 /// Incremental FNV-1a.
 struct Fnv(u64);
@@ -116,6 +119,12 @@ impl Digest {
         for e in events {
             self.event(e);
         }
+    }
+
+    /// A finished alert log, folded as the `Ended` events it amounts to.
+    fn alerts(&mut self, log: &[Alert]) {
+        let ended: Vec<DetectorEvent> = log.iter().map(|a| DetectorEvent::Ended(*a)).collect();
+        self.events(&ended);
     }
 }
 
@@ -381,14 +390,68 @@ fn faulted_digest(name: &str, fused: bool) -> Golden {
     for &s in &report.survivals {
         d.f64(s);
     }
-    let alerts: Vec<DetectorEvent> = report
-        .alerts
-        .iter()
-        .map(|a| DetectorEvent::Ended(*a))
-        .collect();
-    d.events(&alerts);
+    d.alerts(&report.alerts);
     d.bytes(&std::fs::read(&path).expect("checkpoint written"));
     let _ = std::fs::remove_file(&path);
+    d.finish()
+}
+
+/// `run_faulted` over the six-customer four-day smoke world, where CDet
+/// alerts are old enough for the A5 window to have to slide: both alert
+/// logs, and every survival.
+fn faulted_smoke_digest(name: &str) -> Golden {
+    let mut run_cfg = FaultedRunConfig::smoke_test(9, FaultSchedule::clean());
+    run_cfg.xatu.threads = 1;
+    let world = World::new(run_cfg.world);
+    run_cfg.schedule =
+        FaultSchedule::builtin(name, world.total_minutes(), world.customers().len())
+            .expect("builtin resolves");
+    let report = run_faulted(
+        XatuModel::new(&run_cfg.xatu),
+        AttackType::UdpFlood,
+        0.5,
+        &run_cfg,
+        RunControl::Full,
+    )
+    .expect("faulted run");
+    let mut d = Digest::new();
+    d.u32(report.minutes_recorded);
+    for &s in &report.survivals {
+        d.f64(s);
+    }
+    d.alerts(&report.alerts);
+    d.alerts(&report.cdet_alerts);
+    d.finish()
+}
+
+/// `run_scenario` over the smoke world with an untrained model: the four
+/// alert logs, then every recorded survival and every score.
+fn scenario_digest(family: ScenarioFamily) -> Golden {
+    let run_cfg = ScenarioRunConfig {
+        world: WorldConfig::smoke_test(9),
+        xatu: XatuConfig {
+            seed: 10,
+            threads: 1,
+            ..XatuConfig::smoke_test()
+        },
+        threshold: 0.5,
+    };
+    let models = [(AttackType::UdpFlood, XatuModel::new(&run_cfg.xatu))];
+    let report = run_scenario(&models, &run_cfg, family).expect("scenario run");
+    let mut d = Digest::new();
+    for log in &report.alerts {
+        d.alerts(log);
+    }
+    for &s in &report.survivals {
+        d.f64(s);
+    }
+    for score in &report.scores {
+        d.bytes(score.detector.as_bytes());
+        d.u32(score.detected as u32);
+        d.u32(score.total as u32);
+        d.f64(score.median_delay);
+        d.bytes(&score.overhead_minutes.to_le_bytes());
+    }
     d.finish()
 }
 
@@ -525,6 +588,22 @@ const FAULTED: [[Golden; 2]; 8] = [
     ], // everything
 ];
 
+/// `run_faulted` on the smoke world: `clean`, `everything`.
+const FAULTED_SMOKE: [(&str, Golden); 2] = [
+    ("clean", g(0xc104_bccb_89f4_6b06, 0xcc12_b1f8_b5de_9855)),
+    (
+        "everything",
+        g(0x2115_8170_e557_6d4b, 0x63ed_9257_7d05_1881),
+    ),
+];
+/// `run_scenario` per family, in `ScenarioFamily::ALL` order.
+const SCENARIOS: [Golden; 4] = [
+    g(0xc5e0_7624_66fe_104d, 0x62e4_68b3_cd45_515d), // multi_vector
+    g(0xd527_d66f_d324_2b38, 0xcf17_9d4e_6b51_a568), // pulse_wave
+    g(0x123f_402e_a7ee_24fb, 0x1d11_685b_abca_988f), // low_and_slow
+    g(0x7103_cdc2_f395_1e8c, 0xefc6_2094_191d_1956), // carpet_bomb
+];
+
 #[test]
 fn degradation_schedule_digests() {
     let mut moved = Moved::default();
@@ -636,6 +715,24 @@ fn run_faulted_digests() {
             want[1],
             faulted_digest(name, true),
         );
+    }
+    moved.finish();
+}
+
+#[test]
+fn run_faulted_smoke_world_digests() {
+    let mut moved = Moved::default();
+    for (name, want) in FAULTED_SMOKE {
+        moved.check(name, want, faulted_smoke_digest(name));
+    }
+    moved.finish();
+}
+
+#[test]
+fn run_scenario_digests() {
+    let mut moved = Moved::default();
+    for (family, want) in ScenarioFamily::ALL.into_iter().zip(SCENARIOS) {
+        moved.check(family.name(), want, scenario_digest(family));
     }
     moved.finish();
 }

@@ -4,10 +4,10 @@
 //! Wall-clock spans and volatile (alloc) counters are exempt from the
 //! digest by design; everything else is covered.
 
-use xatu::core::pipeline::{Pipeline, PipelineConfig};
-use xatu::obs::Snapshot;
+use xatu::core::pipeline::{EvalReport, Pipeline, PipelineConfig};
+use xatu::netflow::attack::AttackType;
 
-fn run_snapshot(threads: usize) -> Snapshot {
+fn run_report(threads: usize) -> EvalReport {
     // Seed 9 is a smoke world where a survival model actually trains and
     // the online detector raises an alert, so every instrumented layer
     // (simnet, features, trainer, detector, calibration) contributes to
@@ -15,19 +15,50 @@ fn run_snapshot(threads: usize) -> Snapshot {
     let mut cfg = PipelineConfig::smoke_test(9);
     cfg.with_fnm = true;
     cfg.xatu.threads = threads;
-    Pipeline::new(cfg).prepare().evaluate(0.01).obs
+    Pipeline::new(cfg).prepare().evaluate(0.01)
+}
+
+/// What the seed-9 smoke pipeline must read, on any thread count: the
+/// telemetry digest, the calibrated thresholds' bits, and each system's
+/// detected / total. A refactor of the pipeline's phases must leave all
+/// three alone; a change meant to move them re-captures them and says so.
+const DIGEST: u64 = 0x88ea_f2f0_2b81_6fa5;
+const XATU_THRESHOLDS: &[(AttackType, u64)] = &[(AttackType::UdpFlood, 0x3fe0_0048_6cd3_1816)];
+const DETECTED: &[(&str, usize, usize)] =
+    &[("NetScout", 2, 2), ("FastNetMon", 1, 2), ("Xatu", 1, 2)];
+
+/// The pinned outputs of a report, in the shape of the constants above.
+fn pinned(r: &EvalReport) -> (u64, Vec<(AttackType, u64)>, Vec<(&str, usize, usize)>) {
+    (
+        r.obs.digest(),
+        r.xatu_thresholds
+            .iter()
+            .map(|(ty, th)| (*ty, th.to_bits()))
+            .collect(),
+        r.systems
+            .iter()
+            .map(|s| (s.name.as_str(), s.detected, s.delay.total()))
+            .collect(),
+    )
 }
 
 #[test]
 fn pipeline_telemetry_digest_is_identical_across_thread_counts() {
-    let s1 = run_snapshot(1);
-    let s4 = run_snapshot(4);
+    let (r1, r4) = (run_report(1), run_report(4));
+    let (s1, s4) = (&r1.obs, &r4.obs);
 
     assert_eq!(
         s1.digest(),
         s4.digest(),
         "telemetry digest diverges between 1 and 4 threads"
     );
+    assert_eq!(
+        pinned(&r1),
+        (DIGEST, XATU_THRESHOLDS.to_vec(), DETECTED.to_vec()),
+        "pinned pipeline outputs moved (digest is {:#018x})",
+        s1.digest()
+    );
+    assert_eq!(pinned(&r1), pinned(&r4));
 
     // The digest equality above is the contract; these section-level
     // comparisons exist to localize a failure if it ever regresses.
@@ -62,7 +93,7 @@ fn pipeline_telemetry_digest_is_identical_across_thread_counts() {
 
 #[test]
 fn wall_and_volatile_sections_do_not_enter_the_digest() {
-    let mut a = run_snapshot(1);
+    let mut a = run_report(1).obs;
     let digest = a.digest();
     // Perturbing the digest-exempt sections must not move the digest;
     // perturbing a counter must.
