@@ -296,6 +296,7 @@ pub fn run_faulted(
         }
 
         if fast_forward {
+            extractor.clustering.expire(minute);
             continue;
         }
 
@@ -346,6 +347,7 @@ pub fn run_faulted(
             survivals.push(det.survival_of(*c));
         }
         minutes_recorded += 1;
+        extractor.clustering.expire(minute);
 
         if let RunControl::CheckpointAt {
             minute: at,

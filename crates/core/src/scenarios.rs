@@ -180,6 +180,15 @@ pub fn run_scenario(
     cfg: &ScenarioRunConfig,
     family: ScenarioFamily,
 ) -> Result<ScenarioReport, XatuError> {
+    stream_scenario(models, cfg, family).map(|(report, _)| report)
+}
+
+/// [`run_scenario`], also handing back the extractor as the run left it.
+fn stream_scenario(
+    models: &[(AttackType, XatuModel)],
+    cfg: &ScenarioRunConfig,
+    family: ScenarioFamily,
+) -> Result<(ScenarioReport, xatu_features::table1::FeatureExtractor), XatuError> {
     assert!(!models.is_empty(), "scenario runs need at least one model");
     let composed = compose(family, &cfg.world);
     let mut world = composed.world;
@@ -278,6 +287,7 @@ pub fn run_scenario(
         for &c in &customers {
             survivals.push(fleet.survival_of(c));
         }
+        extractor.clustering.expire(minute);
     }
 
     for det in boosters.iter_mut() {
@@ -295,14 +305,15 @@ pub fn run_scenario(
         score_alerts("xatu_booster", &booster_alerts, &spans, total_minutes),
         score_alerts("xatu_fleet", &fleet_alerts, &spans, total_minutes),
     ];
-    Ok(ScenarioReport {
+    let report = ScenarioReport {
         family,
         spans,
         scores,
         alerts: vec![ns_alerts, fnm_alerts, booster_alerts, fleet_alerts],
         customers,
         survivals,
-    })
+    };
+    Ok((report, extractor))
 }
 
 #[cfg(test)]
@@ -352,6 +363,24 @@ mod tests {
         }
         assert_eq!(r1.spans, r4.spans);
         assert_eq!(r1.scores.len(), 4);
+    }
+
+    #[test]
+    fn a5_window_slides_once_cdet_alerts_are_old() {
+        // A carpet bomb opens CDet alerts on several customers at once, so
+        // the clustering graph gains edges; 61 minutes after the last of
+        // them closed, the 60-minute window must hold none.
+        let cfg = smoke_cfg(9);
+        let models = vec![(AttackType::UdpFlood, XatuModel::new(&cfg.xatu))];
+        let (r, extractor) =
+            stream_scenario(&models, &cfg, ScenarioFamily::CarpetBomb).expect("run");
+        let total = cfg.world.days * 1440;
+        let cdet = &r.alerts[0];
+        let victims: std::collections::BTreeSet<_> = cdet.iter().map(|a| a.customer).collect();
+        assert!(victims.len() > 1, "carpet bomb raised CDet alerts on {victims:?}");
+        let last_end = cdet.iter().filter_map(|a| a.mitigation_end).max().expect("ended");
+        assert!(last_end + 61 <= total, "last CDet alert ends at {last_end} of {total}");
+        assert_eq!(extractor.clustering.edge_count(), 0);
     }
 
     #[test]

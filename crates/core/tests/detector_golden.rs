@@ -489,7 +489,10 @@ impl Moved {
 // became the in-tree implementations (xatu-nn `activations`): across the
 // 143,448 hazards and survivals the rows fold, 77.5 % kept their bits and
 // the largest |Δ| was 4.4e-16; no `events` constant moved. The fast fleet's
-// rows (its `f32` kernels) did not move at all.
+// rows (its `f32` kernels) did not move at all. The smoke-world rows
+// (`FAULTED_SMOKE`, `SCENARIOS`) were captured on the drivers that never
+// expired the A5 window; the fix moved the `full` side of both `run_faulted`
+// rows and of `multi_vector` and `carpet_bomb`, once, and no `events` side.
 
 /// `g(events, full)`.
 const fn g(events: u64, full: u64) -> Golden {
@@ -590,18 +593,18 @@ const FAULTED: [[Golden; 2]; 8] = [
 
 /// `run_faulted` on the smoke world: `clean`, `everything`.
 const FAULTED_SMOKE: [(&str, Golden); 2] = [
-    ("clean", g(0xc104_bccb_89f4_6b06, 0xcc12_b1f8_b5de_9855)),
+    ("clean", g(0xc104_bccb_89f4_6b06, 0xedfb_4401_da0f_d7a9)),
     (
         "everything",
-        g(0x2115_8170_e557_6d4b, 0x63ed_9257_7d05_1881),
+        g(0x2115_8170_e557_6d4b, 0x1238_2380_92a9_ad81),
     ),
 ];
 /// `run_scenario` per family, in `ScenarioFamily::ALL` order.
 const SCENARIOS: [Golden; 4] = [
-    g(0xc5e0_7624_66fe_104d, 0x62e4_68b3_cd45_515d), // multi_vector
+    g(0xc5e0_7624_66fe_104d, 0x702b_06e7_8b66_43b5), // multi_vector
     g(0xd527_d66f_d324_2b38, 0xcf17_9d4e_6b51_a568), // pulse_wave
     g(0x123f_402e_a7ee_24fb, 0x1d11_685b_abca_988f), // low_and_slow
-    g(0x7103_cdc2_f395_1e8c, 0xefc6_2094_191d_1956), // carpet_bomb
+    g(0x7103_cdc2_f395_1e8c, 0x18dc_8141_a006_533e), // carpet_bomb
 ];
 
 #[test]
