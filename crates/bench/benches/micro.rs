@@ -10,6 +10,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use xatu_core::config::XatuConfig;
 use xatu_core::model::XatuModel;
+use xatu_core::online::OnlineDetector;
 use xatu_core::pipeline::{Pipeline, PipelineConfig};
 use xatu_core::sample::{Sample, SampleMeta};
 use xatu_core::trainer::train;
@@ -19,6 +20,7 @@ use xatu_features::blocklist::BlocklistCategory;
 use xatu_features::clustering::ClusteringTracker;
 use xatu_features::table1::FeatureExtractor;
 use xatu_netflow::addr::{Ipv4, Prefix, Subnet24};
+use xatu_netflow::attack::AttackType;
 use xatu_netflow::binning::MinuteFlows;
 use xatu_netflow::record::{FlowRecord, Protocol, TcpFlags};
 use xatu_netflow::sampler::{PacketSampler, SamplingMode};
@@ -131,11 +133,15 @@ fn bench_clustering_writes(c: &mut Criterion) {
 
 fn bench_detection_step(c: &mut Criterion) {
     let cfg = XatuConfig::default();
-    let model = XatuModel::new(&cfg);
-    let mut state = model.new_streaming_state(cfg.short_len, cfg.medium_len, cfg.long_len);
+    // The path that serves: one customer-minute through `observe`.
+    let mut det = OnlineDetector::new(XatuModel::new(&cfg), AttackType::UdpFlood, 0.5, &cfg);
     let frame = vec![0.3f64; 273];
+    let mut minute = 0;
     c.bench_function("xatu_online_detection_step_h24", |b| {
-        b.iter(|| black_box(model.step_streaming(&mut state, black_box(&frame), None, None)))
+        b.iter(|| {
+            minute += 1;
+            black_box(det.observe(Ipv4(1), minute, black_box(&frame)))
+        })
     });
 }
 

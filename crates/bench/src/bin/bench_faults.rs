@@ -100,7 +100,6 @@ fn run(
         world: cfg.world,
         xatu,
         schedule,
-        cdet_silence_limit: 10,
         companion: companion.cloned(),
     };
     run_faulted(model.clone(), ty, threshold, &fcfg, RunControl::Full).expect("faulted run")

@@ -6,8 +6,9 @@
 //! achieves — the paper's motivating example of late detection.
 
 use xatu_core::eval::{build_ground_truth, VolumeStore};
+use xatu_detectors::alert::AlertLog;
 use xatu_detectors::netscout::NetScout;
-use xatu_detectors::traits::{Detector, DetectorEvent, MinuteObservation};
+use xatu_detectors::traits::Detector;
 use xatu_metrics::areas::{integrate_areas, ScrubWindow};
 use xatu_metrics::table::Table;
 use xatu_netflow::attack::AttackType;
@@ -19,7 +20,7 @@ pub fn run(seed: u64) -> String {
     let total = world.total_minutes();
     let mut volumes = VolumeStore::new(total);
     let mut netscout = NetScout::new();
-    let mut alerts = Vec::new();
+    let mut alerts = AlertLog::default();
 
     while !world.finished() {
         let bins = world.step();
@@ -27,32 +28,16 @@ pub fn run(seed: u64) -> String {
         for bin in &bins {
             volumes.record(bin);
             if bin.customer == event.victim {
-                let obs = MinuteObservation {
-                    minute,
-                    customer: bin.customer,
-                    attack_type: AttackType::UdpFlood,
-                    bytes: volumes.bytes_at(bin.customer, AttackType::UdpFlood, minute),
-                    packets: volumes.packets_at(bin.customer, AttackType::UdpFlood, minute),
-                };
-                for ev in netscout.observe(&obs) {
-                    match ev {
-                        DetectorEvent::Raised(a) => alerts.push(a),
-                        DetectorEvent::Ended(a) => {
-                            if let Some(slot) = alerts
-                                .iter_mut()
-                                .find(|x| x.mitigation_end.is_none())
-                            {
-                                slot.mitigation_end = a.mitigation_end;
-                            }
-                        }
-                    }
+                let udp = volumes.channels(bin.customer, minute)[AttackType::UdpFlood.index()];
+                for ev in netscout.observe(&udp) {
+                    alerts.apply(&ev);
                 }
             }
         }
     }
 
     let mut out = String::new();
-    let Some(alert) = alerts.first().copied() else {
+    let Some(alert) = alerts.0.first().copied() else {
         return "fig2: CDet never detected the scripted attack (unexpected)".into();
     };
     let gt = build_ground_truth(&[alert], &volumes);

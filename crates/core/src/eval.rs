@@ -5,6 +5,7 @@
 use std::collections::HashMap;
 use xatu_detectors::alert::Alert;
 use xatu_detectors::cusum::mark_anomaly_start;
+use xatu_detectors::traits::MinuteObservation;
 use xatu_metrics::areas::{integrate_areas, AttackAreas, ScrubWindow};
 use xatu_metrics::delay::{DelayObs, DelayStats};
 use xatu_metrics::effectiveness::EffectivenessRecord;
@@ -13,9 +14,14 @@ use xatu_netflow::addr::Ipv4;
 use xatu_netflow::attack::AttackType;
 use xatu_netflow::binning::MinuteFlows;
 
-/// Per-(customer, type) per-minute signature-matching volumes for the whole
-/// period. ~24 customers × 6 types × 40 k minutes × 8 B ≈ 46 MB.
+/// Per-(customer, type) per-minute signature-matching volumes.
+/// ~24 customers × 6 types × 40 k minutes × 8 B ≈ 46 MB for an offline
+/// period. A series is allocated at the period's length the first time its
+/// channel carries volume, grows when a later minute is recorded (a stream
+/// has no last minute), and reads `0.0` past its end.
 pub struct VolumeStore {
+    /// The period: what [`VolumeStore::new`] was given, or one past the
+    /// newest minute recorded if that is later.
     total_minutes: usize,
     /// (customer, type) → per-minute bytes.
     bytes: HashMap<(Ipv4, AttackType), Vec<f32>>,
@@ -23,8 +29,23 @@ pub struct VolumeStore {
     packets: HashMap<(Ipv4, AttackType), Vec<f32>>,
 }
 
+/// The cell of `series` for `minute`, growing the series to reach it.
+fn cell(series: &mut Vec<f32>, minute: usize) -> &mut f32 {
+    if series.len() <= minute {
+        series.resize(minute + 1, 0.0);
+    }
+    &mut series[minute]
+}
+
+/// The value of `series` at `minute`; zero for no series or past its end.
+fn read(series: Option<&Vec<f32>>, minute: usize) -> f64 {
+    series
+        .and_then(|v| v.get(minute))
+        .map_or(0.0, |&x| x as f64)
+}
+
 impl VolumeStore {
-    /// Creates a store for `total_minutes` minutes.
+    /// Creates a store whose series are pre-sized to `total_minutes`.
     pub fn new(total_minutes: u32) -> Self {
         VolumeStore {
             total_minutes: total_minutes as usize,
@@ -36,6 +57,8 @@ impl VolumeStore {
     /// Records one customer-minute bin: accumulates signature-matching
     /// volume for every attack type.
     pub fn record(&mut self, bin: &MinuteFlows) {
+        let minute = bin.minute as usize;
+        self.total_minutes = self.total_minutes.max(minute + 1);
         for ty in AttackType::ALL {
             let sig = ty.signature();
             let mut b = 0.0f64;
@@ -49,47 +72,67 @@ impl VolumeStore {
             if b > 0.0 {
                 let key = (bin.customer, ty);
                 let total = self.total_minutes;
-                let bytes = self
-                    .bytes
-                    .entry(key)
-                    .or_insert_with(|| vec![0.0; total]);
-                bytes[bin.minute as usize] += b as f32;
-                let packets = self
-                    .packets
-                    .entry(key)
-                    .or_insert_with(|| vec![0.0; total]);
-                packets[bin.minute as usize] += p as f32;
+                let bytes = self.bytes.entry(key).or_insert_with(|| vec![0.0; total]);
+                *cell(bytes, minute) += b as f32;
+                let packets = self.packets.entry(key).or_insert_with(|| vec![0.0; total]);
+                *cell(packets, minute) += p as f32;
             }
         }
     }
 
-    /// Bytes series for a (customer, type); zeros if never seen.
-    pub fn bytes_series(&self, customer: Ipv4, ty: AttackType) -> Option<&[f32]> {
-        self.bytes.get(&(customer, ty)).map(Vec::as_slice)
-    }
-
     /// Bytes at one minute.
     pub fn bytes_at(&self, customer: Ipv4, ty: AttackType, minute: u32) -> f64 {
-        self.bytes
-            .get(&(customer, ty))
-            .map_or(0.0, |v| v[minute as usize] as f64)
+        read(self.bytes.get(&(customer, ty)), minute as usize)
     }
 
     /// Packets at one minute.
     pub fn packets_at(&self, customer: Ipv4, ty: AttackType, minute: u32) -> f64 {
-        self.packets
-            .get(&(customer, ty))
-            .map_or(0.0, |v| v[minute as usize] as f64)
+        read(self.packets.get(&(customer, ty)), minute as usize)
+    }
+
+    /// What a volumetric detector observes of `customer` at `minute`: one
+    /// observation per signature channel, in [`AttackType::ALL`] order.
+    pub fn channels(&self, customer: Ipv4, minute: u32) -> [MinuteObservation; 6] {
+        AttackType::ALL.map(|attack_type| MinuteObservation {
+            minute,
+            customer,
+            attack_type,
+            bytes: self.bytes_at(customer, attack_type, minute),
+            packets: self.packets_at(customer, attack_type, minute),
+        })
     }
 
     /// Bytes as f64 over a range (clipped to the period).
     pub fn bytes_range(&self, customer: Ipv4, ty: AttackType, start: u32, end: u32) -> Vec<f64> {
         let end = (end as usize).min(self.total_minutes);
         let start = (start as usize).min(end);
-        match self.bytes.get(&(customer, ty)) {
-            Some(v) => v[start..end].iter().map(|&x| x as f64).collect(),
-            None => vec![0.0; end - start],
+        let mut out = vec![0.0; end - start];
+        if let Some(series) = self.bytes.get(&(customer, ty)) {
+            let recorded = series.get(start..end.min(series.len())).unwrap_or(&[]);
+            for (o, &x) in out.iter_mut().zip(recorded) {
+                *o = x as f64;
+            }
         }
+        out
+    }
+
+    /// True if the signature volume at `minute` clearly exceeds the
+    /// trailing baseline (mean over [minute−180, minute−60)) — the
+    /// corroboration a scrubbing centre, or an auto-regressive tracker
+    /// update, asks for before treating matching traffic as attack traffic.
+    pub fn is_anomalous(&self, customer: Ipv4, ty: AttackType, minute: u32) -> bool {
+        let now = self.bytes_at(customer, ty, minute);
+        if now <= 0.0 {
+            return false;
+        }
+        let start = minute.saturating_sub(180);
+        let end = minute.saturating_sub(60).max(start);
+        if end <= start {
+            return true; // not enough history to judge; trust the alert
+        }
+        let base = self.bytes_range(customer, ty, start, end);
+        let mean = base.iter().sum::<f64>() / base.len() as f64;
+        now > 4.0 * mean + 1e5
     }
 }
 
@@ -358,6 +401,33 @@ mod tests {
         assert_eq!(vs.bytes_at(c, AttackType::DnsAmplification, 3), 0.0);
         assert_eq!(vs.bytes_at(c, AttackType::UdpFlood, 4), 0.0);
         assert_eq!(vs.bytes_range(c, AttackType::UdpFlood, 2, 5), vec![0.0, 500.0, 0.0]);
+    }
+
+    #[test]
+    fn volume_store_grows_past_the_period_it_was_sized_for() {
+        let mut vs = VolumeStore::new(10);
+        let c = Ipv4(1);
+        vs.record(&udp_bin(9, c, 100));
+        // Both sides of the old bound: minute 10 used to index out of range.
+        assert_eq!(vs.bytes_at(c, AttackType::UdpFlood, 10), 0.0);
+        assert_eq!(vs.packets_at(c, AttackType::UdpFlood, u32::MAX), 0.0);
+        vs.record(&udp_bin(10, c, 300));
+        vs.record(&udp_bin(25, Ipv4(2), 700));
+        assert_eq!(vs.bytes_at(c, AttackType::UdpFlood, 9), 100.0);
+        assert_eq!(vs.bytes_at(c, AttackType::UdpFlood, 10), 300.0);
+        assert_eq!(vs.packets_at(c, AttackType::UdpFlood, 10), 3.0);
+        assert_eq!(vs.bytes_at(Ipv4(2), AttackType::UdpFlood, 25), 700.0);
+        // The period follows the newest recorded minute; a shorter series
+        // reads zero up to it.
+        assert_eq!(
+            vs.bytes_range(c, AttackType::UdpFlood, 8, 40),
+            [vec![0.0, 100.0, 300.0], vec![0.0; 15]].concat()
+        );
+        let udp = vs.channels(c, 10)[AttackType::UdpFlood.index()];
+        assert_eq!(
+            (udp.minute, udp.customer, udp.bytes, udp.packets),
+            (10, c, 300.0, 3.0)
+        );
     }
 
     #[test]

@@ -13,37 +13,34 @@
 //!   [`OnlineDetector::observe_gap`] the minute they happen, so staleness
 //!   handling runs on wall-clock time.
 //! * While the CDet alert feed has been silent longer than
-//!   `cdet_silence_limit`, extracted frames fall back to their volumetric
-//!   block ([`FeatureFrame::degrade_to_volumetric`]) — auxiliary trackers
-//!   frozen by the dead feed must not be served as live evidence.
+//!   [`crate::engine::CDET_SILENCE_LIMIT`], extracted frames fall back to
+//!   their volumetric block — auxiliary trackers frozen by the dead feed
+//!   must not be served as live evidence.
 //! * The run can checkpoint the detector at a chosen minute (atomic,
 //!   checksummed — see [`crate::checkpoint`]), simulate a crash, and
-//!   resume bit-identically: the world, volume store, CDet and feature
-//!   extractor are deterministic functions of the seed and are fast-
-//!   forwarded by re-streaming; only the detector state is restored from
-//!   disk.
+//!   resume bit-identically: the world and the whole [`Engine`] (volume
+//!   store, CDet, trackers) are deterministic functions of the seed and
+//!   are fast-forwarded by closing the same minutes again with the frames
+//!   ignored; only the detector state is restored from disk.
 //!
-//! To keep resume exact, this driver does **not** auto-regress Xatu's own
-//! alerts into the extractor trackers (the clean pipeline's test phase
-//! does): the extractor's evolution must depend only on the seeded world
-//! and CDet, never on the detector being fast-forwarded past.
+//! The driver is a source → [`Engine`] adaptor: a head-less engine closes
+//! each [`xatu_simnet::MinuteDelivery`], and the [`OnlineDetector`] (the one
+//! front-end a companion attaches to) reads its frames. To keep resume
+//! exact the engine's trackers are fed CDet events only — Xatu's own alerts
+//! are not auto-regressed (the clean pipeline's test phase does that): the
+//! extractor's evolution must depend only on the seeded world and CDet,
+//! never on the detector being fast-forwarded past.
 
 use crate::checkpoint::{load_detector, save_detector};
 use crate::config::XatuConfig;
+use crate::engine::{world_extractor, AuxFeed, Engine};
 use crate::error::XatuError;
-use crate::eval::VolumeStore;
 use crate::model::XatuModel;
 use crate::online::{Companion, OnlineDetector};
-use crate::pipeline::{build_extractor, handle_alert_event, update_trackers, ActiveAlert};
-use std::collections::BTreeMap;
 use std::path::Path;
-use xatu_detectors::alert::Alert;
-use xatu_detectors::netscout::NetScout;
-use xatu_detectors::traits::{Detector, DetectorEvent, MinuteObservation};
-use xatu_features::frame::FeatureFrame;
+use xatu_detectors::alert::{Alert, AlertLog};
 use xatu_netflow::addr::Ipv4;
 use xatu_netflow::attack::AttackType;
-use xatu_par::{par_map, resolve_threads};
 use xatu_simnet::{FaultSchedule, FaultedWorld, World, WorldConfig};
 
 /// Configuration of one fault-injected run.
@@ -55,9 +52,6 @@ pub struct FaultedRunConfig {
     pub xatu: XatuConfig,
     /// The fault schedule layered over the world's flow stream.
     pub schedule: FaultSchedule,
-    /// Minutes of CDet-feed silence tolerated before extracted frames are
-    /// degraded to volumetric-only features.
-    pub cdet_silence_limit: u32,
     /// Optional unsupervised companion attached to the detector. While the
     /// feed is degraded the fused score shifts onto the companion instead
     /// of dropping to volumetric-only survival alone; `None` reproduces
@@ -76,7 +70,6 @@ impl FaultedRunConfig {
                 ..XatuConfig::smoke_test()
             },
             schedule,
-            cdet_silence_limit: 10,
             companion: None,
         }
     }
@@ -194,18 +187,22 @@ pub fn run_faulted(
     control: RunControl<'_>,
 ) -> Result<FaultReport, XatuError> {
     let world = World::new(cfg.world);
-    let customers: Vec<Ipv4> = world.customers().to_vec();
     let total_minutes = world.total_minutes();
-    let threads = resolve_threads(cfg.xatu.threads);
-
-    let mut extractor = build_extractor(&world, &cfg.xatu, None);
-    let mut volumes = VolumeStore::new(total_minutes);
-    let mut cdet = NetScout::new();
-    // BTreeMap, not HashMap: `update_trackers` iterates the open CDet
-    // alerts with tracker side effects, so the iteration order must be
-    // deterministic for checkpoint/resume bit-identity.
-    let mut active_cdet: BTreeMap<(Ipv4, AttackType), ActiveAlert> = BTreeMap::new();
-    let mut cdet_alerts: Vec<Alert> = Vec::new();
+    let mut engine = Engine::new(
+        world.customers(),
+        AuxFeed::new(world_extractor(&world, &cfg.xatu)),
+        Vec::new(),
+        cfg.xatu.threads,
+    );
+    let customers: Vec<Ipv4> = engine.customers().to_vec();
+    // `MinuteDelivery::present` is indexed in world order, the engine's
+    // `present` by ascending address.
+    assert_eq!(
+        customers,
+        world.customers(),
+        "customer addresses ascend with the index"
+    );
+    let mut cdet_alerts = AlertLog::default();
 
     // Resume: restore the detector, then replay the deterministic parts of
     // the stream (world, volumes, CDet, trackers) up to and including the
@@ -244,110 +241,41 @@ pub fn run_faulted(
     let first_minute = resume_after.map_or(0, |m| m + 1);
     let rows = (total_minutes - first_minute) as usize;
     let mut survivals: Vec<f64> = Vec::with_capacity(rows * customers.len());
-    let mut alerts: Vec<Alert> = Vec::new();
-    let mut cdet_silence = u32::MAX; // no CDet contact yet
+    let mut alerts = AlertLog::default();
     let mut degraded_feature_minutes = 0u64;
     let mut minutes_recorded = 0u32;
+    let mut killed = false;
 
     while !fw.finished() {
         let delivery = fw.step();
         let minute = delivery.minute;
-        let fast_forward = resume_after.is_some_and(|m| minute <= m);
-
-        // Volumes and CDet see only what the collector delivered.
-        for (bin, &present) in delivery.bins.iter().zip(&delivery.present) {
-            if present {
-                volumes.record(bin);
-            }
+        let closed =
+            engine.close_bins(minute, &delivery.bins, &delivery.present, delivery.cdet_up)?;
+        for ev in &closed.cdet_events {
+            cdet_alerts.apply(ev);
         }
-        if delivery.cdet_up {
-            cdet_silence = 0;
-            for (bin, &present) in delivery.bins.iter().zip(&delivery.present) {
-                if !present {
-                    continue;
-                }
-                for ty in AttackType::ALL {
-                    let obs = MinuteObservation {
-                        minute,
-                        customer: bin.customer,
-                        attack_type: ty,
-                        bytes: volumes.bytes_at(bin.customer, ty, minute),
-                        packets: volumes.packets_at(bin.customer, ty, minute),
-                    };
-                    for ev in cdet.observe(&obs) {
-                        handle_alert_event(
-                            &ev,
-                            minute,
-                            &volumes,
-                            &mut extractor,
-                            &mut active_cdet,
-                            &mut cdet_alerts,
-                        );
-                    }
-                }
-            }
-        } else {
-            cdet_silence = cdet_silence.saturating_add(1);
-        }
-        for (bin, &present) in delivery.bins.iter().zip(&delivery.present) {
-            if present {
-                update_trackers(&mut extractor, bin, &mut active_cdet, &volumes, false);
-            }
-        }
-
-        if fast_forward {
-            extractor.clustering.expire(minute);
+        if resume_after.is_some_and(|m| minute <= m) {
             continue;
         }
 
-        // Feature extraction for delivered bins only; absent customers go
-        // through explicit gap observation instead of fake empty frames.
-        extractor.spoof.ensure_built();
-        let present_bins: Vec<_> = delivery
-            .bins
-            .iter()
-            .zip(&delivery.present)
-            .filter_map(|(bin, &p)| p.then_some(bin))
-            .collect();
-        let degrade = cdet_silence > cfg.cdet_silence_limit;
-        if degrade {
-            degraded_feature_minutes += 1;
-        }
+        degraded_feature_minutes += u64::from(closed.degraded);
         // Ladder tick: with a companion attached, a dark feed shifts the
         // fused score onto the companion; recovery starts the re-warm-up
         // ramp. Without one, this only records the flag.
-        det.set_feed_degraded(degrade);
-        let frames: Vec<FeatureFrame> = par_map(threads, &present_bins, |_, bin| {
-            let mut frame = extractor.extract_shared(bin);
-            if degrade {
-                frame.degrade_to_volumetric();
-            }
-            frame
-        });
-
-        let mut frame_iter = frames.into_iter();
-        for (bin, &present) in delivery.bins.iter().zip(&delivery.present) {
-            let events = if present {
-                // Invariant: one frame per present bin, in bin order.
-                let frame = frame_iter.next().expect("one frame per present bin");
-                let (_, _, ev) = det.observe(bin.customer, minute, &frame.0)?;
-                ev
-            } else {
-                let (_, _, ev) = det.observe_gap(bin.customer, minute)?;
-                ev
+        det.set_feed_degraded(closed.degraded);
+        // Absent customers go through explicit gap observation instead of
+        // fake empty frames.
+        for (&c, frame) in customers.iter().zip(&closed.frames) {
+            let (_, _, events) = match frame {
+                Some(frame) => det.observe(c, minute, &frame.0)?,
+                None => det.observe_gap(c, minute)?,
             };
-            for e in events {
-                match e {
-                    DetectorEvent::Raised(a) => alerts.push(a),
-                    DetectorEvent::Ended(a) => close_alert(&mut alerts, &a),
-                }
+            for ev in events {
+                alerts.apply(&ev);
             }
         }
-        for c in &customers {
-            survivals.push(det.survival_of(*c));
-        }
+        survivals.extend(customers.iter().map(|&c| det.survival_of(c)));
         minutes_recorded += 1;
-        extractor.clustering.expire(minute);
 
         if let RunControl::CheckpointAt {
             minute: at,
@@ -360,72 +288,27 @@ pub fn run_faulted(
                 if kill {
                     // Simulated crash: whatever was recorded so far is the
                     // dead process's legacy; the checkpoint is on disk.
-                    return Ok(report(
-                        customers,
-                        first_minute,
-                        minutes_recorded,
-                        survivals,
-                        alerts,
-                        cdet_alerts,
-                        &fw,
-                        &det,
-                        degraded_feature_minutes,
-                    ));
+                    killed = true;
+                    break;
                 }
             }
         }
     }
 
-    for e in det.close_all(total_minutes) {
-        if let DetectorEvent::Ended(a) = e {
-            close_alert(&mut alerts, &a);
+    if !killed {
+        for ev in det.close_all(total_minutes) {
+            alerts.apply(&ev);
         }
     }
-    Ok(report(
-        customers,
-        first_minute,
-        minutes_recorded,
-        survivals,
-        alerts,
-        cdet_alerts,
-        &fw,
-        &det,
-        degraded_feature_minutes,
-    ))
-}
-
-/// Marks the newest matching open alert as ended.
-fn close_alert(log: &mut [Alert], ended: &Alert) {
-    if let Some(slot) = log.iter_mut().rev().find(|x| {
-        x.customer == ended.customer
-            && x.attack_type == ended.attack_type
-            && x.mitigation_end.is_none()
-    }) {
-        slot.mitigation_end = ended.mitigation_end;
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn report(
-    customers: Vec<Ipv4>,
-    first_minute: u32,
-    minutes_recorded: u32,
-    survivals: Vec<f64>,
-    alerts: Vec<Alert>,
-    cdet_alerts: Vec<Alert>,
-    fw: &FaultedWorld,
-    det: &OnlineDetector,
-    degraded_feature_minutes: u64,
-) -> FaultReport {
     let f = fw.obs();
     let d = det.obs();
-    FaultReport {
+    Ok(FaultReport {
         customers,
         first_minute,
         minutes_recorded,
         survivals,
-        alerts,
-        cdet_alerts,
+        alerts: alerts.0,
+        cdet_alerts: cdet_alerts.0,
         counts: FaultCounts {
             bins_suppressed: f.bins_suppressed.get(),
             flows_duplicated: f.flows_duplicated.get(),
@@ -442,7 +325,7 @@ fn report(
             fusion_recovered: d.fusion_recovered.get(),
             fusion_ae_minutes: d.fusion_ae_minutes.get(),
         },
-    }
+    })
 }
 
 #[cfg(test)]

@@ -25,26 +25,35 @@
 //!   per call, thresholded alerts, the optional companion fusion, and
 //!   auto-regressive tracker feedback (§5.3: during testing Xatu's own
 //!   detections feed A2/A4/A5).
+//! * [`engine`] — the one definition of a minute close: NetFlow v5 bytes
+//!   (or already-binned flows) → CDet alert feed → tracker upkeep → frames
+//!   → per-type fleet heads → alerts. [`engine::AuxFeed`] owns every write,
+//!   read and expiry of the auxiliary trackers; [`Engine`] composes it with
+//!   the binner, the volume store and the live CDet. Everything below that
+//!   streams a world is an adaptor over one of the two.
 //! * [`pipeline`] — the full experiment: simulate → detect (CDet) → extract
 //!   features → train per-type models → calibrate thresholds on validation
-//!   → evaluate all systems on the test period.
+//!   → evaluate all systems on the test period. Offline, so it drives
+//!   [`engine::AuxFeed`]s phase by phase rather than an [`Engine`].
 //! * [`gradients`] — input-gradient attribution (Fig 11: which auxiliary
 //!   signal drove a detection, and when).
 //! * [`error`] — the typed fault taxonomy ([`XatuError`]): what degraded
 //!   input, corrupt checkpoints and I/O failures look like to callers.
 //! * [`checkpoint`] — crash-safe checkpoint files (atomic write-then-
 //!   rename, checksummed, versioned) for the trainer and online detector.
-//! * [`faulted`] — the fault-injected streaming driver: runs the online
-//!   detector against a [`xatu_simnet::FaultedWorld`] with graceful
-//!   degradation and optional mid-run checkpoint/kill/resume.
+//! * [`faulted`] — the fault-injected streaming driver: a head-less
+//!   [`Engine`] over a [`xatu_simnet::FaultedWorld`] feeding the online
+//!   detector, with graceful degradation and optional mid-run
+//!   checkpoint/kill/resume.
 //! * [`fleet`] — the batch front-end of the same core: every customer
 //!   per call through cross-customer batched LSTM kernels and
 //!   thread-invariant sharding, 100k+ customers per box, on the exact
 //!   `f64` backend or, opted into at run time, the `f32` one.
-//! * [`scenarios`] — the adversarial scenario matrix: streams composed
-//!   multi-vector / pulse-wave / low-and-slow / carpet-bomb scenarios
-//!   through both volumetric CDets, the booster and the fleet detector,
-//!   and scores detection rate, median delay and overhead per detector.
+//! * [`scenarios`] — the adversarial scenario matrix: an [`Engine`] with
+//!   one head streams composed multi-vector / pulse-wave / low-and-slow /
+//!   carpet-bomb scenarios; both volumetric CDets, the booster and the
+//!   fleet detector are scored on detection rate, median delay and
+//!   overhead.
 //! * [`ae_trainer`] — benign-window training for the unsupervised
 //!   reconstruction companion (LSTM autoencoder over volumetric frames),
 //!   with the same bit-identical checkpoint/resume as the main trainer.
@@ -57,6 +66,7 @@ pub mod checkpoint;
 pub mod config;
 pub mod dataset;
 mod detector;
+pub mod engine;
 pub mod error;
 pub mod eval;
 pub mod faulted;
@@ -71,6 +81,7 @@ pub mod scenarios;
 pub mod trainer;
 
 pub use config::XatuConfig;
+pub use engine::Engine;
 pub use error::XatuError;
 pub use fleet::{FleetDetector, FleetInput};
 pub use model::XatuModel;

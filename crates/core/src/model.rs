@@ -602,33 +602,6 @@ impl DualState {
     }
 }
 
-/// Streaming state with bounded-context dual LSTM states, used by the
-/// online detector.
-#[derive(Clone, Debug)]
-pub struct StreamingState {
-    /// Short-timescale dual state (steps every minute).
-    pub short: DualState,
-    /// Medium-timescale dual state (steps on completed medium buckets).
-    pub medium: DualState,
-    /// Long-timescale dual state (steps on completed long buckets).
-    pub long: DualState,
-    /// Combiner input scratch (`3h`).
-    input: Vec<f64>,
-}
-
-impl StreamingState {
-    /// Assembles a streaming state from checkpointed dual states (scratch
-    /// buffers start empty and grow on the first step).
-    pub fn from_parts(short: DualState, medium: DualState, long: DualState) -> Self {
-        StreamingState {
-            short,
-            medium,
-            long,
-            input: Vec::new(),
-        }
-    }
-}
-
 impl OnlineState {
     /// Assembles an online state from checkpointed LSTM states.
     pub fn from_parts(short: LstmState, medium: LstmState, long: LstmState) -> Self {
@@ -639,60 +612,6 @@ impl OnlineState {
             scratch: OnlineScratch::default(),
             input: Vec::new(),
         }
-    }
-}
-
-impl XatuModel {
-    /// Creates a streaming state whose reset periods mirror the training
-    /// context lengths.
-    pub fn new_streaming_state(&self, short_len: usize, med_len: usize, long_len: usize) -> StreamingState {
-        let h = self.cfg.hidden;
-        StreamingState {
-            short: DualState::new(h, short_len as u32),
-            medium: DualState::new(h, med_len as u32),
-            long: DualState::new(h, long_len as u32),
-            input: Vec::new(),
-        }
-    }
-
-    /// One streaming step with bounded-context states; mirrors
-    /// [`XatuModel::step_online`] but keeps the serving distribution
-    /// aligned with training.
-    pub fn step_streaming(
-        &self,
-        state: &mut StreamingState,
-        minute_frame: &[f64],
-        med_bucket: Option<&[f64]>,
-        long_bucket: Option<&[f64]>,
-    ) -> f64 {
-        let (use_s, use_m, use_l) = self.cfg.mode.enabled();
-        if use_s {
-            state.short.step(&self.lstm_short, minute_frame);
-        }
-        if use_m {
-            if let Some(b) = med_bucket {
-                state.medium.step(&self.lstm_medium, b);
-            }
-        }
-        if use_l {
-            if let Some(b) = long_bucket {
-                state.long.step(&self.lstm_long, b);
-            }
-        }
-        let h = self.cfg.hidden;
-        fit(&mut state.input, 3 * h);
-        if use_s {
-            state.input[0..h].copy_from_slice(state.short.hidden());
-        }
-        if use_m {
-            state.input[h..2 * h].copy_from_slice(state.medium.hidden());
-        }
-        if use_l {
-            state.input[2 * h..3 * h].copy_from_slice(state.long.hidden());
-        }
-        let mut logit = [0.0f64; 1];
-        self.head.forward_into(&state.input, &mut logit);
-        softplus(logit[0])
     }
 }
 

@@ -23,6 +23,7 @@
 
 use crate::config::XatuConfig;
 use crate::dataset::{DatasetBuilder, DatasetBundle, SplitBoundaries};
+use crate::engine::{world_extractor, AuxFeed};
 use crate::eval::{
     alerts_from_score_series, build_ground_truth, evaluate_system, intervals_of, GtEvent,
     SystemAlerts, SystemEval, VolumeStore,
@@ -31,22 +32,20 @@ use crate::model::XatuModel;
 use crate::online::OnlineDetector;
 use crate::trainer::train_with_obs;
 use serde::value::Value;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
-use xatu_detectors::alert::Alert;
+use xatu_detectors::alert::{Alert, AlertLog};
 use xatu_detectors::fastnetmon::FastNetMon;
 use xatu_detectors::netscout::NetScout;
 use xatu_detectors::rf::{RandomForest, RfConfig};
-use xatu_detectors::traits::{Detector, DetectorEvent, MinuteObservation};
+use xatu_detectors::traits::{Detector, DetectorEvent};
 use xatu_features::blocklist::BlocklistCategory;
 use xatu_features::pooled_history::{PooledHistory, Timescales};
-use xatu_features::table1::FeatureExtractor;
 use xatu_metrics::percentile::Summary;
 use xatu_metrics::roc::{roc_curve, RocPoint};
 use xatu_netflow::addr::Ipv4;
-use xatu_netflow::attack::{AttackType, Severity};
-use xatu_netflow::binning::MinuteFlows;
+use xatu_netflow::attack::AttackType;
 use xatu_obs::{FieldValue, Registry, Snapshot, StderrSink};
 use xatu_par::{par_map, resolve_threads};
 use xatu_simnet::{World, WorldConfig};
@@ -220,16 +219,10 @@ pub struct Table2 {
 #[derive(Clone)]
 struct Checkpoint {
     world: World,
-    extractor: FeatureExtractor,
+    /// The CDet-fed auxiliary feed: extractor plus open CDet alerts.
+    aux: AuxFeed,
     detectors: Vec<OnlineDetector>,
     rf_histories: HashMap<Ipv4, PooledHistory>,
-    active_cdet: BTreeMap<(Ipv4, AttackType), ActiveAlert>,
-}
-
-/// Bookkeeping for an alert currently scrubbing.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct ActiveAlert {
-    pub(crate) peak_bpm: f64,
 }
 
 /// The pipeline driver.
@@ -262,7 +255,7 @@ impl Pipeline {
         obs.trace("phase", &[("name", "A: streaming world with live CDet".into())]);
         let phase_a_start = Instant::now();
         let mut world = World::new(cfg.world);
-        let mut extractor = build_extractor(&world, &cfg.xatu, cfg.blocklist_categories);
+        let mut aux = build_aux(&world, &cfg);
         let mut histories: HashMap<Ipv4, PooledHistory> = HashMap::new();
         let mut volumes = VolumeStore::new(split.total);
         let mut cdet: Box<dyn Detector> = if cfg.label_with_fnm {
@@ -271,9 +264,8 @@ impl Pipeline {
             Box::new(NetScout::new())
         };
         let mut dataset = DatasetBuilder::new(&cfg.xatu, cfg.neg_prob);
-        let mut cdet_alerts: Vec<Alert> = Vec::new();
+        let mut cdet_alerts = AlertLog::default();
         let mut cdet_events_by_minute: HashMap<u32, Vec<DetectorEvent>> = HashMap::new();
-        let mut active_cdet: BTreeMap<(Ipv4, AttackType), ActiveAlert> = BTreeMap::new();
         let mut alert_minutes: Vec<(Ipv4, u32)> = Vec::new();
 
         let raw_retain = cfg.xatu.raw_history_minutes() + 32;
@@ -296,24 +288,11 @@ impl Pipeline {
             }
             // CDet observes every (customer, type) signature volume.
             for bin in &bins {
-                for ty in AttackType::ALL {
-                    let obs = MinuteObservation {
-                        minute,
-                        customer: bin.customer,
-                        attack_type: ty,
-                        bytes: volumes.bytes_at(bin.customer, ty, minute),
-                        packets: volumes.packets_at(bin.customer, ty, minute),
-                    };
+                for obs in volumes.channels(bin.customer, minute) {
                     for ev in cdet.observe(&obs) {
                         cdet_events_by_minute.entry(minute).or_default().push(ev);
-                        handle_alert_event(
-                            &ev,
-                            minute,
-                            &volumes,
-                            &mut extractor,
-                            &mut active_cdet,
-                            &mut cdet_alerts,
-                        );
+                        aux.on_event(&ev, minute, &volumes);
+                        cdet_alerts.apply(&ev);
                         if let DetectorEvent::Raised(a) = ev {
                             alert_minutes.push((a.customer, a.detected_at));
                             if minute < split.train_end {
@@ -329,10 +308,9 @@ impl Pipeline {
             // come back in bin order, so the sequential consumption below
             // is identical for every thread count.
             for bin in &bins {
-                update_trackers(&mut extractor, bin, &mut active_cdet, &volumes, false);
+                aux.track(bin, &volumes);
             }
-            extractor.spoof.ensure_built();
-            let frames = par_map(threads, &bins, |_, bin| extractor.extract_shared(bin));
+            let frames = aux.extract(threads, &bins);
             obs.add("features.frames_phase_a", frames.len() as u64);
             for (bin, frame) in bins.iter().zip(frames) {
                 let total = bin.total_bytes() as f64;
@@ -367,9 +345,10 @@ impl Pipeline {
                     .or_insert_with(|| PooledHistory::new(ts, raw_retain, cfg.xatu.long_len + 8))
                     .push(frame);
             }
-            extractor.clustering.expire(minute);
+            aux.expire(minute);
             dataset.collect_ready(minute, &histories);
         }
+        let cdet_alerts = cdet_alerts.0;
         let bundle = dataset.finish(&alert_minutes);
         let ground_truth = build_ground_truth(&cdet_alerts, &volumes);
         let table2 = table2_of(&cdet_alerts, &split);
@@ -419,7 +398,7 @@ impl Pipeline {
         );
         let phase_b_start = Instant::now();
         let mut world_b = World::new(cfg.world);
-        let mut extractor_b = build_extractor(&world_b, &cfg.xatu, cfg.blocklist_categories);
+        let mut aux_b = build_aux(&world_b, &cfg);
         let mut detectors: Vec<OnlineDetector> = models
             .iter()
             .map(|(ty, m)| {
@@ -430,25 +409,17 @@ impl Pipeline {
             .collect();
         let mut rf_histories: HashMap<Ipv4, PooledHistory> = HashMap::new();
         let mut rf_feats: Vec<f64> = Vec::new();
-        let mut active_b: BTreeMap<(Ipv4, AttackType), ActiveAlert> = BTreeMap::new();
         let mut val_scores_xatu: HashMap<(Ipv4, AttackType), Vec<f32>> = HashMap::new();
         let mut val_scores_rf: HashMap<(Ipv4, AttackType), Vec<f32>> = HashMap::new();
 
         while world_b.minute() < split.val_end {
             let bins = world_b.step();
             let minute = bins[0].minute;
-            replay_cdet_events(
-                &cdet_events_by_minute,
-                minute,
-                &volumes,
-                &mut extractor_b,
-                &mut active_b,
-            );
+            replay_cdet_events(&cdet_events_by_minute, minute, &volumes, &mut aux_b);
             for bin in &bins {
-                update_trackers(&mut extractor_b, bin, &mut active_b, &volumes, false);
+                aux_b.track(bin, &volumes);
             }
-            extractor_b.spoof.ensure_built();
-            let frames = par_map(threads, &bins, |_, bin| extractor_b.extract_shared(bin));
+            let frames = aux_b.extract(threads, &bins);
             obs.add("features.frames_phase_b", frames.len() as u64);
             for (bin, frame) in bins.iter().zip(frames) {
                 for det in detectors.iter_mut() {
@@ -484,7 +455,7 @@ impl Pipeline {
                     }
                 }
             }
-            extractor_b.clustering.expire(minute);
+            aux_b.expire(minute);
         }
 
         obs.record_wall("pipeline.phase_b_seconds", phase_b_start.elapsed().as_secs_f64());
@@ -497,10 +468,9 @@ impl Pipeline {
 
         let checkpoint = Checkpoint {
             world: world_b,
-            extractor: extractor_b,
+            aux: aux_b,
             detectors,
             rf_histories,
-            active_cdet: active_b,
         };
 
         Prepared {
@@ -827,8 +797,8 @@ impl Prepared {
         // Fork the extractor: CDet-fed for RF, Xatu-fed for Xatu (§5.3:
         // "for stabilization and testing periods, we rely on Xatu's
         // detection to extract these features").
-        let mut extractor_cdet = self.checkpoint.extractor.clone();
-        let mut extractor_xatu = self.checkpoint.extractor.clone();
+        let mut aux_cdet = self.checkpoint.aux.clone();
+        let mut aux_xatu = AuxFeed::new(aux_cdet.extractor().clone());
         let mut detectors = self.checkpoint.detectors.clone();
         for d in detectors.iter_mut() {
             let th = xatu_thresholds
@@ -842,15 +812,13 @@ impl Prepared {
             d.reset_obs();
         }
         let mut rf_histories = self.checkpoint.rf_histories.clone();
-        let mut active_cdet = self.checkpoint.active_cdet.clone();
-        let mut active_xatu: BTreeMap<(Ipv4, AttackType), ActiveAlert> = BTreeMap::new();
 
         let ts = Timescales {
             short: cfg.xatu.timescales.0,
             medium: cfg.xatu.timescales.1,
             long: cfg.xatu.timescales.2,
         };
-        let mut xatu_alert_list: Vec<Alert> = Vec::new();
+        let mut xatu_alert_list = AlertLog::default();
         let mut test_scores_xatu: HashMap<(Ipv4, AttackType), Vec<f32>> = HashMap::new();
         let mut test_scores_rf: HashMap<(Ipv4, AttackType), Vec<f32>> = HashMap::new();
         let mut rf_feats: Vec<f64> = Vec::new();
@@ -863,8 +831,7 @@ impl Prepared {
                 &self.cdet_events_by_minute,
                 minute,
                 &self.volumes,
-                &mut extractor_cdet,
-                &mut active_cdet,
+                &mut aux_cdet,
             );
             // During the stabilization prefix the Xatu-fed extractor also
             // receives the CDet feed: the paper's stabilization period
@@ -875,8 +842,7 @@ impl Prepared {
                     &self.cdet_events_by_minute,
                     minute,
                     &self.volumes,
-                    &mut extractor_xatu,
-                    &mut active_xatu,
+                    &mut aux_xatu,
                 );
             }
             // Tracker upkeep for both extractor forks, then one extraction
@@ -884,20 +850,18 @@ impl Prepared {
             // sequential consumption below matches every thread count.
             if cfg.with_rf {
                 for bin in &bins {
-                    update_trackers(&mut extractor_cdet, bin, &mut active_cdet, &self.volumes, false);
+                    aux_cdet.track(bin, &self.volumes);
                 }
             }
             for bin in &bins {
-                update_trackers(&mut extractor_xatu, bin, &mut active_xatu, &self.volumes, true);
+                aux_xatu.track_gated(bin, &self.volumes);
             }
             let frames_cdet = if cfg.with_rf {
-                extractor_cdet.spoof.ensure_built();
-                par_map(threads, &bins, |_, bin| extractor_cdet.extract_shared(bin))
+                aux_cdet.extract(threads, &bins)
             } else {
                 Vec::new()
             };
-            extractor_xatu.spoof.ensure_built();
-            let frames_xatu = par_map(threads, &bins, |_, bin| extractor_xatu.extract_shared(bin));
+            let frames_xatu = aux_xatu.extract(threads, &bins);
             let mut frames_cdet = frames_cdet.into_iter();
             for (bin, frame_xatu) in bins.iter().zip(frames_xatu) {
                 // --- CDet-fed side: RF baseline. ---
@@ -954,27 +918,20 @@ impl Prepared {
                         .or_default()
                         .push(survival as f32);
                     for ev in events {
-                        handle_alert_event(
-                            &ev,
-                            minute,
-                            &self.volumes,
-                            &mut extractor_xatu,
-                            &mut active_xatu,
-                            &mut xatu_alert_list,
-                        );
+                        aux_xatu.on_event(&ev, minute, &self.volumes);
+                        xatu_alert_list.apply(&ev);
                     }
                 }
             }
-            extractor_cdet.clustering.expire(minute);
-            extractor_xatu.clustering.expire(minute);
+            aux_cdet.expire(minute);
+            aux_xatu.expire(minute);
         }
         for det in detectors.iter_mut() {
             for ev in det.close_all(self.split.total) {
-                if let DetectorEvent::Ended(a) = ev {
-                    close_alert(&mut xatu_alert_list, &a);
-                }
+                xatu_alert_list.apply(&ev);
             }
         }
+        let xatu_alert_list = xatu_alert_list.0;
         // Detector lifecycle telemetry from this run, stitched in detector
         // (model) order. `close_all` ends are included in `alerts_ended`.
         for det in &detectors {
@@ -1073,7 +1030,7 @@ impl Prepared {
                 let mut quiet_run = 0u32;
                 let mut release = end;
                 for m in start..end {
-                    if volume_is_anomalous(&self.volumes, customer, ty, m) {
+                    if self.volumes.is_anomalous(customer, ty, m) {
                         saw_anomalous = true;
                         quiet_run = 0;
                     } else {
@@ -1320,28 +1277,16 @@ fn snapshot_value(s: &Snapshot) -> Value {
     ])
 }
 
-/// Builds a feature extractor loaded with the world's blocklist feed and
-/// routed prefixes.
-pub(crate) fn build_extractor(
-    world: &World,
-    xatu: &XatuConfig,
-    categories: Option<BlocklistCategorySet>,
-) -> FeatureExtractor {
-    let mut ex = FeatureExtractor::new();
-    for (cat, subnet) in world.blocklist_feed() {
-        ex.blocklists.add(BlocklistCategory::ALL[cat], subnet);
-    }
-    if let Some(set) = categories {
+/// The auxiliary feed of one pipeline phase: the world's extractor with the
+/// Fig 17 blocklist-category restriction applied.
+fn build_aux(world: &World, cfg: &PipelineConfig) -> AuxFeed {
+    let mut ex = world_extractor(world, &cfg.xatu);
+    if let Some(set) = cfg.blocklist_categories {
         for (i, cat) in BlocklistCategory::ALL.iter().enumerate() {
             ex.blocklists.set_enabled(*cat, set.contains_index(i));
         }
     }
-    for (prefix, asn) in world.routed_prefixes() {
-        ex.spoof.announce(prefix, asn);
-    }
-    ex.spoof.build();
-    ex.mask = xatu.feature_mask;
-    ex
+    AuxFeed::new(ex)
 }
 
 /// CUSUM onset for an alert from the stored volumes.
@@ -1361,132 +1306,15 @@ fn onset_of(volumes: &VolumeStore, alert: &Alert) -> u32 {
     )
 }
 
-/// Applies a detector lifecycle event (CDet's or Xatu's own) to the
-/// tracker state: registers active scrubbing, records A4 severity on end,
-/// and keeps the alert log coherent.
-pub(crate) fn handle_alert_event(
-    ev: &DetectorEvent,
-    minute: u32,
-    volumes: &VolumeStore,
-    extractor: &mut FeatureExtractor,
-    active: &mut BTreeMap<(Ipv4, AttackType), ActiveAlert>,
-    log: &mut Vec<Alert>,
-) {
-    match ev {
-        DetectorEvent::Raised(a) => {
-            active.insert(
-                (a.customer, a.attack_type),
-                ActiveAlert {
-                    peak_bpm: volumes.bytes_at(a.customer, a.attack_type, minute),
-                },
-            );
-            log.push(*a);
-        }
-        DetectorEvent::Ended(a) => {
-            if let Some(st) = active.remove(&(a.customer, a.attack_type)) {
-                extractor.history.record(
-                    a.customer,
-                    a.attack_type,
-                    Severity::of_peak_bytes_per_minute(st.peak_bpm),
-                    minute,
-                );
-            }
-            close_alert(log, a);
-        }
-    }
-}
-
-/// Marks the matching raised alert in `log` as ended.
-fn close_alert(log: &mut [Alert], ended: &Alert) {
-    if let Some(slot) = log.iter_mut().rev().find(|x| {
-        x.customer == ended.customer
-            && x.attack_type == ended.attack_type
-            && x.mitigation_end.is_none()
-    }) {
-        slot.mitigation_end = ended.mitigation_end;
-    }
-}
-
-/// Per-minute tracker upkeep while alerts are active: previous-attacker
-/// recording, clustering incidences, and peak tracking (§5.1: "all sources
-/// of traffic matching the alert signature for the time from the CDet's
-/// alert to the CDet's mitigation-end notice").
-///
-/// `gated` requires volumetric corroboration before sources are recorded.
-/// CDet alerts are volume-triggered by construction, so their matching
-/// traffic is predominantly attack traffic and recording is ungated. But
-/// Xatu's *own* early alerts can fire before (or without) an attack; if
-/// their matching-but-benign sources entered the previous-attacker set,
-/// the A2 features would light up on normal traffic and keep the alert
-/// alive — a runaway auto-regressive feedback loop. The gate breaks it:
-/// sources are only recorded while the signature volume exceeds a
-/// multiple of the customer's trailing baseline.
-pub(crate) fn update_trackers(
-    extractor: &mut FeatureExtractor,
-    bin: &MinuteFlows,
-    active: &mut BTreeMap<(Ipv4, AttackType), ActiveAlert>,
-    volumes: &VolumeStore,
-    gated: bool,
-) {
-    for ((customer, ty), st) in active.iter_mut() {
-        if *customer != bin.customer {
-            continue;
-        }
-        if gated && !volume_is_anomalous(volumes, *customer, *ty, bin.minute) {
-            continue;
-        }
-        let sig = ty.signature();
-        let mut any = false;
-        for f in &bin.flows {
-            if sig.matches(f) {
-                extractor
-                    .prev_attackers
-                    .record(*customer, f.src, bin.minute);
-                extractor
-                    .clustering
-                    .record(bin.minute, f.src.subnet24(), *customer);
-                any = true;
-            }
-        }
-        if any {
-            st.peak_bpm = st
-                .peak_bpm
-                .max(volumes.bytes_at(*customer, *ty, bin.minute));
-        }
-    }
-}
-
-/// True if the signature volume at `minute` clearly exceeds the trailing
-/// baseline (mean over [minute−180, minute−60)) — the corroboration gate
-/// for auto-regressive tracker updates.
-fn volume_is_anomalous(volumes: &VolumeStore, customer: Ipv4, ty: AttackType, minute: u32) -> bool {
-    let now = volumes.bytes_at(customer, ty, minute);
-    if now <= 0.0 {
-        return false;
-    }
-    let start = minute.saturating_sub(180);
-    let end = minute.saturating_sub(60).max(start);
-    if end <= start {
-        return true; // not enough history to judge; trust the alert
-    }
-    let base = volumes.bytes_range(customer, ty, start, end);
-    let mean = base.iter().sum::<f64>() / base.len() as f64;
-    now > 4.0 * mean + 1e5
-}
-
-/// Replays recorded CDet events into an extractor (phase B).
+/// Replays the CDet events phase A recorded for `minute` into a feed.
 fn replay_cdet_events(
     events: &HashMap<u32, Vec<DetectorEvent>>,
     minute: u32,
     volumes: &VolumeStore,
-    extractor: &mut FeatureExtractor,
-    active: &mut BTreeMap<(Ipv4, AttackType), ActiveAlert>,
+    aux: &mut AuxFeed,
 ) {
-    if let Some(evs) = events.get(&minute) {
-        let mut sink = Vec::new();
-        for ev in evs {
-            handle_alert_event(ev, minute, volumes, extractor, active, &mut sink);
-        }
+    for ev in events.get(&minute).into_iter().flatten() {
+        aux.on_event(ev, minute, volumes);
     }
 }
 
@@ -1633,25 +1461,15 @@ fn train_rf_models(
 fn run_fnm(volumes: &VolumeStore, world: &World, total: u32, threads: usize) -> Vec<Alert> {
     let logs = par_map(threads, world.customers(), |_, &customer| {
         let mut fnm = FastNetMon::new();
-        let mut log: Vec<Alert> = Vec::new();
+        let mut log = AlertLog::default();
         for minute in 0..total {
-            for ty in AttackType::ALL {
-                let obs = MinuteObservation {
-                    minute,
-                    customer,
-                    attack_type: ty,
-                    bytes: volumes.bytes_at(customer, ty, minute),
-                    packets: volumes.packets_at(customer, ty, minute),
-                };
+            for obs in volumes.channels(customer, minute) {
                 for ev in fnm.observe(&obs) {
-                    match ev {
-                        DetectorEvent::Raised(a) => log.push(a),
-                        DetectorEvent::Ended(a) => close_alert(&mut log, &a),
-                    }
+                    log.apply(&ev);
                 }
             }
         }
-        log
+        log.0
     });
     logs.into_iter().flatten().collect()
 }

@@ -23,21 +23,17 @@
 //! workers and requires identical bits.
 
 use crate::config::XatuConfig;
+use crate::engine::{world_extractor, AuxFeed, Engine};
 use crate::error::XatuError;
-use crate::eval::{VolumeStore, EARLY_CREDIT};
-use crate::fleet::{FleetDetector, FleetInput};
+use crate::eval::EARLY_CREDIT;
+use crate::fleet::FleetDetector;
 use crate::model::XatuModel;
 use crate::online::OnlineDetector;
-use crate::pipeline::{build_extractor, handle_alert_event, update_trackers, ActiveAlert};
-use std::collections::BTreeMap;
-use xatu_detectors::alert::Alert;
+use xatu_detectors::alert::{Alert, AlertLog};
 use xatu_detectors::fastnetmon::FastNetMon;
-use xatu_detectors::netscout::NetScout;
-use xatu_detectors::traits::{Detector, DetectorEvent, MinuteObservation};
-use xatu_features::frame::FeatureFrame;
+use xatu_detectors::traits::Detector;
 use xatu_netflow::addr::Ipv4;
 use xatu_netflow::attack::AttackType;
-use xatu_par::{par_map, resolve_threads};
 use xatu_simnet::{compose, ScenarioFamily, ScenarioSpan, WorldConfig};
 
 /// Configuration of one scenario-matrix run.
@@ -100,24 +96,6 @@ impl ScenarioReport {
     }
 }
 
-/// Marks the newest matching open alert as ended.
-fn close_alert(log: &mut [Alert], ended: &Alert) {
-    if let Some(slot) = log.iter_mut().rev().find(|x| {
-        x.customer == ended.customer
-            && x.attack_type == ended.attack_type
-            && x.mitigation_end.is_none()
-    }) {
-        slot.mitigation_end = ended.mitigation_end;
-    }
-}
-
-fn record_event(log: &mut Vec<Alert>, ev: &DetectorEvent) {
-    match ev {
-        DetectorEvent::Raised(a) => log.push(*a),
-        DetectorEvent::Ended(a) => close_alert(log, a),
-    }
-}
-
 /// Scores one detector's alert log against the ground-truth spans.
 fn score_alerts(
     detector: &'static str,
@@ -175,145 +153,89 @@ fn score_alerts(
 ///
 /// `models` are the trained per-type survival models (the first one also
 /// drives the fleet detector); the boosters serve at `cfg.threshold`.
+///
+/// The run is a source → [`Engine`] adaptor: the engine closes each minute
+/// of the composed world with the fleet row as its one head, the boosters
+/// read the engine's frames, and FastNetMon rides beside on its volumes.
 pub fn run_scenario(
     models: &[(AttackType, XatuModel)],
     cfg: &ScenarioRunConfig,
     family: ScenarioFamily,
 ) -> Result<ScenarioReport, XatuError> {
-    stream_scenario(models, cfg, family).map(|(report, _)| report)
-}
-
-/// [`run_scenario`], also handing back the extractor as the run left it.
-fn stream_scenario(
-    models: &[(AttackType, XatuModel)],
-    cfg: &ScenarioRunConfig,
-    family: ScenarioFamily,
-) -> Result<(ScenarioReport, xatu_features::table1::FeatureExtractor), XatuError> {
     assert!(!models.is_empty(), "scenario runs need at least one model");
     let composed = compose(family, &cfg.world);
     let mut world = composed.world;
     let spans = composed.spans;
-    let customers: Vec<Ipv4> = world.customers().to_vec();
     let total_minutes = world.total_minutes();
-    let threads = resolve_threads(cfg.xatu.threads);
 
-    let mut extractor = build_extractor(&world, &cfg.xatu, None);
-    let mut volumes = VolumeStore::new(total_minutes);
-    let mut netscout = NetScout::new();
+    let fleet = FleetDetector::new(models[0].1.clone(), models[0].0, cfg.threshold, &cfg.xatu);
+    let mut engine = Engine::new(
+        world.customers(),
+        AuxFeed::new(world_extractor(&world, &cfg.xatu)),
+        vec![fleet],
+        cfg.xatu.threads,
+    );
+    let customers = engine.customers().to_vec();
+    let present = vec![true; customers.len()];
     let mut fnm = FastNetMon::new();
-    let mut active_cdet: BTreeMap<(Ipv4, AttackType), ActiveAlert> = BTreeMap::new();
-    let mut ns_alerts: Vec<Alert> = Vec::new();
-    let mut fnm_alerts: Vec<Alert> = Vec::new();
-
     let mut boosters: Vec<OnlineDetector> = models
         .iter()
         .map(|(ty, m)| OnlineDetector::new(m.clone(), *ty, cfg.threshold, &cfg.xatu))
         .collect();
-    let mut fleet = FleetDetector::new(
-        models[0].1.clone(),
-        models[0].0,
-        cfg.threshold,
-        &cfg.xatu,
-    );
-    for &c in &customers {
-        fleet.add_customer(c);
-    }
-    let mut booster_alerts: Vec<Alert> = Vec::new();
-    let mut fleet_alerts: Vec<Alert> = Vec::new();
-    let mut survivals: Vec<f64> =
-        Vec::with_capacity(total_minutes as usize * customers.len() * 2);
+    // NetScout (the engine's CDet), FastNetMon, booster, fleet booster.
+    let mut logs: [AlertLog; 4] = Default::default();
+    let mut survivals: Vec<f64> = Vec::with_capacity(total_minutes as usize * customers.len() * 2);
 
     while !world.finished() {
         let minute = world.minute();
-        let bins = world.step();
-        for bin in &bins {
-            volumes.record(bin);
+        let closed = engine.close_bins(minute, &world.step(), &present, true)?;
+        for ev in &closed.cdet_events {
+            logs[0].apply(ev);
         }
-        // Both volumetric detectors see every (customer, type) channel;
-        // NetScout doubles as the booster's CDet feed.
-        for bin in &bins {
-            for ty in AttackType::ALL {
-                let obs = MinuteObservation {
-                    minute,
-                    customer: bin.customer,
-                    attack_type: ty,
-                    bytes: volumes.bytes_at(bin.customer, ty, minute),
-                    packets: volumes.packets_at(bin.customer, ty, minute),
-                };
-                for ev in netscout.observe(&obs) {
-                    handle_alert_event(
-                        &ev,
-                        minute,
-                        &volumes,
-                        &mut extractor,
-                        &mut active_cdet,
-                        &mut ns_alerts,
-                    );
-                }
+        for (&c, frame) in customers.iter().zip(&closed.frames) {
+            for obs in engine.volumes().channels(c, minute) {
                 for ev in fnm.observe(&obs) {
-                    record_event(&mut fnm_alerts, &ev);
+                    logs[1].apply(&ev);
                 }
             }
-        }
-        for bin in &bins {
-            update_trackers(&mut extractor, bin, &mut active_cdet, &volumes, false);
-        }
-
-        extractor.spoof.ensure_built();
-        let frames: Vec<FeatureFrame> =
-            par_map(threads, &bins, |_, bin| extractor.extract_shared(bin));
-
-        for (bin, frame) in bins.iter().zip(&frames) {
+            let frame = frame.as_ref().expect("every customer is present");
             for det in boosters.iter_mut() {
-                let (_, _, events) = det.observe(bin.customer, minute, &frame.0)?;
-                for e in events {
-                    record_event(&mut booster_alerts, &e);
+                let (_, _, events) = det.observe(c, minute, &frame.0)?;
+                for ev in events {
+                    logs[2].apply(&ev);
                 }
             }
         }
-        let fleet_events: Vec<DetectorEvent> = fleet
-            .step_minute_batch(minute, threads, |g, _addr, buf| {
-                buf.copy_from_slice(&frames[g].0);
-                FleetInput::Frame
-            })?
-            .to_vec();
-        for e in &fleet_events {
-            record_event(&mut fleet_alerts, e);
+        for (_, ev) in &closed.fleet_events {
+            logs[3].apply(ev);
         }
-
-        for &c in &customers {
-            survivals.push(boosters[0].survival_of(c));
-        }
-        for &c in &customers {
-            survivals.push(fleet.survival_of(c));
-        }
-        extractor.clustering.expire(minute);
+        survivals.extend(customers.iter().map(|&c| boosters[0].survival_of(c)));
+        survivals.extend(customers.iter().map(|&c| engine.heads()[0].survival_of(c)));
     }
 
     for det in boosters.iter_mut() {
-        for e in det.close_all(total_minutes) {
-            record_event(&mut booster_alerts, &e);
+        for ev in det.close_all(total_minutes) {
+            logs[2].apply(&ev);
         }
     }
-    for e in fleet.close_all(total_minutes) {
-        record_event(&mut fleet_alerts, &e);
+    for (_, ev) in engine.close_all(total_minutes) {
+        logs[3].apply(&ev);
     }
 
-    let scores = vec![
-        score_alerts("netscout", &ns_alerts, &spans, total_minutes),
-        score_alerts("fastnetmon", &fnm_alerts, &spans, total_minutes),
-        score_alerts("xatu_booster", &booster_alerts, &spans, total_minutes),
-        score_alerts("xatu_fleet", &fleet_alerts, &spans, total_minutes),
-    ];
-    let report = ScenarioReport {
+    let alerts: Vec<Vec<Alert>> = logs.into_iter().map(|log| log.0).collect();
+    let scores = ["netscout", "fastnetmon", "xatu_booster", "xatu_fleet"]
+        .into_iter()
+        .zip(&alerts)
+        .map(|(name, log)| score_alerts(name, log, &spans, total_minutes))
+        .collect();
+    Ok(ScenarioReport {
         family,
         spans,
         scores,
-        alerts: vec![ns_alerts, fnm_alerts, booster_alerts, fleet_alerts],
+        alerts,
         customers,
         survivals,
-    };
-    Ok((report, extractor))
+    })
 }
 
 #[cfg(test)]
@@ -363,24 +285,6 @@ mod tests {
         }
         assert_eq!(r1.spans, r4.spans);
         assert_eq!(r1.scores.len(), 4);
-    }
-
-    #[test]
-    fn a5_window_slides_once_cdet_alerts_are_old() {
-        // A carpet bomb opens CDet alerts on several customers at once, so
-        // the clustering graph gains edges; 61 minutes after the last of
-        // them closed, the 60-minute window must hold none.
-        let cfg = smoke_cfg(9);
-        let models = vec![(AttackType::UdpFlood, XatuModel::new(&cfg.xatu))];
-        let (r, extractor) =
-            stream_scenario(&models, &cfg, ScenarioFamily::CarpetBomb).expect("run");
-        let total = cfg.world.days * 1440;
-        let cdet = &r.alerts[0];
-        let victims: std::collections::BTreeSet<_> = cdet.iter().map(|a| a.customer).collect();
-        assert!(victims.len() > 1, "carpet bomb raised CDet alerts on {victims:?}");
-        let last_end = cdet.iter().filter_map(|a| a.mitigation_end).max().expect("ended");
-        assert!(last_end + 61 <= total, "last CDet alert ends at {last_end} of {total}");
-        assert_eq!(extractor.clustering.edge_count(), 0);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::path::PathBuf;
 
 use xatu_core::checkpoint::{attack_type_tag, load_detector, save_detector};
 use xatu_core::config::XatuConfig;
-use xatu_core::faulted::{run_faulted, FaultedRunConfig, RunControl};
+use xatu_core::faulted::{run_faulted, FaultReport, FaultedRunConfig, RunControl};
 use xatu_core::fleet::{FleetDetector, FleetInput};
 use xatu_core::fusion::{ErrorNormalizer, FusionMode};
 use xatu_core::model::XatuModel;
@@ -350,6 +350,17 @@ fn companion(window: usize) -> Companion {
     }
 }
 
+/// A fault report's recorded minutes, survivals and Xatu alert log.
+fn report_digest(report: &FaultReport) -> Digest {
+    let mut d = Digest::new();
+    d.u32(report.minutes_recorded);
+    for &s in &report.survivals {
+        d.f64(s);
+    }
+    d.alerts(&report.alerts);
+    d
+}
+
 /// `run_faulted` over a three-customer one-day world under the named
 /// built-in schedule, checkpointing (without killing) at mid-run: the
 /// report's survivals and alerts plus the checkpoint file's bytes.
@@ -367,7 +378,6 @@ fn faulted_digest(name: &str, fused: bool) -> Golden {
     };
     let run_cfg = FaultedRunConfig {
         schedule: FaultSchedule::builtin(name, total, 3).expect("builtin resolves"),
-        cdet_silence_limit: 10,
         companion: fused.then(|| companion(xatu.window)),
         world,
         xatu,
@@ -385,12 +395,7 @@ fn faulted_digest(name: &str, fused: bool) -> Golden {
         },
     )
     .expect("faulted run");
-    let mut d = Digest::new();
-    d.u32(report.minutes_recorded);
-    for &s in &report.survivals {
-        d.f64(s);
-    }
-    d.alerts(&report.alerts);
+    let mut d = report_digest(&report);
     d.bytes(&std::fs::read(&path).expect("checkpoint written"));
     let _ = std::fs::remove_file(&path);
     d.finish()
@@ -403,9 +408,8 @@ fn faulted_smoke_digest(name: &str) -> Golden {
     let mut run_cfg = FaultedRunConfig::smoke_test(9, FaultSchedule::clean());
     run_cfg.xatu.threads = 1;
     let world = World::new(run_cfg.world);
-    run_cfg.schedule =
-        FaultSchedule::builtin(name, world.total_minutes(), world.customers().len())
-            .expect("builtin resolves");
+    run_cfg.schedule = FaultSchedule::builtin(name, world.total_minutes(), world.customers().len())
+        .expect("builtin resolves");
     let report = run_faulted(
         XatuModel::new(&run_cfg.xatu),
         AttackType::UdpFlood,
@@ -414,12 +418,7 @@ fn faulted_smoke_digest(name: &str) -> Golden {
         RunControl::Full,
     )
     .expect("faulted run");
-    let mut d = Digest::new();
-    d.u32(report.minutes_recorded);
-    for &s in &report.survivals {
-        d.f64(s);
-    }
-    d.alerts(&report.alerts);
+    let mut d = report_digest(&report);
     d.alerts(&report.cdet_alerts);
     d.finish()
 }

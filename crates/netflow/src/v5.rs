@@ -105,6 +105,15 @@ pub fn encode_datagram(flows: &[FlowRecord], sequence: u32, sampling: u16) -> Ve
 
 /// Parses a v5 datagram into flow records.
 pub fn parse_datagram(bytes: &[u8]) -> Result<Vec<FlowRecord>, V5Error> {
+    let mut out = Vec::new();
+    parse_datagram_into(bytes, &mut out)?;
+    Ok(out)
+}
+
+/// Parses a v5 datagram, appending its flow records to `out`; returns how
+/// many were appended. A datagram that fails to parse leaves `out` as it
+/// was, so a collector can decode a whole feed into one reused buffer.
+pub fn parse_datagram_into(bytes: &[u8], out: &mut Vec<FlowRecord>) -> Result<usize, V5Error> {
     if bytes.len() < HEADER_LEN {
         return Err(V5Error::TooShort);
     }
@@ -125,7 +134,10 @@ pub fn parse_datagram(bytes: &[u8]) -> Result<Vec<FlowRecord>, V5Error> {
     }
     let sampling = (be16(22) & 0x3FFF).max(1) as u32;
 
-    let mut out = Vec::with_capacity(count);
+    // Every check is above: from here on nothing fails, so `out` only
+    // ever grows by whole datagrams. `count` is bounded by the input's
+    // own length.
+    out.reserve(count);
     for i in 0..count {
         let o = HEADER_LEN + i * RECORD_LEN;
         let first_ms = be32(o + 24);
@@ -142,7 +154,7 @@ pub fn parse_datagram(bytes: &[u8]) -> Result<Vec<FlowRecord>, V5Error> {
             sampling,
         });
     }
-    Ok(out)
+    Ok(count)
 }
 
 #[cfg(test)]
@@ -214,6 +226,19 @@ mod tests {
             parse_datagram(truncated),
             Err(V5Error::CountMismatch { declared: 3, available: 2 })
         ));
+    }
+
+    #[test]
+    fn parse_into_appends_and_leaves_the_buffer_alone_on_error() {
+        let fs = flows(3);
+        let dgram = encode_datagram(&fs, 0, 100);
+        let mut out = vec![fs[0]];
+        assert_eq!(parse_datagram_into(&dgram, &mut out), Ok(3));
+        assert_eq!(out[1..], fs[..]);
+        for bad in [&dgram[..10], &dgram[..dgram.len() - 1]] {
+            assert!(parse_datagram_into(bad, &mut out).is_err());
+            assert_eq!(out.len(), 4);
+        }
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! 2. the auxiliary-signal activity (probing from future attack sources),
 //! 3. the CUSUM-marked anomaly onset vs the CDet detection time.
 
+use xatu::core::eval::VolumeStore;
 use xatu::detectors::cusum::mark_anomaly_start;
 use xatu::detectors::netscout::NetScout;
-use xatu::detectors::traits::{Detector, DetectorEvent, MinuteObservation};
+use xatu::detectors::traits::{Detector, DetectorEvent};
 use xatu::netflow::attack::AttackType;
 use xatu::simnet::scenario::single_udp_attack;
 
@@ -30,41 +31,31 @@ fn main() {
 
     let sig = AttackType::UdpFlood.signature();
     let total = world.total_minutes();
-    let mut volume = vec![0.0f64; total as usize];
+    let mut volumes = VolumeStore::new(total);
     let mut prep_sources = vec![0usize; total as usize];
     let mut netscout = NetScout::new();
     let mut detection: Option<u32> = None;
 
     while !world.finished() {
         let bins = world.step();
-        let minute = bins[0].minute as usize;
+        let minute = bins[0].minute;
         let bin = bins.iter().find(|b| b.customer == event.victim).unwrap();
-        let mut bytes = 0.0;
-        let mut packets = 0.0;
-        let mut probes = std::collections::HashSet::new();
-        for f in &bin.flows {
-            if sig.matches(f) {
-                bytes += f.est_bytes() as f64;
-                packets += f.est_packets() as f64;
-                if f.src.octets()[0] == 60 {
-                    probes.insert(f.src.subnet24());
-                }
-            }
-        }
-        volume[minute] = bytes;
-        prep_sources[minute] = probes.len();
-        for ev in netscout.observe(&MinuteObservation {
-            minute: minute as u32,
-            customer: event.victim,
-            attack_type: AttackType::UdpFlood,
-            bytes,
-            packets,
-        }) {
+        volumes.record(bin);
+        let probes: std::collections::HashSet<_> = bin
+            .flows
+            .iter()
+            .filter(|f| sig.matches(f) && f.src.octets()[0] == 60)
+            .map(|f| f.src.subnet24())
+            .collect();
+        prep_sources[minute as usize] = probes.len();
+        let udp = volumes.channels(event.victim, minute)[AttackType::UdpFlood.index()];
+        for ev in netscout.observe(&udp) {
             if let DetectorEvent::Raised(a) = ev {
                 detection.get_or_insert(a.detected_at);
             }
         }
     }
+    let volume = volumes.bytes_range(event.victim, AttackType::UdpFlood, 0, total);
 
     // Auxiliary activity by day (distinct probing /24s per day).
     println!("\npreparation activity (distinct attacker /24s probing per day):");

@@ -16,9 +16,9 @@
 //! own, which is the backdrop against which Xatu's boost matters.
 
 use xatu::core::eval::{build_ground_truth, evaluate_system, intervals_of, VolumeStore};
+use xatu::detectors::alert::AlertLog;
 use xatu::detectors::netscout::NetScout;
-use xatu::detectors::traits::{Detector, DetectorEvent, MinuteObservation};
-use xatu::netflow::attack::AttackType;
+use xatu::detectors::traits::Detector;
 use xatu::simnet::{scenario, World};
 use xatu_metrics::percentile::Summary;
 
@@ -27,42 +27,22 @@ fn run_world(cfg: xatu::simnet::WorldConfig, label: &str) {
     let total = world.total_minutes();
     let mut volumes = VolumeStore::new(total);
     let mut netscout = NetScout::new();
-    let mut alerts = Vec::new();
+    let mut alerts = AlertLog::default();
 
     while !world.finished() {
         let bins = world.step();
         let minute = bins[0].minute;
         for bin in &bins {
             volumes.record(bin);
-            for ty in AttackType::ALL {
-                let bytes = volumes.bytes_at(bin.customer, ty, minute);
-                if bytes == 0.0 {
-                    continue;
-                }
-                let obs = MinuteObservation {
-                    minute,
-                    customer: bin.customer,
-                    attack_type: ty,
-                    bytes,
-                    packets: volumes.packets_at(bin.customer, ty, minute),
-                };
-                for ev in netscout.observe(&obs) {
-                    match ev {
-                        DetectorEvent::Raised(a) => alerts.push(a),
-                        DetectorEvent::Ended(a) => {
-                            if let Some(slot) = alerts.iter_mut().rev().find(|x| {
-                                x.customer == a.customer
-                                    && x.attack_type == a.attack_type
-                                    && x.mitigation_end.is_none()
-                            }) {
-                                slot.mitigation_end = a.mitigation_end;
-                            }
-                        }
-                    }
+            let live = volumes.channels(bin.customer, minute);
+            for obs in live.iter().filter(|obs| obs.bytes > 0.0) {
+                for ev in netscout.observe(obs) {
+                    alerts.apply(&ev);
                 }
             }
         }
     }
+    let alerts = alerts.0;
 
     let gt = build_ground_truth(&alerts, &volumes);
     let scheduled = world.events().len();

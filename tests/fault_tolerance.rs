@@ -49,7 +49,6 @@ fn run_cfg(seed: u64, threads: usize, schedule: FaultSchedule) -> FaultedRunConf
             ..XatuConfig::smoke_test()
         },
         schedule,
-        cdet_silence_limit: 10,
         companion: None,
     }
 }

@@ -27,8 +27,11 @@ const XATU_THRESHOLDS: &[(AttackType, u64)] = &[(AttackType::UdpFlood, 0x3fe0_00
 const DETECTED: &[(&str, usize, usize)] =
     &[("NetScout", 2, 2), ("FastNetMon", 1, 2), ("Xatu", 1, 2)];
 
+/// (telemetry digest, threshold bits per type, detected / total per system).
+type Pinned<'a> = (u64, Vec<(AttackType, u64)>, Vec<(&'a str, usize, usize)>);
+
 /// The pinned outputs of a report, in the shape of the constants above.
-fn pinned(r: &EvalReport) -> (u64, Vec<(AttackType, u64)>, Vec<(&str, usize, usize)>) {
+fn pinned(r: &EvalReport) -> Pinned<'_> {
     (
         r.obs.digest(),
         r.xatu_thresholds

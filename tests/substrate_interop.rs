@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use xatu::core::eval::VolumeStore;
 use xatu::detectors::netscout::NetScout;
-use xatu::detectors::traits::{Detector, DetectorEvent, MinuteObservation};
+use xatu::detectors::traits::{Detector, DetectorEvent};
 use xatu::features::blocklist::BlocklistCategory;
 use xatu::features::table1::FeatureExtractor;
 use xatu::netflow::attack::AttackType;
@@ -66,20 +66,10 @@ fn cdet_detects_most_scheduled_attacks() {
         let minute = bins[0].minute;
         for bin in &bins {
             volumes.record(bin);
-            for ty in AttackType::ALL {
-                let bytes = volumes.bytes_at(bin.customer, ty, minute);
-                if bytes == 0.0 {
-                    continue;
-                }
-                let obs = MinuteObservation {
-                    minute,
-                    customer: bin.customer,
-                    attack_type: ty,
-                    bytes,
-                    packets: volumes.packets_at(bin.customer, ty, minute),
-                };
+            let live = volumes.channels(bin.customer, minute);
+            for obs in live.iter().filter(|obs| obs.bytes > 0.0) {
                 raised += netscout
-                    .observe(&obs)
+                    .observe(obs)
                     .iter()
                     .filter(|e| matches!(e, DetectorEvent::Raised(_)))
                     .count();
