@@ -456,10 +456,11 @@ fn bench_simd_vs_scalar_f32(c: &mut Criterion) {
 
 /// The exact backend's lane kernel where it lives: the dual-block step at
 /// the fleet geometry over a 450-row block (the `fleet_wide` shard), on
-/// 14 %-dense minute frames and on ~35 %-dense pooled buckets, forced
-/// scalar next to the host's widest level — and the bare kernel on the two
-/// products of one row, `Wx·x` over 39 nonzero inputs and `Wh·h` over all
-/// 24. Bit-identical at every level, so a pure throughput comparison.
+/// 14 %-dense minute frames (39 nonzeros of 273) and on a pooled bucket's
+/// ~33 % (91), forced scalar next to the host's widest level — and the bare
+/// kernel on the two products of one row, `Wx·x` over 39 nonzero inputs and
+/// `Wh·h` over all 24. Bit-identical at every level, so a pure throughput
+/// comparison.
 fn bench_exact_lane_kernel(c: &mut Criterion) {
     use xatu_nn::simd::{self, SimdLevel};
     use xatu_nn::{LaneIndices, Matrix, OnlineBlockWorkspace};
@@ -478,10 +479,12 @@ fn bench_exact_lane_kernel(c: &mut Criterion) {
     };
     let mut state = [(); 4].map(|_| vec![0.0f64; BATCH * h]);
     let mut ws = OnlineBlockWorkspace::default();
-    for (suffix, xs) in [("", rows(7)), ("_pooled35", rows(3))] {
+    for stride in [7, 3] {
+        let xs = rows(stride);
         for &level in &levels {
             lstm.set_simd(level);
-            let name = format!("dual_block_step_f64_{}_b450_273x24{suffix}", level.name());
+            let name =
+                format!("dual_block_step_f64_b450_273x24_nnz{}_{}", 273 / stride, level.name());
             c.bench_function(&name, |b| {
                 b.iter(|| {
                     let [ah, ac, fh, fc] = &mut state;

@@ -282,11 +282,23 @@ impl Engine {
         &self.heads
     }
 
+    /// Flows the binner has dropped for being stamped at or behind the
+    /// newest closed minute.
+    pub fn late_drops(&self) -> u64 {
+        self.binner.late_drops()
+    }
+
+    /// Bins waiting in the binner for a minute that has not been closed.
+    pub fn pending_bins(&self) -> usize {
+        self.binner.pending()
+    }
+
     /// Decodes one NetFlow v5 datagram into the minute binner and returns
     /// how many flows it carried. A datagram that does not parse is
     /// rejected whole and changes nothing. Flows stamped behind the last
-    /// closed minute are dropped by the binner; flows stamped ahead wait in
-    /// it for their minute to be closed.
+    /// closed minute are dropped by the binner ([`Engine::late_drops`]);
+    /// flows stamped ahead wait in it for their minute to be closed
+    /// ([`Engine::pending_bins`]).
     pub fn push_datagram(&mut self, bytes: &[u8]) -> Result<usize, V5Error> {
         self.decoded.clear();
         let n = parse_datagram_into(bytes, &mut self.decoded)?;

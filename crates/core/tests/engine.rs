@@ -167,6 +167,11 @@ fn bytes_and_bins_close_identically_at_1_and_4_threads() {
         late > 0 && gaps > 0 && events > 0,
         "{late} late, {gaps} gaps, {events} events"
     );
+    // Every late flow was dropped by a binner and counted; bins bypass it.
+    for (bytes, bins) in from_bytes.iter().zip(&from_bins) {
+        assert_eq!((bytes.late_drops(), bins.late_drops()), (late as u64, 0));
+        assert_eq!((bytes.pending_bins(), bins.pending_bins()), (0, 0));
+    }
 }
 
 /// xorshift64*.
@@ -228,6 +233,18 @@ fn hostile_datagrams_are_rejected_whole_and_change_nothing() {
             ..template
         });
         assert_eq!(hostile.push_datagram(&encode_datagram(&ahead, 0, 1)), Ok(2));
+        // Well-formed, but stamped at the minute closed last: dropped, and
+        // counted.
+        if let Some(closed) = minute.checked_sub(1) {
+            let late = FlowRecord {
+                minute: closed,
+                dst: victim,
+                ..template
+            };
+            let before = hostile.late_drops();
+            assert_eq!(hostile.push_datagram(&encode_datagram(&[late], 0, 1)), Ok(1));
+            assert_eq!(hostile.late_drops(), before + 1);
+        }
         let unregistered = minute.is_multiple_of(10);
         if unregistered {
             let stray = FlowRecord {
@@ -252,6 +269,9 @@ fn hostile_datagrams_are_rejected_whole_and_change_nothing() {
     for ty in AttackType::ALL {
         assert_eq!(hostile.volumes().bytes_at(victim, ty, far), 0.0);
     }
+    // The flows stamped ahead are still waiting, one bin per address.
+    assert_eq!((clean.late_drops(), clean.pending_bins()), (0, 0));
+    assert_eq!(hostile.pending_bins(), 2);
 }
 
 #[test]

@@ -132,23 +132,28 @@ impl BlockAcc {
 
     /// The finished block, given the number of distinct sources among the
     /// flows added.
+    ///
+    /// Most of a sparse bin's sums are still the `+0.0` they started as, and
+    /// `compress(+0.0)` is `+0.0`: those skip the `ln_1p` call. A sum only
+    /// ever adds non-negative values to `+0.0`, so `-0.0` — the one zero
+    /// `compress` could return differently — cannot reach here.
     pub(crate) fn finish(&self, unique_sources: usize) -> [f64; VOLUMETRIC_WIDTH] {
-        let mean = |sum: f64| {
-            if self.n_flows > 0 {
-                sum / self.n_flows as f64
-            } else {
-                0.0
-            }
-        };
         let mut out = [0.0f64; VOLUMETRIC_WIDTH];
-        out[0] = compress(unique_sources as f64);
-        out[1] = compress(mean(self.sum[0]));
-        out[2] = compress(self.max[0]);
-        out[3] = compress(mean(self.sum[1]));
-        out[4] = compress(self.max[1]);
-        for (o, pair) in out[idx::UDP_BYTES..].chunks_exact_mut(2).zip(&self.pairs) {
-            o[0] = compress(pair[0]);
-            o[1] = compress(pair[1]);
+        if self.n_flows == 0 {
+            return out;
+        }
+        let n = self.n_flows as f64;
+        let scalars = [
+            unique_sources as f64,
+            self.sum[0] / n,
+            self.max[0],
+            self.sum[1] / n,
+            self.max[1],
+        ];
+        for (o, &v) in out.iter_mut().zip(scalars.iter().chain(self.pairs.as_flattened())) {
+            if v != 0.0 {
+                *o = compress(v);
+            }
         }
         out
     }
@@ -484,6 +489,22 @@ mod tests {
             let want = reference_block(&flows, &mapper, select);
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert_eq!(g.to_bits(), w.to_bits(), "feature {i}");
+            }
+        }
+    }
+
+    /// The two ends of `finish`'s zero skipping: a block no flow reached
+    /// (returned without a `compress` call) and a one-flow block (most sums
+    /// still `+0.0`) carry the frozen reference's bits, sign of zero included.
+    #[test]
+    fn empty_and_one_flow_blocks_match_frozen_reference_bitwise() {
+        let mapper = CountryMapper::new();
+        let one = [flow(7, Protocol::Tcp, 443, TcpFlags::SYN, 1500)];
+        for flows in [&one[..0], &one[..]] {
+            let got = volumetric_block(flows, &mapper, |_| true);
+            let want = reference_block(flows, &mapper, |_| true);
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.to_bits(), w.to_bits(), "{} flows, feature {i}", flows.len());
             }
         }
     }

@@ -36,7 +36,7 @@ const EXP_FLOOR: f64 = -746.0;
 const N: [f64; 4] = [-11_486_475.0, -810_810.0, -12_870.0, -44.0];
 const Q: [f64; 5] = [34_459_425.0, 16_216_200.0, 945_945.0, 13_860.0, 45.0];
 /// Where the two `tanh` forms' measured errors cross (~1 ulp each).
-const TANH_CUT: f64 = 0.875;
+pub(crate) const TANH_CUT: f64 = 0.875;
 
 /// `e^x` for `x ≤ 0`; NaN for NaN. Anything else is outside its domain.
 ///

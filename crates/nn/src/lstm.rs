@@ -264,11 +264,18 @@ pub struct OnlineBlockWorkspace {
     all: LaneIndices,
 }
 
+/// Hidden units per pass of [`gate_rows`]: two `ymm` of lanes per loop.
+/// Measured on the `gate_block_exact_*` bench rows against 4, 12 and 24.
+const GATE_LANES: usize = 8;
+
 /// The one body of [`Lstm::gate_block`], compiled at the baseline here and
 /// again inside [`simd::x86::gate_rows_avx2`]. The lanes are a row's hidden
 /// units, each an independent chain of IEEE `+ − × ÷`, so both copies return
 /// the bits of calling [`sigmoid`]/[`tanh`] one element at a time. Zipped
 /// slices, no index: a panicking exit would stop LLVM vectorizing the loop.
+///
+/// A row goes [`GATE_LANES`] units at a time through [`gate_lanes`]; the
+/// `hidden % GATE_LANES` units left over take the same code at their length.
 #[inline(always)]
 pub(crate) fn gate_rows(zs: &[f64], hidden: usize, hs: &mut [f64], cs: &mut [f64]) {
     let rows = zs
@@ -279,16 +286,45 @@ pub(crate) fn gate_rows(zs: &[f64], hidden: usize, hs: &mut [f64], cs: &mut [f64
         let (zi, z) = z.split_at(hidden);
         let (zf, z) = z.split_at(hidden);
         let (zg, zo) = z.split_at(hidden);
-        let lanes = zi.iter().zip(zf).zip(zg).zip(zo).zip(cc.iter_mut()).zip(hc.iter_mut());
-        for (((((&zi, &zf), &zg), &zo), c), h) in lanes {
-            let i = sigmoid(zi);
-            let f = sigmoid(zf);
-            let g = tanh(zg);
-            let o = sigmoid(zo);
-            let cv = f * *c + i * g;
-            *c = cv;
-            *h = o * tanh(cv);
+        let (zi, zi_rest) = zi.as_chunks::<GATE_LANES>();
+        let (zf, zf_rest) = zf.as_chunks::<GATE_LANES>();
+        let (zg, zg_rest) = zg.as_chunks::<GATE_LANES>();
+        let (zo, zo_rest) = zo.as_chunks::<GATE_LANES>();
+        let (c, c_rest) = cc.as_chunks_mut::<GATE_LANES>();
+        let (h, h_rest) = hc.as_chunks_mut::<GATE_LANES>();
+        let full = zi.iter().zip(zf).zip(zg).zip(zo).zip(c).zip(h);
+        for (((((zi, zf), zg), zo), c), h) in full {
+            gate_lanes(zi, zf, zg, zo, c, h);
         }
+        gate_lanes(zi_rest, zf_rest, zg_rest, zo_rest, c_rest, h_rest);
+    }
+}
+
+/// At most [`GATE_LANES`] units of one row, one loop per activation and
+/// then the cell/output loop. Fused in one loop body the five ~140-cycle
+/// dependency chains of a unit (`σ σ tanh σ`, then `tanh(c)` behind them)
+/// fill the reorder window before the next units' chains can start; a loop
+/// that holds one activation of several units keeps that many chains in
+/// flight. Per lane the arithmetic is unchanged.
+#[inline(always)]
+fn gate_lanes(zi: &[f64], zf: &[f64], zg: &[f64], zo: &[f64], c: &mut [f64], h: &mut [f64]) {
+    #[inline(always)]
+    fn lanes_of(act: impl Fn(f64) -> f64, zs: &[f64]) -> [f64; GATE_LANES] {
+        let mut out = [0.0f64; GATE_LANES];
+        for (o, &z) in out.iter_mut().zip(zs) {
+            *o = act(z);
+        }
+        out
+    }
+    let i = lanes_of(sigmoid, zi);
+    let f = lanes_of(sigmoid, zf);
+    let g = lanes_of(tanh, zg);
+    let o = lanes_of(sigmoid, zo);
+    let lanes = c.iter_mut().zip(h.iter_mut()).zip(i).zip(f).zip(g).zip(o);
+    for (((((c, h), i), f), g), o) in lanes {
+        let cv = f * *c + i * g;
+        *c = cv;
+        *h = o * tanh(cv);
     }
 }
 
@@ -580,7 +616,11 @@ impl Lstm {
     /// aged and fresh halves, and both products run through
     /// [`Matrix::matvec_acc_t_lanes`] on transposes built once per call —
     /// `Wx·x` at a cost that follows the row's nonzero count, so sparse
-    /// minute frames and denser pooled buckets take the same path.
+    /// minute frames and denser pooled buckets take the same path. Both
+    /// halves' `Wh·h` come before either gate loop — the halves share
+    /// nothing but `zx`, so the order is free, and walk, walk, gates, gates
+    /// measures ~5 % faster per row than walk, gates, walk, gates
+    /// (DESIGN.md §17).
     ///
     /// Rows are fully independent, so ragged fleets (customers mid-gap,
     /// mid-imputation, or freshly cold-started) batch together freely and
@@ -618,13 +658,10 @@ impl Lstm {
             wxt.matvec_acc_t_lanes(x, nz, zx, self.simd);
             z.clear();
             z.extend_from_slice(zx);
-            for (z, hs, cs) in [
-                (&mut *z, &mut *aged_hs, &mut *aged_cs),
-                (&mut *zx, &mut *fresh_hs, &mut *fresh_cs),
-            ] {
-                wht.matvec_acc_t_lanes(&hs[row.clone()], all, z, self.simd);
-                self.gate_block(z, 1, &mut hs[row.clone()], &mut cs[row.clone()]);
-            }
+            wht.matvec_acc_t_lanes(&aged_hs[row.clone()], all, z, self.simd);
+            wht.matvec_acc_t_lanes(&fresh_hs[row.clone()], all, zx, self.simd);
+            self.gate_block(z, 1, &mut aged_hs[row.clone()], &mut aged_cs[row.clone()]);
+            self.gate_block(zx, 1, &mut fresh_hs[row.clone()], &mut fresh_cs[row.clone()]);
         }
     }
 
@@ -1169,6 +1206,25 @@ mod tests {
         }
     }
 
+    /// The gates of one row, one element at a time: what both gate tests
+    /// hold every level of [`Lstm::gate_block`] to.
+    fn gate_row_by_element(z: &[f64], h: &mut [f64], c: &mut [f64]) {
+        let hidden = h.len();
+        for k in 0..hidden {
+            let (i, f) = (sigmoid(z[k]), sigmoid(z[hidden + k]));
+            let (g, o) = (tanh(z[2 * hidden + k]), sigmoid(z[3 * hidden + k]));
+            c[k] = f * c[k] + i * g;
+            h[k] = o * tanh(c[k]);
+        }
+    }
+
+    /// Bit patterns with every NaN folded into one: NaN stays NaN, but which
+    /// payload survives an operation on two NaNs is the one thing operand
+    /// order may change.
+    fn nan_blind_bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| if x.is_nan() { u64::MAX } else { x.to_bits() }).collect()
+    }
+
     /// The gate kernel's two instantiations and the element-at-a-time loop
     /// agree to the bit at every vector remainder, edge inputs included.
     #[test]
@@ -1188,26 +1244,75 @@ mod tests {
                 }
                 let cs0: Vec<f64> = (0..n).map(|j| (j as f64 * 0.37).cos() * 2.0).collect();
                 let mut want = (vec![0.0; n], cs0.clone());
-                for (r, z) in zs.chunks(4 * hidden).enumerate() {
-                    for k in 0..hidden {
-                        let (i, f) = (sigmoid(z[k]), sigmoid(z[hidden + k]));
-                        let (g, o) = (tanh(z[2 * hidden + k]), sigmoid(z[3 * hidden + k]));
-                        let c = f * want.1[r * hidden + k] + i * g;
-                        want.1[r * hidden + k] = c;
-                        want.0[r * hidden + k] = o * tanh(c);
-                    }
+                let rows = zs
+                    .chunks(4 * hidden)
+                    .zip(want.0.chunks_mut(hidden))
+                    .zip(want.1.chunks_mut(hidden));
+                for ((z, h), c) in rows {
+                    gate_row_by_element(z, h, c);
                 }
-                // NaN stays NaN; which payload survives an operation on two
-                // NaNs is the one thing operand order may change.
-                let bits = |v: &[f64]| -> Vec<u64> {
-                    v.iter().map(|x| if x.is_nan() { u64::MAX } else { x.to_bits() }).collect()
-                };
+                let bits = nan_blind_bits;
                 for layer in [&plain, &wide] {
                     let mut got = (vec![0.0; n], cs0.clone());
                     layer.gate_block(&zs, batch, &mut got.0, &mut got.1);
                     let at = format!("hidden {hidden} batch {batch} {:?}", layer.simd);
                     assert_eq!(bits(&got.0), bits(&want.0), "h, {at}");
                     assert_eq!(bits(&got.1), bits(&want.1), "c, {at}");
+                }
+            }
+        }
+    }
+
+    /// Every edge input in every gate slot and in the cell state, at every
+    /// lane position of a full [`GATE_LANES`] chunk and of the remainder
+    /// behind it, through every level a caller can ask for: the split loops
+    /// return the element-at-a-time bits, and an edge in one lane leaves its
+    /// neighbours' bits alone.
+    #[test]
+    fn gate_edge_sweep_matches_scalar_elements_bitwise() {
+        use crate::activations::TANH_CUT;
+        let edges = [
+            0.0,
+            -0.0,
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE / 2.0,
+            -f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            TANH_CUT,
+            -TANH_CUT,
+            TANH_CUT - f64::EPSILON,
+            -TANH_CUT + f64::EPSILON,
+        ];
+        let bits = nan_blind_bits;
+        for hidden in [1, GATE_LANES - 1, GATE_LANES, GATE_LANES + 3, 2 * GATE_LANES + 1] {
+            let mut layer = Lstm::new(1, hidden, &mut Initializer::new(3));
+            let base_z: Vec<f64> =
+                (0..4 * hidden).map(|j| ((j * 29 + hidden) as f64 * 0.618).sin() * 4.0).collect();
+            let base_c: Vec<f64> = (0..hidden).map(|j| (j as f64 * 0.37).cos() * 2.0).collect();
+            // Slots 0–3 are the four gates' pre-activations, slot 4 the cell.
+            for slot in 0..5 {
+                for lane in 0..hidden {
+                    for edge in edges {
+                        let (mut zs, mut cs0) = (base_z.clone(), base_c.clone());
+                        if slot < 4 {
+                            zs[slot * hidden + lane] = edge;
+                        } else {
+                            cs0[lane] = edge;
+                        }
+                        let mut want = (vec![0.0; hidden], cs0.clone());
+                        gate_row_by_element(&zs, &mut want.0, &mut want.1);
+                        for level in [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2] {
+                            layer.set_simd(level);
+                            let mut got = (vec![0.0; hidden], cs0.clone());
+                            layer.gate_block(&zs, 1, &mut got.0, &mut got.1);
+                            let at = format!("hidden {hidden} slot {slot} lane {lane} {edge:e} {level:?}");
+                            assert_eq!(bits(&got.0), bits(&want.0), "h, {at}");
+                            assert_eq!(bits(&got.1), bits(&want.1), "c, {at}");
+                        }
+                    }
                 }
             }
         }
@@ -1396,16 +1501,19 @@ mod tests {
         /// The shared-input dual-block step (aged + fresh halves per input)
         /// must match two independent per-half reference steps bitwise, at
         /// every dispatch level, cold and through a warm workspace: sharing
-        /// `b + Wx·x` across halves reuses the identical value. Hidden 8
-        /// and 12 reach the kernel's 32-wide output chunk.
+        /// `b + Wx·x` across halves reuses the identical value. The hidden
+        /// sizes cover `Wh` inputs with and without a `% 4` tail, outputs
+        /// short of a 24-wide chunk (1–5), exactly one (6), chunk + 8-wide
+        /// (8), whole chunks only (12, 24), chunks + 1-wide (25), and gate
+        /// rows below, at and past `GATE_LANES`.
         #[test]
         fn online_dual_block_matches_per_half_bitwise(
             seed in 0u64..5_000,
             input in 1usize..6,
-            hidden_sel in 0usize..7,
+            hidden_sel in 0usize..10,
             batch_sel in 0usize..3,
         ) {
-            let hidden = [1usize, 2, 3, 4, 5, 8, 12][hidden_sel];
+            let hidden = [1usize, 2, 3, 4, 5, 6, 8, 12, 24, 25][hidden_sel];
             let batch = [1usize, 3, 64][batch_sel];
             let mut init = Initializer::new(seed.wrapping_add(77));
             let mut lstm = Lstm::new(input, hidden, &mut init);

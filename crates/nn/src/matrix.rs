@@ -149,7 +149,7 @@ impl Matrix {
     /// — touching only the inputs listed in `idx`: the exact backend's one
     /// online kernel, for `Wx·x` on a row's non-zero inputs and `Wh·h` on all.
     ///
-    /// Bit-identical to `A.matvec_acc(x, y)`. Outputs go in chunks of 32
+    /// Bit-identical to `A.matvec_acc(x, y)`. Outputs go in chunks of 24
     /// (then 8, then 1). For a chunk the kernel holds **one `dot4` lane's
     /// partial sums in registers**, walks that lane's ascending inputs
     /// `j ≡ l (mod 4)` doing `acc += Aᵀ[j][chunk] · x[j]` — a separate
@@ -377,6 +377,14 @@ impl LaneIndices {
     }
 }
 
+/// First chunk width of [`t_lanes`], by measurement: 24 doubles are six `ymm`
+/// sums. With 32 — eight `ymm`, every register spoken for once the broadcast
+/// and a product are counted — LLVM gives five of the second lane's eight sums
+/// a stack slot for their whole life, its own walk included, and that loop
+/// does load-add-store on five of its chains. DESIGN.md §17 has the
+/// disassembly and the numbers for 16, 24, 32 and 48.
+const CHUNK: usize = 24;
+
 /// The one body of [`Matrix::matvec_acc_t_lanes`]: `wt` is `Aᵀ`, row-major
 /// `x.len() × y.len()`. `#[inline(always)]` so that each caller — the plain
 /// entry and the AVX2 wrapper in [`crate::simd`] — compiles its own copy
@@ -387,9 +395,9 @@ pub(crate) fn t_lanes(wt: &[f64], x: &[f64], idx: &LaneIndices, y: &mut [f64]) {
     debug_assert_eq!(wt.len(), x.len() * out);
     debug_assert_eq!(idx.len, x.len());
     let mut o = 0;
-    while o + 32 <= out {
-        t_lanes_chunk::<32>(wt, out, o, x, idx, y);
-        o += 32;
+    while o + CHUNK <= out {
+        t_lanes_chunk::<CHUNK>(wt, out, o, x, idx, y);
+        o += CHUNK;
     }
     while o + 8 <= out {
         t_lanes_chunk::<8>(wt, out, o, x, idx, y);
@@ -426,8 +434,7 @@ fn t_lanes_chunk<const W: usize>(
 }
 
 /// `acc += Aᵀ[j][o..o + W] · x[j]` for every `j` of `list`, in order, with
-/// the sums in a fixed-size local so they live in registers (32 doubles
-/// are eight `ymm`).
+/// the sums in a fixed-size local so they live in registers.
 ///
 /// An index past the matrix cannot come out of [`LaneIndices`]; should one
 /// appear, the walk stops there and reports `false`, and the caller panics
@@ -605,7 +612,7 @@ mod tests {
 
     /// The register-blocked kernel on the transpose must be bit-identical
     /// to the row-major `matvec_acc`. The whole grid, not a sample: every
-    /// input tail (0–3), every output chunk remainder (32-, 8- and 1-wide,
+    /// input tail (0–3), every output chunk remainder (24-, 8- and 1-wide,
     /// up to the paper's hidden 200), zeros planted from none to all of `x`
     /// (half of them `-0.0`), the non-zero and the all-indices lists, and
     /// the plain and AVX2 instantiations where the host has both.
@@ -624,7 +631,7 @@ mod tests {
         let (mut nz, mut all) = (LaneIndices::default(), LaneIndices::default());
         let mut at = Matrix::zeros(0, 0);
         for n_in in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 24, 273] {
-            for n_out in [1usize, 7, 8, 24, 31, 32, 33, 48, 96, 100, 800] {
+            for n_out in [1usize, 7, 8, 23, 24, 25, 31, 32, 33, 48, 96, 100, 800] {
                 let weights = (0..n_out * n_in).map(|_| value(1.0e6)).collect();
                 let a = Matrix::from_vec(n_out, n_in, weights);
                 a.transpose_into(&mut at);

@@ -144,8 +144,8 @@ pub(crate) mod x86 {
     }
 
     /// The AVX2 instantiation of [`crate::lstm::gate_rows`], by the same
-    /// construction: `exp`, `sigmoid` and `tanh` inline into the lane loop
-    /// and LLVM selects 256-bit `+ − × ÷`, compares and blends for it.
+    /// construction: `exp`, `sigmoid` and `tanh` inline into the lane loops
+    /// and LLVM selects 256-bit `+ − × ÷`, compares and blends for them.
     #[target_feature(enable = "avx2")]
     pub(crate) fn gate_rows_avx2(zs: &[f64], hidden: usize, hs: &mut [f64], cs: &mut [f64]) {
         debug_assert_eq!(zs.len(), 4 * hs.len());
