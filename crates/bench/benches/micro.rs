@@ -9,6 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use xatu_core::config::XatuConfig;
+use xatu_core::eval::VolumeStore;
 use xatu_core::model::XatuModel;
 use xatu_core::online::OnlineDetector;
 use xatu_core::pipeline::{Pipeline, PipelineConfig};
@@ -19,7 +20,8 @@ use xatu_detectors::rf::{RandomForest, RfConfig};
 use xatu_features::blocklist::BlocklistCategory;
 use xatu_features::clustering::ClusteringTracker;
 use xatu_features::table1::FeatureExtractor;
-use xatu_netflow::addr::{Ipv4, Prefix, Subnet24};
+use xatu_features::volumetric::{distinct_sources, source_key};
+use xatu_netflow::addr::{Ipv4, Prefix, Slash24Set, Subnet24};
 use xatu_netflow::attack::AttackType;
 use xatu_netflow::binning::MinuteFlows;
 use xatu_netflow::record::{FlowRecord, Protocol, TcpFlags};
@@ -81,6 +83,79 @@ fn bench_feature_extraction(c: &mut Criterion) {
         "feature_extraction_per_customer_minute_2400flows_aux_loaded",
         |b| b.iter(|| black_box(ex.extract(black_box(&bin)))),
     );
+}
+
+/// The per-flow source tests and the two per-bin steps beside them, each
+/// at the paper's record density: one row is one 2 400-flow bin.
+fn bench_source_tests(c: &mut Criterion) {
+    // `Slash24Set::contains`, 2 400 probes per iteration, a new /24 every
+    // probe (the walk of `bin_with_flows`): through /16s that list nothing
+    // (the shared clear page), through the same /16s with every probed /24
+    // listed (37 pages), and with every probe in another /16, half of them
+    // listed (2 400 pages: the directory and the pages both miss L1).
+    let walk: Vec<Ipv4> = bin_with_flows(2400).flows.iter().map(|f| f.src).collect();
+    let scattered: Vec<Ipv4> = (0..2400u32).map(|k| Ipv4(k * 0x1B_0000 + k * 977)).collect();
+    let mut listed = Slash24Set::new();
+    let mut split = Slash24Set::new();
+    for (k, (a, b)) in walk.iter().zip(&scattered).enumerate() {
+        listed.insert(a.subnet24());
+        if k % 2 == 0 {
+            split.insert(b.subnet24());
+        } else {
+            split.insert(Subnet24(b.subnet24().0 ^ 1));
+        }
+    }
+    assert_eq!(split.split_slash16s(), 2400);
+    for (name, set, probes) in [
+        ("unlisted", &Slash24Set::new(), &walk),
+        ("listed", &listed, &walk),
+        ("split", &split, &scattered),
+    ] {
+        c.bench_function(&format!("slash24set_contains_{name}"), |b| {
+            b.iter(|| {
+                let hits = black_box(probes).iter().filter(|&&a| set.contains(a)).count();
+                black_box(hits)
+            })
+        });
+    }
+
+    // `distinct_sources` over one bin's keys, every source about twice:
+    // sources a /24 apart in no order; sources crafted to share the first
+    // radix digit (equal low 11 bits); and runs of 128 hosts inside one /24
+    // after another — what a NAT pool or a subnet of bots sends, and
+    // `bench_e2e`'s fan-out. A different bin every iteration, so a
+    // comparison sort meets its branches as it does in the stream, not as
+    // it has memorised them.
+    let scattered = |bin: u32, k: u32| (k * 769 + bin * 7919) % 1201 + bin * 1201;
+    type Shape<'a> = (&'a str, &'a dyn Fn(u32, u32) -> u32);
+    let shapes: [Shape; 3] = [
+        ("spread", &|bin, k| 0x1E00_0000 + scattered(bin, k) * 977),
+        ("crafted", &|bin, k| scattered(bin, k) << 11 | 0x2A5),
+        ("subnets", &|bin, k| {
+            let subnet = (bin * 19 + k / 128 % 10) * 7919 % 65_536;
+            0x1E00_0000 | (subnet << 8) | (k % 128 * 37 % 256)
+        }),
+    ];
+    for (name, address) in shapes {
+        let bins: Vec<Vec<u64>> = (0..64)
+            .map(|bin| (0..2400).map(|k| source_key(address(bin, k), 1)).collect())
+            .collect();
+        let mut next = 0;
+        c.bench_function(&format!("distinct_sources_2400_{name}"), |b| {
+            b.iter(|| {
+                next = (next + 1) % bins.len();
+                let mut keys = black_box(&bins[next]).clone();
+                black_box(distinct_sources(&mut keys))
+            })
+        });
+    }
+
+    // The CDet feed's write: six signature channels out of one bin.
+    let bin = bin_with_flows(2400);
+    let mut volumes = VolumeStore::new(1);
+    c.bench_function("volume_record_2400flows", |b| {
+        b.iter(|| volumes.record(black_box(&bin)))
+    });
 }
 
 /// One minute of a carpet bomb: every customer hit by the same `shared`
@@ -604,7 +679,8 @@ fn bench_prepare_by_threads(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_feature_extraction, bench_clustering_coefficients, bench_clustering_writes,
+    targets = bench_feature_extraction, bench_source_tests,
+              bench_clustering_coefficients, bench_clustering_writes,
               bench_detection_step, bench_lstm_step,
               bench_cusum, bench_rf_inference, bench_sampler, bench_warm_fwd_bwd,
               bench_obs_primitives, bench_safe_loss,

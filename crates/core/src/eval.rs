@@ -23,34 +23,19 @@ pub struct VolumeStore {
     /// The period: what [`VolumeStore::new`] was given, or one past the
     /// newest minute recorded if that is later.
     total_minutes: usize,
-    /// (customer, type) → per-minute bytes.
-    bytes: HashMap<(Ipv4, AttackType), Vec<f32>>,
-    /// (customer, type) → per-minute packets.
-    packets: HashMap<(Ipv4, AttackType), Vec<f32>>,
+    /// (customer, type) → per-minute `[bytes, packets]`.
+    series: HashMap<(Ipv4, AttackType), Vec<[f32; 2]>>,
 }
 
-/// The cell of `series` for `minute`, growing the series to reach it.
-fn cell(series: &mut Vec<f32>, minute: usize) -> &mut f32 {
-    if series.len() <= minute {
-        series.resize(minute + 1, 0.0);
-    }
-    &mut series[minute]
-}
-
-/// The value of `series` at `minute`; zero for no series or past its end.
-fn read(series: Option<&Vec<f32>>, minute: usize) -> f64 {
-    series
-        .and_then(|v| v.get(minute))
-        .map_or(0.0, |&x| x as f64)
-}
+const BYTES: usize = 0;
+const PACKETS: usize = 1;
 
 impl VolumeStore {
     /// Creates a store whose series are pre-sized to `total_minutes`.
     pub fn new(total_minutes: u32) -> Self {
         VolumeStore {
             total_minutes: total_minutes as usize,
-            bytes: HashMap::new(),
-            packets: HashMap::new(),
+            series: HashMap::new(),
         }
     }
 
@@ -59,59 +44,95 @@ impl VolumeStore {
     pub fn record(&mut self, bin: &MinuteFlows) {
         let minute = bin.minute as usize;
         self.total_minutes = self.total_minutes.max(minute + 1);
-        for ty in AttackType::ALL {
-            let sig = ty.signature();
-            let mut b = 0.0f64;
-            let mut p = 0.0f64;
-            for f in &bin.flows {
+        // One walk of the bin feeds all six channels; each channel still
+        // sums its flows in arrival order, so every cell keeps its bits.
+        let signatures = AttackType::ALL.map(AttackType::signature);
+        let mut sums = [[0.0f64; 2]; AttackType::ALL.len()];
+        for f in &bin.flows {
+            let (b, p) = (f.est_bytes() as f64, f.est_packets() as f64);
+            for (sum, sig) in sums.iter_mut().zip(&signatures) {
                 if sig.matches(f) {
-                    b += f.est_bytes() as f64;
-                    p += f.est_packets() as f64;
+                    sum[BYTES] += b;
+                    sum[PACKETS] += p;
                 }
             }
-            if b > 0.0 {
-                let key = (bin.customer, ty);
+        }
+        for (ty, sum) in AttackType::ALL.into_iter().zip(sums) {
+            if sum[BYTES] > 0.0 {
                 let total = self.total_minutes;
-                let bytes = self.bytes.entry(key).or_insert_with(|| vec![0.0; total]);
-                *cell(bytes, minute) += b as f32;
-                let packets = self.packets.entry(key).or_insert_with(|| vec![0.0; total]);
-                *cell(packets, minute) += p as f32;
+                let series = self
+                    .series
+                    .entry((bin.customer, ty))
+                    .or_insert_with(|| vec![[0.0; 2]; total]);
+                if series.len() <= minute {
+                    series.resize(minute + 1, [0.0; 2]);
+                }
+                series[minute][BYTES] += sum[BYTES] as f32;
+                series[minute][PACKETS] += sum[PACKETS] as f32;
             }
         }
     }
 
+    /// `[bytes, packets]` at one minute; zero for a channel never recorded
+    /// or past the end of its series.
+    fn at(&self, customer: Ipv4, ty: AttackType, minute: u32) -> [f64; 2] {
+        self.series
+            .get(&(customer, ty))
+            .and_then(|series| series.get(minute as usize))
+            .map_or([0.0; 2], |cell| cell.map(f64::from))
+    }
+
     /// Bytes at one minute.
     pub fn bytes_at(&self, customer: Ipv4, ty: AttackType, minute: u32) -> f64 {
-        read(self.bytes.get(&(customer, ty)), minute as usize)
+        self.at(customer, ty, minute)[BYTES]
     }
 
     /// Packets at one minute.
     pub fn packets_at(&self, customer: Ipv4, ty: AttackType, minute: u32) -> f64 {
-        read(self.packets.get(&(customer, ty)), minute as usize)
+        self.at(customer, ty, minute)[PACKETS]
     }
 
     /// What a volumetric detector observes of `customer` at `minute`: one
     /// observation per signature channel, in [`AttackType::ALL`] order.
     pub fn channels(&self, customer: Ipv4, minute: u32) -> [MinuteObservation; 6] {
-        AttackType::ALL.map(|attack_type| MinuteObservation {
-            minute,
-            customer,
-            attack_type,
-            bytes: self.bytes_at(customer, attack_type, minute),
-            packets: self.packets_at(customer, attack_type, minute),
+        AttackType::ALL.map(|attack_type| {
+            let [bytes, packets] = self.at(customer, attack_type, minute);
+            MinuteObservation {
+                minute,
+                customer,
+                attack_type,
+                bytes,
+                packets,
+            }
         })
+    }
+
+    /// The recorded cells of `[start, end)`, both clipped to the period,
+    /// and the clipped range's length: cells past the end of a series (or
+    /// of a channel never recorded) are zero and are not in the slice.
+    fn recorded(
+        &self,
+        customer: Ipv4,
+        ty: AttackType,
+        start: u32,
+        end: u32,
+    ) -> (&[[f32; 2]], usize) {
+        let end = (end as usize).min(self.total_minutes);
+        let start = (start as usize).min(end);
+        let cells = self
+            .series
+            .get(&(customer, ty))
+            .and_then(|series| series.get(start..end.min(series.len())))
+            .unwrap_or(&[]);
+        (cells, end - start)
     }
 
     /// Bytes as f64 over a range (clipped to the period).
     pub fn bytes_range(&self, customer: Ipv4, ty: AttackType, start: u32, end: u32) -> Vec<f64> {
-        let end = (end as usize).min(self.total_minutes);
-        let start = (start as usize).min(end);
-        let mut out = vec![0.0; end - start];
-        if let Some(series) = self.bytes.get(&(customer, ty)) {
-            let recorded = series.get(start..end.min(series.len())).unwrap_or(&[]);
-            for (o, &x) in out.iter_mut().zip(recorded) {
-                *o = x as f64;
-            }
+        let (cells, len) = self.recorded(customer, ty, start, end);
+        let mut out = vec![0.0; len];
+        for (o, cell) in out.iter_mut().zip(cells) {
+            *o = f64::from(cell[BYTES]);
         }
         out
     }
@@ -130,8 +151,12 @@ impl VolumeStore {
         if end <= start {
             return true; // not enough history to judge; trust the alert
         }
-        let base = self.bytes_range(customer, ty, start, end);
-        let mean = base.iter().sum::<f64>() / base.len() as f64;
+        // `now > 0`: the series reaches `minute`, so the stored slice is the
+        // whole window. (Were it shorter, the cells it lacks are `+0.0`,
+        // which a sum of non-negative terms does not notice.)
+        let (cells, len) = self.recorded(customer, ty, start, end);
+        let sum = cells.iter().fold(0.0, |s, cell| s + f64::from(cell[BYTES]));
+        let mean = sum / len as f64;
         now > 4.0 * mean + 1e5
     }
 }
@@ -428,6 +453,171 @@ mod tests {
             (udp.minute, udp.customer, udp.bytes, udp.packets),
             (10, c, 300.0, 3.0)
         );
+    }
+
+    /// `VolumeStore::record` and `is_anomalous` as they were before the
+    /// one-walk, one-map store: a walk of the bin per attack type into two
+    /// parallel maps, and a trailing mean over an allocated `bytes_range`.
+    /// Frozen; the live store is held to it bit for bit.
+    #[derive(Default)]
+    struct SixWalkStore {
+        total_minutes: usize,
+        bytes: HashMap<(Ipv4, AttackType), Vec<f32>>,
+        packets: HashMap<(Ipv4, AttackType), Vec<f32>>,
+    }
+
+    impl SixWalkStore {
+        fn record(&mut self, bin: &MinuteFlows) {
+            fn cell(series: &mut Vec<f32>, minute: usize) -> &mut f32 {
+                if series.len() <= minute {
+                    series.resize(minute + 1, 0.0);
+                }
+                &mut series[minute]
+            }
+            let minute = bin.minute as usize;
+            self.total_minutes = self.total_minutes.max(minute + 1);
+            for ty in AttackType::ALL {
+                let sig = ty.signature();
+                let mut b = 0.0f64;
+                let mut p = 0.0f64;
+                for f in &bin.flows {
+                    if sig.matches(f) {
+                        b += f.est_bytes() as f64;
+                        p += f.est_packets() as f64;
+                    }
+                }
+                if b > 0.0 {
+                    let key = (bin.customer, ty);
+                    let total = self.total_minutes;
+                    let bytes = self.bytes.entry(key).or_insert_with(|| vec![0.0; total]);
+                    *cell(bytes, minute) += b as f32;
+                    let packets = self.packets.entry(key).or_insert_with(|| vec![0.0; total]);
+                    *cell(packets, minute) += p as f32;
+                }
+            }
+        }
+
+        fn read(series: Option<&Vec<f32>>, minute: u32) -> f64 {
+            series
+                .and_then(|v| v.get(minute as usize))
+                .map_or(0.0, |&x| x as f64)
+        }
+
+        fn bytes_range(&self, key: (Ipv4, AttackType), start: u32, end: u32) -> Vec<f64> {
+            let end = (end as usize).min(self.total_minutes);
+            let start = (start as usize).min(end);
+            let mut out = vec![0.0; end - start];
+            if let Some(series) = self.bytes.get(&key) {
+                let recorded = series.get(start..end.min(series.len())).unwrap_or(&[]);
+                for (o, &x) in out.iter_mut().zip(recorded) {
+                    *o = x as f64;
+                }
+            }
+            out
+        }
+
+        fn is_anomalous(&self, key: (Ipv4, AttackType), minute: u32) -> bool {
+            let now = Self::read(self.bytes.get(&key), minute);
+            if now <= 0.0 {
+                return false;
+            }
+            let start = minute.saturating_sub(180);
+            let end = minute.saturating_sub(60).max(start);
+            if end <= start {
+                return true;
+            }
+            let base = self.bytes_range(key, start, end);
+            let mean = base.iter().sum::<f64>() / base.len() as f64;
+            now > 4.0 * mean + 1e5
+        }
+    }
+
+    /// A flow decoded from one random word: every protocol, the DNS source
+    /// port, every flag combination, sampled and unsampled.
+    fn flow_from(w: u64, minute: u32, customer: Ipv4) -> FlowRecord {
+        FlowRecord {
+            minute,
+            src: Ipv4((w >> 40) as u32),
+            dst: customer,
+            proto: [Protocol::Udp, Protocol::Tcp, Protocol::Icmp, Protocol::Other(47)]
+                [(w & 3) as usize],
+            src_port: [53, 123, 4000][(w >> 2) as usize % 3],
+            dst_port: 80,
+            tcp_flags: TcpFlags((w >> 4) as u8 & 0x3F),
+            bytes: (w >> 10) % 1_000_003,
+            packets: (w >> 30) % 1_009,
+            sampling: [1, 100, 1000][(w >> 8) as usize % 3],
+        }
+    }
+
+    proptest::proptest! {
+        /// Bins of 0–300 flows at scattered minutes, some minutes recorded
+        /// twice, the last ones past the period the store was sized for.
+        #[test]
+        fn one_walk_store_matches_the_six_walk_reference_bitwise(
+            words in proptest::collection::vec(proptest::arbitrary::any::<u64>(), 0..1500),
+            sizes in proptest::collection::vec(0usize..300, 1..12),
+        ) {
+            const PERIOD: u32 = 400;
+            let customers = [Ipv4(1), Ipv4(2)];
+            let mut live = VolumeStore::new(PERIOD);
+            let mut frozen = SixWalkStore { total_minutes: PERIOD as usize, ..Default::default() };
+            let mut words = words.into_iter();
+            let mut minutes = Vec::new();
+            for (i, size) in sizes.into_iter().enumerate() {
+                // Ascending with repeats, 37 apart, so trailing windows hold
+                // recorded, unrecorded and out-of-series minutes.
+                let minute = 150 + (i as u32 / 2) * 37 + (size as u32 % 2) * 180;
+                let customer = customers[size % 2];
+                let flows = words.by_ref().take(size).map(|w| flow_from(w, minute, customer)).collect();
+                let bin = MinuteFlows { minute, customer, flows };
+                live.record(&bin);
+                frozen.record(&bin);
+                minutes.push(minute);
+            }
+            assert_eq!(live.total_minutes, frozen.total_minutes);
+            minutes.extend([0, 149, PERIOD - 1, PERIOD, 10_000]);
+            for customer in customers {
+                for (t, ty) in AttackType::ALL.into_iter().enumerate() {
+                    let key = (customer, ty);
+                    for &m in &minutes {
+                        let want = [
+                            SixWalkStore::read(frozen.bytes.get(&key), m),
+                            SixWalkStore::read(frozen.packets.get(&key), m),
+                        ];
+                        let got = [live.bytes_at(customer, ty, m), live.packets_at(customer, ty, m)];
+                        assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{key:?} at {m}");
+                        let obs = live.channels(customer, m)[t];
+                        assert_eq!([obs.bytes, obs.packets].map(f64::to_bits), want.map(f64::to_bits));
+                        assert_eq!(live.is_anomalous(customer, ty, m), frozen.is_anomalous(key, m));
+                        let (got, want) = (
+                            live.bytes_range(customer, ty, m.saturating_sub(200), m + 50),
+                            frozen.bytes_range(key, m.saturating_sub(200), m + 50),
+                        );
+                        assert_eq!(got.len(), want.len());
+                        assert!(got.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits()));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn trailing_mean_reads_the_stored_slice() {
+        // 100 kB + 4 × the mean of [minute − 180, minute − 60) is the bar.
+        let c = Ipv4(1);
+        let mut vs = VolumeStore::new(0);
+        for m in 0..100 {
+            vs.record(&udp_bin(m, c, 60_000));
+        }
+        vs.record(&udp_bin(220, c, 250_000));
+        // Window [40, 160): 60 minutes of 60 kB, 60 of nothing → 30 kB.
+        assert!(vs.is_anomalous(c, AttackType::UdpFlood, 220));
+        vs.record(&udp_bin(221, c, 215_000));
+        assert!(!vs.is_anomalous(c, AttackType::UdpFlood, 221));
+        // No history to judge by, and no volume at all.
+        assert!(vs.is_anomalous(c, AttackType::UdpFlood, 30));
+        assert!(!vs.is_anomalous(c, AttackType::DnsAmplification, 220));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::{Entry, HashMap};
-use xatu_netflow::addr::{Ipv4, Subnet24};
+use xatu_netflow::addr::{Ipv4, Slash24Set, Subnet24};
 
 /// The 11 blocklist categories modelled after the paper's selection
 /// (DDoS sources, reflectors, VoIP attackers, C&C servers, and bots of
@@ -86,11 +86,14 @@ impl BlocklistCategory {
 
 /// The /24-granularity blocklist store.
 ///
-/// One map from /24 to the bitmask of categories listing it (bit `i` is
-/// `BlocklistCategory::ALL[i]`), so a membership test is one lookup
-/// whatever the number of categories. A /24 no category lists has no
-/// entry. The map keeps the standard hasher: its keys are matched
-/// against exporter-supplied source addresses.
+/// Two views of one feed. The category store is a map from /24 to the
+/// bitmask of categories listing it (bit `i` is `BlocklistCategory::ALL[i]`;
+/// a /24 no category lists has no entry): it answers the per-category
+/// questions and keeps the counts. Beside it, `listed` is the set of /24s
+/// some *enabled* category lists, kept in step by every update, and it alone
+/// answers [`BlocklistStore::contains`] — the test made once per flow on an
+/// exporter-supplied source, which therefore is a direct index and never a
+/// hash probe.
 #[derive(Clone, Debug)]
 pub struct BlocklistStore {
     masks: HashMap<Subnet24, u16>,
@@ -98,6 +101,8 @@ pub struct BlocklistStore {
     enabled: u16,
     /// Entries per category.
     counts: [usize; 11],
+    /// The /24s whose mask meets `enabled`.
+    listed: Slash24Set,
 }
 
 const ALL_CATEGORIES: u16 = (1 << BlocklistCategory::ALL.len()) - 1;
@@ -109,6 +114,7 @@ impl BlocklistStore {
             masks: HashMap::new(),
             enabled: ALL_CATEGORIES,
             counts: [0; 11],
+            listed: Slash24Set::new(),
         }
     }
 
@@ -118,6 +124,9 @@ impl BlocklistStore {
         if *mask & category.bit() == 0 {
             *mask |= category.bit();
             self.counts[category.index()] += 1;
+            if self.enabled & category.bit() != 0 {
+                self.listed.insert(subnet);
+            }
         }
     }
 
@@ -137,18 +146,35 @@ impl BlocklistStore {
         }
         *mask &= !category.bit();
         self.counts[category.index()] -= 1;
+        if *mask & self.enabled == 0 {
+            self.listed.remove(subnet);
+        }
         if *mask == 0 {
             entry.remove();
         }
     }
 
     /// Enables/disables a category — the Fig 17 ablation switch. Disabled
-    /// categories keep their entries but stop matching.
+    /// categories keep their entries but stop matching. Walks the category
+    /// store once to bring `listed` in step.
     pub fn set_enabled(&mut self, category: BlocklistCategory, enabled: bool) {
+        if (self.enabled & category.bit() != 0) == enabled {
+            return;
+        }
         if enabled {
             self.enabled |= category.bit();
         } else {
             self.enabled &= !category.bit();
+        }
+        for (&subnet, &mask) in &self.masks {
+            if mask & category.bit() == 0 {
+                continue;
+            }
+            if enabled {
+                self.listed.insert(subnet);
+            } else if mask & self.enabled == 0 {
+                self.listed.remove(subnet);
+            }
         }
     }
 
@@ -157,8 +183,9 @@ impl BlocklistStore {
     }
 
     /// True if `addr`'s /24 is on any *enabled* blocklist.
+    #[inline]
     pub fn contains(&self, addr: Ipv4) -> bool {
-        self.mask_of(addr) & self.enabled != 0
+        self.listed.contains(addr)
     }
 
     /// True if `addr`'s /24 is on the given category (ignores enablement).
@@ -274,11 +301,19 @@ mod tests {
                 sets: Default::default(),
                 enabled: [true; 11],
             };
-            // Six /24s and eleven categories: double adds, removes of
-            // absent entries and emptied /24s all occur.
+            // Six /24s in four /16s and eleven categories: double adds,
+            // removes of absent entries, emptied /24s and /16s all occur.
+            const SUBNETS: [Subnet24; 6] = [
+                Subnet24(0x01_0100),
+                Subnet24(0x01_0101),
+                Subnet24(0x01_01FF),
+                Subnet24(0x01_0200),
+                Subnet24(0x3C_0007),
+                Subnet24(0xFF_FFFF),
+            ];
             for op in ops {
                 let cat = BlocklistCategory::ALL[(op >> 8) as usize % 11];
-                let subnet = Subnet24(0x01_0100 + (op >> 16) % 6);
+                let subnet = SUBNETS[(op >> 16) as usize % 6];
                 match op % 5 {
                     0 | 1 => {
                         bl.add(cat, subnet);
@@ -294,12 +329,15 @@ mod tests {
                         model.enabled[cat.index()] = on;
                     }
                 }
-                for s in 0..7 {
-                    let a = Subnet24(0x01_0100 + s).host(7);
+                // The six, and a neighbour no op ever lists.
+                for subnet in SUBNETS.into_iter().chain([Subnet24(0x01_0102)]) {
+                    let a = subnet.host(7);
                     let want = (0..11).any(|c| {
                         model.enabled[c] && model.sets[c].contains(&a.subnet24())
                     });
                     assert_eq!(bl.contains(a), want);
+                    // The set `contains` reads is the category store's view.
+                    assert_eq!(bl.contains(a), bl.mask_of(a) & bl.enabled != 0);
                     for c in BlocklistCategory::ALL {
                         assert_eq!(
                             bl.contains_in(c, a),

@@ -160,31 +160,119 @@ impl BlockAcc {
 }
 
 /// Number of blocks one source key can be counted toward (V, A1, A2, A3).
-pub(crate) const SOURCE_CLASSES: usize = 4;
+pub const SOURCE_CLASSES: usize = 4;
 
 /// Key for [`distinct_sources`]: the source address above a bitmask of
 /// the blocks (bit `k` = block `k`) its flows were selected into. The
 /// mask must be the same for every flow of one source, which holds when
 /// selection depends on the source address alone.
 #[inline]
-pub(crate) fn source_key(src: u32, classes: u8) -> u64 {
+pub fn source_key(src: u32, classes: u8) -> u64 {
     debug_assert!(usize::from(classes) < 1 << SOURCE_CLASSES);
     u64::from(src) << SOURCE_CLASSES | u64::from(classes)
 }
 
-/// Distinct sources per block: sorts and deduplicates the keys once and
-/// counts each surviving source toward the blocks in its mask. O(n log n)
-/// whatever the addresses are — they are exporter-supplied, so neither a
-/// hash set with a weak hasher nor one whose cost an attacker can steer
-/// is used here.
-pub(crate) fn distinct_sources(keys: &mut Vec<u64>) -> [usize; SOURCE_CLASSES] {
-    keys.sort_unstable();
-    keys.dedup();
-    let mut counts = [0usize; SOURCE_CLASSES];
-    for key in keys.iter() {
-        for (k, c) in counts.iter_mut().enumerate() {
-            *c += (key >> k & 1) as usize;
+/// Bin size from which [`distinct_sources`] orders its keys by radix.
+/// Measured (DESIGN.md §18): the counters of the three passes alone cost a
+/// comparison sort of ~250 keys, and the two meet between 500 and 750 keys
+/// depending on what the addresses look like.
+const RADIX_MIN_KEYS: u32 = 768;
+
+/// The radix digits as (shift, width), low digit first: 11 + 11 + 10 = the
+/// 32 address bits, which sit above the class bits of a key.
+const DIGITS: [(u32, u32); 3] = {
+    let low = SOURCE_CLASSES as u32;
+    [(low, 11), (low + 11, 11), (low + 22, 10)]
+};
+
+/// Digit `PASS` of `key`.
+#[inline(always)]
+fn digit<const PASS: usize>(key: u64) -> usize {
+    let (shift, width) = DIGITS[PASS];
+    (key >> shift) as usize & ((1 << width) - 1)
+}
+
+/// XORs the low digit of the address into the two digits above it: a
+/// one-to-one map of the address that leaves the class bits alone, so equal
+/// sources still meet, and nothing else about the order matters. Sources
+/// come in runs that share their upper bits (the hosts of a subnet, the
+/// subnets of a region), and consecutive keys with one digit value make a
+/// counting pass wait on its own last store; after this, keys whose low
+/// digits differ differ in every digit.
+#[inline(always)]
+fn spread_low_digit(key: u64) -> u64 {
+    let low = digit::<0>(key) as u64;
+    key ^ low << DIGITS[1].0 ^ (low & ((1 << DIGITS[2].1) - 1)) << DIGITS[2].0
+}
+
+/// One counting pass: `src` into `dst` by digit `PASS`, stable. `slots[d]`
+/// is where the next key with digit `d` goes.
+#[inline(always)]
+fn scatter<const PASS: usize>(src: &[u64], dst: &mut [u64], slots: &mut [u32; 1 << 11]) {
+    for &key in src {
+        let slot = &mut slots[digit::<PASS>(key)];
+        // Always in range: the slots of a digit value end where the next
+        // value's begin. Written without a panicking index, the loop runs
+        // twice as fast.
+        debug_assert!((*slot as usize) < dst.len());
+        if let Some(out) = dst.get_mut(*slot as usize) {
+            *out = key;
         }
+        *slot += 1;
+    }
+}
+
+/// Brings equal sources together in three counting passes over the address
+/// bits, each stable, so each keeps the order of the ones before it. The
+/// class bits ride along unsorted: one source has one key. The keys come
+/// back in [`spread_low_digit`]'s image.
+fn radix_sort_by_source(keys: &mut Vec<u64>) {
+    // One walk of the keys fills all three histograms; each then becomes
+    // the first output slot of its digit values.
+    let mut slots = [[0u32; 1 << 11]; 3];
+    for key in keys.iter_mut() {
+        *key = spread_low_digit(*key);
+        slots[0][digit::<0>(*key)] += 1;
+        slots[1][digit::<1>(*key)] += 1;
+        slots[2][digit::<2>(*key)] += 1;
+    }
+    for slots in &mut slots {
+        let mut next = 0;
+        for slot in slots.iter_mut() {
+            next += std::mem::replace(slot, next);
+        }
+    }
+    let mut other = vec![0u64; keys.len()];
+    scatter::<0>(keys, &mut other, &mut slots[0]);
+    scatter::<1>(&other, keys, &mut slots[1]);
+    scatter::<2>(keys, &mut other, &mut slots[2]);
+    *keys = other;
+}
+
+/// Distinct sources per block: brings equal keys together once and counts
+/// each source, where its run of equal keys starts, toward the blocks in
+/// its mask; `keys` is scratch and comes back reordered. The addresses are
+/// exporter-supplied, so the cost must not be theirs to steer: neither a
+/// hash set with a weak hasher nor one whose cost an attacker can choose
+/// is used here. A small bin is sorted by comparison, O(n log n) whatever
+/// the values; a large one by a fixed number of counting passes over the
+/// address bits, O(n) whatever the values. Which of the two runs depends
+/// on the bin's size alone.
+pub fn distinct_sources(keys: &mut Vec<u64>) -> [usize; SOURCE_CLASSES] {
+    // The radix counts in `u32`s; a bin too large for them is sorted.
+    match u32::try_from(keys.len()) {
+        Ok(n) if n >= RADIX_MIN_KEYS => radix_sort_by_source(keys),
+        _ => keys.sort_unstable(),
+    }
+    let mut counts = [0usize; SOURCE_CLASSES];
+    let mut last = None;
+    for &key in keys.iter() {
+        if last != Some(key) {
+            for (k, c) in counts.iter_mut().enumerate() {
+                *c += (key >> k & 1) as usize;
+            }
+        }
+        last = Some(key);
     }
     counts
 }
@@ -489,6 +577,63 @@ mod tests {
             let want = reference_block(&flows, &mapper, select);
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert_eq!(g.to_bits(), w.to_bits(), "feature {i}");
+            }
+        }
+    }
+
+    /// `distinct_sources` before the radix, frozen: a comparison sort, a
+    /// `dedup`, a bit count per class.
+    fn distinct_by_sort_and_dedup(keys: &[u64]) -> [usize; SOURCE_CLASSES] {
+        let mut keys = keys.to_vec();
+        keys.sort_unstable();
+        keys.dedup();
+        let mut counts = [0usize; SOURCE_CLASSES];
+        for key in keys {
+            for (k, c) in counts.iter_mut().enumerate() {
+                *c += (key >> k & 1) as usize;
+            }
+        }
+        counts
+    }
+
+    /// SplitMix64's output function.
+    fn mix(x: u64) -> u64 {
+        let x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
+
+    #[test]
+    fn distinct_sources_match_sort_and_dedup_on_both_sides_of_the_cutoff() {
+        // Each shape maps a random word to an address; the classes are a
+        // function of the address, as `source_key` asks.
+        type Shape = (&'static str, fn(u64) -> u32);
+        let shapes: [Shape; 8] = [
+            ("one address", |_| 0xC0A8_0101),
+            ("spread", |w| w as u32),
+            ("equal low 11 bits", |w| (w as u32) << 11 | 0x2A5),
+            ("equal middle 11 bits", |w| w as u32 & !(0x7FF << 11) | 0x155 << 11),
+            ("equal high 10 bits", |w| w as u32 >> 10 | 0x2AA << 22),
+            ("one /16", |w| 0x3C07_0000 | w as u32 & 0xFFFF),
+            ("two addresses", |w| if w & 1 == 0 { 0 } else { u32::MAX }),
+            ("hosts of a few /24s", |w| 0x1E00_0000 | (w as u32 % 19) << 8 | (w >> 32) as u32 & 0xFF),
+        ];
+        let cutoff = RADIX_MIN_KEYS as usize;
+        for (shape, address) in shapes {
+            for n in [0, 1, 2, cutoff - 1, cutoff, cutoff + 1, 2400, 5000] {
+                // Every source about `repeat` times, in no order.
+                for repeat in [1, 3] {
+                    let mut keys: Vec<u64> = (0..n as u64)
+                        .map(|i| {
+                            let src = address(mix(mix(i) % (n as u64 / repeat).max(1) + 1));
+                            source_key(src, 1 | (mix(src.into()) as u8 & 0xE))
+                        })
+                        .collect();
+                    let want = distinct_by_sort_and_dedup(&keys);
+                    assert_eq!(distinct_sources(&mut keys), want, "{shape}, {n} keys");
+                    assert_eq!(keys.len(), n);
+                    assert!(want[0] <= n && want.iter().all(|&c| c <= want[0]));
+                }
             }
         }
     }

@@ -6,7 +6,9 @@
 //! * [`record::FlowRecord`] — a NetFlow-v5-style flow record (addresses,
 //!   ports, protocol, TCP flags, byte/packet counters, sampling rate).
 //! * [`addr`] — IPv4 address and prefix utilities, including the `/24`
-//!   aggregation the paper applies to every blocklist entry.
+//!   aggregation the paper applies to every blocklist entry and
+//!   [`addr::Slash24Set`], the direct-index set of /24s behind the
+//!   per-flow blocklist and spoof tests.
 //! * [`sampler`] — deterministic and random 1:N packet samplers mirroring the
 //!   1:1 … 1:10,000 sampling rates of the paper's routers, plus unbiased
 //!   upscaling of sampled counters.

@@ -247,4 +247,105 @@ mod tests {
         let back = parse_datagram(&encode_datagram(&fs, 0, 1000)).unwrap();
         assert_eq!(back[0].sampling, 1000);
     }
+
+    /// What every call must hold, whatever the bytes: no panic; an `Err`
+    /// leaves `out` as it was; an `Ok(n)` appends exactly the `n` records
+    /// the header declares; and `out` never reserves past what the input's
+    /// own length pays for (one record per 48 bytes, or the buffer's usual
+    /// doubling).
+    fn parse_and_check(bytes: &[u8], out: &mut Vec<FlowRecord>) -> Result<usize, V5Error> {
+        let before = out.clone();
+        let capacity = out.capacity();
+        let result = parse_datagram_into(bytes, out);
+        match result {
+            Err(_) => {
+                assert_eq!(*out, before);
+                assert_eq!(out.capacity(), capacity);
+            }
+            Ok(n) => {
+                assert_eq!(n, usize::from(u16::from_be_bytes([bytes[2], bytes[3]])));
+                assert_eq!(out.len(), before.len() + n);
+                assert_eq!(out[..before.len()], before[..]);
+                assert!(HEADER_LEN + n * RECORD_LEN <= bytes.len());
+                let paid_for = before.len() + bytes.len() / RECORD_LEN;
+                assert!(out.capacity() <= (2 * capacity).max(paid_for).max(4));
+            }
+        }
+        assert_eq!(parse_datagram(bytes), result.map(|n| out[out.len() - n..].to_vec()));
+        result
+    }
+
+    /// A record every field of which survives the wire: 32-bit counters, a
+    /// minute whose milliseconds fit 32 bits, the datagram's sampling rate.
+    fn wire_flow(w: u64, v: u64, sampling: u16) -> FlowRecord {
+        FlowRecord {
+            minute: (w >> 40) as u32 % 71_582,
+            src: Ipv4(w as u32),
+            dst: Ipv4(v as u32),
+            proto: Protocol::from_number((w >> 32) as u8),
+            src_port: (v >> 32) as u16,
+            dst_port: (v >> 48) as u16,
+            tcp_flags: TcpFlags((w >> 56) as u8),
+            bytes: (w ^ v) & 0xFFFF_FFFF,
+            packets: (w.rotate_left(17) ^ v) & 0xFFFF_FFFF,
+            sampling: u32::from(sampling),
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn arbitrary_bytes_never_panic_and_never_half_append(
+            bytes in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..2000),
+            claim_v5 in proptest::arbitrary::any::<bool>(),
+            count in 0u16..45,
+        ) {
+            let mut bytes = bytes;
+            // Random bytes almost never carry version 5: claim it, with a
+            // count near what the length holds, for half the cases.
+            if claim_v5 && bytes.len() >= 4 {
+                bytes[..2].copy_from_slice(&5u16.to_be_bytes());
+                bytes[2..4].copy_from_slice(&count.to_be_bytes());
+            }
+            let mut out = flows(2);
+            let _ = parse_and_check(&bytes, &mut out);
+            let _ = parse_and_check(&bytes, &mut Vec::new());
+        }
+
+        #[test]
+        fn valid_datagrams_round_trip_and_mutated_ones_fail_whole(
+            words in proptest::collection::vec(proptest::arbitrary::any::<u64>(), 0..=2 * MAX_RECORDS),
+            sampling in 1u16..=0x3FFF,
+            sequence in proptest::arbitrary::any::<u32>(),
+            edits in proptest::collection::vec(proptest::arbitrary::any::<u32>(), 1..6),
+        ) {
+            let sent: Vec<FlowRecord> = words
+                .chunks_exact(2)
+                .map(|w| wire_flow(w[0], w[1], sampling))
+                .collect();
+            let dgram = encode_datagram(&sent, sequence, sampling);
+            let mut out = flows(1);
+            assert_eq!(parse_and_check(&dgram, &mut out), Ok(sent.len()));
+            assert_eq!(out[1..], sent[..]);
+
+            // The same datagram with bytes overwritten, its tail cut, or
+            // bytes appended: it parses whole (to the declared count) or
+            // not at all.
+            let mut mutated = dgram.clone();
+            for edit in edits {
+                let at = (edit >> 8) as usize % (mutated.len() + 1);
+                match edit % 4 {
+                    0 => mutated.truncate(at),
+                    1 => mutated.extend(std::iter::repeat_n(edit as u8, at % 100)),
+                    // Header bytes are where the checks are.
+                    2 if !mutated.is_empty() => {
+                        let at = at % mutated.len().min(HEADER_LEN);
+                        mutated[at] = (edit >> 16) as u8;
+                    }
+                    _ if at < mutated.len() => mutated[at] ^= 1 << (edit >> 16 & 7),
+                    _ => {}
+                }
+            }
+            let _ = parse_and_check(&mutated, &mut out);
+        }
+    }
 }

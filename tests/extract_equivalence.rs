@@ -335,6 +335,69 @@ fn dense_bin_with_sources_repeating_within_and_across_slash24s() {
     }
 }
 
+/// A bin large enough for the radix path of the distinct-source count,
+/// its sources in /16s the two /24 sets answer from a page (part listed;
+/// routed with holes; routed around a TEST-NET), from a shared page (every
+/// /24 listed; nothing routed) and, for one /24 that holds a /25, from the
+/// table walk. The per-flow predicates are held to independent oracles: a
+/// plain set of the /24s fed to the blocklists, and `classify_shared`.
+#[test]
+fn dense_bin_with_sources_in_listed_and_in_split_slash16s() {
+    let mut ex = loaded_extractor();
+    let mut listed: HashSet<Subnet24> = (0..11u8)
+        .map(|i| Ipv4::from_octets(60 + i, 1, 1, 1).subnet24())
+        .collect();
+    for third in 0..=255u8 {
+        // 62.3/16 whole, every third /24 of 63.4/16.
+        let whole = Ipv4::from_octets(62, 3, third, 0).subnet24();
+        ex.blocklists.add(BlocklistCategory::Scanner, whole);
+        listed.insert(whole);
+        if third % 3 == 0 {
+            let part = Ipv4::from_octets(63, 4, third, 0).subnet24();
+            ex.blocklists.add(BlocklistCategory::BotMirai, part);
+            ex.blocklists.add(BlocklistCategory::Spam, part);
+            listed.insert(part);
+        }
+    }
+    let p = |a, b, c, d, len| Prefix::new(Ipv4::from_octets(a, b, c, d), len);
+    for (prefix, asn) in [
+        (p(45, 1, 0, 0, 17), 400),    // 45.1/16: upper half unrouted …
+        (p(45, 1, 200, 0, 24), 401),  // … but for one /24
+        (p(46, 2, 3, 128, 25), 402),  // a /24 routed in its upper half only
+        (p(192, 0, 0, 0, 16), 403),   // TEST-NET-1 inside routed space
+        (p(198, 51, 0, 0, 16), 404),  // TEST-NET-2 inside routed space
+    ] {
+        ex.spoof.announce(prefix, asn);
+    }
+    ex.spoof.ensure_built();
+
+    let slash16s = [
+        (62, 3), (63, 4), (45, 1), (46, 2), (192, 0), (198, 51), (203, 0), (60, 1), (44, 7),
+    ];
+    let mut flows = Vec::new();
+    for i in 0..3000u64 {
+        let (a, b) = slash16s[(i % 9) as usize];
+        // Thirds around the edges that matter (2, 3, 100, 113, 127, 128,
+        // 200) and hosts on both sides of a /25: 360 sources, ~8 flows each.
+        let third = [0, 2, 3, 99, 100, 113, 127, 128, 200, 201][(i / 9 % 10) as usize];
+        let host = [1, 127, 128, 254][(i / 90 % 4) as usize];
+        flows.push(flow(Ipv4::from_octets(a, b, third, host), i));
+    }
+    let sources: HashSet<Ipv4> = flows.iter().map(|f| f.src).collect();
+    let in_a1 = sources.iter().filter(|s| listed.contains(&s.subnet24())).count();
+    let in_a3 = sources
+        .iter()
+        .filter(|&&s| ex.spoof.classify_shared(s, None).is_some())
+        .count();
+    assert_eq!(sources.len(), 360);
+    assert!(in_a1 > 50 && in_a3 > 50 && in_a1 + in_a3 < sources.len());
+
+    let f = assert_equivalent(&mut ex, &bin(flows), "dense bin, split /16s");
+    assert_eq!(f.volumetric()[0], compress(sources.len() as f64));
+    assert_eq!(f.aux_block(1)[0], compress(in_a1 as f64));
+    assert_eq!(f.aux_block(3)[0], compress(in_a3 as f64));
+}
+
 #[test]
 fn a_disabled_blocklist_category_stops_matching_in_both() {
     let mut ex = loaded_extractor();
