@@ -187,7 +187,11 @@ fn fleet_inference(c: &XatuConfig) -> (f64, u64, u64) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let label = args.first().map(String::as_str).unwrap_or("current").to_string();
+    let label = args
+        .first()
+        .map(String::as_str)
+        .unwrap_or("current")
+        .to_string();
     let n_samples: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(32);
     let epochs: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(4);
 

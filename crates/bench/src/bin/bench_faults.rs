@@ -139,7 +139,11 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let pos: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    let label = pos.first().map(|s| s.as_str()).unwrap_or("current").to_string();
+    let label = pos
+        .first()
+        .map(|s| s.as_str())
+        .unwrap_or("current")
+        .to_string();
     let seed: u64 = pos.get(1).and_then(|s| s.parse().ok()).unwrap_or(9);
 
     let mut cfg = PipelineConfig::smoke_test(seed);
@@ -204,8 +208,14 @@ fn main() {
             FaultSchedule::builtin(name, total_minutes, n_customers).expect("builtin resolves");
         let solo = run(model, *ty, threshold, &cfg, schedule.clone(), 1, None);
         let fused = run(model, *ty, threshold, &cfg, schedule, 1, Some(&companion));
-        assert!(solo.all_finite(), "schedule {name}: non-finite solo survival");
-        assert!(fused.all_finite(), "schedule {name}: non-finite fused survival");
+        assert!(
+            solo.all_finite(),
+            "schedule {name}: non-finite solo survival"
+        );
+        assert!(
+            fused.all_finite(),
+            "schedule {name}: non-finite fused survival"
+        );
         let cov = coverage(&solo, &prepared.ground_truth, *ty);
         let fcov = coverage(&fused, &prepared.ground_truth, *ty);
         if *name == "clean" {
@@ -281,7 +291,11 @@ fn main() {
         eprintln!(
             "[bench_faults] FUSION REGRESSION on cdet_dropout: solo {}/{} @ {:.2}, \
              fused {}/{} @ {:.2}",
-            solo.detected, solo.total, solo.mean_delay, fused.detected, fused.total,
+            solo.detected,
+            solo.total,
+            solo.mean_delay,
+            fused.detected,
+            fused.total,
             fused.mean_delay,
         );
         std::process::exit(1);
@@ -299,7 +313,15 @@ fn main() {
     let r1 = run(model, *ty, threshold, &cfg, schedule.clone(), 1, None);
     let r4 = run(model, *ty, threshold, &cfg, schedule.clone(), 4, None);
     bit_gate(&r1, &r4, &format!("solo {gate_schedule}"));
-    let f1 = run(model, *ty, threshold, &cfg, schedule.clone(), 1, Some(&companion));
+    let f1 = run(
+        model,
+        *ty,
+        threshold,
+        &cfg,
+        schedule.clone(),
+        1,
+        Some(&companion),
+    );
     let f4 = run(model, *ty, threshold, &cfg, schedule, 4, Some(&companion));
     bit_gate(&f1, &f4, &format!("fused {gate_schedule}"));
 }

@@ -27,7 +27,11 @@ fn run(seed: u64, threads: usize) -> EvalReport {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let label = args.first().map(String::as_str).unwrap_or("current").to_string();
+    let label = args
+        .first()
+        .map(String::as_str)
+        .unwrap_or("current")
+        .to_string();
     // Seed 9 by default: a smoke world where a model trains and the online
     // detector fires, so the dumped snapshot shows every section populated.
     let seed: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(9);

@@ -59,8 +59,10 @@ fn main() {
             Some(reference) => {
                 if *reference != summary {
                     identical = false;
-                    eprintln!("[bench_parallel] WARNING: report at t={t} diverges from t={}",
-                        threads[0]);
+                    eprintln!(
+                        "[bench_parallel] WARNING: report at t={t} diverges from t={}",
+                        threads[0]
+                    );
                 }
             }
         }

@@ -44,9 +44,13 @@ fn json_delay(v: f64) -> String {
 fn booster_beats_volumetric(report: &ScenarioReport) -> bool {
     let det = |name: &str| report.score(name).map_or(0, |s| s.detected);
     let delay = |name: &str| {
-        report
-            .score(name)
-            .map_or(f64::INFINITY, |s| if s.median_delay.is_finite() { s.median_delay } else { f64::INFINITY })
+        report.score(name).map_or(f64::INFINITY, |s| {
+            if s.median_delay.is_finite() {
+                s.median_delay
+            } else {
+                f64::INFINITY
+            }
+        })
     };
     let vol_det = det("netscout").max(det("fastnetmon"));
     let vol_delay = delay("netscout").min(delay("fastnetmon"));

@@ -80,7 +80,13 @@ pub fn run(seed: u64) -> String {
 
     let mut table = Table::new(
         "Fig 12: effectiveness contribution of aux signals & ML design (0.1% bound)",
-        &["variant", "eff p10", "eff median", "delay median", "detected"],
+        &[
+            "variant",
+            "eff p10",
+            "eff median",
+            "delay median",
+            "detected",
+        ],
     );
 
     for v in &variants {

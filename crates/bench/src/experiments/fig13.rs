@@ -11,11 +11,7 @@ use xatu_metrics::percentile::Summary;
 use xatu_metrics::table::Table;
 use xatu_simnet::scenario;
 
-fn eval_world(
-    world: xatu_simnet::WorldConfig,
-    seed: u64,
-    aux: bool,
-) -> (f64, f64, f64) {
+fn eval_world(world: xatu_simnet::WorldConfig, seed: u64, aux: bool) -> (f64, f64, f64) {
     let mut cfg = PipelineConfig::mini(seed);
     cfg.world = world;
     cfg.with_rf = false;
@@ -35,7 +31,13 @@ fn eval_world(
 pub fn run(seed: u64) -> String {
     let mut vol = Table::new(
         "Fig 13(a,b): volume-changing attacker (ramp volume scaled)",
-        &["ramp scale", "Xatu eff med", "Xatu delay med", "no-aux eff med", "no-aux delay med"],
+        &[
+            "ramp scale",
+            "Xatu eff med",
+            "Xatu delay med",
+            "no-aux eff med",
+            "no-aux delay med",
+        ],
     );
     for scale in [1.0, 0.25] {
         let world = scenario::volume_changing(seed, scale);
@@ -52,7 +54,13 @@ pub fn run(seed: u64) -> String {
 
     let mut rate = Table::new(
         "Fig 13(c,d): rate-changing attacker (dR pinned)",
-        &["dR", "Xatu eff med", "Xatu delay med", "no-aux eff med", "no-aux delay med"],
+        &[
+            "dR",
+            "Xatu eff med",
+            "Xatu delay med",
+            "no-aux eff med",
+            "no-aux delay med",
+        ],
     );
     for dr in [0.5, 2.5] {
         let world = scenario::rate_changing(seed, dr);

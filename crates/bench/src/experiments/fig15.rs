@@ -43,7 +43,10 @@ pub fn run(seed: u64) -> String {
                         continue;
                     }
                     if minute >= e.onset {
-                        attack_sets.entry(e.id).or_default().insert(f.src.subnet24());
+                        attack_sets
+                            .entry(e.id)
+                            .or_default()
+                            .insert(f.src.subnet24());
                     } else {
                         let days_out = (e.onset - minute) / MINUTES_PER_DAY;
                         day_sets

@@ -16,20 +16,26 @@ use xatu_metrics::table::Table;
 const VARIANTS: [(&str, &[BlocklistCategory]); 6] = [
     ("none", &[]),
     ("ddos-source only", &[BlocklistCategory::DdosSource]),
-    ("bots only", &[
-        BlocklistCategory::BotMirai,
-        BlocklistCategory::BotGafgyt,
-        BlocklistCategory::BotIot,
-    ]),
+    (
+        "bots only",
+        &[
+            BlocklistCategory::BotMirai,
+            BlocklistCategory::BotGafgyt,
+            BlocklistCategory::BotIot,
+        ],
+    ),
     ("scanner only", &[BlocklistCategory::Scanner]),
-    ("other lists", &[
-        BlocklistCategory::Reflector,
-        BlocklistCategory::Voip,
-        BlocklistCategory::CommandAndControl,
-        BlocklistCategory::Spam,
-        BlocklistCategory::Bruteforce,
-        BlocklistCategory::Community,
-    ]),
+    (
+        "other lists",
+        &[
+            BlocklistCategory::Reflector,
+            BlocklistCategory::Voip,
+            BlocklistCategory::CommandAndControl,
+            BlocklistCategory::Spam,
+            BlocklistCategory::Bruteforce,
+            BlocklistCategory::Community,
+        ],
+    ),
     ("all 11 categories", &BlocklistCategory::ALL),
 ];
 

@@ -171,7 +171,13 @@ pub fn run(seed: u64) -> String {
     // detector matrix (see `bench_scenarios` for all four families).
     let mut g = Table::new(
         "Fig 18(g): adversarial worst offenders",
-        &["family", "detector", "detected", "delay med", "overhead min"],
+        &[
+            "family",
+            "detector",
+            "detected",
+            "delay med",
+            "overhead min",
+        ],
     );
     let base = PipelineConfig::smoke_test(seed);
     let prepared = Pipeline::new(base).prepare();

@@ -70,12 +70,7 @@ pub fn run(seed: u64) -> String {
     }
     out.push_str(&table.render());
 
-    let volume = volumes.bytes_range(
-        event.victim,
-        AttackType::UdpFlood,
-        base,
-        g.mitigation_end,
-    );
+    let volume = volumes.bytes_range(event.victim, AttackType::UdpFlood, base, g.mitigation_end);
     let areas = integrate_areas(
         &volume,
         base,

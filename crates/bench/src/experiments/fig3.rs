@@ -55,8 +55,7 @@ pub fn run(seed: u64) -> String {
                 }
                 let det = e.cdet_detected.saturating_sub(n_early);
                 let base = e.anomaly_start.saturating_sub(30);
-                let volume =
-                    volumes.bytes_range(e.customer, e.attack_type, base, e.mitigation_end);
+                let volume = volumes.bytes_range(e.customer, e.attack_type, base, e.mitigation_end);
                 let areas = integrate_areas(
                     &volume,
                     base,

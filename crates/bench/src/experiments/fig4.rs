@@ -87,10 +87,18 @@ fn audit_sources(world: &mut World) -> Vec<(f64, f64, f64)> {
             continue;
         }
         let n = sources.len() as f64;
-        let bl = sources.iter().filter(|s| blocklists.contains(s.base())).count() as f64 / n;
+        let bl = sources
+            .iter()
+            .filter(|s| blocklists.contains(s.base()))
+            .count() as f64
+            / n;
         let (po, pt) = prev_overlap.get(id).copied().unwrap_or((0, 1));
         let (so, st) = spoofed_counts.get(id).copied().unwrap_or((0, 1));
-        out.push((bl, po as f64 / pt.max(1) as f64, so as f64 / st.max(1) as f64));
+        out.push((
+            bl,
+            po as f64 / pt.max(1) as f64,
+            so as f64 / st.max(1) as f64,
+        ));
     }
     out
 }
@@ -111,7 +119,11 @@ pub fn run_4a(seed: u64) -> String {
         "Fig 4(a): % of actual attackers previously seen in each source class",
         &["class", "p25", "median", "p75", "% attacks with any"],
     );
-    for (name, v) in [("blocklisted", &bl), ("previous attackers", &pa), ("spoofed", &sp)] {
+    for (name, v) in [
+        ("blocklisted", &bl),
+        ("previous attackers", &pa),
+        ("spoofed", &sp),
+    ] {
         let s = Summary::p25_50_75(v);
         let any = v.iter().filter(|&&x| x > 0.0).count() as f64 / v.len() as f64;
         table.row(&[
@@ -155,7 +167,15 @@ pub fn run_4b(seed: u64) -> String {
     }
     let mut table = Table::new(
         "Fig 4(b): attack-type transitions (row -> column, % of row)",
-        &["from \\ to", "UDP", "TCP ACK", "TCP SYN", "TCP RST", "DNS Amp", "ICMP"],
+        &[
+            "from \\ to",
+            "UDP",
+            "TCP ACK",
+            "TCP SYN",
+            "TCP RST",
+            "DNS Amp",
+            "ICMP",
+        ],
     );
     for (i, from) in AttackType::ALL.iter().enumerate() {
         let row_total: usize = matrix[i].iter().sum();
@@ -164,10 +184,7 @@ pub fn run_4b(seed: u64) -> String {
         }
         let mut cells = vec![from.label().to_string()];
         for &count in &matrix[i] {
-            cells.push(format!(
-                "{:.1}%",
-                100.0 * count as f64 / row_total as f64
-            ));
+            cells.push(format!("{:.1}%", 100.0 * count as f64 / row_total as f64));
         }
         table.row(&cells);
     }

@@ -22,15 +22,30 @@ pub fn run(seed: u64) -> String {
     let mut curves_out = String::new();
     for (name, curve) in &report.roc {
         if curve.is_empty() {
-            table.row(&[name.clone(), "n/a".into(), "-".into(), "-".into(), "-".into()]);
+            table.row(&[
+                name.clone(),
+                "n/a".into(),
+                "-".into(),
+                "-".into(),
+                "-".into(),
+            ]);
             continue;
         }
         table.row(&[
             name.clone(),
             format!("{:.4}", auc(curve)),
-            format!("{:.1}%", 100.0 * tpr_at_fpr(curve, 0.01).unwrap_or(f64::NAN)),
-            format!("{:.1}%", 100.0 * tpr_at_fpr(curve, 0.048).unwrap_or(f64::NAN)),
-            format!("{:.1}%", 100.0 * tpr_at_fpr(curve, 0.10).unwrap_or(f64::NAN)),
+            format!(
+                "{:.1}%",
+                100.0 * tpr_at_fpr(curve, 0.01).unwrap_or(f64::NAN)
+            ),
+            format!(
+                "{:.1}%",
+                100.0 * tpr_at_fpr(curve, 0.048).unwrap_or(f64::NAN)
+            ),
+            format!(
+                "{:.1}%",
+                100.0 * tpr_at_fpr(curve, 0.10).unwrap_or(f64::NAN)
+            ),
         ]);
         // A compact sampled curve for plotting.
         curves_out.push_str(&format!("\n{name} curve (fpr,tpr): "));

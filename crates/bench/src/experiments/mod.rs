@@ -1,10 +1,5 @@
 //! The per-figure experiment runners.
 
-pub mod fig2;
-pub mod fig3;
-pub mod fig4;
-pub mod fig8;
-pub mod fig9;
 pub mod fig10;
 pub mod fig11;
 pub mod fig12;
@@ -12,12 +7,17 @@ pub mod fig13;
 pub mod fig15;
 pub mod fig17;
 pub mod fig18;
+pub mod fig2;
+pub mod fig3;
+pub mod fig4;
+pub mod fig8;
+pub mod fig9;
 pub mod tab2;
 
 /// All experiment ids, in paper order.
 pub const EXPERIMENT_IDS: [&str; 14] = [
-    "fig2", "fig3", "fig4a", "fig4b", "fig4c", "fig8", "fig9", "fig10", "fig11", "fig12",
-    "fig13", "fig15", "fig17", "fig18",
+    "fig2", "fig3", "fig4a", "fig4b", "fig4c", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
+    "fig15", "fig17", "fig18",
 ];
 
 /// Runs one experiment by id; returns its printed report.

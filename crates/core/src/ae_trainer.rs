@@ -403,7 +403,10 @@ mod tests {
         assert_eq!(stats.len(), c.epochs);
         let first = stats[0].mean_loss;
         let last = stats.last().unwrap().mean_loss;
-        assert!(last < first * 0.5, "loss did not decrease: {first} -> {last}");
+        assert!(
+            last < first * 0.5,
+            "loss did not decrease: {first} -> {last}"
+        );
     }
 
     #[test]
@@ -441,7 +444,10 @@ mod tests {
         let mut ae = new_autoencoder(10, &c);
         let w = windows(2, 4, 7);
         match train_autoencoder(&mut ae, &w, &c) {
-            Err(XatuError::DimensionMismatch { expected: 10, found: 7 }) => {}
+            Err(XatuError::DimensionMismatch {
+                expected: 10,
+                found: 7,
+            }) => {}
             other => panic!("expected DimensionMismatch, got {other:?}"),
         }
     }

@@ -165,7 +165,9 @@ impl<'a> Dec<'a> {
     /// length cannot trigger an absurd allocation.
     pub fn f64s(&mut self) -> Result<Vec<f64>, String> {
         let n = self.u64()? as usize;
-        if n.checked_mul(8).is_none_or(|b| b > self.bytes.len() - self.pos) {
+        if n.checked_mul(8)
+            .is_none_or(|b| b > self.bytes.len() - self.pos)
+        {
             return Err(format!("f64 vector length {n} exceeds payload"));
         }
         let mut out = Vec::with_capacity(n);
@@ -193,7 +195,10 @@ impl<'a> Dec<'a> {
 pub fn attack_type_tag(t: AttackType) -> u8 {
     // The ALL order is the workspace-wide fixed order; an attack type is
     // always a member of its own ALL list.
-    AttackType::ALL.iter().position(|&x| x == t).expect("in ALL") as u8
+    AttackType::ALL
+        .iter()
+        .position(|&x| x == t)
+        .expect("in ALL") as u8
 }
 
 /// Decodes an attack-type tag.
@@ -282,7 +287,10 @@ pub fn read_container(path: &Path, expect_kind: u8) -> Result<Vec<u8>, XatuError
     let bytes = std::fs::read(path).map_err(|e| XatuError::io(path, "read", e))?;
     // magic(4) + version(2) + kind(1) + pad(1) + len(8) + check(8)
     if bytes.len() < 24 {
-        return Err(XatuError::corrupt(path, "file shorter than the fixed header"));
+        return Err(XatuError::corrupt(
+            path,
+            "file shorter than the fixed header",
+        ));
     }
     if &bytes[0..4] != MAGIC {
         return Err(XatuError::corrupt(path, "bad magic"));

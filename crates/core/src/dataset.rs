@@ -181,8 +181,7 @@ impl DatasetBuilder {
                 if let Some(mut s) = snapshot(&cfg, h, p.customer, p.window_start) {
                     s.label = true;
                     s.meta.attack_type = p.attack_type;
-                    let step =
-                        (p.event_minute.saturating_sub(p.window_start) + 1).clamp(1, window);
+                    let step = (p.event_minute.saturating_sub(p.window_start) + 1).clamp(1, window);
                     s.event_step = step as usize;
                     let astep =
                         (p.anomaly_minute.saturating_sub(p.window_start) + 1).clamp(1, window);
@@ -213,10 +212,7 @@ impl DatasetBuilder {
     /// of (positives, negatives).
     ///
     /// `alert_minutes` lists every CDet alert as `(customer, minute)`.
-    pub fn finish(
-        mut self,
-        alert_minutes: &[(Ipv4, u32)],
-    ) -> DatasetBundle {
+    pub fn finish(mut self, alert_minutes: &[(Ipv4, u32)]) -> DatasetBundle {
         let window = self.cfg.window as u32;
         self.negatives.retain(|n| {
             !alert_minutes.iter().any(|&(c, m)| {

@@ -253,10 +253,9 @@ pub type SystemAlerts = HashMap<(Ipv4, AttackType), Vec<(u32, u32)>>;
 pub fn intervals_of(alerts: &[Alert], close_at: u32) -> SystemAlerts {
     let mut map: SystemAlerts = HashMap::new();
     for a in alerts {
-        map.entry((a.customer, a.attack_type)).or_default().push((
-            a.detected_at,
-            a.mitigation_end.unwrap_or(close_at),
-        ));
+        map.entry((a.customer, a.attack_type))
+            .or_default()
+            .push((a.detected_at, a.mitigation_end.unwrap_or(close_at)));
     }
     for v in map.values_mut() {
         v.sort_unstable();
@@ -300,8 +299,7 @@ pub fn evaluate_system(
     // Customer ids for the overhead accumulator: low 16 bits of the IP.
     let cust_id = |c: Ipv4| c.0 & 0xFFFF;
 
-    let in_eval =
-        |e: &GtEvent| e.cdet_detected >= eval_start && e.cdet_detected < eval_end;
+    let in_eval = |e: &GtEvent| e.cdet_detected >= eval_start && e.cdet_detected < eval_end;
 
     for e in gt.iter().filter(|e| in_eval(e)) {
         let windows: Vec<ScrubWindow> = alerts
@@ -323,9 +321,7 @@ pub fn evaluate_system(
         match det {
             Some(d) => {
                 detected += 1;
-                delay.push(DelayObs::Detected(
-                    d as f64 - e.anomaly_start as f64,
-                ));
+                delay.push(DelayObs::Detected(d as f64 - e.anomaly_start as f64));
             }
             None => delay.push(DelayObs::Missed(e.duration())),
         }
@@ -347,7 +343,12 @@ pub fn evaluate_system(
         let spans: Vec<(u32, u32)> = gt
             .iter()
             .filter(|e| e.customer == customer && e.attack_type == ty)
-            .map(|e| (e.anomaly_start.saturating_sub(EARLY_CREDIT), e.mitigation_end))
+            .map(|e| {
+                (
+                    e.anomaly_start.saturating_sub(EARLY_CREDIT),
+                    e.mitigation_end,
+                )
+            })
             .collect();
         let mut extraneous = 0.0;
         for &(s, t) in intervals {
@@ -425,7 +426,10 @@ mod tests {
         // UDP flow without src port 53 does not match DNS amp.
         assert_eq!(vs.bytes_at(c, AttackType::DnsAmplification, 3), 0.0);
         assert_eq!(vs.bytes_at(c, AttackType::UdpFlood, 4), 0.0);
-        assert_eq!(vs.bytes_range(c, AttackType::UdpFlood, 2, 5), vec![0.0, 500.0, 0.0]);
+        assert_eq!(
+            vs.bytes_range(c, AttackType::UdpFlood, 2, 5),
+            vec![0.0, 500.0, 0.0]
+        );
     }
 
     #[test]
@@ -539,8 +543,12 @@ mod tests {
             minute,
             src: Ipv4((w >> 40) as u32),
             dst: customer,
-            proto: [Protocol::Udp, Protocol::Tcp, Protocol::Icmp, Protocol::Other(47)]
-                [(w & 3) as usize],
+            proto: [
+                Protocol::Udp,
+                Protocol::Tcp,
+                Protocol::Icmp,
+                Protocol::Other(47),
+            ][(w & 3) as usize],
             src_port: [53, 123, 4000][(w >> 2) as usize % 3],
             dst_port: 80,
             tcp_flags: TcpFlags((w >> 4) as u8 & 0x3F),
@@ -760,7 +768,11 @@ mod tests {
         let mut vs = VolumeStore::new(400);
         let c = Ipv4(1);
         for m in 0..400 {
-            let bytes = if (370..395).contains(&m) { 50_000 } else { 1_000 };
+            let bytes = if (370..395).contains(&m) {
+                50_000
+            } else {
+                1_000
+            };
             vs.record(&udp_bin(m, c, bytes));
         }
         let alerts = vec![Alert {

@@ -213,7 +213,10 @@ mod tests {
             examples.push((0.9 - eps, 0.1 + eps, false));
         }
         let mode = FusionMode::fit_logistic(&examples, 500, 0.5);
-        let FusionMode::Logistic { w_survival, w_ae, .. } = mode else {
+        let FusionMode::Logistic {
+            w_survival, w_ae, ..
+        } = mode
+        else {
             panic!("expected a fitted logistic, got {mode:?}");
         };
         assert!(w_survival > 0.0 && w_ae > 0.0);
@@ -233,6 +236,9 @@ mod tests {
             FusionMode::fit_logistic(&benign_only, 100, 0.5),
             FusionMode::MaxCombine
         );
-        assert_eq!(FusionMode::fit_logistic(&[], 100, 0.5), FusionMode::MaxCombine);
+        assert_eq!(
+            FusionMode::fit_logistic(&[], 100, 0.5),
+            FusionMode::MaxCombine
+        );
     }
 }

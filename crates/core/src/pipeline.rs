@@ -252,7 +252,10 @@ impl Pipeline {
         let mut obs = pipeline_registry(cfg.verbose);
 
         // ---------------- Phase A ----------------
-        obs.trace("phase", &[("name", "A: streaming world with live CDet".into())]);
+        obs.trace(
+            "phase",
+            &[("name", "A: streaming world with live CDet".into())],
+        );
         let phase_a_start = Instant::now();
         let mut world = World::new(cfg.world);
         let mut aux = build_aux(&world, &cfg);
@@ -353,7 +356,10 @@ impl Pipeline {
         let ground_truth = build_ground_truth(&cdet_alerts, &volumes);
         let table2 = table2_of(&cdet_alerts, &split);
         record_world_obs(&mut obs, &world);
-        obs.record_wall("pipeline.phase_a_seconds", phase_a_start.elapsed().as_secs_f64());
+        obs.record_wall(
+            "pipeline.phase_a_seconds",
+            phase_a_start.elapsed().as_secs_f64(),
+        );
         obs.event(
             "pipeline.phase_a_done",
             vec![
@@ -377,15 +383,24 @@ impl Pipeline {
         };
 
         // ---------------- Training ----------------
-        obs.trace("phase", &[("name", "training per-type survival models".into())]);
+        obs.trace(
+            "phase",
+            &[("name", "training per-type survival models".into())],
+        );
         let train_start = Instant::now();
         let models = train_models(&bundle, &cfg.xatu, &mut obs);
-        obs.record_wall("pipeline.train_seconds", train_start.elapsed().as_secs_f64());
+        obs.record_wall(
+            "pipeline.train_seconds",
+            train_start.elapsed().as_secs_f64(),
+        );
         let rf_models = if cfg.with_rf {
             obs.trace("phase", &[("name", "training RF baselines".into())]);
             let rf_start = Instant::now();
             let rf = train_rf_models(&bundle, &cfg.xatu, threads);
-            obs.record_wall("pipeline.rf_train_seconds", rf_start.elapsed().as_secs_f64());
+            obs.record_wall(
+                "pipeline.rf_train_seconds",
+                rf_start.elapsed().as_secs_f64(),
+            );
             rf
         } else {
             Vec::new()
@@ -394,7 +409,10 @@ impl Pipeline {
         // ---------------- Phase B: warm + validation ----------------
         obs.trace(
             "phase",
-            &[("name", "B: warming online states and scoring validation".into())],
+            &[(
+                "name",
+                "B: warming online states and scoring validation".into(),
+            )],
         );
         let phase_b_start = Instant::now();
         let mut world_b = World::new(cfg.world);
@@ -458,11 +476,17 @@ impl Pipeline {
             aux_b.expire(minute);
         }
 
-        obs.record_wall("pipeline.phase_b_seconds", phase_b_start.elapsed().as_secs_f64());
+        obs.record_wall(
+            "pipeline.phase_b_seconds",
+            phase_b_start.elapsed().as_secs_f64(),
+        );
         // Warm-up/validation detector telemetry (alerts are disabled here,
         // so only suppression counts and the survival distribution move).
         for det in &detectors {
-            obs.add("online.warmup_suppressed", det.obs().warmup_suppressed.get());
+            obs.add(
+                "online.warmup_suppressed",
+                det.obs().warmup_suppressed.get(),
+            );
             obs.merge_histogram("online.survival", &det.obs().survival);
         }
 
@@ -740,8 +764,10 @@ impl Prepared {
         // threads; candidates come back in grid order, making
         // `pick_threshold` see the identical list for any thread count.
         let grid = threshold_grid(24);
-        let candidates: Vec<CandidateEval> =
-            par_map(resolve_threads(self.cfg.xatu.threads), &grid, |_, &threshold| {
+        let candidates: Vec<CandidateEval> = par_map(
+            resolve_threads(self.cfg.xatu.threads),
+            &grid,
+            |_, &threshold| {
                 let mut alerts: SystemAlerts = HashMap::new();
                 for (&key, series) in scores {
                     if only_type.is_some_and(|t| key.1 != t) {
@@ -769,7 +795,8 @@ impl Prepared {
                     objective: if eff.median.is_nan() { 0.0 } else { eff.median },
                     per_customer_cost: eval.overhead.ratios(),
                 }
-            });
+            },
+        );
         pick_threshold(&candidates, q)
     }
 
@@ -966,7 +993,11 @@ impl Prepared {
                     ],
                 );
             }
-            for e in self.ground_truth.iter().filter(|e| e.cdet_detected >= self.split.stabilization_end) {
+            for e in self
+                .ground_truth
+                .iter()
+                .filter(|e| e.cdet_detected >= self.split.stabilization_end)
+            {
                 // Min survival of the matching model around this event.
                 let min_s = test_scores_xatu
                     .get(&(e.customer, e.attack_type))
@@ -1002,8 +1033,7 @@ impl Prepared {
                     .iter()
                     .find(|(ty, _)| *ty == key.1)
                     .map_or(0.002, |(_, th)| *th);
-                let intervals =
-                    alerts_from_score_series(series, self.split.val_end, th, quiet);
+                let intervals = alerts_from_score_series(series, self.split.val_end, th, quiet);
                 if !intervals.is_empty() {
                     rf_alerts.insert(key, intervals);
                 }
@@ -1164,7 +1194,10 @@ fn record_world_obs(obs: &mut Registry, world: &World) {
     let w = world.obs();
     obs.add("simnet.minutes_stepped", w.minutes_stepped.get());
     obs.add("simnet.flows_generated", w.flows_generated.get());
-    obs.add("simnet.attack_flows_generated", w.attack_flows_generated.get());
+    obs.add(
+        "simnet.attack_flows_generated",
+        w.attack_flows_generated.get(),
+    );
     obs.add("simnet.flows_emitted", w.flows_emitted.get());
     obs.add("simnet.attacks_scheduled", world.attacks_scheduled() as u64);
     obs.add(
@@ -1418,39 +1451,39 @@ fn train_rf_models(
 ) -> Vec<(AttackType, RandomForest)> {
     let types = bundle.trainable_types(cfg.min_positives);
     par_map(threads, &types, |_, &ty| {
-            let samples = bundle.for_type(ty);
-            let mut xs = Vec::new();
-            let mut ys = Vec::new();
-            for s in &samples {
-                if s.label {
-                    let onset = s.anomaly_step.unwrap_or(s.event_step).max(1);
-                    for t in onset - 1..s.event_step {
-                        xs.push(rf_sample_features(s, t));
-                        ys.push(true);
-                    }
-                    // Early-window steps are pre-attack: negatives.
-                    if onset > 2 {
-                        xs.push(rf_sample_features(s, 0));
-                        ys.push(false);
-                    }
-                } else {
-                    xs.push(rf_sample_features(s, s.window.len() - 1));
-                    ys.push(false);
-                    xs.push(rf_sample_features(s, s.window.len() / 2));
+        let samples = bundle.for_type(ty);
+        let mut xs = Vec::new();
+        let mut ys = Vec::new();
+        for s in &samples {
+            if s.label {
+                let onset = s.anomaly_step.unwrap_or(s.event_step).max(1);
+                for t in onset - 1..s.event_step {
+                    xs.push(rf_sample_features(s, t));
+                    ys.push(true);
+                }
+                // Early-window steps are pre-attack: negatives.
+                if onset > 2 {
+                    xs.push(rf_sample_features(s, 0));
                     ys.push(false);
                 }
+            } else {
+                xs.push(rf_sample_features(s, s.window.len() - 1));
+                ys.push(false);
+                xs.push(rf_sample_features(s, s.window.len() / 2));
+                ys.push(false);
             }
-            let rf = RandomForest::train(
-                &xs,
-                &ys,
-                RfConfig {
-                    n_trees: 40,
-                    max_depth: 10,
-                    seed: cfg.seed,
-                    ..RfConfig::default()
-                },
-            );
-            (ty, rf)
+        }
+        let rf = RandomForest::train(
+            &xs,
+            &ys,
+            RfConfig {
+                n_trees: 40,
+                max_depth: 10,
+                seed: cfg.seed,
+                ..RfConfig::default()
+            },
+        );
+        (ty, rf)
     })
 }
 

@@ -123,9 +123,11 @@ impl WideSample {
     pub fn fill_from(&mut self, sample: &Sample) {
         let dim = |v: &[Vec<f32>]| v.first().map_or(0, Vec::len);
         self.short.fill_widened(dim(&sample.short), &sample.short);
-        self.medium.fill_widened(dim(&sample.medium), &sample.medium);
+        self.medium
+            .fill_widened(dim(&sample.medium), &sample.medium);
         self.long.fill_widened(dim(&sample.long), &sample.long);
-        self.window.fill_widened(dim(&sample.window), &sample.window);
+        self.window
+            .fill_widened(dim(&sample.window), &sample.window);
     }
 }
 

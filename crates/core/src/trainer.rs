@@ -400,7 +400,11 @@ fn accumulate_sample(
             let mut loss_val = 0.0;
             d_logits.clear();
             d_logits.extend(trace.logits.iter().enumerate().map(|(t, &l)| {
-                let y = if sample.label && t + 1 >= onset { 1.0 } else { 0.0 };
+                let y = if sample.label && t + 1 >= onset {
+                    1.0
+                } else {
+                    0.0
+                };
                 // Stable BCE-with-logits.
                 loss_val += l.max(0.0) - l * y + (-l.abs()).exp().ln_1p();
                 sigmoid(l) - y
@@ -583,10 +587,7 @@ mod tests {
                 .find(|(n, _)| *n == "loss")
                 .map(|(_, v)| v.to_string())
                 .unwrap();
-            assert_eq!(
-                loss_field,
-                format!("{:?}", stats.last().unwrap().mean_loss)
-            );
+            assert_eq!(loss_field, format!("{:?}", stats.last().unwrap().mean_loss));
         }
     }
 

@@ -242,7 +242,10 @@ fn hostile_datagrams_are_rejected_whole_and_change_nothing() {
                 ..template
             };
             let before = hostile.late_drops();
-            assert_eq!(hostile.push_datagram(&encode_datagram(&[late], 0, 1)), Ok(1));
+            assert_eq!(
+                hostile.push_datagram(&encode_datagram(&[late], 0, 1)),
+                Ok(1)
+            );
             assert_eq!(hostile.late_drops(), before + 1);
         }
         let unregistered = minute.is_multiple_of(10);

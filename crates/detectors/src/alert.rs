@@ -122,9 +122,6 @@ mod tests {
 
     #[test]
     fn signature_comes_from_type() {
-        assert_eq!(
-            alert().signature(),
-            AttackType::UdpFlood.signature()
-        );
+        assert_eq!(alert().signature(), AttackType::UdpFlood.signature());
     }
 }

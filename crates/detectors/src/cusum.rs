@@ -54,9 +54,7 @@ impl Cusum {
 pub fn numstd_for(ty: AttackType) -> f64 {
     match ty {
         AttackType::UdpFlood | AttackType::DnsAmplification => 1.0,
-        AttackType::TcpAck | AttackType::TcpSyn | AttackType::TcpRst | AttackType::IcmpFlood => {
-            0.5
-        }
+        AttackType::TcpAck | AttackType::TcpSyn | AttackType::TcpRst | AttackType::IcmpFlood => 0.5,
     }
 }
 
@@ -99,8 +97,7 @@ pub fn mark_anomaly_start(
         (0.0, 1e-9)
     } else {
         let m = baseline.iter().sum::<f64>() / baseline.len() as f64;
-        let var = baseline.iter().map(|v| (v - m) * (v - m)).sum::<f64>()
-            / baseline.len() as f64;
+        let var = baseline.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / baseline.len() as f64;
         (m, var.sqrt())
     };
     let mut cusum = Cusum::new(mean, std, numstd_for(ty));

@@ -134,8 +134,8 @@ impl Detector for NetScout {
                     cell.fast_above = 0;
                     // Only learn the baseline from non-anomalous minutes so
                     // attacks do not poison the profile.
-                    cell.baseline = (1.0 - cfg.baseline_alpha) * cell.baseline
-                        + cfg.baseline_alpha * obs.bytes;
+                    cell.baseline =
+                        (1.0 - cfg.baseline_alpha) * cell.baseline + cfg.baseline_alpha * obs.bytes;
                 }
             }
             Some(mut alert) => {

@@ -72,7 +72,11 @@ impl Tree {
                     left,
                     right,
                 } => {
-                    i = if x[*feature] <= *threshold { *left } else { *right };
+                    i = if x[*feature] <= *threshold {
+                        *left
+                    } else {
+                        *right
+                    };
                 }
             }
         }

@@ -44,10 +44,7 @@ impl AttackHistory {
 
     /// Records an attack of `ty` with `severity` on `customer` at `minute`.
     pub fn record(&mut self, customer: Ipv4, ty: AttackType, severity: Severity, minute: u32) {
-        let slots = self
-            .last_event
-            .entry(customer)
-            .or_insert([[None; 3]; 6]);
+        let slots = self.last_event.entry(customer).or_insert([[None; 3]; 6]);
         let slot = &mut slots[ty.index()][severity.index()];
         *slot = Some(slot.map_or(minute, |m| m.max(minute)));
     }

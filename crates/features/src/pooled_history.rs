@@ -49,8 +49,9 @@ impl PoolAccumulator {
         self.partial_count += 1;
         if self.partial_count == self.window {
             let inv = 1.0 / self.window as f64;
-            self.completed
-                .push(FeatureFrame(self.partial_sum.iter().map(|v| v * inv).collect()));
+            self.completed.push(FeatureFrame(
+                self.partial_sum.iter().map(|v| v * inv).collect(),
+            ));
             self.partial_sum.iter_mut().for_each(|v| *v = 0.0);
             self.partial_count = 0;
             if self.completed.len() > self.retain {

@@ -303,18 +303,48 @@ mod tests {
         c.announce(p(10, 9, 0, 0, 16), 600);
         c.build();
         let probes = [
-            (20, 4), (20, 5), (21, 3), (21, 4), (21, 5), (21, 6), (22, 1), (22, 2),
-            (192, 0), (198, 51), (203, 0), (192, 167), (192, 168), (192, 169),
-            (100, 63), (100, 64), (100, 127), (100, 128), (172, 15), (172, 16),
-            (172, 31), (172, 32), (0, 0), (10, 9), (127, 0), (169, 254),
-            (239, 255), (240, 0), (255, 255),
+            (20, 4),
+            (20, 5),
+            (21, 3),
+            (21, 4),
+            (21, 5),
+            (21, 6),
+            (22, 1),
+            (22, 2),
+            (192, 0),
+            (198, 51),
+            (203, 0),
+            (192, 167),
+            (192, 168),
+            (192, 169),
+            (100, 63),
+            (100, 64),
+            (100, 127),
+            (100, 128),
+            (172, 15),
+            (172, 16),
+            (172, 31),
+            (172, 32),
+            (0, 0),
+            (10, 9),
+            (127, 0),
+            (169, 254),
+            (239, 255),
+            (240, 0),
+            (255, 255),
         ];
         assert_set_matches_table(&c, &probes);
         // 21.4 and 21.5 (holes), 192.0 and 198.51 (a TEST-NET in routed
         // space). 203.0 is spoofed with or without its TEST-NET, and 22.1's
         // /24s are unrouted as far as whole /24s go.
         assert_eq!(split_slash16s(&c), 4);
-        let mixed = c.built.as_ref().unwrap().mixed.as_ref().expect("long prefixes");
+        let mixed = c
+            .built
+            .as_ref()
+            .unwrap()
+            .mixed
+            .as_ref()
+            .expect("long prefixes");
         assert_eq!(mixed.split_slash16s(), 1);
         assert!(c.is_spoofed_shared(Ipv4::from_octets(22, 1, 1, 127), None));
         assert!(!c.is_spoofed_shared(Ipv4::from_octets(22, 1, 1, 128), None));

@@ -150,7 +150,10 @@ impl BlockAcc {
             self.sum[1] / n,
             self.max[1],
         ];
-        for (o, &v) in out.iter_mut().zip(scalars.iter().chain(self.pairs.as_flattened())) {
+        for (o, &v) in out
+            .iter_mut()
+            .zip(scalars.iter().chain(self.pairs.as_flattened()))
+        {
             if v != 0.0 {
                 *o = compress(v);
             }
@@ -612,11 +615,15 @@ mod tests {
             ("one address", |_| 0xC0A8_0101),
             ("spread", |w| w as u32),
             ("equal low 11 bits", |w| (w as u32) << 11 | 0x2A5),
-            ("equal middle 11 bits", |w| w as u32 & !(0x7FF << 11) | 0x155 << 11),
+            ("equal middle 11 bits", |w| {
+                w as u32 & !(0x7FF << 11) | 0x155 << 11
+            }),
             ("equal high 10 bits", |w| w as u32 >> 10 | 0x2AA << 22),
             ("one /16", |w| 0x3C07_0000 | w as u32 & 0xFFFF),
             ("two addresses", |w| if w & 1 == 0 { 0 } else { u32::MAX }),
-            ("hosts of a few /24s", |w| 0x1E00_0000 | (w as u32 % 19) << 8 | (w >> 32) as u32 & 0xFF),
+            ("hosts of a few /24s", |w| {
+                0x1E00_0000 | (w as u32 % 19) << 8 | (w >> 32) as u32 & 0xFF
+            }),
         ];
         let cutoff = RADIX_MIN_KEYS as usize;
         for (shape, address) in shapes {
@@ -649,7 +656,12 @@ mod tests {
             let got = volumetric_block(flows, &mapper, |_| true);
             let want = reference_block(flows, &mapper, |_| true);
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert_eq!(g.to_bits(), w.to_bits(), "{} flows, feature {i}", flows.len());
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "{} flows, feature {i}",
+                    flows.len()
+                );
             }
         }
     }

@@ -116,7 +116,10 @@ mod tests {
             100,
             101,
             104,
-            &[ScrubWindow { start: 101, end: 104 }],
+            &[ScrubWindow {
+                start: 101,
+                end: 104,
+            }],
         );
         assert_eq!(areas.a, 30.0);
         assert_eq!(areas.b, 30.0);
@@ -129,13 +132,7 @@ mod tests {
     fn late_detection_loses_effectiveness() {
         let volume = vec![10.0, 10.0, 10.0, 10.0];
         // Anomaly covers all four minutes; scrubbing starts half-way.
-        let areas = integrate_areas(
-            &volume,
-            0,
-            0,
-            4,
-            &[ScrubWindow { start: 2, end: 4 }],
-        );
+        let areas = integrate_areas(&volume, 0, 0, 4, &[ScrubWindow { start: 2, end: 4 }]);
         assert_eq!(areas.effectiveness(), 0.5);
         assert_eq!(areas.overhead(), 0.0);
     }
@@ -144,13 +141,7 @@ mod tests {
     fn early_detection_accrues_overhead() {
         let volume = vec![5.0, 5.0, 10.0, 10.0];
         // Anomaly is minutes 2..4; scrubbing from minute 0.
-        let areas = integrate_areas(
-            &volume,
-            0,
-            2,
-            4,
-            &[ScrubWindow { start: 0, end: 4 }],
-        );
+        let areas = integrate_areas(&volume, 0, 2, 4, &[ScrubWindow { start: 0, end: 4 }]);
         assert_eq!(areas.a, 20.0);
         assert_eq!(areas.b, 20.0);
         assert_eq!(areas.c, 10.0);

@@ -115,10 +115,7 @@ mod tests {
     #[test]
     fn by_duration_filters() {
         let recs = vec![rec(1, 0, 3, 0.1), rec(2, 0, 30, 0.9)];
-        assert_eq!(
-            summary_by_duration(&recs, DurationClass::Short).median,
-            0.1
-        );
+        assert_eq!(summary_by_duration(&recs, DurationClass::Short).median, 0.1);
         assert_eq!(summary_by_duration(&recs, DurationClass::Long).median, 0.9);
         assert!(summary_by_duration(&recs, DurationClass::Medium)
             .median

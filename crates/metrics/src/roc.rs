@@ -141,9 +141,8 @@ mod tests {
 
     #[test]
     fn curve_is_monotone() {
-        let samples: Vec<(f64, bool)> = (0..50)
-            .map(|i| ((i * 7 % 13) as f64, i % 3 == 0))
-            .collect();
+        let samples: Vec<(f64, bool)> =
+            (0..50).map(|i| ((i * 7 % 13) as f64, i % 3 == 0)).collect();
         let curve = roc_curve(&samples);
         for w in curve.windows(2) {
             assert!(w[1].fpr >= w[0].fpr);

@@ -213,18 +213,17 @@ mod tests {
     fn tcp_signatures_require_flags() {
         let sig = AttackType::TcpSyn.signature();
         assert!(sig.matches(&flow(Protocol::Tcp, 1, TcpFlags::SYN)));
-        assert!(sig.matches(&flow(
-            Protocol::Tcp,
-            1,
-            TcpFlags::SYN.union(TcpFlags::ACK)
-        )));
+        assert!(sig.matches(&flow(Protocol::Tcp, 1, TcpFlags::SYN.union(TcpFlags::ACK))));
         assert!(!sig.matches(&flow(Protocol::Tcp, 1, TcpFlags::ACK)));
     }
 
     #[test]
     fn severity_terciles() {
         const MBPS: f64 = 1e6 * 60.0 / 8.0;
-        assert_eq!(Severity::of_peak_bytes_per_minute(1.0 * MBPS), Severity::Low);
+        assert_eq!(
+            Severity::of_peak_bytes_per_minute(1.0 * MBPS),
+            Severity::Low
+        );
         assert_eq!(
             Severity::of_peak_bytes_per_minute(10.0 * MBPS),
             Severity::Medium

@@ -185,7 +185,11 @@ mod tests {
                 minute: i,
                 src: Ipv4(0x0A00_0000 + i),
                 dst: Ipv4(0xC0A8_0001),
-                proto: if i % 3 == 0 { Protocol::Tcp } else { Protocol::Udp },
+                proto: if i % 3 == 0 {
+                    Protocol::Tcp
+                } else {
+                    Protocol::Udp
+                },
                 src_port: (i % 7) as u16 * 1000,
                 dst_port: 443,
                 tcp_flags: TcpFlags(0x12),

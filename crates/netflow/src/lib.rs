@@ -27,9 +27,9 @@ pub mod attack;
 pub mod binning;
 pub mod country;
 pub mod export;
-pub mod v5;
 pub mod record;
 pub mod sampler;
+pub mod v5;
 
 pub use addr::{Ipv4, Prefix, Subnet24};
 pub use attack::{AttackType, Severity, Signature};

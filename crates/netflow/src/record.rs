@@ -128,7 +128,12 @@ mod tests {
 
     #[test]
     fn protocol_numbers_roundtrip() {
-        for p in [Protocol::Tcp, Protocol::Udp, Protocol::Icmp, Protocol::Other(47)] {
+        for p in [
+            Protocol::Tcp,
+            Protocol::Udp,
+            Protocol::Icmp,
+            Protocol::Other(47),
+        ] {
             assert_eq!(Protocol::from_number(p.number()), p);
         }
     }

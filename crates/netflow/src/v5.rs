@@ -45,7 +45,10 @@ impl std::fmt::Display for V5Error {
             V5Error::CountMismatch {
                 declared,
                 available,
-            } => write!(f, "header declares {declared} records, payload holds {available}"),
+            } => write!(
+                f,
+                "header declares {declared} records, payload holds {available}"
+            ),
         }
     }
 }
@@ -60,7 +63,10 @@ impl std::error::Error for V5Error {}
 /// # Panics
 /// Panics if `flows.len() > MAX_RECORDS`.
 pub fn encode_datagram(flows: &[FlowRecord], sequence: u32, sampling: u16) -> Vec<u8> {
-    assert!(flows.len() <= MAX_RECORDS, "v5 datagrams carry at most 30 records");
+    assert!(
+        flows.len() <= MAX_RECORDS,
+        "v5 datagrams carry at most 30 records"
+    );
     let mut out = Vec::with_capacity(HEADER_LEN + flows.len() * RECORD_LEN);
     // Header.
     out.extend_from_slice(&5u16.to_be_bytes()); // version
@@ -72,7 +78,7 @@ pub fn encode_datagram(flows: &[FlowRecord], sequence: u32, sampling: u16) -> Ve
     out.extend_from_slice(&sequence.to_be_bytes()); // flow_sequence
     out.push(0); // engine_type
     out.push(0); // engine_id
-    // sampling_interval: top 2 bits mode (01 = packet interval), low 14 rate.
+                 // sampling_interval: top 2 bits mode (01 = packet interval), low 14 rate.
     let sampling_field: u16 = 0x4000 | (sampling & 0x3FFF);
     out.extend_from_slice(&sampling_field.to_be_bytes());
 
@@ -118,8 +124,7 @@ pub fn parse_datagram_into(bytes: &[u8], out: &mut Vec<FlowRecord>) -> Result<us
         return Err(V5Error::TooShort);
     }
     let be16 = |o: usize| u16::from_be_bytes([bytes[o], bytes[o + 1]]);
-    let be32 =
-        |o: usize| u32::from_be_bytes([bytes[o], bytes[o + 1], bytes[o + 2], bytes[o + 3]]);
+    let be32 = |o: usize| u32::from_be_bytes([bytes[o], bytes[o + 1], bytes[o + 2], bytes[o + 3]]);
     let version = be16(0);
     if version != 5 {
         return Err(V5Error::BadVersion(version));
@@ -167,7 +172,11 @@ mod tests {
                 minute: 7,
                 src: Ipv4(0x0A01_0000 + i as u32),
                 dst: Ipv4(0x1400_0001),
-                proto: if i % 2 == 0 { Protocol::Udp } else { Protocol::Tcp },
+                proto: if i % 2 == 0 {
+                    Protocol::Udp
+                } else {
+                    Protocol::Tcp
+                },
                 src_port: 53,
                 dst_port: 1000 + i as u16,
                 tcp_flags: TcpFlags(0x10),
@@ -224,7 +233,10 @@ mod tests {
         let truncated = &dgram[..dgram.len() - RECORD_LEN];
         assert!(matches!(
             parse_datagram(truncated),
-            Err(V5Error::CountMismatch { declared: 3, available: 2 })
+            Err(V5Error::CountMismatch {
+                declared: 3,
+                available: 2
+            })
         ));
     }
 
@@ -271,7 +283,10 @@ mod tests {
                 assert!(out.capacity() <= (2 * capacity).max(paid_for).max(4));
             }
         }
-        assert_eq!(parse_datagram(bytes), result.map(|n| out[out.len() - n..].to_vec()));
+        assert_eq!(
+            parse_datagram(bytes),
+            result.map(|n| out[out.len() - n..].to_vec())
+        );
         result
     }
 

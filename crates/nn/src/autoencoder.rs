@@ -133,7 +133,8 @@ impl LstmAutoencoder {
         for _ in 0..len {
             ws.zero_frames.push_zeroed();
         }
-        self.decoder.extend_arena(&ws.zero_frames, &mut ws.dec_trace);
+        self.decoder
+            .extend_arena(&ws.zero_frames, &mut ws.dec_trace);
 
         ws.recon.reset(dim);
         let mut sq_sum = 0.0;
@@ -217,8 +218,7 @@ mod tests {
                     .wrapping_add(1442695040888963407);
                 // Mostly-zero frames, like real feature rows.
                 if (state >> 33) % 3 == 0 {
-                    *v = ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5)
-                        + 0.1 * (t + i) as f64;
+                    *v = ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) + 0.1 * (t + i) as f64;
                 }
             }
         }

@@ -15,12 +15,7 @@ use crate::Params;
 ///
 /// Returns the maximum *relative* error, where relative means
 /// `|num − ana| / max(1, |num|, |ana|)` (absolute for tiny gradients).
-pub fn check_params_gradient<M, L, B>(
-    model: &mut M,
-    mut loss: L,
-    mut backward: B,
-    eps: f64,
-) -> f64
+pub fn check_params_gradient<M, L, B>(model: &mut M, mut loss: L, mut backward: B, eps: f64) -> f64
 where
     M: Params,
     L: FnMut(&mut M) -> f64,

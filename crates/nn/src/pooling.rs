@@ -90,7 +90,12 @@ mod tests {
 
     #[test]
     fn exact_windows_average() {
-        let s = vec![vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0], vec![7.0, 8.0]];
+        let s = vec![
+            vec![1.0, 2.0],
+            vec![3.0, 4.0],
+            vec![5.0, 6.0],
+            vec![7.0, 8.0],
+        ];
         let p = avg_pool(&s, 2);
         assert_eq!(p, vec![vec![2.0, 3.0], vec![6.0, 7.0]]);
     }
@@ -113,9 +118,7 @@ mod tests {
         // With exact windows, mean of pooled == mean of original.
         let s = series(12, 2);
         let p = avg_pool(&s, 3);
-        let mean = |v: &[Vec<f64>]| {
-            v.iter().flatten().sum::<f64>() / (v.len() * v[0].len()) as f64
-        };
+        let mean = |v: &[Vec<f64>]| v.iter().flatten().sum::<f64>() / (v.len() * v[0].len()) as f64;
         assert!((mean(&s) - mean(&p)).abs() < 1e-12);
     }
 
@@ -127,7 +130,13 @@ mod tests {
         let weights: Vec<Vec<f64>> = avg_pool(&s, window)
             .iter()
             .enumerate()
-            .map(|(i, frame)| frame.iter().enumerate().map(|(j, _)| ((i + 1) * (j + 2)) as f64).collect())
+            .map(|(i, frame)| {
+                frame
+                    .iter()
+                    .enumerate()
+                    .map(|(j, _)| ((i + 1) * (j + 2)) as f64)
+                    .collect()
+            })
             .collect();
         let loss = |s: &[Vec<f64>]| -> f64 {
             avg_pool(s, window)

@@ -28,8 +28,8 @@ pub fn save_model<T: Serialize>(model: &T, kind: &str, path: &Path) -> io::Resul
         kind: kind.to_string(),
         model,
     };
-    let json = serde_json::to_string(&env)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    let json =
+        serde_json::to_string(&env).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
     fs::write(path, json)
 }
 
@@ -37,8 +37,8 @@ pub fn save_model<T: Serialize>(model: &T, kind: &str, path: &Path) -> io::Resul
 /// format version and the model kind.
 pub fn load_model<T: DeserializeOwned>(kind: &str, path: &Path) -> io::Result<T> {
     let json = fs::read_to_string(path)?;
-    let env: Envelope<T> = serde_json::from_str(&json)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    let env: Envelope<T> =
+        serde_json::from_str(&json).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
     if env.version != WEIGHTS_VERSION {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -51,7 +51,10 @@ pub fn load_model<T: DeserializeOwned>(kind: &str, path: &Path) -> io::Result<T>
     if env.kind != kind {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("weight file holds a '{}' model, expected '{kind}'", env.kind),
+            format!(
+                "weight file holds a '{}' model, expected '{kind}'",
+                env.kind
+            ),
         ));
     }
     Ok(env.model)
@@ -73,7 +76,10 @@ mod tests {
         save_model(&model, "dense", &path).unwrap();
         let mut back: Dense = load_model("dense", &path).unwrap();
         back.ensure_grads();
-        assert_eq!(model.forward(&[1.0, 2.0, 3.0]), back.forward(&[1.0, 2.0, 3.0]));
+        assert_eq!(
+            model.forward(&[1.0, 2.0, 3.0]),
+            back.forward(&[1.0, 2.0, 3.0])
+        );
     }
 
     #[test]

@@ -112,21 +112,15 @@ impl Gauge {
 /// Histogram bounds for survival probabilities in [0, 1]: log-dense near 0
 /// (where a sharp model collapses during attacks) and near 1 (quiet
 /// traffic).
-pub const SURVIVAL_BOUNDS: &[f64] = &[
-    1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0,
-];
+pub const SURVIVAL_BOUNDS: &[f64] = &[1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0];
 
 /// Histogram bounds for per-customer scrubbing-overhead ratios.
-pub const OVERHEAD_BOUNDS: &[f64] = &[
-    1e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1, 0.5, 1.0,
-];
+pub const OVERHEAD_BOUNDS: &[f64] = &[1e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1, 0.5, 1.0];
 
 /// Histogram bounds for consecutive-missing-minute run lengths seen by the
 /// degraded online detector (fault injection): short blips, window-scale
 /// gaps, and hour-plus collector outages land in separate buckets.
-pub const GAP_RUN_BOUNDS: &[f64] = &[
-    1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 30.0, 60.0, 120.0, 360.0,
-];
+pub const GAP_RUN_BOUNDS: &[f64] = &[1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 30.0, 60.0, 120.0, 360.0];
 
 /// Global allocation-observation hook.
 ///

@@ -104,7 +104,10 @@ impl Snapshot {
             match self.histograms.binary_search_by(|(n, _)| n.cmp(name)) {
                 Ok(i) => {
                     let mine = &mut self.histograms[i].1;
-                    assert_eq!(mine.bounds, hist.bounds, "histogram bounds mismatch: {name}");
+                    assert_eq!(
+                        mine.bounds, hist.bounds,
+                        "histogram bounds mismatch: {name}"
+                    );
                     for (a, b) in mine.counts.iter_mut().zip(&hist.counts) {
                         *a += b;
                     }
@@ -474,7 +477,10 @@ mod tests {
         r.add("flows", 10);
         r.gauge("loss", 0.25);
         r.observe("survival", crate::SURVIVAL_BOUNDS, 0.4);
-        r.event("phase", vec![("name", "train".into()), ("minute", 5u32.into())]);
+        r.event(
+            "phase",
+            vec![("name", "train".into()), ("minute", 5u32.into())],
+        );
         r.record_wall("phase_a", 1.25);
         r.add_volatile("allocs", 3);
         r

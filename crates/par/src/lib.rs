@@ -426,7 +426,8 @@ fn worker_loop(shared: &PoolShared, index: usize, mut seen: u64) {
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
             }
             seen = g.epoch;
-            g.job.expect("dispatch always publishes a job with its epoch")
+            g.job
+                .expect("dispatch always publishes a job with its epoch")
         };
         // Task 0 belongs to the leader; worker `index` owns task `index + 1`.
         // Workers beyond the task count still check in below so the leader's

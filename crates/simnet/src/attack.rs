@@ -228,10 +228,8 @@ impl AttackEvent {
         if self.phase(minute) != AttackPhase::Preparation {
             return 0.0;
         }
-        let days_out =
-            (self.onset - minute) as f64 / MINUTES_PER_DAY as f64;
-        let total_days =
-            (self.onset - self.prep_start) as f64 / MINUTES_PER_DAY as f64;
+        let days_out = (self.onset - minute) as f64 / MINUTES_PER_DAY as f64;
+        let total_days = (self.onset - self.prep_start) as f64 / MINUTES_PER_DAY as f64;
         let frac = 1.0 - days_out / total_days.max(1e-9);
         (0.15 + 0.75 * frac).clamp(0.0, 1.0)
     }
@@ -295,9 +293,7 @@ impl AttackEvent {
             // day (deterministically per event/subnet/day), reproducing
             // Fig 15's rising re-appearance curve: far from the onset only
             // a small subset of the eventual attackers probes at all.
-            let gate = splitmix64(
-                (self.id as u64) << 32 ^ (k as u64) << 16 ^ day as u64,
-            ) as f64
+            let gate = splitmix64((self.id as u64) << 32 ^ (k as u64) << 16 ^ day as u64) as f64
                 / u64::MAX as f64;
             if gate >= participation {
                 continue;
@@ -642,9 +638,15 @@ mod tests {
 
         let mut e = event(AttackType::UdpFlood);
         e.end = e.onset; // zero-length
-        assert!(matches!(e.validate(), Err(InvalidEvent::EmptyAttack { .. })));
+        assert!(matches!(
+            e.validate(),
+            Err(InvalidEvent::EmptyAttack { .. })
+        ));
         e.end = e.onset - 1; // inverted
-        assert!(matches!(e.validate(), Err(InvalidEvent::EmptyAttack { .. })));
+        assert!(matches!(
+            e.validate(),
+            Err(InvalidEvent::EmptyAttack { .. })
+        ));
 
         let mut e = event(AttackType::UdpFlood);
         e.prep_start = e.onset + 1;

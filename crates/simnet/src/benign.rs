@@ -108,7 +108,12 @@ impl BenignProfile {
                     1 => 123,
                     _ => self.rng.random_range(1024..65535),
                 };
-                (Protocol::Udp, sport, self.rng.random_range(1024..65535), TcpFlags::default())
+                (
+                    Protocol::Udp,
+                    sport,
+                    self.rng.random_range(1024..65535),
+                    TcpFlags::default(),
+                )
             } else {
                 (Protocol::Icmp, 0, 0, TcpFlags::default())
             };

@@ -216,9 +216,13 @@ pub fn compose(family: ScenarioFamily, base: &WorldConfig) -> ComposedScenario {
             let v = customer_addr(vi);
             let peak = (12.0 * baselines[vi]).max(1.5e7);
             let end = onset + 45;
-            for (i, ty) in [AttackType::TcpSyn, AttackType::UdpFlood, AttackType::IcmpFlood]
-                .into_iter()
-                .enumerate()
+            for (i, ty) in [
+                AttackType::TcpSyn,
+                AttackType::UdpFlood,
+                AttackType::IcmpFlood,
+            ]
+            .into_iter()
+            .enumerate()
             {
                 let o = onset + 6 * i as u32;
                 world

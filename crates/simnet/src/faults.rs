@@ -190,7 +190,13 @@ impl FaultSchedule {
             ],
             "sampling_drift" => vec![
                 w(FaultKind::SamplingRenegotiation, t / 4, span * 2, None, 4.0),
-                w(FaultKind::SamplingRenegotiation, (t * 3) / 5, span, None, 8.0),
+                w(
+                    FaultKind::SamplingRenegotiation,
+                    (t * 3) / 5,
+                    span,
+                    None,
+                    8.0,
+                ),
             ],
             "cdet_dropout" => vec![
                 w(FaultKind::CdetDropout, t / 5, span * 2, None, 1.0),
@@ -221,7 +227,10 @@ impl FaultSchedule {
             ],
             _ => return None,
         };
-        Some(FaultSchedule { windows, seed: 0xFA17 })
+        Some(FaultSchedule {
+            windows,
+            seed: 0xFA17,
+        })
     }
 
     fn outage_covers(&self, minute: u32, customer: usize) -> bool {

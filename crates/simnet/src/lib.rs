@@ -30,8 +30,8 @@ pub mod composer;
 pub mod config;
 pub mod faults;
 pub mod fleet;
-pub mod schedule;
 pub mod scenario;
+pub mod schedule;
 pub mod vectors;
 pub mod world;
 

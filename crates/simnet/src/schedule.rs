@@ -131,7 +131,9 @@ pub fn build_schedule(cfg: &WorldConfig) -> Vec<AttackEvent> {
         // streams keep the paper's clean serial same-type structure
         // (Fig 4(b)) while waves still correlate customers (Fig 4(c)).
         let wave = if rng.random_bool(cfg.wave_frac) {
-            let unchained = cfg.n_customers.saturating_sub(cfg.n_chains.min(cfg.n_customers));
+            let unchained = cfg
+                .n_customers
+                .saturating_sub(cfg.n_chains.min(cfg.n_customers));
             let extras: Vec<usize> = (0..rng.random_range(2..4usize))
                 .map(|_| {
                     if unchained > 0 {
@@ -173,11 +175,13 @@ pub fn build_schedule(cfg: &WorldConfig) -> Vec<AttackEvent> {
                 .unwrap_or_else(|| sample_ramp_dr(ty, &mut rng));
             // Ramp long enough to land on the peak from a 1 % seed:
             // (1+dR)^n = 100 → n = ln(100)/ln(1+dR), capped by duration.
-            let ramp = ((100.0f64.ln() / (1.0 + dr).ln()).ceil() as u32)
-                .clamp(1, duration.max(2) - 1);
-            let emit_for = |victim_idx: usize, onset: u32, wave_id: Option<usize>,
-                                events: &mut Vec<AttackEvent>,
-                                next_id: &mut usize| {
+            let ramp =
+                ((100.0f64.ln() / (1.0 + dr).ln()).ceil() as u32).clamp(1, duration.max(2) - 1);
+            let emit_for = |victim_idx: usize,
+                            onset: u32,
+                            wave_id: Option<usize>,
+                            events: &mut Vec<AttackEvent>,
+                            next_id: &mut usize| {
                 let end = (onset + duration).min(total);
                 events.push(AttackEvent {
                     id: *next_id,
@@ -285,8 +289,7 @@ mod tests {
         const MBPS_TO_BPM: f64 = 1e6 * 60.0 / 8.0;
         let mut rng = StdRng::seed_from_u64(2);
         let peaks: Vec<f64> = (0..5000).map(|_| sample_peak_bpm(&mut rng)).collect();
-        let under21 =
-            peaks.iter().filter(|&&p| p < 21.0 * MBPS_TO_BPM).count() as f64 / 5000.0;
+        let under21 = peaks.iter().filter(|&&p| p < 21.0 * MBPS_TO_BPM).count() as f64 / 5000.0;
         assert!((under21 - 0.75).abs() < 0.05, "under21={under21}");
     }
 

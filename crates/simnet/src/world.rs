@@ -100,11 +100,8 @@ impl World {
         {
             use rand::rngs::StdRng;
             use rand::{Rng, SeedableRng};
-            let idx_of: HashMap<Ipv4, usize> = customers
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| (c, i))
-                .collect();
+            let idx_of: HashMap<Ipv4, usize> =
+                customers.iter().enumerate().map(|(i, &c)| (c, i)).collect();
             let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_mul(0x45d9f3b).wrapping_add(3));
             for e in &mut schedule {
                 if let Some(&vi) = idx_of.get(&e.victim) {

@@ -15,12 +15,12 @@
 //!   bits across thread counts.
 
 use proptest::prelude::*;
+use xatu_netflow::attack::AttackType;
 use xatu_simnet::botnet::customer_addr;
 use xatu_simnet::{
     compose, victim_signature_bytes, AttackEvent, AttackPhase, AttackVector, ScenarioFamily,
     VectorShape, World, WorldConfig,
 };
-use xatu_netflow::attack::AttackType;
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf29ce484222325;

@@ -47,9 +47,8 @@ impl QuantileBound {
             (false, true) => std::cmp::Ordering::Less,
             (false, false) => a.partial_cmp(b).unwrap(),
         });
-        let idx = ((self.quantile * sorted.len() as f64).ceil() as usize)
-            .clamp(1, sorted.len())
-            - 1;
+        let idx =
+            ((self.quantile * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
         sorted[idx] <= self.bound
     }
 }

@@ -78,7 +78,11 @@ impl RollingSurvival {
     /// subsequent survival value would be `NaN` even after the bad value
     /// rotated out of the window.
     pub fn push(&mut self, hazard: f64) -> f64 {
-        let h = if hazard.is_finite() { hazard.max(0.0) } else { 0.0 };
+        let h = if hazard.is_finite() {
+            hazard.max(0.0)
+        } else {
+            0.0
+        };
         self.sum += h - self.buf[self.head];
         self.buf[self.head] = h;
         self.head = (self.head + 1) % self.window;

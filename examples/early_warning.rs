@@ -63,7 +63,8 @@ fn main() {
         let start = (day * 1440) as usize;
         let end = ((day + 1) * 1440).min(event.onset) as usize;
         let max_probes = prep_sources[start..end].iter().max().copied().unwrap_or(0);
-        let total_probe_minutes: usize = prep_sources[start..end].iter().filter(|&&p| p > 0).count();
+        let total_probe_minutes: usize =
+            prep_sources[start..end].iter().filter(|&&p| p > 0).count();
         if total_probe_minutes > 0 {
             println!(
                 "  day {day:>2}: up to {max_probes:>2} subnets, {total_probe_minutes:>3} active minutes {}",

@@ -99,7 +99,10 @@ fn prepare_is_bitwise_identical_across_thread_counts() {
     let mut b = run(4);
 
     assert_eq!(a.cdet_alerts, b.cdet_alerts, "CDet alert streams diverge");
-    assert_eq!(a.fnm_alerts, b.fnm_alerts, "FastNetMon alert streams diverge");
+    assert_eq!(
+        a.fnm_alerts, b.fnm_alerts,
+        "FastNetMon alert streams diverge"
+    );
     assert_eq!(a.ground_truth.len(), b.ground_truth.len());
     for (x, y) in a.ground_truth.iter().zip(&b.ground_truth) {
         assert_eq!(format!("{x:?}"), format!("{y:?}"));

@@ -361,18 +361,26 @@ fn dense_bin_with_sources_in_listed_and_in_split_slash16s() {
     }
     let p = |a, b, c, d, len| Prefix::new(Ipv4::from_octets(a, b, c, d), len);
     for (prefix, asn) in [
-        (p(45, 1, 0, 0, 17), 400),    // 45.1/16: upper half unrouted …
-        (p(45, 1, 200, 0, 24), 401),  // … but for one /24
-        (p(46, 2, 3, 128, 25), 402),  // a /24 routed in its upper half only
-        (p(192, 0, 0, 0, 16), 403),   // TEST-NET-1 inside routed space
-        (p(198, 51, 0, 0, 16), 404),  // TEST-NET-2 inside routed space
+        (p(45, 1, 0, 0, 17), 400),   // 45.1/16: upper half unrouted …
+        (p(45, 1, 200, 0, 24), 401), // … but for one /24
+        (p(46, 2, 3, 128, 25), 402), // a /24 routed in its upper half only
+        (p(192, 0, 0, 0, 16), 403),  // TEST-NET-1 inside routed space
+        (p(198, 51, 0, 0, 16), 404), // TEST-NET-2 inside routed space
     ] {
         ex.spoof.announce(prefix, asn);
     }
     ex.spoof.ensure_built();
 
     let slash16s = [
-        (62, 3), (63, 4), (45, 1), (46, 2), (192, 0), (198, 51), (203, 0), (60, 1), (44, 7),
+        (62, 3),
+        (63, 4),
+        (45, 1),
+        (46, 2),
+        (192, 0),
+        (198, 51),
+        (203, 0),
+        (60, 1),
+        (44, 7),
     ];
     let mut flows = Vec::new();
     for i in 0..3000u64 {
@@ -384,7 +392,10 @@ fn dense_bin_with_sources_in_listed_and_in_split_slash16s() {
         flows.push(flow(Ipv4::from_octets(a, b, third, host), i));
     }
     let sources: HashSet<Ipv4> = flows.iter().map(|f| f.src).collect();
-    let in_a1 = sources.iter().filter(|s| listed.contains(&s.subnet24())).count();
+    let in_a1 = sources
+        .iter()
+        .filter(|s| listed.contains(&s.subnet24()))
+        .count();
     let in_a3 = sources
         .iter()
         .filter(|&&s| ex.spoof.classify_shared(s, None).is_some())

@@ -96,8 +96,14 @@ fn generated_schedules_stream_to_completion() {
     for seed in [0u64, 1, 2] {
         let schedule = FaultSchedule::generate(seed, total, 4);
         let report = run(&run_cfg(23, 2, schedule), RunControl::Full);
-        assert_eq!(report.minutes_recorded, total, "seed {seed} skipped minutes");
-        assert!(report.all_finite(), "seed {seed} produced non-finite survival");
+        assert_eq!(
+            report.minutes_recorded, total,
+            "seed {seed} skipped minutes"
+        );
+        assert!(
+            report.all_finite(),
+            "seed {seed} produced non-finite survival"
+        );
     }
 }
 
@@ -162,8 +168,16 @@ fn cdet_flap_does_not_oscillate_the_ladder_or_alerts() {
     if xatu::obs::enabled() {
         // The ladder engages exactly once per down window and recovers
         // once per flap — no intra-flap chatter.
-        assert_eq!(flap.counts.fusion_engaged, flaps as u64, "{:?}", flap.counts);
-        assert_eq!(flap.counts.fusion_recovered, flaps as u64, "{:?}", flap.counts);
+        assert_eq!(
+            flap.counts.fusion_engaged, flaps as u64,
+            "{:?}",
+            flap.counts
+        );
+        assert_eq!(
+            flap.counts.fusion_recovered, flaps as u64,
+            "{:?}",
+            flap.counts
+        );
         assert!(flap.counts.fusion_ae_minutes > 0);
         assert!(flap.counts.degraded_feature_minutes > 0);
     }
@@ -189,7 +203,9 @@ fn fused_runs_are_bit_identical_across_thread_counts() {
         cfg.companion = Some(neutral_companion(cfg.xatu.window));
         reports.push(run(&cfg, RunControl::Full));
     }
-    let [one, four] = &reports[..] else { unreachable!() };
+    let [one, four] = &reports[..] else {
+        unreachable!()
+    };
     assert!(one.all_finite());
     if xatu::obs::enabled() {
         assert!(one.counts.fusion_engaged > 0, "{:?}", one.counts);

@@ -104,11 +104,7 @@ fn survival_mode_detects_earlier_than_event_step() {
     let traj = score_trajectory(&model, attack, LossKind::Survival);
     // Survival at the anomaly step +1 is already depressed relative to the
     // pre-anomaly steps.
-    assert!(
-        traj[4] < traj[1],
-        "no early depression: {:?}",
-        traj
-    );
+    assert!(traj[4] < traj[1], "no early depression: {:?}", traj);
 }
 
 #[test]

@@ -110,7 +110,11 @@ fn volume_store_matches_direct_tally() {
         }
     }
     for (&(cust, minute), &v) in &direct {
-        let got = volumes.bytes_at(xatu::netflow::addr::Ipv4(cust), AttackType::UdpFlood, minute);
+        let got = volumes.bytes_at(
+            xatu::netflow::addr::Ipv4(cust),
+            AttackType::UdpFlood,
+            minute,
+        );
         assert!((got - v).abs() < 1e-6, "mismatch at {cust}:{minute}");
     }
 }
@@ -128,7 +132,10 @@ fn address_plan_invariants() {
     // Benign space is routed; unannounced 90/8 is spoofed; RFC1918 bogon.
     use xatu::features::spoof::SpoofReason;
     use xatu::netflow::addr::Ipv4;
-    assert_eq!(ex.spoof.classify(Ipv4::from_octets(30, 1, 2, 3), None), None);
+    assert_eq!(
+        ex.spoof.classify(Ipv4::from_octets(30, 1, 2, 3), None),
+        None
+    );
     assert_eq!(
         ex.spoof.classify(Ipv4::from_octets(90, 1, 2, 3), None),
         Some(SpoofReason::Unrouted)
