@@ -17,10 +17,9 @@
 //!   train/validation sample sets (§5.3) and Table 2 statistics.
 //! * `detector` (crate-private) — the detector core: per-customer
 //!   streaming state as flat arena rows (three dual LSTM states, pooling
-//!   buckets, rolling survival, alert lifecycle), generic over the scalar
-//!   width and the LSTM kernel, with one definition each of the
-//!   degradation ladder, the alert lifecycle and the checkpoint
-//!   encoder/validator.
+//!   buckets, rolling survival, alert lifecycle), all `f64`, stepped by
+//!   the model's own `Lstm`, with one definition each of the degradation
+//!   ladder, the alert lifecycle and the checkpoint encoder/validator.
 //! * [`online`] — the per-address front-end of that core: one customer
 //!   per call, thresholded alerts, the optional companion fusion, and
 //!   auto-regressive tracker feedback (§5.3: during testing Xatu's own
@@ -47,8 +46,8 @@
 //!   checkpoint/kill/resume.
 //! * [`fleet`] — the batch front-end of the same core: every customer
 //!   per call through cross-customer batched LSTM kernels and
-//!   thread-invariant sharding, 100k+ customers per box, on the exact
-//!   `f64` backend or, opted into at run time, the `f32` one.
+//!   thread-invariant sharding, 100k+ customers per box, bit-identical
+//!   to the online detector.
 //! * [`scenarios`] — the adversarial scenario matrix: an [`Engine`] with
 //!   one head streams composed multi-vector / pulse-wave / low-and-slow /
 //!   carpet-bomb scenarios; both volumetric CDets, the booster and the

@@ -1,7 +1,7 @@
 //! Golden digests of the three detector front-ends.
 //!
 //! Every row streams a fixed input through one front-end —
-//! [`OnlineDetector`], the exact fleet, the fast fleet, the
+//! [`OnlineDetector`], the exact fleet, the
 //! [`run_faulted`] driver, solo and with a companion attached, or the
 //! [`run_scenario`] matrix — and folds what the front-end emits into two
 //! FNV-1a digests ([`Golden`]):
@@ -276,10 +276,7 @@ fn online_digest(
 /// A fleet through `schedule`: per-minute events in emission order, every
 /// customer's survival, a mid-run kill/resume through a checkpoint file,
 /// the end-of-run checkpoint bytes and the `close_all` events.
-#[allow(clippy::too_many_arguments)]
 fn fleet_digest(
-    fast: bool,
-    idle_skip: bool,
     threads: usize,
     n: usize,
     minutes: u32,
@@ -290,12 +287,7 @@ fn fleet_digest(
 ) -> Golden {
     let c = cfg();
     let model = XatuModel::new(&c);
-    let mut det = if fast {
-        FleetDetector::new_fast(model, AttackType::UdpFlood, THRESHOLD, &c)
-    } else {
-        FleetDetector::new(model, AttackType::UdpFlood, THRESHOLD, &c)
-    };
-    det.set_idle_skip(idle_skip);
+    let mut det = FleetDetector::new(model, AttackType::UdpFlood, THRESHOLD, &c);
     for cst in 0..n {
         det.add_customer(addr(cst));
     }
@@ -306,13 +298,7 @@ fn fleet_digest(
             save_detector(&path, &det.to_checkpoint()).expect("save");
             d.bytes(&std::fs::read(&path).expect("read back"));
             let ck = load_detector(&path).expect("load");
-            det = if fast {
-                FleetDetector::from_checkpoint_fast(&ck)
-            } else {
-                FleetDetector::from_checkpoint(&ck)
-            }
-            .expect("restore");
-            det.set_idle_skip(idle_skip);
+            det = FleetDetector::from_checkpoint(&ck).expect("restore");
         }
         let events = det
             .step_minute_batch(m, threads, |i, _a, out| {
@@ -487,8 +473,7 @@ impl Moved {
 // backend and of `run_faulted` was re-captured once, when `sigmoid`/`tanh`
 // became the in-tree implementations (xatu-nn `activations`): across the
 // 143,448 hazards and survivals the rows fold, 77.5 % kept their bits and
-// the largest |Δ| was 4.4e-16; no `events` constant moved. The fast fleet's
-// rows (its `f32` kernels) did not move at all. The smoke-world rows
+// the largest |Δ| was 4.4e-16; no `events` constant moved. The smoke-world rows
 // (`FAULTED_SMOKE`, `SCENARIOS`) were captured on the drivers that never
 // expired the A5 window; the fix moved the `full` side of both `run_faulted`
 // rows and of `multi_vector` and `carpet_bomb`, once, and no `events` side.
@@ -500,58 +485,49 @@ const fn g(events: u64, full: u64) -> Golden {
 
 const ONLINE_DEGRADATION: Golden = g(0x78e8_6242_81a8_8856, 0xb524_6c2c_9f98_3a05);
 const EXACT_DEGRADATION: Golden = g(0x89b9_51d9_56ad_bf52, 0x15ae_47bf_28d7_6cd8);
-const FAST_DEGRADATION: Golden = g(0xe7d9_d008_db53_0b2f, 0x351c_1001_c0c2_3676);
-/// Per built-in schedule: `OnlineDetector`, exact fleet, fast fleet. Only
+/// Per built-in schedule: `OnlineDetector`, exact fleet. Only
 /// outage and gap windows reach these front-ends directly, so schedules
 /// without them share the clean row.
-const BUILTIN_GAPS: [[Golden; 3]; 8] = [
+const BUILTIN_GAPS: [[Golden; 2]; 8] = [
     // clean
     [
         g(0x09c9_83c1_9023_5a0d, 0xb770_23e0_44d4_5f71),
         g(0xd27d_57b8_87e2_ec89, 0x6a64_a65e_e5de_2952),
-        g(0xd27d_57b8_87e2_ec89, 0xcc08_690f_26bd_dc91),
     ],
     // outage
     [
         g(0x990d_8c10_7d8f_206d, 0xbe30_e6b4_ca80_6664),
         g(0x717e_8b89_21ad_64e7, 0x9714_12f3_d51c_80e1),
-        g(0x717e_8b89_21ad_64e7, 0xd236_7bf6_4bc5_4344),
     ],
     // gaps
     [
         g(0xaba8_b902_a5a4_ceee, 0x5f76_207d_8f05_25df),
         g(0x304d_f166_e969_a458, 0x28ae_1c40_b9cd_68cf),
-        g(0x304d_f166_e969_a458, 0x8fbf_7e75_4749_e4f3),
     ],
     // dup_late
     [
         g(0x09c9_83c1_9023_5a0d, 0xb770_23e0_44d4_5f71),
         g(0xd27d_57b8_87e2_ec89, 0x6a64_a65e_e5de_2952),
-        g(0xd27d_57b8_87e2_ec89, 0xcc08_690f_26bd_dc91),
     ],
     // sampling_drift
     [
         g(0x09c9_83c1_9023_5a0d, 0xb770_23e0_44d4_5f71),
         g(0xd27d_57b8_87e2_ec89, 0x6a64_a65e_e5de_2952),
-        g(0xd27d_57b8_87e2_ec89, 0xcc08_690f_26bd_dc91),
     ],
     // cdet_dropout
     [
         g(0x09c9_83c1_9023_5a0d, 0xb770_23e0_44d4_5f71),
         g(0xd27d_57b8_87e2_ec89, 0x6a64_a65e_e5de_2952),
-        g(0xd27d_57b8_87e2_ec89, 0xcc08_690f_26bd_dc91),
     ],
     // cdet_flap
     [
         g(0x09c9_83c1_9023_5a0d, 0xb770_23e0_44d4_5f71),
         g(0xd27d_57b8_87e2_ec89, 0x6a64_a65e_e5de_2952),
-        g(0xd27d_57b8_87e2_ec89, 0xcc08_690f_26bd_dc91),
     ],
     // everything
     [
         g(0x8bf5_cf18_184b_46fb, 0xd676_c7b1_47db_dd2c),
         g(0x3d1c_8366_0bfd_6ecf, 0x7b9f_9132_60b3_c0a7),
-        g(0x3d1c_8366_0bfd_6ecf, 0x2695_4fa7_f821_b717),
     ],
 ];
 /// Per built-in schedule: `run_faulted` solo, fused.
@@ -618,37 +594,8 @@ fn degradation_schedule_digests() {
         moved.check(
             &format!("exact fleet, {threads} threads"),
             EXACT_DEGRADATION,
-            fleet_digest(
-                false,
-                true,
-                threads,
-                N_CUST,
-                160,
-                83,
-                false,
-                degradation,
-                "exact_deg",
-            ),
+            fleet_digest(threads, N_CUST, 160, 83, false, degradation, "exact_deg"),
         );
-    }
-    for idle_skip in [true, false] {
-        for threads in [1usize, 4] {
-            moved.check(
-                &format!("fast fleet, idle_skip {idle_skip}, {threads} threads"),
-                FAST_DEGRADATION,
-                fleet_digest(
-                    true,
-                    idle_skip,
-                    threads,
-                    N_CUST,
-                    220,
-                    97,
-                    true,
-                    degradation,
-                    "fast_deg",
-                ),
-            );
-        }
     }
     moved.finish();
 }
@@ -669,34 +616,7 @@ fn builtin_schedule_gap_digests() {
             moved.check(
                 &format!("{name}: exact fleet, {threads} threads"),
                 want[1],
-                fleet_digest(
-                    false,
-                    true,
-                    threads,
-                    n,
-                    total,
-                    71,
-                    true,
-                    builtin_gaps(&plan),
-                    &tag,
-                ),
-            );
-        }
-        for idle_skip in [true, false] {
-            moved.check(
-                &format!("{name}: fast fleet, idle_skip {idle_skip}"),
-                want[2],
-                fleet_digest(
-                    true,
-                    idle_skip,
-                    2,
-                    n,
-                    total,
-                    71,
-                    true,
-                    builtin_gaps(&plan),
-                    &tag,
-                ),
+                fleet_digest(threads, n, total, 71, true, builtin_gaps(&plan), &tag),
             );
         }
     }

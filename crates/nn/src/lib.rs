@@ -21,33 +21,25 @@
 //! * [`init`] — Xavier/Glorot initialisation from a seeded RNG.
 //! * [`gradcheck`] — finite-difference utilities used pervasively in tests.
 //! * [`serialize`] — JSON weight (de)serialization for saved models.
-//! * [`fastmath`] — `f32`-only rational `fast_sigmoid32`/`fast_tanh32` with
-//!   pinned max-abs-error bounds: the scalar reference of the fast
-//!   backend's gate kernels.
-//! * [`lstm32`] — `f32` widen-once mirrors of the online scoring
-//!   kernels ([`lstm32::Lstm32`], [`lstm32::Matrix32`]).
+//! * [`simd`] — runtime dispatch of the online kernels' AVX2
+//!   instantiation ([`SimdLevel`]), bit-identical to the plain one.
 //! * [`autoencoder`] — an LSTM encoder–decoder over feature windows
 //!   ([`autoencoder::LstmAutoencoder`]) for unsupervised reconstruction
 //!   scoring, with the same allocation-free workspace discipline.
 //!
-//! All *training* math is `f64`: the models in this workspace are small
-//! (≤64 hidden units), so the extra width costs little and makes gradient
-//! verification exact to ~1e-8. The [`lstm32`]/[`fastmath`] inference
-//! mirrors trade that width for throughput under an explicit, tested
-//! error budget; nothing routes through them unless a caller opts in at
-//! run time (`FleetDetector::enable_fast` in `xatu-core`).
+//! All math is `f64`, training and serving alike: the models in this
+//! workspace are small (≤64 hidden units), so the extra width costs little
+//! and makes gradient verification exact to ~1e-8.
 
 pub mod activations;
 pub mod adam;
 pub mod arena;
 pub mod autoencoder;
 pub mod dense;
-pub mod fastmath;
 pub mod gradcheck;
 pub mod gradpool;
 pub mod init;
 pub mod lstm;
-pub mod lstm32;
 pub mod matrix;
 pub mod pooling;
 pub mod serialize;
@@ -59,7 +51,6 @@ pub use autoencoder::{AeWorkspace, LstmAutoencoder};
 pub use dense::Dense;
 pub use gradpool::GradBufferPool;
 pub use lstm::{Lstm, LstmState, LstmTrace, LstmWorkspace, OnlineBlockWorkspace, OnlineScratch};
-pub use lstm32::{Lstm32, Matrix32, OnlineBlockWorkspace32};
 pub use matrix::{LaneIndices, Matrix};
 pub use simd::SimdLevel;
 
