@@ -24,6 +24,10 @@
 //! fused-vs-solo coverage gate and the fused thread-count bit gate; no
 //! JSON file is written.
 //!
+//! A seed whose smoke world trains no model (no attack type reaches
+//! `min_positives`) prints its positives per type, writes nothing and
+//! exits 2, so a seed sweep can tell it from a failed gate (exit 1).
+//!
 //! The run doubles as the streaming determinism check: the "everything"
 //! schedule (cdet_dropout under `--smoke`) is replayed at 1 and 4 worker
 //! threads — solo and fused — and the binary exits non-zero unless every
@@ -154,17 +158,30 @@ fn main() {
 
     // Bench the attack type with the most ground truth among those that
     // actually trained a model.
-    let (ty, model) = prepared
-        .models
-        .iter()
-        .max_by_key(|(ty, _)| {
-            prepared
-                .ground_truth
-                .iter()
-                .filter(|e| e.attack_type == *ty)
-                .count()
-        })
-        .expect("smoke pipeline trains at least one model");
+    let Some((ty, model)) = prepared.models.iter().max_by_key(|(ty, _)| {
+        prepared
+            .ground_truth
+            .iter()
+            .filter(|e| e.attack_type == *ty)
+            .count()
+    }) else {
+        // No type reached `min_positives`: nothing to bench at this seed.
+        let mut positives = [0usize; AttackType::ALL.len()];
+        for s in &prepared.bundle.positives {
+            positives[s.meta.attack_type.index()] += 1;
+        }
+        let per_type: Vec<String> = AttackType::ALL
+            .iter()
+            .zip(positives)
+            .map(|(t, n)| format!("{t:?} {n}"))
+            .collect();
+        eprintln!(
+            "[bench_faults] seed {seed} trains no model: positives {} (min_positives {}); no JSON written",
+            per_type.join(", "),
+            cfg.xatu.min_positives,
+        );
+        std::process::exit(2);
+    };
     let threshold = 0.5;
     let total_minutes = World::new(cfg.world).total_minutes();
     let n_customers = cfg.world.n_customers;

@@ -2,13 +2,10 @@
 //!
 //! The [`xatu_nn::LstmAutoencoder`] learns to reconstruct *benign*
 //! volumetric feature windows — no labels, no CDet feed, nothing that
-//! disappears when the upstream alert stream goes quiet. The training
-//! loop mirrors [`crate::trainer`] exactly: pooled per-window gradient
-//! buffers, worker replicas synced from the optimizer's copy each batch,
-//! fixed-order gradient reduction, seeded Fisher–Yates shuffling, and
-//! XCK1 checkpoint/resume that replays the completed epochs' shuffle
-//! permutations — so a trained companion is bit-identical at any thread
-//! count, killed or not.
+//! disappears when the upstream alert stream goes quiet. It trains through
+//! the survival trainer's own minibatch loop and XCK1 checkpoint record
+//! ([`crate::trainer`]), so a trained companion is bit-identical at any
+//! thread count, killed or not.
 //!
 //! Training windows carry only the volumetric feature block
 //! ([`volumetric_windows_from_samples`]): the companion's input
@@ -16,16 +13,13 @@
 //! it keep its full signal while the survival model degrades to
 //! volumetric-only frames.
 
-use crate::checkpoint::{load_autoencoder, save_autoencoder, AutoencoderCheckpoint};
+use crate::checkpoint::TrainIdentity;
 use crate::error::XatuError;
 use crate::sample::Sample;
-use crate::trainer::TrainCheckpointSpec;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::path::Path;
+use crate::trainer::{minibatch_loop, EpochStats, MinibatchRun, TrainCheckpointSpec};
 use xatu_features::frame::offsets;
-use xatu_nn::{Adam, AeWorkspace, FrameArena, GradBufferPool, LstmAutoencoder, Params};
-use xatu_par::{par_zip_with_workers, resolve_threads};
+use xatu_nn::{AeWorkspace, FrameArena, LstmAutoencoder};
+use xatu_obs::Registry;
 
 /// Knobs of the companion trainer (deliberately few: the autoencoder has
 /// no labels to balance and no thresholds to calibrate here).
@@ -61,17 +55,6 @@ impl Default for AeTrainConfig {
     }
 }
 
-/// Per-epoch companion-training diagnostics.
-#[derive(Clone, Copy, Debug)]
-pub struct AeEpochStats {
-    /// Epoch index (0-based).
-    pub epoch: usize,
-    /// Mean reconstruction loss over the epoch.
-    pub mean_loss: f64,
-    /// Mean global gradient norm before clipping.
-    pub mean_grad_norm: f64,
-}
-
 /// Extracts benign training windows from labeled samples: the volumetric
 /// block of every *negative* sample's detection window, widened to `f64`.
 /// Positive samples are skipped — the companion must never see an attack.
@@ -100,13 +83,17 @@ pub fn new_autoencoder(input_dim: usize, cfg: &AeTrainConfig) -> LstmAutoencoder
     LstmAutoencoder::new(input_dim, cfg.hidden, &mut init)
 }
 
-/// Trains `ae` on benign `windows` in place; returns per-epoch stats.
+/// Trains `ae` on benign `windows` in place; returns per-epoch stats
+/// (mean reconstruction loss and pre-clip gradient norm).
+///
+/// Fails on a window of the wrong width ([`XatuError::DimensionMismatch`])
+/// or an empty one ([`XatuError::InvalidSample`]).
 pub fn train_autoencoder(
     ae: &mut LstmAutoencoder,
     windows: &[FrameArena],
     cfg: &AeTrainConfig,
-) -> Result<Vec<AeEpochStats>, XatuError> {
-    train_ae_inner(ae, windows, cfg, None)
+) -> Result<Vec<EpochStats>, XatuError> {
+    train_windows(ae, windows, cfg, None)
 }
 
 /// [`train_autoencoder`] with crash-safe checkpoint/resume, sharing the
@@ -119,8 +106,8 @@ pub fn train_autoencoder_resumable(
     windows: &[FrameArena],
     cfg: &AeTrainConfig,
     spec: &TrainCheckpointSpec<'_>,
-) -> Result<Vec<AeEpochStats>, XatuError> {
-    train_ae_inner(ae, windows, cfg, Some(spec))
+) -> Result<Vec<EpochStats>, XatuError> {
+    train_windows(ae, windows, cfg, Some(spec))
 }
 
 /// Reconstruction error of every window, in input order (the calibration
@@ -133,21 +120,12 @@ pub fn reconstruction_errors(ae: &LstmAutoencoder, windows: &[FrameArena]) -> Ve
         .collect()
 }
 
-/// One worker replica: a model copy plus its reusable workspace.
-struct AeWorker {
-    ae: LstmAutoencoder,
-    ws: AeWorkspace,
-}
-
-fn train_ae_inner(
+fn train_windows(
     ae: &mut LstmAutoencoder,
     windows: &[FrameArena],
     cfg: &AeTrainConfig,
     ckpt: Option<&TrainCheckpointSpec<'_>>,
-) -> Result<Vec<AeEpochStats>, XatuError> {
-    if windows.is_empty() {
-        return Ok(Vec::new());
-    }
+) -> Result<Vec<EpochStats>, XatuError> {
     for (index, w) in windows.iter().enumerate() {
         if w.dim() != ae.input_dim() {
             return Err(XatuError::DimensionMismatch {
@@ -162,207 +140,29 @@ fn train_ae_inner(
             });
         }
     }
-    let threads = resolve_threads(cfg.threads);
-    let mut adam = Adam::new(cfg.lr);
-    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(0xAE01));
-    let mut order: Vec<usize> = (0..windows.len()).collect();
-    let mut stats = Vec::with_capacity(cfg.epochs);
-
-    // Resume: exactly the survival trainer's protocol — restore params and
-    // Adam moments, then replay the completed epochs' permutations so the
-    // RNG and `order` reach the checkpointed run's precise state.
-    let mut start_epoch = 0usize;
-    if let Some(spec) = ckpt {
-        if spec.resume && spec.path.exists() {
-            let ck = load_autoencoder(spec.path)?;
-            check_ae_resume_identity(&ck, ae, windows, cfg, spec.path)?;
-            ae.import_params_from(&ck.params);
-            adam.restore_moments(ck.adam_t, ck.adam_m.clone(), ck.adam_v.clone())
-                .map_err(|e| XatuError::corrupt(spec.path, e))?;
-            for _ in 0..ck.epochs_done {
-                for i in (1..order.len()).rev() {
-                    order.swap(i, rng.random_range(0..=i));
-                }
-            }
-            start_epoch = ck.epochs_done as usize;
-        }
-    }
-
-    let param_count = ae.param_count();
-    let mut pool = GradBufferPool::new(param_count);
-    let mut workers: Vec<AeWorker> = Vec::new();
-    let mut param_snapshot = vec![0.0; param_count];
-    let mut chunk_items: Vec<&FrameArena> = Vec::new();
-    let mut seq_ws = AeWorkspace::new();
-
-    for epoch in start_epoch..cfg.epochs {
-        for i in (1..order.len()).rev() {
-            order.swap(i, rng.random_range(0..=i));
-        }
-        let mut epoch_loss = 0.0;
-        let mut epoch_norm = 0.0;
-        let mut batches = 0usize;
-        for chunk in order.chunks(cfg.batch_size) {
-            let slots = pool.take(chunk.len());
-            let n_workers = threads.min(chunk.len());
-            if n_workers <= 1 {
-                for (slot, &i) in slots.iter_mut().zip(chunk) {
-                    ae.zero_grads();
-                    slot.1 = ae.loss_and_grad(&windows[i], &mut seq_ws);
-                    ae.export_grads_into(&mut slot.0);
-                }
-            } else {
-                while workers.len() < n_workers {
-                    workers.push(AeWorker {
-                        ae: ae.clone(),
-                        ws: AeWorkspace::new(),
-                    });
-                }
-                ae.export_params_into(&mut param_snapshot);
-                for w in &mut workers[..n_workers] {
-                    w.ae.import_params_from(&param_snapshot);
-                }
-                chunk_items.clear();
-                chunk_items.extend(chunk.iter().map(|&i| &windows[i]));
-                par_zip_with_workers(
-                    &mut workers[..n_workers],
-                    &chunk_items,
-                    &mut slots[..],
-                    |w, _idx, window, slot| {
-                        w.ae.zero_grads();
-                        slot.1 = w.ae.loss_and_grad(window, &mut w.ws);
-                        w.ae.export_grads_into(&mut slot.0);
-                    },
-                );
-            }
-            // Fixed-order reduction, independent of worker assignment.
-            ae.zero_grads();
-            let mut batch_loss = 0.0;
-            for (buf, window_loss) in slots.iter() {
-                ae.accumulate_grads_from(buf);
-                batch_loss += *window_loss;
-            }
-            ae.scale_grads(1.0 / chunk.len() as f64);
-            epoch_norm += ae.grad_norm();
-            ae.clip_grad_norm(cfg.grad_clip);
-            adam.step(ae);
-            epoch_loss += batch_loss / chunk.len() as f64;
-            batches += 1;
-        }
-        stats.push(AeEpochStats {
-            epoch,
-            mean_loss: epoch_loss / batches as f64,
-            mean_grad_norm: epoch_norm / batches as f64,
-        });
-
-        if let Some(spec) = ckpt {
-            let done = epoch + 1;
-            if done % spec.every_epochs.max(1) == 0 || done == cfg.epochs {
-                save_autoencoder(spec.path, &ae_snapshot(ae, &adam, windows, cfg, done))?;
-            }
-            if spec.kill_after_epochs == Some(done - start_epoch) && done < cfg.epochs {
-                return Ok(stats);
-            }
-        }
-    }
-    Ok(stats)
-}
-
-/// Builds the checkpoint record for the current companion-training state.
-fn ae_snapshot(
-    ae: &mut LstmAutoencoder,
-    adam: &Adam,
-    windows: &[FrameArena],
-    cfg: &AeTrainConfig,
-    epochs_done: usize,
-) -> AutoencoderCheckpoint {
-    let mut params = vec![0.0; ae.param_count()];
-    ae.export_params_into(&mut params);
-    let (adam_t, m, v) = adam.moments();
-    AutoencoderCheckpoint {
+    let run = MinibatchRun {
         seed: cfg.seed,
-        lr_bits: cfg.lr.to_bits(),
-        batch_size: cfg.batch_size as u64,
-        window_count: windows.len() as u64,
-        input_dim: ae.input_dim() as u64,
-        hidden: ae.hidden_dim() as u64,
-        epochs_total: cfg.epochs as u64,
-        epochs_done: epochs_done as u64,
-        params,
-        adam_t,
-        adam_m: m.to_vec(),
-        adam_v: v.to_vec(),
-    }
-}
-
-/// Rejects a checkpoint that does not describe *this* run.
-fn check_ae_resume_identity(
-    ck: &AutoencoderCheckpoint,
-    ae: &mut LstmAutoencoder,
-    windows: &[FrameArena],
-    cfg: &AeTrainConfig,
-    path: &Path,
-) -> Result<(), XatuError> {
-    let mismatch = |reason: String| XatuError::CheckpointMismatch {
-        path: path.display().to_string(),
-        reason,
+        salt: 0xAE01,
+        lr: cfg.lr,
+        batch_size: cfg.batch_size,
+        epochs: cfg.epochs,
+        grad_clip: cfg.grad_clip,
+        threads: cfg.threads,
+        identity: TrainIdentity::Autoencoder {
+            window_count: windows.len() as u64,
+            input_dim: ae.input_dim() as u64,
+            hidden: ae.hidden_dim() as u64,
+        },
     };
-    if ck.seed != cfg.seed {
-        return Err(mismatch(format!("seed {} != {}", ck.seed, cfg.seed)));
-    }
-    if ck.lr_bits != cfg.lr.to_bits() {
-        return Err(mismatch(format!(
-            "learning rate {} != {}",
-            f64::from_bits(ck.lr_bits),
-            cfg.lr
-        )));
-    }
-    if ck.batch_size != cfg.batch_size as u64 {
-        return Err(mismatch(format!(
-            "batch size {} != {}",
-            ck.batch_size, cfg.batch_size
-        )));
-    }
-    if ck.window_count != windows.len() as u64 {
-        return Err(mismatch(format!(
-            "window count {} != {}",
-            ck.window_count,
-            windows.len()
-        )));
-    }
-    if ck.input_dim != ae.input_dim() as u64 {
-        return Err(mismatch(format!(
-            "input dim {} != {}",
-            ck.input_dim,
-            ae.input_dim()
-        )));
-    }
-    if ck.hidden != ae.hidden_dim() as u64 {
-        return Err(mismatch(format!(
-            "hidden {} != {}",
-            ck.hidden,
-            ae.hidden_dim()
-        )));
-    }
-    if ck.epochs_total != cfg.epochs as u64 {
-        return Err(mismatch(format!(
-            "epoch budget {} != {}",
-            ck.epochs_total, cfg.epochs
-        )));
-    }
-    if ck.params.len() != ae.param_count() {
-        return Err(mismatch(format!(
-            "parameter count {} != {}",
-            ck.params.len(),
-            ae.param_count()
-        )));
-    }
-    Ok(())
+    // The companion's epochs stay out of the caller's telemetry.
+    let step = LstmAutoencoder::loss_and_grad;
+    minibatch_loop(ae, windows, &run, &mut Registry::new(), ckpt, step)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xatu_nn::Params;
 
     fn cfg() -> AeTrainConfig {
         AeTrainConfig {

@@ -5,7 +5,7 @@
 //! ```text
 //! magic   b"XCK1"              4 bytes
 //! version u16                  CHECKPOINT_VERSION
-//! kind    u8                   KIND_TRAINER | KIND_DETECTOR
+//! kind    u8                   KIND_TRAINER | KIND_DETECTOR | KIND_AUTOENCODER
 //! pad     u8                   0
 //! len     u64                  payload length in bytes
 //! payload [u8; len]            kind-specific body
@@ -32,7 +32,7 @@ use xatu_netflow::attack::AttackType;
 
 /// Container magic.
 pub const MAGIC: &[u8; 4] = b"XCK1";
-/// `kind` byte for trainer checkpoints.
+/// `kind` byte for survival-trainer checkpoints.
 pub const KIND_TRAINER: u8 = 1;
 /// `kind` byte for online-detector checkpoints.
 pub const KIND_DETECTOR: u8 = 2;
@@ -93,6 +93,14 @@ impl Enc {
         self.u64(vs.len() as u64);
         for &v in vs {
             self.f64(v);
+        }
+    }
+
+    /// Appends a count-prefixed list of length-prefixed `f64` slices.
+    fn f64_chunks(&mut self, chunks: &[Vec<f64>]) {
+        self.u64(chunks.len() as u64);
+        for chunk in chunks {
+            self.f64s(chunk);
         }
     }
 
@@ -173,6 +181,15 @@ impl<'a> Dec<'a> {
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(self.f64()?);
+        }
+        Ok(out)
+    }
+
+    /// Reads a count-prefixed list of `f64` vectors.
+    fn f64_chunks(&mut self) -> Result<Vec<Vec<f64>>, String> {
+        let mut out = Vec::new();
+        for _ in 0..self.u64()? {
+            out.push(self.f64s()?);
         }
         Ok(out)
     }
@@ -330,7 +347,41 @@ pub fn read_container(path: &Path, expect_kind: u8) -> Result<Vec<u8>, XatuError
 // Trainer checkpoint.
 // ---------------------------------------------------------------------------
 
-/// Everything needed to resume training bit-identically: the run's
+/// The identity block that tells the two trainers' runs apart. Each
+/// variant is written under its own `kind` byte with its own fields, so a
+/// checkpoint of one trainer never resumes the other.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum TrainIdentity {
+    /// The survival trainer ([`crate::trainer`]), kind [`KIND_TRAINER`].
+    Survival {
+        /// Loss kind.
+        loss: LossKind,
+        /// Number of training samples.
+        sample_count: u64,
+    },
+    /// The companion trainer ([`crate::ae_trainer`]), kind
+    /// [`KIND_AUTOENCODER`].
+    Autoencoder {
+        /// Number of benign training windows.
+        window_count: u64,
+        /// Frame width the model reconstructs.
+        input_dim: u64,
+        /// Latent width.
+        hidden: u64,
+    },
+}
+
+impl TrainIdentity {
+    /// The container `kind` byte this trainer's checkpoints carry.
+    pub(crate) fn kind(&self) -> u8 {
+        match self {
+            TrainIdentity::Survival { .. } => KIND_TRAINER,
+            TrainIdentity::Autoencoder { .. } => KIND_AUTOENCODER,
+        }
+    }
+}
+
+/// Everything needed to resume either trainer bit-identically: the run's
 /// identity fields (to reject a checkpoint from a different run), the
 /// current parameters, and the full Adam state. The shuffle RNG is *not*
 /// stored — it is fast-forwarded on resume by replaying the completed
@@ -343,10 +394,8 @@ pub struct TrainerCheckpoint {
     pub lr_bits: u64,
     /// Batch size (identity check).
     pub batch_size: u64,
-    /// Loss-kind tag (identity check).
-    pub loss: LossKind,
-    /// Number of training samples (identity check).
-    pub sample_count: u64,
+    /// What was trained on (identity check); decides the `kind` byte.
+    pub identity: TrainIdentity,
     /// Total epochs the run is configured for.
     pub epochs_total: u64,
     /// Epochs fully completed before this checkpoint.
@@ -362,79 +411,140 @@ pub struct TrainerCheckpoint {
 }
 
 impl TrainerCheckpoint {
+    /// Every identity field as `(name, wire value, rendering)`, in wire
+    /// order, then the parameter count.
+    fn identity_fields(&self) -> Vec<(&'static str, u64, String)> {
+        let count = |name, v: u64| (name, v, v.to_string());
+        let lr = f64::from_bits(self.lr_bits).to_string();
+        let mut f = vec![
+            count("kind", self.identity.kind() as u64),
+            count("seed", self.seed),
+            ("learning rate", self.lr_bits, lr),
+            count("batch size", self.batch_size),
+        ];
+        match self.identity {
+            TrainIdentity::Survival { loss, sample_count } => f.extend([
+                ("loss", loss_tag(loss) as u64, format!("{loss:?}")),
+                count("sample count", sample_count),
+            ]),
+            TrainIdentity::Autoencoder {
+                window_count,
+                input_dim,
+                hidden,
+            } => f.extend([
+                count("window count", window_count),
+                count("input dim", input_dim),
+                count("hidden", hidden),
+            ]),
+        }
+        f.push(count("epoch budget", self.epochs_total));
+        f.push(count("parameter count", self.params.len() as u64));
+        f
+    }
+
+    /// Rejects this checkpoint unless it describes the run `run` (a fresh
+    /// snapshot of it): the first identity field that differs is named in
+    /// a [`XatuError::CheckpointMismatch`].
+    pub(crate) fn check_resumes(&self, run: &Self, path: &Path) -> Result<(), XatuError> {
+        let mut pairs = std::iter::zip(self.identity_fields(), run.identity_fields());
+        match pairs.find(|(a, b)| a.1 != b.1) {
+            Some(((name, _, a), (_, _, b))) => Err(XatuError::CheckpointMismatch {
+                path: path.display().to_string(),
+                reason: format!("{name} {a} != {b}"),
+            }),
+            None => Ok(()),
+        }
+    }
+
     fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
         e.u64(self.seed);
         e.u64(self.lr_bits);
         e.u64(self.batch_size);
-        e.u8(loss_tag(self.loss));
-        e.u64(self.sample_count);
+        match self.identity {
+            TrainIdentity::Survival { loss, sample_count } => {
+                e.u8(loss_tag(loss));
+                e.u64(sample_count);
+            }
+            TrainIdentity::Autoencoder {
+                window_count,
+                input_dim,
+                hidden,
+            } => {
+                for v in [window_count, input_dim, hidden] {
+                    e.u64(v);
+                }
+            }
+        }
         e.u64(self.epochs_total);
         e.u64(self.epochs_done);
         e.f64s(&self.params);
         e.u64(self.adam_t);
-        for moments in [&self.adam_m, &self.adam_v] {
-            e.u64(moments.len() as u64);
-            for chunk in moments {
-                e.f64s(chunk);
-            }
-        }
+        e.f64_chunks(&self.adam_m);
+        e.f64_chunks(&self.adam_v);
         e.into_bytes()
     }
 
-    fn decode(d: &mut Dec<'_>) -> Result<Self, String> {
-        let seed = d.u64()?;
-        let lr_bits = d.u64()?;
-        let batch_size = d.u64()?;
-        let loss = loss_from_tag(d.u8()?)?;
-        let sample_count = d.u64()?;
-        let epochs_total = d.u64()?;
-        let epochs_done = d.u64()?;
-        if epochs_done > epochs_total {
+    fn decode(kind: u8, d: &mut Dec<'_>) -> Result<Self, String> {
+        // Fields are read in declaration order, which is wire order.
+        let ck = TrainerCheckpoint {
+            seed: d.u64()?,
+            lr_bits: d.u64()?,
+            batch_size: d.u64()?,
+            identity: match kind {
+                KIND_TRAINER => TrainIdentity::Survival {
+                    loss: loss_from_tag(d.u8()?)?,
+                    sample_count: d.u64()?,
+                },
+                KIND_AUTOENCODER => TrainIdentity::Autoencoder {
+                    window_count: d.u64()?,
+                    input_dim: d.u64()?,
+                    hidden: d.u64()?,
+                },
+                other => return Err(format!("kind byte {other} is not a trainer checkpoint")),
+            },
+            epochs_total: d.u64()?,
+            epochs_done: d.u64()?,
+            params: d.f64s()?,
+            adam_t: d.u64()?,
+            adam_m: d.f64_chunks()?,
+            adam_v: d.f64_chunks()?,
+        };
+        if ck.epochs_done > ck.epochs_total {
             return Err(format!(
-                "epochs_done {epochs_done} exceeds epochs_total {epochs_total}"
+                "epochs_done {} exceeds epochs_total {}",
+                ck.epochs_done, ck.epochs_total
             ));
         }
-        let params = d.f64s()?;
-        let adam_t = d.u64()?;
-        let mut moments = [Vec::new(), Vec::new()];
-        for m in &mut moments {
-            let n = d.u64()? as usize;
-            for _ in 0..n {
-                m.push(d.f64s()?);
-            }
-        }
-        let [adam_m, adam_v] = moments;
-        Ok(TrainerCheckpoint {
-            seed,
-            lr_bits,
-            batch_size,
-            loss,
-            sample_count,
-            epochs_total,
-            epochs_done,
-            params,
-            adam_t,
-            adam_m,
-            adam_v,
-        })
+        Ok(ck)
     }
 }
 
-/// Atomically writes a trainer checkpoint.
+/// Atomically writes a trainer checkpoint under its identity's `kind`.
 pub fn save_trainer(path: &Path, ck: &TrainerCheckpoint) -> Result<(), XatuError> {
-    write_container(path, KIND_TRAINER, &ck.encode())
+    write_container(path, ck.identity.kind(), &ck.encode())
 }
 
-/// Loads and validates a trainer checkpoint.
-pub fn load_trainer(path: &Path) -> Result<TrainerCheckpoint, XatuError> {
-    let payload = read_container(path, KIND_TRAINER)?;
+/// Loads and validates a trainer checkpoint of container kind `kind`
+/// ([`KIND_TRAINER`] or [`KIND_AUTOENCODER`]); a file of any other kind
+/// is [`XatuError::CorruptCheckpoint`].
+pub fn load_trainer(path: &Path, kind: u8) -> Result<TrainerCheckpoint, XatuError> {
+    load(path, kind, |d| TrainerCheckpoint::decode(kind, d))
+}
+
+/// Reads a container of kind `kind` and decodes its whole payload.
+fn load<T>(
+    path: &Path,
+    kind: u8,
+    decode: impl FnOnce(&mut Dec<'_>) -> Result<T, String>,
+) -> Result<T, XatuError> {
+    let payload = read_container(path, kind)?;
     let mut d = Dec::new(&payload);
-    let ck = TrainerCheckpoint::decode(&mut d).map_err(|e| XatuError::corrupt(path, e))?;
+    let out = decode(&mut d).map_err(|e| XatuError::corrupt(path, e))?;
     if !d.finished() {
         return Err(XatuError::corrupt(path, "trailing bytes after payload"));
     }
-    Ok(ck)
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -658,129 +768,7 @@ pub fn save_detector(path: &Path, ck: &DetectorCheckpoint) -> Result<(), XatuErr
 
 /// Loads and validates a detector checkpoint.
 pub fn load_detector(path: &Path) -> Result<DetectorCheckpoint, XatuError> {
-    let payload = read_container(path, KIND_DETECTOR)?;
-    let mut d = Dec::new(&payload);
-    let ck = DetectorCheckpoint::decode(&mut d).map_err(|e| XatuError::corrupt(path, e))?;
-    if !d.finished() {
-        return Err(XatuError::corrupt(path, "trailing bytes after payload"));
-    }
-    Ok(ck)
-}
-
-// ---------------------------------------------------------------------------
-// Autoencoder-trainer checkpoint.
-// ---------------------------------------------------------------------------
-
-/// Resume state for the benign-window autoencoder trainer
-/// ([`crate::ae_trainer`]): identity fields to reject a checkpoint from a
-/// different run, the flat parameters, and the full Adam state. Like the
-/// survival trainer, the shuffle RNG is replayed on resume rather than
-/// stored.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AutoencoderCheckpoint {
-    /// Training seed (identity check).
-    pub seed: u64,
-    /// Learning-rate bits (identity check — exact, not approximate).
-    pub lr_bits: u64,
-    /// Batch size (identity check).
-    pub batch_size: u64,
-    /// Number of benign training windows (identity check).
-    pub window_count: u64,
-    /// Frame width the model reconstructs (identity check).
-    pub input_dim: u64,
-    /// Latent width (identity check).
-    pub hidden: u64,
-    /// Total epochs the run is configured for.
-    pub epochs_total: u64,
-    /// Epochs fully completed before this checkpoint.
-    pub epochs_done: u64,
-    /// Flat model parameters in `Params::visit` order.
-    pub params: Vec<f64>,
-    /// Adam step counter.
-    pub adam_t: u64,
-    /// Adam first moments, per parameter chunk.
-    pub adam_m: Vec<Vec<f64>>,
-    /// Adam second moments, per parameter chunk.
-    pub adam_v: Vec<Vec<f64>>,
-}
-
-impl AutoencoderCheckpoint {
-    fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.u64(self.seed);
-        e.u64(self.lr_bits);
-        e.u64(self.batch_size);
-        e.u64(self.window_count);
-        e.u64(self.input_dim);
-        e.u64(self.hidden);
-        e.u64(self.epochs_total);
-        e.u64(self.epochs_done);
-        e.f64s(&self.params);
-        e.u64(self.adam_t);
-        for moments in [&self.adam_m, &self.adam_v] {
-            e.u64(moments.len() as u64);
-            for chunk in moments {
-                e.f64s(chunk);
-            }
-        }
-        e.into_bytes()
-    }
-
-    fn decode(d: &mut Dec<'_>) -> Result<Self, String> {
-        let seed = d.u64()?;
-        let lr_bits = d.u64()?;
-        let batch_size = d.u64()?;
-        let window_count = d.u64()?;
-        let input_dim = d.u64()?;
-        let hidden = d.u64()?;
-        let epochs_total = d.u64()?;
-        let epochs_done = d.u64()?;
-        if epochs_done > epochs_total {
-            return Err(format!(
-                "epochs_done {epochs_done} exceeds epochs_total {epochs_total}"
-            ));
-        }
-        let params = d.f64s()?;
-        let adam_t = d.u64()?;
-        let mut moments = [Vec::new(), Vec::new()];
-        for m in &mut moments {
-            let n = d.u64()? as usize;
-            for _ in 0..n {
-                m.push(d.f64s()?);
-            }
-        }
-        let [adam_m, adam_v] = moments;
-        Ok(AutoencoderCheckpoint {
-            seed,
-            lr_bits,
-            batch_size,
-            window_count,
-            input_dim,
-            hidden,
-            epochs_total,
-            epochs_done,
-            params,
-            adam_t,
-            adam_m,
-            adam_v,
-        })
-    }
-}
-
-/// Atomically writes an autoencoder-trainer checkpoint.
-pub fn save_autoencoder(path: &Path, ck: &AutoencoderCheckpoint) -> Result<(), XatuError> {
-    write_container(path, KIND_AUTOENCODER, &ck.encode())
-}
-
-/// Loads and validates an autoencoder-trainer checkpoint.
-pub fn load_autoencoder(path: &Path) -> Result<AutoencoderCheckpoint, XatuError> {
-    let payload = read_container(path, KIND_AUTOENCODER)?;
-    let mut d = Dec::new(&payload);
-    let ck = AutoencoderCheckpoint::decode(&mut d).map_err(|e| XatuError::corrupt(path, e))?;
-    if !d.finished() {
-        return Err(XatuError::corrupt(path, "trailing bytes after payload"));
-    }
-    Ok(ck)
+    load(path, KIND_DETECTOR, DetectorCheckpoint::decode)
 }
 
 #[cfg(test)]
@@ -798,8 +786,10 @@ mod tests {
             seed: 42,
             lr_bits: 0.01f64.to_bits(),
             batch_size: 8,
-            loss: LossKind::Survival,
-            sample_count: 100,
+            identity: TrainIdentity::Survival {
+                loss: LossKind::Survival,
+                sample_count: 100,
+            },
             epochs_total: 30,
             epochs_done: 12,
             params: vec![1.5, -2.25, 0.0, f64::MIN_POSITIVE],
@@ -814,7 +804,7 @@ mod tests {
         let path = tmp_file("trainer_rt");
         let ck = sample_trainer_ck();
         save_trainer(&path, &ck).unwrap();
-        let back = load_trainer(&path).unwrap();
+        let back = load_trainer(&path, KIND_TRAINER).unwrap();
         assert_eq!(ck, back);
         // Bit-exactness, not just PartialEq.
         for (a, b) in ck.params.iter().zip(&back.params) {
@@ -833,7 +823,7 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
-        match load_trainer(&path) {
+        match load_trainer(&path, KIND_TRAINER) {
             Err(XatuError::CorruptCheckpoint { reason, .. }) => {
                 assert!(reason.contains("checksum"), "{reason}");
             }
@@ -849,13 +839,13 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 20]).unwrap();
         assert!(matches!(
-            load_trainer(&path),
+            load_trainer(&path, KIND_TRAINER),
             Err(XatuError::CorruptCheckpoint { .. })
         ));
         // Even a header-only stub fails cleanly.
         std::fs::write(&path, &bytes[..10]).unwrap();
         assert!(matches!(
-            load_trainer(&path),
+            load_trainer(&path, KIND_TRAINER),
             Err(XatuError::CorruptCheckpoint { .. })
         ));
         std::fs::remove_file(&path).unwrap();
@@ -874,7 +864,7 @@ mod tests {
         bytes[body_end..].copy_from_slice(&check.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            load_trainer(&path),
+            load_trainer(&path, KIND_TRAINER),
             Err(XatuError::CheckpointVersion { found: 99, .. })
         ));
         std::fs::remove_file(&path).unwrap();
@@ -895,7 +885,7 @@ mod tests {
     fn missing_file_is_an_io_error() {
         let path = tmp_file("missing_never_written");
         assert!(matches!(
-            load_trainer(&path),
+            load_trainer(&path, KIND_TRAINER),
             Err(XatuError::Io { op: "read", .. })
         ));
     }
@@ -915,7 +905,7 @@ mod tests {
         e.u64(u64::MAX); // params length prefix
         write_container(&path, KIND_TRAINER, &e.into_bytes()).unwrap();
         assert!(matches!(
-            load_trainer(&path),
+            load_trainer(&path, KIND_TRAINER),
             Err(XatuError::CorruptCheckpoint { .. })
         ));
         std::fs::remove_file(&path).unwrap();
@@ -924,13 +914,15 @@ mod tests {
     #[test]
     fn autoencoder_checkpoint_roundtrips_exactly() {
         let path = tmp_file("ae_rt");
-        let ck = AutoencoderCheckpoint {
+        let ck = TrainerCheckpoint {
             seed: 3,
             lr_bits: 5e-3f64.to_bits(),
             batch_size: 4,
-            window_count: 40,
-            input_dim: 53,
-            hidden: 8,
+            identity: TrainIdentity::Autoencoder {
+                window_count: 40,
+                input_dim: 53,
+                hidden: 8,
+            },
             epochs_total: 12,
             epochs_done: 5,
             params: vec![0.25, -1.0, f64::MIN_POSITIVE, 0.0],
@@ -938,12 +930,12 @@ mod tests {
             adam_m: vec![vec![0.5], vec![-0.25, 0.125]],
             adam_v: vec![vec![0.01], vec![0.02, 0.03]],
         };
-        save_autoencoder(&path, &ck).unwrap();
-        let back = load_autoencoder(&path).unwrap();
+        save_trainer(&path, &ck).unwrap();
+        let back = load_trainer(&path, KIND_AUTOENCODER).unwrap();
         assert_eq!(ck, back);
         // A trainer reader must reject the autoencoder kind byte.
         assert!(matches!(
-            load_trainer(&path),
+            load_trainer(&path, KIND_TRAINER),
             Err(XatuError::CorruptCheckpoint { .. })
         ));
         std::fs::remove_file(&path).unwrap();
@@ -967,13 +959,15 @@ mod tests {
             m in proptest::collection::vec(
                 proptest::collection::vec(-1e9f64..1e9, 0..8), 0..4),
         ) {
-            let ck = AutoencoderCheckpoint {
+            let ck = TrainerCheckpoint {
                 seed,
                 lr_bits: lr.to_bits(),
                 batch_size,
-                window_count,
-                input_dim,
-                hidden,
+                identity: TrainIdentity::Autoencoder {
+                    window_count,
+                    input_dim,
+                    hidden,
+                },
                 epochs_total: epochs_done + extra_epochs,
                 epochs_done,
                 params,
@@ -982,8 +976,8 @@ mod tests {
                 adam_v: m,
             };
             let path = tmp_file(&format!("ae_prop_{seed}_{adam_t}"));
-            save_autoencoder(&path, &ck).unwrap();
-            let back = load_autoencoder(&path).unwrap();
+            save_trainer(&path, &ck).unwrap();
+            let back = load_trainer(&path, KIND_AUTOENCODER).unwrap();
             std::fs::remove_file(&path).unwrap();
             proptest::prop_assert_eq!(&ck, &back);
             for (a, b) in ck.params.iter().zip(&back.params) {

@@ -23,7 +23,6 @@
 //! silent customer, a dead alert feed the same events as a quiet one — so
 //! the engine is told, and does not guess.
 
-use crate::config::XatuConfig;
 use crate::error::XatuError;
 use crate::eval::VolumeStore;
 use crate::fleet::{FleetDetector, FleetInput};
@@ -31,7 +30,6 @@ use std::borrow::{Borrow, Cow};
 use std::collections::BTreeMap;
 use xatu_detectors::netscout::NetScout;
 use xatu_detectors::traits::{Detector, DetectorEvent};
-use xatu_features::blocklist::BlocklistCategory;
 use xatu_features::frame::FeatureFrame;
 use xatu_features::table1::FeatureExtractor;
 use xatu_netflow::addr::Ipv4;
@@ -40,27 +38,11 @@ use xatu_netflow::binning::{MinuteBinner, MinuteFlows};
 use xatu_netflow::record::FlowRecord;
 use xatu_netflow::v5::{parse_datagram_into, V5Error};
 use xatu_par::{par_map, resolve_threads};
-use xatu_simnet::World;
 
 /// Minutes of CDet-feed silence tolerated before frames are served
 /// volumetric-only: auxiliary trackers frozen by a dead alert feed must not
 /// be passed off as live evidence.
 pub const CDET_SILENCE_LIMIT: u32 = 10;
-
-/// A feature extractor loaded with `world`'s blocklist feed and routed
-/// prefixes, under `xatu`'s ablation mask.
-pub fn world_extractor(world: &World, xatu: &XatuConfig) -> FeatureExtractor {
-    let mut ex = FeatureExtractor::new();
-    for (cat, subnet) in world.blocklist_feed() {
-        ex.blocklists.add(BlocklistCategory::ALL[cat], subnet);
-    }
-    for (prefix, asn) in world.routed_prefixes() {
-        ex.spoof.announce(prefix, asn);
-    }
-    ex.spoof.build();
-    ex.mask = xatu.feature_mask;
-    ex
-}
 
 /// The auxiliary-signal feed: the feature extractor and the alerts whose
 /// matching traffic is being recorded into its trackers.
@@ -230,9 +212,9 @@ impl Engine {
     /// An engine over `customers` (kept sorted by address, duplicates
     /// dropped), feeding `aux` and stepping `heads` — any number of
     /// per-type detectors, none included — on `threads` workers
-    /// ([`XatuConfig::threads`]: 0 means the environment's choice). Every
-    /// customer is registered with every head; thresholds and warm-up are
-    /// whatever the heads were given.
+    /// ([`crate::XatuConfig::threads`]: 0 means the environment's choice).
+    /// Every customer is registered with every head; thresholds and warm-up
+    /// are whatever the heads were given.
     pub fn new(
         customers: &[Ipv4],
         aux: AuxFeed,

@@ -33,10 +33,11 @@
 
 use crate::checkpoint::{load_detector, save_detector};
 use crate::config::XatuConfig;
-use crate::engine::{world_extractor, AuxFeed, Engine};
+use crate::engine::{AuxFeed, Engine};
 use crate::error::XatuError;
 use crate::model::XatuModel;
 use crate::online::{Companion, OnlineDetector};
+use crate::pipeline::world_extractor;
 use std::path::Path;
 use xatu_detectors::alert::{Alert, AlertLog};
 use xatu_netflow::addr::Ipv4;

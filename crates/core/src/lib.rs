@@ -12,7 +12,8 @@
 //!   pooled series, a dense combiner, and a softplus hazard head, with full
 //!   hand-derived backpropagation (gradient-checked in tests).
 //! * [`trainer`] — SAFE-loss training with Adam (§4.2, §5.3) and the binary
-//!   cross-entropy ablation (Fig 18(d)).
+//!   cross-entropy ablation (Fig 18(d)), over the crate's one minibatch
+//!   loop (data-parallel, fixed-order reduction, checkpoint/resume).
 //! * [`dataset`] — turning a simulated world plus CDet alerts into balanced
 //!   train/validation sample sets (§5.3) and Table 2 statistics.
 //! * `detector` (crate-private) — the detector core: per-customer
@@ -28,18 +29,22 @@
 //!   (or already-binned flows) → CDet alert feed → tracker upkeep → frames
 //!   → per-type fleet heads → alerts. [`engine::AuxFeed`] owns every write,
 //!   read and expiry of the auxiliary trackers; [`Engine`] composes it with
-//!   the binner, the volume store and the live CDet. Everything below that
-//!   streams a world is an adaptor over one of the two.
+//!   the binner, the volume store and the live CDet. It links no
+//!   simulator; everything below that streams a world is an adaptor over
+//!   one of the two.
 //! * [`pipeline`] — the full experiment: simulate → detect (CDet) → extract
 //!   features → train per-type models → calibrate thresholds on validation
 //!   → evaluate all systems on the test period. Offline, so it drives
-//!   [`engine::AuxFeed`]s phase by phase rather than an [`Engine`].
+//!   [`engine::AuxFeed`]s phase by phase rather than an [`Engine`]. Its
+//!   [`pipeline::world_extractor`] loads a simulated world's blocklist
+//!   feed and routes into the extractor every world-streaming driver uses.
 //! * [`gradients`] — input-gradient attribution (Fig 11: which auxiliary
 //!   signal drove a detection, and when).
 //! * [`error`] — the typed fault taxonomy ([`XatuError`]): what degraded
 //!   input, corrupt checkpoints and I/O failures look like to callers.
 //! * [`checkpoint`] — crash-safe checkpoint files (atomic write-then-
-//!   rename, checksummed, versioned) for the trainer and online detector.
+//!   rename, checksummed, versioned): one trainer record for both trainers,
+//!   told apart by its identity block, and the online detector's.
 //! * [`faulted`] — the fault-injected streaming driver: a head-less
 //!   [`Engine`] over a [`xatu_simnet::FaultedWorld`] feeding the online
 //!   detector, with graceful degradation and optional mid-run
@@ -54,8 +59,8 @@
 //!   fleet detector are scored on detection rate, median delay and
 //!   overhead.
 //! * [`ae_trainer`] — benign-window training for the unsupervised
-//!   reconstruction companion (LSTM autoencoder over volumetric frames),
-//!   with the same bit-identical checkpoint/resume as the main trainer.
+//!   reconstruction companion (LSTM autoencoder over volumetric frames):
+//!   a thin adaptor that runs the [`trainer`]'s minibatch loop.
 //! * [`fusion`] — score fusion: benign-quantile error normalization plus
 //!   max-combine / learned-logistic blending of the survival score with
 //!   the companion's reconstruction score.

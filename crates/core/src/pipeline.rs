@@ -23,7 +23,7 @@
 
 use crate::config::XatuConfig;
 use crate::dataset::{DatasetBuilder, DatasetBundle, SplitBoundaries};
-use crate::engine::{world_extractor, AuxFeed};
+use crate::engine::AuxFeed;
 use crate::eval::{
     alerts_from_score_series, build_ground_truth, evaluate_system, intervals_of, GtEvent,
     SystemAlerts, SystemEval, VolumeStore,
@@ -31,7 +31,6 @@ use crate::eval::{
 use crate::model::XatuModel;
 use crate::online::OnlineDetector;
 use crate::trainer::train_with_obs;
-use serde::value::Value;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -42,11 +41,12 @@ use xatu_detectors::rf::{RandomForest, RfConfig};
 use xatu_detectors::traits::{Detector, DetectorEvent};
 use xatu_features::blocklist::BlocklistCategory;
 use xatu_features::pooled_history::{PooledHistory, Timescales};
+use xatu_features::table1::FeatureExtractor;
 use xatu_metrics::percentile::Summary;
 use xatu_metrics::roc::{roc_curve, RocPoint};
 use xatu_netflow::addr::Ipv4;
 use xatu_netflow::attack::AttackType;
-use xatu_obs::{FieldValue, Registry, Snapshot, StderrSink};
+use xatu_obs::{Registry, Snapshot, StderrSink};
 use xatu_par::{par_map, resolve_threads};
 use xatu_simnet::{World, WorldConfig};
 use xatu_survival::calibrate::{pick_threshold, threshold_grid, CandidateEval, QuantileBound};
@@ -700,50 +700,6 @@ impl Prepared {
         (min, sum / n as f64, below as f64 / n as f64)
     }
 
-    /// Renders the calibration candidate table for debugging: per
-    /// threshold, the median validation effectiveness and p75 overhead.
-    pub fn calibration_debug(&self) -> String {
-        let quiet = 5u32;
-        let base = self.split.train_end;
-        let gt_val: Vec<GtEvent> = self
-            .ground_truth
-            .iter()
-            .filter(|e| {
-                e.cdet_detected >= self.split.train_end && e.cdet_detected < self.split.val_end
-            })
-            .copied()
-            .collect();
-        let mut out = format!("calibration over {} val events\n", gt_val.len());
-        for threshold in threshold_grid(24) {
-            let mut alerts: SystemAlerts = HashMap::new();
-            let mut n_alerts = 0usize;
-            for (&key, series) in &self.val_scores_xatu {
-                let intervals = alerts_from_score_series(series, base, threshold, quiet);
-                n_alerts += intervals.len();
-                if !intervals.is_empty() {
-                    alerts.insert(key, intervals);
-                }
-            }
-            let eval = evaluate_system(
-                "cand",
-                &alerts,
-                &gt_val,
-                &self.volumes,
-                base,
-                self.split.val_end,
-            );
-            let eff = Summary::p10_50_90(&eval.effectiveness_values());
-            out.push_str(&format!(
-                "th={threshold:.5} alerts={n_alerts} eff_med={:.3} p75_ovh={:.4} detected={}/{}\n",
-                eff.median,
-                eval.overhead.p75(),
-                eval.detected,
-                eval.delay.total()
-            ));
-        }
-        out
-    }
-
     /// Threshold calibration on validation scores (§5.3).
     fn calibrate(
         &self,
@@ -1138,12 +1094,10 @@ impl EvalReport {
         self.systems.iter().find(|s| s.name == name)
     }
 
-    /// The telemetry snapshot as indented JSON, rendered through the
-    /// workspace serde stack ([`Snapshot::to_json`] is the compact
-    /// single-line form). Floats round-trip bit-exactly.
+    /// The telemetry snapshot as JSON, digest first ([`Snapshot::to_json`]).
+    /// Floats round-trip bit-exactly.
     pub fn telemetry_json(&self) -> String {
-        serde_json::to_string_pretty(&RawValue(snapshot_value(&self.obs)))
-            .expect("telemetry snapshot serializes")
+        self.obs.to_json()
     }
 
     /// A compact human-readable summary.
@@ -1206,108 +1160,21 @@ fn record_world_obs(obs: &mut Registry, world: &World) {
     );
 }
 
-/// A pre-built [`Value`] tree passed through the serde stack unchanged.
-struct RawValue(Value);
-
-impl serde::Serialize for RawValue {
-    fn to_value(&self) -> Value {
-        self.0.clone()
+/// A feature extractor loaded with `world`'s blocklist feed and routed
+/// prefixes, under `xatu`'s ablation mask: the auxiliary state every
+/// simulated stream (this pipeline, [`crate::faulted`],
+/// [`crate::scenarios`]) hands its [`AuxFeed`].
+pub fn world_extractor(world: &World, xatu: &XatuConfig) -> FeatureExtractor {
+    let mut ex = FeatureExtractor::new();
+    for (cat, subnet) in world.blocklist_feed() {
+        ex.blocklists.add(BlocklistCategory::ALL[cat], subnet);
     }
-}
-
-/// Renders a telemetry snapshot as a serde [`Value`] tree.
-fn snapshot_value(s: &Snapshot) -> Value {
-    let u64_map = |entries: &[(String, u64)]| {
-        Value::Map(
-            entries
-                .iter()
-                .map(|(k, v)| (k.clone(), Value::U64(*v)))
-                .collect(),
-        )
-    };
-    let field_value = |v: &FieldValue| match v {
-        FieldValue::U64(v) => Value::U64(*v),
-        FieldValue::I64(v) => Value::I64(*v),
-        FieldValue::F64(v) => Value::F64(*v),
-        FieldValue::Str(v) => Value::Str(v.clone()),
-    };
-    Value::Map(vec![
-        (
-            "digest".to_string(),
-            Value::Str(format!("{:016x}", s.digest())),
-        ),
-        ("counters".to_string(), u64_map(&s.counters)),
-        (
-            "gauges".to_string(),
-            Value::Map(
-                s.gauges
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Value::F64(*v)))
-                    .collect(),
-            ),
-        ),
-        (
-            "histograms".to_string(),
-            Value::Map(
-                s.histograms
-                    .iter()
-                    .map(|(k, h)| {
-                        (
-                            k.clone(),
-                            Value::Map(vec![
-                                (
-                                    "bounds".to_string(),
-                                    Value::Seq(h.bounds.iter().map(|&b| Value::F64(b)).collect()),
-                                ),
-                                (
-                                    "counts".to_string(),
-                                    Value::Seq(h.counts.iter().map(|&c| Value::U64(c)).collect()),
-                                ),
-                                ("count".to_string(), Value::U64(h.count)),
-                                ("sum".to_string(), Value::F64(h.sum)),
-                                ("nan".to_string(), Value::U64(h.nan)),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "events".to_string(),
-            Value::Seq(
-                s.events
-                    .iter()
-                    .map(|e| {
-                        let mut m = vec![("kind".to_string(), Value::Str(e.kind.to_string()))];
-                        m.extend(
-                            e.fields
-                                .iter()
-                                .map(|(name, v)| (name.to_string(), field_value(v))),
-                        );
-                        Value::Map(m)
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "wall".to_string(),
-            Value::Map(
-                s.wall
-                    .iter()
-                    .map(|(k, t)| {
-                        (
-                            k.clone(),
-                            Value::Map(vec![
-                                ("count".to_string(), Value::U64(t.count)),
-                                ("total_seconds".to_string(), Value::F64(t.total_seconds)),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-        ("volatile".to_string(), u64_map(&s.volatile)),
-    ])
+    for (prefix, asn) in world.routed_prefixes() {
+        ex.spoof.announce(prefix, asn);
+    }
+    ex.spoof.build();
+    ex.mask = xatu.feature_mask;
+    ex
 }
 
 /// The auxiliary feed of one pipeline phase: the world's extractor with the

@@ -23,12 +23,13 @@
 //! workers and requires identical bits.
 
 use crate::config::XatuConfig;
-use crate::engine::{world_extractor, AuxFeed, Engine};
+use crate::engine::{AuxFeed, Engine};
 use crate::error::XatuError;
 use crate::eval::EARLY_CREDIT;
 use crate::fleet::FleetDetector;
 use crate::model::XatuModel;
 use crate::online::OnlineDetector;
+use crate::pipeline::world_extractor;
 use xatu_detectors::alert::{Alert, AlertLog};
 use xatu_detectors::fastnetmon::FastNetMon;
 use xatu_detectors::traits::Detector;

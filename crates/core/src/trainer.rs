@@ -1,14 +1,17 @@
 //! Training loop: SAFE survival loss (or the cross-entropy ablation) with
 //! Adam, deterministic shuffling, gradient clipping and loss logging.
 //!
-//! Minibatches are data-parallel: each sample's forward/backward runs on a
+//! Minibatches are data-parallel: each item's forward/backward runs on a
 //! worker replica of the model and writes its gradient into a pooled
-//! per-sample buffer; the batch gradient is then reduced sequentially in
+//! per-item buffer; the batch gradient is then reduced sequentially in
 //! chunk index order. Every thread count — including 1 — performs the same
 //! floating-point operations in the same order, so trained parameters are
 //! bit-identical no matter how many workers run.
+//!
+//! That loop, checkpoint/resume included, is `minibatch_loop`; this
+//! survival trainer and [`crate::ae_trainer`] are thin adaptors over it.
 
-use crate::checkpoint::{load_trainer, save_trainer, TrainerCheckpoint};
+use crate::checkpoint::{load_trainer, save_trainer, TrainIdentity, TrainerCheckpoint};
 use crate::config::{LossKind, XatuConfig};
 use crate::error::XatuError;
 use crate::model::{ForwardTrace, ModelWorkspace, XatuModel};
@@ -107,18 +110,75 @@ fn train_inner(
     obs: &mut Registry,
     ckpt: Option<&TrainCheckpointSpec<'_>>,
 ) -> Result<Vec<EpochStats>, XatuError> {
-    if samples.is_empty() {
-        return Ok(Vec::new());
-    }
     for (index, s) in samples.iter().enumerate() {
         s.validate()
             .map_err(|reason| XatuError::InvalidSample { index, reason })?;
     }
-    let threads = resolve_threads(cfg.threads);
-    let mut adam = Adam::new(cfg.lr);
-    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(0x7EA1));
-    let mut order: Vec<usize> = (0..samples.len()).collect();
-    let mut stats = Vec::with_capacity(cfg.epochs);
+    // Every sample is widened f32→f64 exactly once, up front; the epoch
+    // loop then runs entirely on the flat arenas.
+    let items: Vec<(&Sample, WideSample)> = samples
+        .iter()
+        .map(|s| (s, WideSample::from_sample(s)))
+        .collect();
+    let run = MinibatchRun {
+        seed: cfg.seed,
+        salt: 0x7EA1,
+        lr: cfg.lr,
+        batch_size: cfg.batch_size,
+        epochs: cfg.epochs,
+        grad_clip: cfg.grad_clip,
+        threads: cfg.threads,
+        identity: TrainIdentity::Survival {
+            loss: cfg.loss,
+            sample_count: samples.len() as u64,
+        },
+    };
+    minibatch_loop(model, &items, &run, obs, ckpt, |m, (s, w), scratch| {
+        accumulate_sample(m, s, w, cfg.loss, scratch)
+    })
+}
+
+/// One run of [`minibatch_loop`]: the knobs it reads and the identity
+/// its checkpoints carry.
+pub(crate) struct MinibatchRun {
+    /// Seed of the run; the shuffle RNG starts at `seed + salt`, the salt
+    /// differing per trainer.
+    pub seed: u64,
+    pub salt: u64,
+    pub lr: f64,
+    pub batch_size: usize,
+    pub epochs: usize,
+    pub grad_clip: f64,
+    pub threads: usize,
+    pub identity: TrainIdentity,
+}
+
+/// The one minibatch loop: trains `model` on `items` for `run.epochs`,
+/// checkpointing (and resuming) per `ckpt`; returns the epochs it ran.
+/// `step(model, item, scratch)` is one item's forward and backward into a
+/// zeroed model, through the calling worker's reusable `scratch`; it
+/// returns the item's loss.
+pub(crate) fn minibatch_loop<M, I, W>(
+    model: &mut M,
+    items: &[I],
+    run: &MinibatchRun,
+    obs: &mut Registry,
+    ckpt: Option<&TrainCheckpointSpec<'_>>,
+    step: impl Fn(&mut M, &I, &mut W) -> f64 + Sync,
+) -> Result<Vec<EpochStats>, XatuError>
+where
+    M: Params + Clone + Send,
+    I: Sync,
+    W: Default + Send,
+{
+    if items.is_empty() {
+        return Ok(Vec::new());
+    }
+    let threads = resolve_threads(run.threads);
+    let mut adam = Adam::new(run.lr);
+    let mut rng = StdRng::seed_from_u64(run.seed.wrapping_add(run.salt));
+    let mut order: Vec<usize> = (0..items.len()).collect();
+    let mut stats = Vec::with_capacity(run.epochs);
 
     // Resume: restore parameters and optimizer state exactly, then replay
     // the completed epochs' Fisher-Yates permutations so both the RNG and
@@ -128,10 +188,10 @@ fn train_inner(
     let mut start_epoch = 0usize;
     if let Some(spec) = ckpt {
         if spec.resume && spec.path.exists() {
-            let ck = load_trainer(spec.path)?;
-            check_resume_identity(&ck, model, samples, cfg, spec.path)?;
+            let ck = load_trainer(spec.path, run.identity.kind())?;
+            ck.check_resumes(&run.checkpoint(model, &adam, 0), spec.path)?;
             model.import_params_from(&ck.params);
-            adam.restore_moments(ck.adam_t, ck.adam_m.clone(), ck.adam_v.clone())
+            adam.restore_moments(ck.adam_t, ck.adam_m, ck.adam_v)
                 .map_err(|e| XatuError::corrupt(spec.path, e))?;
             for _ in 0..ck.epochs_done {
                 for i in (1..order.len()).rev() {
@@ -142,28 +202,22 @@ fn train_inner(
         }
     }
 
-    // Every sample is widened f32→f64 exactly once, up front; the epoch
-    // loop then runs entirely on the flat arenas.
-    let wide: Vec<WideSample> = samples.iter().map(WideSample::from_sample).collect();
-
     // Data-parallel scaffolding, reused across batches and epochs: one
-    // pooled flat gradient buffer per sample slot, worker replicas (model +
-    // trace + BPTT workspace, grown lazily, params re-synced from `model`
-    // each batch), a scratch vector for the parameter snapshot, and the
-    // sequential path's own persistent trace/workspace. Steady-state
-    // forward+backward through these buffers allocates nothing.
+    // pooled flat gradient buffer per item slot, worker replicas (model +
+    // scratch, grown lazily, params re-synced from `model` each batch), a
+    // scratch vector for the parameter snapshot, and the sequential path's
+    // own persistent scratch. Steady-state forward+backward through these
+    // buffers allocates nothing.
     let param_count = model.param_count();
     let mut pool = GradBufferPool::new(param_count);
-    let mut workers: Vec<TrainWorker> = Vec::new();
+    let mut workers: Vec<(M, W)> = Vec::new();
     let mut param_snapshot = vec![0.0; param_count];
-    let mut chunk_items: Vec<(&Sample, &WideSample)> = Vec::new();
-    let mut seq_trace = ForwardTrace::default();
-    let mut seq_ws = ModelWorkspace::default();
-    let mut seq_dlogits: Vec<f64> = Vec::new();
+    let mut chunk_items: Vec<&I> = Vec::new();
+    let mut seq_scratch = W::default();
 
-    obs.add("train.samples", samples.len() as u64);
-    obs.add("train.epochs", (cfg.epochs - start_epoch) as u64);
-    for epoch in start_epoch..cfg.epochs {
+    obs.add("train.samples", items.len() as u64);
+    obs.add("train.epochs", (run.epochs - start_epoch) as u64);
+    for epoch in start_epoch..run.epochs {
         let epoch_start = xatu_obs::enabled().then(std::time::Instant::now);
         let allocs_before = alloc_hook::allocs();
         // Fisher-Yates shuffle.
@@ -173,53 +227,36 @@ fn train_inner(
         let mut epoch_loss = 0.0;
         let mut epoch_norm = 0.0;
         let mut batches = 0usize;
-        for chunk in order.chunks(cfg.batch_size) {
+        for chunk in order.chunks(run.batch_size) {
             let slots = pool.take(chunk.len());
             let n_workers = threads.min(chunk.len());
             if n_workers <= 1 {
                 // Same canonical computation as the parallel path — each
-                // sample's gradient from a zeroed model into its own
-                // buffer — just without the replica sync.
+                // item's gradient from a zeroed model into its own buffer —
+                // just without the replica sync.
                 for (slot, &i) in slots.iter_mut().zip(chunk) {
                     model.zero_grads();
-                    slot.1 = accumulate_sample(
-                        model,
-                        &samples[i],
-                        &wide[i],
-                        cfg.loss,
-                        &mut seq_trace,
-                        &mut seq_ws,
-                        &mut seq_dlogits,
-                    );
+                    slot.1 = step(model, &items[i], &mut seq_scratch);
                     model.export_grads_into(&mut slot.0);
                 }
             } else {
                 while workers.len() < n_workers {
-                    workers.push(TrainWorker::new(model.clone()));
+                    workers.push((model.clone(), W::default()));
                 }
                 model.export_params_into(&mut param_snapshot);
-                for w in &mut workers[..n_workers] {
-                    w.model.import_params_from(&param_snapshot);
+                for (replica, _) in &mut workers[..n_workers] {
+                    replica.import_params_from(&param_snapshot);
                 }
                 chunk_items.clear();
-                chunk_items.extend(chunk.iter().map(|&i| (&samples[i], &wide[i])));
-                let loss_kind = cfg.loss;
+                chunk_items.extend(chunk.iter().map(|&i| &items[i]));
                 par_zip_with_workers(
                     &mut workers[..n_workers],
                     &chunk_items,
                     &mut slots[..],
-                    |w, _idx, (s, ws), slot| {
-                        w.model.zero_grads();
-                        slot.1 = accumulate_sample(
-                            &mut w.model,
-                            s,
-                            ws,
-                            loss_kind,
-                            &mut w.trace,
-                            &mut w.ws,
-                            &mut w.d_logits,
-                        );
-                        w.model.export_grads_into(&mut slot.0);
+                    |(replica, scratch), _idx, item, slot| {
+                        replica.zero_grads();
+                        slot.1 = step(replica, item, scratch);
+                        replica.export_grads_into(&mut slot.0);
                     },
                 );
             }
@@ -227,13 +264,13 @@ fn train_inner(
             // index order regardless of which worker filled which buffer.
             model.zero_grads();
             let mut batch_loss = 0.0;
-            for (buf, sample_loss) in slots.iter() {
+            for (buf, item_loss) in slots.iter() {
                 model.accumulate_grads_from(buf);
-                batch_loss += *sample_loss;
+                batch_loss += *item_loss;
             }
             model.scale_grads(1.0 / chunk.len() as f64);
             epoch_norm += model.grad_norm();
-            model.clip_grad_norm(cfg.grad_clip);
+            model.clip_grad_norm(run.grad_clip);
             adam.step(model);
             epoch_loss += batch_loss / chunk.len() as f64;
             batches += 1;
@@ -263,10 +300,10 @@ fn train_inner(
 
         if let Some(spec) = ckpt {
             let done = epoch + 1;
-            if done % spec.every_epochs.max(1) == 0 || done == cfg.epochs {
-                save_trainer(spec.path, &snapshot(model, &adam, samples, cfg, done))?;
+            if done % spec.every_epochs.max(1) == 0 || done == run.epochs {
+                save_trainer(spec.path, &run.checkpoint(model, &adam, done))?;
             }
-            if spec.kill_after_epochs == Some(done - start_epoch) && done < cfg.epochs {
+            if spec.kill_after_epochs == Some(done - start_epoch) && done < run.epochs {
                 // Simulated crash: return what ran, save nothing further.
                 return Ok(stats);
             }
@@ -275,116 +312,39 @@ fn train_inner(
     Ok(stats)
 }
 
-/// Builds the checkpoint record for the current training state.
-fn snapshot(
-    model: &mut XatuModel,
-    adam: &Adam,
-    samples: &[Sample],
-    cfg: &XatuConfig,
-    epochs_done: usize,
-) -> TrainerCheckpoint {
-    let mut params = vec![0.0; model.param_count()];
-    model.export_params_into(&mut params);
-    let (adam_t, m, v) = adam.moments();
-    TrainerCheckpoint {
-        seed: cfg.seed,
-        lr_bits: cfg.lr.to_bits(),
-        batch_size: cfg.batch_size as u64,
-        loss: cfg.loss,
-        sample_count: samples.len() as u64,
-        epochs_total: cfg.epochs as u64,
-        epochs_done: epochs_done as u64,
-        params,
-        adam_t,
-        adam_m: m.to_vec(),
-        adam_v: v.to_vec(),
-    }
-}
-
-/// Rejects a checkpoint that does not describe *this* run.
-fn check_resume_identity(
-    ck: &TrainerCheckpoint,
-    model: &mut XatuModel,
-    samples: &[Sample],
-    cfg: &XatuConfig,
-    path: &Path,
-) -> Result<(), XatuError> {
-    let mismatch = |reason: String| XatuError::CheckpointMismatch {
-        path: path.display().to_string(),
-        reason,
-    };
-    if ck.seed != cfg.seed {
-        return Err(mismatch(format!("seed {} != {}", ck.seed, cfg.seed)));
-    }
-    if ck.lr_bits != cfg.lr.to_bits() {
-        return Err(mismatch(format!(
-            "learning rate {} != {}",
-            f64::from_bits(ck.lr_bits),
-            cfg.lr
-        )));
-    }
-    if ck.batch_size != cfg.batch_size as u64 {
-        return Err(mismatch(format!(
-            "batch size {} != {}",
-            ck.batch_size, cfg.batch_size
-        )));
-    }
-    if ck.loss != cfg.loss {
-        return Err(mismatch(format!("loss {:?} != {:?}", ck.loss, cfg.loss)));
-    }
-    if ck.sample_count != samples.len() as u64 {
-        return Err(mismatch(format!(
-            "sample count {} != {}",
-            ck.sample_count,
-            samples.len()
-        )));
-    }
-    if ck.epochs_total != cfg.epochs as u64 {
-        return Err(mismatch(format!(
-            "epoch budget {} != {}",
-            ck.epochs_total, cfg.epochs
-        )));
-    }
-    if ck.params.len() != model.param_count() {
-        return Err(mismatch(format!(
-            "parameter count {} != {}",
-            ck.params.len(),
-            model.param_count()
-        )));
-    }
-    Ok(())
-}
-
-/// One worker replica of the training state: a model copy plus the trace
-/// and BPTT workspace it reuses across samples, batches and epochs.
-struct TrainWorker {
-    model: XatuModel,
-    trace: ForwardTrace,
-    ws: ModelWorkspace,
-    d_logits: Vec<f64>,
-}
-
-impl TrainWorker {
-    fn new(model: XatuModel) -> Self {
-        TrainWorker {
-            model,
-            trace: ForwardTrace::default(),
-            ws: ModelWorkspace::default(),
-            d_logits: Vec::new(),
+impl MinibatchRun {
+    /// The checkpoint record of this run's state `done` epochs in.
+    fn checkpoint(&self, model: &mut impl Params, adam: &Adam, done: usize) -> TrainerCheckpoint {
+        let mut params = vec![0.0; model.param_count()];
+        model.export_params_into(&mut params);
+        let (adam_t, m, v) = adam.moments();
+        TrainerCheckpoint {
+            seed: self.seed,
+            lr_bits: self.lr.to_bits(),
+            batch_size: self.batch_size as u64,
+            identity: self.identity,
+            epochs_total: self.epochs as u64,
+            epochs_done: done as u64,
+            params,
+            adam_t,
+            adam_m: m.to_vec(),
+            adam_v: v.to_vec(),
         }
     }
 }
 
-/// Forward + backward for one sample through caller-held buffers; returns
+/// A survival worker's scratch: the trace, BPTT workspace and logit
+/// gradient it reuses across samples, batches and epochs.
+type SampleScratch = (ForwardTrace, ModelWorkspace, Vec<f64>);
+
+/// Forward + backward for one sample through a worker's scratch; returns
 /// its loss. Gradients accumulate into the model's buffers.
 fn accumulate_sample(
     model: &mut XatuModel,
     sample: &Sample,
     wide: &WideSample,
     loss: LossKind,
-    trace: &mut ForwardTrace,
-    ws: &mut ModelWorkspace,
-    d_logits: &mut Vec<f64>,
+    (trace, ws, d_logits): &mut SampleScratch,
 ) -> f64 {
     model.forward_wide(wide, trace);
     match loss {

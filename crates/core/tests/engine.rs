@@ -3,9 +3,10 @@
 //! the A5 window the hand-wired drivers forgot to slide.
 
 use xatu_core::config::XatuConfig;
-use xatu_core::engine::{world_extractor, AuxFeed, Engine, MinuteClose};
+use xatu_core::engine::{AuxFeed, Engine, MinuteClose};
 use xatu_core::fleet::{FleetDetector, FleetInput};
 use xatu_core::model::XatuModel;
+use xatu_core::pipeline::world_extractor;
 use xatu_core::XatuError;
 use xatu_detectors::traits::DetectorEvent;
 use xatu_netflow::addr::Ipv4;

@@ -20,7 +20,6 @@
 //! * [`adam::Adam`] — the Adam optimizer of Kingma & Ba, the paper's choice.
 //! * [`init`] — Xavier/Glorot initialisation from a seeded RNG.
 //! * [`gradcheck`] — finite-difference utilities used pervasively in tests.
-//! * [`serialize`] — JSON weight (de)serialization for saved models.
 //! * [`simd`] — runtime dispatch of the online kernels' AVX2
 //!   instantiation ([`SimdLevel`]), bit-identical to the plain one.
 //! * [`autoencoder`] — an LSTM encoder–decoder over feature windows
@@ -42,7 +41,6 @@ pub mod init;
 pub mod lstm;
 pub mod matrix;
 pub mod pooling;
-pub mod serialize;
 pub mod simd;
 
 pub use adam::Adam;

@@ -12,7 +12,8 @@
 //! ones (`Pipeline::prepare().models`), and this is the deployment loop.
 
 use xatu::core::checkpoint::fnv1a64;
-use xatu::core::engine::{world_extractor, AuxFeed, Engine};
+use xatu::core::engine::{AuxFeed, Engine};
+use xatu::core::pipeline::world_extractor;
 use xatu::core::{FleetDetector, XatuConfig, XatuModel};
 use xatu::detectors::traits::DetectorEvent;
 use xatu::netflow::attack::AttackType;
