@@ -1212,3 +1212,166 @@ fn restore_customer(
     ledger.last_minute[i] = c.last_minute;
     Ok(())
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use xatu_nn::pooling::avg_pool;
+    use xatu_survival::hazard::rolling_survival;
+
+    /// Short periods, so a one-hour stream promotes every timescale's
+    /// fresh half several times.
+    fn cfg() -> XatuConfig {
+        XatuConfig {
+            timescales: (1, 3, 6),
+            short_len: 4,
+            medium_len: 2,
+            long_len: 2,
+            window: 5,
+            hidden: 3,
+            ..XatuConfig::smoke_test()
+        }
+    }
+
+    /// A detector core with one cold customer in row 0.
+    fn one_row(c: &XatuConfig) -> (Common, Ledger, Numeric) {
+        let common = Common::new(XatuModel::new(c), AttackType::UdpFlood, 0.5, c);
+        let mut ledger = Ledger::default();
+        let mut numeric = Numeric::new(c.hidden, (c.short_len, c.medium_len, c.long_len));
+        push_row(&mut ledger, &mut numeric, c.window);
+        (common, ledger, numeric)
+    }
+
+    /// A sparse frame with a NaN now and then (sanitized to zero on ingest).
+    fn frame(m: u32) -> Vec<f64> {
+        let mut f = vec![0.0; NUM_FEATURES];
+        for k in 0..6 {
+            f[(m as usize * 41 + k * 53) % NUM_FEATURES] = (m as f64 * 0.37 + k as f64).sin();
+        }
+        if m % 11 == 4 {
+            f[7] = f64::NAN;
+        }
+        f
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Each half of each timescale's dual row is `Lstm::forward` over the
+    /// inputs that timescale consumed since the half was last zeroed.
+    /// After `n` inputs at period `p`, the aged half started at input
+    /// `p·(n/p − 1)` and the fresh one at `p·(n/p)` (both at 0 while
+    /// `n < p`). The stream crosses at least two promotions on every
+    /// timescale and holds imputed minutes, both explicit gaps and a
+    /// skipped run that `catch_up` bridges.
+    #[test]
+    fn dual_rows_equal_forward_since_each_half_was_zeroed() {
+        let c = cfg();
+        let (mut common, mut ledger, mut numeric) = one_row(&c);
+        let net = Net::new(&common.model, common.knobs());
+        let grans = [1, c.timescales.1 as usize, c.timescales.2 as usize];
+        let periods = [c.short_len, c.medium_len, c.long_len];
+        let mut inputs: [Vec<Vec<f64>>; TIMESCALES] = Default::default();
+        let mut held = vec![0.0; NUM_FEATURES];
+        let (mut row, mut events) = (RowScratch::default(), Vec::new());
+        for m in 0..60u32 {
+            let skipped = (30..33).contains(&m);
+            let raw = (m % 7 != 3 && !skipped).then(|| frame(m));
+            if let Some(raw) = &raw {
+                for (h, &x) in held.iter_mut().zip(raw) {
+                    *h = if x.is_finite() { x } else { 0.0 };
+                }
+            }
+            inputs[0].push(held.clone());
+            for t in 1..TIMESCALES {
+                let minutes = &inputs[0];
+                if minutes.len().is_multiple_of(grans[t]) {
+                    let bucket = avg_pool(&minutes[minutes.len() - grans[t]..], grans[t]);
+                    inputs[t].extend(bucket);
+                }
+            }
+            if skipped {
+                continue;
+            }
+            let mut sh = Shard::new(&mut ledger, &mut numeric, c.window);
+            let addr = Ipv4(1);
+            observe_row(
+                &net,
+                &mut common.obs,
+                &mut sh,
+                0,
+                addr,
+                m,
+                raw.as_deref(),
+                &mut row,
+                &mut Solo,
+                &mut events,
+            )
+            .expect("in-order minute");
+
+            for t in 0..TIMESCALES {
+                let (n, p) = (inputs[t].len(), periods[t]);
+                let (aged_from, fresh_from) = (p * (n / p).saturating_sub(1), p * (n / p));
+                let want = |from: usize| {
+                    let trace = net.layers[t].forward(&inputs[t][from..]);
+                    (bits(trace.final_h()), bits(trace.final_c()))
+                };
+                let d = &numeric.dual[t];
+                let [aged_h, aged_c, fresh_h, fresh_c] = d.state(0);
+                let what = format!("timescale {t}, minute {m}, {n} inputs");
+                assert_eq!(
+                    (bits(aged_h), bits(aged_c)),
+                    want(aged_from),
+                    "{what}: aged"
+                );
+                assert_eq!(
+                    (bits(fresh_h), bits(fresh_c)),
+                    want(fresh_from),
+                    "{what}: fresh"
+                );
+                let aged_age = if n < p { p + n } else { n - aged_from };
+                assert_eq!(d.aged_age[0] as usize, aged_age, "{what}: aged age");
+                assert_eq!(d.fresh_age[0] as usize, n - fresh_from, "{what}: fresh age");
+            }
+        }
+        for t in 0..TIMESCALES {
+            assert!(
+                inputs[t].len() / periods[t] >= 3,
+                "timescale {t}: fewer than two promotions"
+            );
+        }
+    }
+
+    /// The survival ring is `rolling_survival` over the hazards pushed,
+    /// within 1e-12 (the ring moves its sum in one step, the batch function
+    /// in two). A NaN, +∞ or negative hazard counts as zero, so survival
+    /// stays finite and is exactly 1.0 again after `window` zero hazards.
+    #[test]
+    fn survival_ring_equals_rolling_survival() {
+        let c = cfg();
+        let (_, mut ledger, mut numeric) = one_row(&c);
+        let mut sh = Shard::new(&mut ledger, &mut numeric, c.window);
+        let hazards: Vec<f64> = (0..40)
+            .map(|t| 0.3 * ((t as f64 * 0.7).sin() + 1.0) + if t % 9 == 0 { 2.0 } else { 0.0 })
+            .collect();
+        let want = rolling_survival(&hazards, c.window);
+        for (t, (&h, &w)) in hazards.iter().zip(&want).enumerate() {
+            let got = sh.ring_push(0, h);
+            assert!((got - w).abs() < 1e-12, "t={t}: ring {got} vs batch {w}");
+        }
+
+        let (_, mut ledger, mut numeric) = one_row(&c);
+        let mut sh = Shard::new(&mut ledger, &mut numeric, c.window);
+        sh.ring_push(0, 0.5);
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            let s = sh.ring_push(0, bad);
+            assert!(s.is_finite(), "hazard {bad} leaked into survival: {s}");
+        }
+        let mut s = 0.0;
+        for _ in 0..c.window {
+            s = sh.ring_push(0, 0.0);
+        }
+        assert_eq!(s, 1.0);
+    }
+}

@@ -801,11 +801,16 @@ mod tests {
         assert!(OnlineDetector::from_checkpoint(&good).is_ok());
 
         type Corrupt = fn(&mut DetectorCheckpoint);
-        let table: [(&str, Corrupt, &str); 11] = [
+        let table: [(&str, Corrupt, &str); 20] = [
             (
                 "wrong period",
                 |ck| ck.customers[0].dual[1].period += 1,
                 "period",
+            ),
+            (
+                "zero period",
+                |ck| ck.customers[0].dual[1].period = 0,
+                "dual-state period must be >= 1",
             ),
             (
                 "wrong hidden",
@@ -856,9 +861,52 @@ mod tests {
                 "ages",
             ),
             (
+                "fresh older than aged",
+                |ck| {
+                    let d = &mut ck.customers[0].dual[0];
+                    d.fresh_age = d.aged_age + 1;
+                },
+                "dual-state ages out of range",
+            ),
+            (
+                "one state vector longer",
+                |ck| ck.customers[0].dual[1].fresh_c.push(0.0),
+                "dual-state hidden sizes disagree",
+            ),
+            (
                 "ring cursor",
                 |ck| ck.customers[0].survival.2 = 6,
                 "ring cursor",
+            ),
+            (
+                "ring length",
+                |ck| ck.customers[0].survival.1.push(0.0),
+                "ring buffer length != window",
+            ),
+            (
+                "ring overfilled",
+                |ck| ck.customers[0].survival.3 = 7,
+                "ring cursor out of range",
+            ),
+            (
+                "negative ring sum",
+                |ck| ck.customers[0].survival.4 = -1.0,
+                "non-finite or negative hazard state",
+            ),
+            (
+                "NaN ring sum",
+                |ck| ck.customers[0].survival.4 = f64::NAN,
+                "non-finite or negative hazard state",
+            ),
+            (
+                "NaN ring slot",
+                |ck| ck.customers[0].survival.1[0] = f64::NAN,
+                "non-finite or negative hazard state",
+            ),
+            (
+                "negative ring slot",
+                |ck| ck.customers[0].survival.1[0] = -0.5,
+                "non-finite or negative hazard state",
             ),
             (
                 "missing parameter",

@@ -718,6 +718,7 @@ fn acc(dst: &mut [f64], src: &[f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::online::OnlineDetector;
     use crate::sample::SampleMeta;
     use xatu_netflow::addr::Ipv4;
     use xatu_netflow::attack::AttackType;
@@ -895,6 +896,90 @@ mod tests {
                 trace.hazards[t]
             );
         }
+    }
+
+    /// The row path every front-end serves through, against `forward`,
+    /// which training optimises, on one customer's minute stream: the
+    /// window is the last `window` minutes and the contexts are what
+    /// `forward` would be given for them (the earlier minutes, and those
+    /// minutes pooled). Where no coarse bucket completes, the hazards are
+    /// bit-identical. A minute that completes a medium or long bucket steps
+    /// that LSTM and reads the new state in the same minute's hazard;
+    /// `forward` reads it from the next window step on (`coarse_pos`).
+    /// This pins the behaviour as it is; ROADMAP 2(c) rules the gap in or
+    /// out as a cause of the Fig 8 inversion.
+    #[test]
+    fn serving_reads_a_coarse_bucket_one_minute_before_training() {
+        // Periods long enough that no aged half is ever replaced by one
+        // that started after the customer's first minute.
+        let c = XatuConfig {
+            timescales: (1, 3, 6),
+            short_len: 12,
+            medium_len: 4,
+            long_len: 2,
+            window: 7,
+            hidden: 3,
+            ..XatuConfig::smoke_test()
+        };
+        let (_, med, long) = c.timescales;
+        let model = XatuModel::new(&c);
+        let frames: Vec<Vec<f64>> = (0..c.short_len + c.window)
+            .map(|m| {
+                (0..NUM_FEATURES)
+                    .map(|k| 0.2 * (((m * 13 + k * 7) % 19) as f64 / 19.0 - 0.5))
+                    .collect()
+            })
+            .collect();
+        let (ctx, window) = frames.split_at(c.short_len);
+        let arena = |rows: &[Vec<f64>]| {
+            let mut a = FrameArena::new(NUM_FEATURES);
+            a.fill_from_rows(NUM_FEATURES, rows);
+            a
+        };
+        let sample = WideSample {
+            short: arena(ctx),
+            medium: arena(&avg_pool(ctx, med as usize)),
+            long: arena(&avg_pool(ctx, long as usize)),
+            window: arena(window),
+        };
+        let mut trace = ForwardTrace::default();
+        model.forward_wide(&sample, &mut trace);
+
+        let mut det = OnlineDetector::new(model, AttackType::UdpFlood, 0.5, &c);
+        let addr = Ipv4(1);
+        for (m, f) in ctx.iter().enumerate() {
+            det.observe(addr, m as u32, f).expect("in-order minute");
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut early = Vec::new();
+        for (t, f) in window.iter().enumerate() {
+            let minute = c.short_len + t;
+            let (hazard, _, _) = det
+                .observe(addr, minute as u32, f)
+                .expect("in-order minute");
+            let completes = |gran: u32| (minute + 1).is_multiple_of(gran as usize);
+            if !completes(med) && !completes(long) {
+                assert_eq!(hazard.to_bits(), trace.hazards[t].to_bits(), "step {t}");
+                continue;
+            }
+            early.push(t);
+            assert_ne!(hazard.to_bits(), trace.hazards[t].to_bits(), "step {t}");
+            // The state serving just read is the one training first reads
+            // at step t + 1.
+            let ck = det.to_checkpoint();
+            let dual = &ck.customers[0].dual;
+            let coarse = [
+                (&dual[1], med, &trace.medium, trace.med_ctx),
+                (&dual[2], long, &trace.long, trace.long_ctx),
+            ];
+            for (d, gran, tr, ctx_len) in coarse.into_iter().filter(|x| completes(x.1)) {
+                let pos = |step| coarse_pos(ctx_len, step, gran as usize, tr.len());
+                assert_eq!(pos(t + 1), pos(t).map(|p| p + 1), "step {t}, gran {gran}");
+                let next = pos(t + 1).expect("a coarse state exists");
+                assert_eq!(bits(&d.aged_h), bits(tr.h(next)), "step {t}, gran {gran}");
+            }
+        }
+        assert_eq!(early, [2, 5], "bucket-completing window steps");
     }
 
     #[test]
