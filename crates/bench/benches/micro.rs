@@ -27,7 +27,7 @@ use xatu_netflow::binning::MinuteFlows;
 use xatu_netflow::record::{FlowRecord, Protocol, TcpFlags};
 use xatu_netflow::sampler::{PacketSampler, SamplingMode};
 use xatu_nn::init::Initializer;
-use xatu_nn::lstm::{Lstm, LstmState};
+use xatu_nn::lstm::{Lstm, OnlineScratch};
 use xatu_survival::safe_loss::safe_loss_and_grad;
 
 fn bin_with_flows(n: usize) -> MinuteFlows {
@@ -232,10 +232,14 @@ fn bench_detection_step(c: &mut Criterion) {
 fn bench_lstm_step(c: &mut Criterion) {
     let mut init = Initializer::new(1);
     let lstm = Lstm::new(273, 24, &mut init);
-    let state = LstmState::zeros(24);
+    let (mut h, mut cell) = (vec![0.0f64; 24], vec![0.0f64; 24]);
+    let mut scratch = OnlineScratch::default();
     let x = vec![0.2f64; 273];
     c.bench_function("lstm_step_273x24", |b| {
-        b.iter(|| black_box(lstm.step_online(black_box(&x), black_box(&state))))
+        b.iter(|| {
+            lstm.step_online_slices(black_box(&x), &mut h, &mut cell, &mut scratch);
+            black_box(&h);
+        })
     });
 }
 

@@ -551,7 +551,9 @@ fn load<T>(
 // Online-detector checkpoint.
 // ---------------------------------------------------------------------------
 
-/// One [`crate::model::DualState`], flattened.
+/// One customer's row of one timescale's dual-state arena in the detector
+/// core: both LSTM halves, their context ages and the reset period.
+/// Loading validates the record before copying it into the arena.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DualStateCheckpoint {
     /// Aged hidden state.

@@ -42,7 +42,7 @@
 use crate::checkpoint::{CustomerCheckpoint, DetectorCheckpoint, DualStateCheckpoint};
 use crate::config::XatuConfig;
 use crate::error::XatuError;
-use crate::model::{DualState, ModelConfig, XatuModel};
+use crate::model::{ModelConfig, XatuModel};
 use crate::online::DetectorObs;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -54,8 +54,7 @@ use xatu_netflow::attack::AttackType;
 use xatu_nn::activations::softplus;
 use xatu_nn::lstm::Lstm;
 use xatu_nn::simd::{self, SimdLevel};
-use xatu_nn::{Dense, LstmState, OnlineBlockWorkspace, OnlineScratch, Params};
-use xatu_survival::hazard::RollingSurvival;
+use xatu_nn::{Dense, OnlineBlockWorkspace, OnlineScratch, Params};
 
 /// The three timescales, in arena order: short, medium, long.
 pub(crate) const TIMESCALES: usize = 3;
@@ -87,8 +86,17 @@ impl<'a> Net<'a> {
 
 /// The dual-state arena of one timescale: both halves of every customer's
 /// bounded-context LSTM state as `n × hidden` row-major matrices and the
-/// two context ages. One [`DualState`] per row, with identical stepping
-/// and promotion arithmetic.
+/// two context ages.
+///
+/// Training runs the LSTMs from a zero state over a context of `period`
+/// steps; a single streaming state would instead accumulate thousands of
+/// steps and drift off the training distribution. So each row keeps two
+/// states that both step on every input: the *aged* one (context length in
+/// `[period, 2·period)`) feeds the head, and on reaching `2·period` it is
+/// replaced by the *fresh* one, which by then has exactly `period` steps
+/// of context, and a zeroed fresh half starts again. Each half therefore
+/// equals `Lstm::forward` over the inputs since it was last zeroed, which
+/// a test in this module pins.
 #[derive(Clone)]
 pub(crate) struct DualArena {
     aged_h: Vec<f64>,
@@ -115,7 +123,9 @@ impl DualArena {
         }
     }
 
-    /// Appends one customer in the [`DualState::new`] cold state.
+    /// Appends one customer in the cold state: both halves zero, and the
+    /// aged one counted as `period` steps old so the first promotion comes
+    /// when the fresh one is fully warmed.
     fn push(&mut self) {
         let h = self.hidden;
         for col in [
@@ -209,7 +219,7 @@ impl<'a> DualShard<'a> {
         j * self.hidden..(j + 1) * self.hidden
     }
 
-    /// [`DualState::step`] for row `j` through the row kernel.
+    /// Steps both halves of row `j` through the row kernel.
     fn step_one(&mut self, lstm: &Lstm, j: usize, x: &[f64], scratch: &mut OnlineScratch) {
         let r = self.row(j);
         lstm.step_online_slices(
@@ -227,9 +237,9 @@ impl<'a> DualShard<'a> {
         self.tick(j);
     }
 
-    /// Batched [`DualState::step`] over the contiguous run `a..b`, one
-    /// block-kernel call. Rows are independent and block composition
-    /// cannot move a bit, so this equals [`DualShard::step_one`] per row.
+    /// Steps both halves of the contiguous run `a..b`, one block-kernel
+    /// call. Rows are independent and block composition cannot move a
+    /// bit, so this equals [`DualShard::step_one`] per row.
     pub(crate) fn step_block(
         &mut self,
         lstm: &Lstm,
@@ -253,9 +263,8 @@ impl<'a> DualShard<'a> {
         }
     }
 
-    /// The age bookkeeping of [`DualState::step`]: both ages advance; at
-    /// `2·period` the fresh half is promoted and a zeroed one takes its
-    /// place.
+    /// The age bookkeeping of a step: both ages advance; at `2·period` the
+    /// fresh half is promoted and a zeroed one takes its place.
     fn tick(&mut self, j: usize) {
         self.aged_age[j] += 1;
         self.fresh_age[j] += 1;
@@ -270,7 +279,7 @@ impl<'a> DualShard<'a> {
         }
     }
 
-    /// Back to the [`DualState::new`] cold state.
+    /// Back to the cold state [`DualArena::push`] appends.
     fn reset_row(&mut self, j: usize) {
         let r = self.row(j);
         self.aged_h[r.clone()].fill(0.0);
@@ -460,7 +469,11 @@ impl<'a> Shard<'a> {
         self.last_minute.len()
     }
 
-    /// [`RollingSurvival::push`] on row `j`.
+    /// Pushes `hazard` into row `j`'s ring of the last `window` hazards and
+    /// returns the survival over them: streaming
+    /// [`xatu_survival::rolling_survival`]. A non-finite hazard counts as
+    /// zero, so an infinite one cannot turn the running sum into `NaN`
+    /// when it rotates out.
     fn ring_push(&mut self, j: usize, hazard: f64) -> f64 {
         let w = self.window;
         let h = if hazard.is_finite() {
@@ -1118,9 +1131,10 @@ pub(crate) fn restore(ck: &DetectorCheckpoint) -> Result<(Common, Ledger, Numeri
     Ok((common, ledger, numeric))
 }
 
-/// Validates one customer's record and loads it into row `i`. The dual
-/// states and the ring are validated by [`DualState::restore`] and
-/// [`RollingSurvival::restore`], the per-customer reference types.
+/// Validates one customer's record and loads it into row `i`. Every check
+/// runs on the record before any of it is copied into the arena: a state
+/// the stepping logic can never reach (mismatched sizes, an age at or past
+/// the promotion point, a poisoned ring) is rejected, not served.
 fn restore_customer(
     common: &Common,
     ledger: &mut Ledger,
@@ -1129,38 +1143,32 @@ fn restore_customer(
     c: &CustomerCheckpoint,
 ) -> Result<(), String> {
     let hidden = common.model.cfg.hidden;
-    for (d, arena) in c.dual.iter().zip(&mut numeric.dual) {
-        let state = |h: &[f64], c: &[f64]| LstmState {
-            h: h.to_vec(),
-            c: c.to_vec(),
-        };
-        let ds = DualState::restore(
-            state(&d.aged_h, &d.aged_c),
-            state(&d.fresh_h, &d.fresh_c),
-            d.aged_age,
-            d.fresh_age,
-            d.period,
-        )?;
-        if d.aged_h.len() != hidden {
+    for (d, arena) in c.dual.iter().zip(&numeric.dual) {
+        if d.period == 0 {
+            return Err("dual-state period must be >= 1".into());
+        }
+        let halves = [&d.aged_h, &d.aged_c, &d.fresh_h, &d.fresh_c];
+        let h = d.aged_h.len();
+        if halves.iter().any(|v| v.len() != h) {
+            return Err("dual-state hidden sizes disagree".into());
+        }
+        if u64::from(d.aged_age) >= 2 * u64::from(d.period) || d.fresh_age > d.aged_age {
+            return Err("dual-state ages out of range".into());
+        }
+        if halves.iter().any(|v| v.iter().any(|x| !x.is_finite())) {
+            return Err("non-finite dual-state values".into());
+        }
+        if h != hidden {
             return Err(format!(
-                "dual-state hidden size {} does not match model hidden {hidden}",
-                d.aged_h.len()
+                "dual-state hidden size {h} does not match model hidden {hidden}"
             ));
         }
-        if ds.period() != arena.period {
+        if d.period != arena.period {
             return Err(format!(
                 "dual-state period {} does not match the detector's context length {}",
-                ds.period(),
-                arena.period
+                d.period, arena.period
             ));
         }
-        let r = i * hidden..(i + 1) * hidden;
-        arena.aged_h[r.clone()].copy_from_slice(&d.aged_h);
-        arena.aged_c[r.clone()].copy_from_slice(&d.aged_c);
-        arena.fresh_h[r.clone()].copy_from_slice(&d.fresh_h);
-        arena.fresh_c[r].copy_from_slice(&d.fresh_c);
-        arena.aged_age[i] = d.aged_age;
-        arena.fresh_age[i] = d.fresh_age;
     }
 
     let w = common.window;
@@ -1170,11 +1178,15 @@ fn restore_customer(
             "survival window {cw} does not match detector window {w}"
         ));
     }
-    RollingSurvival::restore(w, buf.clone(), *head as usize, *filled as usize, *sum)?;
-    ledger.ring_buf[i * w..(i + 1) * w].copy_from_slice(buf);
-    ledger.ring_head[i] = *head as u32;
-    ledger.ring_filled[i] = *filled as u32;
-    ledger.ring_sum[i] = *sum;
+    if buf.len() != w {
+        return Err("ring buffer length != window".into());
+    }
+    if *head as usize >= w || *filled as usize > w {
+        return Err("ring cursor out of range".into());
+    }
+    if !sum.is_finite() || *sum < 0.0 || buf.iter().any(|v| !v.is_finite() || *v < 0.0) {
+        return Err("non-finite or negative hazard state".into());
+    }
 
     let partials = [("medium", &c.med_partial), ("long", &c.long_partial)];
     for (name, partial) in partials {
@@ -1198,6 +1210,20 @@ fn restore_customer(
     if c.last_frame.iter().any(|v| !v.is_finite()) || !c.last_survival.is_finite() {
         return Err("non-finite value in customer scalars".into());
     }
+
+    for (d, arena) in c.dual.iter().zip(&mut numeric.dual) {
+        let r = i * hidden..(i + 1) * hidden;
+        arena.aged_h[r.clone()].copy_from_slice(&d.aged_h);
+        arena.aged_c[r.clone()].copy_from_slice(&d.aged_c);
+        arena.fresh_h[r.clone()].copy_from_slice(&d.fresh_h);
+        arena.fresh_c[r].copy_from_slice(&d.fresh_c);
+        arena.aged_age[i] = d.aged_age;
+        arena.fresh_age[i] = d.fresh_age;
+    }
+    ledger.ring_buf[i * w..(i + 1) * w].copy_from_slice(buf);
+    ledger.ring_head[i] = *head as u32;
+    ledger.ring_filled[i] = *filled as u32;
+    ledger.ring_sum[i] = *sum;
     let r = features(i);
     for (p, (_, partial)) in partials.into_iter().enumerate() {
         numeric.partial[p][r.clone()].copy_from_slice(&partial.0);

@@ -2,7 +2,7 @@
 //! customers, a whole minute at a time.
 //!
 //! [`FleetDetector`] is the batch front-end of the detector core
-//! ([`crate::detector`]): the same rows, ladder, lifecycle and checkpoint
+//! (`crate::detector`): the same rows, ladder, lifecycle and checkpoint
 //! as [`crate::online::OnlineDetector`], advanced for every registered
 //! customer per call instead of one customer per call.
 //!

@@ -6,12 +6,16 @@
 //!
 //! During the window the short LSTM steps every minute, while the
 //! medium/long LSTM states refresh only when a full medium/long pooling
-//! bucket of window frames completes (held constant in between) — exactly
-//! the streaming behaviour of the deployed system. The backward pass
-//! routes each window step's combiner gradient to the short trace position
-//! it read and to whichever medium/long trace position was *current* at
-//! that step, then runs BPTT through all three LSTMs. Verified against
-//! finite differences in the tests.
+//! bucket of window frames completes (held constant in between). The
+//! detector core serves the same arithmetic with one difference: it reads
+//! a completed bucket in the minute that completes it, one window step
+//! before this pass does (pinned by the test
+//! `serving_reads_a_coarse_bucket_one_minute_before_training`).
+//!
+//! The backward pass routes each window step's combiner gradient to the
+//! short trace position it read and to whichever medium/long trace
+//! position was *current* at that step, then runs BPTT through all three
+//! LSTMs. Verified against finite differences in the tests.
 //!
 //! # Hot path
 //!
@@ -30,7 +34,7 @@ use serde::{Deserialize, Serialize};
 use xatu_features::frame::NUM_FEATURES;
 use xatu_nn::activations::{dsoftplus, sigmoid, softplus};
 use xatu_nn::init::Initializer;
-use xatu_nn::lstm::{Lstm, LstmState, LstmTrace, LstmWorkspace, OnlineScratch};
+use xatu_nn::lstm::{Lstm, LstmTrace, LstmWorkspace};
 use xatu_nn::{Dense, FrameArena, Params, SimdLevel};
 
 /// The model: three LSTMs + combiner + hazard head.
@@ -211,51 +215,18 @@ impl XatuModel {
         trace
     }
 
-    /// Core forward over a pre-widened sample into a reusable trace.
+    /// The forward pass proper, over a pre-widened sample into a reusable
+    /// trace: pool the window into completed buckets, run the three LSTMs
+    /// over context ++ consumed frames, and emit one hazard per window step
+    /// from the combiner head. Every output buffer lives in `out` and is
+    /// reused with capacity-keeping resets.
     pub fn forward_wide(&self, sample: &WideSample, out: &mut ForwardTrace) {
-        self.forward_arenas(
-            &sample.short,
-            &sample.medium,
-            &sample.long,
-            &sample.window,
-            out,
-        );
-    }
-
-    /// Core forward over explicit f64 sequences (also used by attribution).
-    pub fn forward_frames(
-        &self,
-        short_ctx: &[Vec<f64>],
-        med_ctx: &[Vec<f64>],
-        long_ctx: &[Vec<f64>],
-        window: &[Vec<f64>],
-    ) -> ForwardTrace {
-        let dim_of = |v: &[Vec<f64>]| v.first().map_or(0, Vec::len);
-        let mut s = FrameArena::new(dim_of(short_ctx));
-        let mut m = FrameArena::new(dim_of(med_ctx));
-        let mut l = FrameArena::new(dim_of(long_ctx));
-        let mut w = FrameArena::new(dim_of(window));
-        s.fill_from_rows(dim_of(short_ctx), short_ctx);
-        m.fill_from_rows(dim_of(med_ctx), med_ctx);
-        l.fill_from_rows(dim_of(long_ctx), long_ctx);
-        w.fill_from_rows(dim_of(window), window);
-        let mut trace = ForwardTrace::default();
-        self.forward_arenas(&s, &m, &l, &w, &mut trace);
-        trace
-    }
-
-    /// The forward pass proper: pool the window into completed buckets, run
-    /// the three LSTMs over context ++ consumed frames, and emit one hazard
-    /// per window step from the combiner head. Every output buffer lives in
-    /// `out` and is reused with capacity-keeping resets.
-    fn forward_arenas(
-        &self,
-        short_ctx: &FrameArena,
-        med_ctx: &FrameArena,
-        long_ctx: &FrameArena,
-        window: &FrameArena,
-        out: &mut ForwardTrace,
-    ) {
+        let WideSample {
+            short: short_ctx,
+            medium: med_ctx,
+            long: long_ctx,
+            window,
+        } = sample;
         let (_, med_gran, long_gran) = self.cfg.timescales;
         let window_len = window.len();
 
@@ -426,201 +397,6 @@ impl XatuModel {
             .iter()
             .map(|&l| sigmoid(l))
             .collect()
-    }
-
-    /// Online stepping state for streaming detection.
-    pub fn new_online_state(&self) -> OnlineState {
-        let h = self.cfg.hidden;
-        OnlineState {
-            short: LstmState::zeros(h),
-            medium: LstmState::zeros(h),
-            long: LstmState::zeros(h),
-            scratch: OnlineScratch::default(),
-            input: Vec::new(),
-        }
-    }
-
-    /// One online step: feed the minute frame to the short LSTM, refresh
-    /// the medium/long states when their pooled buckets complete (callers
-    /// pass `med_bucket`/`long_bucket` when a bucket just completed), and
-    /// return the hazard. States update in place against the scratch
-    /// buffers held inside `state` — no allocations once warm.
-    pub fn step_online(
-        &self,
-        state: &mut OnlineState,
-        minute_frame: &[f64],
-        med_bucket: Option<&[f64]>,
-        long_bucket: Option<&[f64]>,
-    ) -> f64 {
-        let (use_s, use_m, use_l) = self.cfg.mode.enabled();
-        if use_s {
-            self.lstm_short
-                .step_online_into(minute_frame, &mut state.short, &mut state.scratch);
-        }
-        if use_m {
-            if let Some(b) = med_bucket {
-                self.lstm_medium
-                    .step_online_into(b, &mut state.medium, &mut state.scratch);
-            }
-        }
-        if use_l {
-            if let Some(b) = long_bucket {
-                self.lstm_long
-                    .step_online_into(b, &mut state.long, &mut state.scratch);
-            }
-        }
-        let h = self.cfg.hidden;
-        fit(&mut state.input, 3 * h);
-        if use_s {
-            state.input[0..h].copy_from_slice(&state.short.h);
-        }
-        if use_m {
-            state.input[h..2 * h].copy_from_slice(&state.medium.h);
-        }
-        if use_l {
-            state.input[2 * h..3 * h].copy_from_slice(&state.long.h);
-        }
-        let mut logit = [0.0f64; 1];
-        self.head.forward_into(&state.input, &mut logit);
-        softplus(logit[0])
-    }
-}
-
-/// Streaming LSTM states for one (customer, type), plus private scratch so
-/// stepping allocates nothing.
-#[derive(Clone, Debug)]
-pub struct OnlineState {
-    /// Short LSTM state.
-    pub short: LstmState,
-    /// Medium LSTM state.
-    pub medium: LstmState,
-    /// Long LSTM state.
-    pub long: LstmState,
-    /// Row-step scratch shared by the three LSTM steps.
-    scratch: OnlineScratch,
-    /// Combiner input scratch (`3h`).
-    input: Vec<f64>,
-}
-
-/// A pair of staggered LSTM states with bounded context age.
-///
-/// Training always runs the LSTMs from a zero state over a context of
-/// `period` steps; a naive streaming state instead accumulates thousands of
-/// steps, drifting away from the training distribution and mis-calibrating
-/// the hazard head. The dual state fixes that: both states step on every
-/// input, the *aged* one (context length in `[period, 2·period)`) produces
-/// the output, and on reaching `2·period` it is replaced by the fresh one
-/// (which by then has exactly `period` steps of context) — so the serving
-/// context length always matches training.
-#[derive(Clone, Debug)]
-pub struct DualState {
-    aged: LstmState,
-    fresh: LstmState,
-    aged_age: u32,
-    fresh_age: u32,
-    period: u32,
-    /// Row-step scratch for the in-place LSTM steps.
-    scratch: OnlineScratch,
-}
-
-impl DualState {
-    /// Creates a dual state for a given hidden size and reset period.
-    pub fn new(hidden: usize, period: u32) -> Self {
-        DualState {
-            aged: LstmState::zeros(hidden),
-            fresh: LstmState::zeros(hidden),
-            // Pretend the aged state already has `period` context so the
-            // first promotion happens when the fresh one is fully warmed.
-            aged_age: period.max(1),
-            fresh_age: 0,
-            period: period.max(1),
-            scratch: OnlineScratch::default(),
-        }
-    }
-
-    /// Steps both states in place and returns the aged hidden state.
-    pub fn step(&mut self, lstm: &Lstm, x: &[f64]) -> &[f64] {
-        lstm.step_online_into(x, &mut self.aged, &mut self.scratch);
-        lstm.step_online_into(x, &mut self.fresh, &mut self.scratch);
-        self.aged_age += 1;
-        self.fresh_age += 1;
-        if self.aged_age >= 2 * self.period {
-            std::mem::swap(&mut self.aged, &mut self.fresh);
-            self.aged_age = self.fresh_age;
-            self.fresh.h.fill(0.0);
-            self.fresh.c.fill(0.0);
-            self.fresh_age = 0;
-        }
-        &self.aged.h
-    }
-
-    /// The current output hidden state without stepping.
-    pub fn hidden(&self) -> &[f64] {
-        &self.aged.h
-    }
-
-    /// The configured reset period.
-    pub fn period(&self) -> u32 {
-        self.period
-    }
-
-    /// Current `(aged_age, fresh_age)` context lengths.
-    pub fn ages(&self) -> (u32, u32) {
-        (self.aged_age, self.fresh_age)
-    }
-
-    /// The `(aged, fresh)` LSTM states, for checkpointing.
-    pub fn states(&self) -> (&LstmState, &LstmState) {
-        (&self.aged, &self.fresh)
-    }
-
-    /// Rebuilds a dual state from checkpointed parts. Returns `Err` when
-    /// the parts are internally inconsistent (mismatched hidden sizes,
-    /// non-finite values, an aged age at or past the swap point — a state
-    /// the stepping logic can never be observed in).
-    pub fn restore(
-        aged: LstmState,
-        fresh: LstmState,
-        aged_age: u32,
-        fresh_age: u32,
-        period: u32,
-    ) -> Result<Self, &'static str> {
-        if period == 0 {
-            return Err("dual-state period must be >= 1");
-        }
-        let h = aged.h.len();
-        if aged.c.len() != h || fresh.h.len() != h || fresh.c.len() != h {
-            return Err("dual-state hidden sizes disagree");
-        }
-        if aged_age >= 2 * period || fresh_age > aged_age {
-            return Err("dual-state ages out of range");
-        }
-        let finite =
-            |s: &LstmState| s.h.iter().all(|v| v.is_finite()) && s.c.iter().all(|v| v.is_finite());
-        if !finite(&aged) || !finite(&fresh) {
-            return Err("non-finite dual-state values");
-        }
-        Ok(DualState {
-            aged,
-            fresh,
-            aged_age,
-            fresh_age,
-            period,
-            scratch: OnlineScratch::default(),
-        })
-    }
-}
-
-impl OnlineState {
-    /// Assembles an online state from checkpointed LSTM states.
-    pub fn from_parts(short: LstmState, medium: LstmState, long: LstmState) -> Self {
-        OnlineState {
-            short,
-            medium,
-            long,
-            scratch: OnlineScratch::default(),
-            input: Vec::new(),
-        }
     }
 }
 
@@ -844,57 +620,6 @@ mod tests {
                 37,
             );
             assert!(max_rel < 1e-4, "{mode:?}: max relative error {max_rel}");
-        }
-    }
-
-    #[test]
-    fn online_stepping_matches_batch_forward() {
-        let c = cfg();
-        let model = XatuModel::new(&c);
-        let s = sample(&c, true);
-
-        // Batch.
-        let trace = model.forward(&s);
-
-        // Online: replay context, then the window minute by minute with
-        // bucket completions at the pooled granularities.
-        let short_ctx = Sample::widen(&s.short);
-        let med_ctx = Sample::widen(&s.medium);
-        let long_ctx = Sample::widen(&s.long);
-        let window = Sample::widen(&s.window);
-
-        let mut st = model.new_online_state();
-        let mut z = OnlineScratch::default();
-        for f in &short_ctx {
-            model.lstm_short.step_online_into(f, &mut st.short, &mut z);
-        }
-        for f in &med_ctx {
-            model
-                .lstm_medium
-                .step_online_into(f, &mut st.medium, &mut z);
-        }
-        for f in &long_ctx {
-            model.lstm_long.step_online_into(f, &mut st.long, &mut z);
-        }
-        let med_gran = c.timescales.1 as usize;
-        let long_gran = c.timescales.2 as usize;
-        for (t, frame) in window.iter().enumerate() {
-            // A bucket completes *before* step t when t % gran == 0, t > 0.
-            let med_bucket = (t > 0 && t % med_gran == 0)
-                .then(|| avg_pool(&window[t - med_gran..t], med_gran)[0].clone());
-            let long_bucket = (t > 0 && t % long_gran == 0)
-                .then(|| avg_pool(&window[t - long_gran..t], long_gran)[0].clone());
-            let hz = model.step_online(
-                &mut st,
-                frame,
-                med_bucket.as_deref(),
-                long_bucket.as_deref(),
-            );
-            assert!(
-                (hz - trace.hazards[t]).abs() < 1e-9,
-                "t={t}: online {hz} vs batch {}",
-                trace.hazards[t]
-            );
         }
     }
 
@@ -1223,47 +948,6 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
-    }
-
-    #[test]
-    fn dual_state_restore_resumes_bit_identically() {
-        let c = cfg();
-        let model = XatuModel::new(&c);
-        let frame = |t: usize| -> Vec<f64> {
-            (0..NUM_FEATURES)
-                .map(|k| 0.2 * (((t * 13 + k) % 11) as f64 / 11.0 - 0.5))
-                .collect()
-        };
-        let mut a = DualState::new(c.hidden, 4);
-        for t in 0..9 {
-            a.step(&model.lstm_short, &frame(t));
-        }
-        let (aged, fresh) = a.states();
-        let (aged_age, fresh_age) = a.ages();
-        let mut b =
-            DualState::restore(aged.clone(), fresh.clone(), aged_age, fresh_age, a.period())
-                .unwrap();
-        // Continue past a swap boundary on both copies.
-        for t in 9..20 {
-            let ha: Vec<f64> = a.step(&model.lstm_short, &frame(t)).to_vec();
-            let hb = b.step(&model.lstm_short, &frame(t));
-            for (x, y) in ha.iter().zip(hb) {
-                assert_eq!(x.to_bits(), y.to_bits(), "t={t}");
-            }
-        }
-    }
-
-    #[test]
-    fn dual_state_restore_rejects_inconsistent_parts() {
-        let ok = LstmState::zeros(3);
-        assert!(DualState::restore(ok.clone(), ok.clone(), 1, 0, 0).is_err());
-        assert!(DualState::restore(ok.clone(), LstmState::zeros(4), 1, 0, 4).is_err());
-        assert!(DualState::restore(ok.clone(), ok.clone(), 8, 0, 4).is_err());
-        assert!(DualState::restore(ok.clone(), ok.clone(), 2, 3, 4).is_err());
-        let mut bad = LstmState::zeros(3);
-        bad.h[0] = f64::NAN;
-        assert!(DualState::restore(bad, ok.clone(), 4, 1, 4).is_err());
-        assert!(DualState::restore(ok.clone(), ok, 4, 1, 4).is_ok());
     }
 
     #[test]

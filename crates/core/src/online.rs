@@ -2,7 +2,7 @@
 //!
 //! One [`OnlineDetector`] instance serves one attack type across all
 //! customers, one customer-minute per call. It is the per-address
-//! front-end of the detector core ([`crate::detector`]): each customer is
+//! front-end of the detector core (`crate::detector`): each customer is
 //! one row of the same arenas [`crate::fleet::FleetDetector`] batches
 //! over — three dual LSTM states, an open medium/long pooling bucket and a
 //! rolling survival ring over the last `window` hazards — driven through

@@ -1001,9 +1001,9 @@ impl Prepared {
 
     /// The scrubbing centre's release behaviour (§2.1: once traffic runs
     /// clean, customers are told to stop diverting): each scrub interval
-    /// is truncated after [`SCRUB_QUIET`] consecutive minutes without
+    /// is truncated after `SCRUB_QUIET` consecutive minutes without
     /// anomalous signature volume once any anomalous minute was scrubbed,
-    /// or after [`SCRUB_GRACE`] minutes if none ever appears. This bounds
+    /// or after `SCRUB_GRACE` minutes if none ever appears. This bounds
     /// the cost of false and too-early alerts exactly the way a real
     /// CScrub deployment does.
     fn apply_scrub_release(&self, alerts: &mut SystemAlerts) {

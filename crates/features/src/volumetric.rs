@@ -24,7 +24,7 @@
 //!
 //! The arithmetic has one definition, shared by [`volumetric_block`] and
 //! the fused V/A1/A2/A3 pass of [`crate::table1::FeatureExtractor`]: a
-//! flow is reduced once to [`FlowFacts`] and added to one [`BlockAcc`] per
+//! flow is reduced once to `FlowFacts` and added to one `BlockAcc` per
 //! block that selects it. A block sums its flows in arrival order, so the
 //! number of blocks fed in one walk does not change any `f64` (DESIGN.md
 //! §18).

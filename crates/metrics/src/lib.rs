@@ -15,7 +15,7 @@
 //!   detector's alert (negative = detected before the anomaly).
 //!
 //! Modules: [`areas`] (A/B/C integration over per-minute volume series),
-//! [`effectiveness`], [`overhead`], [`delay`], [`roc`], [`percentile`],
+//! [`effectiveness`], [`overhead`], [`delay`], [`roc`], [`percentile`](mod@percentile),
 //! and [`table`] (fixed-width report rendering used by the bench harness).
 
 pub mod areas;

@@ -16,17 +16,17 @@
 //!   Xatu's features are extracted.
 //! * [`country`] — deterministic source-country attribution for the ten
 //!   "popular countries" feature group of Table 1.
-//! * [`export`] — a compact binary exporter/collector pair so flows can be
-//!   persisted and replayed, with a versioned header and checksums.
+//! * [`v5`] — the NetFlow v5 wire format, the one this workspace reads:
+//!   the datagram decoder the streaming engine ingests through, and the
+//!   encoder that turns simulated flows into exporter datagrams.
 //!
-//! Everything is deterministic given a seed; there is no I/O besides the
-//! explicit exporter.
+//! Everything is deterministic given a seed, and nothing here does I/O:
+//! datagrams arrive and leave as byte slices.
 
 pub mod addr;
 pub mod attack;
 pub mod binning;
 pub mod country;
-pub mod export;
 pub mod record;
 pub mod sampler;
 pub mod v5;
@@ -35,7 +35,6 @@ pub use addr::{Ipv4, Prefix, Subnet24};
 pub use attack::{AttackType, Severity, Signature};
 pub use binning::{MinuteBinner, MinuteFlows};
 pub use country::{Country, CountryMapper};
-pub use export::{FlowReader, FlowWriter};
 pub use record::{FlowRecord, Protocol, TcpFlags};
 pub use sampler::{FlowThinner, PacketSampler, SamplingMode};
 

@@ -81,7 +81,7 @@ pub fn dsigmoid_from_out(s: f64) -> f64 {
     s * (1.0 - s)
 }
 
-/// Hyperbolic tangent: `x + x·z·N(z)/Q(z)` below [`TANH_CUT`],
+/// Hyperbolic tangent: `x + x·z·N(z)/Q(z)` below `TANH_CUT`,
 /// `1 − 2e/(1+e)` with `e = e^−2|x|` above it — each a small correction to
 /// a base that is already close, which is what keeps both within 1.3 ulp —
 /// sharing one division. Exactly odd; `tanh(±0) = ±0`, subnormals return

@@ -550,20 +550,11 @@ impl Lstm {
         trace
     }
 
-    /// Cache-free single-step API for online (auto-regressive) operation:
-    /// updates `state` in place against caller-held scratch.
-    ///
-    /// # Panics
-    /// Panics if `x` or `state` have the wrong dimensions.
-    pub fn step_online_into(&self, x: &[f64], state: &mut LstmState, scratch: &mut OnlineScratch) {
-        self.step_online_slices(x, &mut state.h, &mut state.c, scratch);
-    }
-
-    /// [`Lstm::step_online_into`] on raw state slices, for callers whose
-    /// per-customer `(h, c)` rows live in flat structure-of-arrays arenas
-    /// rather than in [`LstmState`] objects. This *is* the reference online
-    /// step — `step_online_into` delegates here — so arena-resident state
-    /// advances through literally the same code path. Mostly-zero frames
+    /// The online (auto-regressive) row step: advances one `(h, c)` state
+    /// in place by one input against caller-held scratch. The state is a
+    /// pair of slices because callers keep per-customer rows in flat
+    /// structure-of-arrays arenas. Bit-identical to one step of
+    /// [`Lstm::forward`], pinned by a property test. Mostly-zero frames
     /// take `Wx·x` through the nonzero-index kernel, which is bit-identical
     /// to the dense one.
     ///
@@ -666,7 +657,7 @@ impl Lstm {
 
     /// The fused gate/cell/output loop over a block's pre-activations, one
     /// contiguous row per customer — the gate loop of every online step,
-    /// [`gate_rows`] at this layer's SIMD level. Every level is
+    /// `gate_rows` at this layer's SIMD level. Every level is
     /// bit-identical.
     ///
     /// # Panics
@@ -685,14 +676,6 @@ impl Lstm {
             return;
         }
         gate_rows(zs, h, hs, cs);
-    }
-
-    /// Allocating single-step convenience wrapper over
-    /// [`Lstm::step_online_into`].
-    pub fn step_online(&self, x: &[f64], state: &LstmState) -> LstmState {
-        let mut next = state.clone();
-        self.step_online_into(x, &mut next, &mut OnlineScratch::default());
-        next
     }
 
     /// Backpropagation through time over a flat upstream gradient.
@@ -1148,26 +1131,11 @@ mod tests {
         let mut state = LstmState::zeros(4);
         let mut z = OnlineScratch::default();
         for (t, x) in xs.iter().enumerate() {
-            lstm.step_online_into(x, &mut state, &mut z);
+            lstm.step_online_slices(x, &mut state.h, &mut state.c, &mut z);
             assert_eq!(state.h, trace.h(t));
         }
         assert_eq!(state.h, trace.final_h());
         assert_eq!(state.c, trace.final_c());
-    }
-
-    #[test]
-    fn step_online_wrapper_equals_in_place_step() {
-        let mut init = Initializer::new(9);
-        let lstm = Lstm::new(2, 3, &mut init);
-        let xs = seq(2, 6, 0.9);
-        let mut a = LstmState::zeros(3);
-        let mut b = LstmState::zeros(3);
-        let mut z = OnlineScratch::default();
-        for x in &xs {
-            a = lstm.step_online(x, &a);
-            lstm.step_online_into(x, &mut b, &mut z);
-            assert_eq!(a, b);
-        }
     }
 
     /// One block workspace serves every layer of a detector, so it must
@@ -1552,11 +1520,11 @@ mod tests {
                 let pre = gen_seq(seed + c as u64, input, 2 + c % 5, 0.9);
                 let mut a = LstmState::zeros(hidden);
                 for x in &pre {
-                    lstm.step_online_into(x, &mut a, &mut z);
+                    lstm.step_online_slices(x, &mut a.h, &mut a.c, &mut z);
                 }
                 let mut f = LstmState::zeros(hidden);
                 for x in &pre[..c % 3.min(pre.len())] {
-                    lstm.step_online_into(x, &mut f, &mut z);
+                    lstm.step_online_slices(x, &mut f.h, &mut f.c, &mut z);
                 }
                 if c % 7 == 3 {
                     xs.extend(std::iter::repeat_n(0.0, input));
@@ -1583,8 +1551,9 @@ mod tests {
                 let mut ws = OnlineBlockWorkspace::default();
                 for _ in 0..2 {
                     for (c, x) in xs.chunks(input).enumerate() {
-                        lstm.step_online_into(x, &mut want_aged[c], &mut z);
-                        lstm.step_online_into(x, &mut want_fresh[c], &mut z);
+                        for s in [&mut want_aged[c], &mut want_fresh[c]] {
+                            lstm.step_online_slices(x, &mut s.h, &mut s.c, &mut z);
+                        }
                     }
                     lstm.step_online_dual_block(
                         &xs, batch, &mut ah, &mut ac, &mut fh, &mut fc, &mut ws,
@@ -1614,7 +1583,7 @@ mod tests {
             let mut state = LstmState::zeros(hidden);
             let mut z = OnlineScratch::default();
             for (t, x) in xs.iter().enumerate() {
-                lstm.step_online_into(x, &mut state, &mut z);
+                lstm.step_online_slices(x, &mut state.h, &mut state.c, &mut z);
                 for (a, b) in state.h.iter().zip(trace.h(t)) {
                     prop_assert_eq!(a.to_bits(), b.to_bits());
                 }

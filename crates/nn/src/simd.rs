@@ -10,8 +10,8 @@
 //! ([`crate::Lstm::gate_block`]) widens across a row's hidden units, each
 //! an independent chain of IEEE `+ − × ÷`. Neither kernel has intrinsics:
 //! each body is safe Rust over fixed-size arrays or zipped slices,
-//! compiled once at the baseline and once inside [`x86::t_lanes_avx2`] /
-//! [`x86::gate_rows_avx2`]. rustc never contracts `a * b + c` into an FMA,
+//! compiled once at the baseline and once inside `x86::t_lanes_avx2` /
+//! `x86::gate_rows_avx2`. rustc never contracts `a * b + c` into an FMA,
 //! so the two copies are the same IEEE-754 operations at different
 //! register widths.
 //!

@@ -6,7 +6,7 @@
 //! in production without perturbing the computation it observes. This crate
 //! is the workspace's telemetry substrate, built around two contracts:
 //!
-//! 1. **Determinism.** Everything that enters the snapshot [`digest`]
+//! 1. **Determinism.** Everything that enters the snapshot [`digest`](Snapshot::digest)
 //!    (counters, gauges, histograms, the event sequence) must be
 //!    **bit-identical for every thread count**, the same contract
 //!    `xatu-par` pins for the computation itself. Quantities that cannot

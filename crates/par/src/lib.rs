@@ -95,17 +95,6 @@ where
     result
 }
 
-/// Runs `f(index)` for every index in `0..n`, returning results in index
-/// order. Convenience wrapper over [`par_map`] for index-driven loops.
-pub fn par_map_indexed<R, F>(threads: usize, n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let indices: Vec<usize> = (0..n).collect();
-    par_map(threads, &indices, |_, &i| f(i))
-}
-
 /// Processes `items` into the equally-sized `out` slice using per-block
 /// worker state.
 ///
@@ -161,39 +150,15 @@ where
     });
 }
 
-/// Runs `body` once per task, concurrently when there is more than one
-/// task (inline on the calling thread otherwise).
-///
-/// This is the raw fork-join primitive behind [`par_map`] and
-/// [`par_zip_with_workers`], exposed for callers whose per-block state
-/// does not fit the `(items, out)` shape — e.g. the fleet detector, whose
-/// tasks each own a disjoint mutable shard of a structure-of-arrays
-/// arena. Determinism is the caller's responsibility here: build tasks
-/// from contiguous index blocks (see [`block_ranges`]) and stitch any
-/// per-task results back together in block order, never completion order.
-pub fn par_run_tasks<Task, F>(tasks: Vec<Task>, body: F)
-where
-    Task: Send,
-    F: Fn(Task) + Sync,
-{
-    if tasks.len() <= 1 {
-        for task in tasks {
-            body(task);
-        }
-        return;
-    }
-    run_scoped(tasks, body);
-}
-
 /// A persistent fork-join pool for steady-state allocation-free fan-out.
 ///
-/// [`par_run_tasks`] spawns OS threads (or rayon jobs) per call, which
-/// allocates every time — fine for training epochs, fatal for the fleet's
-/// zero-allocation-per-minute contract at `threads > 1`. `WorkerPool`
-/// keeps its workers parked on a condvar between dispatches: after the
-/// pool is warm, [`WorkerPool::run_tasks`] performs no heap allocation on
-/// the non-panicking path (Linux mutex/condvar operations are futex
-/// syscalls, not allocations).
+/// [`par_map`] and [`par_zip_with_workers`] spawn OS threads (or rayon
+/// jobs) per call, which allocates every time — fine for training epochs,
+/// fatal for the fleet's zero-allocation-per-minute contract at
+/// `threads > 1`. `WorkerPool` keeps its workers parked on a condvar
+/// between dispatches: after the pool is warm, [`WorkerPool::run_tasks`]
+/// performs no heap allocation on the non-panicking path (Linux
+/// mutex/condvar operations are futex syscalls, not allocations).
 ///
 /// Scheduling is **fixed-assignment**: worker `w` always runs task
 /// `w + 1` and the calling thread runs task 0 inline. Determinism never
@@ -201,10 +166,9 @@ where
 /// map keeps dispatch trivially allocation-free (no work queue) and makes
 /// task→thread placement reproducible.
 ///
-/// Panic behavior matches [`par_run_tasks`]: a panicking task is caught,
-/// every other task still runs, and the panic is re-raised on the calling
-/// thread once the dispatch completes (the leader's own panic wins if
-/// both the leader and a worker panicked).
+/// A panicking task is caught, every other task still runs, and the panic
+/// is re-raised on the calling thread once the dispatch completes (the
+/// leader's own panic wins if both the leader and a worker panicked).
 pub struct WorkerPool {
     shared: std::sync::Arc<PoolShared>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -560,12 +524,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_indexed_covers_range_in_order() {
-        let out = par_map_indexed(4, 13, |i| i * i);
-        assert_eq!(out, (0..13).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn empty_and_single_item_inputs() {
         let empty: Vec<u32> = Vec::new();
         assert!(par_map(4, &empty, |_, &x| x).is_empty());
@@ -592,35 +550,6 @@ mod tests {
             // Every item was processed by exactly one worker.
             assert_eq!(workers.iter().sum::<u64>(), items.len() as u64);
         }
-    }
-
-    #[test]
-    fn par_run_tasks_runs_every_task_once() {
-        // Tasks own disjoint mutable slices of one buffer, fleet-style.
-        let mut buf = vec![0u64; 23];
-        let ranges = block_ranges(buf.len(), 4);
-        let mut tasks: Vec<(usize, &mut [u64])> = Vec::new();
-        let mut rest = buf.as_mut_slice();
-        let mut consumed = 0;
-        for &(start, end) in &ranges {
-            let (block, tail) = rest.split_at_mut(end - consumed);
-            rest = tail;
-            consumed = end;
-            tasks.push((start, block));
-        }
-        par_run_tasks(tasks, |(start, block)| {
-            for (offset, slot) in block.iter_mut().enumerate() {
-                *slot = (start + offset) as u64 * 7;
-            }
-        });
-        for (i, &v) in buf.iter().enumerate() {
-            assert_eq!(v, i as u64 * 7);
-        }
-        // Degenerate cases: one task runs inline, zero tasks is a no-op.
-        let mut one = vec![0u64; 3];
-        par_run_tasks(vec![one.as_mut_slice()], |block| block.fill(9));
-        assert_eq!(one, vec![9, 9, 9]);
-        par_run_tasks(Vec::<()>::new(), |_| panic!("no tasks to run"));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! Modules:
 //!
 //! * [`hazard`] — hazard → survival transforms, including the rolling-window
-//!   form used during online (auto-regressive) operation.
+//!   form online (auto-regressive) operation applies; the streaming ring
+//!   that serves it lives in `xatu-core`'s detector arena.
 //! * [`safe_loss`] — the SAFE survival loss the paper trains with, with an
 //!   analytic, numerically-stable gradient.
 //! * [`calibrate`] — threshold search: maximize an objective subject to a

@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 use xatu::metrics::areas::{integrate_areas, ScrubWindow};
-use xatu::nn::pooling::{avg_pool, avg_pool_backward};
 use xatu::survival::hazard::{rolling_survival, survival_curve};
 use xatu::survival::safe_loss::safe_loss_and_grad;
 
@@ -46,28 +45,6 @@ proptest! {
                 prop_assert!(*g == 1.0);
             }
         }
-    }
-
-    /// Average pooling preserves the global mean for exact windows and its
-    /// backward distributes exactly the incoming gradient mass.
-    #[test]
-    fn pooling_mass_conservation(
-        len in 1usize..40,
-        dim in 1usize..8,
-        window in 1usize..10,
-    ) {
-        let series: Vec<Vec<f64>> = (0..len)
-            .map(|t| (0..dim).map(|k| (t * dim + k) as f64 * 0.37).collect())
-            .collect();
-        let pooled = avg_pool(&series, window);
-        prop_assert_eq!(pooled.len(), len.div_ceil(window));
-        let d_pooled: Vec<Vec<f64>> = pooled.iter().map(|f| vec![1.0; f.len()]).collect();
-        let back = avg_pool_backward(&d_pooled, len, window);
-        // Each original frame's gradient sums to dim / chunk_len; total mass
-        // equals the pooled gradient mass.
-        let total_back: f64 = back.iter().flatten().sum();
-        let total_up: f64 = d_pooled.iter().flatten().sum();
-        prop_assert!((total_back - total_up).abs() < 1e-9);
     }
 
     /// Area integration: B ≤ A always, and effectiveness/overhead are
