@@ -490,6 +490,100 @@ mod tests {
         assert!(snapshot(&c, &h[&Ipv4(1)], Ipv4(1), 10).is_none());
     }
 
+    /// Serving ignores the short granularity and training does not. At
+    /// timescales (2, 4, 8), as at (1, 4, 8), the short dual row is
+    /// `Lstm::forward` over the raw minute frames since each half was
+    /// zeroed: `Knobs::gran` holds only the medium and long granularities,
+    /// and ingest steps the short LSTM on every minute's frame. `snapshot`
+    /// gives training a short context of `timescales.0`-minute means, and
+    /// `forward_wide` appends the window at one minute. So a model trained
+    /// with a short granularity above 1 (Fig 18(c)'s `(10, 60, 120)`) is
+    /// served on inputs it was not trained on. Pinned, not fixed: ROADMAP
+    /// 2(c).
+    #[test]
+    fn serving_steps_the_short_lstm_every_minute_while_training_pools_its_context() {
+        const MINUTES: usize = 16;
+        let frames: Vec<Vec<f64>> = (0..MINUTES)
+            .map(|m| {
+                let mut f = vec![0.0; NUM_FEATURES];
+                for k in 0..5 {
+                    f[(m * 29 + k * 61) % NUM_FEATURES] = (m as f64 * 0.43 + k as f64).sin();
+                }
+                f
+            })
+            .collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for short in [1u32, 2] {
+            let c = XatuConfig {
+                timescales: (short, 4, 8),
+                short_len: 6,
+                medium_len: 2,
+                long_len: 2,
+                window: 4,
+                hidden: 3,
+                ..XatuConfig::smoke_test()
+            };
+            let model = crate::model::XatuModel::new(&c);
+            let lstm = model.lstm_short().clone();
+            let mut det = crate::online::OnlineDetector::new(model, AttackType::UdpFlood, 0.5, &c);
+            for (m, f) in frames.iter().enumerate() {
+                det.observe(Ipv4(1), m as u32, f).expect("in-order minute");
+            }
+            // Promotion every `short_len` minutes: the aged half started at
+            // minute 6, the fresh one at minute 12.
+            let ck = det.to_checkpoint();
+            let row = &ck.customers[0].dual[0];
+            for (from, h, cell) in [
+                (6, &row.aged_h, &row.aged_c),
+                (12, &row.fresh_h, &row.fresh_c),
+            ] {
+                let trace = lstm.forward(&frames[from..]);
+                assert_eq!(bits(h), bits(trace.final_h()), "short {short}, from {from}");
+                assert_eq!(
+                    bits(cell),
+                    bits(trace.final_c()),
+                    "short {short}, from {from}"
+                );
+            }
+
+            let mut h = PooledHistory::new(
+                Timescales {
+                    short,
+                    medium: 4,
+                    long: 8,
+                },
+                MINUTES,
+                300,
+            );
+            for f in &frames {
+                h.push(FeatureFrame(f.clone()));
+            }
+            // The window opens once the short context (`short_len` steps of
+            // `short` minutes) and one long bucket lie behind it.
+            let start = (c.short_len as u32 * short).max(8);
+            let s = snapshot(&c, &h, Ipv4(1), start).expect("history covers the sample");
+            assert_eq!(s.short.len(), c.short_len);
+            let first = start as usize - c.short_len * short as usize;
+            for (k, got) in s.short.iter().enumerate() {
+                let minutes = &frames[first + k * short as usize..][..short as usize];
+                for (j, &v) in got.iter().enumerate() {
+                    let mean = minutes.iter().map(|f| f[j]).sum::<f64>() / short as f64;
+                    assert!(
+                        (f64::from(v) - mean).abs() < 1e-6,
+                        "short {short}, step {k}"
+                    );
+                }
+            }
+            for (t, got) in s.window.iter().enumerate() {
+                let want = &frames[start as usize + t];
+                assert!(
+                    got.iter().zip(want).all(|(&v, &w)| v == w as f32),
+                    "window {t}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn snapshot_has_full_feature_width() {
         let c = cfg();

@@ -10,8 +10,11 @@
 //! and every minute's survivals and lifecycle events are required to be
 //! **bit-identical** across thread counts — and between auto SIMD
 //! dispatch and the forced-scalar reference, also across a mid-run
-//! checkpoint.
+//! checkpoint. One row runs the same schedule at `XatuConfig::default()`
+//! geometry, 64 customers at 1/2/4/16 threads and forced scalar, and
+//! kills and resumes it through a checkpoint file.
 
+use xatu_core::checkpoint::{load_detector, save_detector};
 use xatu_core::config::XatuConfig;
 use xatu_core::fleet::{FleetDetector, FleetInput};
 use xatu_core::model::XatuModel;
@@ -142,13 +145,79 @@ fn cfg_with(hidden: usize, no_simd: bool) -> XatuConfig {
     }
 }
 
+/// A fleet of `n` at `XatuConfig::default()` geometry (hidden 24, window
+/// 30). With the untrained model's survival under the 0.9 threshold by the
+/// end of an 8-minute warm-up, every customer raises as soon as it may, and
+/// a stream past the 45-minute cap force-ends and raises again.
+fn build_default(n: usize, no_simd: bool) -> FleetDetector {
+    let cfg = XatuConfig {
+        no_simd,
+        ..XatuConfig::default()
+    };
+    let mut det = FleetDetector::new(XatuModel::new(&cfg), AttackType::UdpFlood, 0.9, &cfg);
+    det.set_warmup(8);
+    for i in 0..n {
+        det.add_customer(addr(i));
+    }
+    det
+}
+
+#[test]
+fn default_geometry_is_thread_invariant_and_resumes_from_a_checkpoint_file() {
+    const N: usize = 64;
+    const END: u32 = 64;
+    const CUT: u32 = 20;
+    let reference = run_span(&mut build_default(N, false), N, 1, 0..END);
+    let count = |kind: u64| {
+        reference
+            .0
+            .iter()
+            .flatten()
+            .filter(|&&e| e >> 62 == kind)
+            .count()
+    };
+    assert!(
+        count(1) > 0 && count(2) > 0,
+        "no alert both raised and ended: the lifecycle is not gated"
+    );
+    // The forced-scalar run is the plain kernel instantiation at 96 outputs
+    // per matvec (four whole 24-wide chunks).
+    for (threads, no_simd) in [(2usize, false), (4, false), (16, false), (4, true)] {
+        let got = run_span(&mut build_default(N, no_simd), N, threads, 0..END);
+        let what = format!("threads = {threads}, no_simd = {no_simd}");
+        assert_eq!(reference.0, got.0, "events diverged, {what}");
+        assert_eq!(reference.1, got.1, "survival bits diverged, {what}");
+    }
+
+    // Killed at minute CUT with alerts open, at 2 threads; written to and
+    // read back from an XCK1 file; resumed at 4 threads through the force
+    // ends and the second raises: the uninterrupted run.
+    let mut killed = build_default(N, false);
+    let head = run_span(&mut killed, N, 2, 0..CUT);
+    let path = std::env::temp_dir().join(format!("xatu_fleet_shards_{}.xck", std::process::id()));
+    save_detector(&path, &killed.to_checkpoint()).expect("checkpoint save");
+    drop(killed);
+    let ck = load_detector(&path).expect("checkpoint load");
+    let _ = std::fs::remove_file(&path);
+    let mut resumed = FleetDetector::from_checkpoint(&ck).expect("checkpoint restore");
+    let tail = run_span(&mut resumed, N, 4, CUT..END);
+    let events: Vec<_> = head.0.iter().chain(&tail.0).cloned().collect();
+    let survivals: Vec<_> = head.1.iter().chain(&tail.1).copied().collect();
+    assert_eq!(reference.0, events, "events diverged after resume");
+    assert_eq!(
+        reference.1, survivals,
+        "survival bits diverged after resume"
+    );
+}
+
 #[test]
 fn exact_forced_scalar_matches_auto_simd_dispatch_bitwise() {
     // The exact lane kernel widens across one customer's outputs, so the
     // fleet size only moves block boundaries; what matters is the output
-    // count `4·hidden`: 24 has no full 32-wide chunk, 48 is one chunk and
-    // two 8-wide ones.
-    for hidden in [6usize, 12] {
+    // count `4·hidden`, walked in 24-wide chunks, then 8-wide ones, then
+    // one at a time (`matrix::t_lanes`). Hidden 7 gives 28 = 24 + 4×1 and
+    // hidden 9 gives 36 = 24 + 8 + 4×1, so both tails run.
+    for hidden in [7usize, 9] {
         for n in [1usize, 3, 4, 7, 8, 9, 15, 16, 17] {
             for threads in [1usize, 4] {
                 let auto = run(build_with(n, &cfg_with(hidden, false)), n, threads);
