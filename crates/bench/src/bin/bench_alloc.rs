@@ -7,10 +7,11 @@
 //! * heap allocations and wall-clock **per training epoch** (the full
 //!   `train` loop: forward + backward + reduce + Adam),
 //! * heap allocations of **one steady-state forward+backward** on a warm
-//!   model — the quantity the arena/workspace refactor drives to zero, and
-//! * the **online inference path**: steady-state ns per customer-step and
-//!   heap allocations per fleet minute on a warm single-threaded
-//!   [`FleetDetector`] — the latter is asserted to be exactly zero.
+//!   model — the quantity the arena/workspace refactor drives to zero.
+//!
+//! The serving side is measured elsewhere: zero allocations per fleet
+//! minute is `crates/core/tests/alloc_budget.rs`'s gate, and the time per
+//! customer-minute is `bench_e2e`'s `core.fleet.step_us_per_customer_minute`.
 //!
 //! ```text
 //! cargo run --release -p xatu-bench --bin bench_alloc -- [label] [samples] [epochs]
@@ -23,14 +24,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use xatu_core::config::XatuConfig;
-use xatu_core::fleet::{FleetDetector, FleetInput};
 use xatu_core::model::{ForwardTrace, ModelWorkspace, XatuModel};
 use xatu_core::sample::{Sample, SampleMeta, WideSample};
 use xatu_core::trainer::train;
 use xatu_features::frame::NUM_FEATURES;
 use xatu_netflow::addr::Ipv4;
 use xatu_netflow::attack::AttackType;
-use xatu_simnet::{FleetMinute, FleetTraffic};
 
 /// Counts every allocation and allocated byte that goes through the global
 /// allocator. Realloc counts as one allocation (it may move).
@@ -145,46 +144,6 @@ fn steady_state_allocs(c: &XatuConfig, sample: &Sample) -> (u64, u64) {
     (c1 - c0, b1 - b0)
 }
 
-/// Steady-state online inference on a warm single-threaded fleet:
-/// ns per customer-step and heap allocations / bytes over one further
-/// minute. Warm-up streams past every pooling granularity (long buckets
-/// complete at minute 60) and past the alert lifecycle's first raise
-/// burst, so every arena, workspace and event buffer has reached its
-/// steady capacity before counting starts.
-fn fleet_inference(c: &XatuConfig) -> (f64, u64, u64) {
-    const N: usize = 1_000;
-    let model = XatuModel::new(c);
-    let mut fleet = FleetDetector::new(model, AttackType::UdpFlood, 0.9, c);
-    fleet.set_warmup(8);
-    for i in 0..N {
-        fleet.add_customer(Ipv4(i as u32));
-    }
-    let traffic = FleetTraffic::new(11, N);
-    let step = |fleet: &mut FleetDetector, m: u32| {
-        fleet
-            .step_minute_batch(m, 1, |cust, _addr, frame| {
-                match traffic.fill_frame(cust, m, frame) {
-                    FleetMinute::Frame(_) => FleetInput::Frame,
-                    FleetMinute::Missing => FleetInput::Gap,
-                }
-            })
-            .expect("minutes are in order");
-    };
-    for m in 0..70 {
-        step(&mut fleet, m);
-    }
-    let (a0, b0) = snapshot();
-    step(&mut fleet, 70);
-    let (a1, b1) = snapshot();
-    let timed = 32u32;
-    let start = Instant::now();
-    for m in 71..71 + timed {
-        step(&mut fleet, m);
-    }
-    let ns = start.elapsed().as_nanos() as f64 / (f64::from(timed) * N as f64);
-    (ns, a1 - a0, b1 - b0)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let label = args
@@ -200,13 +159,6 @@ fn main() {
 
     // Steady-state forward+backward (the alloc-budget quantity).
     let (ss_allocs, ss_bytes) = steady_state_allocs(&c, &samples[0]);
-
-    // Steady-state online inference (the fleet alloc-budget quantity).
-    let (inf_ns, inf_allocs, inf_bytes) = fleet_inference(&c);
-    assert_eq!(
-        inf_allocs, 0,
-        "steady-state fleet minute allocated {inf_allocs} times ({inf_bytes} bytes)"
-    );
 
     // Full training run: allocations + wall per epoch.
     let mut model = XatuModel::new(&c);
@@ -226,8 +178,6 @@ fn main() {
          \"samples\": {n_samples},\n  \"epochs\": {epochs},\n  \
          \"steady_state_fwd_bwd_allocations\": {ss_allocs},\n  \
          \"steady_state_fwd_bwd_bytes\": {ss_bytes},\n  \
-         \"inference_ns_per_customer_step\": {inf_ns:.0},\n  \
-         \"inference_allocations_per_fleet_minute\": {inf_allocs},\n  \
          \"allocations_per_epoch\": {allocs_per_epoch:.0},\n  \
          \"bytes_per_epoch\": {bytes_per_epoch:.0},\n  \
          \"wall_seconds_per_epoch\": {wall_per_epoch:.4},\n  \

@@ -41,7 +41,7 @@ use xatu_core::ae_trainer::{
 };
 use xatu_core::eval::GtEvent;
 use xatu_core::faulted::{run_faulted, FaultReport, FaultedRunConfig, RunControl};
-use xatu_core::fusion::{ErrorNormalizer, FusionMode};
+use xatu_core::fusion::ErrorNormalizer;
 use xatu_core::model::XatuModel;
 use xatu_core::online::Companion;
 use xatu_core::pipeline::{Pipeline, PipelineConfig};
@@ -202,7 +202,6 @@ fn main() {
     let companion = Companion {
         ae,
         norm,
-        mode: FusionMode::MaxCombine,
         window: cfg.xatu.window,
     };
     eprintln!(

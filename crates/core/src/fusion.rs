@@ -5,14 +5,11 @@
 //! score (lower = more attack-like) and the autoencoder's normalized
 //! reconstruction score (higher = more attack-like). The fusion layer
 //! maps reconstruction error into `[0, 1]` against *benign* error
-//! quantiles ([`ErrorNormalizer`]), combines the two signals
-//! ([`FusionMode`]: max-combine or a learned logistic blend), and exposes
-//! a degradation weight that shifts the fused score toward the
-//! autoencoder while the CDet feed is down — the companion needs no
-//! labels, so it keeps its full signal exactly when the survival model
-//! loses its auxiliary features.
-
-use xatu_nn::activations::sigmoid;
+//! quantiles ([`ErrorNormalizer`]), keeps the more anomalous of the two
+//! signals ([`fuse`]), and applies a degradation weight that shifts the
+//! fused score toward the autoencoder while the CDet feed is down — the
+//! companion needs no labels, so it keeps its full signal exactly when the
+//! survival model loses its auxiliary features.
 
 /// Maps raw reconstruction error to an anomaly score in `[0, 1]` using
 /// benign-error quantiles: the benign median scores 0, the benign upper
@@ -67,85 +64,21 @@ impl ErrorNormalizer {
     }
 }
 
-/// How the survival score and the autoencoder score are combined.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum FusionMode {
-    /// Most-anomalous-wins: the fused survival is the minimum of the
-    /// survival score and the autoencoder's pseudo-survival `1 − score`.
-    MaxCombine,
-    /// A learned logistic blend over the two anomaly signals:
-    /// `p = σ(bias + w_survival·(1−survival) + w_ae·ae_score)`, reported
-    /// as the pseudo-survival `1 − p`. Weights come from
-    /// [`FusionMode::fit_logistic`].
-    Logistic {
-        /// Intercept.
-        bias: f64,
-        /// Weight on the survival anomaly `1 − survival`.
-        w_survival: f64,
-        /// Weight on the autoencoder anomaly score.
-        w_ae: f64,
-    },
-}
-
-impl FusionMode {
-    /// Fuses one minute's scores into a fused survival (lower = more
-    /// attack-like, same orientation and thresholding rule as the solo
-    /// survival score).
-    ///
-    /// `ae_weight` in `[0, 1]` is the degradation shift: 0 uses the
-    /// configured combine, 1 scores purely from the autoencoder. The
-    /// online detector ramps it while the CDet feed is down and back
-    /// during re-warm-up after recovery.
-    pub fn fuse(&self, survival: f64, ae_score: f64, ae_weight: f64) -> f64 {
-        let survival = survival.clamp(0.0, 1.0);
-        let ae_score = ae_score.clamp(0.0, 1.0);
-        let s_ae = 1.0 - ae_score;
-        let combined = match *self {
-            FusionMode::MaxCombine => survival.min(s_ae),
-            FusionMode::Logistic {
-                bias,
-                w_survival,
-                w_ae,
-            } => 1.0 - sigmoid(bias + w_survival * (1.0 - survival) + w_ae * ae_score),
-        };
-        let w = ae_weight.clamp(0.0, 1.0);
-        (1.0 - w) * combined + w * s_ae
-    }
-
-    /// Fits the logistic blend by batch gradient descent on labeled
-    /// `(survival, ae_score, is_attack)` examples (e.g. per-sample scores
-    /// from a validation split). Deterministic: fixed iteration count,
-    /// fixed example order. Returns [`FusionMode::MaxCombine`] when no
-    /// examples (or only one class) are available — an unfittable blend
-    /// must not silently bias the detector.
-    pub fn fit_logistic(examples: &[(f64, f64, bool)], epochs: usize, lr: f64) -> FusionMode {
-        let pos = examples.iter().filter(|e| e.2).count();
-        if pos == 0 || pos == examples.len() {
-            return FusionMode::MaxCombine;
-        }
-        let (mut bias, mut ws, mut wa) = (0.0f64, 0.0f64, 0.0f64);
-        let n = examples.len() as f64;
-        for _ in 0..epochs {
-            let (mut gb, mut gs, mut ga) = (0.0, 0.0, 0.0);
-            for &(survival, ae_score, label) in examples {
-                let xs = 1.0 - survival.clamp(0.0, 1.0);
-                let xa = ae_score.clamp(0.0, 1.0);
-                let p = sigmoid(bias + ws * xs + wa * xa);
-                let d = p - if label { 1.0 } else { 0.0 };
-                gb += d;
-                gs += d * xs;
-                ga += d * xa;
-            }
-            bias -= lr * gb / n;
-            ws -= lr * gs / n;
-            wa -= lr * ga / n;
-        }
-        FusionMode::Logistic {
-            bias,
-            w_survival: ws,
-            w_ae: wa,
-        }
-    }
+/// Fuses one minute's scores into a fused survival (lower = more
+/// attack-like, same orientation and thresholding rule as the solo
+/// survival score): most-anomalous-wins, the minimum of the survival score
+/// and the autoencoder's pseudo-survival `1 − ae_score`.
+///
+/// `ae_weight` in `[0, 1]` is the degradation shift: 0 uses that minimum,
+/// 1 scores purely from the autoencoder. The online detector ramps it
+/// while the CDet feed is down and back during re-warm-up after recovery.
+pub fn fuse(survival: f64, ae_score: f64, ae_weight: f64) -> f64 {
+    let survival = survival.clamp(0.0, 1.0);
+    let ae_score = ae_score.clamp(0.0, 1.0);
+    let s_ae = 1.0 - ae_score;
+    let combined = survival.min(s_ae);
+    let w = ae_weight.clamp(0.0, 1.0);
+    (1.0 - w) * combined + w * s_ae
 }
 
 #[cfg(test)]
@@ -182,63 +115,23 @@ mod tests {
 
     #[test]
     fn max_combine_takes_the_most_anomalous_signal() {
-        let m = FusionMode::MaxCombine;
-        assert_eq!(m.fuse(0.9, 0.0, 0.0), 0.9);
-        assert!((m.fuse(0.9, 0.8, 0.0) - 0.2).abs() < 1e-12); // AE wins
-        assert_eq!(m.fuse(0.1, 0.0, 0.0), 0.1); // survival wins
-                                                // Full degradation weight ignores survival entirely.
-        assert_eq!(m.fuse(0.0, 0.0, 1.0), 1.0);
-        assert_eq!(m.fuse(1.0, 1.0, 1.0), 0.0);
+        assert_eq!(fuse(0.9, 0.0, 0.0), 0.9);
+        assert!((fuse(0.9, 0.8, 0.0) - 0.2).abs() < 1e-12); // AE wins
+        assert_eq!(fuse(0.1, 0.0, 0.0), 0.1); // survival wins
+
+        // Full degradation weight ignores survival entirely.
+        assert_eq!(fuse(0.0, 0.0, 1.0), 1.0);
+        assert_eq!(fuse(1.0, 1.0, 1.0), 0.0);
     }
 
     #[test]
     fn degradation_weight_interpolates_continuously() {
-        let m = FusionMode::MaxCombine;
         // survival says attack (0.1), AE says benign (score 0 → s_ae 1).
-        let w0 = m.fuse(0.1, 0.0, 0.0);
-        let w_half = m.fuse(0.1, 0.0, 0.5);
-        let w1 = m.fuse(0.1, 0.0, 1.0);
+        let w0 = fuse(0.1, 0.0, 0.0);
+        let w_half = fuse(0.1, 0.0, 0.5);
+        let w1 = fuse(0.1, 0.0, 1.0);
         assert_eq!(w0, 0.1);
         assert_eq!(w1, 1.0);
         assert!((w_half - 0.55).abs() < 1e-12);
-    }
-
-    #[test]
-    fn logistic_fit_separates_labeled_scores() {
-        // Attacks: low survival, high AE score. Benign: the opposite.
-        let mut examples = Vec::new();
-        for i in 0..50 {
-            let eps = i as f64 / 500.0;
-            examples.push((0.1 + eps, 0.9 - eps, true));
-            examples.push((0.9 - eps, 0.1 + eps, false));
-        }
-        let mode = FusionMode::fit_logistic(&examples, 500, 0.5);
-        let FusionMode::Logistic {
-            w_survival, w_ae, ..
-        } = mode
-        else {
-            panic!("expected a fitted logistic, got {mode:?}");
-        };
-        assert!(w_survival > 0.0 && w_ae > 0.0);
-        // Fused survival must be decisively lower for attack-like scores.
-        let attack = mode.fuse(0.1, 0.9, 0.0);
-        let benign = mode.fuse(0.9, 0.1, 0.0);
-        assert!(
-            attack < 0.4 && benign > 0.6,
-            "attack {attack} benign {benign}"
-        );
-    }
-
-    #[test]
-    fn one_class_fit_falls_back_to_max_combine() {
-        let benign_only: Vec<(f64, f64, bool)> = vec![(0.9, 0.1, false); 10];
-        assert_eq!(
-            FusionMode::fit_logistic(&benign_only, 100, 0.5),
-            FusionMode::MaxCombine
-        );
-        assert_eq!(
-            FusionMode::fit_logistic(&[], 100, 0.5),
-            FusionMode::MaxCombine
-        );
     }
 }

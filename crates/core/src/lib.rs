@@ -62,8 +62,8 @@
 //!   reconstruction companion (LSTM autoencoder over volumetric frames):
 //!   a thin adaptor that runs the [`trainer`]'s minibatch loop.
 //! * [`fusion`] — score fusion: benign-quantile error normalization plus
-//!   max-combine / learned-logistic blending of the survival score with
-//!   the companion's reconstruction score.
+//!   the max-combine (min of survivals) of the survival score with the
+//!   companion's reconstruction score.
 
 pub mod ae_trainer;
 pub mod checkpoint;

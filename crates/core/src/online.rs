@@ -47,7 +47,7 @@ use crate::detector::{
     observe_row, push_row, restore, Common, Hook, Ledger, Net, Numeric, RowScratch, Shard, Solo,
 };
 use crate::error::XatuError;
-use crate::fusion::{ErrorNormalizer, FusionMode};
+use crate::fusion::{fuse, ErrorNormalizer};
 use crate::model::XatuModel;
 use xatu_detectors::traits::DetectorEvent;
 use xatu_features::frame::{NUM_FEATURES, VOLUMETRIC_WIDTH};
@@ -163,18 +163,17 @@ impl DetectorObs {
 /// The unsupervised reconstruction companion attached to a detector.
 ///
 /// A trained [`LstmAutoencoder`] over the volumetric feature block (width
-/// [`VOLUMETRIC_WIDTH`]) plus its benign-error calibration and the fusion
-/// rule. The companion never sees auxiliary features, so its score is
-/// unaffected when the CDet feed drops — the degradation ladder shifts
-/// weight onto it instead of falling back to volumetric-only thresholds.
+/// [`VOLUMETRIC_WIDTH`]) plus its benign-error calibration; [`fuse`]
+/// combines its score with the survival score. The companion never sees
+/// auxiliary features, so its score is unaffected when the CDet feed drops
+/// — the degradation ladder shifts weight onto it instead of falling back
+/// to volumetric-only thresholds.
 #[derive(Clone, Debug)]
 pub struct Companion {
     /// The trained autoencoder (`input_dim` must be [`VOLUMETRIC_WIDTH`]).
     pub ae: LstmAutoencoder,
     /// Benign-quantile reconstruction-error normalizer.
     pub norm: ErrorNormalizer,
-    /// How the survival score and the companion score are combined.
-    pub mode: FusionMode,
     /// Window length (minutes) the autoencoder scores over.
     pub window: usize,
 }
@@ -209,7 +208,7 @@ struct Fused<'a> {
     ws: &'a mut AeWorkspace,
     scratch: &'a mut FrameArena,
     /// Degradation shift for this minute (1 = score purely from the
-    /// companion, 0 = configured combine).
+    /// companion, 0 = the min of the two scores).
     ae_weight: f64,
 }
 
@@ -233,9 +232,7 @@ impl Hook for Fused<'_> {
         }
         let err = self.comp.ae.reconstruction_error(self.scratch, self.ws);
         obs.fusion_ae_minutes.inc();
-        self.comp
-            .mode
-            .fuse(reported, self.comp.norm.score(err), self.ae_weight)
+        fuse(reported, self.comp.norm.score(err), self.ae_weight)
     }
 
     fn cold_restart(&mut self) {
@@ -1003,7 +1000,6 @@ mod tests {
         let err = ae.reconstruction_error(&win, &mut ws);
         Companion {
             norm: ErrorNormalizer::from_benign_errors(&[err]),
-            mode: FusionMode::MaxCombine,
             window: c.window,
             ae,
         }

@@ -29,7 +29,6 @@ pub mod botnet;
 pub mod composer;
 pub mod config;
 pub mod faults;
-pub mod fleet;
 pub mod scenario;
 pub mod schedule;
 pub mod vectors;
@@ -45,6 +44,5 @@ pub use faults::{
     FaultKind, FaultObs, FaultSchedule, FaultWindow, FaultedWorld, MinuteDelivery,
     BUILTIN_SCHEDULES,
 };
-pub use fleet::{FleetMinute, FleetTraffic};
 pub use vectors::{AttackVector, VectorShape};
 pub use world::{victim_bin, victim_signature_bytes, World, WorldObs};

@@ -17,7 +17,7 @@
 
 use xatu::core::config::XatuConfig;
 use xatu::core::faulted::{run_faulted, FaultReport, FaultedRunConfig, RunControl};
-use xatu::core::fusion::{ErrorNormalizer, FusionMode};
+use xatu::core::fusion::ErrorNormalizer;
 use xatu::core::model::XatuModel;
 use xatu::core::online::{Companion, OnlineDetector};
 use xatu::core::XatuError;
@@ -67,7 +67,6 @@ fn neutral_companion(window: usize) -> Companion {
     Companion {
         ae: LstmAutoencoder::new(VOLUMETRIC_WIDTH, 4, &mut Initializer::new(5)),
         norm: ErrorNormalizer::from_benign_errors(&[]),
-        mode: FusionMode::MaxCombine,
         window,
     }
 }
