@@ -1430,9 +1430,58 @@ mod tests {
         assert_eq!(total, prepared.cdet_alerts.len());
     }
 
+    /// FNV-1a over what the detectors produced: the validation survival
+    /// series, sorted by (customer, type), then, per report, the
+    /// test-period Xatu alert intervals at that report's thresholds.
+    fn detections_digest(prepared: &Prepared, reports: &[&EvalReport]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        let sorted = |mut keys: Vec<(Ipv4, AttackType)>| {
+            keys.sort_unstable_by_key(|&(c, ty)| (c, ty.index()));
+            keys
+        };
+        let scores = &prepared.val_scores_xatu;
+        for key in sorted(scores.keys().copied().collect()) {
+            fold(&key.0 .0.to_le_bytes());
+            fold(&[key.1.index() as u8]);
+            for s in &scores[&key] {
+                fold(&s.to_bits().to_le_bytes());
+            }
+        }
+        for r in reports {
+            let (alerts, ..) = prepared.run_test(
+                &r.xatu_thresholds,
+                &r.rf_thresholds,
+                5,
+                &mut Registry::new(),
+            );
+            for key in sorted(alerts.keys().copied().collect()) {
+                fold(&key.0 .0.to_le_bytes());
+                fold(&[key.1.index() as u8]);
+                for &(start, end) in &alerts[&key] {
+                    fold(&start.to_le_bytes());
+                    fold(&end.to_le_bytes());
+                }
+            }
+        }
+        h
+    }
+
+    /// [`detections_digest`] of the seed-9 smoke pipeline at bounds 0.05
+    /// and 0.0005.
+    const DETECTIONS_DIGEST: u64 = 0xad7a_54ed_2768_9f48;
+
+    /// Seed 9 trains a model and raises test-period alerts, so the
+    /// detections digest covers real survivals and real alerts.
     #[test]
     fn prepared_supports_multiple_bounds() {
-        let prepared = Pipeline::new(PipelineConfig::smoke_test(7)).prepare();
+        let prepared = Pipeline::new(PipelineConfig::smoke_test(9)).prepare();
+        assert!(!prepared.models.is_empty(), "seed 9 trains a model");
         let a = prepared.evaluate(0.05);
         let b = prepared.evaluate(0.0005);
         // A looser bound admits thresholds at least as aggressive.
@@ -1440,5 +1489,10 @@ mod tests {
             assert_eq!(ty_a, ty_b);
             assert!(*th_a >= th_b - 1e-12);
         }
+        let digest = detections_digest(&prepared, &[&a, &b]);
+        assert_eq!(
+            digest, DETECTIONS_DIGEST,
+            "validation survivals or test alerts moved (digest is {digest:#018x})"
+        );
     }
 }
