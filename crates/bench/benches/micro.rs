@@ -11,10 +11,10 @@ use std::hint::black_box;
 use xatu_core::config::XatuConfig;
 use xatu_core::eval::VolumeStore;
 use xatu_core::model::XatuModel;
-use xatu_core::online::OnlineDetector;
 use xatu_core::pipeline::{Pipeline, PipelineConfig};
 use xatu_core::sample::{Sample, SampleMeta};
 use xatu_core::trainer::train;
+use xatu_core::FleetDetector;
 use xatu_detectors::cusum::Cusum;
 use xatu_detectors::rf::{RandomForest, RfConfig};
 use xatu_features::blocklist::BlocklistCategory;
@@ -218,7 +218,7 @@ fn bench_clustering_writes(c: &mut Criterion) {
 fn bench_detection_step(c: &mut Criterion) {
     let cfg = XatuConfig::default();
     // The path that serves: one customer-minute through `observe`.
-    let mut det = OnlineDetector::new(XatuModel::new(&cfg), AttackType::UdpFlood, 0.5, &cfg);
+    let mut det = FleetDetector::new(XatuModel::new(&cfg), AttackType::UdpFlood, 0.5, &cfg);
     let frame = vec![0.3f64; 273];
     let mut minute = 0;
     c.bench_function("xatu_online_detection_step_h24", |b| {

@@ -41,9 +41,8 @@ use xatu_core::ae_trainer::{
 };
 use xatu_core::eval::GtEvent;
 use xatu_core::faulted::{run_faulted, FaultReport, FaultedRunConfig, RunControl};
-use xatu_core::fusion::ErrorNormalizer;
+use xatu_core::fusion::{Companion, ErrorNormalizer};
 use xatu_core::model::XatuModel;
-use xatu_core::online::Companion;
 use xatu_core::pipeline::{Pipeline, PipelineConfig};
 use xatu_features::frame::VOLUMETRIC_WIDTH;
 use xatu_netflow::attack::AttackType;

@@ -671,7 +671,7 @@ impl CustomerCheckpoint {
     }
 }
 
-/// A complete [`crate::online::OnlineDetector`] snapshot: configuration,
+/// A complete [`crate::fleet::FleetDetector`] snapshot: configuration,
 /// model parameters, and every customer's streaming state (sorted by
 /// address so the encoding is canonical regardless of hash-map order).
 /// Telemetry is deliberately *not* checkpointed — counters restart at

@@ -83,8 +83,8 @@ pub struct XatuConfig {
     /// for every value — parallelism only changes wall-clock time.
     pub threads: usize,
     /// Force the scalar instantiation of every dispatched detector kernel
-    /// — the gate loop and the lane kernel, in `OnlineDetector` and the
-    /// fleet alike — mirroring
+    /// — the gate loop and the lane kernel, on a `FleetDetector`'s row and
+    /// batch paths alike — mirroring
     /// `threads`: `false` = auto (the `XATU_NO_SIMD` environment variable
     /// if set, else the widest SIMD level the host supports), `true` =
     /// always scalar. Results are bit-identical either way — SIMD only

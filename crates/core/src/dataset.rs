@@ -525,7 +525,7 @@ mod tests {
             };
             let model = crate::model::XatuModel::new(&c);
             let lstm = model.lstm_short().clone();
-            let mut det = crate::online::OnlineDetector::new(model, AttackType::UdpFlood, 0.5, &c);
+            let mut det = crate::fleet::FleetDetector::new(model, AttackType::UdpFlood, 0.5, &c);
             for (m, f) in frames.iter().enumerate() {
                 det.observe(Ipv4(1), m as u32, f).expect("in-order minute");
             }

@@ -1,6 +1,6 @@
 //! The detector core: one definition of the streaming detector's state,
-//! degradation ladder, alert lifecycle and checkpoint, shared by
-//! [`crate::online::OnlineDetector`] and [`crate::fleet::FleetDetector`].
+//! degradation ladder, alert lifecycle, telemetry and checkpoint, which
+//! [`crate::fleet::FleetDetector`] drives on its row and batch paths.
 //!
 //! # State
 //!
@@ -32,18 +32,19 @@
 //!
 //! `ingest` (sanitize or zero-order-hold, feed both pooling buckets, plan
 //! which timescales step) → LSTM steps → `finish_row` (retire consumed
-//! buckets, survival tail, the front-end's [`Hook`], lifecycle tail).
+//! buckets, survival tail, the companion's fusion hook, lifecycle tail).
 //! [`row_minute`] runs that through the row kernel; the fleet's batch
 //! worker runs the same `ingest` and `finish_row` around the block kernel.
 //! Gaps since the customer's previous minute are bridged first by
 //! [`catch_up`]: imputed minute by minute through [`row_minute`], or cold
-//! restarted past `3 × window`.
+//! restarted past `3 × window`. What the rows emit goes to an [`Emitted`]
+//! in row order, for the caller to stitch.
 
 use crate::checkpoint::{CustomerCheckpoint, DetectorCheckpoint, DualStateCheckpoint};
 use crate::config::XatuConfig;
 use crate::error::XatuError;
+use crate::fusion::Fused;
 use crate::model::{ModelConfig, XatuModel};
-use crate::online::DetectorObs;
 use std::collections::HashMap;
 use std::ops::Range;
 use xatu_detectors::alert::Alert;
@@ -55,6 +56,137 @@ use xatu_nn::activations::softplus;
 use xatu_nn::lstm::Lstm;
 use xatu_nn::simd::{self, SimdLevel};
 use xatu_nn::{Dense, OnlineBlockWorkspace, OnlineScratch, Params};
+use xatu_obs::{Counter, FixedHistogram, GAP_RUN_BOUNDS, SURVIVAL_BOUNDS};
+
+/// Telemetry embedded in the detector hot path.
+///
+/// Plain counters and fixed-bucket histograms — one integer add (plus one
+/// float compare chain per histogram) per observation, no locks, no
+/// allocation, compiled out entirely without the `obs` feature. Alert
+/// lifecycle counts and the survival distribution are functions of the
+/// seeded input stream alone, so they are digest-safe when folded into a
+/// [`xatu_obs::Registry`].
+#[derive(Clone, Debug)]
+pub struct DetectorObs {
+    /// Alerts raised.
+    pub raised: Counter,
+    /// Alerts ended for any reason, force-ends and `close_all` included.
+    pub ended: Counter,
+    /// Alerts ended *because* they hit `max_alert_minutes`.
+    pub force_ended: Counter,
+    /// Observations swallowed by per-customer warm-up suppression.
+    pub warmup_suppressed: Counter,
+    /// Distribution of rolling survival values over every observation.
+    pub survival: FixedHistogram,
+    /// Missing minutes filled by zero-order-hold imputation.
+    pub gaps_imputed: Counter,
+    /// Non-finite feature values zeroed on ingestion.
+    pub values_sanitized: Counter,
+    /// Out-of-order minutes rejected.
+    pub out_of_order: Counter,
+    /// Customer states rebuilt after a gap too long to impute.
+    pub cold_restarts: Counter,
+    /// Distribution of gap-run lengths (imputed or skipped minutes).
+    pub gap_runs: FixedHistogram,
+    /// Degradation-ladder transitions into companion-weighted fusion
+    /// (the CDet feed went dark with a companion attached).
+    pub fusion_engaged: Counter,
+    /// Transitions back out of full companion weight (feed recovery
+    /// started a re-warm-up ramp).
+    pub fusion_recovered: Counter,
+    /// Minutes whose reported survival actually included the companion's
+    /// reconstruction score (ring full, companion attached).
+    pub fusion_ae_minutes: Counter,
+}
+
+impl Default for DetectorObs {
+    fn default() -> Self {
+        DetectorObs {
+            raised: Counter::new(),
+            ended: Counter::new(),
+            force_ended: Counter::new(),
+            warmup_suppressed: Counter::new(),
+            survival: FixedHistogram::new(SURVIVAL_BOUNDS),
+            gaps_imputed: Counter::new(),
+            values_sanitized: Counter::new(),
+            out_of_order: Counter::new(),
+            cold_restarts: Counter::new(),
+            gap_runs: FixedHistogram::new(GAP_RUN_BOUNDS),
+            fusion_engaged: Counter::new(),
+            fusion_recovered: Counter::new(),
+            fusion_ae_minutes: Counter::new(),
+        }
+    }
+}
+
+impl DetectorObs {
+    /// Adds another recorder's counts into this one. The fleet detector's
+    /// workers each record into their own `DetectorObs` and fold into the
+    /// detector's aggregate in shard order after every batch. Counter adds
+    /// and bucket-wise histogram merges are order-independent, and so is
+    /// the `gap_runs` sum (whole minutes, exact in `f64`); survivals, whose
+    /// sum is not, never reach a worker's recorder (the core buffers them
+    /// in `Emitted`, and the stitch observes them in id order). The
+    /// aggregate is therefore identical for every thread count.
+    pub fn merge_from(&mut self, other: &DetectorObs) {
+        self.raised.add(other.raised.get());
+        self.ended.add(other.ended.get());
+        self.force_ended.add(other.force_ended.get());
+        self.warmup_suppressed.add(other.warmup_suppressed.get());
+        self.survival.merge(&other.survival);
+        self.gaps_imputed.add(other.gaps_imputed.get());
+        self.values_sanitized.add(other.values_sanitized.get());
+        self.out_of_order.add(other.out_of_order.get());
+        self.cold_restarts.add(other.cold_restarts.get());
+        self.gap_runs.merge(&other.gap_runs);
+        self.fusion_engaged.add(other.fusion_engaged.get());
+        self.fusion_recovered.add(other.fusion_recovered.get());
+        self.fusion_ae_minutes.add(other.fusion_ae_minutes.get());
+    }
+
+    /// Zeroes every counter and histogram in place, keeping allocations,
+    /// so a per-worker recorder can be reused without allocating.
+    pub fn reset(&mut self) {
+        self.raised.reset();
+        self.ended.reset();
+        self.force_ended.reset();
+        self.warmup_suppressed.reset();
+        self.survival.reset();
+        self.gaps_imputed.reset();
+        self.values_sanitized.reset();
+        self.out_of_order.reset();
+        self.cold_restarts.reset();
+        self.gap_runs.reset();
+        self.fusion_engaged.reset();
+        self.fusion_recovered.reset();
+        self.fusion_ae_minutes.reset();
+    }
+}
+
+/// What driven rows emit, in the order they were driven: lifecycle events
+/// and, with telemetry on, every reported survival. Survivals are
+/// buffered rather than observed where they are computed so that the
+/// survival histogram's float sum accumulates in one fixed order, the
+/// order [`Emitted::record`] is called in, whatever the thread count.
+#[derive(Default)]
+pub(crate) struct Emitted {
+    pub events: Vec<DetectorEvent>,
+    pub survivals: Vec<f64>,
+}
+
+impl Emitted {
+    pub(crate) fn clear(&mut self) {
+        self.events.clear();
+        self.survivals.clear();
+    }
+
+    /// Observes the buffered survivals into `obs`, in order.
+    pub(crate) fn record(&self, obs: &mut DetectorObs) {
+        for &s in &self.survivals {
+            obs.survival.observe(s);
+        }
+    }
+}
 
 /// The three timescales, in arena order: short, medium, long.
 pub(crate) const TIMESCALES: usize = 3;
@@ -302,7 +434,7 @@ pub(crate) struct Ledger {
     count: [Vec<u32>; 2],
     pub active_since: Vec<Option<u32>>,
     quiet_run: Vec<u32>,
-    last_survival: Vec<f64>,
+    pub last_survival: Vec<f64>,
     observed: Vec<u32>,
     stale_run: Vec<u32>,
     last_minute: Vec<Option<u32>>,
@@ -514,22 +646,6 @@ pub(crate) struct Knobs {
     used: [bool; TIMESCALES],
 }
 
-/// What a front-end may interpose on a row between the survival tail and
-/// the lifecycle tail. The default is nothing.
-pub(crate) trait Hook {
-    /// Sees the frame the LSTMs just consumed and the reported survival;
-    /// returns the survival the lifecycle acts on.
-    fn fuse(&mut self, _obs: &mut DetectorObs, _frame: &[f64], reported: f64) -> f64 {
-        reported
-    }
-    /// The row was cold-restarted.
-    fn cold_restart(&mut self) {}
-}
-
-/// The [`Hook`] that interposes nothing.
-pub(crate) struct Solo;
-impl Hook for Solo {}
-
 /// Scratch of the row path.
 #[derive(Clone, Default)]
 pub(crate) struct RowScratch {
@@ -569,11 +685,11 @@ fn cold_restart(
     j: usize,
     addr: Ipv4,
     minute: u32,
-    events: &mut Vec<DetectorEvent>,
+    out: &mut Emitted,
 ) {
     if let Some(detected_at) = sh.active_since[j].take() {
         obs.ended.inc();
-        events.push(DetectorEvent::Ended(Alert {
+        out.events.push(DetectorEvent::Ended(Alert {
             customer: addr,
             attack_type: k.attack_type,
             detected_at,
@@ -601,9 +717,10 @@ fn cold_restart(
 
 /// Bridges the gap between row `j`'s newest minute and `minute` (which the
 /// caller has checked is later): short gaps are imputed minute by minute,
-/// long ones cold-restart the row.
+/// long ones cold-restart the row (and its companion ring, if `hook` has
+/// one).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn catch_up<H: Hook>(
+pub(crate) fn catch_up(
     net: &Net<'_>,
     obs: &mut DetectorObs,
     sh: &mut Shard<'_>,
@@ -611,8 +728,8 @@ pub(crate) fn catch_up<H: Hook>(
     addr: Ipv4,
     minute: u32,
     row: &mut RowScratch,
-    hook: &mut H,
-    events: &mut Vec<DetectorEvent>,
+    hook: &mut Option<Fused<'_>>,
+    out: &mut Emitted,
 ) {
     let Some(last) = sh.last_minute[j] else {
         return;
@@ -622,11 +739,13 @@ pub(crate) fn catch_up<H: Hook>(
         // Imputing hours of fiction would be slower *and* wronger than
         // admitting the context is gone.
         obs.gap_runs.observe(gap as f64);
-        cold_restart(&net.k, obs, sh, j, addr, minute, events);
-        hook.cold_restart();
+        cold_restart(&net.k, obs, sh, j, addr, minute, out);
+        if let Some(hook) = hook {
+            hook.cold_restart();
+        }
     } else {
         for m in last + 1..minute {
-            row_minute(net, obs, sh, j, addr, m, None, row, hook, events);
+            row_minute(net, obs, sh, j, addr, m, None, row, hook, out);
         }
     }
 }
@@ -736,11 +855,13 @@ fn lifecycle_tail(
     addr: Ipv4,
     minute: u32,
     reported: f64,
-    events: &mut Vec<DetectorEvent>,
+    out: &mut Emitted,
 ) {
     sh.last_survival[j] = reported;
     sh.observed[j] += 1;
-    obs.survival.observe(reported);
+    if xatu_obs::enabled() {
+        out.survivals.push(reported);
+    }
     if sh.observed[j] <= k.warmup {
         obs.warmup_suppressed.inc();
         return;
@@ -754,7 +875,7 @@ fn lifecycle_tail(
                 sh.active_since[j] = Some(minute);
                 sh.quiet_run[j] = 0;
                 obs.raised.inc();
-                events.push(DetectorEvent::Raised(Alert {
+                out.events.push(DetectorEvent::Raised(Alert {
                     customer: addr,
                     attack_type: k.attack_type,
                     detected_at: minute,
@@ -776,7 +897,7 @@ fn lifecycle_tail(
                 if over_cap {
                     obs.force_ended.inc();
                 }
-                events.push(DetectorEvent::Ended(Alert {
+                out.events.push(DetectorEvent::Ended(Alert {
                     customer: addr,
                     attack_type: k.attack_type,
                     detected_at,
@@ -788,10 +909,11 @@ fn lifecycle_tail(
 }
 
 /// Everything after row `j`'s LSTM states have advanced: retire the
-/// buckets this minute consumed, survival tail, hook, lifecycle tail,
-/// clock. Returns `(hazard, reported survival)`.
+/// buckets this minute consumed, survival tail, the companion's fusion (if
+/// `hook` has one), lifecycle tail, clock. Returns `(hazard, reported
+/// survival)`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn finish_row<H: Hook>(
+pub(crate) fn finish_row(
     net: &Net<'_>,
     obs: &mut DetectorObs,
     sh: &mut Shard<'_>,
@@ -799,8 +921,8 @@ pub(crate) fn finish_row<H: Hook>(
     addr: Ipv4,
     minute: u32,
     input: &mut Vec<f64>,
-    hook: &mut H,
-    events: &mut Vec<DetectorEvent>,
+    hook: &mut Option<Fused<'_>>,
+    out: &mut Emitted,
 ) -> (f64, f64) {
     let r = features(j);
     for p in 0..2 {
@@ -809,8 +931,11 @@ pub(crate) fn finish_row<H: Hook>(
         }
     }
     let (hazard, reported) = survival_tail(net, sh, j, input);
-    let reported = hook.fuse(obs, &sh.frame[r], reported);
-    lifecycle_tail(&net.k, obs, sh, j, addr, minute, reported, events);
+    let reported = match hook {
+        Some(hook) => hook.fuse(obs, &sh.frame[r], reported),
+        None => reported,
+    };
+    lifecycle_tail(&net.k, obs, sh, j, addr, minute, reported, out);
     sh.last_minute[j] = Some(minute);
     (hazard, reported)
 }
@@ -819,7 +944,7 @@ pub(crate) fn finish_row<H: Hook>(
 /// row kernel for every timescale planned [`DENSE`], `finish_row`.
 /// `frame` is `None` for an imputed minute.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn row_minute<H: Hook>(
+pub(crate) fn row_minute(
     net: &Net<'_>,
     obs: &mut DetectorObs,
     sh: &mut Shard<'_>,
@@ -828,8 +953,8 @@ pub(crate) fn row_minute<H: Hook>(
     minute: u32,
     frame: Option<&[f64]>,
     row: &mut RowScratch,
-    hook: &mut H,
-    events: &mut Vec<DetectorEvent>,
+    hook: &mut Option<Fused<'_>>,
+    out: &mut Emitted,
 ) -> (f64, f64) {
     ingest(net, obs, sh, j, frame);
     let r = features(j);
@@ -843,32 +968,10 @@ pub(crate) fn row_minute<H: Hook>(
             sh.dual[t].step_one(net.layers[t], j, x, &mut row.step);
         }
     }
-    finish_row(net, obs, sh, j, addr, minute, &mut row.input, hook, events)
+    finish_row(net, obs, sh, j, addr, minute, &mut row.input, hook, out)
 }
 
-/// The row path end to end, as [`crate::online::OnlineDetector`]
-/// drives it: ordering, gap bridging, then `minute` itself.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn observe_row<H: Hook>(
-    net: &Net<'_>,
-    obs: &mut DetectorObs,
-    sh: &mut Shard<'_>,
-    j: usize,
-    addr: Ipv4,
-    minute: u32,
-    frame: Option<&[f64]>,
-    row: &mut RowScratch,
-    hook: &mut H,
-    events: &mut Vec<DetectorEvent>,
-) -> Result<(f64, f64), XatuError> {
-    check_order(obs, sh.last_minute[j], addr, minute)?;
-    catch_up(net, obs, sh, j, addr, minute, row, hook, events);
-    Ok(row_minute(
-        net, obs, sh, j, addr, minute, frame, row, hook, events,
-    ))
-}
-
-/// What every front-end owns besides its rows: the model, the serving
+/// What the detector owns besides its rows: the model, the serving
 /// configuration, the address interner and the telemetry.
 #[derive(Clone)]
 pub(crate) struct Common {
@@ -891,9 +994,8 @@ pub(crate) struct Common {
     pub addrs: Vec<Ipv4>,
     index: HashMap<Ipv4, u32>,
     pub obs: DetectorObs,
-    /// The dispatch level of the model's online kernels; see
-    /// [`Common::set_simd`].
-    simd: SimdLevel,
+    /// The dispatch level of the model's online kernels.
+    pub simd: SimdLevel,
 }
 
 impl Common {
@@ -925,18 +1027,6 @@ impl Common {
             obs: DetectorObs::default(),
             simd,
         }
-    }
-
-    /// The level the model's online kernels dispatch to.
-    pub(crate) fn simd(&self) -> SimdLevel {
-        self.simd
-    }
-
-    /// Sets that level, clamped to what the host supports. Results are
-    /// bit-identical at every level.
-    pub(crate) fn set_simd(&mut self, level: SimdLevel) {
-        self.simd = level.min(simd::supported());
-        self.model.set_simd(self.simd);
     }
 
     pub(crate) fn knobs(&self) -> Knobs {
@@ -971,28 +1061,6 @@ impl Common {
         self.index.insert(addr, i as u32);
         self.addrs.push(addr);
         (i, true)
-    }
-
-    /// The current rolling survival for a customer (1.0 if unseen).
-    pub(crate) fn survival_of(&self, ledger: &Ledger, addr: Ipv4) -> f64 {
-        self.id_of(addr).map_or(1.0, |i| ledger.last_survival[i])
-    }
-
-    /// Forces every open alert to end at `minute`, in registration order.
-    pub(crate) fn close_all(&mut self, ledger: &mut Ledger, minute: u32) -> Vec<DetectorEvent> {
-        let mut events = Vec::new();
-        for (slot, &customer) in ledger.active_since.iter_mut().zip(&self.addrs) {
-            if let Some(detected_at) = slot.take() {
-                self.obs.ended.inc();
-                events.push(DetectorEvent::Ended(Alert {
-                    customer,
-                    attack_type: self.attack_type,
-                    detected_at,
-                    mitigation_end: Some(minute),
-                }));
-            }
-        }
-        events
     }
 
     /// Snapshots configuration, model parameters and every customer's
@@ -1300,7 +1368,7 @@ mod tests {
         let periods = [c.short_len, c.medium_len, c.long_len];
         let mut inputs: [Vec<Vec<f64>>; TIMESCALES] = Default::default();
         let mut held = vec![0.0; NUM_FEATURES];
-        let (mut row, mut events) = (RowScratch::default(), Vec::new());
+        let (mut row, mut out) = (RowScratch::default(), Emitted::default());
         for m in 0..60u32 {
             let skipped = (30..33).contains(&m);
             let raw = (m % 7 != 3 && !skipped).then(|| frame(m));
@@ -1321,20 +1389,14 @@ mod tests {
                 continue;
             }
             let mut sh = Shard::new(&mut ledger, &mut numeric, c.window);
-            let addr = Ipv4(1);
-            observe_row(
-                &net,
-                &mut common.obs,
-                &mut sh,
-                0,
-                addr,
-                m,
-                raw.as_deref(),
-                &mut row,
-                &mut Solo,
-                &mut events,
-            )
-            .expect("in-order minute");
+            let (obs, addr) = (&mut common.obs, Ipv4(1));
+            catch_up(
+                &net, obs, &mut sh, 0, addr, m, &mut row, &mut None, &mut out,
+            );
+            let frame = raw.as_deref();
+            row_minute(
+                &net, obs, &mut sh, 0, addr, m, frame, &mut row, &mut None, &mut out,
+            );
 
             for t in 0..TIMESCALES {
                 let (n, p) = (inputs[t].len(), periods[t]);

@@ -164,6 +164,27 @@ impl AuxFeed {
     }
 }
 
+/// The `fill` that steps a head over one close's frames, `frames[g]`
+/// belonging to `customers[g]` (ascending): the frame of a present
+/// customer, a gap for an absent one, a skip for an address not in
+/// `customers`. Heads are looked up by address, not by position, so one
+/// that arrived with customers of its own still reads the right frame.
+pub(crate) fn fill_from<'a>(
+    customers: &'a [Ipv4],
+    frames: &'a [Option<FeatureFrame>],
+) -> impl Fn(usize, Ipv4, &mut [f64]) -> FleetInput + Sync + Copy + 'a {
+    move |_, addr, buf| match customers.binary_search(&addr) {
+        Err(_) => FleetInput::Skip,
+        Ok(g) => match &frames[g] {
+            Some(frame) => {
+                buf.copy_from_slice(&frame.0);
+                FleetInput::Frame
+            }
+            None => FleetInput::Gap,
+        },
+    }
+}
+
 /// What one closed minute produced.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MinuteClose {
@@ -439,19 +460,7 @@ impl Engine {
             frames[g] = Some(frame);
         }
 
-        // Heads are looked up by address, not by position, so one that
-        // arrived with customers of its own still reads the right frame.
-        let customers = &self.customers;
-        let fill = |_: usize, addr: Ipv4, buf: &mut [f64]| match customers.binary_search(&addr) {
-            Err(_) => FleetInput::Skip,
-            Ok(g) => match &frames[g] {
-                Some(frame) => {
-                    buf.copy_from_slice(&frame.0);
-                    FleetInput::Frame
-                }
-                None => FleetInput::Gap,
-            },
-        };
+        let fill = fill_from(&self.customers, &frames);
         let mut fleet_events = Vec::new();
         let mut first_err = None;
         for head in &mut self.heads {

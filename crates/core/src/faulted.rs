@@ -1,4 +1,4 @@
-//! Fault-injected streaming: drives the online detector against a
+//! Fault-injected streaming: drives a detector head against a
 //! [`FaultedWorld`] with graceful degradation and crash-safe
 //! checkpoint/resume.
 //!
@@ -9,9 +9,8 @@
 //! renegotiates sampling rates and takes the CDet alert feed down — and
 //! checks that the detector *degrades* instead of breaking:
 //!
-//! * Absent customer-minutes are driven through
-//!   [`OnlineDetector::observe_gap`] the minute they happen, so staleness
-//!   handling runs on wall-clock time.
+//! * Absent customer-minutes are driven as [`crate::fleet::FleetInput::Gap`] the minute
+//!   they happen, so staleness handling runs on wall-clock time.
 //! * While the CDet alert feed has been silent longer than
 //!   [`crate::engine::CDET_SILENCE_LIMIT`], extracted frames fall back to
 //!   their volumetric block — auxiliary trackers frozen by the dead feed
@@ -24,24 +23,28 @@
 //!   ignored; only the detector state is restored from disk.
 //!
 //! The driver is a source → [`Engine`] adaptor: a head-less engine closes
-//! each [`xatu_simnet::MinuteDelivery`], and the [`OnlineDetector`] (the one
-//! front-end a companion attaches to) reads its frames. To keep resume
-//! exact the engine's trackers are fed CDet events only — Xatu's own alerts
-//! are not auto-regressed (the clean pipeline's test phase does that): the
+//! each [`xatu_simnet::MinuteDelivery`], and one [`FleetDetector`] head,
+//! outside the engine so the fast-forward can leave it alone, steps over
+//! [`crate::engine::MinuteClose::frames`]. To keep resume exact the
+//! engine's trackers are fed CDet events only — Xatu's own alerts are not
+//! auto-regressed (the clean pipeline's test phase does that): the
 //! extractor's evolution must depend only on the seeded world and CDet,
 //! never on the detector being fast-forwarded past.
 
 use crate::checkpoint::{load_detector, save_detector};
 use crate::config::XatuConfig;
-use crate::engine::{AuxFeed, Engine};
+use crate::engine::{fill_from, AuxFeed, Engine};
 use crate::error::XatuError;
+use crate::fleet::FleetDetector;
+use crate::fusion::Companion;
 use crate::model::XatuModel;
-use crate::online::{Companion, OnlineDetector};
 use crate::pipeline::world_extractor;
 use std::path::Path;
 use xatu_detectors::alert::{Alert, AlertLog};
 use xatu_netflow::addr::Ipv4;
 use xatu_netflow::attack::AttackType;
+use xatu_nn::simd::SimdLevel;
+use xatu_par::resolve_threads;
 use xatu_simnet::{FaultSchedule, FaultedWorld, World, WorldConfig};
 
 /// Configuration of one fault-injected run.
@@ -211,8 +214,12 @@ pub fn run_faulted(
     let (mut det, resume_after) = match control {
         RunControl::ResumeFrom { path } => {
             let ck = load_detector(path)?;
-            let mut det = OnlineDetector::from_checkpoint(&ck)
+            let mut det = FleetDetector::from_checkpoint(&ck)
                 .map_err(|e| XatuError::corrupt(path, e.to_string()))?;
+            // The checkpoint does not carry the dispatch level.
+            if cfg.xatu.no_simd {
+                det.set_simd(SimdLevel::Scalar);
+            }
             if let Some(comp) = &cfg.companion {
                 // Companion state is not checkpointed: re-attach and let
                 // the rings re-warm over the resumed tail.
@@ -229,7 +236,7 @@ pub fn run_faulted(
             (det, Some(minute))
         }
         _ => {
-            let mut det = OnlineDetector::new(model.clone(), attack_type, threshold, &cfg.xatu);
+            let mut det = FleetDetector::new(model.clone(), attack_type, threshold, &cfg.xatu);
             det.set_warmup(2 * cfg.xatu.window as u32);
             if let Some(comp) = &cfg.companion {
                 det.set_companion(comp.clone());
@@ -238,6 +245,12 @@ pub fn run_faulted(
         }
     };
 
+    // Registration is idempotent: a restored head already holds every
+    // customer, in the same (address) order.
+    for &c in &customers {
+        det.add_customer(c);
+    }
+    let threads = resolve_threads(cfg.xatu.threads);
     let mut fw = FaultedWorld::new(world, cfg.schedule.clone());
     let first_minute = resume_after.map_or(0, |m| m + 1);
     let rows = (total_minutes - first_minute) as usize;
@@ -264,16 +277,10 @@ pub fn run_faulted(
         // fused score onto the companion; recovery starts the re-warm-up
         // ramp. Without one, this only records the flag.
         det.set_feed_degraded(closed.degraded);
-        // Absent customers go through explicit gap observation instead of
-        // fake empty frames.
-        for (&c, frame) in customers.iter().zip(&closed.frames) {
-            let (_, _, events) = match frame {
-                Some(frame) => det.observe(c, minute, &frame.0)?,
-                None => det.observe_gap(c, minute)?,
-            };
-            for ev in events {
-                alerts.apply(&ev);
-            }
+        // Absent customers are explicit gaps, not fake empty frames.
+        let fill = fill_from(&customers, &closed.frames);
+        for ev in det.step_minute_batch(minute, threads, fill)? {
+            alerts.apply(ev);
         }
         survivals.extend(customers.iter().map(|&c| det.survival_of(c)));
         minutes_recorded += 1;

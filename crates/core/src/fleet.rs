@@ -1,22 +1,27 @@
-//! Fleet-scale online detection: one detector instance serving 100k+
-//! customers, a whole minute at a time.
+//! The streaming detector for one attack type: every customer of a fleet,
+//! a whole minute at a time, or one customer-minute at a time.
 //!
-//! [`FleetDetector`] is the batch front-end of the detector core
-//! (`crate::detector`): the same rows, ladder, lifecycle and checkpoint
-//! as [`crate::online::OnlineDetector`], advanced for every registered
-//! customer per call instead of one customer per call.
+//! [`FleetDetector`] drives the detector core (`crate::detector`) — its
+//! rows, ladder, lifecycle and checkpoint — two ways:
 //!
-//! * **Kernels.** [`FleetDetector::step_minute_batch`] advances whole
-//!   blocks of customers through one LSTM step at a time via the block
-//!   kernel, which is pinned 0-ULP identical to the row kernel. Rare
-//!   ragged work (gap imputation) runs the row kernel on the same rows.
+//! * **Batch path.** [`FleetDetector::step_minute_batch`] advances every
+//!   registered customer through one minute: whole blocks of customers
+//!   through one LSTM step at a time via the block kernel, which is pinned
+//!   0-ULP identical to the row kernel. Rare ragged work (gap imputation)
+//!   runs the row kernel on the same rows.
+//! * **Row path.** [`FleetDetector::observe`] and
+//!   [`FleetDetector::observe_gap`] drive one customer through one minute
+//!   on the row kernel alone — the reference the tests hold the batch path
+//!   to, bit for bit.
 //! * **Sharding.** The id space is partitioned into contiguous blocks
 //!   ([`xatu_par::block_ranges_into`]), each worker gets disjoint mutable
-//!   views of every column, and events and telemetry are stitched back in
-//!   block order — so alerts, survivals and histogram bucket counts are
-//!   bit-identical for every thread count. (The one float a histogram
-//!   accumulates, its diagnostic `sum`, is reduced per worker and is the
-//!   only quantity outside that guarantee.)
+//!   views of every column, and events, survivals and telemetry are
+//!   stitched back in block order — so all three are bit-identical for
+//!   every thread count.
+//! * **Companion.** An optional unsupervised [`Companion`] is fused into
+//!   the reported survival before the alert lifecycle acts on it, on both
+//!   paths, weighted by the degradation ladder
+//!   [`FleetDetector::set_feed_degraded`] ticks.
 //!
 //! Per minute a worker runs three phases over its shard: **A** (per row)
 //! validates ordering, bridges gaps, takes the minute's input and plans
@@ -25,22 +30,47 @@
 //! lifecycle tails. Customers are fully independent, so the regrouping
 //! cannot change any value — only the (documented) event ordering within
 //! a minute.
+//!
+//! # Degraded input
+//!
+//! Real collectors drop minutes, deliver flows late, and occasionally emit
+//! garbage. The detector's contract under degradation:
+//!
+//! * **Out-of-order minutes are rejected**, never silently absorbed, with
+//!   [`XatuError::OutOfOrderMinute`], leaving the customer's state
+//!   untouched.
+//! * **Short gaps are imputed** by zero-order hold: each missing minute
+//!   replays the customer's last sanitized frame so LSTM clocks, pooling
+//!   buckets and the survival window stay aligned with wall time.
+//! * **Staleness widens uncertainty.** Every imputed minute grows a
+//!   per-customer stale run; the reported survival is blended toward 1.0
+//!   (no evidence of attack) as the run approaches the survival window, and
+//!   *new* alerts are suppressed once the input is fully stale. An open
+//!   alert can still end — a scrubbing centre must not hold traffic on
+//!   evidence that no longer exists.
+//! * **Long gaps cold-restart the customer**: beyond `3 × window` missing
+//!   minutes the imputation would be fiction, so the state is rebuilt from
+//!   scratch (ending any open alert) and warm-up runs again.
+//! * **Non-finite feature values are zeroed** on ingestion, before they
+//!   can poison the LSTM cell state; every replacement is counted.
 
 use crate::checkpoint::DetectorCheckpoint;
 use crate::config::XatuConfig;
+pub use crate::detector::DetectorObs;
 use crate::detector::{
-    catch_up, check_order, finish_row, ingest, push_row, restore, Common, Ledger, Net, Numeric,
-    RowScratch, Shard, Solo, DENSE, TIMESCALES,
+    catch_up, check_order, finish_row, ingest, push_row, restore, row_minute, Common, Emitted,
+    Ledger, Net, Numeric, RowScratch, Shard, DENSE, TIMESCALES,
 };
 use crate::error::XatuError;
+use crate::fusion::{Companion, Fused, Ring};
 use crate::model::XatuModel;
-use crate::online::DetectorObs;
+use xatu_detectors::alert::Alert;
 use xatu_detectors::traits::DetectorEvent;
-use xatu_features::frame::NUM_FEATURES;
+use xatu_features::frame::{NUM_FEATURES, VOLUMETRIC_WIDTH};
 use xatu_netflow::addr::Ipv4;
 use xatu_netflow::attack::AttackType;
-use xatu_nn::simd::SimdLevel;
-use xatu_nn::OnlineBlockWorkspace;
+use xatu_nn::simd::{self, SimdLevel};
+use xatu_nn::{AeWorkspace, FrameArena, OnlineBlockWorkspace};
 use xatu_par::{block_ranges_into, WorkerPool};
 
 /// Upper bound on concurrent shards per minute. Task slots live in a
@@ -55,7 +85,7 @@ pub enum FleetInput {
     /// The callback wrote a real feature frame into the buffer.
     Frame,
     /// The minute is known to be missing: impute it now (zero-order hold),
-    /// exactly like [`crate::online::OnlineDetector::observe_gap`].
+    /// exactly like [`FleetDetector::observe_gap`].
     Gap,
     /// The customer is not driven this minute at all; its clock does not
     /// advance, and the gap is bridged (imputed or cold-restarted) when it
@@ -64,16 +94,22 @@ pub enum FleetInput {
 }
 
 /// Per-worker reusable scratch. Steady-state batch steps through warm
-/// workers allocate nothing.
+/// workers allocate nothing. Worker 0 also serves the row path.
 struct Worker {
     frame: Vec<f64>,
     row: RowScratch,
     block: OnlineBlockWorkspace,
     runs: Vec<(u32, u32)>,
-    impute_events: Vec<DetectorEvent>,
-    life_events: Vec<DetectorEvent>,
+    /// What catch-up (imputed or cold-restarted) minutes emitted.
+    impute: Emitted,
+    /// What the current minute emitted.
+    life: Emitted,
     obs: DetectorObs,
     err: Option<XatuError>,
+    /// Companion scoring scratch: the autoencoder's workspace and the
+    /// window assembled from a ring.
+    ae_ws: AeWorkspace,
+    ae_window: FrameArena,
 }
 
 impl Worker {
@@ -83,12 +119,36 @@ impl Worker {
             row: RowScratch::default(),
             block: OnlineBlockWorkspace::default(),
             runs: Vec::new(),
-            impute_events: Vec::new(),
-            life_events: Vec::new(),
+            impute: Emitted::default(),
+            life: Emitted::default(),
             obs: DetectorObs::default(),
             err: None,
+            ae_ws: AeWorkspace::new(),
+            ae_window: FrameArena::new(VOLUMETRIC_WIDTH),
         }
     }
+}
+
+/// This minute's companion vote, if one is attached: the companion and
+/// the ladder's weight.
+type Vote<'a> = Option<(&'a Companion, f64)>;
+
+/// Row `j`'s fusion hook: the companion over that row's ring, or none.
+fn hook<'a>(
+    vote: Vote<'a>,
+    rings: &'a mut [Ring],
+    j: usize,
+    ws: &'a mut AeWorkspace,
+    scratch: &'a mut FrameArena,
+) -> Option<Fused<'a>> {
+    let (comp, ae_weight) = vote?;
+    Some(Fused {
+        comp,
+        ring: &mut rings[j],
+        ws,
+        scratch,
+        ae_weight,
+    })
 }
 
 /// Maximal contiguous runs of rows whose flag has `mask` set.
@@ -109,19 +169,28 @@ fn collect_runs(flags: &[u8], mask: u8, out: &mut Vec<(u32, u32)>) {
     }
 }
 
+/// One shard's share of a minute: its rows, their companion rings (empty
+/// without a companion) and the worker that runs them.
+struct Task<'a> {
+    sh: Shard<'a>,
+    rings: &'a mut [Ring],
+    w: &'a mut Worker,
+}
+
 /// One shard through one minute.
 fn run_shard<F>(
     net: &Net<'_>,
     addrs: &[Ipv4],
     minute: u32,
     fill: &F,
-    mut sh: Shard<'_>,
-    w: &mut Worker,
+    vote: Vote<'_>,
+    task: Task<'_>,
 ) where
     F: Fn(usize, Ipv4, &mut [f64]) -> FleetInput,
 {
-    w.impute_events.clear();
-    w.life_events.clear();
+    let Task { mut sh, rings, w } = task;
+    w.impute.clear();
+    w.life.clear();
     w.err = None;
     let len = sh.len();
 
@@ -147,8 +216,8 @@ fn run_shard<F>(
             addr,
             minute,
             &mut w.row,
-            &mut Solo,
-            &mut w.impute_events,
+            &mut hook(vote, rings, j, &mut w.ae_ws, &mut w.ae_window),
+            &mut w.impute,
         );
         ingest(net, &mut w.obs, &mut sh, j, frame);
     }
@@ -183,23 +252,43 @@ fn run_shard<F>(
                 addr,
                 minute,
                 &mut w.row.input,
-                &mut Solo,
-                &mut w.life_events,
+                &mut hook(vote, rings, j, &mut w.ae_ws, &mut w.ae_window),
+                &mut w.life,
             );
         }
     }
 }
 
-/// The fleet-scale streaming detector for one attack type.
+/// The streaming detector for one attack type.
 ///
-/// Behaviourally identical to [`crate::online::OnlineDetector`] — both
-/// drive the same rows through the same core, and the differential tests
-/// compare every survival bit and every lifecycle event — advancing the
-/// whole fleet through [`FleetDetector::step_minute_batch`].
+/// Customers are registered with [`FleetDetector::add_customer`] (or on
+/// their first [`FleetDetector::observe`]) and driven either a whole
+/// minute at a time ([`FleetDetector::step_minute_batch`]) or one
+/// customer-minute at a time; both paths drive the same rows through the
+/// same core, and the differential tests compare every survival bit and
+/// every lifecycle event.
+#[derive(Clone)]
 pub struct FleetDetector {
     common: Common,
     ledger: Ledger,
     numeric: Numeric,
+    scratch: Scratch,
+    /// Optional unsupervised companion; `None` leaves every observation
+    /// bit-identical to a companion-free detector.
+    companion: Option<Companion>,
+    /// One ring per customer, by dense id; kept only while a companion is
+    /// attached.
+    rings: Vec<Ring>,
+    /// Ladder state: is the CDet feed currently considered dark?
+    feed_degraded: bool,
+    /// Re-warm-up minutes left on the companion-weight ramp (counts down
+    /// after feed recovery).
+    rewarm_left: u32,
+}
+
+/// What a detector reuses from minute to minute but no customer owns.
+#[derive(Default)]
+struct Scratch {
     /// Per-worker scratch, one per shard of the widest minute so far.
     workers: Vec<Worker>,
     events: Vec<DetectorEvent>,
@@ -210,9 +299,15 @@ pub struct FleetDetector {
     ranges: Vec<(usize, usize)>,
 }
 
+impl Clone for Scratch {
+    /// A cloned detector grows scratch and a worker pool of its own.
+    fn clone(&self) -> Self {
+        Scratch::default()
+    }
+}
+
 impl FleetDetector {
-    /// Wraps a trained model with a calibrated threshold (mirrors
-    /// [`crate::online::OnlineDetector::new`]).
+    /// Wraps a trained model with a calibrated threshold.
     pub fn new(
         model: XatuModel,
         attack_type: AttackType,
@@ -235,16 +330,17 @@ impl FleetDetector {
             common,
             ledger,
             numeric,
-            workers: Vec::new(),
-            events: Vec::new(),
-            pool: None,
-            ranges: Vec::new(),
+            scratch: Scratch::default(),
+            companion: None,
+            rings: Vec::new(),
+            feed_degraded: false,
+            rewarm_left: 0,
         }
     }
 
     /// The level the kernels of this detector dispatch to.
     pub fn simd_level(&self) -> SimdLevel {
-        self.common.simd()
+        self.common.simd
     }
 
     /// Sets the dispatch level of the model's kernels, clamped to what the
@@ -257,17 +353,20 @@ impl FleetDetector {
     /// [`FleetDetector::from_checkpoint`], which by itself follows the
     /// environment.
     pub fn set_simd(&mut self, level: SimdLevel) {
-        self.common.set_simd(level);
+        self.common.simd = level.min(simd::supported());
+        self.common.model.set_simd(self.common.simd);
     }
 
     /// Interns `addr`, returning its dense customer id. Idempotent: an
     /// already-registered address returns its existing id. New customers
-    /// start in the cold state and go through warm-up, exactly like a
-    /// first [`crate::online::OnlineDetector::observe`].
+    /// start in the cold state and go through warm-up.
     pub fn add_customer(&mut self, addr: Ipv4) -> usize {
         let (i, new) = self.common.intern(addr);
         if new {
             push_row(&mut self.ledger, &mut self.numeric, self.common.window);
+            if let Some(comp) = &self.companion {
+                self.rings.push(Ring::new(comp.window));
+            }
         }
         i
     }
@@ -292,21 +391,17 @@ impl FleetDetector {
         self.common.id_of(addr)
     }
 
-    /// The detector's embedded telemetry. Histogram bucket counts and all
-    /// counters are bit-identical for every thread count; histogram `sum`
-    /// fields are reduced per worker and may differ in rounding.
+    /// The detector's embedded telemetry, identical for every thread
+    /// count, histogram sums included.
     pub fn obs(&self) -> &DetectorObs {
         &self.common.obs
     }
 
-    /// Zeroes the embedded telemetry.
+    /// Zeroes the embedded telemetry — used when a cloned detector starts a
+    /// fresh recording scope (the pipeline's test runs fork the phase-B
+    /// state and must not re-count its observations).
     pub fn reset_obs(&mut self) {
         self.common.obs = DetectorObs::default();
-    }
-
-    /// The calibrated threshold.
-    pub fn threshold(&self) -> f64 {
-        self.common.threshold
     }
 
     /// Updates the threshold (re-calibration between periods).
@@ -314,7 +409,8 @@ impl FleetDetector {
         self.common.threshold = threshold;
     }
 
-    /// Overrides the warm-up length.
+    /// Overrides the warm-up length (observations per customer before
+    /// alerts may fire).
     pub fn set_warmup(&mut self, warmup: u32) {
         self.common.warmup = warmup;
     }
@@ -331,21 +427,149 @@ impl FleetDetector {
 
     /// The current rolling survival for a customer (1.0 if unseen).
     pub fn survival_of(&self, addr: Ipv4) -> f64 {
-        self.common.survival_of(&self.ledger, addr)
+        let id = self.common.id_of(addr);
+        id.map_or(1.0, |i| self.ledger.last_survival[i])
     }
 
-    /// Measured total arena footprint in bytes (excludes the interner,
-    /// which adds roughly 16 bytes per customer, and per-worker scratch,
-    /// which is fleet-size-independent).
-    pub fn arena_bytes(&self) -> usize {
-        self.ledger.bytes()
-            + self.common.addrs.capacity() * std::mem::size_of::<Ipv4>()
-            + self.numeric.bytes()
-    }
-
-    /// Measured per-customer state budget in bytes.
+    /// Measured per-customer arena footprint in bytes (excludes the
+    /// interner, which adds roughly 16 bytes per customer, per-worker
+    /// scratch, which is fleet-size-independent, and companion rings).
     pub fn bytes_per_customer(&self) -> usize {
-        self.arena_bytes() / self.common.addrs.len().max(1)
+        let addrs = &self.common.addrs;
+        let bytes = self.ledger.bytes() + self.numeric.bytes();
+        (bytes + addrs.capacity() * std::mem::size_of::<Ipv4>()) / addrs.len().max(1)
+    }
+
+    /// Attaches the unsupervised companion. Every customer's companion ring
+    /// is (re)built empty, so scoring re-warms over the next `window`
+    /// minutes; the survival path itself is untouched until a ring fills.
+    ///
+    /// # Panics
+    /// Panics if the autoencoder's input width is not [`VOLUMETRIC_WIDTH`]
+    /// or the companion window is zero.
+    pub fn set_companion(&mut self, companion: Companion) {
+        assert_eq!(
+            companion.ae.input_dim(),
+            VOLUMETRIC_WIDTH,
+            "companion autoencoder must score the volumetric block"
+        );
+        assert!(companion.window >= 1, "companion window must be >= 1");
+        self.rings.clear();
+        self.rings
+            .resize_with(self.len(), || Ring::new(companion.window));
+        self.companion = Some(companion);
+    }
+
+    /// The attached companion, if any.
+    pub fn companion(&self) -> Option<&Companion> {
+        self.companion.as_ref()
+    }
+
+    /// Length of the re-warm-up ramp after feed recovery: one survival
+    /// window.
+    fn rewarm_len(&self) -> u32 {
+        (self.common.window as u32).max(1)
+    }
+
+    /// Once-per-minute ladder tick from the driving loop: `true` while the
+    /// CDet feed is dark. With a companion attached, going dark shifts the
+    /// fused score fully onto the companion ([`DetectorObs::fusion_engaged`]);
+    /// recovery starts a linear re-warm-up ramp back to the configured
+    /// combine ([`DetectorObs::fusion_recovered`]). Without a companion this
+    /// only records the flag, changing nothing else.
+    pub fn set_feed_degraded(&mut self, degraded: bool) {
+        if self.companion.is_none() {
+            self.feed_degraded = degraded;
+            return;
+        }
+        if degraded && !self.feed_degraded {
+            self.common.obs.fusion_engaged.inc();
+            self.rewarm_left = 0;
+        } else if !degraded && self.feed_degraded {
+            self.common.obs.fusion_recovered.inc();
+            self.rewarm_left = self.rewarm_len();
+        } else if !degraded && self.rewarm_left > 0 {
+            self.rewarm_left -= 1;
+        }
+        self.feed_degraded = degraded;
+    }
+
+    /// The current companion weight in `[0, 1]`: 1 while the feed is dark,
+    /// ramping linearly back to 0 over the re-warm-up after recovery.
+    /// Always 0 without a companion.
+    pub fn companion_weight(&self) -> f64 {
+        if self.companion.is_none() {
+            0.0
+        } else if self.feed_degraded {
+            1.0
+        } else {
+            (self.rewarm_left as f64 / self.rewarm_len() as f64).clamp(0.0, 1.0)
+        }
+    }
+
+    /// Feeds one minute's feature frame for `customer` on the row path,
+    /// registering the customer if new; returns the hazard, the (possibly
+    /// staleness-blended, possibly fused) rolling survival, and any
+    /// lifecycle events — including events from minutes imputed to bridge
+    /// a gap since the customer's previous observation.
+    ///
+    /// Fails on a wrong-width frame or a minute at or before the
+    /// customer's newest, leaving the customer state untouched in both
+    /// cases.
+    pub fn observe(
+        &mut self,
+        customer: Ipv4,
+        minute: u32,
+        frame: &[f64],
+    ) -> Result<(f64, f64, Vec<DetectorEvent>), XatuError> {
+        if frame.len() != NUM_FEATURES {
+            return Err(XatuError::DimensionMismatch {
+                expected: NUM_FEATURES,
+                found: frame.len(),
+            });
+        }
+        self.drive(customer, minute, Some(frame))
+    }
+
+    /// Drives `customer` through a minute known to be absent (collector
+    /// outage, per-customer gap) without waiting for the next real frame:
+    /// the minute is imputed immediately, so alert lifecycle decisions —
+    /// in particular ending an alert whose evidence has gone stale — happen
+    /// on time instead of retroactively.
+    pub fn observe_gap(
+        &mut self,
+        customer: Ipv4,
+        minute: u32,
+    ) -> Result<(f64, f64, Vec<DetectorEvent>), XatuError> {
+        self.drive(customer, minute, None)
+    }
+
+    /// One customer-minute through the core's row path — ordering, gap
+    /// bridging, then `minute` itself — on worker 0's scratch.
+    fn drive(
+        &mut self,
+        customer: Ipv4,
+        minute: u32,
+        frame: Option<&[f64]>,
+    ) -> Result<(f64, f64, Vec<DetectorEvent>), XatuError> {
+        let j = self.add_customer(customer);
+        let workers = &mut self.scratch.workers;
+        if workers.is_empty() {
+            workers.push(Worker::new());
+        }
+        let ae_weight = self.companion_weight();
+        let vote = self.companion.as_ref().map(|comp| (comp, ae_weight));
+        let net = Net::new(&self.common.model, self.common.knobs());
+        let sh = &mut Shard::new(&mut self.ledger, &mut self.numeric, net.k.window);
+        let (obs, w) = (&mut self.common.obs, &mut self.scratch.workers[0]);
+        check_order(obs, sh.last_minute[j], customer, minute)?;
+        let hook = &mut hook(vote, &mut self.rings, j, &mut w.ae_ws, &mut w.ae_window);
+        let (row, out) = (&mut w.row, &mut w.life);
+        out.clear();
+        catch_up(&net, obs, sh, j, customer, minute, row, hook, out);
+        let (h, s) = row_minute(&net, obs, sh, j, customer, minute, frame, row, hook, out);
+        out.record(obs);
+        Ok((h, s, std::mem::take(&mut out.events)))
     }
 
     /// Advances every registered customer to `minute` across `threads`
@@ -356,14 +580,15 @@ impl FleetDetector {
     /// [`NUM_FEATURES`]-wide buffer and return [`FleetInput::Frame`],
     /// declare the minute missing with [`FleetInput::Gap`], or leave the
     /// customer undriven with [`FleetInput::Skip`]. Per customer the
-    /// semantics are exactly [`crate::online::OnlineDetector::observe`] /
-    /// [`observe_gap`](crate::online::OnlineDetector::observe_gap),
-    /// including gap bridging since the customer's last driven minute.
+    /// semantics are exactly [`FleetDetector::observe`] /
+    /// [`FleetDetector::observe_gap`], including gap bridging since the
+    /// customer's last driven minute.
     ///
     /// Events are ordered: first all catch-up (imputation / cold-restart)
     /// events in customer-id order, then all current-minute lifecycle
     /// events in customer-id order — identical for every thread count,
-    /// since shard boundaries never reorder ids.
+    /// since shard boundaries never reorder ids. The survival histogram
+    /// observes in the same order.
     ///
     /// A customer whose clock would run backwards (`minute` at or before
     /// its newest driven minute) is left untouched and counted, the rest
@@ -378,82 +603,112 @@ impl FleetDetector {
     where
         F: Fn(usize, Ipv4, &mut [f64]) -> FleetInput + Sync,
     {
-        self.events.clear();
+        let ae_weight = self.companion_weight();
+        let vote = self.companion.as_ref().map(|comp| (comp, ae_weight));
+        let s = &mut self.scratch;
+        s.events.clear();
         let addrs = &self.common.addrs;
         if addrs.is_empty() {
-            return Ok(&self.events);
+            return Ok(&s.events);
         }
         let net = Net::new(&self.common.model, self.common.knobs());
         let threads = threads.clamp(1, addrs.len()).min(MAX_SHARDS);
-        while self.workers.len() < threads {
-            self.workers.push(Worker::new());
+        while s.workers.len() < threads {
+            s.workers.push(Worker::new());
         }
         let mut whole = Shard::new(&mut self.ledger, &mut self.numeric, net.k.window);
+        let mut rings = &mut self.rings[..];
         // The ranges live in reusable scratch, the shard views are carved
         // by borrow splitting, the task slots sit on the stack and the
         // worker threads are a persistent parked pool: zero allocations
         // per minute at any thread count once the pool has spun up.
         let active = if threads == 1 {
-            run_shard(&net, addrs, minute, &fill, whole, &mut self.workers[0]);
+            let (sh, w) = (whole, &mut s.workers[0]);
+            run_shard(&net, addrs, minute, &fill, vote, Task { sh, rings, w });
             1
         } else {
-            block_ranges_into(addrs.len(), threads, &mut self.ranges);
-            let parts = self.ranges.len();
-            let pool = self.pool.get_or_insert_with(WorkerPool::default);
+            block_ranges_into(addrs.len(), threads, &mut s.ranges);
+            let parts = s.ranges.len();
+            let pool = s.pool.get_or_insert_with(WorkerPool::default);
             pool.ensure_workers(parts - 1);
-            let mut slots: [Option<(Shard<'_>, &mut Worker)>; MAX_SHARDS] =
-                std::array::from_fn(|_| None);
-            let shards = self.ranges.iter().zip(&mut self.workers).zip(&mut slots);
+            let mut slots: [Option<Task<'_>>; MAX_SHARDS] = std::array::from_fn(|_| None);
+            let shards = s.ranges.iter().zip(&mut s.workers).zip(&mut slots);
             for ((&(s, e), w), slot) in shards {
-                *slot = Some((whole.take_front(e - s), w));
+                let n = if vote.is_some() { e - s } else { 0 };
+                let (head, tail) = std::mem::take(&mut rings).split_at_mut(n);
+                rings = tail;
+                *slot = Some(Task {
+                    sh: whole.take_front(e - s),
+                    rings: head,
+                    w,
+                });
             }
             pool.run_tasks(&mut slots[..parts], &|slot| {
-                if let Some((sh, w)) = slot.take() {
-                    run_shard(&net, addrs, minute, &fill, sh, w);
+                if let Some(task) = slot.take() {
+                    run_shard(&net, addrs, minute, &fill, vote, task);
                 }
             });
             parts
         };
 
-        // Catch-up events, then lifecycle events, then telemetry and the
+        // Catch-up rows, then this minute's rows, then telemetry and the
         // first ordering violation — all in block order.
-        let workers = &mut self.workers[..active];
+        let obs = &mut self.common.obs;
+        let workers = &mut s.workers[..active];
         for w in workers.iter() {
-            self.events.extend_from_slice(&w.impute_events);
+            s.events.extend_from_slice(&w.impute.events);
+            w.impute.record(obs);
         }
         for w in workers.iter() {
-            self.events.extend_from_slice(&w.life_events);
+            s.events.extend_from_slice(&w.life.events);
+            w.life.record(obs);
         }
         let mut first_err = None;
         for w in workers {
-            self.common.obs.merge_from(&w.obs);
+            obs.merge_from(&w.obs);
             w.obs.reset();
             if first_err.is_none() {
                 first_err = w.err.take();
             }
         }
-        first_err.map_or(Ok(&self.events), Err)
+        first_err.map_or(Ok(&s.events), Err)
     }
 
     /// Forces any open alerts to end at `minute` (end of evaluation), in
     /// customer-id order.
     pub fn close_all(&mut self, minute: u32) -> Vec<DetectorEvent> {
-        self.common.close_all(&mut self.ledger, minute)
+        let mut events = Vec::new();
+        for (slot, &customer) in self.ledger.active_since.iter_mut().zip(&self.common.addrs) {
+            if let Some(detected_at) = slot.take() {
+                self.common.obs.ended.inc();
+                events.push(DetectorEvent::Ended(Alert {
+                    customer,
+                    attack_type: self.common.attack_type,
+                    detected_at,
+                    mitigation_end: Some(minute),
+                }));
+            }
+        }
+        events
     }
 
-    /// Snapshots the fleet into the *same* checkpoint format as
-    /// [`crate::online::OnlineDetector::to_checkpoint`] (customers sorted
-    /// by address), so the XCK1 container, the resume driver, and either
-    /// front-end can load it interchangeably.
+    /// Snapshots the full detector — configuration, model parameters, and
+    /// every customer's streaming state, customers sorted by address — into
+    /// the XCK1 detector record. Telemetry is deliberately excluded:
+    /// counters restart at zero on resume and cover the resumed segment
+    /// only. Companion state is not checkpointed either: a companion is
+    /// re-attached after restore via [`FleetDetector::set_companion`],
+    /// which re-warms the rings.
     pub fn to_checkpoint(&mut self) -> DetectorCheckpoint {
         self.common.checkpoint(&self.ledger, &self.numeric)
     }
 
-    /// Rebuilds a fleet from a checkpoint — including one written by
-    /// [`crate::online::OnlineDetector::to_checkpoint`]. Dense ids are
-    /// assigned in checkpoint (address) order. The kernels dispatch as the
-    /// environment says; see [`FleetDetector::set_simd`] to resume under a
-    /// configuration.
+    /// Rebuilds a detector from a checkpoint, validating every invariant
+    /// the streaming logic depends on; it resumes bit-identically to the
+    /// detector that was snapshotted. Dense ids are assigned in checkpoint
+    /// (address) order. The kernels dispatch as the environment says; see
+    /// [`FleetDetector::set_simd`] to resume under a configuration.
+    /// Validation failures surface as [`XatuError::InvalidCheckpoint`].
     pub fn from_checkpoint(ck: &DetectorCheckpoint) -> Result<Self, XatuError> {
         let (common, ledger, numeric) = restore(ck)?;
         Ok(Self::assemble(common, ledger, numeric))
@@ -463,7 +718,6 @@ impl FleetDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::online::OnlineDetector;
     use std::ops::Range;
     use xatu_simnet::faults::{FaultKind, FaultSchedule, BUILTIN_SCHEDULES};
 
@@ -558,15 +812,15 @@ mod tests {
 
     #[derive(Clone, Copy, Debug, PartialEq)]
     enum Kind {
-        /// `OnlineDetector`: the scalar row path, one customer per call.
-        Facade,
-        /// Exact fleet at this many threads: the block path.
+        /// `observe`: the row path, one customer per call.
+        Row,
+        /// `step_minute_batch` at this many threads: the block path.
         Exact(usize),
     }
 
-    /// The two front-ends behind one driving interface.
+    /// The two paths behind one driving interface.
     enum Front {
-        Online(OnlineDetector),
+        Row(FleetDetector),
         Fleet(FleetDetector, usize),
     }
 
@@ -575,7 +829,7 @@ mod tests {
             let c = cfg();
             let model = XatuModel::new(&c);
             match kind {
-                Kind::Facade => Front::Online(OnlineDetector::new(
+                Kind::Row => Front::Row(FleetDetector::new(
                     model,
                     AttackType::UdpFlood,
                     THRESHOLD,
@@ -593,9 +847,7 @@ mod tests {
 
         fn load(kind: Kind, ck: &DetectorCheckpoint) -> Self {
             match kind {
-                Kind::Facade => {
-                    Front::Online(OnlineDetector::from_checkpoint(ck).expect("façade restore"))
-                }
+                Kind::Row => Front::Row(FleetDetector::from_checkpoint(ck).expect("row restore")),
                 Kind::Exact(threads) => Front::Fleet(
                     FleetDetector::from_checkpoint(ck).expect("fleet restore"),
                     threads,
@@ -605,7 +857,7 @@ mod tests {
 
         fn minute(&mut self, m: u32, schedule: Schedule<'_>) -> Vec<DetectorEvent> {
             match self {
-                Front::Online(det) => {
+                Front::Row(det) => {
                     let mut events = Vec::new();
                     let mut buf = vec![0.0; NUM_FEATURES];
                     for c in 0..N_CUST {
@@ -636,21 +888,21 @@ mod tests {
 
         fn survival_of(&self, a: Ipv4) -> f64 {
             match self {
-                Front::Online(det) => det.survival_of(a),
+                Front::Row(det) => det.survival_of(a),
                 Front::Fleet(det, _) => det.survival_of(a),
             }
         }
 
         fn checkpoint(&mut self) -> DetectorCheckpoint {
             match self {
-                Front::Online(det) => det.to_checkpoint(),
+                Front::Row(det) => det.to_checkpoint(),
                 Front::Fleet(det, _) => det.to_checkpoint(),
             }
         }
 
         fn obs(&self) -> &DetectorObs {
             match self {
-                Front::Online(det) => det.obs(),
+                Front::Row(det) => det.obs(),
                 Front::Fleet(det, _) => det.obs(),
             }
         }
@@ -676,9 +928,9 @@ mod tests {
         t
     }
 
-    /// Events keyed per customer: every front-end preserves each customer's
-    /// event order; only the cross-customer interleaving within a minute
-    /// differs between the façade and a fleet (documented on
+    /// Events keyed per customer: both paths preserve each customer's event
+    /// order; only the cross-customer interleaving within a minute differs
+    /// between the row path and a batch (documented on
     /// `step_minute_batch`).
     fn by_customer(events: &[DetectorEvent]) -> Vec<Vec<DetectorEvent>> {
         let mut out = vec![Vec::new(); N_CUST];
@@ -708,10 +960,10 @@ mod tests {
     }
 
     /// The differential harness: every built-in fault schedule plus the
-    /// degradation schedule through the façade (row path) and the exact
-    /// fleet at 1/2/4 threads (block path), asserting the documented
-    /// relation between every pair, then a kill at mid-run and a resume of
-    /// every front-end from every other's checkpoint.
+    /// degradation schedule through the row path and the batch path at
+    /// 1/2/4 threads (block kernel), asserting the documented relation
+    /// between every pair, then a kill at mid-run and a resume of each path
+    /// from the other's checkpoint.
     #[test]
     fn front_ends_agree_on_every_schedule() {
         let builtin: Vec<_> = BUILTIN_SCHEDULES
@@ -727,13 +979,13 @@ mod tests {
 
         for (name, total, schedule) in rows {
             let kill = total / 2 + 3;
-            let kinds = [Kind::Facade, Kind::Exact(2)];
+            let kinds = [Kind::Row, Kind::Exact(2)];
             let mut fronts = kinds.map(Front::new);
             let head = fronts.each_mut().map(|f| run(f, 0..kill, schedule));
-            let [facade, exact] = &head;
+            let [row, exact] = &head;
 
-            // Façade ≡ exact, bitwise — scores, events, telemetry, state.
-            assert_bitwise(&format!("{name}: façade vs exact"), facade, exact);
+            // Row ≡ batch, bitwise — scores, events, telemetry, state.
+            assert_bitwise(&format!("{name}: row vs exact"), row, exact);
             assert!(
                 !exact.events.is_empty() || name != "degradation",
                 "no alert exercised"
@@ -759,10 +1011,7 @@ mod tests {
                 assert_eq!(a.gap_runs.counts(), b.gap_runs.counts(), "{name}");
             }
             let cks = fronts.each_mut().map(Front::checkpoint);
-            assert_eq!(
-                cks[0], cks[1],
-                "{name}: façade and exact checkpoints differ"
-            );
+            assert_eq!(cks[0], cks[1], "{name}: row and exact checkpoints differ");
 
             // Exact fleet: the whole event stream is thread-invariant.
             for threads in [1, 4] {
@@ -778,7 +1027,7 @@ mod tests {
                 );
             }
 
-            // Kill, and resume every front-end from every other's file.
+            // Kill, and resume each path from each path's file.
             let tail = fronts.each_mut().map(|f| run(f, kill..total, schedule));
             for (s, source) in kinds.iter().enumerate() {
                 for target in kinds {
@@ -790,15 +1039,14 @@ mod tests {
         }
     }
 
-    /// Every way a customer record can be corrupt, against both loaders:
-    /// each is rejected, with the same message.
+    /// Every way a customer record can be corrupt, against the one loader:
+    /// each is rejected with a message that names it.
     #[test]
     fn both_front_ends_reject_corrupt_checkpoints_identically() {
         let mut fleet = Front::new(Kind::Exact(2));
         run(&mut fleet, 0..50, &degradation);
         let good = fleet.checkpoint();
         assert!(FleetDetector::from_checkpoint(&good).is_ok());
-        assert!(OnlineDetector::from_checkpoint(&good).is_ok());
 
         type Corrupt = fn(&mut DetectorCheckpoint);
         let table: [(&str, Corrupt, &str); 20] = [
@@ -919,14 +1167,11 @@ mod tests {
         for (what, corrupt, needle) in table {
             let mut bad = good.clone();
             corrupt(&mut bad);
-            let text = |e: Result<(), XatuError>| e.expect_err(what).to_string();
-            let from_fleet = text(FleetDetector::from_checkpoint(&bad).map(drop));
-            let from_online = text(OnlineDetector::from_checkpoint(&bad).map(drop));
-            assert_eq!(from_fleet, from_online, "{what}: the loaders disagree");
-            assert!(
-                from_fleet.contains(needle),
-                "{what}: unexpected error {from_fleet:?}"
-            );
+            let err = FleetDetector::from_checkpoint(&bad)
+                .map(drop)
+                .expect_err(what)
+                .to_string();
+            assert!(err.contains(needle), "{what}: unexpected error {err:?}");
         }
     }
 
@@ -949,8 +1194,11 @@ mod tests {
             );
         }
         if xatu_obs::enabled() {
-            assert_eq!(t1.1.obs().survival.counts(), t4.1.obs().survival.counts());
-            assert_eq!(t1.1.obs().raised.get(), t4.1.obs().raised.get());
+            let (a, b) = (t1.1.obs(), t4.1.obs());
+            assert_eq!(a.survival.counts(), b.survival.counts());
+            assert_eq!(a.survival.sum().to_bits(), b.survival.sum().to_bits());
+            assert_eq!(a.gap_runs.sum().to_bits(), b.gap_runs.sum().to_bits());
+            assert_eq!(a.raised.get(), b.raised.get());
         }
     }
 

@@ -10,6 +10,97 @@
 //! fused score toward the autoencoder while the CDet feed is down — the
 //! companion needs no labels, so it keeps its full signal exactly when the
 //! survival model loses its auxiliary features.
+//!
+//! A [`Companion`] attaches to a [`crate::fleet::FleetDetector`]; on every
+//! driven row, on the row and the batch path alike, the detector core
+//! calls the companion's hook (`Fused`) between the survival tail and the
+//! alert lifecycle.
+
+use crate::detector::DetectorObs;
+use xatu_features::frame::VOLUMETRIC_WIDTH;
+use xatu_nn::{AeWorkspace, FrameArena, LstmAutoencoder};
+
+/// The unsupervised reconstruction companion attached to a detector.
+///
+/// A trained [`LstmAutoencoder`] over the volumetric feature block (width
+/// [`VOLUMETRIC_WIDTH`]) plus its benign-error calibration; [`fuse`]
+/// combines its score with the survival score. The companion never sees
+/// auxiliary features, so its score is unaffected when the CDet feed drops
+/// — the degradation ladder shifts weight onto it instead of falling back
+/// to volumetric-only thresholds.
+#[derive(Clone, Debug)]
+pub struct Companion {
+    /// The trained autoencoder (`input_dim` must be [`VOLUMETRIC_WIDTH`]).
+    pub ae: LstmAutoencoder,
+    /// Benign-quantile reconstruction-error normalizer.
+    pub norm: ErrorNormalizer,
+    /// Window length (minutes) the autoencoder scores over.
+    pub window: usize,
+}
+
+/// One customer's companion window: the last `window` volumetric slices
+/// of the stream its LSTMs saw, real and imputed minutes alike.
+#[derive(Clone)]
+pub(crate) struct Ring {
+    /// `window × VOLUMETRIC_WIDTH`, flat.
+    buf: Vec<f64>,
+    /// Next write slot (frame index, not scalar offset).
+    head: usize,
+    /// Frames written so far, saturating at the companion window.
+    filled: usize,
+}
+
+impl Ring {
+    pub(crate) fn new(window: usize) -> Self {
+        Ring {
+            buf: vec![0.0; window * VOLUMETRIC_WIDTH],
+            head: 0,
+            filled: 0,
+        }
+    }
+}
+
+/// The fusion hook for one row: the trained companion, that customer's
+/// ring and the driving worker's scoring scratch.
+pub(crate) struct Fused<'a> {
+    pub comp: &'a Companion,
+    pub ring: &'a mut Ring,
+    pub ws: &'a mut AeWorkspace,
+    pub scratch: &'a mut FrameArena,
+    /// Degradation shift for this minute (1 = score purely from the
+    /// companion, 0 = the min of the two scores).
+    pub ae_weight: f64,
+}
+
+impl Fused<'_> {
+    /// Sees the frame the LSTMs just consumed: pushes its volumetric slice
+    /// and, once the ring holds a full window, blends the reported survival
+    /// with the autoencoder's reconstruction score into the survival the
+    /// lifecycle acts on. Until then (cold start, post-restore re-warm) the
+    /// solo score passes through untouched.
+    pub(crate) fn fuse(&mut self, obs: &mut DetectorObs, frame: &[f64], reported: f64) -> f64 {
+        let (w, ring) = (self.comp.window, &mut *self.ring);
+        let slot = |t: usize| t * VOLUMETRIC_WIDTH..(t + 1) * VOLUMETRIC_WIDTH;
+        ring.buf[slot(ring.head)].copy_from_slice(&frame[..VOLUMETRIC_WIDTH]);
+        ring.head = (ring.head + 1) % w;
+        ring.filled = (ring.filled + 1).min(w);
+        if ring.filled < w {
+            return reported;
+        }
+        self.scratch.reset(VOLUMETRIC_WIDTH);
+        for i in 0..w {
+            self.scratch.push(&ring.buf[slot((ring.head + i) % w)]);
+        }
+        let err = self.comp.ae.reconstruction_error(self.scratch, self.ws);
+        obs.fusion_ae_minutes.inc();
+        fuse(reported, self.comp.norm.score(err), self.ae_weight)
+    }
+
+    /// The row was cold-restarted: the window starts over.
+    pub(crate) fn cold_restart(&mut self) {
+        *self.ring = Ring::new(self.comp.window);
+    }
+}
 
 /// Maps raw reconstruction error to an anomaly score in `[0, 1]` using
 /// benign-error quantiles: the benign median scores 0, the benign upper
@@ -70,8 +161,8 @@ impl ErrorNormalizer {
 /// and the autoencoder's pseudo-survival `1 − ae_score`.
 ///
 /// `ae_weight` in `[0, 1]` is the degradation shift: 0 uses that minimum,
-/// 1 scores purely from the autoencoder. The online detector ramps it
-/// while the CDet feed is down and back during re-warm-up after recovery.
+/// 1 scores purely from the autoencoder. The detector ramps it while the
+/// CDet feed is down and back during re-warm-up after recovery.
 pub fn fuse(survival: f64, ae_score: f64, ae_weight: f64) -> f64 {
     let survival = survival.clamp(0.0, 1.0);
     let ae_score = ae_score.clamp(0.0, 1.0);

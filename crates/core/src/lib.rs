@@ -1,5 +1,5 @@
 //! Xatu's core: the multi-timescale LSTM survival model, its trainer, the
-//! online auto-regressive detector, and the end-to-end pipeline.
+//! streaming auto-regressive detector, and the end-to-end pipeline.
 //!
 //! Module map (mirrors Fig 5 of the paper):
 //!
@@ -20,11 +20,17 @@
 //!   streaming state as flat arena rows (three dual LSTM states, pooling
 //!   buckets, rolling survival, alert lifecycle), all `f64`, stepped by
 //!   the model's own `Lstm`, with one definition each of the degradation
-//!   ladder, the alert lifecycle and the checkpoint encoder/validator.
-//! * [`online`] — the per-address front-end of that core: one customer
-//!   per call, thresholded alerts, the optional companion fusion, and
-//!   auto-regressive tracker feedback (§5.3: during testing Xatu's own
-//!   detections feed A2/A4/A5).
+//!   ladder, the alert lifecycle, the telemetry and the checkpoint
+//!   encoder/validator.
+//! * [`fleet`] — [`FleetDetector`], the one streaming detector over that
+//!   core: every customer of a minute per call through cross-customer
+//!   batched LSTM kernels and thread-invariant sharding, or one
+//!   customer-minute per call on the row kernel (the batch path's
+//!   reference), with thresholded alerts and the optional companion
+//!   fusion. The pipeline, the engine, the scenario matrix and the fault
+//!   runs all serve through it.
+//! * [`online`] — the detector's former name, an alias of
+//!   [`FleetDetector`] kept for the benchmark harness.
 //! * [`engine`] — the one definition of a minute close: NetFlow v5 bytes
 //!   (or already-binned flows) → CDet alert feed → tracker upkeep → frames
 //!   → per-type fleet heads → alerts. [`engine::AuxFeed`] owns every write,
@@ -34,7 +40,9 @@
 //!   one of the two.
 //! * [`pipeline`] — the full experiment: simulate → detect (CDet) → extract
 //!   features → train per-type models → calibrate thresholds on validation
-//!   → evaluate all systems on the test period. Offline, so it drives
+//!   → evaluate all systems on the test period, one [`FleetDetector`] head
+//!   per trained type, with Xatu's own detections auto-regressed into the
+//!   A2/A4/A5 trackers during testing (§5.3). Offline, so it drives
 //!   [`engine::AuxFeed`]s phase by phase rather than an [`Engine`]. Its
 //!   [`pipeline::world_extractor`] loads a simulated world's blocklist
 //!   feed and routes into the extractor every world-streaming driver uses.
@@ -44,19 +52,15 @@
 //!   input, corrupt checkpoints and I/O failures look like to callers.
 //! * [`checkpoint`] — crash-safe checkpoint files (atomic write-then-
 //!   rename, checksummed, versioned): one trainer record for both trainers,
-//!   told apart by its identity block, and the online detector's.
+//!   told apart by its identity block, and the detector's.
 //! * [`faulted`] — the fault-injected streaming driver: a head-less
-//!   [`Engine`] over a [`xatu_simnet::FaultedWorld`] feeding the online
-//!   detector, with graceful degradation and optional mid-run
-//!   checkpoint/kill/resume.
-//! * [`fleet`] — the batch front-end of the same core: every customer
-//!   per call through cross-customer batched LSTM kernels and
-//!   thread-invariant sharding, 100k+ customers per box, bit-identical
-//!   to the online detector.
+//!   [`Engine`] over a [`xatu_simnet::FaultedWorld`] feeding one detector
+//!   head, with graceful degradation, the optional companion and optional
+//!   mid-run checkpoint/kill/resume.
 //! * [`scenarios`] — the adversarial scenario matrix: an [`Engine`] with
-//!   one head streams composed multi-vector / pulse-wave / low-and-slow /
-//!   carpet-bomb scenarios; both volumetric CDets, the booster and the
-//!   fleet detector are scored on detection rate, median delay and
+//!   one head per trained model streams composed multi-vector /
+//!   pulse-wave / low-and-slow / carpet-bomb scenarios; both volumetric
+//!   CDets and the booster are scored on detection rate, median delay and
 //!   overhead.
 //! * [`ae_trainer`] — benign-window training for the unsupervised
 //!   reconstruction companion (LSTM autoencoder over volumetric frames):

@@ -494,7 +494,7 @@ fn acc(dst: &mut [f64], src: &[f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::online::OnlineDetector;
+    use crate::fleet::FleetDetector;
     use crate::sample::SampleMeta;
     use xatu_netflow::addr::Ipv4;
     use xatu_netflow::attack::AttackType;
@@ -670,7 +670,7 @@ mod tests {
         let mut trace = ForwardTrace::default();
         model.forward_wide(&sample, &mut trace);
 
-        let mut det = OnlineDetector::new(model, AttackType::UdpFlood, 0.5, &c);
+        let mut det = FleetDetector::new(model, AttackType::UdpFlood, 0.5, &c);
         let addr = Ipv4(1);
         for (m, f) in ctx.iter().enumerate() {
             det.observe(addr, m as u32, f).expect("in-order minute");

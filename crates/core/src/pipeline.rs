@@ -28,8 +28,8 @@ use crate::eval::{
     alerts_from_score_series, build_ground_truth, evaluate_system, intervals_of, GtEvent,
     SystemAlerts, SystemEval, VolumeStore,
 };
+use crate::fleet::{FleetDetector, FleetInput};
 use crate::model::XatuModel;
-use crate::online::OnlineDetector;
 use crate::trainer::train_with_obs;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -40,6 +40,7 @@ use xatu_detectors::netscout::NetScout;
 use xatu_detectors::rf::{RandomForest, RfConfig};
 use xatu_detectors::traits::{Detector, DetectorEvent};
 use xatu_features::blocklist::BlocklistCategory;
+use xatu_features::frame::FeatureFrame;
 use xatu_features::pooled_history::{PooledHistory, Timescales};
 use xatu_features::table1::FeatureExtractor;
 use xatu_metrics::percentile::Summary;
@@ -221,7 +222,8 @@ struct Checkpoint {
     world: World,
     /// The CDet-fed auxiliary feed: extractor plus open CDet alerts.
     aux: AuxFeed,
-    detectors: Vec<OnlineDetector>,
+    /// One head per trained type, every customer registered in world order.
+    detectors: Vec<FleetDetector>,
     rf_histories: HashMap<Ipv4, PooledHistory>,
 }
 
@@ -417,11 +419,15 @@ impl Pipeline {
         let phase_b_start = Instant::now();
         let mut world_b = World::new(cfg.world);
         let mut aux_b = build_aux(&world_b, &cfg);
-        let mut detectors: Vec<OnlineDetector> = models
+        let customers = world_b.customers().to_vec();
+        let mut detectors: Vec<FleetDetector> = models
             .iter()
             .map(|(ty, m)| {
-                let mut d = OnlineDetector::new(m.clone(), *ty, 0.0, &cfg.xatu);
+                let mut d = FleetDetector::new(m.clone(), *ty, 0.0, &cfg.xatu);
                 d.set_warmup(u32::MAX); // alerts disabled until the test run
+                for &c in &customers {
+                    d.add_customer(c);
+                }
                 d
             })
             .collect();
@@ -439,21 +445,18 @@ impl Pipeline {
             }
             let frames = aux_b.extract(threads, &bins);
             obs.add("features.frames_phase_b", frames.len() as u64);
-            for (bin, frame) in bins.iter().zip(frames) {
-                for det in detectors.iter_mut() {
-                    // The pipeline drives every customer strictly minute by
-                    // minute with full-width frames, so observe can only
-                    // fail on a pipeline bug — surface it loudly.
-                    let (_, survival, _) = det
-                        .observe(bin.customer, minute, &frame.0)
-                        .expect("pipeline feeds monotone minutes");
-                    if minute >= split.train_end {
+            for det in detectors.iter_mut() {
+                step_head(det, minute, threads, &frames);
+                if minute >= split.train_end {
+                    for &c in &customers {
                         val_scores_xatu
-                            .entry((bin.customer, det.attack_type()))
+                            .entry((c, det.attack_type()))
                             .or_default()
-                            .push(survival as f32);
+                            .push(det.survival_of(c) as f32);
                     }
                 }
+            }
+            for (bin, frame) in bins.iter().zip(frames) {
                 if cfg.with_rf {
                     let h = rf_histories
                         .entry(bin.customer)
@@ -806,6 +809,7 @@ impl Prepared {
         let mut test_scores_rf: HashMap<(Ipv4, AttackType), Vec<f32>> = HashMap::new();
         let mut rf_feats: Vec<f64> = Vec::new();
         let threads = resolve_threads(cfg.xatu.threads);
+        let customers = world.customers().to_vec();
 
         while !world.finished() {
             let bins = world.step();
@@ -846,7 +850,7 @@ impl Prepared {
             };
             let frames_xatu = aux_xatu.extract(threads, &bins);
             let mut frames_cdet = frames_cdet.into_iter();
-            for (bin, frame_xatu) in bins.iter().zip(frames_xatu) {
+            for (bin, frame_xatu) in bins.iter().zip(&frames_xatu) {
                 // --- CDet-fed side: RF baseline. ---
                 if cfg.with_rf {
                     let frame_cdet = frames_cdet.next().expect("one CDet frame per bin");
@@ -865,7 +869,7 @@ impl Prepared {
                     }
                 }
 
-                // --- Xatu-fed side: auto-regressive detection. ---
+                // --- Xatu-fed side: frame divergence. ---
                 if cfg.verbose && cfg.with_rf {
                     // Frame-divergence diagnostic during ground-truth
                     // attacks (only when the CDet-fed frame exists).
@@ -890,20 +894,19 @@ impl Prepared {
                         );
                     }
                 }
-                for det in detectors.iter_mut() {
-                    // Monotone minutes and full-width frames by
-                    // construction, as in phase B.
-                    let (_, survival, events) = det
-                        .observe(bin.customer, minute, &frame_xatu.0)
-                        .expect("pipeline feeds monotone minutes");
+            }
+            // --- Xatu-fed side: auto-regressive detection, one head per
+            // type; its alerts feed the Xatu-fed trackers. ---
+            for det in detectors.iter_mut() {
+                for ev in step_head(det, minute, threads, &frames_xatu) {
+                    aux_xatu.on_event(ev, minute, &self.volumes);
+                    xatu_alert_list.apply(ev);
+                }
+                for &c in &customers {
                     test_scores_xatu
-                        .entry((bin.customer, det.attack_type()))
+                        .entry((c, det.attack_type()))
                         .or_default()
-                        .push(survival as f32);
-                    for ev in events {
-                        aux_xatu.on_event(&ev, minute, &self.volumes);
-                        xatu_alert_list.apply(&ev);
-                    }
+                        .push(det.survival_of(c) as f32);
                 }
             }
             aux_cdet.expire(minute);
@@ -1187,6 +1190,24 @@ fn build_aux(world: &World, cfg: &PipelineConfig) -> AuxFeed {
         }
     }
     AuxFeed::new(ex)
+}
+
+/// Steps one head through `minute` on the frames [`AuxFeed::extract`]
+/// returned for [`World::step`]'s bins: bin `i` is customer `i`, the order
+/// the heads registered the world's customers in.
+fn step_head<'a>(
+    head: &'a mut FleetDetector,
+    minute: u32,
+    threads: usize,
+    frames: &[FeatureFrame],
+) -> &'a [DetectorEvent] {
+    head.step_minute_batch(minute, threads, |i, _, buf| {
+        buf.copy_from_slice(&frames[i].0);
+        FleetInput::Frame
+    })
+    // Every customer is driven every minute with a full-width frame, so a
+    // rejected minute can only be a pipeline bug.
+    .expect("pipeline feeds monotone minutes")
 }
 
 /// CUSUM onset for an alert from the stored volumes.

@@ -10,10 +10,10 @@
 //! * **FastNetMon-style CDet** — the second volumetric detector, with a
 //!   different sustain requirement (the matrix shows which shapes evade
 //!   one but not the other).
-//! * **Xatu booster** — one [`OnlineDetector`] per trained per-type model,
-//!   fed the shared feature frames (volumetric + auxiliary signals).
-//! * **Fleet booster** — a [`FleetDetector`] over the first trained model,
-//!   fed the same frames through the batched path.
+//! * **Xatu booster** — one [`FleetDetector`] head per trained per-type
+//!   model, stepped by the engine on the shared feature frames
+//!   (volumetric + auxiliary signals).
+//! * **Fleet booster** — the first head's alerts, scored a second time.
 //!
 //! Each detector is scored against the scenario's ground-truth spans:
 //! detection rate, median detection delay (with the evaluation module's
@@ -28,7 +28,6 @@ use crate::error::XatuError;
 use crate::eval::EARLY_CREDIT;
 use crate::fleet::FleetDetector;
 use crate::model::XatuModel;
-use crate::online::OnlineDetector;
 use crate::pipeline::world_extractor;
 use xatu_detectors::alert::{Alert, AlertLog};
 use xatu_detectors::fastnetmon::FastNetMon;
@@ -80,8 +79,9 @@ pub struct ScenarioReport {
     /// Customers, in world order — the column order of `survivals`.
     pub customers: Vec<Ipv4>,
     /// Per-minute recorded survivals, row-major: for each minute, the
-    /// first-model booster's survival per customer, then the fleet
-    /// detector's. Bit-comparable across thread counts.
+    /// first head's survival per customer for the booster column, then
+    /// again for the fleet booster column. Bit-comparable across thread
+    /// counts.
     pub survivals: Vec<f64>,
 }
 
@@ -152,12 +152,12 @@ fn score_alerts(
 
 /// Runs one scenario family through every detection path.
 ///
-/// `models` are the trained per-type survival models (the first one also
-/// drives the fleet detector); the boosters serve at `cfg.threshold`.
+/// `models` are the trained per-type survival models; the boosters serve
+/// at `cfg.threshold`.
 ///
 /// The run is a source → [`Engine`] adaptor: the engine closes each minute
-/// of the composed world with the fleet row as its one head, the boosters
-/// read the engine's frames, and FastNetMon rides beside on its volumes.
+/// of the composed world with one head per model, and FastNetMon rides
+/// beside on its volumes.
 pub fn run_scenario(
     models: &[(AttackType, XatuModel)],
     cfg: &ScenarioRunConfig,
@@ -169,20 +169,20 @@ pub fn run_scenario(
     let spans = composed.spans;
     let total_minutes = world.total_minutes();
 
-    let fleet = FleetDetector::new(models[0].1.clone(), models[0].0, cfg.threshold, &cfg.xatu);
+    let boosters = models
+        .iter()
+        .map(|(ty, m)| FleetDetector::new(m.clone(), *ty, cfg.threshold, &cfg.xatu))
+        .collect();
     let mut engine = Engine::new(
         world.customers(),
         AuxFeed::new(world_extractor(&world, &cfg.xatu)),
-        vec![fleet],
+        boosters,
         cfg.xatu.threads,
     );
     let customers = engine.customers().to_vec();
     let present = vec![true; customers.len()];
     let mut fnm = FastNetMon::new();
-    let mut boosters: Vec<OnlineDetector> = models
-        .iter()
-        .map(|(ty, m)| OnlineDetector::new(m.clone(), *ty, cfg.threshold, &cfg.xatu))
-        .collect();
+    let first = models[0].0;
     // NetScout (the engine's CDet), FastNetMon, booster, fleet booster.
     let mut logs: [AlertLog; 4] = Default::default();
     let mut survivals: Vec<f64> = Vec::with_capacity(total_minutes as usize * customers.len() * 2);
@@ -193,34 +193,29 @@ pub fn run_scenario(
         for ev in &closed.cdet_events {
             logs[0].apply(ev);
         }
-        for (&c, frame) in customers.iter().zip(&closed.frames) {
+        for &c in &customers {
             for obs in engine.volumes().channels(c, minute) {
                 for ev in fnm.observe(&obs) {
                     logs[1].apply(&ev);
                 }
             }
-            let frame = frame.as_ref().expect("every customer is present");
-            for det in boosters.iter_mut() {
-                let (_, _, events) = det.observe(c, minute, &frame.0)?;
-                for ev in events {
-                    logs[2].apply(&ev);
-                }
+        }
+        for (ty, ev) in &closed.fleet_events {
+            logs[2].apply(ev);
+            if *ty == first {
+                logs[3].apply(ev);
             }
         }
-        for (_, ev) in &closed.fleet_events {
-            logs[3].apply(ev);
-        }
-        survivals.extend(customers.iter().map(|&c| boosters[0].survival_of(c)));
-        survivals.extend(customers.iter().map(|&c| engine.heads()[0].survival_of(c)));
+        let head = &engine.heads()[0];
+        survivals.extend(customers.iter().map(|&c| head.survival_of(c)));
+        survivals.extend(customers.iter().map(|&c| head.survival_of(c)));
     }
 
-    for det in boosters.iter_mut() {
-        for ev in det.close_all(total_minutes) {
-            logs[2].apply(&ev);
+    for (ty, ev) in engine.close_all(total_minutes) {
+        logs[2].apply(&ev);
+        if ty == first {
+            logs[3].apply(&ev);
         }
-    }
-    for (_, ev) in engine.close_all(total_minutes) {
-        logs[3].apply(&ev);
     }
 
     let alerts: Vec<Vec<Alert>> = logs.into_iter().map(|log| log.0).collect();
@@ -288,9 +283,7 @@ mod tests {
         assert_eq!(r1.scores.len(), 4);
     }
 
-    /// On the frames `run_scenario` feeds them, the first-model booster
-    /// (an `OnlineDetector`: the row path) and the fleet booster (a
-    /// `FleetDetector` on the same model: the block path) are one
+    /// The first-model booster and the fleet booster columns are one
     /// detector — equal alert logs, bit-equal survivals every minute.
     #[test]
     fn booster_and_fleet_agree_bitwise_on_every_family() {

@@ -16,14 +16,13 @@
 //!   can't creep in silently.
 //! * **Serving is allocation-free on every front-end**: a warm fleet
 //!   minute at 1 and 4 threads, and a warm
-//!   `OnlineDetector` observation, perform zero heap allocations.
+//!   `FleetDetector` observation, perform zero heap allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use xatu_core::config::XatuConfig;
 use xatu_core::fleet::{FleetDetector, FleetInput};
 use xatu_core::model::{ForwardTrace, ModelWorkspace, XatuModel};
-use xatu_core::online::OnlineDetector;
 use xatu_core::sample::{Sample, SampleMeta, WideSample};
 use xatu_features::frame::{NUM_FEATURES, VOLUMETRIC_WIDTH};
 use xatu_netflow::addr::Ipv4;
@@ -237,12 +236,12 @@ fn hot_path_allocation_budget() {
         fb3 - fb2
     );
 
-    // --- OnlineDetector: a warm customer's minute with no lifecycle
+    // --- FleetDetector::observe: a warm customer's minute with no lifecycle
     // event allocates nothing — the returned empty `Vec<DetectorEvent>`
     // does not touch the heap, and a completed pooling bucket is averaged
     // in place. Real and imputed minutes both, over full medium/long
     // pooling cycles.
-    let mut online = OnlineDetector::new(
+    let mut online = FleetDetector::new(
         XatuModel::new(&fleet_cfg),
         AttackType::UdpFlood,
         0.0,
@@ -252,7 +251,7 @@ fn hot_path_allocation_budget() {
     let mut online_frame = vec![0.0; NUM_FEATURES];
     online_frame[0] = 0.02;
     online_frame[1] = 0.1;
-    let drive = |online: &mut OnlineDetector, m: u32| {
+    let drive = |online: &mut FleetDetector, m: u32| {
         let (_, _, events) = if m % 7 == 3 {
             online.observe_gap(customer, m).unwrap()
         } else {
@@ -271,7 +270,7 @@ fn hot_path_allocation_budget() {
     assert_eq!(
         o1 - o0,
         0,
-        "warm OnlineDetector minutes allocated {} times ({} bytes)",
+        "warm FleetDetector::observe minutes allocated {} times ({} bytes)",
         o1 - o0,
         ob1 - ob0
     );

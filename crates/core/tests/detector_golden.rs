@@ -1,7 +1,7 @@
 //! Golden digests of the three detector front-ends.
 //!
 //! Every row streams a fixed input through one front-end —
-//! [`OnlineDetector`], the exact fleet, the
+//! [`FleetDetector::observe`], the exact fleet, the
 //! [`run_faulted`] driver, solo and with a companion attached, or the
 //! [`run_scenario`] matrix — and folds what the front-end emits into two
 //! FNV-1a digests ([`Golden`]):
@@ -28,9 +28,8 @@ use xatu_core::checkpoint::{attack_type_tag, load_detector, save_detector};
 use xatu_core::config::XatuConfig;
 use xatu_core::faulted::{run_faulted, FaultReport, FaultedRunConfig, RunControl};
 use xatu_core::fleet::{FleetDetector, FleetInput};
-use xatu_core::fusion::ErrorNormalizer;
+use xatu_core::fusion::{Companion, ErrorNormalizer};
 use xatu_core::model::XatuModel;
-use xatu_core::online::{Companion, OnlineDetector};
 use xatu_core::scenarios::{run_scenario, ScenarioRunConfig};
 use xatu_detectors::alert::Alert;
 use xatu_detectors::traits::DetectorEvent;
@@ -222,7 +221,7 @@ fn builtin_gaps(plan: &FaultSchedule) -> impl Fn(usize, u32) -> FleetInput + Syn
     }
 }
 
-/// `OnlineDetector` through `schedule`, one customer at a time, killed at
+/// `FleetDetector::observe` through `schedule`, one customer at a time, killed at
 /// `kill_at` (checkpoint → file → fresh detector) and resumed.
 fn online_digest(
     n: usize,
@@ -233,7 +232,7 @@ fn online_digest(
     tag: &str,
 ) -> Golden {
     let c = cfg();
-    let mut det = OnlineDetector::new(XatuModel::new(&c), AttackType::UdpFlood, THRESHOLD, &c);
+    let mut det = FleetDetector::new(XatuModel::new(&c), AttackType::UdpFlood, THRESHOLD, &c);
     let mut d = Digest::new();
     let mut buf = vec![0.0; NUM_FEATURES];
     for m in 0..minutes {
@@ -241,7 +240,7 @@ fn online_digest(
             let path = scratch_file(tag);
             save_detector(&path, &det.to_checkpoint()).expect("save");
             d.bytes(&std::fs::read(&path).expect("read back"));
-            det = OnlineDetector::from_checkpoint(&load_detector(&path).expect("load"))
+            det = FleetDetector::from_checkpoint(&load_detector(&path).expect("load"))
                 .expect("restore");
             let _ = std::fs::remove_file(&path);
         }
@@ -264,7 +263,7 @@ fn online_digest(
         }
     }
     // `close_all` order is not part of the golden (it was map order in
-    // the pre-collapse `OnlineDetector`); the set of events is.
+    // the pre-collapse per-address detector); the set of events is.
     let mut closed = det.close_all(minutes);
     closed.sort_by_key(|e| match e {
         DetectorEvent::Raised(a) | DetectorEvent::Ended(a) => a.customer.0,
@@ -492,7 +491,7 @@ const fn g(events: u64, full: u64) -> Golden {
 
 const ONLINE_DEGRADATION: Golden = g(0x78e8_6242_81a8_8856, 0xb524_6c2c_9f98_3a05);
 const EXACT_DEGRADATION: Golden = g(0x89b9_51d9_56ad_bf52, 0x15ae_47bf_28d7_6cd8);
-/// Per built-in schedule: `OnlineDetector`, exact fleet. Only
+/// Per built-in schedule: `FleetDetector::observe`, exact fleet. Only
 /// outage and gap windows reach these front-ends directly, so schedules
 /// without them share the clean row.
 const BUILTIN_GAPS: [[Golden; 2]; 8] = [

@@ -17,9 +17,9 @@
 
 use xatu::core::config::XatuConfig;
 use xatu::core::faulted::{run_faulted, FaultReport, FaultedRunConfig, RunControl};
-use xatu::core::fusion::ErrorNormalizer;
+use xatu::core::fleet::FleetDetector;
+use xatu::core::fusion::{Companion, ErrorNormalizer};
 use xatu::core::model::XatuModel;
-use xatu::core::online::{Companion, OnlineDetector};
 use xatu::core::XatuError;
 use xatu::features::frame::{NUM_FEATURES, VOLUMETRIC_WIDTH};
 use xatu::netflow::addr::Ipv4;
@@ -247,7 +247,7 @@ proptest! {
             hidden: 4,
             ..XatuConfig::smoke_test()
         };
-        let mut det = OnlineDetector::new(
+        let mut det = FleetDetector::new(
             XatuModel::new(&cfg),
             AttackType::TcpSyn,
             0.5,
