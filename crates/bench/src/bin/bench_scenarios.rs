@@ -3,8 +3,8 @@
 //! Trains the smoke-scale pipeline once, then replays every composed
 //! scenario family — multi-vector, pulse-wave, low-and-slow, carpet-bomb —
 //! through the full detector matrix: the NetScout-style and
-//! FastNetMon-style volumetric CDets, the Xatu survival booster, and the
-//! fleet-scale booster. For each (family, detector) cell it reports
+//! FastNetMon-style volumetric CDets and the Xatu survival booster. For
+//! each (family, detector) cell it reports
 //! detection rate, median detection delay and overhead alert-minutes, as
 //! `BENCH_scenarios.json`.
 //!
@@ -38,7 +38,7 @@ fn json_delay(v: f64) -> String {
     }
 }
 
-/// Does the survival booster (either serving path) strictly beat both
+/// Does the survival booster strictly beat both
 /// volumetric detectors on this family? More spans detected wins; on a
 /// tie, detecting the same spans strictly earlier (lower median) wins.
 fn booster_beats_volumetric(report: &ScenarioReport) -> bool {
@@ -54,8 +54,8 @@ fn booster_beats_volumetric(report: &ScenarioReport) -> bool {
     };
     let vol_det = det("netscout").max(det("fastnetmon"));
     let vol_delay = delay("netscout").min(delay("fastnetmon"));
-    let boost_det = det("xatu_booster").max(det("xatu_fleet"));
-    let boost_delay = delay("xatu_booster").min(delay("xatu_fleet"));
+    let boost_det = det("xatu_booster");
+    let boost_delay = delay("xatu_booster");
     boost_det > vol_det || (boost_det == vol_det && boost_det > 0 && boost_delay < vol_delay)
 }
 

@@ -13,7 +13,6 @@
 //! * **Xatu booster** — one [`FleetDetector`] head per trained per-type
 //!   model, stepped by the engine on the shared feature frames
 //!   (volumetric + auxiliary signals).
-//! * **Fleet booster** — the first head's alerts, scored a second time.
 //!
 //! Each detector is scored against the scenario's ground-truth spans:
 //! detection rate, median detection delay (with the evaluation module's
@@ -71,7 +70,7 @@ pub struct ScenarioReport {
     /// Ground-truth spans the detectors were scored against.
     pub spans: Vec<ScenarioSpan>,
     /// Per-detector scores, in matrix order (NetScout, FastNetMon,
-    /// booster, fleet booster).
+    /// booster).
     pub scores: Vec<DetectorScore>,
     /// The alert log each score was computed from, in the order of
     /// `scores`.
@@ -79,8 +78,7 @@ pub struct ScenarioReport {
     /// Customers, in world order — the column order of `survivals`.
     pub customers: Vec<Ipv4>,
     /// Per-minute recorded survivals, row-major: for each minute, the
-    /// first head's survival per customer for the booster column, then
-    /// again for the fleet booster column. Bit-comparable across thread
+    /// first head's survival per customer. Bit-comparable across thread
     /// counts.
     pub survivals: Vec<f64>,
 }
@@ -182,10 +180,9 @@ pub fn run_scenario(
     let customers = engine.customers().to_vec();
     let present = vec![true; customers.len()];
     let mut fnm = FastNetMon::new();
-    let first = models[0].0;
-    // NetScout (the engine's CDet), FastNetMon, booster, fleet booster.
-    let mut logs: [AlertLog; 4] = Default::default();
-    let mut survivals: Vec<f64> = Vec::with_capacity(total_minutes as usize * customers.len() * 2);
+    // NetScout (the engine's CDet), FastNetMon, booster.
+    let mut logs: [AlertLog; 3] = Default::default();
+    let mut survivals: Vec<f64> = Vec::with_capacity(total_minutes as usize * customers.len());
 
     while !world.finished() {
         let minute = world.minute();
@@ -200,26 +197,18 @@ pub fn run_scenario(
                 }
             }
         }
-        for (ty, ev) in &closed.fleet_events {
+        for (_, ev) in &closed.fleet_events {
             logs[2].apply(ev);
-            if *ty == first {
-                logs[3].apply(ev);
-            }
         }
         let head = &engine.heads()[0];
         survivals.extend(customers.iter().map(|&c| head.survival_of(c)));
-        survivals.extend(customers.iter().map(|&c| head.survival_of(c)));
     }
-
-    for (ty, ev) in engine.close_all(total_minutes) {
+    for (_, ev) in engine.close_all(total_minutes) {
         logs[2].apply(&ev);
-        if ty == first {
-            logs[3].apply(&ev);
-        }
     }
 
     let alerts: Vec<Vec<Alert>> = logs.into_iter().map(|log| log.0).collect();
-    let scores = ["netscout", "fastnetmon", "xatu_booster", "xatu_fleet"]
+    let scores = ["netscout", "fastnetmon", "xatu_booster"]
         .into_iter()
         .zip(&alerts)
         .map(|(name, log)| score_alerts(name, log, &spans, total_minutes))
@@ -280,34 +269,7 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits(), "survival {i} diverged");
         }
         assert_eq!(r1.spans, r4.spans);
-        assert_eq!(r1.scores.len(), 4);
-    }
-
-    /// The first-model booster and the fleet booster columns are one
-    /// detector — equal alert logs, bit-equal survivals every minute.
-    #[test]
-    fn booster_and_fleet_agree_bitwise_on_every_family() {
-        let mut cfg = smoke_cfg(9);
-        cfg.xatu.threads = 1;
-        // Near the untrained model's resting survival, so alerts raise and
-        // end on every family (~800 per log).
-        cfg.threshold = 0.9;
-        let models = vec![(AttackType::UdpFlood, XatuModel::new(&cfg.xatu))];
-        let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
-        for family in ScenarioFamily::ALL {
-            let r = run_scenario(&models, &cfg, family).expect("run");
-            assert!(
-                !r.alerts[2].is_empty(),
-                "{}: no alert raised",
-                family.name()
-            );
-            assert_eq!(r.alerts[2], r.alerts[3], "{}: alert logs", family.name());
-            let n = r.customers.len();
-            for (m, minute) in r.survivals.chunks(2 * n).enumerate() {
-                let (booster, fleet) = minute.split_at(n);
-                assert_eq!(bits(booster), bits(fleet), "{}: minute {m}", family.name());
-            }
-        }
+        assert_eq!(r1.scores.len(), 3);
     }
 
     #[test]
