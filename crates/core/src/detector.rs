@@ -120,14 +120,11 @@ impl Default for DetectorObs {
 }
 
 impl DetectorObs {
-    /// Adds another recorder's counts into this one. The fleet detector's
-    /// workers each record into their own `DetectorObs` and fold into the
-    /// detector's aggregate in shard order after every batch. Counter adds
-    /// and bucket-wise histogram merges are order-independent, and so is
-    /// the `gap_runs` sum (whole minutes, exact in `f64`); survivals, whose
-    /// sum is not, never reach a worker's recorder (the core buffers them
-    /// in `Emitted`, and the stitch observes them in id order). The
-    /// aggregate is therefore identical for every thread count.
+    /// Adds another recorder's counts into this one: a fleet worker's, in
+    /// shard order after every batch. Counters, bucket counts and the
+    /// whole-minute `gap_runs` sum add exactly in any order; survivals,
+    /// whose sum would not, are buffered in `Emitted` and observed in id
+    /// order instead, so the aggregate is identical for every thread count.
     pub fn merge_from(&mut self, other: &DetectorObs) {
         self.raised.add(other.raised.get());
         self.ended.add(other.ended.get());
@@ -313,7 +310,7 @@ fn features(j: usize) -> Range<usize> {
 
 /// Carves the next `n * per` elements off the front of `*rest` without
 /// allocating.
-fn take_rows<'a, T>(rest: &mut &'a mut [T], n: usize, per: usize) -> &'a mut [T] {
+pub(crate) fn take_rows<'a, T>(rest: &mut &'a mut [T], n: usize, per: usize) -> &'a mut [T] {
     let (head, tail) = std::mem::take(rest).split_at_mut(n * per);
     *rest = tail;
     head

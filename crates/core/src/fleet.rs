@@ -23,13 +23,11 @@
 //!   paths, weighted by the degradation ladder
 //!   [`FleetDetector::set_feed_degraded`] ticks.
 //!
-//! Per minute a worker runs three phases over its shard: **A** (per row)
-//! validates ordering, bridges gaps, takes the minute's input and plans
-//! which timescales step; **B** (batched) advances the dual states over
-//! contiguous runs of planned rows; **C** (per row) runs the survival and
-//! lifecycle tails. Customers are fully independent, so the regrouping
-//! cannot change any value — only the (documented) event ordering within
-//! a minute.
+//! Per minute a worker runs three phases over its shard: **A** per row
+//! (ordering, gap bridging, input, plan), **B** batched (dual-state steps
+//! over runs of planned rows), **C** per row (survival and lifecycle
+//! tails). Customers are independent, so the regrouping changes no value,
+//! only the documented event order within a minute.
 //!
 //! # Degraded input
 //!
@@ -58,8 +56,8 @@ use crate::checkpoint::DetectorCheckpoint;
 use crate::config::XatuConfig;
 pub use crate::detector::DetectorObs;
 use crate::detector::{
-    catch_up, check_order, finish_row, ingest, push_row, restore, row_minute, Common, Emitted,
-    Ledger, Net, Numeric, RowScratch, Shard, DENSE, TIMESCALES,
+    catch_up, check_order, finish_row, ingest, push_row, restore, row_minute, take_rows, Common,
+    Emitted, Ledger, Net, Numeric, RowScratch, Shard, DENSE, TIMESCALES,
 };
 use crate::error::XatuError;
 use crate::fusion::{Companion, Fused, Ring};
@@ -106,8 +104,7 @@ struct Worker {
     life: Emitted,
     obs: DetectorObs,
     err: Option<XatuError>,
-    /// Companion scoring scratch: the autoencoder's workspace and the
-    /// window assembled from a ring.
+    /// Companion scoring scratch: the autoencoder's workspace and window.
     ae_ws: AeWorkspace,
     ae_window: FrameArena,
 }
@@ -465,8 +462,7 @@ impl FleetDetector {
         self.companion.as_ref()
     }
 
-    /// Length of the re-warm-up ramp after feed recovery: one survival
-    /// window.
+    /// The re-warm-up ramp's length after feed recovery: one window.
     fn rewarm_len(&self) -> u32 {
         (self.common.window as u32).max(1)
     }
@@ -478,20 +474,19 @@ impl FleetDetector {
     /// combine ([`DetectorObs::fusion_recovered`]). Without a companion this
     /// only records the flag, changing nothing else.
     pub fn set_feed_degraded(&mut self, degraded: bool) {
+        let was = std::mem::replace(&mut self.feed_degraded, degraded);
         if self.companion.is_none() {
-            self.feed_degraded = degraded;
             return;
         }
-        if degraded && !self.feed_degraded {
+        if degraded && !was {
             self.common.obs.fusion_engaged.inc();
             self.rewarm_left = 0;
-        } else if !degraded && self.feed_degraded {
+        } else if !degraded && was {
             self.common.obs.fusion_recovered.inc();
             self.rewarm_left = self.rewarm_len();
         } else if !degraded && self.rewarm_left > 0 {
             self.rewarm_left -= 1;
         }
-        self.feed_degraded = degraded;
     }
 
     /// The current companion weight in `[0, 1]`: 1 while the feed is dark,
@@ -635,11 +630,9 @@ impl FleetDetector {
             let shards = s.ranges.iter().zip(&mut s.workers).zip(&mut slots);
             for ((&(s, e), w), slot) in shards {
                 let n = if vote.is_some() { e - s } else { 0 };
-                let (head, tail) = std::mem::take(&mut rings).split_at_mut(n);
-                rings = tail;
                 *slot = Some(Task {
                     sh: whole.take_front(e - s),
-                    rings: head,
+                    rings: take_rows(&mut rings, n, 1),
                     w,
                 });
             }
