@@ -1,7 +1,7 @@
 //! The streaming detector's former name, kept while the benchmark harness
 //! still uses it: the detector is [`crate::fleet::FleetDetector`]. The
-//! row-path tests below keep the names the suite has always listed them
-//! under.
+//! tests below are its single-customer tests, on the row path (`observe`,
+//! `observe_gap`) and, for the companion, against the batch path too.
 
 /// The streaming detector under its former name.
 pub type OnlineDetector = crate::fleet::FleetDetector;
