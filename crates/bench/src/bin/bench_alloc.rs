@@ -23,6 +23,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+use xatu_bench::json::Value;
 use xatu_core::config::XatuConfig;
 use xatu_core::model::{ForwardTrace, ModelWorkspace, XatuModel};
 use xatu_core::sample::{Sample, SampleMeta, WideSample};
@@ -173,17 +174,25 @@ fn main() {
     let bytes_per_epoch = (b1 - b0) as f64 / epochs as f64;
     let wall_per_epoch = wall / epochs as f64;
 
-    let json = format!(
-        "{{\n  \"label\": \"{label}\",\n  \"geometry\": \"273 features, hidden 24, window 30, ctx 90/108/240\",\n  \
-         \"samples\": {n_samples},\n  \"epochs\": {epochs},\n  \
-         \"steady_state_fwd_bwd_allocations\": {ss_allocs},\n  \
-         \"steady_state_fwd_bwd_bytes\": {ss_bytes},\n  \
-         \"allocations_per_epoch\": {allocs_per_epoch:.0},\n  \
-         \"bytes_per_epoch\": {bytes_per_epoch:.0},\n  \
-         \"wall_seconds_per_epoch\": {wall_per_epoch:.4},\n  \
-         \"final_mean_loss\": {:.6}\n}}\n",
-        stats.last().map_or(f64::NAN, |s| s.mean_loss)
-    );
+    let json = Value::Obj(vec![
+        ("label", Value::str(&label)),
+        (
+            "geometry",
+            Value::str("273 features, hidden 24, window 30, ctx 90/108/240"),
+        ),
+        ("samples", Value::num(n_samples)),
+        ("epochs", Value::num(epochs)),
+        ("steady_state_fwd_bwd_allocations", Value::num(ss_allocs)),
+        ("steady_state_fwd_bwd_bytes", Value::num(ss_bytes)),
+        ("allocations_per_epoch", Value::fixed(allocs_per_epoch, 0)),
+        ("bytes_per_epoch", Value::fixed(bytes_per_epoch, 0)),
+        ("wall_seconds_per_epoch", Value::fixed(wall_per_epoch, 4)),
+        (
+            "final_mean_loss",
+            Value::fixed(stats.last().map_or(f64::NAN, |s| s.mean_loss), 6),
+        ),
+    ])
+    .render();
     let path = format!("BENCH_alloc_{label}.json");
     std::fs::write(&path, &json).expect("write bench json");
     println!("{json}");

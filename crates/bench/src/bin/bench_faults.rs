@@ -35,6 +35,7 @@
 //! contract: on `cdet_dropout`, the fused detector must strictly improve
 //! coverage or delay over the volumetric-only fallback.
 
+use xatu_bench::json::Value;
 use xatu_core::ae_trainer::{
     new_autoencoder, reconstruction_errors, train_autoencoder, volumetric_windows_from_samples,
     AeTrainConfig,
@@ -215,7 +216,7 @@ fn main() {
         BUILTIN_SCHEDULES.to_vec()
     };
 
-    let mut rows = String::new();
+    let mut rows = Vec::new();
     let mut clean_delay = f64::NAN;
     let mut dropout_gate: Option<(Coverage, Coverage)> = None;
     for name in &schedules {
@@ -239,34 +240,28 @@ fn main() {
         let delta = cov.mean_delay - clean_delay;
         let c = &solo.counts;
         let fc = &fused.counts;
-        if !rows.is_empty() {
-            rows.push_str(",\n");
-        }
-        rows.push_str(&format!(
-            "    {{\"schedule\": \"{name}\", \"detected\": {}, \"gt_events\": {}, \
-             \"mean_delay_min\": {:.2}, \"delay_delta_vs_clean\": {:.2}, \
-             \"alerts\": {}, \"detected_fused\": {}, \"mean_delay_fused_min\": {:.2}, \
-             \"alerts_fused\": {}, \"fusion_engaged\": {}, \"fusion_recovered\": {}, \
-             \"fusion_ae_minutes\": {}, \"bins_suppressed\": {}, \"gaps_imputed\": {}, \
-             \"cold_restarts\": {}, \"cdet_down_minutes\": {}, \
-             \"degraded_feature_minutes\": {}}}",
-            cov.detected,
-            cov.total,
-            cov.mean_delay,
-            delta,
-            solo.alerts.len(),
-            fcov.detected,
-            fcov.mean_delay,
-            fused.alerts.len(),
-            fc.fusion_engaged,
-            fc.fusion_recovered,
-            fc.fusion_ae_minutes,
-            c.bins_suppressed,
-            c.gaps_imputed,
-            c.cold_restarts,
-            c.cdet_down_minutes,
-            c.degraded_feature_minutes,
-        ));
+        rows.push(Value::Row(vec![
+            ("schedule", Value::str(*name)),
+            ("detected", Value::num(cov.detected)),
+            ("gt_events", Value::num(cov.total)),
+            ("mean_delay_min", Value::fixed(cov.mean_delay, 2)),
+            ("delay_delta_vs_clean", Value::fixed(delta, 2)),
+            ("alerts", Value::num(solo.alerts.len())),
+            ("detected_fused", Value::num(fcov.detected)),
+            ("mean_delay_fused_min", Value::fixed(fcov.mean_delay, 2)),
+            ("alerts_fused", Value::num(fused.alerts.len())),
+            ("fusion_engaged", Value::num(fc.fusion_engaged)),
+            ("fusion_recovered", Value::num(fc.fusion_recovered)),
+            ("fusion_ae_minutes", Value::num(fc.fusion_ae_minutes)),
+            ("bins_suppressed", Value::num(c.bins_suppressed)),
+            ("gaps_imputed", Value::num(c.gaps_imputed)),
+            ("cold_restarts", Value::num(c.cold_restarts)),
+            ("cdet_down_minutes", Value::num(c.cdet_down_minutes)),
+            (
+                "degraded_feature_minutes",
+                Value::num(c.degraded_feature_minutes),
+            ),
+        ]));
         eprintln!(
             "[bench_faults] {name:>14}: solo {}/{} @ {:.2} min (Δ {:+.2}), \
              fused {}/{} @ {:.2} min, {} fusion transitions",
@@ -285,12 +280,17 @@ fn main() {
     }
 
     if !smoke {
-        let json = format!(
-            "{{\n  \"label\": \"{label}\",\n  \"seed\": {seed},\n  \"attack_type\": \"{ty:?}\",\n  \
-             \"threshold\": {threshold},\n  \"total_minutes\": {total_minutes},\n  \
-             \"customers\": {n_customers},\n  \"fusion_mode\": \"max_combine\",\n  \
-             \"schedules\": [\n{rows}\n  ]\n}}\n"
-        );
+        let json = Value::Obj(vec![
+            ("label", Value::str(&label)),
+            ("seed", Value::num(seed)),
+            ("attack_type", Value::str(format!("{ty:?}"))),
+            ("threshold", Value::num(threshold)),
+            ("total_minutes", Value::num(total_minutes)),
+            ("customers", Value::num(n_customers)),
+            ("fusion_mode", Value::str("max_combine")),
+            ("schedules", Value::Arr(rows)),
+        ])
+        .render();
         let path = format!("BENCH_faults_{label}.json");
         std::fs::write(&path, &json).expect("write bench json");
         println!("{json}");

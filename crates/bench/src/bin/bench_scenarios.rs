@@ -23,20 +23,12 @@
 //! family, the thread-determinism bit check plus the pulse-train-evades-
 //! NetScout invariant.
 
+use xatu_bench::json::Value;
 use xatu_core::model::XatuModel;
 use xatu_core::pipeline::{Pipeline, PipelineConfig};
 use xatu_core::scenarios::{run_scenario, ScenarioReport, ScenarioRunConfig};
 use xatu_netflow::attack::AttackType;
 use xatu_simnet::ScenarioFamily;
-
-/// `median_delay` is NaN when nothing was detected; JSON has no NaN.
-fn json_delay(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.2}")
-    } else {
-        "null".to_string()
-    }
-}
 
 /// Does the survival booster strictly beat both
 /// volumetric detectors on this family? More spans detected wins; on a
@@ -59,36 +51,35 @@ fn booster_beats_volumetric(report: &ScenarioReport) -> bool {
     boost_det > vol_det || (boost_det == vol_det && boost_det > 0 && boost_delay < vol_delay)
 }
 
-fn family_json(report: &ScenarioReport) -> String {
-    let mut rows = String::new();
-    for s in &report.scores {
-        if !rows.is_empty() {
-            rows.push_str(",\n");
-        }
-        let rate = if s.total > 0 {
-            s.detected as f64 / s.total as f64
-        } else {
-            0.0
-        };
-        rows.push_str(&format!(
-            "        {{\"detector\": \"{}\", \"detected\": {}, \"spans\": {}, \
-             \"detection_rate\": {:.3}, \"median_delay_min\": {}, \
-             \"overhead_minutes\": {}}}",
-            s.detector,
-            s.detected,
-            s.total,
-            rate,
-            json_delay(s.median_delay),
-            s.overhead_minutes,
-        ));
-    }
-    format!(
-        "    {{\n      \"family\": \"{}\",\n      \"spans\": {},\n      \
-         \"booster_beats_volumetric\": {},\n      \"detectors\": [\n{rows}\n      ]\n    }}",
-        report.family.name(),
-        report.spans.len(),
-        booster_beats_volumetric(report),
-    )
+fn family_json(report: &ScenarioReport) -> Value {
+    let detectors = report
+        .scores
+        .iter()
+        .map(|s| {
+            let rate = if s.total > 0 {
+                s.detected as f64 / s.total as f64
+            } else {
+                0.0
+            };
+            Value::Row(vec![
+                ("detector", Value::str(s.detector)),
+                ("detected", Value::num(s.detected)),
+                ("spans", Value::num(s.total)),
+                ("detection_rate", Value::fixed(rate, 3)),
+                ("median_delay_min", Value::fixed(s.median_delay, 2)),
+                ("overhead_minutes", Value::num(s.overhead_minutes)),
+            ])
+        })
+        .collect();
+    Value::Obj(vec![
+        ("family", Value::str(report.family.name())),
+        ("spans", Value::num(report.spans.len())),
+        (
+            "booster_beats_volumetric",
+            Value::Bool(booster_beats_volumetric(report)),
+        ),
+        ("detectors", Value::Arr(detectors)),
+    ])
 }
 
 /// Bit-compares two runs' recorded survivals; exits non-zero on mismatch.
@@ -182,7 +173,7 @@ fn main() {
     );
 
     let cfg = scenario_cfg(&base, 1);
-    let mut rows = String::new();
+    let mut families = Vec::new();
     let mut wins: Vec<&'static str> = Vec::new();
     for family in ScenarioFamily::ALL {
         let report = run_scenario(&prepared.models, &cfg, family).expect("scenario run");
@@ -196,32 +187,30 @@ fn main() {
         }
         for s in &report.scores {
             eprintln!(
-                "[bench_scenarios] {:>12} | {:>12}: {}/{} detected, median delay {} min, \
+                "[bench_scenarios] {:>12} | {:>12}: {}/{} detected, median delay {:.2} min, \
                  overhead {} min",
                 family.name(),
                 s.detector,
                 s.detected,
                 s.total,
-                json_delay(s.median_delay),
+                s.median_delay,
                 s.overhead_minutes,
             );
         }
-        if !rows.is_empty() {
-            rows.push_str(",\n");
-        }
-        rows.push_str(&family_json(&report));
+        families.push(family_json(&report));
     }
 
-    let wins_json = wins
-        .iter()
-        .map(|w| format!("\"{w}\""))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let json = format!(
-        "{{\n  \"seed\": {seed},\n  \"threshold\": 0.5,\n  \"customers\": {},\n  \
-         \"booster_wins_families\": [{wins_json}],\n  \"families\": [\n{rows}\n  ]\n}}\n",
-        base.world.n_customers,
-    );
+    let json = Value::Obj(vec![
+        ("seed", Value::num(seed)),
+        ("threshold", Value::num(0.5)),
+        ("customers", Value::num(base.world.n_customers)),
+        (
+            "booster_wins_families",
+            Value::Arr(wins.iter().map(|&w| Value::str(w)).collect()),
+        ),
+        ("families", Value::Arr(families)),
+    ])
+    .render();
     std::fs::write("BENCH_scenarios.json", &json).expect("write bench json");
     println!("{json}");
     eprintln!("[bench_scenarios] wrote BENCH_scenarios.json");

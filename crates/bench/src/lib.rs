@@ -15,6 +15,7 @@
 //! latency).
 
 pub mod experiments;
+pub mod json;
 
 pub use experiments::run_experiment;
 pub use experiments::EXPERIMENT_IDS;
