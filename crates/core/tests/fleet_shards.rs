@@ -95,7 +95,7 @@ fn run_span(
                     (kind << 62)
                         | ((al.customer.0 as u64) << 30)
                         | ((al.detected_at as u64) << 8)
-                        | al.mitigation_end.map_or(0xff, |e| e as u64) % 0xff
+                        | (al.mitigation_end.map_or(0xff, |e| e as u64) % 0xff)
                 })
                 .collect(),
         );

@@ -217,7 +217,7 @@ mod tests {
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
                 // Mostly-zero frames, like real feature rows.
-                if (state >> 33) % 3 == 0 {
+                if (state >> 33).is_multiple_of(3) {
                     *v = ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) + 0.1 * (t + i) as f64;
                 }
             }

@@ -1361,7 +1361,7 @@ mod tests {
                 (0..input)
                     .map(|k| {
                         let u = (seed.wrapping_mul(0x9E3779B97F4A7C15) >> 17) as f64;
-                        if (t + k + seed as usize) % 5 == 0 {
+                        if (t + k + seed as usize).is_multiple_of(5) {
                             0.0
                         } else {
                             scale * ((t * input + k) as f64 * 0.61 + u * 1e-15).sin()
@@ -1437,7 +1437,7 @@ mod tests {
                 .map(|t| {
                     (0..hidden)
                         .map(|k| {
-                            if t % 3 == 1 || (t + k + seed as usize) % 4 == 0 {
+                            if t % 3 == 1 || (t + k + seed as usize).is_multiple_of(4) {
                                 0.0
                             } else {
                                 ((t * hidden + k) as f64 * 0.37).cos()

@@ -86,7 +86,7 @@ proptest! {
         prop_assert!(c.phase(c.onset) != AttackPhase::Inactive);
         prop_assert_eq!(c.phase(c.end), AttackPhase::Inactive);
         prop_assert_eq!(c.phase(c.end - 1) == AttackPhase::Plateau,
-            c.end - 1 >= c.onset + c.ramp_minutes);
+            c.end > c.onset + c.ramp_minutes);
         for shape in [
             VectorShape::Constant,
             VectorShape::Pulse { on, off, phase },
