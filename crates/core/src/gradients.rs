@@ -61,10 +61,11 @@ pub fn attribute(model: &mut XatuModel, sample: &Sample) -> Attribution {
             })
             .collect()
     };
+    let [short, medium, long] = gx.dx.each_ref().map(fold);
     Attribution {
-        short: fold(&gx.short),
-        medium: fold(&gx.medium),
-        long: fold(&gx.long),
+        short,
+        medium,
+        long,
     }
 }
 
@@ -193,7 +194,7 @@ mod tests {
             .backward(&trace, Some(&d_hazards), None, true)
             .expect("input gradients requested");
         let mut per_feature = vec![0.0f64; NUM_FEATURES];
-        for row in gx.medium.iter().chain(&gx.short) {
+        for row in gx.dx[1].iter().chain(&gx.dx[0]) {
             for (acc, g) in per_feature.iter_mut().zip(row) {
                 *acc += g.abs();
             }

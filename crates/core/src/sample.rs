@@ -1,5 +1,6 @@
 //! Training samples: the multi-timescale sequences plus the survival label.
 
+use crate::model::TIMESCALES;
 use serde::{Deserialize, Serialize};
 use xatu_netflow::addr::Ipv4;
 use xatu_netflow::attack::AttackType;
@@ -101,12 +102,8 @@ impl Sample {
 /// inside the epoch loop.
 #[derive(Clone, Debug, Default)]
 pub struct WideSample {
-    /// Short-granularity context frames.
-    pub short: FrameArena,
-    /// Medium-granularity context frames.
-    pub medium: FrameArena,
-    /// Long-granularity context frames.
-    pub long: FrameArena,
+    /// Short, medium and long context frames.
+    pub ctx: [FrameArena; TIMESCALES],
     /// Detection-window frames.
     pub window: FrameArena,
 }
@@ -122,10 +119,10 @@ impl WideSample {
     /// Re-fills from `sample`, reusing arena capacity.
     pub fn fill_from(&mut self, sample: &Sample) {
         let dim = |v: &[Vec<f32>]| v.first().map_or(0, Vec::len);
-        self.short.fill_widened(dim(&sample.short), &sample.short);
-        self.medium
-            .fill_widened(dim(&sample.medium), &sample.medium);
-        self.long.fill_widened(dim(&sample.long), &sample.long);
+        let ctx = [&sample.short, &sample.medium, &sample.long];
+        for (arena, rows) in self.ctx.iter_mut().zip(ctx) {
+            arena.fill_widened(dim(rows), rows);
+        }
         self.window
             .fill_widened(dim(&sample.window), &sample.window);
     }
@@ -209,11 +206,11 @@ mod tests {
         for (t, row) in rows.iter().enumerate() {
             assert_eq!(w.window.frame(t), &row[..]);
         }
-        assert_eq!(w.short.frame(1)[3], -0.5f64);
+        assert_eq!(w.ctx[0].frame(1)[3], -0.5f64);
         // Refill reuses buffers and stays correct.
         let mut w2 = w.clone();
         w2.fill_from(&s);
-        assert_eq!(w2.short, w.short);
+        assert_eq!(w2.ctx, w.ctx);
         assert_eq!(w2.window, w.window);
     }
 }
