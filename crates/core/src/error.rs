@@ -12,7 +12,10 @@ use std::fmt;
 use xatu_netflow::addr::Ipv4;
 
 /// The current checkpoint container version (see `checkpoint` module).
-pub const CHECKPOINT_VERSION: u16 = 1;
+/// Version 2: a detector record holds an open pooling bucket for every
+/// timescale coarser than a minute, the short one included, and a short
+/// state of granularity above 1 steps on short-bucket means.
+pub const CHECKPOINT_VERSION: u16 = 2;
 
 /// Every recoverable failure the core crate can report.
 #[derive(Clone, Debug, PartialEq)]

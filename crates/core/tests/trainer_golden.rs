@@ -42,17 +42,17 @@ struct Golden {
 const SURVIVAL: Golden = Golden {
     params: 0x8b2f_634b_83d9_8918,
     epochs: 0x5128_dbbc_e4fc_3f65,
-    checkpoint: 0x3982_0b7d_bfcd_3e5e,
+    checkpoint: 0x7e5f_1149_9f0c_be8e,
 };
 const CROSS_ENTROPY: Golden = Golden {
     params: 0xe102_05f1_4f2d_05ab,
     epochs: 0xc22f_28c6_a2d1_7354,
-    checkpoint: 0xb071_5251_7c66_7551,
+    checkpoint: 0xe91a_79eb_dcdb_7a2b,
 };
 const AUTOENCODER: Golden = Golden {
     params: 0xa937_700c_d3d6_cb27,
     epochs: 0x0fde_c4d0_1841_5366,
-    checkpoint: 0xe7ce_b51c_6c49_2a35,
+    checkpoint: 0x7fa1_231c_268b_a815,
 };
 
 /// FNV-1a over a byte stream.
