@@ -302,9 +302,12 @@ fn bench_warm_fwd_bwd(c: &mut Criterion) {
         f
     };
     let sample = Sample {
-        short: vec![frame(0.02); cfg.short_len],
-        medium: vec![frame(0.02); cfg.medium_len],
-        long: vec![frame(0.02); cfg.long_len],
+        ctx: [
+            vec![frame(0.02); cfg.short_len],
+            vec![frame(0.02); cfg.medium_len],
+            vec![frame(0.02); cfg.long_len],
+        ],
+        lead: Vec::new(),
         window: (0..cfg.window)
             .map(|t| frame(if t >= 4 { 1.0 + t as f32 * 0.2 } else { 0.05 }))
             .collect(),
@@ -561,9 +564,12 @@ fn training_dataset(c: &XatuConfig, n: usize) -> Vec<Sample> {
             };
             let hot = if label { 1.5 } else { 0.0 };
             Sample {
-                short: vec![frame(hot); c.short_len],
-                medium: vec![frame(hot); c.medium_len],
-                long: vec![frame(0.0); c.long_len],
+                ctx: [
+                    vec![frame(hot); c.short_len],
+                    vec![frame(hot); c.medium_len],
+                    vec![frame(0.0); c.long_len],
+                ],
+                lead: Vec::new(),
                 window: vec![frame(hot); c.window],
                 label,
                 event_step: c.window,

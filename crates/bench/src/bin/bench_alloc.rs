@@ -97,9 +97,12 @@ fn dataset(c: &XatuConfig, n: usize) -> Vec<Sample> {
                 })
                 .collect();
             Sample {
-                short: vec![frame(0.02); c.short_len],
-                medium: vec![frame(0.02); c.medium_len],
-                long: vec![frame(0.02); c.long_len],
+                ctx: [
+                    vec![frame(0.02); c.short_len],
+                    vec![frame(0.02); c.medium_len],
+                    vec![frame(0.02); c.long_len],
+                ],
+                lead: Vec::new(),
                 window,
                 label,
                 event_step: if label { c.window - 1 } else { c.window },

@@ -178,9 +178,13 @@ impl XatuConfig {
         }
     }
 
-    /// Raw minutes of history a sample needs (for ring sizing).
+    /// Raw minutes of history a sample needs (for ring sizing): the short
+    /// context, the window and the longest lead-in (`max(g) − 1` minutes
+    /// of buckets open at the window start), with a minute to spare.
     pub fn raw_history_minutes(&self) -> usize {
-        self.short_len * self.timescales.0 as usize + self.window + 60
+        let gran = crate::model::ModelConfig::from(self).gran();
+        let longest = gran.into_iter().max().unwrap_or(1) as usize;
+        self.short_len * gran[0] as usize + self.window + longest
     }
 }
 

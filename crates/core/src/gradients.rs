@@ -141,9 +141,12 @@ mod tests {
                 f
             };
             out.push(Sample {
-                short: vec![frame(if label { 1.5 } else { 0.0 }); c.short_len],
-                medium: vec![frame(if label { 1.5 } else { 0.0 }); c.medium_len],
-                long: vec![frame(0.0); c.long_len],
+                ctx: [
+                    vec![frame(if label { 1.5 } else { 0.0 }); c.short_len],
+                    vec![frame(if label { 1.5 } else { 0.0 }); c.medium_len],
+                    vec![frame(0.0); c.long_len],
+                ],
+                lead: Vec::new(),
                 window: vec![frame(if label { 1.5 } else { 0.0 }); c.window],
                 label,
                 event_step: c.window,

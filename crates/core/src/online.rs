@@ -64,9 +64,12 @@ mod tests {
                 })
                 .collect();
             samples.push(Sample {
-                short: vec![f32frame(0.05); c.short_len],
-                medium: vec![f32frame(0.05); c.medium_len],
-                long: vec![f32frame(0.05); c.long_len],
+                ctx: [
+                    vec![f32frame(0.05); c.short_len],
+                    vec![f32frame(0.05); c.medium_len],
+                    vec![f32frame(0.05); c.long_len],
+                ],
+                lead: Vec::new(),
                 window,
                 label,
                 event_step: c.window,

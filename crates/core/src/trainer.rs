@@ -111,7 +111,7 @@ fn train_inner(
     ckpt: Option<&TrainCheckpointSpec<'_>>,
 ) -> Result<Vec<EpochStats>, XatuError> {
     for (index, s) in samples.iter().enumerate() {
-        s.validate()
+        s.validate(model.cfg.gran())
             .map_err(|reason| XatuError::InvalidSample { index, reason })?;
     }
     // Every sample is widened f32→f64 exactly once, up front; the epoch
@@ -435,9 +435,12 @@ mod tests {
                 })
                 .collect();
             out.push(Sample {
-                short: vec![frame(0.02); c.short_len],
-                medium: vec![frame(0.02); c.medium_len],
-                long: vec![frame(0.02); c.long_len],
+                ctx: [
+                    vec![frame(0.02); c.short_len],
+                    vec![frame(0.02); c.medium_len],
+                    vec![frame(0.02); c.long_len],
+                ],
+                lead: Vec::new(),
                 window,
                 label,
                 event_step: if label { c.window - 1 } else { c.window },
@@ -581,6 +584,59 @@ mod tests {
                 assert!(reason.contains("event_step"), "{reason}");
             }
             other => panic!("expected InvalidSample, got {other:?}"),
+        }
+    }
+
+    /// Every sequence of every sample is checked before training widens
+    /// it: a frame the model cannot take is a typed error, not a panic in
+    /// the widening or the LSTM, and so is a lead-in that does not match
+    /// the window's start.
+    #[test]
+    fn malformed_sequences_are_typed_errors() {
+        type Corrupt = fn(&mut Sample);
+        let rows: [(&str, Corrupt, &str); 6] = [
+            (
+                "ragged short context",
+                |s| s.ctx[0][1].truncate(NUM_FEATURES - 1),
+                "short context frame 1 has width 272",
+            ),
+            (
+                "medium context narrower than the model",
+                |s| s.ctx[1].iter_mut().for_each(|f| f.truncate(8)),
+                "medium context frame 0 has width 8",
+            ),
+            (
+                "ragged long context",
+                |s| s.ctx[2][3].push(0.0),
+                "long context frame 3 has width 274",
+            ),
+            (
+                "window narrower than the model",
+                |s| s.window.iter_mut().for_each(|f| f.truncate(8)),
+                "window frame 0 has width 8",
+            ),
+            (
+                "lead-in on a window that starts on every edge",
+                |s| s.lead = vec![vec![0.0; NUM_FEATURES]; 3],
+                "lead-in of 3 minutes",
+            ),
+            (
+                "no lead-in on a window 5 minutes past the long edge",
+                |s| s.meta.window_start = 11,
+                "needs 5",
+            ),
+        ];
+        let c = cfg();
+        for (what, corrupt, want) in rows {
+            let mut model = XatuModel::new(&c);
+            let mut samples = dataset(&c, 4);
+            corrupt(&mut samples[1]);
+            match train(&mut model, &samples, &c) {
+                Err(crate::error::XatuError::InvalidSample { index: 1, reason }) => {
+                    assert!(reason.contains(want), "{what}: {reason}");
+                }
+                other => panic!("{what}: expected InvalidSample, got {other:?}"),
+            }
         }
     }
 

@@ -71,9 +71,12 @@ fn sample(c: &XatuConfig) -> Sample {
         f
     };
     Sample {
-        short: vec![frame(0.02); c.short_len],
-        medium: vec![frame(0.02); c.medium_len],
-        long: vec![frame(0.02); c.long_len],
+        ctx: [
+            vec![frame(0.02); c.short_len],
+            vec![frame(0.02); c.medium_len],
+            vec![frame(0.02); c.long_len],
+        ],
+        lead: Vec::new(),
         window: (0..c.window)
             .map(|t| frame(if t >= 4 { 1.0 + t as f32 * 0.2 } else { 0.05 }))
             .collect(),

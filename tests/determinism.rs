@@ -45,9 +45,12 @@ fn dataset(c: &XatuConfig, n: usize) -> Vec<Sample> {
             };
             let hot = if label { 1.2 } else { 0.0 };
             Sample {
-                short: vec![frame(hot); c.short_len],
-                medium: vec![frame(hot); c.medium_len],
-                long: vec![frame(0.0); c.long_len],
+                ctx: [
+                    vec![frame(hot); c.short_len],
+                    vec![frame(hot); c.medium_len],
+                    vec![frame(0.0); c.long_len],
+                ],
+                lead: Vec::new(),
                 window: vec![frame(hot); c.window],
                 label,
                 event_step: c.window,

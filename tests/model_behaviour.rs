@@ -49,9 +49,12 @@ fn conjunction_dataset(c: &XatuConfig, n: usize) -> Vec<Sample> {
             })
             .collect();
         out.push(Sample {
-            short: vec![frame(0.1, 0.0); c.short_len],
-            medium: vec![frame(0.1, 0.0); c.medium_len],
-            long: vec![frame(0.1, 0.0); c.long_len],
+            ctx: [
+                vec![frame(0.1, 0.0); c.short_len],
+                vec![frame(0.1, 0.0); c.medium_len],
+                vec![frame(0.1, 0.0); c.long_len],
+            ],
+            lead: Vec::new(),
             window,
             label,
             event_step: c.window,
@@ -118,13 +121,7 @@ fn masked_aux_model_cannot_separate_conjunction() {
     for s in &mut data {
         // Apply the mask to the stored frames, as the pipeline does at
         // extraction time.
-        for f in s
-            .short
-            .iter_mut()
-            .chain(s.medium.iter_mut())
-            .chain(s.long.iter_mut())
-            .chain(s.window.iter_mut())
-        {
+        for f in s.ctx.iter_mut().chain([&mut s.window]).flatten() {
             for v in f[offsets::A2..offsets::A3].iter_mut() {
                 *v = 0.0;
             }
