@@ -27,7 +27,7 @@ use xatu_netflow::binning::MinuteFlows;
 use xatu_netflow::record::{FlowRecord, Protocol, TcpFlags};
 use xatu_netflow::sampler::{PacketSampler, SamplingMode};
 use xatu_nn::init::Initializer;
-use xatu_nn::lstm::{Lstm, OnlineScratch};
+use xatu_nn::lstm::{Lstm, OnlineScratch, ServingLstm};
 use xatu_survival::safe_loss::safe_loss_and_grad;
 
 fn bin_with_flows(n: usize) -> MinuteFlows {
@@ -231,7 +231,7 @@ fn bench_detection_step(c: &mut Criterion) {
 
 fn bench_lstm_step(c: &mut Criterion) {
     let mut init = Initializer::new(1);
-    let lstm = Lstm::new(273, 24, &mut init);
+    let lstm = ServingLstm::new(&Lstm::new(273, 24, &mut init));
     let (mut h, mut cell) = (vec![0.0f64; 24], vec![0.0f64; 24]);
     let mut scratch = OnlineScratch::default();
     let x = vec![0.2f64; 273];
@@ -375,7 +375,7 @@ fn bench_obs_primitives(c: &mut Criterion) {
     });
 }
 
-/// The exact gate kernel (`Lstm::gate_block`: in-tree `sigmoid`/`tanh`
+/// The exact gate kernel (`ServingLstm::gate_block`: in-tree `sigmoid`/`tanh`
 /// across the hidden lanes) on one `fleet_wide` block, and the two
 /// activations alone over one row's lanes, each at the plain and the AVX2
 /// instantiation of the same body.
@@ -389,7 +389,7 @@ fn bench_gate_kernel(c: &mut Criterion) {
         .collect();
     let mut hs = vec![0.0f64; BATCH * h];
     let mut cs = vec![0.0f64; BATCH * h];
-    let mut lstm = Lstm::new(273, h, &mut Initializer::new(3));
+    let mut lstm = ServingLstm::new(&Lstm::new(273, h, &mut Initializer::new(3)));
     for level in [SimdLevel::Scalar, supported()] {
         lstm.set_simd(level);
         c.bench_function(
@@ -454,7 +454,8 @@ fn bench_exact_lane_kernel(c: &mut Criterion) {
     let mut levels = vec![SimdLevel::Scalar, simd::supported()];
     levels.dedup();
     let mut init = Initializer::new(5);
-    let mut lstm = Lstm::new(273, 24, &mut init);
+    let layer = Lstm::new(273, 24, &mut init);
+    let mut lstm = ServingLstm::new(&layer);
     const BATCH: usize = 450;
     let h = 24;
     // Every `stride`-th feature set: 1/7 is the minute frames' ~14 %,
@@ -491,8 +492,8 @@ fn bench_exact_lane_kernel(c: &mut Criterion) {
         }
     }
     let (mut wxt, mut wht) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-    lstm.wx().transpose_into(&mut wxt);
-    lstm.wh().transpose_into(&mut wht);
+    layer.wx().transpose_into(&mut wxt);
+    layer.wh().transpose_into(&mut wht);
     let x: Vec<f64> = (0..273)
         .map(|i| {
             if i % 7 == 0 {
@@ -597,8 +598,11 @@ fn bench_training_epoch_by_threads(c: &mut Criterion) {
     }
 }
 
+/// The smoke pipeline's preparation at 1, 2 and 4 threads. On a 2-vCPU
+/// host the `t2` row is the one to read: per-minute extraction that spawned
+/// threads every minute made it 3x the `t1` row.
 fn bench_prepare_by_threads(c: &mut Criterion) {
-    for threads in [1usize, 4] {
+    for threads in [1usize, 2, 4] {
         c.bench_function(&format!("pipeline_prepare_smoke_t{threads}"), |b| {
             b.iter(|| {
                 let mut cfg = PipelineConfig::smoke_test(3);

@@ -990,6 +990,52 @@ mod tests {
         }
     }
 
+    /// A head keeps its LSTM weights only in the served, transposed layout,
+    /// so its checkpoint transposes them back: the parameters equal the
+    /// trained model's bit for bit, and a restored head writes the same
+    /// bytes again.
+    #[test]
+    fn served_head_checkpoints_the_trained_bits_and_restores_to_the_same_bytes() {
+        use crate::fleet::FleetDetector;
+        use crate::model::XatuModel;
+        use xatu_features::frame::NUM_FEATURES;
+        use xatu_netflow::addr::Ipv4;
+        use xatu_nn::Params;
+        let cfg = crate::XatuConfig {
+            timescales: (1, 3, 6),
+            hidden: 5,
+            window: 6,
+            ..crate::XatuConfig::smoke_test()
+        };
+        let mut model = XatuModel::new(&cfg);
+        let mut trained = vec![0.0; model.param_count()];
+        model.export_params_into(&mut trained);
+        let mut det = FleetDetector::new(model, AttackType::UdpFlood, 0.9, &cfg);
+        for m in 0..20u32 {
+            for c in 0..3u32 {
+                let frame: Vec<f64> = (0..NUM_FEATURES)
+                    .map(|k| {
+                        if (k as u32 + m + c).is_multiple_of(9) {
+                            0.3 * f64::from(c + 1)
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect();
+                det.observe(Ipv4(10 + c), m, &frame)
+                    .expect("minutes ascend");
+            }
+        }
+        let ck = det.to_checkpoint();
+        assert_eq!(
+            ck.params.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            trained.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+        let bytes = ck.encode();
+        let mut back = FleetDetector::from_checkpoint(&ck).expect("a fresh checkpoint restores");
+        assert_eq!(back.to_checkpoint().encode(), bytes);
+    }
+
     #[test]
     fn enum_tags_roundtrip() {
         for t in AttackType::ALL {

@@ -27,12 +27,13 @@
 //!
 //! # One scalar, one kernel
 //!
-//! Every column is `f64`, and every timescale steps through the model's
-//! own [`Lstm`]: [`Lstm::step_online_slices`] on the row path,
-//! [`Lstm::step_online_dual_block`] on the fleet's block path, pinned
-//! bit-identical to two row steps. A row whose timescale takes part in a
-//! minute runs the kernel; nothing is skipped or tabulated, so the stored
-//! state is always the state.
+//! Every column is `f64`, and every timescale steps through its layer of
+//! the head's [`ServedModel`], built once from the trained model:
+//! [`ServingLstm::step_online_slices`] on the row path,
+//! [`ServingLstm::step_online_dual_block`] on the fleet's block path,
+//! pinned bit-identical to two row steps and to [`xatu_nn::Lstm::forward`].
+//! A row whose timescale takes part in a minute runs the kernel; nothing is
+//! skipped or tabulated, so the stored state is always the state.
 //!
 //! # One minute of one customer
 //!
@@ -50,7 +51,7 @@ use crate::checkpoint::{CustomerCheckpoint, DetectorCheckpoint, DualStateCheckpo
 use crate::config::XatuConfig;
 use crate::error::XatuError;
 use crate::fusion::Fused;
-use crate::model::{ModelConfig, XatuModel, TIMESCALES};
+use crate::model::{ModelConfig, ServedModel, XatuModel, TIMESCALES};
 use std::collections::HashMap;
 use std::ops::Range;
 use xatu_detectors::alert::Alert;
@@ -59,7 +60,7 @@ use xatu_features::frame::NUM_FEATURES;
 use xatu_netflow::addr::Ipv4;
 use xatu_netflow::attack::AttackType;
 use xatu_nn::activations::softplus;
-use xatu_nn::lstm::Lstm;
+use xatu_nn::lstm::ServingLstm;
 use xatu_nn::simd::{self, SimdLevel};
 use xatu_nn::{Dense, OnlineBlockWorkspace, OnlineScratch, Params};
 use xatu_obs::{Counter, FixedHistogram, GAP_RUN_BOUNDS, SURVIVAL_BOUNDS};
@@ -205,16 +206,16 @@ const NAMES: [&str; TIMESCALES] = ["short", "medium", "long"];
 /// The immutable parts of a detector every worker shares: the layers,
 /// the combiner head and the scalar knobs.
 pub(crate) struct Net<'a> {
-    pub layers: [&'a Lstm; TIMESCALES],
+    pub layers: [&'a ServingLstm; TIMESCALES],
     pub head: &'a Dense,
     pub k: Knobs,
 }
 
 impl<'a> Net<'a> {
-    pub(crate) fn new(model: &'a XatuModel, k: Knobs) -> Self {
+    pub(crate) fn new(model: &'a ServedModel, k: Knobs) -> Self {
         Net {
-            layers: model.layers().each_ref(),
-            head: model.head(),
+            layers: model.layers.each_ref(),
+            head: &model.head,
             k,
         }
     }
@@ -356,7 +357,7 @@ impl<'a> DualShard<'a> {
     }
 
     /// Steps both halves of row `j` through the row kernel.
-    fn step_one(&mut self, lstm: &Lstm, j: usize, x: &[f64], scratch: &mut OnlineScratch) {
+    fn step_one(&mut self, lstm: &ServingLstm, j: usize, x: &[f64], scratch: &mut OnlineScratch) {
         let r = self.row(j);
         lstm.step_online_slices(
             x,
@@ -378,7 +379,7 @@ impl<'a> DualShard<'a> {
     /// bit, so this equals [`DualShard::step_one`] per row.
     pub(crate) fn step_block(
         &mut self,
-        lstm: &Lstm,
+        lstm: &ServingLstm,
         a: usize,
         b: usize,
         xs: &[f64],
@@ -982,11 +983,11 @@ pub(crate) fn row_minute(
     finish_row(net, obs, sh, j, addr, minute, &mut row.input, hook, out)
 }
 
-/// What the detector owns besides its rows: the model, the serving
+/// What the detector owns besides its rows: the served model, the serving
 /// configuration, the address interner and the telemetry.
 #[derive(Clone)]
 pub(crate) struct Common {
-    pub model: XatuModel,
+    pub model: ServedModel,
     pub attack_type: AttackType,
     pub threshold: f64,
     pub window: usize,
@@ -1013,7 +1014,7 @@ impl Common {
     /// The one place a model meets a configuration, for every front-end:
     /// [`XatuConfig::no_simd`] beats the environment and auto-detection.
     pub(crate) fn new(
-        mut model: XatuModel,
+        model: XatuModel,
         attack_type: AttackType,
         threshold: f64,
         cfg: &XatuConfig,
@@ -1023,6 +1024,7 @@ impl Common {
         } else {
             simd::detect()
         };
+        let mut model = ServedModel::new(model);
         model.set_simd(simd);
         Common {
             model,
@@ -1072,12 +1074,13 @@ impl Common {
         (i, true)
     }
 
-    /// Snapshots configuration, model parameters and every customer's
-    /// streaming state (sorted by address). Telemetry is excluded:
-    /// counters restart at zero on resume.
-    pub(crate) fn checkpoint(&mut self, ledger: &Ledger, numeric: &Numeric) -> DetectorCheckpoint {
-        let mut params = vec![0.0; self.model.param_count()];
-        self.model.export_params_into(&mut params);
+    /// Snapshots configuration, model parameters (the served layers
+    /// transposed back) and every customer's streaming state (sorted by
+    /// address). Telemetry is excluded: counters restart at zero on resume.
+    pub(crate) fn checkpoint(&self, ledger: &Ledger, numeric: &Numeric) -> DetectorCheckpoint {
+        let mut model = self.model.to_model();
+        let mut params = vec![0.0; model.param_count()];
+        model.export_params_into(&mut params);
         let w = self.window;
         let mut order: Vec<usize> = (0..self.addrs.len()).collect();
         order.sort_unstable_by_key(|&i| self.addrs[i].0);
@@ -1177,6 +1180,7 @@ pub(crate) fn restore(ck: &DetectorCheckpoint) -> Result<(Common, Ledger, Numeri
     // A checkpoint does not record the level: resumed detectors follow the
     // environment.
     let simd = simd::detect();
+    let mut model = ServedModel::new(model);
     model.set_simd(simd);
     if ck.window == 0 {
         return Err(bad("survival window must be >= 1".into()));
@@ -1389,6 +1393,8 @@ mod tests {
         let c = cfg();
         let (mut common, mut ledger, mut numeric) = one_row(&c);
         let net = Net::new(&common.model, common.knobs());
+        // The trained layers the served ones were built from.
+        let trained = XatuModel::new(&c);
         let grans = [1, c.timescales.1 as usize, c.timescales.2 as usize];
         let periods = [c.short_len, c.medium_len, c.long_len];
         let mut inputs: [Vec<Vec<f64>>; TIMESCALES] = Default::default();
@@ -1427,7 +1433,7 @@ mod tests {
                 let (n, p) = (inputs[t].len(), periods[t]);
                 let (aged_from, fresh_from) = (p * (n / p).saturating_sub(1), p * (n / p));
                 let want = |from: usize| {
-                    let trace = net.layers[t].forward(&inputs[t][from..]);
+                    let trace = trained.layers()[t].forward(&inputs[t][from..]);
                     (bits(trace.final_h()), bits(trace.final_c()))
                 };
                 let d = &numeric.dual[t];

@@ -37,7 +37,7 @@ use xatu_netflow::attack::{AttackType, Severity};
 use xatu_netflow::binning::{MinuteBinner, MinuteFlows};
 use xatu_netflow::record::FlowRecord;
 use xatu_netflow::v5::{parse_datagram_into, V5Error};
-use xatu_par::{par_map, resolve_threads};
+use xatu_par::{resolve_threads, WorkerPool};
 
 /// Minutes of CDet-feed silence tolerated before frames are served
 /// volumetric-only: auxiliary trackers frozen by a dead alert feed must not
@@ -56,6 +56,29 @@ pub struct AuxFeed {
     /// A `BTreeMap` because [`AuxFeed::track`] walks it with tracker side
     /// effects: the order is part of what resume must reproduce bit for bit.
     open: BTreeMap<(Ipv4, AttackType), f64>,
+    pool: ExtractPool,
+}
+
+/// Fewest flows in a minute's bins for [`AuxFeed::extract`] to wake its
+/// workers; smaller minutes are extracted inline. Waking two parked
+/// workers costs ~15–30 µs on a 2-vCPU host, so a minute pays for it from
+/// ~60 µs of inline work. Measured per call there: `default_eval(11)`'s
+/// minutes (24 bins, 400–900 flows) take 87–127 µs inline and 62–120 µs
+/// on two workers, while `smoke_test(3)`'s (6 bins, ~120 flows) take
+/// 13–20 µs inline and 27–28 µs on two, its rare 400–500-flow minutes
+/// 37–52 µs and 56–66 µs.
+const POOLED_MIN_FLOWS: usize = 256;
+
+/// The parked workers [`AuxFeed::extract`] fans a minute out on, grown on
+/// the first minute big enough to use them. A forked feed starts with
+/// none of its own.
+#[derive(Default)]
+struct ExtractPool(WorkerPool);
+
+impl Clone for ExtractPool {
+    fn clone(&self) -> Self {
+        ExtractPool::default()
+    }
 }
 
 impl AuxFeed {
@@ -64,6 +87,7 @@ impl AuxFeed {
         AuxFeed {
             extractor,
             open: BTreeMap::new(),
+            pool: ExtractPool::default(),
         }
     }
 
@@ -145,15 +169,19 @@ impl AuxFeed {
         }
     }
 
-    /// One frame per bin, in bin order, extracted across `threads` workers
-    /// from the trackers as they stand; identical for every thread count.
+    /// One frame per bin, in bin order, extracted from the trackers as they
+    /// stand; identical for every thread count. A minute of at least 256
+    /// flows fans out across `threads` parked workers the feed keeps from
+    /// minute to minute; a smaller one costs less inline than waking them.
     pub fn extract<B>(&mut self, threads: usize, bins: &[B]) -> Vec<FeatureFrame>
     where
         B: Borrow<MinuteFlows> + Sync,
     {
         self.extractor.spoof.ensure_built();
+        let flows: usize = bins.iter().map(|b| b.borrow().flows.len()).sum();
+        let threads = if flows < POOLED_MIN_FLOWS { 1 } else { threads };
         let extractor = &self.extractor;
-        par_map(threads, bins, |_, bin| {
+        self.pool.0.map(threads, bins, |_, bin| {
             extractor.extract_shared(bin.borrow())
         })
     }

@@ -16,22 +16,54 @@ use xatu_netflow::binning::MinuteFlows;
 
 /// Per-(customer, type) per-minute signature-matching volumes.
 /// ~24 customers × 6 types × 40 k minutes × 8 B ≈ 46 MB for an offline
-/// period. A series is allocated at the period's length the first time its
-/// channel carries volume, grows when a later minute is recorded (a stream
-/// has no last minute), and reads `0.0` past its end.
+/// period. A series starts at the first minute its channel carries volume
+/// and is allocated from there to the period's end; it grows when a later
+/// minute is recorded (a stream has no last minute), moves its start back
+/// when an earlier one is, and reads `0.0` outside what it holds. A router's
+/// minutes count its uptime, so a channel first seen after a month holds
+/// cells from that month on, not from minute 0.
 pub struct VolumeStore {
     /// The period: what [`VolumeStore::new`] was given, or one past the
     /// newest minute recorded if that is later.
     total_minutes: usize,
-    /// (customer, type) → per-minute `[bytes, packets]`.
-    series: HashMap<(Ipv4, AttackType), Vec<[f32; 2]>>,
+    /// (customer, type) → its series.
+    series: HashMap<(Ipv4, AttackType), Series>,
+}
+
+/// One channel's `[bytes, packets]` per minute: `cells[i]` is minute
+/// `base + i`.
+struct Series {
+    base: usize,
+    cells: Vec<[f32; 2]>,
+}
+
+impl Series {
+    fn get(&self, minute: usize) -> Option<&[f32; 2]> {
+        self.cells.get(minute.checked_sub(self.base)?)
+    }
+
+    /// The cell of `minute`, moving the start back or growing the end to
+    /// reach it.
+    fn cell_mut(&mut self, minute: usize) -> &mut [f32; 2] {
+        if minute < self.base {
+            let before = self.base - minute;
+            self.cells
+                .splice(0..0, std::iter::repeat_n([0.0; 2], before));
+            self.base = minute;
+        }
+        let i = minute - self.base;
+        if self.cells.len() <= i {
+            self.cells.resize(i + 1, [0.0; 2]);
+        }
+        &mut self.cells[i]
+    }
 }
 
 const BYTES: usize = 0;
 const PACKETS: usize = 1;
 
 impl VolumeStore {
-    /// Creates a store whose series are pre-sized to `total_minutes`.
+    /// Creates a store whose series are sized to run to `total_minutes`.
     pub fn new(total_minutes: u32) -> Self {
         VolumeStore {
             total_minutes: total_minutes as usize,
@@ -60,21 +92,22 @@ impl VolumeStore {
         for (ty, sum) in AttackType::ALL.into_iter().zip(sums) {
             if sum[BYTES] > 0.0 {
                 let total = self.total_minutes;
-                let series = self
+                let cell = self
                     .series
                     .entry((bin.customer, ty))
-                    .or_insert_with(|| vec![[0.0; 2]; total]);
-                if series.len() <= minute {
-                    series.resize(minute + 1, [0.0; 2]);
-                }
-                series[minute][BYTES] += sum[BYTES] as f32;
-                series[minute][PACKETS] += sum[PACKETS] as f32;
+                    .or_insert_with(|| Series {
+                        base: minute,
+                        cells: vec![[0.0; 2]; total - minute],
+                    })
+                    .cell_mut(minute);
+                cell[BYTES] += sum[BYTES] as f32;
+                cell[PACKETS] += sum[PACKETS] as f32;
             }
         }
     }
 
     /// `[bytes, packets]` at one minute; zero for a channel never recorded
-    /// or past the end of its series.
+    /// or outside its series.
     fn at(&self, customer: Ipv4, ty: AttackType, minute: u32) -> [f64; 2] {
         self.series
             .get(&(customer, ty))
@@ -107,31 +140,40 @@ impl VolumeStore {
         })
     }
 
-    /// The recorded cells of `[start, end)`, both clipped to the period,
-    /// and the clipped range's length: cells past the end of a series (or
-    /// of a channel never recorded) are zero and are not in the slice.
+    /// `[start, end)` clipped to the period: the recorded cells inside it,
+    /// where the first of them falls in the range, and the range's length.
+    /// Cells before a series' start or past its end (or of a channel never
+    /// recorded) are zero and are not in the slice.
     fn recorded(
         &self,
         customer: Ipv4,
         ty: AttackType,
         start: u32,
         end: u32,
-    ) -> (&[[f32; 2]], usize) {
+    ) -> (&[[f32; 2]], usize, usize) {
         let end = (end as usize).min(self.total_minutes);
         let start = (start as usize).min(end);
-        let cells = self
-            .series
-            .get(&(customer, ty))
-            .and_then(|series| series.get(start..end.min(series.len())))
-            .unwrap_or(&[]);
-        (cells, end - start)
+        let len = end - start;
+        let Some(series) = self.series.get(&(customer, ty)) else {
+            return (&[], 0, len);
+        };
+        let lo = start.max(series.base);
+        let hi = end.min(series.base + series.cells.len());
+        if lo >= hi {
+            return (&[], 0, len);
+        }
+        (
+            &series.cells[lo - series.base..hi - series.base],
+            lo - start,
+            len,
+        )
     }
 
     /// Bytes as f64 over a range (clipped to the period).
     pub fn bytes_range(&self, customer: Ipv4, ty: AttackType, start: u32, end: u32) -> Vec<f64> {
-        let (cells, len) = self.recorded(customer, ty, start, end);
+        let (cells, at, len) = self.recorded(customer, ty, start, end);
         let mut out = vec![0.0; len];
-        for (o, cell) in out.iter_mut().zip(cells) {
+        for (o, cell) in out[at..].iter_mut().zip(cells) {
             *o = f64::from(cell[BYTES]);
         }
         out
@@ -151,13 +193,19 @@ impl VolumeStore {
         if end <= start {
             return true; // not enough history to judge; trust the alert
         }
-        // `now > 0`: the series reaches `minute`, so the stored slice is the
-        // whole window. (Were it shorter, the cells it lacks are `+0.0`,
-        // which a sum of non-negative terms does not notice.)
-        let (cells, len) = self.recorded(customer, ty, start, end);
+        // The cells the series lacks on either side of the stored slice are
+        // `+0.0`, which a sum of non-negative terms from `+0.0` does not
+        // notice; the mean still divides by the whole window.
+        let (cells, _, len) = self.recorded(customer, ty, start, end);
         let sum = cells.iter().fold(0.0, |s, cell| s + f64::from(cell[BYTES]));
         let mean = sum / len as f64;
         now > 4.0 * mean + 1e5
+    }
+
+    /// Cells allocated across every series.
+    #[cfg(test)]
+    fn cells_allocated(&self) -> usize {
+        self.series.values().map(|s| s.cells.capacity()).sum()
     }
 }
 
@@ -608,6 +656,74 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A router's minutes count its uptime: a channel first recorded at
+    /// minute 40 000 holds no cell before it, and every read equals the
+    /// frozen minute-0 store's — across the start, after a record before
+    /// it moves the start back, and with trailing windows that straddle it.
+    #[test]
+    fn a_series_starts_at_its_first_minute_and_reads_like_one_from_minute_zero() {
+        const FIRST: u32 = 40_000;
+        let c = Ipv4(1);
+        let mut live = VolumeStore::new(0);
+        let mut frozen = SixWalkStore::default();
+        let mut record = |live: &mut VolumeStore, minute: u32, bytes: u64| {
+            let bin = udp_bin(minute, c, bytes);
+            live.record(&bin);
+            frozen.record(&bin);
+        };
+        record(&mut live, FIRST, 900_000);
+        assert_eq!(live.cells_allocated(), 1, "no cell before the first minute");
+        for m in FIRST + 1..FIRST + 200 {
+            record(&mut live, m, 20_000 + u64::from(m % 13) * 1_000);
+        }
+        record(&mut live, FIRST + 260, 4_000_000);
+        let allocated = live.cells_allocated();
+        assert!(allocated <= 2 * 261, "{allocated} cells for 261 minutes");
+        // A record before the start moves it back.
+        record(&mut live, FIRST - 150, 70_000);
+        record(&mut live, FIRST - 3, 50_000);
+        let key = (c, AttackType::UdpFlood);
+        let check = |live: &VolumeStore, frozen: &SixWalkStore| {
+            for m in FIRST - 400..FIRST + 500 {
+                for ty in AttackType::ALL {
+                    let key = (c, ty);
+                    let want = [
+                        SixWalkStore::read(frozen.bytes.get(&key), m),
+                        SixWalkStore::read(frozen.packets.get(&key), m),
+                    ];
+                    let got = [live.bytes_at(c, ty, m), live.packets_at(c, ty, m)];
+                    assert_eq!(
+                        got.map(f64::to_bits),
+                        want.map(f64::to_bits),
+                        "{ty:?} at {m}"
+                    );
+                    let obs = live.channels(c, m)[ty.index()];
+                    assert_eq!(
+                        [obs.bytes, obs.packets].map(f64::to_bits),
+                        want.map(f64::to_bits)
+                    );
+                    assert_eq!(
+                        live.is_anomalous(c, ty, m),
+                        frozen.is_anomalous(key, m),
+                        "{ty:?} at {m}"
+                    );
+                }
+                let (got, want) = (
+                    live.bytes_range(c, AttackType::UdpFlood, m.saturating_sub(200), m + 50),
+                    frozen.bytes_range(key, m.saturating_sub(200), m + 50),
+                );
+                assert_eq!(
+                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "range at {m}"
+                );
+            }
+        };
+        check(&live, &frozen);
+        assert!(live.is_anomalous(c, AttackType::UdpFlood, FIRST + 260));
+        assert!(live.cells_allocated() < allocated + 200);
     }
 
     #[test]

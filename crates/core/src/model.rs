@@ -36,7 +36,7 @@ use serde::{Deserialize, Serialize};
 use xatu_features::frame::NUM_FEATURES;
 use xatu_nn::activations::{dsoftplus, sigmoid, softplus};
 use xatu_nn::init::Initializer;
-use xatu_nn::lstm::{Lstm, LstmTrace, LstmWorkspace};
+use xatu_nn::lstm::{Lstm, LstmTrace, LstmWorkspace, ServingLstm};
 use xatu_nn::{Dense, FrameArena, Params, SimdLevel};
 
 /// The three timescales, in arena order: short, medium, long.
@@ -84,6 +84,47 @@ impl ModelConfig {
     pub(crate) fn used(&self) -> [bool; TIMESCALES] {
         let (s, m, l) = self.mode.enabled();
         [s, m, l]
+    }
+}
+
+/// The model as a detector head serves it: each timescale's layer in the
+/// layout the lane kernel reads ([`ServingLstm`]), built once, and the
+/// combiner head. A head keeps no other copy of the LSTM weights:
+/// [`ServedModel::to_model`] transposes them back for a checkpoint, and a
+/// transpose only permutes values, so the checkpoint's bytes are the
+/// trained model's.
+#[derive(Clone)]
+pub(crate) struct ServedModel {
+    pub cfg: ModelConfig,
+    pub layers: [ServingLstm; TIMESCALES],
+    pub head: Dense,
+}
+
+impl ServedModel {
+    /// Serves `model`, dropping its row-major weights and their gradient
+    /// buffers.
+    pub(crate) fn new(model: XatuModel) -> Self {
+        ServedModel {
+            cfg: model.cfg,
+            layers: model.lstms.each_ref().map(ServingLstm::new),
+            head: model.head,
+        }
+    }
+
+    /// The trained model these layers serve, rebuilt.
+    pub(crate) fn to_model(&self) -> XatuModel {
+        XatuModel {
+            cfg: self.cfg,
+            lstms: self.layers.each_ref().map(ServingLstm::to_lstm),
+            head: self.head.clone(),
+        }
+    }
+
+    /// Sets the dispatch level of the three layers' kernels.
+    pub(crate) fn set_simd(&mut self, level: SimdLevel) {
+        for layer in &mut self.layers {
+            layer.set_simd(level);
+        }
     }
 }
 
@@ -172,23 +213,10 @@ impl XatuModel {
         self.cfg.hidden
     }
 
-    /// The LSTMs, short, medium and long (crate-internal: fleet batched
-    /// stepping).
+    /// The LSTMs, short, medium and long.
+    #[cfg(test)]
     pub(crate) fn layers(&self) -> &[Lstm; TIMESCALES] {
         &self.lstms
-    }
-
-    /// The combiner head (crate-internal: fleet batched stepping).
-    pub(crate) fn head(&self) -> &Dense {
-        &self.head
-    }
-
-    /// Sets the dispatch level of the three layers' online kernels
-    /// (crate-internal: the detector core applies the configuration's).
-    pub(crate) fn set_simd(&mut self, level: SimdLevel) {
-        for layer in &mut self.lstms {
-            layer.set_simd(level);
-        }
     }
 
     /// Runs the model on a sample, producing hazards for each window step.

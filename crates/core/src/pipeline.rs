@@ -552,41 +552,41 @@ impl Prepared {
         // distribution (UDP survival collapses harder than TCP ACK's), so
         // each gets its own threshold — the paper trains and evaluates the
         // six models independently.
-        let xatu_thresholds: Vec<(AttackType, f64)> = self
+        let (xatu_thresholds, xatu_calibration): (Vec<_>, Vec<_>) = self
             .models
             .iter()
             .map(|(ty, _)| {
-                let th = self
-                    .calibrate(&self.val_scores_xatu, &gt_val, q, quiet, Some(*ty))
-                    .unwrap_or(0.002);
-                (*ty, th)
+                let (th, outcome) = self.calibrate(&self.val_scores_xatu, &gt_val, q, quiet, *ty);
+                ((*ty, th), (*ty, outcome))
             })
-            .collect();
-        let rf_thresholds: Vec<(AttackType, f64)> = if self.cfg.with_rf {
+            .unzip();
+        let (rf_thresholds, rf_calibration): (Vec<_>, Vec<_>) = if self.cfg.with_rf {
             self.rf_models
                 .iter()
                 .map(|(ty, _)| {
-                    let th = self
-                        .calibrate(&self.val_scores_rf, &gt_val, q, quiet, Some(*ty))
-                        .unwrap_or(0.002);
-                    (*ty, th)
+                    let (th, outcome) = self.calibrate(&self.val_scores_rf, &gt_val, q, quiet, *ty);
+                    ((*ty, th), (*ty, outcome))
                 })
-                .collect()
+                .unzip()
         } else {
-            Vec::new()
+            (Vec::new(), Vec::new())
         };
         obs.record_wall(
             "pipeline.calibrate_seconds",
             calibrate_start.elapsed().as_secs_f64(),
         );
-        for (system, thresholds) in [("xatu", &xatu_thresholds), ("rf", &rf_thresholds)] {
-            for (ty, th) in thresholds {
+        for (system, thresholds, outcomes) in [
+            ("xatu", &xatu_thresholds, &xatu_calibration),
+            ("rf", &rf_thresholds, &rf_calibration),
+        ] {
+            for ((ty, th), (_, outcome)) in thresholds.iter().zip(outcomes) {
                 obs.event(
                     "calibrate.threshold",
                     vec![
                         ("system", system.into()),
                         ("attack_type", format!("{ty:?}").into()),
                         ("threshold", (*th).into()),
+                        ("outcome", outcome.name().into()),
                     ],
                 );
             }
@@ -664,6 +664,8 @@ impl Prepared {
             bound,
             xatu_thresholds,
             rf_thresholds,
+            xatu_calibration,
+            rf_calibration,
             systems,
             gt_test: self
                 .ground_truth
@@ -701,33 +703,37 @@ impl Prepared {
         (min, sum / n as f64, below as f64 / n as f64)
     }
 
-    /// Threshold calibration on validation scores (§5.3).
+    /// Threshold calibration of `ty` on validation scores (§5.3): the
+    /// threshold it is served at, and how that was reached ([`settle`]).
     fn calibrate(
         &self,
         scores: &HashMap<(Ipv4, AttackType), Vec<f32>>,
         gt_val: &[GtEvent],
         q: QuantileBound,
         quiet: u32,
-        only_type: Option<AttackType>,
-    ) -> Option<f64> {
+        ty: AttackType,
+    ) -> (f64, Calibration) {
         let base = self.split.train_end;
         let gt_filtered: Vec<GtEvent> = gt_val
             .iter()
-            .filter(|e| only_type.is_none_or(|t| e.attack_type == t))
+            .filter(|e| e.attack_type == ty)
             .copied()
             .collect();
+        let grid = threshold_grid(24);
+        if gt_filtered.is_empty() {
+            return settle(0, &grid, &[], q);
+        }
         // Each candidate threshold is scored independently over the same
         // read-only validation scores, so the sweep fans out across
         // threads; candidates come back in grid order, making
         // `pick_threshold` see the identical list for any thread count.
-        let grid = threshold_grid(24);
         let candidates: Vec<CandidateEval> = par_map(
             resolve_threads(self.cfg.xatu.threads),
             &grid,
             |_, &threshold| {
                 let mut alerts: SystemAlerts = HashMap::new();
                 for (&key, series) in scores {
-                    if only_type.is_some_and(|t| key.1 != t) {
+                    if key.1 != ty {
                         continue;
                     }
                     let intervals = alerts_from_score_series(series, base, threshold, quiet);
@@ -754,7 +760,7 @@ impl Prepared {
                 }
             },
         );
-        pick_threshold(&candidates, q)
+        settle(gt_filtered.len(), &grid, &candidates, q)
     }
 
     /// Streams the stabilization + test periods from the checkpoint with
@@ -1071,6 +1077,10 @@ pub struct EvalReport {
     pub xatu_thresholds: Vec<(AttackType, f64)>,
     /// Calibrated per-type RF score thresholds.
     pub rf_thresholds: Vec<(AttackType, f64)>,
+    /// How each Xatu threshold was reached, in `xatu_thresholds` order.
+    pub xatu_calibration: Vec<(AttackType, Calibration)>,
+    /// How each RF threshold was reached, in `rf_thresholds` order.
+    pub rf_calibration: Vec<(AttackType, Calibration)>,
     /// Per-system evaluations (NetScout, FastNetMon?, RF?, Xatu).
     pub systems: Vec<SystemEval>,
     /// Ground-truth events inside the reported test window.
@@ -1121,7 +1131,65 @@ impl EvalReport {
                 s.delay.total(),
             ));
         }
+        for (system, thresholds, outcomes) in [
+            ("Xatu", &self.xatu_thresholds, &self.xatu_calibration),
+            ("RF", &self.rf_thresholds, &self.rf_calibration),
+        ] {
+            if thresholds.is_empty() {
+                continue;
+            }
+            let types: Vec<String> = thresholds
+                .iter()
+                .zip(outcomes)
+                .map(|((ty, th), (_, outcome))| format!("{ty:?} {th:.3e} {}", outcome.name()))
+                .collect();
+            out.push_str(&format!("{system:>10} thresholds: {}\n", types.join(", ")));
+        }
         out
+    }
+}
+
+/// How a type's threshold was set on validation (§5.3).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Calibration {
+    /// The best grid threshold whose p75 validation overhead is within the
+    /// bound.
+    Calibrated,
+    /// No grid threshold keeps p75 validation overhead within the bound:
+    /// served at the tightest threshold of the grid, not at the bound.
+    Infeasible,
+    /// No validation event of the type to score a threshold by: served at
+    /// the tightest threshold of the grid.
+    Unscored,
+}
+
+impl Calibration {
+    /// Stable lower-case label for summaries and telemetry.
+    pub fn name(self) -> &'static str {
+        match self {
+            Calibration::Calibrated => "calibrated",
+            Calibration::Infeasible => "infeasible",
+            Calibration::Unscored => "unscored",
+        }
+    }
+}
+
+/// The threshold one type is served at, from its validation sweep over
+/// `grid` (ascending) against `events` validation events: the best
+/// feasible candidate, or — when there is none, or nothing to score by —
+/// the grid's tightest threshold, which alerts least.
+fn settle(
+    events: usize,
+    grid: &[f64],
+    candidates: &[CandidateEval],
+    q: QuantileBound,
+) -> (f64, Calibration) {
+    if events == 0 {
+        return (grid[0], Calibration::Unscored);
+    }
+    match pick_threshold(candidates, q) {
+        Some(th) => (th, Calibration::Calibrated),
+        None => (grid[0], Calibration::Infeasible),
     }
 }
 
@@ -1527,12 +1595,83 @@ mod tests {
 
     /// Seed 9 trains a model and raises test-period alerts, so the
     /// detections digest covers real survivals and real alerts.
+    /// Sweeps of a 24-threshold grid with every candidate at `cost` and
+    /// `objective`, as `Prepared::calibrate` builds them.
+    fn sweep(cost: f64, objective: f64) -> (Vec<f64>, Vec<CandidateEval>) {
+        let grid = threshold_grid(24);
+        let candidates = grid
+            .iter()
+            .map(|&threshold| CandidateEval {
+                threshold,
+                objective,
+                per_customer_cost: vec![cost; 4],
+            })
+            .collect();
+        (grid, candidates)
+    }
+
+    const BOUND: QuantileBound = QuantileBound {
+        quantile: 0.75,
+        bound: 0.001,
+    };
+
+    /// A feasible grid threshold is served, and called calibrated.
+    #[test]
+    fn a_type_that_meets_the_bound_is_calibrated() {
+        let (grid, mut candidates) = sweep(0.0005, 0.4);
+        candidates[9].objective = 0.6;
+        candidates[10].per_customer_cost = vec![0.01; 4];
+        candidates[10].objective = 0.9;
+        assert_eq!(
+            settle(3, &grid, &candidates, BOUND),
+            (grid[9], Calibration::Calibrated)
+        );
+    }
+
+    /// No grid threshold meets the bound: the type is served at the grid's
+    /// tightest threshold and called infeasible. (It used to be served at
+    /// 0.002, looser than a fifth of the grid, with nothing said.)
+    #[test]
+    fn a_type_that_cannot_meet_the_bound_is_infeasible_at_the_tightest_threshold() {
+        let (grid, candidates) = sweep(0.02, 0.7);
+        let (th, outcome) = settle(5, &grid, &candidates, BOUND);
+        assert_eq!(outcome, Calibration::Infeasible);
+        assert_eq!(th, grid[0]);
+        assert!(grid.iter().all(|&g| th <= g));
+    }
+
+    /// No validation event: every candidate scores objective 0, which used
+    /// to tie-break to the loosest threshold, 0.9999. Now it is served at
+    /// the tightest and called unscored.
+    #[test]
+    fn a_type_without_a_validation_event_is_unscored_at_the_tightest_threshold() {
+        let (grid, candidates) = sweep(0.0, 0.0);
+        assert_eq!(
+            settle(0, &grid, &candidates, BOUND),
+            (grid[0], Calibration::Unscored)
+        );
+        assert_eq!(
+            settle(0, &grid, &[], BOUND),
+            (grid[0], Calibration::Unscored)
+        );
+    }
+
     #[test]
     fn prepared_supports_multiple_bounds() {
         let prepared = Pipeline::new(PipelineConfig::smoke_test(9)).prepare();
         assert!(!prepared.models.is_empty(), "seed 9 trains a model");
         let a = prepared.evaluate(0.05);
         let b = prepared.evaluate(0.0005);
+        // Every served threshold says how it was reached, in the summary
+        // and in the telemetry.
+        for r in [&a, &b] {
+            let (summary, json) = (r.summary(), r.telemetry_json());
+            for ((ty, th), (ty_c, outcome)) in r.xatu_thresholds.iter().zip(&r.xatu_calibration) {
+                assert_eq!(ty, ty_c);
+                assert!(summary.contains(&format!("{ty:?} {th:.3e} {}", outcome.name())));
+                assert!(json.contains(&format!("\"outcome\":\"{}\"", outcome.name())));
+            }
+        }
         // A looser bound admits thresholds at least as aggressive.
         for ((ty_a, th_a), (ty_b, th_b)) in a.xatu_thresholds.iter().zip(&b.xatu_thresholds) {
             assert_eq!(ty_a, ty_b);

@@ -35,6 +35,16 @@ pub enum V5Error {
         /// Records that fit in the payload.
         available: usize,
     },
+    /// A record's flow ends before it starts (`last < first` uptime).
+    LastBeforeFirst {
+        /// The record's index in the datagram.
+        record: u16,
+    },
+    /// A record carries octets but no packets (`dPkts == 0 < dOctets`).
+    OctetsWithoutPackets {
+        /// The record's index in the datagram.
+        record: u16,
+    },
 }
 
 impl std::fmt::Display for V5Error {
@@ -49,6 +59,12 @@ impl std::fmt::Display for V5Error {
                 f,
                 "header declares {declared} records, payload holds {available}"
             ),
+            V5Error::LastBeforeFirst { record } => {
+                write!(f, "record {record} ends before it starts")
+            }
+            V5Error::OctetsWithoutPackets { record } => {
+                write!(f, "record {record} carries octets in no packets")
+            }
         }
     }
 }
@@ -118,7 +134,9 @@ pub fn parse_datagram(bytes: &[u8]) -> Result<Vec<FlowRecord>, V5Error> {
 
 /// Parses a v5 datagram, appending its flow records to `out`; returns how
 /// many were appended. A datagram that fails to parse leaves `out` as it
-/// was, so a collector can decode a whole feed into one reused buffer.
+/// was, so a collector can decode a whole feed into one reused buffer. One
+/// record no exporter can mean — a flow that ends before it starts, or
+/// octets carried in no packets — rejects the whole datagram.
 pub fn parse_datagram_into(bytes: &[u8], out: &mut Vec<FlowRecord>) -> Result<usize, V5Error> {
     if bytes.len() < HEADER_LEN {
         return Err(V5Error::TooShort);
@@ -138,6 +156,16 @@ pub fn parse_datagram_into(bytes: &[u8], out: &mut Vec<FlowRecord>) -> Result<us
         });
     }
     let sampling = (be16(22) & 0x3FFF).max(1) as u32;
+    for i in 0..count {
+        let o = HEADER_LEN + i * RECORD_LEN;
+        let record = i as u16;
+        if be32(o + 28) < be32(o + 24) {
+            return Err(V5Error::LastBeforeFirst { record });
+        }
+        if be32(o + 16) == 0 && be32(o + 20) > 0 {
+            return Err(V5Error::OctetsWithoutPackets { record });
+        }
+    }
 
     // Every check is above: from here on nothing fails, so `out` only
     // ever grows by whole datagrams. `count` is bounded by the input's
@@ -291,8 +319,10 @@ mod tests {
     }
 
     /// A record every field of which survives the wire: 32-bit counters, a
-    /// minute whose milliseconds fit 32 bits, the datagram's sampling rate.
+    /// minute whose milliseconds fit 32 bits, the datagram's sampling rate,
+    /// and no octets without packets.
     fn wire_flow(w: u64, v: u64, sampling: u16) -> FlowRecord {
+        let packets = (w.rotate_left(17) ^ v) & 0xFFFF_FFFF;
         FlowRecord {
             minute: (w >> 40) as u32 % 71_582,
             src: Ipv4(w as u32),
@@ -301,8 +331,12 @@ mod tests {
             src_port: (v >> 32) as u16,
             dst_port: (v >> 48) as u16,
             tcp_flags: TcpFlags((w >> 56) as u8),
-            bytes: (w ^ v) & 0xFFFF_FFFF,
-            packets: (w.rotate_left(17) ^ v) & 0xFFFF_FFFF,
+            bytes: if packets == 0 {
+                0
+            } else {
+                (w ^ v) & 0xFFFF_FFFF
+            },
+            packets,
             sampling: u32::from(sampling),
         }
     }
@@ -361,6 +395,54 @@ mod tests {
                 }
             }
             let _ = parse_and_check(&mutated, &mut out);
+        }
+
+        /// A valid datagram with one record made nonsense — its `last`
+        /// uptime moved before its `first`, or its packets zeroed under
+        /// non-zero octets — fails whole with that record named, and
+        /// leaves `out` untouched; the same fields set at random never
+        /// panic, and whatever parses is sense.
+        #[test]
+        fn nonsense_records_reject_the_whole_datagram(
+            words in proptest::collection::vec(proptest::arbitrary::any::<u64>(), 2..=2 * MAX_RECORDS),
+            pick in proptest::arbitrary::any::<u32>(),
+            back in 1u32..=u32::MAX,
+            raw in proptest::collection::vec(proptest::arbitrary::any::<u32>(), 4),
+        ) {
+            let sent: Vec<FlowRecord> = words
+                .chunks_exact(2)
+                .map(|w| wire_flow(w[0], w[1], 100))
+                .collect();
+            let dgram = encode_datagram(&sent, 7, 100);
+            let k = pick as usize % sent.len();
+            let record = k as u16;
+            let o = HEADER_LEN + k * RECORD_LEN;
+            let put = |d: &mut Vec<u8>, at: usize, v: u32| d[o + at..o + at + 4].copy_from_slice(&v.to_be_bytes());
+            let get = |d: &[u8], at: usize| u32::from_be_bytes(d[o + at..o + at + 4].try_into().unwrap());
+            let mut out = flows(1);
+
+            let mut late = dgram.clone();
+            let first = get(&late, 24).max(1);
+            put(&mut late, 24, first);
+            put(&mut late, 28, first - back.min(first));
+            assert_eq!(parse_and_check(&late, &mut out), Err(V5Error::LastBeforeFirst { record }));
+
+            let mut empty = dgram.clone();
+            put(&mut empty, 16, 0);
+            put(&mut empty, 20, back);
+            assert_eq!(parse_and_check(&empty, &mut out), Err(V5Error::OctetsWithoutPackets { record }));
+            assert_eq!(out.len(), 1);
+
+            let mut random = dgram.clone();
+            for (at, v) in [16, 20, 24, 28].into_iter().zip(raw) {
+                put(&mut random, at, v);
+            }
+            if let Ok(n) = parse_and_check(&random, &mut out) {
+                for f in &out[out.len() - n..] {
+                    assert!(f.packets > 0 || f.bytes == 0);
+                }
+                assert!(get(&random, 28) >= get(&random, 24));
+            }
         }
     }
 }

@@ -14,7 +14,9 @@
 //!   `exp`, the same bits on every host and at every SIMD width.
 //! * [`dense::Dense`] — fully-connected layer with bias.
 //! * [`lstm::Lstm`] — an LSTM with hand-derived backpropagation through time,
-//!   verified against central finite differences in the test-suite.
+//!   verified against central finite differences in the test-suite; and
+//!   [`lstm::ServingLstm`], the same weights transposed once for the online
+//!   row and dual-block steps.
 //! * [`pooling`] — 1-D average pooling over feature time-series (the
 //!   "aggregation layers" of §4.1) with gradient support for attribution.
 //! * [`adam::Adam`] — the Adam optimizer of Kingma & Ba, the paper's choice.
@@ -48,7 +50,9 @@ pub use arena::FrameArena;
 pub use autoencoder::{AeWorkspace, LstmAutoencoder};
 pub use dense::Dense;
 pub use gradpool::GradBufferPool;
-pub use lstm::{Lstm, LstmState, LstmTrace, LstmWorkspace, OnlineBlockWorkspace, OnlineScratch};
+pub use lstm::{
+    Lstm, LstmState, LstmTrace, LstmWorkspace, OnlineBlockWorkspace, OnlineScratch, ServingLstm,
+};
 pub use matrix::{LaneIndices, Matrix};
 pub use simd::SimdLevel;
 

@@ -33,6 +33,12 @@
 //! arithmetic is bit-identical (0 ULP) to the original per-step-`Vec`
 //! implementation, which is retained under `#[cfg(test)]` as the reference
 //! the property tests pin against.
+//!
+//! [`Lstm`] is the training layer: `forward` and `backward` on row-major
+//! `Wx`/`Wh`. The online paths serve a [`ServingLstm`] built from it once:
+//! the same weights transposed into the layout the lane kernel reads, with
+//! the row step and the dual-block step on top. Neither step transposes
+//! anything, and no scratch of theirs holds a weight.
 
 use crate::activations::{dsigmoid_from_out, dtanh_from_out, sigmoid, tanh};
 use crate::arena::FrameArena;
@@ -232,31 +238,28 @@ fn fit(v: &mut Vec<f64>, n: usize) {
     v.resize(n, 0.0);
 }
 
-/// Caller-held scratch of the online row step: the pre-activations
-/// (`4·hidden`) and the input's nonzero-index list. Grown on first use,
-/// then reused without allocating.
+/// Caller-held scratch of [`ServingLstm::step_online_slices`]: the
+/// pre-activations (`4·hidden`) and the lane lists of the input's
+/// non-zeros and of every hidden unit. Grown on first use, then reused
+/// without allocating.
 #[derive(Clone, Debug, Default)]
 pub struct OnlineScratch {
-    /// Pre-activations.
-    pub z: Vec<f64>,
-    /// Ascending nonzero input indices.
-    pub nz: Vec<u32>,
+    z: Vec<f64>,
+    nz: LaneIndices,
+    all: LaneIndices,
 }
 
-/// Reusable scratch for [`Lstm::step_online_dual_block`]. One workspace per
-/// fleet worker; buffers are resized with capacity-keeping operations, so
-/// steady-state block steps allocate nothing.
+/// Reusable scratch for [`ServingLstm::step_online_dual_block`]. One
+/// workspace per fleet worker serves every layer: it holds per-row
+/// buffers only, never a copy of a layer's weights. Buffers are resized
+/// with capacity-keeping operations, so steady-state block steps allocate
+/// nothing.
 #[derive(Clone, Debug, Default)]
 pub struct OnlineBlockWorkspace {
     /// Shared input contribution `b + Wx·x` of the row being stepped.
     zx: Vec<f64>,
     /// Pre-activations of the half being stepped.
     z: Vec<f64>,
-    /// `Wxᵀ` and `Whᵀ` for [`Matrix::matvec_acc_t_lanes`]. Rebuilt every
-    /// call — one workspace serves every layer of a detector, so it never
-    /// assumes the layer's weights are the ones it last saw.
-    wxt: Matrix,
-    wht: Matrix,
     /// The row's nonzero input indices.
     nz: LaneIndices,
     /// Every hidden index, for `Wh·h`.
@@ -267,7 +270,7 @@ pub struct OnlineBlockWorkspace {
 /// Measured on the `gate_block_exact_*` bench rows against 4, 12 and 24.
 const GATE_LANES: usize = 8;
 
-/// The one body of [`Lstm::gate_block`], compiled at the baseline here and
+/// The one body of [`ServingLstm::gate_block`], compiled at the baseline here and
 /// again inside [`simd::x86::gate_rows_avx2`]. The lanes are a row's hidden
 /// units, each an independent chain of IEEE `+ − × ÷`, so both copies return
 /// the bits of calling [`sigmoid`]/[`tanh`] one element at a time. Zipped
@@ -341,11 +344,6 @@ pub struct Lstm {
     gwh: Option<Matrix>,
     #[serde(skip)]
     gb: Vec<f64>,
-    /// SIMD level of the online kernels: [`simd::detect`] at construction
-    /// (so `XATU_NO_SIMD` is honored), overridable with [`Lstm::set_simd`].
-    /// Never above [`simd::supported`] — [`Lstm::gate_block`] relies on it.
-    #[serde(skip, default = "simd::detect")]
-    simd: SimdLevel,
 }
 
 impl Lstm {
@@ -365,16 +363,7 @@ impl Lstm {
             gwx: Some(Matrix::zeros(4 * hidden, input)),
             gwh: Some(Matrix::zeros(4 * hidden, hidden)),
             gb: vec![0.0; 4 * hidden],
-            simd: simd::detect(),
         }
-    }
-
-    /// Overrides the level the online kernels dispatch to — the gate loop of
-    /// every online step ([`Lstm::gate_block`]: row path and block path) and
-    /// the block path's matvecs ([`Lstm::step_online_dual_block`]) — clamped
-    /// to what the host supports. Every level is bit-identical.
-    pub fn set_simd(&mut self, level: SimdLevel) {
-        self.simd = level.min(simd::supported());
     }
 
     /// Input dimension.
@@ -550,134 +539,6 @@ impl Lstm {
         trace
     }
 
-    /// The online (auto-regressive) row step: advances one `(h, c)` state
-    /// in place by one input against caller-held scratch. The state is a
-    /// pair of slices because callers keep per-customer rows in flat
-    /// structure-of-arrays arenas. Bit-identical to one step of
-    /// [`Lstm::forward`], pinned by a property test. Mostly-zero frames
-    /// take `Wx·x` through the nonzero-index kernel, which is bit-identical
-    /// to the dense one.
-    ///
-    /// # Panics
-    /// Panics if `x`, `h_state` or `c_state` have the wrong dimensions.
-    pub fn step_online_slices(
-        &self,
-        x: &[f64],
-        h_state: &mut [f64],
-        c_state: &mut [f64],
-        scratch: &mut OnlineScratch,
-    ) {
-        assert_eq!(x.len(), self.input, "lstm: input dim");
-        assert_eq!(h_state.len(), self.hidden, "lstm: state h dim");
-        assert_eq!(c_state.len(), self.hidden, "lstm: state c dim");
-        let OnlineScratch { z, nz } = scratch;
-        z.clear();
-        z.extend_from_slice(&self.b);
-        nz.clear();
-        nz.reserve(x.len()); // a denser frame later on never allocates
-        nonzero_indices_into(x, nz);
-        self.wx_acc(x, nz, z);
-        self.wh.matvec_acc(h_state, z);
-        self.gate_block(z, 1, h_state, c_state);
-    }
-
-    /// Advances *both* halves of a block of `batch` independent dual online
-    /// states through one step: `xs` is `batch × input`, the four state
-    /// arenas are `batch × hidden`, all customer-major flat rows.
-    ///
-    /// Bit-identical (0 ULP) to two [`Lstm::step_online_slices`] calls per
-    /// row, pinned by a property test. Per row the pre-activation is built
-    /// from the same three contributions in the same order — bias copy,
-    /// `+= Wx·x`, `+= Wh·h`, each output element one `dot4`-ordered value —
-    /// and the gate loop is the same scalar code. What the block saves: the
-    /// input contribution `b + Wx·x` is computed once and reused for the
-    /// aged and fresh halves, and both products run through
-    /// [`Matrix::matvec_acc_t_lanes`] on transposes built once per call —
-    /// `Wx·x` at a cost that follows the row's nonzero count, so sparse
-    /// minute frames and denser pooled buckets take the same path. Both
-    /// halves' `Wh·h` come before either gate loop — the halves share
-    /// nothing but `zx`, so the order is free, and walk, walk, gates, gates
-    /// measures ~5 % faster per row than walk, gates, walk, gates
-    /// (DESIGN.md §17).
-    ///
-    /// Rows are fully independent, so ragged fleets (customers mid-gap,
-    /// mid-imputation, or freshly cold-started) batch together freely and
-    /// batch composition can never influence any row's result.
-    ///
-    /// # Panics
-    /// Panics if slice lengths disagree with `batch` and the layer shape.
-    #[allow(clippy::too_many_arguments)]
-    pub fn step_online_dual_block(
-        &self,
-        xs: &[f64],
-        batch: usize,
-        aged_hs: &mut [f64],
-        aged_cs: &mut [f64],
-        fresh_hs: &mut [f64],
-        fresh_cs: &mut [f64],
-        ws: &mut OnlineBlockWorkspace,
-    ) {
-        assert_eq!(xs.len(), batch * self.input, "lstm: block xs length");
-        assert_eq!(aged_hs.len(), batch * self.hidden, "lstm: block hs length");
-        assert_eq!(aged_cs.len(), batch * self.hidden, "lstm: block cs length");
-        assert_eq!(fresh_hs.len(), batch * self.hidden, "lstm: block hs length");
-        assert_eq!(fresh_cs.len(), batch * self.hidden, "lstm: block cs length");
-        let h = self.hidden;
-        let OnlineBlockWorkspace {
-            zx,
-            z,
-            wxt,
-            wht,
-            nz,
-            all,
-        } = ws;
-        self.wx.transpose_into(wxt);
-        self.wh.transpose_into(wht);
-        all.set_all(h);
-        for c in 0..batch {
-            let x = &xs[c * self.input..(c + 1) * self.input];
-            let row = c * h..(c + 1) * h;
-            zx.clear();
-            zx.extend_from_slice(&self.b);
-            nz.set_nonzero(x);
-            wxt.matvec_acc_t_lanes(x, nz, zx, self.simd);
-            z.clear();
-            z.extend_from_slice(zx);
-            wht.matvec_acc_t_lanes(&aged_hs[row.clone()], all, z, self.simd);
-            wht.matvec_acc_t_lanes(&fresh_hs[row.clone()], all, zx, self.simd);
-            self.gate_block(z, 1, &mut aged_hs[row.clone()], &mut aged_cs[row.clone()]);
-            self.gate_block(
-                zx,
-                1,
-                &mut fresh_hs[row.clone()],
-                &mut fresh_cs[row.clone()],
-            );
-        }
-    }
-
-    /// The fused gate/cell/output loop over a block's pre-activations, one
-    /// contiguous row per customer — the gate loop of every online step,
-    /// `gate_rows` at this layer's SIMD level. Every level is
-    /// bit-identical.
-    ///
-    /// # Panics
-    /// Panics if slice lengths disagree with `batch` and the layer shape.
-    pub fn gate_block(&self, zs: &[f64], batch: usize, hs: &mut [f64], cs: &mut [f64]) {
-        let h = self.hidden;
-        assert_eq!(zs.len(), batch * 4 * h, "lstm: gate zs length");
-        assert_eq!(hs.len(), batch * h, "lstm: gate hs length");
-        assert_eq!(cs.len(), batch * h, "lstm: gate cs length");
-        #[cfg(target_arch = "x86_64")]
-        if self.simd == SimdLevel::Avx2 {
-            // SAFETY: `simd` is private and only ever holds a level clamped
-            // to `simd::supported()` (`new`, `set_simd`, the serde default),
-            // so AVX2 was detected at runtime.
-            unsafe { simd::x86::gate_rows_avx2(zs, h, hs, cs) };
-            return;
-        }
-        gate_rows(zs, h, hs, cs);
-    }
-
     /// Backpropagation through time over a flat upstream gradient.
     ///
     /// `dhs` is ∂Loss/∂h laid out `t * hidden + k` (all-zero rows are fine
@@ -802,6 +663,194 @@ impl Params for Lstm {
             self.gwh.as_mut().expect("grads ensured").data_mut(),
         );
         f(&mut self.b, &mut self.gb);
+    }
+}
+
+/// An LSTM layer as the online paths serve it: `Wxᵀ` (`input × 4·hidden`),
+/// `Whᵀ` (`hidden × 4·hidden`) and `b`, in the layout
+/// [`Matrix::matvec_acc_t_lanes`] reads, transposed once when the layer is
+/// built ([`ServingLstm::new`]) and never again. A detector head keeps
+/// these as its only copy of the weights; [`ServingLstm::to_lstm`]
+/// transposes back for a checkpoint, and a transpose only permutes values.
+///
+/// Both steps build a row's pre-activations the same way — bias copy,
+/// `+= Wx·x` over the row's non-zero inputs, `+= Wh·h` over every hidden
+/// unit, each through the lane kernel — then run the fused gate loop
+/// ([`ServingLstm::gate_block`]). Per output that is `dot4`'s add sequence,
+/// so either step equals one step of [`Lstm::forward`] bit for bit, at
+/// every SIMD level.
+#[derive(Clone, Debug)]
+pub struct ServingLstm {
+    input: usize,
+    hidden: usize,
+    /// `Wxᵀ`, `input × 4·hidden`.
+    wxt: Matrix,
+    /// `Whᵀ`, `hidden × 4·hidden`.
+    wht: Matrix,
+    /// `4·hidden`.
+    b: Vec<f64>,
+    /// SIMD level of the kernels: [`simd::detect`] at construction (so
+    /// `XATU_NO_SIMD` is honored), overridable with
+    /// [`ServingLstm::set_simd`]. Never above [`simd::supported`] —
+    /// [`ServingLstm::gate_block`] relies on it.
+    simd: SimdLevel,
+}
+
+impl ServingLstm {
+    /// The serving form of `lstm`: its weights transposed, its bias copied.
+    pub fn new(lstm: &Lstm) -> Self {
+        let mut wxt = Matrix::default();
+        let mut wht = Matrix::default();
+        lstm.wx.transpose_into(&mut wxt);
+        lstm.wh.transpose_into(&mut wht);
+        ServingLstm {
+            input: lstm.input,
+            hidden: lstm.hidden,
+            wxt,
+            wht,
+            b: lstm.b.clone(),
+            simd: simd::detect(),
+        }
+    }
+
+    /// The training form of the same weights, with no gradient buffers.
+    pub fn to_lstm(&self) -> Lstm {
+        let mut wx = Matrix::default();
+        let mut wh = Matrix::default();
+        self.wxt.transpose_into(&mut wx);
+        self.wht.transpose_into(&mut wh);
+        Lstm {
+            input: self.input,
+            hidden: self.hidden,
+            wx,
+            wh,
+            b: self.b.clone(),
+            gwx: None,
+            gwh: None,
+            gb: Vec::new(),
+        }
+    }
+
+    /// Overrides the level both steps and the gate loop dispatch to,
+    /// clamped to what the host supports. Every level is bit-identical.
+    pub fn set_simd(&mut self, level: SimdLevel) {
+        self.simd = level.min(simd::supported());
+    }
+
+    /// `zx = b + Wx·x` over `x`'s non-zero inputs (listed into `nz`).
+    #[inline]
+    fn input_part(&self, x: &[f64], nz: &mut LaneIndices, zx: &mut Vec<f64>) {
+        zx.clear();
+        zx.extend_from_slice(&self.b);
+        nz.set_nonzero(x);
+        self.wxt.matvec_acc_t_lanes(x, nz, zx, self.simd);
+    }
+
+    /// The online (auto-regressive) row step: advances one `(h, c)` state
+    /// in place by one input against caller-held scratch. The state is a
+    /// pair of slices because callers keep per-customer rows in flat
+    /// structure-of-arrays arenas. Bit-identical to one step of
+    /// [`Lstm::forward`], pinned by a property test.
+    ///
+    /// # Panics
+    /// Panics if `x`, `h_state` or `c_state` have the wrong dimensions.
+    pub fn step_online_slices(
+        &self,
+        x: &[f64],
+        h_state: &mut [f64],
+        c_state: &mut [f64],
+        scratch: &mut OnlineScratch,
+    ) {
+        assert_eq!(x.len(), self.input, "lstm: input dim");
+        assert_eq!(h_state.len(), self.hidden, "lstm: state h dim");
+        assert_eq!(c_state.len(), self.hidden, "lstm: state c dim");
+        let OnlineScratch { z, nz, all } = scratch;
+        self.input_part(x, nz, z);
+        all.set_all(self.hidden);
+        self.wht.matvec_acc_t_lanes(h_state, all, z, self.simd);
+        self.gate_block(z, 1, h_state, c_state);
+    }
+
+    /// Advances *both* halves of a block of `batch` independent dual online
+    /// states through one step: `xs` is `batch × input`, the four state
+    /// arenas are `batch × hidden`, all customer-major flat rows.
+    ///
+    /// Bit-identical (0 ULP) to two [`ServingLstm::step_online_slices`]
+    /// calls per row, pinned by a property test: per row and half the
+    /// pre-activation is the same three contributions in the same order and
+    /// the gate loop is the same code. What the block saves: the input
+    /// contribution `b + Wx·x` is computed once and reused for the aged and
+    /// fresh halves. Both halves' `Wh·h` come before either gate loop — the
+    /// halves share nothing but `zx`, so the order is free, and walk, walk,
+    /// gates, gates measures ~5 % faster per row than walk, gates, walk,
+    /// gates (DESIGN.md §17).
+    ///
+    /// Rows are fully independent, so ragged fleets (customers mid-gap,
+    /// mid-imputation, or freshly cold-started) batch together freely and
+    /// batch composition can never influence any row's result.
+    ///
+    /// # Panics
+    /// Panics if slice lengths disagree with `batch` and the layer shape.
+    #[allow(clippy::too_many_arguments)]
+    pub fn step_online_dual_block(
+        &self,
+        xs: &[f64],
+        batch: usize,
+        aged_hs: &mut [f64],
+        aged_cs: &mut [f64],
+        fresh_hs: &mut [f64],
+        fresh_cs: &mut [f64],
+        ws: &mut OnlineBlockWorkspace,
+    ) {
+        assert_eq!(xs.len(), batch * self.input, "lstm: block xs length");
+        assert_eq!(aged_hs.len(), batch * self.hidden, "lstm: block hs length");
+        assert_eq!(aged_cs.len(), batch * self.hidden, "lstm: block cs length");
+        assert_eq!(fresh_hs.len(), batch * self.hidden, "lstm: block hs length");
+        assert_eq!(fresh_cs.len(), batch * self.hidden, "lstm: block cs length");
+        let h = self.hidden;
+        let OnlineBlockWorkspace { zx, z, nz, all } = ws;
+        all.set_all(h);
+        for c in 0..batch {
+            let x = &xs[c * self.input..(c + 1) * self.input];
+            let row = c * h..(c + 1) * h;
+            self.input_part(x, nz, zx);
+            z.clear();
+            z.extend_from_slice(zx);
+            self.wht
+                .matvec_acc_t_lanes(&aged_hs[row.clone()], all, z, self.simd);
+            self.wht
+                .matvec_acc_t_lanes(&fresh_hs[row.clone()], all, zx, self.simd);
+            self.gate_block(z, 1, &mut aged_hs[row.clone()], &mut aged_cs[row.clone()]);
+            self.gate_block(
+                zx,
+                1,
+                &mut fresh_hs[row.clone()],
+                &mut fresh_cs[row.clone()],
+            );
+        }
+    }
+
+    /// The fused gate/cell/output loop over a block's pre-activations, one
+    /// contiguous row per customer — the gate loop of both online steps,
+    /// `gate_rows` at this layer's SIMD level. Every level is
+    /// bit-identical.
+    ///
+    /// # Panics
+    /// Panics if slice lengths disagree with `batch` and the layer shape.
+    pub fn gate_block(&self, zs: &[f64], batch: usize, hs: &mut [f64], cs: &mut [f64]) {
+        let h = self.hidden;
+        assert_eq!(zs.len(), batch * 4 * h, "lstm: gate zs length");
+        assert_eq!(hs.len(), batch * h, "lstm: gate hs length");
+        assert_eq!(cs.len(), batch * h, "lstm: gate cs length");
+        #[cfg(target_arch = "x86_64")]
+        if self.simd == SimdLevel::Avx2 {
+            // SAFETY: `simd` is private and only ever holds a level clamped
+            // to `simd::supported()` (`new`, `set_simd`), so AVX2 was
+            // detected at runtime.
+            unsafe { simd::x86::gate_rows_avx2(zs, h, hs, cs) };
+            return;
+        }
+        gate_rows(zs, h, hs, cs);
     }
 }
 
@@ -947,6 +996,117 @@ pub(crate) mod reference {
                 c: dc_next,
             },
         )
+    }
+}
+
+/// The online steps as they stood before [`ServingLstm`]: methods of
+/// [`Lstm`] on its row-major weights, the row step through the `dot4`
+/// kernels and the block step transposing both matrices on every call.
+/// Kept as they were (the SIMD level is a parameter here, it was a field
+/// of the layer) as the reference the serving steps are pinned to.
+#[cfg(test)]
+pub(crate) mod before_serving {
+    use super::*;
+
+    /// The row step's scratch.
+    #[derive(Default)]
+    pub struct Scratch {
+        z: Vec<f64>,
+        nz: Vec<u32>,
+    }
+
+    /// The block step's workspace, transposes included.
+    #[derive(Default)]
+    pub struct BlockWorkspace {
+        zx: Vec<f64>,
+        z: Vec<f64>,
+        wxt: Matrix,
+        wht: Matrix,
+        nz: LaneIndices,
+        all: LaneIndices,
+    }
+
+    fn wx_acc(lstm: &Lstm, x: &[f64], nz: &[u32], z: &mut [f64]) {
+        if use_sparse(nz.len(), lstm.input) {
+            lstm.wx.matvec_acc_nz(x, nz, z);
+        } else {
+            lstm.wx.matvec_acc(x, z);
+        }
+    }
+
+    fn gate_block(level: SimdLevel, h: usize, zs: &[f64], hs: &mut [f64], cs: &mut [f64]) {
+        #[cfg(target_arch = "x86_64")]
+        if level.min(simd::supported()) == SimdLevel::Avx2 {
+            // SAFETY: `supported()` verified AVX2 on this CPU just above.
+            unsafe { simd::x86::gate_rows_avx2(zs, h, hs, cs) };
+            return;
+        }
+        let _ = level;
+        gate_rows(zs, h, hs, cs);
+    }
+
+    pub fn step_online_slices(
+        lstm: &Lstm,
+        level: SimdLevel,
+        x: &[f64],
+        h_state: &mut [f64],
+        c_state: &mut [f64],
+        scratch: &mut Scratch,
+    ) {
+        let Scratch { z, nz } = scratch;
+        z.clear();
+        z.extend_from_slice(&lstm.b);
+        nz.clear();
+        nonzero_indices_into(x, nz);
+        wx_acc(lstm, x, nz, z);
+        lstm.wh.matvec_acc(h_state, z);
+        gate_block(level, lstm.hidden, z, h_state, c_state);
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    pub fn step_online_dual_block(
+        lstm: &Lstm,
+        level: SimdLevel,
+        xs: &[f64],
+        batch: usize,
+        aged_hs: &mut [f64],
+        aged_cs: &mut [f64],
+        fresh_hs: &mut [f64],
+        fresh_cs: &mut [f64],
+        ws: &mut BlockWorkspace,
+    ) {
+        let h = lstm.hidden;
+        let BlockWorkspace {
+            zx,
+            z,
+            wxt,
+            wht,
+            nz,
+            all,
+        } = ws;
+        lstm.wx.transpose_into(wxt);
+        lstm.wh.transpose_into(wht);
+        all.set_all(h);
+        for c in 0..batch {
+            let x = &xs[c * lstm.input..(c + 1) * lstm.input];
+            let row = c * h..(c + 1) * h;
+            zx.clear();
+            zx.extend_from_slice(&lstm.b);
+            nz.set_nonzero(x);
+            wxt.matvec_acc_t_lanes(x, nz, zx, level);
+            z.clear();
+            z.extend_from_slice(zx);
+            wht.matvec_acc_t_lanes(&aged_hs[row.clone()], all, z, level);
+            wht.matvec_acc_t_lanes(&fresh_hs[row.clone()], all, zx, level);
+            gate_block(
+                level,
+                h,
+                z,
+                &mut aged_hs[row.clone()],
+                &mut aged_cs[row.clone()],
+            );
+            gate_block(level, h, zx, &mut fresh_hs[row.clone()], &mut fresh_cs[row]);
+        }
     }
 }
 
@@ -1126,12 +1286,13 @@ mod tests {
     fn online_stepping_equals_batch_forward() {
         let mut init = Initializer::new(5);
         let lstm = Lstm::new(3, 4, &mut init);
+        let serving = ServingLstm::new(&lstm);
         let xs = seq(3, 10, 1.0);
         let trace = lstm.forward(&xs);
         let mut state = LstmState::zeros(4);
         let mut z = OnlineScratch::default();
         for (t, x) in xs.iter().enumerate() {
-            lstm.step_online_slices(x, &mut state.h, &mut state.c, &mut z);
+            serving.step_online_slices(x, &mut state.h, &mut state.c, &mut z);
             assert_eq!(state.h, trace.h(t));
         }
         assert_eq!(state.h, trace.final_h());
@@ -1146,8 +1307,8 @@ mod tests {
         let (input, hidden, batch) = (7, 9, 5);
         let mut init = Initializer::new(11);
         let layers = [
-            Lstm::new(input, hidden, &mut init),
-            Lstm::new(input, hidden, &mut init),
+            ServingLstm::new(&Lstm::new(input, hidden, &mut init)),
+            ServingLstm::new(&Lstm::new(input, hidden, &mut init)),
         ];
         let xs: Vec<f64> = seq(input, batch, 0.8).concat();
         let mut ws = OnlineBlockWorkspace::default();
@@ -1177,7 +1338,7 @@ mod tests {
     }
 
     /// The gates of one row, one element at a time: what both gate tests
-    /// hold every level of [`Lstm::gate_block`] to.
+    /// hold every level of [`ServingLstm::gate_block`] to.
     fn gate_row_by_element(z: &[f64], h: &mut [f64], c: &mut [f64]) {
         let hidden = h.len();
         for k in 0..hidden {
@@ -1213,7 +1374,7 @@ mod tests {
             0.875,
         ];
         for hidden in (1..=9).chain([12, 24, 31, 32, 33]) {
-            let mut plain = Lstm::new(1, hidden, &mut Initializer::new(3));
+            let mut plain = ServingLstm::new(&Lstm::new(1, hidden, &mut Initializer::new(3)));
             let mut wide = plain.clone();
             plain.set_simd(SimdLevel::Scalar);
             wide.set_simd(simd::supported());
@@ -1277,7 +1438,7 @@ mod tests {
             GATE_LANES + 3,
             2 * GATE_LANES + 1,
         ] {
-            let mut layer = Lstm::new(1, hidden, &mut Initializer::new(3));
+            let mut layer = ServingLstm::new(&Lstm::new(1, hidden, &mut Initializer::new(3)));
             let base_z: Vec<f64> = (0..4 * hidden)
                 .map(|j| ((j * 29 + hidden) as f64 * 0.618).sin() * 4.0)
                 .collect();
@@ -1508,7 +1669,7 @@ mod tests {
             let hidden = [1usize, 2, 3, 4, 5, 6, 8, 12, 24, 25][hidden_sel];
             let batch = [1usize, 3, 64][batch_sel];
             let mut init = Initializer::new(seed.wrapping_add(77));
-            let mut lstm = Lstm::new(input, hidden, &mut init);
+            let mut lstm = ServingLstm::new(&Lstm::new(input, hidden, &mut init));
             let mut z = OnlineScratch::default();
 
             // Aged and fresh halves at genuinely different points: the
@@ -1578,18 +1739,150 @@ mod tests {
         ) {
             let mut init = Initializer::new(seed);
             let lstm = Lstm::new(input, hidden, &mut init);
+            let serving = ServingLstm::new(&lstm);
             let xs = gen_seq(seed, input, len, 1.1);
             let trace = lstm.forward(&xs);
             let mut state = LstmState::zeros(hidden);
             let mut z = OnlineScratch::default();
             for (t, x) in xs.iter().enumerate() {
-                lstm.step_online_slices(x, &mut state.h, &mut state.c, &mut z);
+                serving.step_online_slices(x, &mut state.h, &mut state.c, &mut z);
                 for (a, b) in state.h.iter().zip(trace.h(t)) {
                     prop_assert_eq!(a.to_bits(), b.to_bits());
                 }
             }
             for (a, b) in state.c.iter().zip(trace.final_c()) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+
+        /// The serving steps equal the frozen pre-serving kernels and
+        /// `Lstm::forward`, bit for bit: hidden 7, 9 and 24, batches 1, 2, 7
+        /// and 450 stepped in ragged runs (rows sit out steps at random, as
+        /// fleet rows mid-gap do), inputs from no zeros to all zeros with
+        /// `-0.0` among them, at both levels. The row step, the block step
+        /// and both frozen kernels advance separate copies of every state;
+        /// each half must also equal `Lstm::forward` over the inputs it was
+        /// given since it was last zeroed.
+        #[test]
+        fn serving_steps_match_the_frozen_kernels_and_forward_bitwise(
+            seed in 0u64..5_000,
+            input_sel in 0usize..3,
+            hidden_sel in 0usize..3,
+            batch_sel in 0usize..4,
+            zero_pct in 0u64..=100,
+        ) {
+            let hidden = [7usize, 9, 24][hidden_sel];
+            let batch = [1usize, 2, 7, 450][batch_sel];
+            // The widest input only on the small batches: a debug build
+            // steps 450 rows four ways per level.
+            let input = [1usize, 6, 33][input_sel].min(if batch == 450 { 6 } else { 33 });
+            let lstm = Lstm::new(input, hidden, &mut Initializer::new(seed));
+            let mut serving = ServingLstm::new(&lstm);
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = move || {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng
+            };
+            const STEPS: usize = 3;
+            // Per step: the inputs, and which rows take part.
+            let plan: Vec<(Vec<f64>, Vec<bool>)> = (0..STEPS)
+                .map(|_| {
+                    let xs = (0..batch * input)
+                        .map(|_| {
+                            let r = next();
+                            if r % 100 < zero_pct {
+                                if r & (1 << 40) != 0 { -0.0 } else { 0.0 }
+                            } else {
+                                ((r >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 4.0
+                            }
+                        })
+                        .collect();
+                    let active = (0..batch).map(|_| next() % 4 != 0).collect();
+                    (xs, active)
+                })
+                .collect();
+            let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+            for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+                serving.set_simd(level);
+                let n = batch * hidden;
+                // [aged_h, aged_c, fresh_h, fresh_c] per implementation:
+                // serving block, frozen block, serving rows, frozen rows.
+                let mut arenas = [(); 4].map(|_| [(); 4].map(|_| vec![0.0; n]));
+                let mut ws = OnlineBlockWorkspace::default();
+                let mut frozen_ws = before_serving::BlockWorkspace::default();
+                let mut scratch = OnlineScratch::default();
+                let mut frozen_scratch = before_serving::Scratch::default();
+                // Each row's inputs since each half was last zeroed.
+                let mut seen: Vec<[Vec<Vec<f64>>; 2]> = vec![[Vec::new(), Vec::new()]; batch];
+                let mut runs = Vec::new();
+                for (t, (xs, active)) in plan.iter().enumerate() {
+                    runs.clear();
+                    let mut a = 0;
+                    while a < batch {
+                        if !active[a] {
+                            a += 1;
+                            continue;
+                        }
+                        let mut b = a + 1;
+                        while b < batch && active[b] {
+                            b += 1;
+                        }
+                        runs.push((a, b));
+                        a = b;
+                    }
+                    for &(a, b) in &runs {
+                        let (r, x) = (a * hidden..b * hidden, &xs[a * input..b * input]);
+                        let [ah, ac, fh, fc] = &mut arenas[0];
+                        serving.step_online_dual_block(
+                            x, b - a, &mut ah[r.clone()], &mut ac[r.clone()],
+                            &mut fh[r.clone()], &mut fc[r.clone()], &mut ws,
+                        );
+                        let [ah, ac, fh, fc] = &mut arenas[1];
+                        before_serving::step_online_dual_block(
+                            &lstm, level, x, b - a, &mut ah[r.clone()], &mut ac[r.clone()],
+                            &mut fh[r.clone()], &mut fc[r], &mut frozen_ws,
+                        );
+                    }
+                    for c in (0..batch).filter(|&c| active[c]) {
+                        let (r, x) = (c * hidden..(c + 1) * hidden, &xs[c * input..(c + 1) * input]);
+                        for half in [0, 2] {
+                            let [h, cs] = arenas[2].get_disjoint_mut([half, half + 1]).unwrap();
+                            serving.step_online_slices(x, &mut h[r.clone()], &mut cs[r.clone()], &mut scratch);
+                            let [h, cs] = arenas[3].get_disjoint_mut([half, half + 1]).unwrap();
+                            before_serving::step_online_slices(
+                                &lstm, level, x, &mut h[r.clone()], &mut cs[r.clone()], &mut frozen_scratch,
+                            );
+                        }
+                        seen[c][0].push(x.to_vec());
+                        seen[c][1].push(x.to_vec());
+                    }
+                    for (k, arena) in arenas.iter().enumerate().skip(1) {
+                        for (q, (got, want)) in arena.iter().zip(&arenas[0]).enumerate() {
+                            prop_assert_eq!(bits(got), bits(want), "impl {} column {} step {} {:?}", k, q, t, level);
+                        }
+                    }
+                    // Zero the fresh half of every other row after the first
+                    // step, as a promotion does, so the halves differ.
+                    if t == 0 {
+                        for c in (0..batch).step_by(2) {
+                            for arena in &mut arenas {
+                                arena[2][c * hidden..(c + 1) * hidden].fill(0.0);
+                                arena[3][c * hidden..(c + 1) * hidden].fill(0.0);
+                            }
+                            seen[c][1].clear();
+                        }
+                    }
+                }
+                for (c, [aged, fresh]) in seen.iter().enumerate() {
+                    let r = c * hidden..(c + 1) * hidden;
+                    for (half, xs) in [(0, aged), (2, fresh)] {
+                        let trace = lstm.forward(xs);
+                        prop_assert_eq!(bits(&arenas[0][half][r.clone()]), bits(trace.final_h()), "row {} half {}", c, half);
+                        prop_assert_eq!(bits(&arenas[0][half + 1][r.clone()]), bits(trace.final_c()), "row {} half {}", c, half);
+                    }
+                }
             }
         }
     }

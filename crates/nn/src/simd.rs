@@ -7,7 +7,7 @@
 //! one customer's matvec: element `k` of a register is output `k`'s
 //! partial sum for one `dot4` lane, so every output keeps the scalar
 //! summation chain and no reduction is ever reordered. The gate loop
-//! ([`crate::Lstm::gate_block`]) widens across a row's hidden units, each
+//! ([`crate::ServingLstm::gate_block`]) widens across a row's hidden units, each
 //! an independent chain of IEEE `+ − × ÷`. Neither kernel has intrinsics:
 //! each body is safe Rust over fixed-size arrays or zipped slices,
 //! compiled once at the baseline and once inside `x86::t_lanes_avx2` /
@@ -21,7 +21,7 @@
 //! `XATU_NO_SIMD` environment variable forces scalar; `XatuConfig`'s
 //! `no_simd` knob overrides both (config > env > auto, mirroring
 //! `XATU_THREADS`). The level is captured at layer construction
-//! ([`crate::Lstm::new`]) and consulted per call; the plain instantiation
+//! ([`crate::ServingLstm::new`]) and consulted per call; the plain instantiation
 //! is the reference and the permanent fallback for non-x86_64 targets.
 #![deny(unsafe_op_in_unsafe_fn)]
 

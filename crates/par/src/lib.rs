@@ -351,6 +351,35 @@ impl WorkerPool {
             std::panic::resume_unwind(p);
         }
     }
+
+    /// [`par_map`] on the parked workers: the same contiguous blocks, so
+    /// the same output for every thread count, without spawning a thread
+    /// per call. The pool grows to `threads − 1` workers on first use;
+    /// after that a call costs one wake of the parked workers.
+    pub fn map<T, R, F>(&mut self, threads: usize, items: &[T], f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(usize, &T) -> R + Sync,
+    {
+        if threads <= 1 || items.len() <= 1 {
+            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+        }
+        let mut blocks: Vec<((usize, usize), Vec<R>)> = block_ranges(items.len(), threads)
+            .into_iter()
+            .map(|range| (range, Vec::new()))
+            .collect();
+        self.ensure_workers(blocks.len() - 1);
+        self.run_tasks(&mut blocks, &|block: &mut ((usize, usize), Vec<R>)| {
+            let ((start, end), out) = block;
+            out.extend((*start..*end).map(|i| f(i, &items[i])));
+        });
+        let mut result = Vec::with_capacity(items.len());
+        for (_, block) in blocks {
+            result.extend(block);
+        }
+        result
+    }
 }
 
 impl Drop for WorkerPool {
@@ -655,5 +684,19 @@ mod tests {
         let mut tasks = vec![10usize, 11, 12];
         pool.run_tasks(&mut tasks, &|t: &mut usize| *t += 1);
         assert_eq!(tasks, vec![11, 12, 13]);
+    }
+
+    #[test]
+    fn pool_map_equals_par_map_and_reuses_its_workers() {
+        let items: Vec<u64> = (0..97).collect();
+        let f = |i: usize, x: &u64| (i as u64).wrapping_mul(31) ^ x.rotate_left(7);
+        let want = par_map(1, &items, f);
+        let mut pool = WorkerPool::new(0);
+        for threads in [1, 16, 2, 3, 4] {
+            assert_eq!(pool.map(threads, &items, f), want, "threads {threads}");
+        }
+        assert_eq!(pool.workers(), 15, "grown to the widest call, never shrunk");
+        assert_eq!(pool.map(4, &items[..1], f), want[..1]);
+        assert!(pool.map(4, &items[..0], f).is_empty());
     }
 }

@@ -31,21 +31,21 @@ struct Pins {
 /// calibration) contributes to the snapshot being compared.
 const SEED_9: Pins = Pins {
     seed: 9,
-    digest: 0xf581_f170_3869_a45f,
+    digest: 0xcabd_f614_56bd_3144,
     xatu_thresholds: &[(AttackType::UdpFlood, 0x3fe0_0048_6cd3_1816)],
     detected: &[("NetScout", 2, 2), ("FastNetMon", 1, 2), ("Xatu", 0, 2)],
 };
 
 /// The lowest model-training smoke seed whose Xatu heads raise test-period
-/// alerts, so the alert path feeds the snapshot too.
-const SEED_4: Pins = Pins {
-    seed: 4,
-    digest: 0xf7e3_394f_6472_5bcb,
-    xatu_thresholds: &[
-        (AttackType::UdpFlood, 0x3fef_ff2e_48e8_a71e),
-        (AttackType::IcmpFlood, 0x3fef_ff2e_48e8_a71e),
-    ],
-    detected: &[("NetScout", 0, 0), ("FastNetMon", 0, 0), ("Xatu", 0, 0)],
+/// alerts, so the alert path feeds the snapshot too. (Seed 4's heads
+/// raised alerts only at the 0.9999 threshold a type with no validation
+/// event used to calibrate to; it is now served unscored at the grid's
+/// tightest threshold and raises none.)
+const SEED_8: Pins = Pins {
+    seed: 8,
+    digest: 0x5b35_4dd5_08af_669c,
+    xatu_thresholds: &[(AttackType::UdpFlood, 0x3fb1_e6a5_553e_adb9)],
+    detected: &[("NetScout", 1, 1), ("FastNetMon", 0, 1), ("Xatu", 1, 1)],
 };
 
 /// (telemetry digest, threshold bits per type, detected / total per system).
@@ -129,7 +129,7 @@ fn pipeline_telemetry_digest_is_identical_across_thread_counts() {
 
 #[test]
 fn alerting_pipeline_telemetry_is_identical_across_thread_counts() {
-    let s1 = identical_across_thread_counts(&SEED_4);
+    let s1 = identical_across_thread_counts(&SEED_8);
     assert!(
         s1.counter("online.alerts_raised") > 0,
         "counter online.alerts_raised not recorded"
