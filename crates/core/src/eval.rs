@@ -22,6 +22,7 @@ use xatu_netflow::binning::MinuteFlows;
 /// when an earlier one is, and reads `0.0` outside what it holds. A router's
 /// minutes count its uptime, so a channel first seen after a month holds
 /// cells from that month on, not from minute 0.
+#[derive(Clone)]
 pub struct VolumeStore {
     /// The period: what [`VolumeStore::new`] was given, or one past the
     /// newest minute recorded if that is later.
@@ -32,6 +33,7 @@ pub struct VolumeStore {
 
 /// One channel's `[bytes, packets]` per minute: `cells[i]` is minute
 /// `base + i`.
+#[derive(Clone)]
 struct Series {
     base: usize,
     cells: Vec<[f32; 2]>,

@@ -38,7 +38,7 @@ impl MinuteFlows {
 /// minute in the paper's dataset); bins are only released when
 /// [`MinuteBinner::advance_watermark`] moves past their minute, which mirrors
 /// a collector's export-delay handling.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct MinuteBinner {
     bins: BTreeMap<(u32, Ipv4), MinuteFlows>,
     watermark: u32,
