@@ -33,13 +33,24 @@ pub struct MinuteObservation {
     pub packets: f64,
 }
 
-/// A streaming threshold detector.
-pub trait Detector {
+/// A streaming threshold detector. `Send + Sync`, so an engine holding one
+/// as a `Box<dyn Detector>` still moves between threads.
+pub trait Detector: Send + Sync {
     /// Feeds one observation; returns any lifecycle events it triggers.
     fn observe(&mut self, obs: &MinuteObservation) -> Vec<DetectorEvent>;
 
     /// Human-readable name for reports.
     fn name(&self) -> &'static str;
+
+    /// A boxed copy, state included.
+    fn boxed_clone(&self) -> Box<dyn Detector>;
+}
+
+/// Forks a boxed detector mid-stream, state included.
+impl Clone for Box<dyn Detector> {
+    fn clone(&self) -> Self {
+        self.boxed_clone()
+    }
 }
 
 #[cfg(test)]
