@@ -5,7 +5,7 @@
 //! validation scores) is reused across the bound sweep; each bound needs
 //! only a re-calibration plus a fresh auto-regressive test run.
 
-use xatu_core::pipeline::{Pipeline, PipelineConfig};
+use xatu_core::pipeline::{served_thresholds, EvalReport, Pipeline, PipelineConfig};
 use xatu_metrics::percentile::Summary;
 use xatu_metrics::table::{fmt_summary, Table};
 
@@ -33,6 +33,10 @@ pub fn run(seed: u64) -> String {
     let mut ovh = Table::new(
         "Fig 8(c): per-customer scrubbing overhead (median [p25, p75]) vs overhead bound",
         &["bound", "NetScout", "FastNetMon", "RF", "Xatu"],
+    );
+    let mut served = Table::new(
+        "Fig 8: thresholds served at each bound (type, threshold, calibration outcome)",
+        &["bound", "Xatu", "RF"],
     );
 
     for bound in BOUNDS {
@@ -63,14 +67,64 @@ pub fn run(seed: u64) -> String {
         eff.row(&eff_cells);
         delay.row(&delay_cells);
         ovh.row(&ovh_cells);
+        served.row(&threshold_row(&report));
     }
 
     format!(
-        "{}\n{}\n{}\n(paper shape: Xatu's effectiveness exceeds NetScout by ~40-54 pp and FNM by \
+        "{}\n{}\n{}\n{}\n(paper shape: Xatu's effectiveness exceeds NetScout by ~40-54 pp and FNM by \
          ~26-39 pp across bounds; Xatu's median delay 1-2 min vs NetScout 11.5 and FNM 5; \
          Xatu's p75 overhead stays within each bound)\n",
         eff.render(),
         delay.render(),
-        ovh.render()
+        ovh.render(),
+        served.render()
     )
+}
+
+/// One bound's row of served thresholds: the bound, then each type's Xatu
+/// and RF threshold with its calibration outcome ("n/a" for a system that
+/// serves none).
+fn threshold_row(report: &EvalReport) -> Vec<String> {
+    let cell = |line: String| if line.is_empty() { "n/a".into() } else { line };
+    vec![
+        format!("{:.3}%", 100.0 * report.bound),
+        cell(served_thresholds(
+            &report.xatu_thresholds,
+            &report.xatu_calibration,
+        )),
+        cell(served_thresholds(
+            &report.rf_thresholds,
+            &report.rf_calibration,
+        )),
+    ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Each bound's row names every served type of both systems with its
+    /// threshold and calibration outcome.
+    #[test]
+    fn threshold_row_names_each_types_threshold_and_outcome() {
+        let cfg = PipelineConfig {
+            with_rf: true,
+            ..PipelineConfig::smoke_test(9)
+        };
+        let report = Pipeline::new(cfg).prepare().evaluate(0.01);
+        assert!(!report.xatu_thresholds.is_empty() && !report.rf_thresholds.is_empty());
+        let row = threshold_row(&report);
+        assert_eq!(row[0], "1.000%");
+        for (cell, thresholds, outcomes) in [
+            (&row[1], &report.xatu_thresholds, &report.xatu_calibration),
+            (&row[2], &report.rf_thresholds, &report.rf_calibration),
+        ] {
+            assert_eq!(thresholds.len(), outcomes.len());
+            for ((ty, th), (ty_c, outcome)) in thresholds.iter().zip(outcomes) {
+                assert_eq!(ty, ty_c);
+                let named = format!("{ty:?} {th:.3e} {}", outcome.name());
+                assert!(cell.contains(&named), "{cell:?} lacks {named:?}");
+            }
+        }
+    }
 }

@@ -288,6 +288,22 @@ mod tests {
         assert_eq!(back[0].sampling, 1000);
     }
 
+    /// The largest counters a record carries (`dOctets = dPkts = u32::MAX`)
+    /// scaled by the largest sampling interval a header carries (`0x3FFF`)
+    /// stay below 2^46, so a decoded flow's `est_bytes` and `est_packets`
+    /// cannot overflow `u64`.
+    #[test]
+    fn the_largest_scaled_counters_fit_u64() {
+        let mut fs = flows(1);
+        fs[0].bytes = u64::from(u32::MAX);
+        fs[0].packets = u64::from(u32::MAX);
+        let back = parse_datagram(&encode_datagram(&fs, 0, 0x3FFF)).unwrap();
+        let want = u64::from(u32::MAX) * 0x3FFF;
+        assert!(want < 1 << 46);
+        assert_eq!(back[0].sampling, 0x3FFF);
+        assert_eq!((back[0].est_bytes(), back[0].est_packets()), (want, want));
+    }
+
     /// What every call must hold, whatever the bytes: no panic; an `Err`
     /// leaves `out` as it was; an `Ok(n)` appends exactly the `n` records
     /// the header declares; and `out` never reserves past what the input's
