@@ -16,7 +16,8 @@
 //!   can't creep in silently.
 //! * **Serving is allocation-free on every front-end**: a warm fleet
 //!   minute at 1 and 4 threads, and a warm
-//!   `FleetDetector` observation, perform zero heap allocations.
+//!   `FleetDetector` observation, perform zero heap allocations, and so
+//!   does a warm fleet minute whose frames carry auxiliary-signal tails.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -277,4 +278,45 @@ fn hot_path_allocation_budget() {
         o1 - o0,
         ob1 - ob0
     );
+
+    // --- Auxiliary-signal tails set every minute: a row's tail box and
+    // its buckets' boxes are made once and kept, zeroed at each bucket
+    // reset, so warm minutes allocate nothing at 1 and 4 threads.
+    let mut tailed = FleetDetector::new(
+        XatuModel::new(&fleet_cfg),
+        AttackType::UdpFlood,
+        0.0,
+        &fleet_cfg,
+    );
+    for i in 0..32u32 {
+        tailed.add_customer(Ipv4(0x0a00_0000 + i));
+    }
+    let tail_fill = |i: usize, _a: Ipv4, frame: &mut [f64]| {
+        frame.fill(0.0);
+        frame[0] = 0.02;
+        frame[VOLUMETRIC_WIDTH + i % 7] = 0.3;
+        frame[NUM_FEATURES - 1 - i % 5] = 0.05;
+        FleetInput::Frame
+    };
+    for m in 0..60 {
+        tailed.step_minute_batch(m, 1, tail_fill).unwrap();
+    }
+    for m in 60..180 {
+        tailed.step_minute_batch(m, 4, tail_fill).unwrap();
+    }
+    for (threads, minutes) in [(1, 180..240), (4, 240..300)] {
+        let (t0, tb0) = snapshot();
+        for m in minutes {
+            let events = tailed.step_minute_batch(m, threads, tail_fill).unwrap();
+            assert!(events.is_empty(), "unexpected lifecycle event at {m}");
+        }
+        let (t1, tb1) = snapshot();
+        assert_eq!(
+            t1 - t0,
+            0,
+            "steady-state tailed fleet minutes (threads = {threads}) allocated {} times ({} bytes)",
+            t1 - t0,
+            tb1 - tb0
+        );
+    }
 }
