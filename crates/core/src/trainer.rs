@@ -22,7 +22,7 @@ use std::path::Path;
 use xatu_nn::activations::sigmoid;
 use xatu_nn::{Adam, GradBufferPool, Params};
 use xatu_obs::{alloc_hook, Registry};
-use xatu_par::{par_zip_with_workers, resolve_threads};
+use xatu_par::{block_ranges_into, resolve_threads, WorkerPool};
 use xatu_survival::safe_loss::safe_loss_and_grad;
 
 /// Per-epoch training diagnostics.
@@ -205,15 +205,17 @@ where
     // Data-parallel scaffolding, reused across batches and epochs: one
     // pooled flat gradient buffer per item slot, worker replicas (model +
     // scratch, grown lazily, params re-synced from `model` each batch), a
-    // scratch vector for the parameter snapshot, and the sequential path's
-    // own persistent scratch. Steady-state forward+backward through these
-    // buffers allocates nothing.
+    // scratch vector for the parameter snapshot, the sequential path's own
+    // persistent scratch, and one parked thread pool for the whole run.
+    // Steady-state forward+backward through these buffers allocates
+    // nothing.
     let param_count = model.param_count();
     let mut pool = GradBufferPool::new(param_count);
     let mut workers: Vec<(M, W)> = Vec::new();
     let mut param_snapshot = vec![0.0; param_count];
-    let mut chunk_items: Vec<&I> = Vec::new();
     let mut seq_scratch = W::default();
+    let mut threads_pool = WorkerPool::default();
+    let mut ranges = Vec::new();
 
     obs.add("train.samples", items.len() as u64);
     obs.add("train.epochs", (run.epochs - start_epoch) as u64);
@@ -247,18 +249,28 @@ where
                 for (replica, _) in &mut workers[..n_workers] {
                     replica.import_params_from(&param_snapshot);
                 }
-                chunk_items.clear();
-                chunk_items.extend(chunk.iter().map(|&i| &items[i]));
-                par_zip_with_workers(
-                    &mut workers[..n_workers],
-                    &chunk_items,
-                    &mut slots[..],
-                    |(replica, scratch), _idx, item, slot| {
+                // Contiguous blocks of the chunk, block `b` on replica `b`
+                // and into the slots of its own items.
+                block_ranges_into(chunk.len(), n_workers, &mut ranges);
+                threads_pool.ensure_workers(ranges.len() - 1);
+                let mut rest = &mut slots[..];
+                let mut tasks: Vec<_> = ranges
+                    .iter()
+                    .zip(&mut workers)
+                    .map(|(&(a, b), worker)| {
+                        let (block, tail) = std::mem::take(&mut rest).split_at_mut(b - a);
+                        rest = tail;
+                        (worker, &chunk[a..b], block)
+                    })
+                    .collect();
+                threads_pool.run_tasks(&mut tasks, &|(worker, ids, block)| {
+                    let (replica, scratch) = &mut **worker;
+                    for (&i, slot) in ids.iter().zip(block.iter_mut()) {
                         replica.zero_grads();
-                        slot.1 = step(replica, item, scratch);
+                        slot.1 = step(replica, &items[i], scratch);
                         replica.export_grads_into(&mut slot.0);
-                    },
-                );
+                    }
+                });
             }
             // Fixed-order reduction: the batch gradient is summed in chunk
             // index order regardless of which worker filled which buffer.

@@ -95,67 +95,12 @@ where
     result
 }
 
-/// Processes `items` into the equally-sized `out` slice using per-block
-/// worker state.
-///
-/// `workers.len()` defines the parallelism: items (and the matching `out`
-/// slots) are partitioned into `workers.len()` contiguous blocks, and block
-/// `b` runs sequentially on `workers[b]`. `f` receives the worker, the
-/// item's global index, the item, and its output slot. Because each output
-/// slot is written by exactly one block and blocks are index-ordered, the
-/// filled `out` is identical for every worker count.
-///
-/// This is the trainer's primitive: workers hold reusable model clones and
-/// `out` holds pooled per-sample gradient buffers.
-pub fn par_zip_with_workers<W, T, U, F>(workers: &mut [W], items: &[T], out: &mut [U], f: F)
-where
-    W: Send,
-    T: Sync,
-    U: Send,
-    F: Fn(&mut W, usize, &T, &mut U) + Sync,
-{
-    assert_eq!(items.len(), out.len(), "items/out length mismatch");
-    assert!(!workers.is_empty(), "need at least one worker");
-    if workers.len() == 1 || items.len() <= 1 {
-        let w = &mut workers[0];
-        for (i, (item, slot)) in items.iter().zip(out.iter_mut()).enumerate() {
-            f(w, i, item, slot);
-        }
-        return;
-    }
-    let ranges = block_ranges(items.len(), workers.len());
-
-    // Pair each active worker with its (range, output block). Output blocks
-    // are disjoint `chunks_mut`-style splits along the same boundaries.
-    let mut tasks: Vec<(&mut W, (usize, usize), &mut [U])> = Vec::with_capacity(ranges.len());
-    {
-        let mut rest = out;
-        let mut consumed = 0;
-        let mut worker_iter = workers.iter_mut();
-        for &(start, end) in &ranges {
-            let (block, tail) = rest.split_at_mut(end - consumed);
-            rest = tail;
-            consumed = end;
-            let w = worker_iter.next().expect("more ranges than workers");
-            tasks.push((w, (start, end), block));
-        }
-    }
-
-    run_scoped(tasks, |(w, (start, end), block)| {
-        for (offset, slot) in block.iter_mut().enumerate() {
-            let i = start + offset;
-            debug_assert!(i < end);
-            f(w, i, &items[i], slot);
-        }
-    });
-}
-
 /// A persistent fork-join pool for steady-state allocation-free fan-out.
 ///
-/// [`par_map`] and [`par_zip_with_workers`] spawn OS threads (or rayon
-/// jobs) per call, which allocates every time — fine for training epochs,
-/// fatal for the fleet's zero-allocation-per-minute contract at
-/// `threads > 1`. `WorkerPool` keeps its workers parked on a condvar
+/// [`par_map`] spawns OS threads (or rayon jobs) per call, which
+/// allocates every time — fine for a one-off fan-out, fatal for the
+/// fleet's zero-allocation-per-minute contract at `threads > 1` and a
+/// needless cost per minibatch in training. `WorkerPool` keeps its workers parked on a condvar
 /// between dispatches: after the pool is warm, [`WorkerPool::run_tasks`]
 /// performs no heap allocation on the non-panicking path (Linux
 /// mutex/condvar operations are futex syscalls, not allocations).
@@ -557,28 +502,6 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(par_map(4, &empty, |_, &x| x).is_empty());
         assert_eq!(par_map(4, &[7u32], |_, &x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn workers_fill_outputs_in_index_order() {
-        let items: Vec<u64> = (0..57).collect();
-        let mut out_seq = vec![0u64; items.len()];
-        let mut one_worker = vec![0u64; 1];
-        par_zip_with_workers(&mut one_worker, &items, &mut out_seq, |w, i, &x, slot| {
-            *w += 1;
-            *slot = x * 3 + i as u64;
-        });
-        for n_workers in [2usize, 3, 4, 9] {
-            let mut workers = vec![0u64; n_workers];
-            let mut out = vec![0u64; items.len()];
-            par_zip_with_workers(&mut workers, &items, &mut out, |w, i, &x, slot| {
-                *w += 1;
-                *slot = x * 3 + i as u64;
-            });
-            assert_eq!(out, out_seq, "workers={n_workers}");
-            // Every item was processed by exactly one worker.
-            assert_eq!(workers.iter().sum::<u64>(), items.len() as u64);
-        }
     }
 
     #[test]
