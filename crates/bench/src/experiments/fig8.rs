@@ -5,7 +5,8 @@
 //! validation scores) is reused across the bound sweep; each bound needs
 //! only a re-calibration plus a fresh auto-regressive test run.
 
-use xatu_core::pipeline::{served_thresholds, EvalReport, Pipeline, PipelineConfig};
+use super::threshold_row;
+use xatu_core::pipeline::{Pipeline, PipelineConfig};
 use xatu_metrics::percentile::Summary;
 use xatu_metrics::table::{fmt_summary, Table};
 
@@ -79,24 +80,6 @@ pub fn run(seed: u64) -> String {
         ovh.render(),
         served.render()
     )
-}
-
-/// One bound's row of served thresholds: the bound, then each type's Xatu
-/// and RF threshold with its calibration outcome ("n/a" for a system that
-/// serves none).
-fn threshold_row(report: &EvalReport) -> Vec<String> {
-    let cell = |line: String| if line.is_empty() { "n/a".into() } else { line };
-    vec![
-        format!("{:.3}%", 100.0 * report.bound),
-        cell(served_thresholds(
-            &report.xatu_thresholds,
-            &report.xatu_calibration,
-        )),
-        cell(served_thresholds(
-            &report.rf_thresholds,
-            &report.rf_calibration,
-        )),
-    ]
 }
 
 #[cfg(test)]

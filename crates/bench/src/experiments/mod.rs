@@ -14,6 +14,8 @@ pub mod fig8;
 pub mod fig9;
 pub mod tab2;
 
+use xatu_core::pipeline::{served_thresholds, EvalReport};
+
 /// All experiment ids, in paper order.
 pub const EXPERIMENT_IDS: [&str; 14] = [
     "fig2", "fig3", "fig4a", "fig4b", "fig4c", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
@@ -43,4 +45,22 @@ pub fn run_experiment(id: &str, seed: u64) -> String {
         "tab2" => tab2::run(seed),
         other => panic!("unknown experiment id '{other}'"),
     }
+}
+
+/// One bound's row of served thresholds: the bound, then each type's Xatu
+/// and RF threshold with its calibration outcome ("n/a" for a system that
+/// serves none).
+pub(crate) fn threshold_row(report: &EvalReport) -> Vec<String> {
+    let cell = |line: String| if line.is_empty() { "n/a".into() } else { line };
+    vec![
+        format!("{:.3}%", 100.0 * report.bound),
+        cell(served_thresholds(
+            &report.xatu_thresholds,
+            &report.xatu_calibration,
+        )),
+        cell(served_thresholds(
+            &report.rf_thresholds,
+            &report.rf_calibration,
+        )),
+    ]
 }
