@@ -3,8 +3,8 @@
 //! * feature extraction per customer-minute (paper: ~50 ms per customer on
 //!   one Xeon thread for 100 MB/min of NetFlow),
 //! * one online detection step (paper: <10 ms),
-//! * plus component benches: LSTM step, CUSUM update, RF inference,
-//!   packet sampling, and the SAFE loss.
+//! * plus component benches: the LSTM dual step, CUSUM update, RF
+//!   inference, packet sampling, and the SAFE loss.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -27,7 +27,7 @@ use xatu_netflow::binning::MinuteFlows;
 use xatu_netflow::record::{FlowRecord, Protocol, TcpFlags};
 use xatu_netflow::sampler::{PacketSampler, SamplingMode};
 use xatu_nn::init::Initializer;
-use xatu_nn::lstm::{Lstm, OnlineScratch, ServingLstm};
+use xatu_nn::lstm::{Lstm, ServingLstm};
 use xatu_survival::safe_loss::safe_loss_and_grad;
 
 fn bin_with_flows(n: usize) -> MinuteFlows {
@@ -225,20 +225,6 @@ fn bench_detection_step(c: &mut Criterion) {
         b.iter(|| {
             minute += 1;
             black_box(det.observe(Ipv4(1), minute, black_box(&frame)))
-        })
-    });
-}
-
-fn bench_lstm_step(c: &mut Criterion) {
-    let mut init = Initializer::new(1);
-    let lstm = ServingLstm::new(&Lstm::new(273, 24, &mut init));
-    let (mut h, mut cell) = (vec![0.0f64; 24], vec![0.0f64; 24]);
-    let mut scratch = OnlineScratch::default();
-    let x = vec![0.2f64; 273];
-    c.bench_function("lstm_step_273x24", |b| {
-        b.iter(|| {
-            lstm.step_online_slices(black_box(&x), &mut h, &mut cell, &mut scratch);
-            black_box(&h);
         })
     });
 }
@@ -441,29 +427,27 @@ fn bench_gate_kernel(c: &mut Criterion) {
     row(c, "tanh_row", tanh, &zs[..24]);
 }
 
-/// The lane kernel where it lives: the dual-block step at
-/// the fleet geometry over a 450-row block (the `fleet_wide` shard), on
-/// 14 %-dense minute frames (39 nonzeros of 273) and on a pooled bucket's
-/// ~33 % (91), forced scalar next to the host's widest level — and the bare
-/// kernel on the two products of one row, `Wx·x` over 39 nonzero inputs and
-/// `Wh·h` over all 24. Bit-identical at every level, so a pure throughput
-/// comparison.
+/// The lane kernel where it lives: the online step, both halves of one
+/// dual row at the fleet geometry (273 -> 4 x 24), on a 14 %-dense minute
+/// frame (39 nonzeros of 273) and on a pooled bucket's ~33 % (91), forced
+/// scalar next to the host's widest level — and the bare kernel on the two
+/// products of one row, `Wx·x` over 39 nonzero inputs and `Wh·h` over all
+/// 24. Bit-identical at every level, so a pure throughput comparison.
 fn bench_exact_lane_kernel(c: &mut Criterion) {
     use xatu_nn::simd::{self, SimdLevel};
-    use xatu_nn::{LaneIndices, Matrix, OnlineBlockWorkspace};
+    use xatu_nn::{LaneIndices, Matrix, OnlineWorkspace};
     let mut levels = vec![SimdLevel::Scalar, simd::supported()];
     levels.dedup();
     let mut init = Initializer::new(5);
     let layer = Lstm::new(273, 24, &mut init);
     let mut lstm = ServingLstm::new(&layer);
-    const BATCH: usize = 450;
     let h = 24;
     // Every `stride`-th feature set: 1/7 is the minute frames' ~14 %,
     // 1/3 a pooled bucket's union support.
-    let rows = |stride: usize| -> Vec<f64> {
-        (0..BATCH * 273)
+    let row = |stride: usize| -> Vec<f64> {
+        (0..273)
             .map(|i| {
-                if (i + i / 273) % stride == 0 {
+                if i % stride == 0 {
                     (i % 7 + 1) as f64 * 0.2
                 } else {
                     0.0
@@ -471,21 +455,17 @@ fn bench_exact_lane_kernel(c: &mut Criterion) {
             })
             .collect()
     };
-    let mut state = [(); 4].map(|_| vec![0.0f64; BATCH * h]);
-    let mut ws = OnlineBlockWorkspace::default();
+    let mut state = [(); 4].map(|_| vec![0.0f64; h]);
+    let mut ws = OnlineWorkspace::default();
     for stride in [7, 3] {
-        let xs = rows(stride);
+        let x = row(stride);
         for &level in &levels {
             lstm.set_simd(level);
-            let name = format!(
-                "dual_block_step_f64_b450_273x24_nnz{}_{}",
-                273 / stride,
-                level.name()
-            );
+            let name = format!("dual_step_273x24_nnz{}_{}", 273 / stride, level.name());
             c.bench_function(&name, |b| {
                 b.iter(|| {
                     let [ah, ac, fh, fc] = &mut state;
-                    lstm.step_online_dual_block(black_box(&xs), BATCH, ah, ac, fh, fc, &mut ws);
+                    lstm.step_online_dual(black_box(&x), ah, ac, fh, fc, &mut ws);
                     black_box(&ah);
                 })
             });
@@ -618,7 +598,7 @@ criterion_group! {
     config = Criterion::default().sample_size(20);
     targets = bench_feature_extraction, bench_source_tests,
               bench_clustering_coefficients, bench_clustering_writes,
-              bench_detection_step, bench_lstm_step,
+              bench_detection_step,
               bench_cusum, bench_rf_inference, bench_sampler, bench_warm_fwd_bwd,
               bench_obs_primitives, bench_safe_loss,
               bench_gate_kernel, bench_exact_lane_kernel

@@ -185,10 +185,16 @@ impl<'a> Dec<'a> {
         Ok(out)
     }
 
-    /// Reads a count-prefixed list of `f64` vectors.
+    /// Reads a count-prefixed list of `f64` vectors. Each vector takes at
+    /// least its 8-byte length, so the count is validated against the
+    /// remaining bytes before the list is allocated.
     fn f64_chunks(&mut self) -> Result<Vec<Vec<f64>>, String> {
-        let mut out = Vec::new();
-        for _ in 0..self.u64()? {
+        let n = self.u64()?;
+        if n > ((self.bytes.len() - self.pos) / 8) as u64 {
+            return Err(format!("chunk count {n} exceeds payload"));
+        }
+        let mut out = Vec::with_capacity(n as usize);
+        for _ in 0..n {
             out.push(self.f64s()?);
         }
         Ok(out)
@@ -1153,6 +1159,344 @@ mod tests {
                 decode_restore_reencode(&bad);
             }
         }
+    }
+
+    thread_local! {
+        /// Bytes this thread has asked the allocator for.
+        static ASKED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// The system allocator, counting what each thread asks of it, so a
+    /// decoder can be held to the length of its input.
+    struct Counting;
+
+    // SAFETY: every call is forwarded unchanged to `System`; the counter
+    // is a const-initialized thread-local `Cell`, which never allocates.
+    unsafe impl std::alloc::GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            let _ = ASKED.try_with(|a| a.set(a.get() + layout.size()));
+            // SAFETY: the caller's guarantees for `alloc` pass through.
+            unsafe { std::alloc::System.alloc(layout) }
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
+            let _ = ASKED.try_with(|a| a.set(a.get() + layout.size()));
+            // SAFETY: the caller's guarantees for `alloc_zeroed` pass through.
+            unsafe { std::alloc::System.alloc_zeroed(layout) }
+        }
+
+        unsafe fn realloc(
+            &self,
+            ptr: *mut u8,
+            layout: std::alloc::Layout,
+            new_size: usize,
+        ) -> *mut u8 {
+            let _ = ASKED.try_with(|a| a.set(a.get() + new_size));
+            // SAFETY: `ptr` came from `System` through this allocator, and
+            // the caller's other guarantees for `realloc` pass through.
+            unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            // SAFETY: `ptr` came from `System` through this allocator.
+            unsafe { std::alloc::System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static COUNTING: Counting = Counting;
+
+    /// `f()`, and the bytes this thread asked the allocator for meanwhile.
+    fn asked_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let before = ASKED.with(|a| a.get());
+        let out = f();
+        (out, ASKED.with(|a| a.get()) - before)
+    }
+
+    /// One trainer under fuzz: the model a resume starts from (untrained,
+    /// so a record that restores moves it), the run, and a record that
+    /// run's [`crate::trainer::minibatch_loop`] wrote.
+    struct TrainerFuzz<M> {
+        fresh: M,
+        run: crate::trainer::MinibatchRun,
+        record: Vec<u8>,
+    }
+
+    /// Trains `model` two of three epochs through the one minibatch loop,
+    /// on gradients that set every parameter chunk's moments, and keeps
+    /// the checkpoint it wrote after the second.
+    fn trainer_fuzz<M: xatu_nn::Params + Clone + Send>(
+        mut model: M,
+        identity: TrainIdentity,
+    ) -> TrainerFuzz<M> {
+        use crate::trainer::{minibatch_loop, MinibatchRun, TrainCheckpointSpec};
+        let fresh = model.clone();
+        let run = MinibatchRun {
+            seed: 5,
+            salt: 0,
+            lr: 1e-2,
+            batch_size: 2,
+            epochs: 3,
+            grad_clip: 1.0,
+            threads: 1,
+            identity,
+        };
+        // Tests run in parallel and each builds its own records: one
+        // file per record.
+        static BUILT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = BUILT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = tmp_file(&format!("trainer_fuzz_{n}"));
+        let spec = TrainCheckpointSpec {
+            path: &path,
+            every_epochs: 1,
+            resume: false,
+            kill_after_epochs: Some(2),
+        };
+        let items: Vec<usize> = (0..4).collect();
+        let step = |m: &mut M, &k: &usize, _: &mut ()| {
+            let mut i = 0usize;
+            m.visit(&mut |_, g| {
+                for x in g {
+                    *x = ((i * 7 + k) as f64 * 0.37).sin();
+                    i += 1;
+                }
+            });
+            1.0
+        };
+        let mut obs = xatu_obs::Registry::new();
+        minibatch_loop(&mut model, &items, &run, &mut obs, Some(&spec), step).expect("trains");
+        let record = read_container(&path, identity.kind()).expect("a checkpoint was written");
+        std::fs::remove_file(&path).unwrap();
+        TrainerFuzz { fresh, run, record }
+    }
+
+    /// The two trainers' records: the survival model's (kind 1) and the
+    /// companion autoencoder's (kind 3).
+    fn trainer_records() -> (
+        TrainerFuzz<crate::model::XatuModel>,
+        TrainerFuzz<xatu_nn::LstmAutoencoder>,
+    ) {
+        let cfg = crate::XatuConfig {
+            timescales: (1, 3, 6),
+            hidden: 2,
+            ..crate::XatuConfig::smoke_test()
+        };
+        let survival = trainer_fuzz(
+            crate::model::XatuModel::new(&cfg),
+            TrainIdentity::Survival {
+                loss: LossKind::Survival,
+                sample_count: 4,
+            },
+        );
+        let ae = xatu_nn::LstmAutoencoder::new(5, 3, &mut xatu_nn::init::Initializer::new(2));
+        let autoencoder = trainer_fuzz(
+            ae,
+            TrainIdentity::Autoencoder {
+                window_count: 4,
+                input_dim: 5,
+                hidden: 3,
+            },
+        );
+        (survival, autoencoder)
+    }
+
+    fn param_bits(model: &mut impl xatu_nn::Params) -> Vec<u64> {
+        let mut p = vec![0.0; model.param_count()];
+        model.export_params_into(&mut p);
+        p.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Decodes `payload` as `f`'s kind of trainer record, at no more than
+    /// three bytes asked of the allocator per byte of input (a moment
+    /// chunk's 8-byte length decodes into a 24-byte `Vec`), and resumes
+    /// `f`'s untrained model from it. A refused record leaves the model as
+    /// it was; a record that resumes writes the same bytes again and its
+    /// moments fit the model, so the next optimizer step runs. Nothing
+    /// may panic. True if the record resumed.
+    fn decode_resume_reencode<M: xatu_nn::Params + Clone>(
+        f: &TrainerFuzz<M>,
+        payload: &[u8],
+    ) -> bool {
+        let kind = f.run.identity.kind();
+        let (decoded, asked) = asked_by(|| {
+            let mut d = Dec::new(payload);
+            TrainerCheckpoint::decode(kind, &mut d).map(|ck| (ck, d.finished()))
+        });
+        assert!(
+            asked <= 3 * payload.len() + 1024,
+            "decoding {} bytes asked for {asked}",
+            payload.len()
+        );
+        let Ok((ck, true)) = decoded else {
+            return false;
+        };
+        let mut model = f.fresh.clone();
+        let before = param_bits(&mut model);
+        let mut adam = xatu_nn::Adam::new(f.run.lr);
+        match f.run.resume(&mut model, &mut adam, ck, Path::new("fuzzed")) {
+            Err(_) => {
+                assert!(
+                    param_bits(&mut model) == before,
+                    "a refused record changed the model"
+                );
+                false
+            }
+            Ok(done) => {
+                let again = f.run.checkpoint(&mut model, &adam, done).encode();
+                assert!(again == payload, "a resumed record wrote different bytes");
+                adam.step(&mut model);
+                true
+            }
+        }
+    }
+
+    /// Single-byte mutations of `f`'s record: a third in the identity
+    /// header, a third in the optimizer state (the step count, the moment
+    /// chunk counts and lengths) and a third anywhere.
+    fn byte_mutations<M: xatu_nn::Params + Clone>(f: &TrainerFuzz<M>, picks: &[u64], flips: &[u8]) {
+        let good = &f.record;
+        let mut d = Dec::new(good);
+        let ck = TrainerCheckpoint::decode(f.run.identity.kind(), &mut d).expect("decodes");
+        let chunks = |c: &[Vec<f64>]| 8 + c.iter().map(|v| 8 + 8 * v.len()).sum::<usize>();
+        let state = 8 + chunks(&ck.adam_m) + chunks(&ck.adam_v);
+        let params = good.len() - state - 8 * (ck.params.len() + 1);
+        for (pick, flip) in picks.iter().zip(flips) {
+            let at = (pick / 3) as usize;
+            let at = match pick % 3 {
+                0 => at % params,
+                1 => good.len() - state + at % state,
+                _ => at % good.len(),
+            };
+            let mut bad = good.clone();
+            bad[at] ^= flip | 1;
+            decode_resume_reencode(f, &bad);
+        }
+    }
+
+    /// `f`'s record decoded, changed field by field and encoded again: the
+    /// moment chunks re-cut (same count, wrong lengths), one dropped from
+    /// the second moments only, one dropped from or added to both, a
+    /// parameter or a moment set to `value`, the step count set to `at % 3`.
+    fn field_mutation<M: xatu_nn::Params + Clone>(f: &TrainerFuzz<M>, op: u8, at: u64, value: f64) {
+        let mut d = Dec::new(&f.record);
+        let mut ck = TrainerCheckpoint::decode(f.run.identity.kind(), &mut d).expect("decodes");
+        let at = at as usize;
+        let n = ck.adam_m.len();
+        let set = |c: &mut Vec<Vec<f64>>| {
+            let total = c.iter().map(Vec::len).sum::<usize>();
+            let x = c.iter_mut().flatten().nth(at % total);
+            *x.expect("in range") = value;
+        };
+        match op {
+            0 => {
+                let i = at % (n - 1);
+                for c in [&mut ck.adam_m, &mut ck.adam_v] {
+                    let moved = c[i].pop().expect("a non-empty chunk");
+                    c[i + 1].push(moved);
+                }
+            }
+            1 => drop(ck.adam_v.pop()),
+            2 => {
+                ck.adam_m.remove(at % n);
+                ck.adam_v.remove(at % n);
+            }
+            3 => {
+                ck.adam_m.push(vec![0.5; 1 + at % 3]);
+                ck.adam_v.push(vec![0.5; 1 + at % 3]);
+            }
+            4 => {
+                let i = at % ck.params.len();
+                ck.params[i] = value;
+            }
+            5 => set(&mut ck.adam_m),
+            6 => set(&mut ck.adam_v),
+            _ => ck.adam_t = (at % 3) as u64,
+        }
+        decode_resume_reencode(f, &ck.encode());
+    }
+
+    thread_local! {
+        static TRAINER_RECORDS: (
+            TrainerFuzz<crate::model::XatuModel>,
+            TrainerFuzz<xatu_nn::LstmAutoencoder>,
+        ) = trainer_records();
+    }
+
+    proptest::proptest! {
+        /// Arbitrary payloads through both trainer decoders and resumes.
+        #[test]
+        fn trainer_record_fuzz_arbitrary_payloads(
+            payload in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..512),
+        ) {
+            TRAINER_RECORDS.with(|(survival, ae)| {
+                decode_resume_reencode(survival, &payload);
+                decode_resume_reencode(ae, &payload);
+            });
+        }
+
+        /// Single-byte mutations of a real record of each kind.
+        #[test]
+        fn trainer_record_fuzz_single_byte_mutations(
+            picks in proptest::collection::vec(proptest::prelude::any::<u64>(), 8),
+            flips in proptest::collection::vec(proptest::prelude::any::<u8>(), 8),
+        ) {
+            TRAINER_RECORDS.with(|(survival, ae)| {
+                assert!(decode_resume_reencode(survival, &survival.record));
+                assert!(decode_resume_reencode(ae, &ae.record));
+                byte_mutations(survival, &picks, &flips);
+                byte_mutations(ae, &picks, &flips);
+            });
+        }
+
+        /// Field mutations of a real record of each kind: well-formed
+        /// records the resume must refuse, or restore exactly.
+        #[test]
+        fn trainer_record_fuzz_field_mutations(
+            op in 0u8..8,
+            at in proptest::prelude::any::<u64>(),
+            value_sel in 0usize..4,
+        ) {
+            let value = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0][value_sel];
+            TRAINER_RECORDS.with(|(survival, ae)| {
+                field_mutation(survival, op, at, value);
+                field_mutation(ae, op, at, value);
+            });
+        }
+    }
+
+    /// A record with no customers bounds its window by nothing in its own
+    /// data, so the loader bounds it: at 2^40 the first customer added
+    /// would size a survival ring of 8 TB, and past 2^32/3 the longest
+    /// imputed gap (`3 × window`) no longer fits a `u32`. The largest
+    /// window allowed restores and takes a customer.
+    #[test]
+    fn detector_record_window_is_bounded() {
+        use crate::fleet::FleetDetector;
+        use crate::model::XatuModel;
+        use xatu_netflow::addr::Ipv4;
+        let cfg = crate::XatuConfig {
+            hidden: 2,
+            ..crate::XatuConfig::smoke_test()
+        };
+        let mut det = FleetDetector::new(XatuModel::new(&cfg), AttackType::UdpFlood, 0.9, &cfg);
+        let mut ck = det.to_checkpoint();
+        assert!(ck.customers.is_empty());
+        for window in [1 << 40, u64::MAX, (1 << 32) / 3 + 1, (1 << 15) + 1, 0] {
+            ck.window = window;
+            let bytes = ck.encode();
+            let mut d = Dec::new(&bytes);
+            let decoded = DetectorCheckpoint::decode(&mut d).expect("a well-formed record");
+            match FleetDetector::from_checkpoint(&decoded) {
+                Err(XatuError::InvalidCheckpoint { reason }) => {
+                    assert!(reason.contains("survival window"), "{reason}")
+                }
+                other => panic!("window {window}: {:?}", other.map(|_| ())),
+            }
+        }
+        ck.window = 1 << 15;
+        let mut back = FleetDetector::from_checkpoint(&ck).expect("the largest window restores");
+        back.add_customer(Ipv4(7));
+        assert_eq!(back.to_checkpoint().customers[0].survival.1.len(), 1 << 15);
     }
 
     #[test]

@@ -36,22 +36,22 @@
 //! # One scalar, one kernel
 //!
 //! Every column is `f64`, and every timescale steps through its layer of
-//! the head's [`ServedModel`], built once from the trained model:
-//! [`ServingLstm::step_online_slices`] on the row path,
-//! [`ServingLstm::step_online_dual_block`] on the fleet's block path,
-//! pinned bit-identical to two row steps and to [`xatu_nn::Lstm::forward`].
-//! A row whose timescale takes part in a minute runs the kernel; nothing is
+//! the head's [`ServedModel`], built once from the trained model, on one
+//! kernel: [`ServingLstm::step_online_dual`] advances both halves of a
+//! row's dual state, each pinned bit-identical to
+//! [`xatu_nn::Lstm::forward`]. The row path, imputed catch-up minutes and
+//! the fleet's batch path all call it through [`DualShard::step`]. A row
+//! whose timescale takes part in a minute runs the kernel; nothing is
 //! skipped or tabulated, so the stored state is always the state.
 //!
 //! # One minute of one customer
 //!
 //! `ingest` (sanitize or zero-order-hold, feed the pooling buckets, plan
-//! which timescales step) → LSTM steps → `finish_row` (retire consumed
-//! buckets, survival tail, the companion's fusion hook, lifecycle tail).
-//! [`row_minute`] runs that through the row kernel on a row read back
-//! densely into [`RowScratch`]; the fleet's batch worker runs the same
-//! `ingest` and `finish_row` around the block kernel, reading runs back in
-//! fixed-size chunks.
+//! which timescales step) → LSTM steps ([`step_dense`], each on the row's
+//! input read back densely into [`RowScratch`]) → `finish_row` (retire
+//! consumed buckets, survival tail, the companion's fusion hook, lifecycle
+//! tail). [`row_minute`] runs the three back to back; the fleet's batch
+//! worker runs each as a phase over its shard.
 //! Gaps since the customer's previous minute are bridged first by
 //! [`catch_up`]: imputed minute by minute through [`row_minute`], or cold
 //! restarted past `3 × window`. What the rows emit goes to an [`Emitted`]
@@ -72,7 +72,7 @@ use xatu_netflow::attack::AttackType;
 use xatu_nn::activations::softplus;
 use xatu_nn::lstm::ServingLstm;
 use xatu_nn::simd::{self, SimdLevel};
-use xatu_nn::{Dense, OnlineBlockWorkspace, OnlineScratch, Params};
+use xatu_nn::{Dense, OnlineWorkspace, Params};
 use xatu_obs::{Counter, FixedHistogram, GAP_RUN_BOUNDS, SURVIVAL_BOUNDS};
 
 /// Telemetry embedded in the detector hot path.
@@ -208,7 +208,12 @@ pub(crate) const RAN: u8 = 1;
 const DUE: u8 = 2;
 /// Plan flag: the bucket completed and the model's mode uses the
 /// timescale, so its state steps through the LSTM kernel.
-pub(crate) const DENSE: u8 = 4;
+const DENSE: u8 = 4;
+
+/// Longest survival window a checkpoint may carry: one ring of it is
+/// 256 KB, and `3 × window` (the longest imputed gap) stays far inside
+/// `u32`. Every preset uses 10–30.
+const MAX_WINDOW: u64 = 1 << 15;
 
 /// Timescale names, in arena order, for checkpoint errors.
 const NAMES: [&str; TIMESCALES] = ["short", "medium", "long"];
@@ -361,48 +366,19 @@ impl<'a> DualShard<'a> {
         j * self.hidden..(j + 1) * self.hidden
     }
 
-    /// Steps both halves of row `j` through the row kernel.
-    fn step_one(&mut self, lstm: &ServingLstm, j: usize, x: &[f64], scratch: &mut OnlineScratch) {
+    /// Steps both halves of row `j` on input `x` through the layer's one
+    /// online step, then ticks its ages.
+    fn step(&mut self, lstm: &ServingLstm, j: usize, x: &[f64], ws: &mut OnlineWorkspace) {
         let r = self.row(j);
-        lstm.step_online_slices(
+        lstm.step_online_dual(
             x,
-            &mut self.aged_h[r.clone()],
-            &mut self.aged_c[r.clone()],
-            scratch,
-        );
-        lstm.step_online_slices(
-            x,
-            &mut self.fresh_h[r.clone()],
-            &mut self.fresh_c[r],
-            scratch,
-        );
-        self.tick(j);
-    }
-
-    /// Steps both halves of the contiguous run `a..b`, one block-kernel
-    /// call. Rows are independent and block composition cannot move a
-    /// bit, so this equals [`DualShard::step_one`] per row.
-    pub(crate) fn step_block(
-        &mut self,
-        lstm: &ServingLstm,
-        a: usize,
-        b: usize,
-        xs: &[f64],
-        ws: &mut OnlineBlockWorkspace,
-    ) {
-        let r = a * self.hidden..b * self.hidden;
-        lstm.step_online_dual_block(
-            xs,
-            b - a,
             &mut self.aged_h[r.clone()],
             &mut self.aged_c[r.clone()],
             &mut self.fresh_h[r.clone()],
             &mut self.fresh_c[r],
             ws,
         );
-        for j in a..b {
-            self.tick(j);
-        }
+        self.tick(j);
     }
 
     /// The age bookkeeping of a step: both ages advance; at `2·period` the
@@ -613,13 +589,6 @@ impl<'a> RowsMut<'a> {
     /// Writes row `j` into the `NUM_FEATURES`-wide `out`.
     fn read(&self, j: usize, out: &mut [f64]) {
         read_row(self.head(j), self.tail[j].as_ref(), out);
-    }
-
-    /// Writes rows `a..b` into the front of `out`, `NUM_FEATURES` apart.
-    pub(crate) fn read_block(&self, a: usize, b: usize, out: &mut [f64]) {
-        for (j, row) in (a..b).zip(out.chunks_exact_mut(NUM_FEATURES)) {
-            self.read(j, row);
-        }
     }
 
     /// Sanitizes `raw` into row `j` and returns how many values were
@@ -862,11 +831,11 @@ pub(crate) struct Knobs {
     used: [bool; TIMESCALES],
 }
 
-/// Scratch of the row path.
+/// Scratch of one row's minute, reused from row to row.
 #[derive(Clone, Default)]
 pub(crate) struct RowScratch {
-    /// Scratch of the LSTM row step.
-    step: OnlineScratch,
+    /// Workspace of the LSTM step.
+    step: OnlineWorkspace,
     /// Combiner input (`3·hidden`).
     pub input: Vec<f64>,
     /// The dense input row of one step (`NUM_FEATURES`).
@@ -1142,9 +1111,33 @@ pub(crate) fn finish_row(
     (hazard, reported)
 }
 
-/// One customer through one minute on the row path: `ingest`, the
-/// row kernel for every timescale planned [`DENSE`], `finish_row`.
-/// `frame` is `None` for an imputed minute.
+/// Steps timescale `t` of row `j` if this minute planned it [`DENSE`]:
+/// the row's input, its averaged bucket or for a granularity-1 timescale
+/// the held frame, is read back densely into `row` and both halves of the
+/// dual state advance on it.
+pub(crate) fn step_dense(
+    net: &Net<'_>,
+    sh: &mut Shard<'_>,
+    t: usize,
+    j: usize,
+    row: &mut RowScratch,
+) {
+    if sh.flags[t][j] & DENSE == 0 {
+        return;
+    }
+    let rows = if sh.pooled[t] {
+        &sh.partial[t]
+    } else {
+        &sh.frame
+    };
+    row.x.resize(NUM_FEATURES, 0.0);
+    rows.read(j, &mut row.x);
+    sh.dual[t].step(net.layers[t], j, &row.x, &mut row.step);
+}
+
+/// One customer through one minute on the row path: `ingest`, the LSTM
+/// step of every timescale planned [`DENSE`], `finish_row`. `frame` is
+/// `None` for an imputed minute.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn row_minute(
     net: &Net<'_>,
@@ -1160,16 +1153,7 @@ pub(crate) fn row_minute(
 ) -> (f64, f64) {
     ingest(net, obs, sh, j, frame);
     for t in 0..TIMESCALES {
-        if sh.flags[t][j] & DENSE != 0 {
-            let rows = if sh.pooled[t] {
-                &sh.partial[t]
-            } else {
-                &sh.frame
-            };
-            row.x.resize(NUM_FEATURES, 0.0);
-            rows.read(j, &mut row.x);
-            sh.dual[t].step_one(net.layers[t], j, &row.x, &mut row.step);
-        }
+        step_dense(net, sh, t, j, row);
     }
     finish_row(net, obs, sh, j, addr, minute, &mut row.input, hook, out)
 }
@@ -1352,6 +1336,12 @@ pub(crate) fn restore(ck: &DetectorCheckpoint) -> Result<(Common, Ledger, Numeri
     if ck.timescales.0 == 0 || ck.timescales.1 == 0 || ck.timescales.2 == 0 {
         return Err(bad("timescale granularities must be >= 1".into()));
     }
+    if ck.window == 0 || ck.window > MAX_WINDOW {
+        return Err(bad(format!(
+            "survival window {} outside 1..={MAX_WINDOW}",
+            ck.window
+        )));
+    }
     // Each LSTM alone holds 4·hidden·NUM_FEATURES input weights: a hidden
     // size the parameters cannot cover is refused before a model of that
     // size is built.
@@ -1385,9 +1375,6 @@ pub(crate) fn restore(ck: &DetectorCheckpoint) -> Result<(Common, Ledger, Numeri
     let simd = simd::detect();
     let mut model = ServedModel::new(model);
     model.set_simd(simd);
-    if ck.window == 0 {
-        return Err(bad("survival window must be >= 1".into()));
-    }
     let ctx_lens = (
         ck.ctx_lens.0 as usize,
         ck.ctx_lens.1 as usize,
@@ -1759,7 +1746,7 @@ mod before_sparse {
                 } else {
                     &d.frame[r.clone()]
                 };
-                sh.dual[t].step_one(net.layers[t], j, x, &mut row.step);
+                sh.dual[t].step(net.layers[t], j, x, &mut row.step);
             }
         }
         finish_row(net, obs, sh, d, j, addr, minute, &mut row.input, hook, out)

@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use xatu_detectors::alert::Alert;
 use xatu_detectors::cusum::mark_anomaly_start;
 use xatu_detectors::traits::MinuteObservation;
-use xatu_metrics::areas::{integrate_areas, AttackAreas, ScrubWindow};
+use xatu_metrics::areas::{integrate_areas, ScrubWindow};
 use xatu_metrics::delay::{DelayObs, DelayStats};
 use xatu_metrics::effectiveness::EffectivenessRecord;
 use xatu_metrics::overhead::CustomerOverhead;
@@ -429,17 +429,6 @@ impl SystemEval {
             .iter()
             .map(|r| r.areas.effectiveness())
             .collect()
-    }
-
-    /// Total A, B, C sums (diagnostics).
-    pub fn total_areas(&self) -> AttackAreas {
-        let mut t = AttackAreas::default();
-        for r in &self.records {
-            t.a += r.areas.a;
-            t.b += r.areas.b;
-            t.c += r.areas.c;
-        }
-        t
     }
 }
 

@@ -163,15 +163,6 @@ pub struct FaultReport {
 }
 
 impl FaultReport {
-    /// The recorded survival for (`minute`, customer index), if recorded.
-    pub fn survival_at(&self, minute: u32, customer_idx: usize) -> Option<f64> {
-        let row = minute.checked_sub(self.first_minute)? as usize;
-        if row >= self.minutes_recorded as usize {
-            return None;
-        }
-        Some(self.survivals[row * self.customers.len() + customer_idx])
-    }
-
     /// True when no recorded value is NaN/∞ — the degradation contract.
     pub fn all_finite(&self) -> bool {
         self.survivals.iter().all(|v| v.is_finite())

@@ -5,14 +5,13 @@
 //! rows, ladder, lifecycle and checkpoint — two ways:
 //!
 //! * **Batch path.** [`FleetDetector::step_minute_batch`] advances every
-//!   registered customer through one minute: whole blocks of customers
-//!   through one LSTM step at a time via the block kernel, which is pinned
-//!   0-ULP identical to the row kernel. Rare ragged work (gap imputation)
-//!   runs the row kernel on the same rows.
+//!   registered customer through one minute, one shard of customers per
+//!   worker, in the three phases below.
 //! * **Row path.** [`FleetDetector::observe`] and
 //!   [`FleetDetector::observe_gap`] drive one customer through one minute
-//!   on the row kernel alone — the reference the tests hold the batch path
-//!   to, bit for bit.
+//!   — the reference the tests hold the batch path to, bit for bit. Both
+//!   paths, and every imputed catch-up minute, advance the LSTM states
+//!   through the same one step.
 //! * **Sharding.** The id space is partitioned into contiguous blocks
 //!   ([`xatu_par::block_ranges_into`]), each worker gets disjoint mutable
 //!   views of every column, and events, survivals and telemetry are
@@ -24,10 +23,10 @@
 //!   [`FleetDetector::set_feed_degraded`] ticks.
 //!
 //! Per minute a worker runs three phases over its shard: **A** per row
-//! (ordering, gap bridging, input, plan), **B** batched (dual-state steps
-//! over runs of planned rows), **C** per row (survival and lifecycle
-//! tails). Customers are independent, so the regrouping changes no value,
-//! only the documented event order within a minute.
+//! (ordering, gap bridging, input, plan), **B** per timescale (the LSTM
+//! step of every row planned to step), **C** per row (survival and
+//! lifecycle tails). Customers are independent, so the regrouping changes
+//! no value, only the documented event order within a minute.
 //!
 //! # Degraded input
 //!
@@ -56,8 +55,8 @@ use crate::checkpoint::DetectorCheckpoint;
 use crate::config::XatuConfig;
 pub use crate::detector::DetectorObs;
 use crate::detector::{
-    catch_up, check_order, finish_row, ingest, push_row, restore, row_minute, take_rows, Common,
-    Emitted, Ledger, Net, Numeric, RowScratch, Shard, DENSE, RAN,
+    catch_up, check_order, finish_row, ingest, push_row, restore, row_minute, step_dense,
+    take_rows, Common, Emitted, Ledger, Net, Numeric, RowScratch, Shard, RAN,
 };
 use crate::error::XatuError;
 use crate::fusion::{Companion, Fused, Ring};
@@ -68,7 +67,7 @@ use xatu_features::frame::{NUM_FEATURES, VOLUMETRIC_WIDTH};
 use xatu_netflow::addr::Ipv4;
 use xatu_netflow::attack::AttackType;
 use xatu_nn::simd::{self, SimdLevel};
-use xatu_nn::{AeWorkspace, FrameArena, OnlineBlockWorkspace};
+use xatu_nn::{AeWorkspace, FrameArena};
 use xatu_par::{block_ranges_into, WorkerPool};
 
 /// Upper bound on concurrent shards per minute. Task slots live in a
@@ -76,13 +75,6 @@ use xatu_par::{block_ranges_into, WorkerPool};
 /// nothing; `threads` is clamped to it (64 shards is far past the point
 /// where per-shard stitch overhead dominates on any realistic host).
 const MAX_SHARDS: usize = 64;
-
-/// Rows read back densely per block-kernel call in phase B. The worker's
-/// input scratch holds this many rows whatever the fleet's size, 8.7 KB
-/// (at 32 rows, 70 KB a worker outweighed the tails saved on a fleet of
-/// few customers: `isp_dense` peak RSS rose); rows are independent, so
-/// where a run is cut cannot move a bit.
-const BLOCK_ROWS: usize = 4;
 
 /// What the fill callback reports for one customer at one minute.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -103,10 +95,6 @@ pub enum FleetInput {
 struct Worker {
     frame: Vec<f64>,
     row: RowScratch,
-    block: OnlineBlockWorkspace,
-    /// Phase B's dense inputs, `BLOCK_ROWS × NUM_FEATURES`.
-    xs: Vec<f64>,
-    runs: Vec<(u32, u32)>,
     /// What catch-up (imputed or cold-restarted) minutes emitted.
     impute: Emitted,
     /// What the current minute emitted.
@@ -123,9 +111,6 @@ impl Worker {
         Worker {
             frame: vec![0.0; NUM_FEATURES],
             row: RowScratch::default(),
-            block: OnlineBlockWorkspace::default(),
-            xs: vec![0.0; BLOCK_ROWS * NUM_FEATURES],
-            runs: Vec::new(),
             impute: Emitted::default(),
             life: Emitted::default(),
             obs: DetectorObs::default(),
@@ -156,24 +141,6 @@ fn hook<'a>(
         scratch,
         ae_weight,
     })
-}
-
-/// Maximal contiguous runs of rows whose flag has `mask` set.
-fn collect_runs(flags: &[u8], mask: u8, out: &mut Vec<(u32, u32)>) {
-    out.clear();
-    let mut a = 0;
-    while a < flags.len() {
-        if flags[a] & mask == 0 {
-            a += 1;
-            continue;
-        }
-        let mut b = a + 1;
-        while b < flags.len() && flags[b] & mask != 0 {
-            b += 1;
-        }
-        out.push((a as u32, b as u32));
-        a = b;
-    }
 }
 
 /// One shard's share of a minute: its rows, their companion rings (empty
@@ -229,24 +196,12 @@ fn run_shard<F>(
         ingest(net, &mut w.obs, &mut sh, j, frame);
     }
 
-    // Phase B: block steps over contiguous runs of rows planned DENSE,
-    // each run read back densely `BLOCK_ROWS` rows at a time. Rows are
-    // independent and the block kernel is 0-ULP equal to the row kernel,
-    // so chunk, run and shard boundaries cannot move a bit.
+    // Phase B: the LSTM steps, timescale by timescale, of every row
+    // planned DENSE. Rows are independent, so shard boundaries cannot move
+    // a bit.
     for t in 0..TIMESCALES {
-        collect_runs(sh.flags[t], DENSE, &mut w.runs);
-        let rows = if sh.pooled[t] {
-            &sh.partial[t]
-        } else {
-            &sh.frame
-        };
-        for &(a, b) in &w.runs {
-            for a in (a as usize..b as usize).step_by(BLOCK_ROWS) {
-                let b = (a + BLOCK_ROWS).min(b as usize);
-                let xs = &mut w.xs[..(b - a) * NUM_FEATURES];
-                rows.read_block(a, b, xs);
-                sh.dual[t].step_block(net.layers[t], a, b, xs, &mut w.block);
-            }
+        for j in 0..len {
+            step_dense(net, &mut sh, t, j, &mut w.row);
         }
     }
 
@@ -966,9 +921,9 @@ mod tests {
 
     /// The differential harness: every built-in fault schedule plus the
     /// degradation schedule through the row path and the batch path at
-    /// 1/2/4 threads (block kernel), asserting the documented relation
-    /// between every pair, then a kill at mid-run and a resume of each path
-    /// from the other's checkpoint.
+    /// 1/2/4 threads, asserting the documented relation between every
+    /// pair, then a kill at mid-run and a resume of each path from the
+    /// other's checkpoint.
     #[test]
     fn front_ends_agree_on_every_schedule() {
         let builtin: Vec<_> = BUILTIN_SCHEDULES

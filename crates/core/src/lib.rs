@@ -19,15 +19,15 @@
 //! * `detector` (crate-private) — the detector core: per-customer
 //!   streaming state as flat arena rows (three dual LSTM states, pooling
 //!   buckets, rolling survival, alert lifecycle), all `f64`, stepped by
-//!   the model's own `Lstm`, with one definition each of the degradation
-//!   ladder, the alert lifecycle, the telemetry and the checkpoint
-//!   encoder/validator.
+//!   the head's served layers ([`xatu_nn::ServingLstm`], the trained
+//!   weights transposed once) through one online step, with one
+//!   definition each of the degradation ladder, the alert lifecycle, the
+//!   telemetry and the checkpoint encoder/validator.
 //! * [`fleet`] — [`FleetDetector`], the one streaming detector over that
-//!   core: every customer of a minute per call through cross-customer
-//!   batched LSTM kernels and thread-invariant sharding, or one
-//!   customer-minute per call on the row kernel (the batch path's
-//!   reference), with thresholded alerts and the optional companion
-//!   fusion. The pipeline, the engine, the scenario matrix and the fault
+//!   core: every customer of a minute per call, sharded across workers
+//!   with thread-invariant results, or one customer-minute per call (the
+//!   batch path's reference), with thresholded alerts and the optional
+//!   companion fusion. The pipeline, the engine, the scenario matrix and the fault
 //!   runs all serve through it.
 //! * [`online`] — the detector's former name, an alias of
 //!   [`FleetDetector`] kept for the benchmark harness.

@@ -189,16 +189,12 @@ where
     if let Some(spec) = ckpt {
         if spec.resume && spec.path.exists() {
             let ck = load_trainer(spec.path, run.identity.kind())?;
-            ck.check_resumes(&run.checkpoint(model, &adam, 0), spec.path)?;
-            model.import_params_from(&ck.params);
-            adam.restore_moments(ck.adam_t, ck.adam_m, ck.adam_v)
-                .map_err(|e| XatuError::corrupt(spec.path, e))?;
-            for _ in 0..ck.epochs_done {
+            start_epoch = run.resume(model, &mut adam, ck, spec.path)?;
+            for _ in 0..start_epoch {
                 for i in (1..order.len()).rev() {
                     order.swap(i, rng.random_range(0..=i));
                 }
             }
-            start_epoch = ck.epochs_done as usize;
         }
     }
 
@@ -325,8 +321,35 @@ where
 }
 
 impl MinibatchRun {
+    /// Restores `model` and `adam` from `ck`, the record read from `path`,
+    /// and returns the epochs it completed. The whole record is checked
+    /// against this run and the model before either changes, and on `Err`
+    /// neither does: the run's identity, finite parameters, and moments
+    /// that fit the model ([`Adam::restore_moments`]).
+    pub(crate) fn resume(
+        &self,
+        model: &mut impl Params,
+        adam: &mut Adam,
+        ck: TrainerCheckpoint,
+        path: &Path,
+    ) -> Result<usize, XatuError> {
+        ck.check_resumes(&self.checkpoint(model, adam, 0), path)?;
+        if ck.params.iter().any(|v| !v.is_finite()) {
+            return Err(XatuError::corrupt(path, "non-finite model parameter"));
+        }
+        adam.restore_moments(model, ck.adam_t, ck.adam_m, ck.adam_v)
+            .map_err(|e| XatuError::corrupt(path, e))?;
+        model.import_params_from(&ck.params);
+        Ok(ck.epochs_done as usize)
+    }
+
     /// The checkpoint record of this run's state `done` epochs in.
-    fn checkpoint(&self, model: &mut impl Params, adam: &Adam, done: usize) -> TrainerCheckpoint {
+    pub(crate) fn checkpoint(
+        &self,
+        model: &mut impl Params,
+        adam: &Adam,
+        done: usize,
+    ) -> TrainerCheckpoint {
         let mut params = vec![0.0; model.param_count()];
         model.export_params_into(&mut params);
         let (adam_t, m, v) = adam.moments();

@@ -39,11 +39,6 @@ impl FeatureFrame {
         FeatureFrame(vec![0.0; NUM_FEATURES])
     }
 
-    /// Immutable view of the flat vector.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.0
-    }
-
     /// The volumetric block.
     pub fn volumetric(&self) -> &[f64] {
         &self.0[offsets::V..offsets::A1]

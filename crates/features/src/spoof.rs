@@ -145,12 +145,7 @@ impl SpoofClassifier {
         None
     }
 
-    /// Convenience: is the source spoofed at all?
-    pub fn is_spoofed(&mut self, src: Ipv4, ingress_as: Option<Asn>) -> bool {
-        self.classify(src, ingress_as).is_some()
-    }
-
-    /// Shared-read variant of [`Self::is_spoofed`]; requires
+    /// Is the source spoofed at all? Shared-read; requires
     /// [`Self::ensure_built`].
     ///
     /// Without an ingress AS the answer is "bogon or unrouted", which

@@ -33,21 +33,9 @@ impl Adam {
         }
     }
 
-    /// Sets custom betas (for sensitivity experiments).
-    pub fn with_betas(mut self, beta1: f64, beta2: f64) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
-
     /// Current learning rate.
     pub fn lr(&self) -> f64 {
         self.lr
-    }
-
-    /// Updates the learning rate (schedules).
-    pub fn set_lr(&mut self, lr: f64) {
-        self.lr = lr;
     }
 
     /// Steps taken so far.
@@ -62,13 +50,17 @@ impl Adam {
         (self.t, &self.m, &self.v)
     }
 
-    /// Restores the state captured by [`Adam::moments`].
+    /// Restores the state captured by [`Adam::moments`] for `params`, the
+    /// model the optimizer will step.
     ///
-    /// Returns `Err` if the first/second-moment shapes disagree with each
-    /// other; a shape mismatch against the *model* is caught by the
-    /// existing per-step assertion on the next [`Adam::step`].
+    /// The whole state is checked before anything changes, and on `Err`
+    /// nothing does: either no step was taken (`t == 0`, no moments) or
+    /// there is one first and one second moment chunk per parameter chunk
+    /// of `params`, in [`Params::visit`] order and of that chunk's length,
+    /// every moment finite and every second moment non-negative.
     pub fn restore_moments(
         &mut self,
+        params: &mut dyn Params,
         t: u64,
         m: Vec<Vec<f64>>,
         v: Vec<Vec<f64>>,
@@ -78,6 +70,23 @@ impl Adam {
         }
         if m.iter().zip(&v).any(|(a, b)| a.len() != b.len()) {
             return Err("first/second moment chunk shapes differ");
+        }
+        if (t == 0) != m.is_empty() {
+            return Err("step count disagrees with the moments");
+        }
+        if !m.is_empty() {
+            let (mut chunks, mut fits) = (0, true);
+            params.visit(&mut |p, _| {
+                fits &= m.get(chunks).is_some_and(|c| c.len() == p.len());
+                chunks += 1;
+            });
+            if !fits || chunks != m.len() {
+                return Err("moment shapes differ from the model's");
+            }
+        }
+        let finite = |c: &Vec<Vec<f64>>| c.iter().flatten().all(|x| x.is_finite());
+        if !finite(&m) || !finite(&v) || v.iter().flatten().any(|&x| x < 0.0) {
+            return Err("non-finite moment or negative second moment");
         }
         self.t = t;
         self.m = m;
@@ -203,7 +212,7 @@ mod tests {
                     let (t, m, v) = adam.moments();
                     let (m, v) = (m.to_vec(), v.to_vec());
                     adam = Adam::new(0.05);
-                    adam.restore_moments(t, m, v).unwrap();
+                    adam.restore_moments(&mut q, t, m, v).unwrap();
                 }
                 q.compute_grads();
                 adam.step(&mut q);
@@ -217,13 +226,40 @@ mod tests {
         }
     }
 
+    /// Moments that disagree with each other, with the step count or with
+    /// the model, or that hold a value no step could have produced, are
+    /// refused and leave the optimizer as it was.
     #[test]
     fn restore_rejects_mismatched_shapes() {
+        let mut q = Quad {
+            p: vec![0.5, 1.0],
+            g: vec![0.0; 2],
+            target: vec![0.0; 2],
+        };
         let mut adam = Adam::new(0.1);
-        assert!(adam
-            .restore_moments(1, vec![vec![0.0; 2]], vec![vec![0.0; 3]])
-            .is_err());
-        assert!(adam.restore_moments(1, vec![vec![0.0; 2]], vec![]).is_err());
+        let two = || vec![vec![0.25; 2]];
+        for (t, m, v) in [
+            (1, two(), vec![vec![0.0; 3]]),
+            (1, two(), vec![]),
+            (1, vec![vec![0.0; 3]], vec![vec![0.0; 3]]),
+            (
+                1,
+                vec![vec![0.0; 1], vec![0.0; 1]],
+                vec![vec![0.0; 1], vec![0.0; 1]],
+            ),
+            (1, vec![], vec![]),
+            (0, two(), two()),
+            (1, vec![vec![f64::NAN, 0.0]], two()),
+            (1, two(), vec![vec![f64::INFINITY, 0.0]]),
+            (1, two(), vec![vec![-1.0, 0.0]]),
+        ] {
+            assert!(adam.restore_moments(&mut q, t, m, v).is_err());
+            assert_eq!(adam.moments(), (0, &[][..], &[][..]));
+        }
+        adam.restore_moments(&mut q, 3, two(), two()).unwrap();
+        adam.restore_moments(&mut q, 0, vec![], vec![]).unwrap();
+        q.g = vec![1.0, -1.0];
+        adam.step(&mut q);
     }
 
     #[test]

@@ -111,13 +111,6 @@ impl FrameArena {
         self.data.chunks_exact(self.dim.max(1))
     }
 
-    /// Becomes a copy of `src`, reusing this arena's allocation.
-    pub fn copy_from(&mut self, src: &FrameArena) {
-        self.dim = src.dim;
-        self.data.clear();
-        self.data.extend_from_slice(&src.data);
-    }
-
     /// Replaces contents with `rows` (all `dim` wide), reusing capacity.
     pub fn fill_from_rows(&mut self, dim: usize, rows: &[Vec<f64>]) {
         self.reset(dim);

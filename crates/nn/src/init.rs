@@ -34,11 +34,6 @@ impl Initializer {
             .collect();
         Matrix::from_vec(rows, cols, data)
     }
-
-    /// Zero bias vector of length `n`.
-    pub fn zeros_vec(&mut self, n: usize) -> Vec<f64> {
-        vec![0.0; n]
-    }
 }
 
 #[cfg(test)]

@@ -15,8 +15,8 @@
 //! * [`dense::Dense`] — fully-connected layer with bias.
 //! * [`lstm::Lstm`] — an LSTM with hand-derived backpropagation through time,
 //!   verified against central finite differences in the test-suite; and
-//!   [`lstm::ServingLstm`], the same weights transposed once for the online
-//!   row and dual-block steps.
+//!   [`lstm::ServingLstm`], the same weights transposed once for the one
+//!   online step, which advances both halves of a dual state.
 //! * [`pooling`] — 1-D average pooling over feature time-series (the
 //!   "aggregation layers" of §4.1) with gradient support for attribution.
 //! * [`adam::Adam`] — the Adam optimizer of Kingma & Ba, the paper's choice.
@@ -50,9 +50,7 @@ pub use arena::FrameArena;
 pub use autoencoder::{AeWorkspace, LstmAutoencoder};
 pub use dense::Dense;
 pub use gradpool::GradBufferPool;
-pub use lstm::{
-    Lstm, LstmState, LstmTrace, LstmWorkspace, OnlineBlockWorkspace, OnlineScratch, ServingLstm,
-};
+pub use lstm::{Lstm, LstmState, LstmTrace, LstmWorkspace, OnlineWorkspace, ServingLstm};
 pub use matrix::{LaneIndices, Matrix};
 pub use simd::SimdLevel;
 

@@ -37,8 +37,8 @@
 //! [`Lstm`] is the training layer: `forward` and `backward` on row-major
 //! `Wx`/`Wh`. The online paths serve a [`ServingLstm`] built from it once:
 //! the same weights transposed into the layout the lane kernel reads, with
-//! the row step and the dual-block step on top. Neither step transposes
-//! anything, and no scratch of theirs holds a weight.
+//! one online step on top that advances both halves of a dual state. The
+//! step transposes nothing, and its workspace holds no weight.
 
 use crate::activations::{dsigmoid_from_out, dtanh_from_out, sigmoid, tanh};
 use crate::arena::FrameArena;
@@ -238,32 +238,19 @@ fn fit(v: &mut Vec<f64>, n: usize) {
     v.resize(n, 0.0);
 }
 
-/// Caller-held scratch of [`ServingLstm::step_online_slices`]: the
-/// pre-activations (`4·hidden`) and the lane lists of the input's
-/// non-zeros and of every hidden unit. Grown on first use, then reused
-/// without allocating.
-#[derive(Clone, Debug, Default)]
-pub struct OnlineScratch {
-    z: Vec<f64>,
-    nz: LaneIndices,
-    all: LaneIndices,
-}
-
-/// Reusable scratch for [`ServingLstm::step_online_dual_block`]. One
+/// Caller-held scratch of [`ServingLstm::step_online_dual`]. One
 /// workspace per fleet worker serves every layer: it holds per-row
-/// buffers only, never a copy of a layer's weights. Buffers are resized
-/// with capacity-keeping operations, so steady-state block steps allocate
-/// nothing.
+/// buffers only, never a copy of a layer's weights. Grown on first use,
+/// then reused without allocating.
 #[derive(Clone, Debug, Default)]
-pub struct OnlineBlockWorkspace {
-    /// Shared input contribution `b + Wx·x` of the row being stepped.
+pub struct OnlineWorkspace {
+    /// The input contribution `b + Wx·x`, then the fresh half's
+    /// pre-activations.
     zx: Vec<f64>,
-    /// Pre-activations of the half being stepped.
+    /// The aged half's pre-activations.
     z: Vec<f64>,
     /// The row's nonzero input indices.
     nz: LaneIndices,
-    /// Every hidden index, for `Wh·h`.
-    all: LaneIndices,
 }
 
 /// Hidden units per pass of [`gate_rows`]: two `ymm` of lanes per loop.
@@ -673,12 +660,12 @@ impl Params for Lstm {
 /// these as its only copy of the weights; [`ServingLstm::to_lstm`]
 /// transposes back for a checkpoint, and a transpose only permutes values.
 ///
-/// Both steps build a row's pre-activations the same way — bias copy,
-/// `+= Wx·x` over the row's non-zero inputs, `+= Wh·h` over every hidden
-/// unit, each through the lane kernel — then run the fused gate loop
-/// ([`ServingLstm::gate_block`]). Per output that is `dot4`'s add sequence,
-/// so either step equals one step of [`Lstm::forward`] bit for bit, at
-/// every SIMD level.
+/// The online step builds each half's pre-activations the same way — bias
+/// copy, `+= Wx·x` over the row's non-zero inputs, `+= Wh·h` over every
+/// hidden unit, each through the lane kernel — then runs the fused gate
+/// loop ([`ServingLstm::gate_block`]). Per output that is `dot4`'s add
+/// sequence, so each half equals one step of [`Lstm::forward`] bit for
+/// bit, at every SIMD level.
 #[derive(Clone, Debug)]
 pub struct ServingLstm {
     input: usize,
@@ -689,6 +676,8 @@ pub struct ServingLstm {
     wht: Matrix,
     /// `4·hidden`.
     b: Vec<f64>,
+    /// Every hidden index, the lane lists `Wh·h` walks.
+    all: LaneIndices,
     /// SIMD level of the kernels: [`simd::detect`] at construction (so
     /// `XATU_NO_SIMD` is honored), overridable with
     /// [`ServingLstm::set_simd`]. Never above [`simd::supported`] —
@@ -703,12 +692,15 @@ impl ServingLstm {
         let mut wht = Matrix::default();
         lstm.wx.transpose_into(&mut wxt);
         lstm.wh.transpose_into(&mut wht);
+        let mut all = LaneIndices::default();
+        all.set_all(lstm.hidden);
         ServingLstm {
             input: lstm.input,
             hidden: lstm.hidden,
             wxt,
             wht,
             b: lstm.b.clone(),
+            all,
             simd: simd::detect(),
         }
     }
@@ -731,109 +723,60 @@ impl ServingLstm {
         }
     }
 
-    /// Overrides the level both steps and the gate loop dispatch to,
+    /// Overrides the level the step and the gate loop dispatch to,
     /// clamped to what the host supports. Every level is bit-identical.
     pub fn set_simd(&mut self, level: SimdLevel) {
         self.simd = level.min(simd::supported());
     }
 
-    /// `zx = b + Wx·x` over `x`'s non-zero inputs (listed into `nz`).
-    #[inline]
-    fn input_part(&self, x: &[f64], nz: &mut LaneIndices, zx: &mut Vec<f64>) {
+    /// The online (auto-regressive) step: advances both halves of one dual
+    /// state, the aged `(h, c)` and the fresh one, by one input, in place,
+    /// against caller-held scratch. The state is four slices because
+    /// callers keep per-customer rows in flat structure-of-arrays arenas.
+    ///
+    /// The input contribution `b + Wx·x` is computed once, over `x`'s
+    /// non-zero inputs, and serves both halves. Both halves' `Wh·h` come
+    /// before either gate loop: the halves share nothing but that
+    /// contribution, so the order is free, and walk, walk, gates, gates
+    /// measures ~5 % faster per row than walk, gates, walk, gates
+    /// (DESIGN.md §17). Per half the pre-activation is the same three
+    /// contributions in the same order as one step of [`Lstm::forward`],
+    /// and the gate loop is the same code, so each half equals that step
+    /// bit for bit at every SIMD level, pinned by property tests.
+    ///
+    /// # Panics
+    /// Panics if `x` or a state slice disagrees with the layer shape.
+    pub fn step_online_dual(
+        &self,
+        x: &[f64],
+        aged_h: &mut [f64],
+        aged_c: &mut [f64],
+        fresh_h: &mut [f64],
+        fresh_c: &mut [f64],
+        ws: &mut OnlineWorkspace,
+    ) {
+        assert_eq!(x.len(), self.input, "lstm: input dim");
+        for state in [&*aged_h, &*aged_c, &*fresh_h, &*fresh_c] {
+            assert_eq!(state.len(), self.hidden, "lstm: state dim");
+        }
+        let OnlineWorkspace { zx, z, nz } = ws;
         zx.clear();
         zx.extend_from_slice(&self.b);
         nz.set_nonzero(x);
         self.wxt.matvec_acc_t_lanes(x, nz, zx, self.simd);
-    }
-
-    /// The online (auto-regressive) row step: advances one `(h, c)` state
-    /// in place by one input against caller-held scratch. The state is a
-    /// pair of slices because callers keep per-customer rows in flat
-    /// structure-of-arrays arenas. Bit-identical to one step of
-    /// [`Lstm::forward`], pinned by a property test.
-    ///
-    /// # Panics
-    /// Panics if `x`, `h_state` or `c_state` have the wrong dimensions.
-    pub fn step_online_slices(
-        &self,
-        x: &[f64],
-        h_state: &mut [f64],
-        c_state: &mut [f64],
-        scratch: &mut OnlineScratch,
-    ) {
-        assert_eq!(x.len(), self.input, "lstm: input dim");
-        assert_eq!(h_state.len(), self.hidden, "lstm: state h dim");
-        assert_eq!(c_state.len(), self.hidden, "lstm: state c dim");
-        let OnlineScratch { z, nz, all } = scratch;
-        self.input_part(x, nz, z);
-        all.set_all(self.hidden);
-        self.wht.matvec_acc_t_lanes(h_state, all, z, self.simd);
-        self.gate_block(z, 1, h_state, c_state);
-    }
-
-    /// Advances *both* halves of a block of `batch` independent dual online
-    /// states through one step: `xs` is `batch × input`, the four state
-    /// arenas are `batch × hidden`, all customer-major flat rows.
-    ///
-    /// Bit-identical (0 ULP) to two [`ServingLstm::step_online_slices`]
-    /// calls per row, pinned by a property test: per row and half the
-    /// pre-activation is the same three contributions in the same order and
-    /// the gate loop is the same code. What the block saves: the input
-    /// contribution `b + Wx·x` is computed once and reused for the aged and
-    /// fresh halves. Both halves' `Wh·h` come before either gate loop — the
-    /// halves share nothing but `zx`, so the order is free, and walk, walk,
-    /// gates, gates measures ~5 % faster per row than walk, gates, walk,
-    /// gates (DESIGN.md §17).
-    ///
-    /// Rows are fully independent, so ragged fleets (customers mid-gap,
-    /// mid-imputation, or freshly cold-started) batch together freely and
-    /// batch composition can never influence any row's result.
-    ///
-    /// # Panics
-    /// Panics if slice lengths disagree with `batch` and the layer shape.
-    #[allow(clippy::too_many_arguments)]
-    pub fn step_online_dual_block(
-        &self,
-        xs: &[f64],
-        batch: usize,
-        aged_hs: &mut [f64],
-        aged_cs: &mut [f64],
-        fresh_hs: &mut [f64],
-        fresh_cs: &mut [f64],
-        ws: &mut OnlineBlockWorkspace,
-    ) {
-        assert_eq!(xs.len(), batch * self.input, "lstm: block xs length");
-        assert_eq!(aged_hs.len(), batch * self.hidden, "lstm: block hs length");
-        assert_eq!(aged_cs.len(), batch * self.hidden, "lstm: block cs length");
-        assert_eq!(fresh_hs.len(), batch * self.hidden, "lstm: block hs length");
-        assert_eq!(fresh_cs.len(), batch * self.hidden, "lstm: block cs length");
-        let h = self.hidden;
-        let OnlineBlockWorkspace { zx, z, nz, all } = ws;
-        all.set_all(h);
-        for c in 0..batch {
-            let x = &xs[c * self.input..(c + 1) * self.input];
-            let row = c * h..(c + 1) * h;
-            self.input_part(x, nz, zx);
-            z.clear();
-            z.extend_from_slice(zx);
-            self.wht
-                .matvec_acc_t_lanes(&aged_hs[row.clone()], all, z, self.simd);
-            self.wht
-                .matvec_acc_t_lanes(&fresh_hs[row.clone()], all, zx, self.simd);
-            self.gate_block(z, 1, &mut aged_hs[row.clone()], &mut aged_cs[row.clone()]);
-            self.gate_block(
-                zx,
-                1,
-                &mut fresh_hs[row.clone()],
-                &mut fresh_cs[row.clone()],
-            );
-        }
+        z.clear();
+        z.extend_from_slice(zx);
+        self.wht.matvec_acc_t_lanes(aged_h, &self.all, z, self.simd);
+        self.wht
+            .matvec_acc_t_lanes(fresh_h, &self.all, zx, self.simd);
+        self.gate_block(z, 1, aged_h, aged_c);
+        self.gate_block(zx, 1, fresh_h, fresh_c);
     }
 
     /// The fused gate/cell/output loop over a block's pre-activations, one
-    /// contiguous row per customer — the gate loop of both online steps,
-    /// `gate_rows` at this layer's SIMD level. Every level is
-    /// bit-identical.
+    /// contiguous row per customer — the gate loop of the online step (a
+    /// block of one row per half), `gate_rows` at this layer's SIMD level.
+    /// Every level is bit-identical.
     ///
     /// # Panics
     /// Panics if slice lengths disagree with `batch` and the layer shape.
@@ -1289,42 +1232,43 @@ mod tests {
         let serving = ServingLstm::new(&lstm);
         let xs = seq(3, 10, 1.0);
         let trace = lstm.forward(&xs);
-        let mut state = LstmState::zeros(4);
-        let mut z = OnlineScratch::default();
+        let (mut aged, mut fresh) = (LstmState::zeros(4), LstmState::zeros(4));
+        let mut ws = OnlineWorkspace::default();
         for (t, x) in xs.iter().enumerate() {
-            serving.step_online_slices(x, &mut state.h, &mut state.c, &mut z);
-            assert_eq!(state.h, trace.h(t));
+            let (ah, ac, fh, fc) = (&mut aged.h, &mut aged.c, &mut fresh.h, &mut fresh.c);
+            serving.step_online_dual(x, ah, ac, fh, fc, &mut ws);
+            assert_eq!(aged.h, trace.h(t));
+            assert_eq!(fresh, aged);
         }
-        assert_eq!(state.h, trace.final_h());
-        assert_eq!(state.c, trace.final_c());
+        assert_eq!(aged.h, trace.final_h());
+        assert_eq!(aged.c, trace.final_c());
     }
 
-    /// One block workspace serves every layer of a detector, so it must
-    /// carry nothing of the layer it last saw: two different layers stepped
-    /// alternately through one workspace each match their own row steps.
+    /// One workspace serves every layer of a detector, so it must carry
+    /// nothing of the layer it last saw: two different layers stepped
+    /// alternately through one workspace each match the frozen row step.
     #[test]
-    fn block_workspace_carries_nothing_between_layers() {
-        let (input, hidden, batch) = (7, 9, 5);
+    fn workspace_carries_nothing_between_layers() {
+        let (input, hidden, rows) = (7, 9, 5);
         let mut init = Initializer::new(11);
-        let layers = [
-            ServingLstm::new(&Lstm::new(input, hidden, &mut init)),
-            ServingLstm::new(&Lstm::new(input, hidden, &mut init)),
-        ];
-        let xs: Vec<f64> = seq(input, batch, 0.8).concat();
-        let mut ws = OnlineBlockWorkspace::default();
-        let mut z = OnlineScratch::default();
-        // Per layer: block-stepped arenas and row-stepped references.
-        let mut got = [(); 2].map(|_| [(); 4].map(|_| vec![0.0; batch * hidden]));
+        let layers = [(); 2].map(|_| Lstm::new(input, hidden, &mut init));
+        let serving = layers.each_ref().map(ServingLstm::new);
+        let level = serving[0].simd;
+        let xs = seq(input, rows, 0.8);
+        let mut ws = OnlineWorkspace::default();
+        let mut frozen = before_serving::Scratch::default();
+        // Per layer: dual-stepped arenas and row-stepped references.
+        let mut got = [(); 2].map(|_| [(); 4].map(|_| vec![0.0; rows * hidden]));
         let mut want = got.clone();
         for _ in 0..3 {
-            for (l, layer) in layers.iter().enumerate() {
-                let [ah, ac, fh, fc] = &mut got[l];
-                layer.step_online_dual_block(&xs, batch, ah, ac, fh, fc, &mut ws);
-                let [ah, ac, fh, fc] = &mut want[l];
-                for (c, x) in xs.chunks(input).enumerate() {
+            for (l, (layer, lstm)) in serving.iter().zip(&layers).enumerate() {
+                for (c, x) in xs.iter().enumerate() {
                     let r = c * hidden..(c + 1) * hidden;
-                    layer.step_online_slices(x, &mut ah[r.clone()], &mut ac[r.clone()], &mut z);
-                    layer.step_online_slices(x, &mut fh[r.clone()], &mut fc[r], &mut z);
+                    let [ah, ac, fh, fc] = got[l].each_mut().map(|v| &mut v[r.clone()]);
+                    layer.step_online_dual(x, ah, ac, fh, fc, &mut ws);
+                    let [ah, ac, fh, fc] = want[l].each_mut().map(|v| &mut v[r.clone()]);
+                    before_serving::step_online_slices(lstm, level, x, ah, ac, &mut frozen);
+                    before_serving::step_online_slices(lstm, level, x, fh, fc, &mut frozen);
                 }
                 // Move the fresh half off the aged one for the next round.
                 want[l][2].iter_mut().for_each(|v| *v *= 0.5);
@@ -1651,77 +1595,62 @@ mod tests {
             }
         }
 
-        /// The shared-input dual-block step (aged + fresh halves per input)
-        /// must match two independent per-half reference steps bitwise, at
-        /// every dispatch level, cold and through a warm workspace: sharing
-        /// `b + Wx·x` across halves reuses the identical value. The hidden
-        /// sizes cover `Wh` inputs with and without a `% 4` tail, outputs
-        /// short of a 24-wide chunk (1–5), exactly one (6), chunk + 8-wide
-        /// (8), whole chunks only (12, 24), chunks + 1-wide (25), and gate
-        /// rows below, at and past `GATE_LANES`.
+        /// The shared-input dual step (aged + fresh halves per input) must
+        /// match two independent per-half frozen row steps bitwise, at
+        /// every dispatch level, cold and through a workspace warmed on
+        /// other rows: sharing `b + Wx·x` across halves reuses the
+        /// identical value. The hidden sizes cover `Wh` inputs with and
+        /// without a `% 4` tail, outputs short of a 24-wide chunk (1–5),
+        /// exactly one (6), chunk + 8-wide (8), whole chunks only (12,
+        /// 24), chunks + 1-wide (25), and gate rows below, at and past
+        /// `GATE_LANES`.
         #[test]
-        fn online_dual_block_matches_per_half_bitwise(
+        fn online_dual_step_matches_per_half_bitwise(
             seed in 0u64..5_000,
             input in 1usize..6,
             hidden_sel in 0usize..10,
-            batch_sel in 0usize..3,
+            rows_sel in 0usize..3,
         ) {
             let hidden = [1usize, 2, 3, 4, 5, 6, 8, 12, 24, 25][hidden_sel];
-            let batch = [1usize, 3, 64][batch_sel];
+            let rows = [1usize, 3, 64][rows_sel];
             let mut init = Initializer::new(seed.wrapping_add(77));
-            let mut lstm = ServingLstm::new(&Lstm::new(input, hidden, &mut init));
-            let mut z = OnlineScratch::default();
+            let layer = Lstm::new(input, hidden, &mut init);
+            let mut lstm = ServingLstm::new(&layer);
 
             // Aged and fresh halves at genuinely different points: the
             // aged half has a longer history.
-            let mut aged: Vec<LstmState> = Vec::with_capacity(batch);
-            let mut fresh: Vec<LstmState> = Vec::with_capacity(batch);
-            let mut xs = Vec::with_capacity(batch * input);
-            for c in 0..batch {
+            let mut aged: Vec<LstmState> = Vec::with_capacity(rows);
+            let mut fresh: Vec<LstmState> = Vec::with_capacity(rows);
+            let mut xs = Vec::with_capacity(rows);
+            for c in 0..rows {
                 let pre = gen_seq(seed + c as u64, input, 2 + c % 5, 0.9);
-                let mut a = LstmState::zeros(hidden);
-                for x in &pre {
-                    lstm.step_online_slices(x, &mut a.h, &mut a.c, &mut z);
-                }
-                let mut f = LstmState::zeros(hidden);
-                for x in &pre[..c % 3.min(pre.len())] {
-                    lstm.step_online_slices(x, &mut f.h, &mut f.c, &mut z);
-                }
+                aged.push(layer.forward(&pre).final_state());
+                fresh.push(layer.forward(&pre[..c % 3.min(pre.len())]).final_state());
                 if c % 7 == 3 {
-                    xs.extend(std::iter::repeat_n(0.0, input));
+                    xs.push(vec![0.0; input]);
                 } else {
-                    let frame = gen_seq(seed.wrapping_mul(29) + c as u64, input, 1, 1.1);
-                    xs.extend_from_slice(&frame[0]);
+                    xs.extend(gen_seq(seed.wrapping_mul(29) + c as u64, input, 1, 1.1));
                 }
-                aged.push(a);
-                fresh.push(f);
             }
-            let flat = |states: &[LstmState]| -> (Vec<f64>, Vec<f64>) {
-                (
-                    states.iter().flat_map(|s| s.h.iter().copied()).collect(),
-                    states.iter().flat_map(|s| s.c.iter().copied()).collect(),
-                )
-            };
-            let ((ah0, ac0), (fh0, fc0)) = (flat(&aged), flat(&fresh));
 
             for level in [SimdLevel::Scalar, simd::supported()] {
                 lstm.set_simd(level);
                 let (mut want_aged, mut want_fresh) = (aged.clone(), fresh.clone());
-                let (mut ah, mut ac) = (ah0.clone(), ac0.clone());
-                let (mut fh, mut fc) = (fh0.clone(), fc0.clone());
-                let mut ws = OnlineBlockWorkspace::default();
+                let (mut got_aged, mut got_fresh) = (aged.clone(), fresh.clone());
+                let mut ws = OnlineWorkspace::default();
+                let mut frozen = before_serving::Scratch::default();
                 for _ in 0..2 {
-                    for (c, x) in xs.chunks(input).enumerate() {
+                    for (c, x) in xs.iter().enumerate() {
                         for s in [&mut want_aged[c], &mut want_fresh[c]] {
-                            lstm.step_online_slices(x, &mut s.h, &mut s.c, &mut z);
+                            before_serving::step_online_slices(
+                                &layer, level, x, &mut s.h, &mut s.c, &mut frozen,
+                            );
                         }
+                        let (a, f) = (&mut got_aged[c], &mut got_fresh[c]);
+                        lstm.step_online_dual(x, &mut a.h, &mut a.c, &mut f.h, &mut f.c, &mut ws);
                     }
-                    lstm.step_online_dual_block(
-                        &xs, batch, &mut ah, &mut ac, &mut fh, &mut fc, &mut ws,
-                    );
-                    let ((wah, wac), (wfh, wfc)) = (flat(&want_aged), flat(&want_fresh));
-                    for (got, want) in [(&ah, &wah), (&ac, &wac), (&fh, &wfh), (&fc, &wfc)] {
-                        for (a, b) in got.iter().zip(want) {
+                    for (got, want) in got_aged.iter().chain(&got_fresh).zip(want_aged.iter().chain(&want_fresh)) {
+                        for (a, b) in got.h.iter().chain(&got.c).zip(want.h.iter().chain(&want.c)) {
                             prop_assert_eq!(a.to_bits(), b.to_bits());
                         }
                     }
@@ -1729,7 +1658,10 @@ mod tests {
             }
         }
 
-        /// The cache-free online step must match the batch forward bitwise.
+        /// The cache-free online step must match the batch forward, and
+        /// the frozen per-step reference it replaced, bitwise, each half
+        /// over the inputs since it was zeroed: the aged half from the
+        /// first input, the fresh one from the middle.
         #[test]
         fn online_step_matches_forward_bitwise(
             seed in 0u64..10_000,
@@ -1742,27 +1674,44 @@ mod tests {
             let serving = ServingLstm::new(&lstm);
             let xs = gen_seq(seed, input, len, 1.1);
             let trace = lstm.forward(&xs);
-            let mut state = LstmState::zeros(hidden);
-            let mut z = OnlineScratch::default();
+            let (mut aged, mut fresh) = (LstmState::zeros(hidden), LstmState::zeros(hidden));
+            let mut ws = OnlineWorkspace::default();
+            let mid = len / 2;
             for (t, x) in xs.iter().enumerate() {
-                serving.step_online_slices(x, &mut state.h, &mut state.c, &mut z);
-                for (a, b) in state.h.iter().zip(trace.h(t)) {
+                if t == mid {
+                    fresh = LstmState::zeros(hidden);
+                }
+                let (ah, ac, fh, fc) = (&mut aged.h, &mut aged.c, &mut fresh.h, &mut fresh.c);
+                serving.step_online_dual(x, ah, ac, fh, fc, &mut ws);
+                for (a, b) in aged.h.iter().zip(trace.h(t)) {
                     prop_assert_eq!(a.to_bits(), b.to_bits());
                 }
             }
-            for (a, b) in state.c.iter().zip(trace.final_c()) {
+            for (a, b) in aged.c.iter().zip(trace.final_c()) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+            let tail = lstm.forward(&xs[mid..]);
+            for (a, b) in fresh.h.iter().chain(&fresh.c).zip(tail.final_h().iter().chain(tail.final_c())) {
+                prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+            let zero = LstmState::zeros(hidden);
+            for (state, from) in [(&aged, 0), (&fresh, mid)] {
+                let old = reference::forward_from(&lstm, &xs[from..], &zero).final_state;
+                for (a, b) in state.h.iter().chain(&state.c).zip(old.h.iter().chain(&old.c)) {
+                    prop_assert_eq!(a.to_bits(), b.to_bits());
+                }
             }
         }
 
-        /// The serving steps equal the frozen pre-serving kernels and
-        /// `Lstm::forward`, bit for bit: hidden 7, 9 and 24, batches 1, 2, 7
-        /// and 450 stepped in ragged runs (rows sit out steps at random, as
-        /// fleet rows mid-gap do), inputs from no zeros to all zeros with
-        /// `-0.0` among them, at both levels. The row step, the block step
-        /// and both frozen kernels advance separate copies of every state;
-        /// each half must also equal `Lstm::forward` over the inputs it was
-        /// given since it was last zeroed.
+        /// The serving step equals the frozen pre-serving kernels and
+        /// `Lstm::forward`, bit for bit: hidden 7, 9 and 24, fleets of 1, 2,
+        /// 7 and 450 rows stepped in ragged runs (rows sit out steps at
+        /// random, as fleet rows mid-gap do), inputs from no zeros to all
+        /// zeros with `-0.0` among them, at both levels. The serving step
+        /// (row by row through one workspace), the frozen block step (one
+        /// call per run) and the frozen row step advance separate copies of
+        /// every state; each half must also equal `Lstm::forward` over the
+        /// inputs it was given since it was last zeroed.
         #[test]
         fn serving_steps_match_the_frozen_kernels_and_forward_bitwise(
             seed in 0u64..5_000,
@@ -1774,7 +1723,7 @@ mod tests {
             let hidden = [7usize, 9, 24][hidden_sel];
             let batch = [1usize, 2, 7, 450][batch_sel];
             // The widest input only on the small batches: a debug build
-            // steps 450 rows four ways per level.
+            // steps 450 rows three ways per level.
             let input = [1usize, 6, 33][input_sel].min(if batch == 450 { 6 } else { 33 });
             let lstm = Lstm::new(input, hidden, &mut Initializer::new(seed));
             let mut serving = ServingLstm::new(&lstm);
@@ -1808,11 +1757,10 @@ mod tests {
                 serving.set_simd(level);
                 let n = batch * hidden;
                 // [aged_h, aged_c, fresh_h, fresh_c] per implementation:
-                // serving block, frozen block, serving rows, frozen rows.
-                let mut arenas = [(); 4].map(|_| [(); 4].map(|_| vec![0.0; n]));
-                let mut ws = OnlineBlockWorkspace::default();
+                // serving step, frozen block, frozen rows.
+                let mut arenas = [(); 3].map(|_| [(); 4].map(|_| vec![0.0; n]));
+                let mut ws = OnlineWorkspace::default();
                 let mut frozen_ws = before_serving::BlockWorkspace::default();
-                let mut scratch = OnlineScratch::default();
                 let mut frozen_scratch = before_serving::Scratch::default();
                 // Each row's inputs since each half was last zeroed.
                 let mut seen: Vec<[Vec<Vec<f64>>; 2]> = vec![[Vec::new(), Vec::new()]; batch];
@@ -1834,11 +1782,6 @@ mod tests {
                     }
                     for &(a, b) in &runs {
                         let (r, x) = (a * hidden..b * hidden, &xs[a * input..b * input]);
-                        let [ah, ac, fh, fc] = &mut arenas[0];
-                        serving.step_online_dual_block(
-                            x, b - a, &mut ah[r.clone()], &mut ac[r.clone()],
-                            &mut fh[r.clone()], &mut fc[r.clone()], &mut ws,
-                        );
                         let [ah, ac, fh, fc] = &mut arenas[1];
                         before_serving::step_online_dual_block(
                             &lstm, level, x, b - a, &mut ah[r.clone()], &mut ac[r.clone()],
@@ -1847,10 +1790,10 @@ mod tests {
                     }
                     for c in (0..batch).filter(|&c| active[c]) {
                         let (r, x) = (c * hidden..(c + 1) * hidden, &xs[c * input..(c + 1) * input]);
+                        let [ah, ac, fh, fc] = arenas[0].each_mut().map(|v| &mut v[r.clone()]);
+                        serving.step_online_dual(x, ah, ac, fh, fc, &mut ws);
                         for half in [0, 2] {
                             let [h, cs] = arenas[2].get_disjoint_mut([half, half + 1]).unwrap();
-                            serving.step_online_slices(x, &mut h[r.clone()], &mut cs[r.clone()], &mut scratch);
-                            let [h, cs] = arenas[3].get_disjoint_mut([half, half + 1]).unwrap();
                             before_serving::step_online_slices(
                                 &lstm, level, x, &mut h[r.clone()], &mut cs[r.clone()], &mut frozen_scratch,
                             );
