@@ -1,8 +1,8 @@
 //! Fig 10 — per-attack-type effectiveness and detection delay at a fixed
 //! 0.1 % overhead bound, for all four systems.
 
-use super::threshold_row;
-use xatu_core::pipeline::{EvalReport, Pipeline, PipelineConfig};
+use super::served;
+use xatu_core::pipeline::{Pipeline, PipelineConfig};
 use xatu_metrics::effectiveness::summary_by_type;
 use xatu_metrics::table::Table;
 use xatu_netflow::attack::AttackType;
@@ -72,47 +72,6 @@ pub fn run(seed: u64) -> String {
          CDets and Xatu)\n",
         eff.render(),
         delay.render(),
-        served(&report).render()
+        served("Fig 10", &report).render()
     )
-}
-
-/// The thresholds the run served: each type's Xatu and RF threshold with
-/// its calibration outcome, at the figure's one bound.
-fn served(report: &EvalReport) -> Table {
-    let mut served = Table::new(
-        "Fig 10: thresholds served (type, threshold, calibration outcome)",
-        &["bound", "Xatu", "RF"],
-    );
-    served.row(&threshold_row(report));
-    served
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The table names every served type of both systems with its
-    /// threshold and calibration outcome, at the figure's bound.
-    #[test]
-    fn served_table_names_each_types_threshold_and_outcome() {
-        let cfg = PipelineConfig {
-            with_rf: true,
-            ..PipelineConfig::smoke_test(9)
-        };
-        let report = Pipeline::new(cfg).prepare().evaluate(0.1);
-        assert!(!report.xatu_thresholds.is_empty() && !report.rf_thresholds.is_empty());
-        let table = served(&report).render();
-        assert!(table.contains("10.000%"), "{table}");
-        for (thresholds, outcomes) in [
-            (&report.xatu_thresholds, &report.xatu_calibration),
-            (&report.rf_thresholds, &report.rf_calibration),
-        ] {
-            assert_eq!(thresholds.len(), outcomes.len());
-            for ((ty, th), (ty_c, outcome)) in thresholds.iter().zip(outcomes) {
-                assert_eq!(ty, ty_c);
-                let named = format!("{ty:?} {th:.3e} {}", outcome.name());
-                assert!(table.contains(&named), "{table} lacks {named:?}");
-            }
-        }
-    }
 }

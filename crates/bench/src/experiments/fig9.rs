@@ -4,6 +4,7 @@
 //! minute of each (customer, type) is a sample; the score is the
 //! attack-likelihood (1 − survival for Xatu, RF probability for RF).
 
+use super::served;
 use xatu_core::pipeline::{Pipeline, PipelineConfig};
 use xatu_metrics::roc::{auc, tpr_at_fpr};
 use xatu_metrics::table::Table;
@@ -55,8 +56,9 @@ pub fn run(seed: u64) -> String {
         }
     }
     format!(
-        "{}{}\n\n(paper: at 4.8% FPR Xatu reaches 95.4% TPR vs RF's 88.6%)\n",
+        "{}{}\n\n(paper: at 4.8% FPR Xatu reaches 95.4% TPR vs RF's 88.6%)\n\n{}",
         table.render(),
-        curves_out
+        curves_out,
+        served("Fig 9", &report).render()
     )
 }

@@ -15,6 +15,7 @@ pub mod fig9;
 pub mod tab2;
 
 use xatu_core::pipeline::{served_thresholds, EvalReport};
+use xatu_metrics::table::Table;
 
 /// All experiment ids, in paper order.
 pub const EXPERIMENT_IDS: [&str; 14] = [
@@ -63,4 +64,48 @@ pub(crate) fn threshold_row(report: &EvalReport) -> Vec<String> {
             &report.rf_calibration,
         )),
     ]
+}
+
+/// The thresholds a figure's run served: each type's Xatu and RF
+/// threshold with its calibration outcome, at the run's one bound.
+pub(crate) fn served(figure: &str, report: &EvalReport) -> Table {
+    let mut served = Table::new(
+        &format!("{figure}: thresholds served (type, threshold, calibration outcome)"),
+        &["bound", "Xatu", "RF"],
+    );
+    served.row(&threshold_row(report));
+    served
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use xatu_core::pipeline::{Pipeline, PipelineConfig};
+
+    /// The table names every served type of both systems with its
+    /// threshold and calibration outcome, at the run's bound, under the
+    /// figure's title.
+    #[test]
+    fn served_table_names_each_types_threshold_and_outcome() {
+        let cfg = PipelineConfig {
+            with_rf: true,
+            ..PipelineConfig::smoke_test(9)
+        };
+        let report = Pipeline::new(cfg).prepare().evaluate(0.1);
+        assert!(!report.xatu_thresholds.is_empty() && !report.rf_thresholds.is_empty());
+        let table = served("Fig 9", &report).render();
+        assert!(table.contains("Fig 9: thresholds served"), "{table}");
+        assert!(table.contains("10.000%"), "{table}");
+        for (thresholds, outcomes) in [
+            (&report.xatu_thresholds, &report.xatu_calibration),
+            (&report.rf_thresholds, &report.rf_calibration),
+        ] {
+            assert_eq!(thresholds.len(), outcomes.len());
+            for ((ty, th), (ty_c, outcome)) in thresholds.iter().zip(outcomes) {
+                assert_eq!(ty, ty_c);
+                let named = format!("{ty:?} {th:.3e} {}", outcome.name());
+                assert!(table.contains(&named), "{table} lacks {named:?}");
+            }
+        }
+    }
 }

@@ -4,66 +4,66 @@
 //!
 //! # State
 //!
-//! Every per-customer quantity is a column of a flat arena indexed by the
-//! dense customer id the interner in [`Common`] hands out, with a fixed
-//! per-customer stride — except the auxiliary-signal tail of a frame-side
-//! row, below. The columns come in two groups:
+//! Each customer's streaming state is one [`Customer`] record, kept in a
+//! `Vec` in the dense-id order the interner in [`Common`] hands out. A
+//! record holds:
 //!
-//! * [`Ledger`] — what the tails read and write: the survival ring,
-//!   pooling-bucket counts, alert lifecycle scalars, the newest driven
-//!   minute, and three per-minute plan flags.
-//! * [`Numeric`] — what the LSTM layers read and write: both halves of the
-//!   three dual LSTM states, the open pooling bucket of every timescale
-//!   coarser than a minute, and the zero-order-hold frame.
+//! * both halves of its three dual LSTM states, in one allocation, and
+//!   their ages;
+//! * the survival ring of its last `window` hazards;
+//! * the open pooling bucket of every timescale coarser than a minute;
+//! * the zero-order-hold frame;
+//! * the alert lifecycle scalars and the newest driven minute;
+//! * the companion's window, while a companion is attached.
 //!
-//! The frame and the buckets are [`Rows`]: each `NUM_FEATURES`-wide row
-//! keeps its volumetric head (`VOLUMETRIC_WIDTH`) inline at a fixed stride
-//! and its A1–A5 tail in a box that exists only while some bit of it is
-//! set, which on most minutes of most customers it is not. An absent tail
-//! reads as zeros, so every value the kernels, the companion and the
-//! checkpoint see is the dense row's, bit for bit.
+//! The frame and the buckets are [`Row`]s: the volumetric head
+//! (`VOLUMETRIC_WIDTH`) inline, and the A1–A5 tail in a box that exists
+//! only while some bit of it is set, which on most minutes of most
+//! customers it is not. An absent tail reads as zeros, so every value the
+//! kernel, the companion and the checkpoint see is the dense row's, bit
+//! for bit.
 //!
 //! A timescale of granularity `g` closes a bucket every `g` minutes from
-//! the row's first minute and steps its LSTM on the bucket's mean in the
+//! the customer's first minute and steps its LSTM on the bucket's mean in the
 //! minute that completes it; that minute's hazard reads the new state. A
 //! granularity-1 timescale reads the held frame directly and keeps no
-//! bucket or count column.
+//! bucket.
 //!
-//! A [`Shard`] is a set of disjoint mutable views of one contiguous block
-//! of customers across all columns; [`Shard::take_front`] carves blocks
-//! off for workers without allocating.
+//! A fleet worker owns a contiguous block of records, a `&mut [Customer]`
+//! cut with `split_at_mut`. What one minute plans for a record, the
+//! [`Due`] timescales, is not state: the caller keeps it from `ingest` to
+//! `finish_row`.
 //!
 //! # One scalar, one kernel
 //!
-//! Every column is `f64`, and every timescale steps through its layer of
-//! the head's [`ServedModel`], built once from the trained model, on one
-//! kernel: [`ServingLstm::step_online_dual`] advances both halves of a
-//! row's dual state, each pinned bit-identical to
+//! Every state value is `f64`, and every timescale steps through its layer
+//! of the head's [`ServedModel`], built once from the trained model, on
+//! one kernel: [`ServingLstm::step_online_dual`] advances both halves of a
+//! record's dual state, each pinned bit-identical to
 //! [`xatu_nn::Lstm::forward`]. The row path, imputed catch-up minutes and
-//! the fleet's batch path all call it through [`DualShard::step`]. A row
-//! whose timescale takes part in a minute runs the kernel; nothing is
+//! the fleet's batch path all call it through [`Customer::step`]. A
+//! timescale that takes part in a minute runs the kernel; nothing is
 //! skipped or tabulated, so the stored state is always the state.
 //!
 //! # One minute of one customer
 //!
 //! `ingest` (sanitize or zero-order-hold, feed the pooling buckets, plan
-//! which timescales step) → LSTM steps ([`step_dense`], each on the row's
-//! input read back densely into [`RowScratch`]) → `finish_row` (retire
-//! consumed buckets, survival tail, the companion's fusion hook, lifecycle
-//! tail). [`row_minute`] runs the three back to back; the fleet's batch
-//! worker runs each as a phase over its shard.
+//! which timescales step) → LSTM steps ([`step_dense`], each on the
+//! record's input read back densely into [`RowScratch`]) → `finish_row`
+//! (retire consumed buckets, survival tail, the companion's fusion hook,
+//! lifecycle tail). [`row_minute`] runs the three back to back; the
+//! fleet's batch worker runs each as a phase over its block.
 //! Gaps since the customer's previous minute are bridged first by
 //! [`catch_up`]: imputed minute by minute through [`row_minute`], or cold
-//! restarted past `3 × window`. What the rows emit goes to an [`Emitted`]
-//! in row order, for the caller to stitch.
+//! restarted past `3 × window`. What the records emit goes to an
+//! [`Emitted`] in record order, for the caller to stitch.
 
 use crate::checkpoint::{CustomerCheckpoint, DetectorCheckpoint, DualStateCheckpoint};
 use crate::config::XatuConfig;
 use crate::error::XatuError;
-use crate::fusion::Fused;
+use crate::fusion::{Fused, Ring};
 use crate::model::{ModelConfig, ServedModel, XatuModel, TIMESCALES};
 use std::collections::HashMap;
-use std::ops::Range;
 use xatu_detectors::alert::Alert;
 use xatu_detectors::traits::DetectorEvent;
 use xatu_features::frame::{NUM_FEATURES, VOLUMETRIC_WIDTH};
@@ -177,7 +177,7 @@ impl DetectorObs {
     }
 }
 
-/// What driven rows emit, in the order they were driven: lifecycle events
+/// What driven records emit, in the order they were driven: lifecycle events
 /// and, with telemetry on, every reported survival. Survivals are
 /// buffered rather than observed where they are computed so that the
 /// survival histogram's float sum accumulates in one fixed order, the
@@ -202,21 +202,31 @@ impl Emitted {
     }
 }
 
-/// Plan flag: the row is driven this minute.
-pub(crate) const RAN: u8 = 1;
-/// Plan flag: the timescale's bucket completed this minute.
-const DUE: u8 = 2;
-/// Plan flag: the bucket completed and the model's mode uses the
-/// timescale, so its state steps through the LSTM kernel.
-const DENSE: u8 = 4;
+/// One minute's plan for one record: which timescales' buckets completed.
+/// A completed timescale the model's mode uses steps its LSTM state; a
+/// granularity-1 timescale completes every minute.
+pub(crate) type Due = [bool; TIMESCALES];
 
-/// Longest survival window a checkpoint may carry: one ring of it is
-/// 256 KB, and `3 × window` (the longest imputed gap) stays far inside
-/// `u32`. Every preset uses 10–30.
+/// Longest survival window a detector serves: one ring of it is 256 KB,
+/// and `3 × window` (the longest imputed gap) stays far inside `u32`.
+/// Every preset uses 10–30.
 const MAX_WINDOW: u64 = 1 << 15;
 
-/// Timescale names, in arena order, for checkpoint errors.
+/// Timescale names, in record order, for checkpoint errors.
 const NAMES: [&str; TIMESCALES] = ["short", "medium", "long"];
+
+/// The serving shape every detector is held to, from a configuration or
+/// from a checkpoint: a survival window in `1..=MAX_WINDOW` and every
+/// pooling granularity at least 1.
+fn check_shape(window: u64, gran: [u32; TIMESCALES]) -> Result<(), String> {
+    if gran.contains(&0) {
+        return Err(format!("timescale granularities {gran:?} must be >= 1"));
+    }
+    if window == 0 || window > MAX_WINDOW {
+        return Err(format!("survival window {window} outside 1..={MAX_WINDOW}"));
+    }
+    Ok(())
+}
 
 /// The immutable parts of a detector every worker shares: the layers,
 /// the combiner head and the scalar knobs.
@@ -233,237 +243,6 @@ impl<'a> Net<'a> {
             head: &model.head,
             k,
         }
-    }
-}
-
-/// The dual-state arena of one timescale: both halves of every customer's
-/// bounded-context LSTM state as `n × hidden` row-major matrices and the
-/// two context ages.
-///
-/// Training runs the LSTMs from a zero state over a context of `period`
-/// steps; a single streaming state would instead accumulate thousands of
-/// steps and drift off the training distribution. So each row keeps two
-/// states that both step on every input: the *aged* one (context length in
-/// `[period, 2·period)`) feeds the head, and on reaching `2·period` it is
-/// replaced by the *fresh* one, which by then has exactly `period` steps
-/// of context, and a zeroed fresh half starts again. Each half therefore
-/// equals `Lstm::forward` over the inputs since it was last zeroed, which
-/// a test in this module pins.
-#[derive(Clone)]
-pub(crate) struct DualArena {
-    aged_h: Vec<f64>,
-    aged_c: Vec<f64>,
-    fresh_h: Vec<f64>,
-    fresh_c: Vec<f64>,
-    aged_age: Vec<u32>,
-    fresh_age: Vec<u32>,
-    period: u32,
-    hidden: usize,
-}
-
-impl DualArena {
-    fn new(hidden: usize, period: usize) -> Self {
-        DualArena {
-            aged_h: Vec::new(),
-            aged_c: Vec::new(),
-            fresh_h: Vec::new(),
-            fresh_c: Vec::new(),
-            aged_age: Vec::new(),
-            fresh_age: Vec::new(),
-            period: (period as u32).max(1),
-            hidden,
-        }
-    }
-
-    /// Appends one customer in the cold state: both halves zero, and the
-    /// aged one counted as `period` steps old so the first promotion comes
-    /// when the fresh one is fully warmed.
-    fn push(&mut self) {
-        let h = self.hidden;
-        for col in [
-            &mut self.aged_h,
-            &mut self.aged_c,
-            &mut self.fresh_h,
-            &mut self.fresh_c,
-        ] {
-            col.resize(col.len() + h, 0.0);
-        }
-        self.aged_age.push(self.period);
-        self.fresh_age.push(0);
-    }
-
-    /// Row `i`'s `[aged_h, aged_c, fresh_h, fresh_c]`.
-    fn state(&self, i: usize) -> [&[f64]; 4] {
-        let r = i * self.hidden..(i + 1) * self.hidden;
-        [
-            &self.aged_h[r.clone()],
-            &self.aged_c[r.clone()],
-            &self.fresh_h[r.clone()],
-            &self.fresh_c[r],
-        ]
-    }
-
-    fn bytes(&self) -> usize {
-        use std::mem::size_of;
-        (self.aged_h.capacity()
-            + self.aged_c.capacity()
-            + self.fresh_h.capacity()
-            + self.fresh_c.capacity())
-            * size_of::<f64>()
-            + (self.aged_age.capacity() + self.fresh_age.capacity()) * size_of::<u32>()
-    }
-}
-
-/// A contiguous block of one [`DualArena`], owned mutably by one worker.
-pub(crate) struct DualShard<'a> {
-    aged_h: &'a mut [f64],
-    aged_c: &'a mut [f64],
-    fresh_h: &'a mut [f64],
-    fresh_c: &'a mut [f64],
-    aged_age: &'a mut [u32],
-    fresh_age: &'a mut [u32],
-    period: u32,
-    hidden: usize,
-}
-
-/// Carves the next `n * per` elements off the front of `*rest` without
-/// allocating.
-pub(crate) fn take_rows<'a, T>(rest: &mut &'a mut [T], n: usize, per: usize) -> &'a mut [T] {
-    let (head, tail) = std::mem::take(rest).split_at_mut(n * per);
-    *rest = tail;
-    head
-}
-
-impl<'a> DualShard<'a> {
-    fn new(a: &'a mut DualArena) -> Self {
-        DualShard {
-            aged_h: &mut a.aged_h,
-            aged_c: &mut a.aged_c,
-            fresh_h: &mut a.fresh_h,
-            fresh_c: &mut a.fresh_c,
-            aged_age: &mut a.aged_age,
-            fresh_age: &mut a.fresh_age,
-            period: a.period,
-            hidden: a.hidden,
-        }
-    }
-
-    fn take_front(&mut self, n: usize) -> DualShard<'a> {
-        let h = self.hidden;
-        DualShard {
-            aged_h: take_rows(&mut self.aged_h, n, h),
-            aged_c: take_rows(&mut self.aged_c, n, h),
-            fresh_h: take_rows(&mut self.fresh_h, n, h),
-            fresh_c: take_rows(&mut self.fresh_c, n, h),
-            aged_age: take_rows(&mut self.aged_age, n, 1),
-            fresh_age: take_rows(&mut self.fresh_age, n, 1),
-            period: self.period,
-            hidden: h,
-        }
-    }
-
-    fn row(&self, j: usize) -> Range<usize> {
-        j * self.hidden..(j + 1) * self.hidden
-    }
-
-    /// Steps both halves of row `j` on input `x` through the layer's one
-    /// online step, then ticks its ages.
-    fn step(&mut self, lstm: &ServingLstm, j: usize, x: &[f64], ws: &mut OnlineWorkspace) {
-        let r = self.row(j);
-        lstm.step_online_dual(
-            x,
-            &mut self.aged_h[r.clone()],
-            &mut self.aged_c[r.clone()],
-            &mut self.fresh_h[r.clone()],
-            &mut self.fresh_c[r],
-            ws,
-        );
-        self.tick(j);
-    }
-
-    /// The age bookkeeping of a step: both ages advance; at `2·period` the
-    /// fresh half is promoted and a zeroed one takes its place.
-    fn tick(&mut self, j: usize) {
-        self.aged_age[j] += 1;
-        self.fresh_age[j] += 1;
-        if self.aged_age[j] >= 2 * self.period {
-            let r = self.row(j);
-            self.aged_h[r.clone()].copy_from_slice(&self.fresh_h[r.clone()]);
-            self.aged_c[r.clone()].copy_from_slice(&self.fresh_c[r.clone()]);
-            self.fresh_h[r.clone()].fill(0.0);
-            self.fresh_c[r].fill(0.0);
-            self.aged_age[j] = self.fresh_age[j];
-            self.fresh_age[j] = 0;
-        }
-    }
-
-    /// Back to the cold state [`DualArena::push`] appends.
-    fn reset_row(&mut self, j: usize) {
-        let r = self.row(j);
-        self.aged_h[r.clone()].fill(0.0);
-        self.aged_c[r.clone()].fill(0.0);
-        self.fresh_h[r.clone()].fill(0.0);
-        self.fresh_c[r].fill(0.0);
-        self.aged_age[j] = self.period;
-        self.fresh_age[j] = 0;
-    }
-}
-
-/// The columns the tails read and write.
-#[derive(Clone, Default)]
-pub(crate) struct Ledger {
-    ring_buf: Vec<f64>,
-    ring_head: Vec<u32>,
-    ring_filled: Vec<u32>,
-    ring_sum: Vec<f64>,
-    /// Frames in each timescale's open pooling bucket (empty for a
-    /// granularity-1 timescale).
-    count: [Vec<u32>; TIMESCALES],
-    pub active_since: Vec<Option<u32>>,
-    quiet_run: Vec<u32>,
-    pub last_survival: Vec<f64>,
-    observed: Vec<u32>,
-    stale_run: Vec<u32>,
-    last_minute: Vec<Option<u32>>,
-    /// Per-timescale plan flags ([`RAN`], [`DUE`], [`DENSE`]); scratch, valid only
-    /// inside one minute.
-    flags: [Vec<u8>; TIMESCALES],
-}
-
-impl Ledger {
-    /// Appends one customer in the cold state.
-    fn push(&mut self, window: usize, pooled: [bool; TIMESCALES]) {
-        self.ring_buf.resize(self.ring_buf.len() + window, 0.0);
-        self.ring_head.push(0);
-        self.ring_filled.push(0);
-        self.ring_sum.push(0.0);
-        for (c, pooled) in self.count.iter_mut().zip(pooled) {
-            c.resize(c.len() + usize::from(pooled), 0);
-        }
-        self.active_since.push(None);
-        self.quiet_run.push(0);
-        self.last_survival.push(1.0);
-        self.observed.push(0);
-        self.stale_run.push(0);
-        self.last_minute.push(None);
-        self.flags.iter_mut().for_each(|f| f.push(0));
-    }
-
-    /// Measured footprint in bytes (capacities, not lengths).
-    pub(crate) fn bytes(&self) -> usize {
-        use std::mem::size_of;
-        (self.ring_buf.capacity() + self.ring_sum.capacity() + self.last_survival.capacity())
-            * size_of::<f64>()
-            + (self.ring_head.capacity()
-                + self.ring_filled.capacity()
-                + self.count.iter().map(Vec::capacity).sum::<usize>()
-                + self.quiet_run.capacity()
-                + self.observed.capacity()
-                + self.stale_run.capacity())
-                * size_of::<u32>()
-            + (self.active_since.capacity() + self.last_minute.capacity())
-                * size_of::<Option<u32>>()
-            + self.flags.iter().map(Vec::capacity).sum::<usize>()
     }
 }
 
@@ -498,107 +277,66 @@ fn sanitize(dst: &mut [f64], raw: &[f64]) -> u64 {
     replaced
 }
 
-/// Writes one row into the `NUM_FEATURES`-wide `out`: the head, then the
-/// tail, zeros while it is absent.
-fn read_row(head: &[f64], tail: Option<&Tail>, out: &mut [f64]) {
-    let (h, t) = out.split_at_mut(VOLUMETRIC_WIDTH);
-    h.copy_from_slice(head);
-    match tail {
-        Some(b) => t.copy_from_slice(&b[..]),
-        None => t.fill(0.0),
+/// One `NUM_FEATURES`-wide frame-side row, stored in two parts: the
+/// volumetric head (`VOLUMETRIC_WIDTH`) inline, and the auxiliary-signal
+/// tail in a box that exists only while some bit of it is set. An absent
+/// tail reads as `+0.0` throughout, so a row's values are the dense row's,
+/// bit for bit; only where its zeros are stored differs.
+#[derive(Clone)]
+struct Row {
+    head: [f64; VOLUMETRIC_WIDTH],
+    tail: Option<Tail>,
+}
+
+impl Default for Row {
+    fn default() -> Self {
+        Row {
+            head: [0.0; VOLUMETRIC_WIDTH],
+            tail: None,
+        }
     }
 }
 
-/// A column of `NUM_FEATURES`-wide frame-side rows, stored in two parts:
-/// the volumetric head (`VOLUMETRIC_WIDTH`) inline, `n × VOLUMETRIC_WIDTH`,
-/// and the auxiliary-signal tail in a per-row box that exists only while
-/// some bit of it is set. An absent tail reads as `+0.0` throughout, so a
-/// row's values are the dense row's, bit for bit; only where its zeros are
-/// stored differs.
-#[derive(Clone, Default)]
-pub(crate) struct Rows {
-    head: Vec<f64>,
-    tail: Vec<Option<Tail>>,
-}
-
-impl Rows {
-    /// Appends one zero row.
-    fn push(&mut self) {
-        self.head.resize(self.head.len() + VOLUMETRIC_WIDTH, 0.0);
-        self.tail.push(None);
-    }
-
-    fn as_mut(&mut self) -> RowsMut<'_> {
-        RowsMut {
-            head: &mut self.head,
-            tail: &mut self.tail,
+impl Row {
+    /// Writes the row into the `NUM_FEATURES`-wide `out`: the head, then
+    /// the tail, zeros while it is absent.
+    fn read(&self, out: &mut [f64]) {
+        let (h, t) = out.split_at_mut(VOLUMETRIC_WIDTH);
+        h.copy_from_slice(&self.head);
+        match &self.tail {
+            Some(b) => t.copy_from_slice(&b[..]),
+            None => t.fill(0.0),
         }
     }
 
-    /// Row `i`, dense.
-    fn to_dense(&self, i: usize) -> Vec<f64> {
+    /// The row, dense.
+    fn to_dense(&self) -> Vec<f64> {
         let mut out = vec![0.0; NUM_FEATURES];
-        read_row(&self.head[heads(i)], self.tail[i].as_ref(), &mut out);
+        self.read(&mut out);
         out
     }
 
-    /// Loads row `i` from a dense row: a tail with any set bit is boxed.
-    fn load(&mut self, i: usize, dense: &[f64]) {
+    /// The row of a dense row: a tail with any set bit is boxed.
+    fn from_dense(dense: &[f64]) -> Row {
         let (head, tail) = dense.split_at(VOLUMETRIC_WIDTH);
-        self.head[heads(i)].copy_from_slice(head);
-        self.tail[i] = any_set(tail).then(|| {
+        let mut row = Row::default();
+        row.head.copy_from_slice(head);
+        row.tail = any_set(tail).then(|| {
             let mut b = zero_tail();
             b.copy_from_slice(tail);
             b
         });
+        row
     }
 
-    /// Measured footprint in bytes: capacities, and every live tail.
-    fn bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.head.capacity() * size_of::<f64>()
-            + self.tail.capacity() * size_of::<Option<Tail>>()
-            + self.tail.iter().flatten().count() * size_of::<[f64; TAIL_WIDTH]>()
-    }
-}
-
-/// Row `j`'s head in an `n × VOLUMETRIC_WIDTH` column.
-fn heads(j: usize) -> Range<usize> {
-    j * VOLUMETRIC_WIDTH..(j + 1) * VOLUMETRIC_WIDTH
-}
-
-/// A contiguous block of one [`Rows`] column, owned mutably by one worker.
-pub(crate) struct RowsMut<'a> {
-    head: &'a mut [f64],
-    tail: &'a mut [Option<Tail>],
-}
-
-impl<'a> RowsMut<'a> {
-    fn take_front(&mut self, n: usize) -> RowsMut<'a> {
-        RowsMut {
-            head: take_rows(&mut self.head, n, VOLUMETRIC_WIDTH),
-            tail: take_rows(&mut self.tail, n, 1),
-        }
-    }
-
-    /// Row `j`'s volumetric head.
-    fn head(&self, j: usize) -> &[f64] {
-        &self.head[heads(j)]
-    }
-
-    /// Writes row `j` into the `NUM_FEATURES`-wide `out`.
-    fn read(&self, j: usize, out: &mut [f64]) {
-        read_row(self.head(j), self.tail[j].as_ref(), out);
-    }
-
-    /// Sanitizes `raw` into row `j` and returns how many values were
+    /// Sanitizes `raw` into the row and returns how many values were
     /// non-finite. The tail goes into the live box if there is one, which
     /// is freed if nothing in it is left set; otherwise a box is made only
     /// if some sanitized tail value has a set bit.
-    fn sanitize_from(&mut self, j: usize, raw: &[f64]) -> u64 {
+    fn sanitize_from(&mut self, raw: &[f64]) -> u64 {
         let (head, tail) = raw.split_at(VOLUMETRIC_WIDTH);
-        let replaced = sanitize(&mut self.head[heads(j)], head);
-        let slot = &mut self.tail[j];
+        let replaced = sanitize(&mut self.head, head);
+        let slot = &mut self.tail;
         if slot.is_none() && tail.iter().any(|x| x.is_finite() && x.to_bits() != 0) {
             *slot = Some(zero_tail());
         }
@@ -612,17 +350,17 @@ impl<'a> RowsMut<'a> {
         replaced
     }
 
-    /// Adds `frame`'s row `j` into this bucket's row `j`. A present frame
-    /// tail adds into the bucket's box, made zeroed on first use; an
-    /// absent one is `+0.0` throughout, which changes no bucket value but
-    /// a `−0.0`. No stepped bucket holds one (sums start at `+0.0` and an
-    /// averaged bucket is reset within its minute), but a restored one
-    /// may, so an existing box still takes the zeros.
-    fn accumulate(&mut self, j: usize, frame: &RowsMut<'_>) {
-        for (b, &v) in self.head[heads(j)].iter_mut().zip(frame.head(j)) {
+    /// Adds `frame` into this bucket row. A present frame tail adds into
+    /// the bucket's box, made zeroed on first use; an absent one is `+0.0`
+    /// throughout, which changes no bucket value but a `−0.0`. No stepped
+    /// bucket holds one (sums start at `+0.0` and an averaged bucket is
+    /// reset within its minute), but a restored one may, so an existing
+    /// box still takes the zeros.
+    fn accumulate(&mut self, frame: &Row) {
+        for (b, &v) in self.head.iter_mut().zip(&frame.head) {
             *b += v;
         }
-        match (&frame.tail[j], &mut self.tail[j]) {
+        match (&frame.tail, &mut self.tail) {
             (Some(f), slot) => {
                 let b = slot.get_or_insert_with(zero_tail);
                 for (b, &v) in b.iter_mut().zip(f.iter()) {
@@ -634,180 +372,336 @@ impl<'a> RowsMut<'a> {
         }
     }
 
-    /// Scales row `j` by `inv` in place.
-    fn scale(&mut self, j: usize, inv: f64) {
-        self.head[heads(j)].iter_mut().for_each(|v| *v *= inv);
-        if let Some(b) = &mut self.tail[j] {
+    /// Scales the row by `inv` in place.
+    fn scale(&mut self, inv: f64) {
+        self.head.iter_mut().for_each(|v| *v *= inv);
+        if let Some(b) = &mut self.tail {
             b.iter_mut().for_each(|v| *v *= inv);
         }
     }
 
-    /// Zeroes row `j`. Its tail box is kept, zeroed, when `keep_tail`;
+    /// Zeroes the row. Its tail box is kept, zeroed, when `keep_tail`;
     /// otherwise it is freed.
-    fn reset(&mut self, j: usize, keep_tail: bool) {
-        self.head[heads(j)].fill(0.0);
-        match &mut self.tail[j] {
+    fn reset(&mut self, keep_tail: bool) {
+        self.head.fill(0.0);
+        match &mut self.tail {
             Some(b) if keep_tail => b.fill(0.0),
             slot => *slot = None,
         }
     }
+
+    /// Heap bytes: the tail box while it exists.
+    fn heap_bytes(&self) -> usize {
+        self.tail
+            .as_ref()
+            .map_or(0, |_| std::mem::size_of::<[f64; TAIL_WIDTH]>())
+    }
 }
 
-/// The columns the LSTM layers read and write.
+/// A pooled timescale's open bucket: the sum of the frames fed to it so
+/// far and how many. Between `ingest` and `finish_row` a completed bucket
+/// holds their *mean* (scaled in place).
+#[derive(Clone, Default)]
+struct Bucket {
+    sum: Row,
+    count: u32,
+}
+
+/// One customer's streaming state: everything its minutes read and
+/// write, one record per customer.
 #[derive(Clone)]
-pub(crate) struct Numeric {
-    pub dual: [DualArena; TIMESCALES],
-    /// Each timescale's open pooling bucket, one row per customer (none
-    /// for a granularity-1 timescale). Between `ingest` and `finish_row` a
-    /// completed row holds the *averaged* bucket (scaled in place).
-    pub partial: [Rows; TIMESCALES],
+pub(crate) struct Customer {
+    /// Both halves of each timescale's dual LSTM state, timescale by
+    /// timescale, each as `[aged_h, aged_c, fresh_h, fresh_c]` of `hidden`
+    /// values.
+    ///
+    /// Training runs the LSTMs from a zero state over a context of
+    /// `period` steps; a single streaming state would instead accumulate
+    /// thousands of steps and drift off the training distribution. So
+    /// each timescale keeps two states that both step on every input: the
+    /// *aged* one (context length in `[period, 2·period)`) feeds the head,
+    /// and on reaching `2·period` it is replaced by the *fresh* one, which
+    /// by then has exactly `period` steps of context, and a zeroed fresh
+    /// half starts again. Each half therefore equals `Lstm::forward` over
+    /// the inputs since it was last zeroed, which a test in this module
+    /// pins.
+    dual: Box<[f64]>,
+    /// Steps of context in each timescale's aged half.
+    aged_age: [u32; TIMESCALES],
+    /// Steps of context in each timescale's fresh half.
+    fresh_age: [u32; TIMESCALES],
+    /// The last `window` hazards, a ring: the next slot to write, the
+    /// slots written so far (saturating at `window`) and their sum.
+    ring: Box<[f64]>,
+    ring_head: u32,
+    ring_filled: u32,
+    ring_sum: f64,
+    /// Each timescale's open pooling bucket; none for a granularity-1
+    /// timescale.
+    buckets: [Option<Box<Bucket>>; TIMESCALES],
     /// Last sanitized frame (the zero-order-hold source).
-    pub frame: Rows,
-    /// Which timescales pool (granularity above 1).
-    pooled: [bool; TIMESCALES],
+    frame: Row,
+    /// Minute the open alert was raised, if one is open.
+    pub active_since: Option<u32>,
+    /// Minutes in a row at or above the threshold while an alert is open.
+    quiet_run: u32,
+    /// Last reported survival.
+    pub last_survival: f64,
+    /// Minutes driven since the cold state (the warm-up count).
+    observed: u32,
+    /// Imputed minutes in a row.
+    stale_run: u32,
+    /// Newest driven minute.
+    pub last_minute: Option<u32>,
+    /// This customer's companion window, while a companion is attached.
+    pub companion: Option<Box<Ring>>,
 }
 
-impl Numeric {
-    pub(crate) fn new(hidden: usize, ctx: [usize; TIMESCALES], gran: [u32; TIMESCALES]) -> Self {
-        Numeric {
-            dual: ctx.map(|period| DualArena::new(hidden, period)),
-            partial: Default::default(),
-            frame: Rows::default(),
-            pooled: gran.map(|g| g > 1),
+impl Customer {
+    /// A customer in the cold state: both halves of every dual state zero
+    /// and the aged one counted as `period` steps old, so the first
+    /// promotion comes when the fresh one is fully warmed; an empty ring
+    /// and empty buckets; no alert and no minute yet.
+    pub(crate) fn new(k: &Knobs) -> Self {
+        Customer {
+            dual: vec![0.0; 4 * TIMESCALES * k.hidden].into_boxed_slice(),
+            aged_age: k.period,
+            fresh_age: [0; TIMESCALES],
+            ring: vec![0.0; k.window].into_boxed_slice(),
+            ring_head: 0,
+            ring_filled: 0,
+            ring_sum: 0.0,
+            buckets: k.gran.map(|g| (g > 1).then(Box::default)),
+            frame: Row::default(),
+            active_since: None,
+            quiet_run: 0,
+            last_survival: 1.0,
+            observed: 0,
+            stale_run: 0,
+            last_minute: None,
+            companion: None,
         }
     }
 
-    /// Appends one customer in the cold state.
-    fn push(&mut self) {
-        self.dual.iter_mut().for_each(DualArena::push);
-        for (col, pooled) in self.partial.iter_mut().zip(self.pooled) {
-            if pooled {
-                col.push();
-            }
-        }
-        self.frame.push();
+    /// Timescale `t`'s `[aged_h, aged_c, fresh_h, fresh_c]`.
+    fn halves(&self, t: usize) -> [&[f64]; 4] {
+        let h = self.dual.len() / (4 * TIMESCALES);
+        let s = &self.dual[4 * t * h..4 * (t + 1) * h];
+        std::array::from_fn(|i| &s[i * h..(i + 1) * h])
     }
 
-    /// Measured footprint in bytes (capacities and live tails, not
-    /// lengths).
-    pub(crate) fn bytes(&self) -> usize {
-        self.dual.iter().map(DualArena::bytes).sum::<usize>()
-            + self.partial.iter().map(Rows::bytes).sum::<usize>()
-            + self.frame.bytes()
+    fn halves_mut(&mut self, t: usize) -> [&mut [f64]; 4] {
+        let h = self.dual.len() / (4 * TIMESCALES);
+        let s = &mut self.dual[4 * t * h..4 * (t + 1) * h];
+        let (aged_h, s) = s.split_at_mut(h);
+        let (aged_c, s) = s.split_at_mut(h);
+        let (fresh_h, fresh_c) = s.split_at_mut(h);
+        [aged_h, aged_c, fresh_h, fresh_c]
     }
-}
 
-/// Appends one cold customer to both column groups.
-pub(crate) fn push_row(ledger: &mut Ledger, numeric: &mut Numeric, window: usize) {
-    ledger.push(window, numeric.pooled);
-    numeric.push();
-}
-
-/// Disjoint mutable views of every column for one contiguous customer
-/// block. `start` is the global id of the first row.
-pub(crate) struct Shard<'a> {
-    pub start: usize,
-    window: usize,
-    pub dual: [DualShard<'a>; TIMESCALES],
-    ring_buf: &'a mut [f64],
-    ring_head: &'a mut [u32],
-    ring_filled: &'a mut [u32],
-    ring_sum: &'a mut [f64],
-    pub partial: [RowsMut<'a>; TIMESCALES],
-    count: [&'a mut [u32]; TIMESCALES],
-    pub frame: RowsMut<'a>,
-    pub pooled: [bool; TIMESCALES],
-    active_since: &'a mut [Option<u32>],
-    quiet_run: &'a mut [u32],
-    last_survival: &'a mut [f64],
-    observed: &'a mut [u32],
-    stale_run: &'a mut [u32],
-    pub last_minute: &'a mut [Option<u32>],
-    pub flags: [&'a mut [u8]; TIMESCALES],
-}
-
-impl<'a> Shard<'a> {
-    /// Every registered customer as one shard.
-    pub(crate) fn new(l: &'a mut Ledger, n: &'a mut Numeric, window: usize) -> Self {
-        Shard {
-            start: 0,
-            window,
-            dual: n.dual.each_mut().map(DualShard::new),
-            ring_buf: &mut l.ring_buf,
-            ring_head: &mut l.ring_head,
-            ring_filled: &mut l.ring_filled,
-            ring_sum: &mut l.ring_sum,
-            partial: n.partial.each_mut().map(Rows::as_mut),
-            count: l.count.each_mut().map(Vec::as_mut_slice),
-            frame: n.frame.as_mut(),
-            pooled: n.pooled,
-            active_since: &mut l.active_since,
-            quiet_run: &mut l.quiet_run,
-            last_survival: &mut l.last_survival,
-            observed: &mut l.observed,
-            stale_run: &mut l.stale_run,
-            last_minute: &mut l.last_minute,
-            flags: l.flags.each_mut().map(Vec::as_mut_slice),
+    /// Steps both halves of timescale `t` on input `x` through the layer's
+    /// one online step, then ticks the ages: both advance, and at
+    /// `2·period` the fresh half is promoted and a zeroed one takes its
+    /// place.
+    fn step(
+        &mut self,
+        t: usize,
+        period: u32,
+        lstm: &ServingLstm,
+        x: &[f64],
+        ws: &mut OnlineWorkspace,
+    ) {
+        let [aged_h, aged_c, fresh_h, fresh_c] = self.halves_mut(t);
+        lstm.step_online_dual(x, aged_h, aged_c, fresh_h, fresh_c, ws);
+        self.aged_age[t] += 1;
+        self.fresh_age[t] += 1;
+        if self.aged_age[t] >= 2 * period {
+            let [aged_h, aged_c, fresh_h, fresh_c] = self.halves_mut(t);
+            aged_h.copy_from_slice(fresh_h);
+            aged_c.copy_from_slice(fresh_c);
+            fresh_h.fill(0.0);
+            fresh_c.fill(0.0);
+            self.aged_age[t] = self.fresh_age[t];
+            self.fresh_age[t] = 0;
         }
     }
 
-    /// Splits the first `n` customers off as their own shard; `self` keeps
-    /// the rest.
-    pub(crate) fn take_front(&mut self, n: usize) -> Shard<'a> {
-        let (start, window) = (self.start, self.window);
-        self.start += n;
-        Shard {
-            start,
-            window,
-            dual: self.dual.each_mut().map(|d| d.take_front(n)),
-            ring_buf: take_rows(&mut self.ring_buf, n, window),
-            ring_head: take_rows(&mut self.ring_head, n, 1),
-            ring_filled: take_rows(&mut self.ring_filled, n, 1),
-            ring_sum: take_rows(&mut self.ring_sum, n, 1),
-            partial: std::array::from_fn(|t| {
-                self.partial[t].take_front(n * usize::from(self.pooled[t]))
-            }),
-            count: std::array::from_fn(|t| {
-                take_rows(&mut self.count[t], n, usize::from(self.pooled[t]))
-            }),
-            frame: self.frame.take_front(n),
-            pooled: self.pooled,
-            active_since: take_rows(&mut self.active_since, n, 1),
-            quiet_run: take_rows(&mut self.quiet_run, n, 1),
-            last_survival: take_rows(&mut self.last_survival, n, 1),
-            observed: take_rows(&mut self.observed, n, 1),
-            stale_run: take_rows(&mut self.stale_run, n, 1),
-            last_minute: take_rows(&mut self.last_minute, n, 1),
-            flags: self.flags.each_mut().map(|f| take_rows(f, n, 1)),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.last_minute.len()
-    }
-
-    /// Pushes `hazard` into row `j`'s ring of the last `window` hazards and
+    /// Pushes `hazard` into the ring of the last `window` hazards and
     /// returns the survival over them: streaming
     /// [`xatu_survival::rolling_survival`]. A non-finite hazard counts as
     /// zero, so an infinite one cannot turn the running sum into `NaN`
     /// when it rotates out.
-    fn ring_push(&mut self, j: usize, hazard: f64) -> f64 {
-        let w = self.window;
+    fn ring_push(&mut self, hazard: f64) -> f64 {
+        let w = self.ring.len();
         let h = if hazard.is_finite() {
             hazard.max(0.0)
         } else {
             0.0
         };
-        let hd = self.ring_head[j] as usize;
-        let slot = &mut self.ring_buf[j * w + hd];
-        self.ring_sum[j] += h - *slot;
+        let hd = self.ring_head as usize;
+        let slot = &mut self.ring[hd];
+        self.ring_sum += h - *slot;
         *slot = h;
-        self.ring_head[j] = ((hd + 1) % w) as u32;
-        self.ring_filled[j] = (self.ring_filled[j] + 1).min(w as u32);
-        if self.ring_sum[j] < 0.0 {
-            self.ring_sum[j] = 0.0;
+        self.ring_head = ((hd + 1) % w) as u32;
+        self.ring_filled = (self.ring_filled + 1).min(w as u32);
+        if self.ring_sum < 0.0 {
+            self.ring_sum = 0.0;
         }
-        (-self.ring_sum[j]).exp()
+        (-self.ring_sum).exp()
+    }
+
+    /// Bytes the record owns besides itself: the dual states, the ring,
+    /// the buckets, every live tail box and the companion window.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.dual.len() + self.ring.len()) * size_of::<f64>()
+            + self.frame.heap_bytes()
+            + (self.buckets.iter().flatten())
+                .map(|b| size_of::<Bucket>() + b.sum.heap_bytes())
+                .sum::<usize>()
+            + (self.companion.as_ref()).map_or(0, |r| size_of::<Ring>() + r.heap_bytes())
+    }
+
+    /// The record as its checkpoint, field for field.
+    fn to_checkpoint(&self, addr: Ipv4, period: [u32; TIMESCALES]) -> CustomerCheckpoint {
+        CustomerCheckpoint {
+            addr: addr.0,
+            dual: std::array::from_fn(|t| {
+                let [aged_h, aged_c, fresh_h, fresh_c] = self.halves(t).map(<[f64]>::to_vec);
+                DualStateCheckpoint {
+                    aged_h,
+                    aged_c,
+                    fresh_h,
+                    fresh_c,
+                    aged_age: self.aged_age[t],
+                    fresh_age: self.fresh_age[t],
+                    period: period[t],
+                }
+            }),
+            survival: (
+                self.ring.len() as u64,
+                self.ring.to_vec(),
+                self.ring_head as u64,
+                self.ring_filled as u64,
+                self.ring_sum,
+            ),
+            partial: self.buckets.each_ref().map(|b| match b {
+                Some(b) => (b.sum.to_dense(), b.count),
+                None => (Vec::new(), 0),
+            }),
+            active_since: self.active_since,
+            quiet_run: self.quiet_run,
+            last_survival: self.last_survival,
+            observed: self.observed,
+            last_frame: self.frame.to_dense(),
+            stale_run: self.stale_run,
+            last_minute: self.last_minute,
+        }
+    }
+
+    /// Validates one customer's checkpoint against the detector's knobs,
+    /// then builds its record. Every check runs before the record exists:
+    /// a state the stepping logic can never reach (mismatched sizes, an
+    /// age at or past the promotion point, a poisoned ring) is rejected,
+    /// not served.
+    fn from_checkpoint(k: &Knobs, c: &CustomerCheckpoint) -> Result<Self, String> {
+        for (d, &period) in c.dual.iter().zip(&k.period) {
+            if d.period == 0 {
+                return Err("dual-state period must be >= 1".into());
+            }
+            let halves = [&d.aged_h, &d.aged_c, &d.fresh_h, &d.fresh_c];
+            let h = d.aged_h.len();
+            if halves.iter().any(|v| v.len() != h) {
+                return Err("dual-state hidden sizes disagree".into());
+            }
+            if u64::from(d.aged_age) >= 2 * u64::from(d.period) || d.fresh_age > d.aged_age {
+                return Err("dual-state ages out of range".into());
+            }
+            if halves.iter().any(|v| v.iter().any(|x| !x.is_finite())) {
+                return Err("non-finite dual-state values".into());
+            }
+            if h != k.hidden {
+                return Err(format!(
+                    "dual-state hidden size {h} does not match model hidden {}",
+                    k.hidden
+                ));
+            }
+            if d.period != period {
+                return Err(format!(
+                    "dual-state period {} does not match the detector's context length {period}",
+                    d.period
+                ));
+            }
+        }
+
+        let w = k.window;
+        let (cw, buf, head, filled, sum) = &c.survival;
+        if *cw as usize != w {
+            return Err(format!(
+                "survival window {cw} does not match detector window {w}"
+            ));
+        }
+        if buf.len() != w {
+            return Err("ring buffer length != window".into());
+        }
+        if *head as usize >= w || *filled as usize > w {
+            return Err("ring cursor out of range".into());
+        }
+        if !sum.is_finite() || *sum < 0.0 || buf.iter().any(|v| !v.is_finite() || *v < 0.0) {
+            return Err("non-finite or negative hazard state".into());
+        }
+
+        for ((name, gran), (sum, count)) in NAMES.into_iter().zip(k.gran).zip(&c.partial) {
+            if sum.len() != usize::from(gran > 1) * NUM_FEATURES {
+                return Err(format!("{name} partial bucket has width {}", sum.len()));
+            }
+            if sum.iter().any(|v| !v.is_finite()) {
+                return Err(format!("non-finite value in {name} partial bucket"));
+            }
+            if *count >= gran {
+                return Err(format!(
+                    "{name} partial bucket count at or past its granularity"
+                ));
+            }
+        }
+        if c.last_frame.len() != NUM_FEATURES {
+            return Err(format!("last frame has width {}", c.last_frame.len()));
+        }
+        if c.last_frame.iter().any(|v| !v.is_finite()) || !c.last_survival.is_finite() {
+            return Err("non-finite value in customer scalars".into());
+        }
+
+        let dual: Vec<f64> = (c.dual.iter())
+            .flat_map(|d| [&d.aged_h, &d.aged_c, &d.fresh_h, &d.fresh_c])
+            .flatten()
+            .copied()
+            .collect();
+        Ok(Customer {
+            dual: dual.into_boxed_slice(),
+            aged_age: c.dual.each_ref().map(|d| d.aged_age),
+            fresh_age: c.dual.each_ref().map(|d| d.fresh_age),
+            ring: buf.as_slice().into(),
+            ring_head: *head as u32,
+            ring_filled: *filled as u32,
+            ring_sum: *sum,
+            buckets: std::array::from_fn(|t| {
+                let (sum, count) = &c.partial[t];
+                (k.gran[t] > 1).then(|| {
+                    Box::new(Bucket {
+                        sum: Row::from_dense(sum),
+                        count: *count,
+                    })
+                })
+            }),
+            frame: Row::from_dense(&c.last_frame),
+            active_since: c.active_since,
+            quiet_run: c.quiet_run,
+            last_survival: c.last_survival,
+            observed: c.observed,
+            stale_run: c.stale_run,
+            last_minute: c.last_minute,
+            companion: None,
+        })
     }
 }
 
@@ -816,12 +710,14 @@ impl<'a> Shard<'a> {
 pub(crate) struct Knobs {
     attack_type: AttackType,
     threshold: f64,
-    pub window: usize,
+    window: usize,
     quiet: u32,
     warmup: u32,
     max_alert_minutes: u32,
     /// Pooling granularity of each timescale, in minutes.
     gran: [u32; TIMESCALES],
+    /// Each timescale's dual-state period: its training context length.
+    period: [u32; TIMESCALES],
     /// Stale run at which the blend saturates and raises are suppressed.
     stale_limit: u32,
     /// Longest gap bridged by imputation; anything longer cold-restarts.
@@ -831,7 +727,7 @@ pub(crate) struct Knobs {
     used: [bool; TIMESCALES],
 }
 
-/// Scratch of one row's minute, reused from row to row.
+/// Scratch of one record's minute, reused from record to record.
 #[derive(Clone, Default)]
 pub(crate) struct RowScratch {
     /// Workspace of the LSTM step.
@@ -862,19 +758,18 @@ pub(crate) fn check_order(
     }
 }
 
-/// Rebuilds row `j` from scratch after an unbridgeable gap: ends any open
-/// alert, resets every accumulator, re-enters warm-up. Leaves
-/// `last_minute` alone.
+/// Rebuilds the record from scratch after an unbridgeable gap: ends any
+/// open alert, resets every accumulator and the companion window,
+/// re-enters warm-up. Leaves `last_minute` alone.
 fn cold_restart(
     k: &Knobs,
     obs: &mut DetectorObs,
-    sh: &mut Shard<'_>,
-    j: usize,
+    c: &mut Customer,
     addr: Ipv4,
     minute: u32,
     out: &mut Emitted,
 ) {
-    if let Some(detected_at) = sh.active_since[j].take() {
+    if let Some(detected_at) = c.active_since.take() {
         obs.ended.inc();
         out.events.push(DetectorEvent::Ended(Alert {
             customer: addr,
@@ -883,41 +778,43 @@ fn cold_restart(
             mitigation_end: Some(minute),
         }));
     }
-    sh.dual.iter_mut().for_each(|d| d.reset_row(j));
-    let w = sh.window;
-    sh.ring_buf[j * w..(j + 1) * w].fill(0.0);
-    sh.ring_head[j] = 0;
-    sh.ring_filled[j] = 0;
-    sh.ring_sum[j] = 0.0;
-    for t in (0..TIMESCALES).filter(|&t| sh.pooled[t]) {
-        sh.partial[t].reset(j, false);
-        sh.count[t][j] = 0;
+    c.dual.fill(0.0);
+    c.aged_age = k.period;
+    c.fresh_age = [0; TIMESCALES];
+    c.ring.fill(0.0);
+    c.ring_head = 0;
+    c.ring_filled = 0;
+    c.ring_sum = 0.0;
+    for b in c.buckets.iter_mut().flatten() {
+        b.sum.reset(false);
+        b.count = 0;
     }
-    sh.frame.reset(j, false);
-    sh.quiet_run[j] = 0;
-    sh.last_survival[j] = 1.0;
-    sh.observed[j] = 0;
-    sh.stale_run[j] = 0;
+    c.frame.reset(false);
+    c.quiet_run = 0;
+    c.last_survival = 1.0;
+    c.observed = 0;
+    c.stale_run = 0;
+    if let Some(ring) = &mut c.companion {
+        ring.clear();
+    }
     obs.cold_restarts.inc();
 }
 
-/// Bridges the gap between row `j`'s newest minute and `minute` (which the
-/// caller has checked is later): short gaps are imputed minute by minute,
-/// long ones cold-restart the row (and its companion ring, if `hook` has
-/// one).
+/// Bridges the gap between the record's newest minute and `minute` (which
+/// the caller has checked is later): short gaps are imputed minute by
+/// minute, long ones cold-restart the record.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn catch_up(
     net: &Net<'_>,
     obs: &mut DetectorObs,
-    sh: &mut Shard<'_>,
-    j: usize,
+    c: &mut Customer,
     addr: Ipv4,
     minute: u32,
     row: &mut RowScratch,
     hook: &mut Option<Fused<'_>>,
     out: &mut Emitted,
 ) {
-    let Some(last) = sh.last_minute[j] else {
+    let Some(last) = c.last_minute else {
         return;
     };
     let gap = minute - last - 1;
@@ -925,89 +822,79 @@ pub(crate) fn catch_up(
         // Imputing hours of fiction would be slower *and* wronger than
         // admitting the context is gone.
         obs.gap_runs.observe(gap as f64);
-        cold_restart(&net.k, obs, sh, j, addr, minute, out);
-        if let Some(hook) = hook {
-            hook.cold_restart();
-        }
+        cold_restart(&net.k, obs, c, addr, minute, out);
     } else {
         for m in last + 1..minute {
-            row_minute(net, obs, sh, j, addr, m, None, row, hook, out);
+            row_minute(net, obs, c, addr, m, None, row, hook, out);
         }
     }
 }
 
-/// Takes row `j`'s input for one minute — a real frame, sanitized into the
-/// zero-order-hold buffer, or `None` to replay that buffer — feeds it to
-/// every timescale's open pooling bucket, and plans the minute: the row's
-/// flag for each timescale says whether its bucket completed and whether
-/// its state steps through the LSTM kernel. A granularity-1 timescale
-/// completes a bucket every minute and steps on the held frame itself.
+/// Takes the record's input for one minute — a real frame, sanitized into
+/// the zero-order-hold frame, or `None` to replay that frame — feeds it to
+/// every timescale's open pooling bucket, and returns which buckets
+/// completed. A granularity-1 timescale completes a bucket every minute
+/// and steps on the held frame itself.
 pub(crate) fn ingest(
     net: &Net<'_>,
     obs: &mut DetectorObs,
-    sh: &mut Shard<'_>,
-    j: usize,
+    c: &mut Customer,
     frame: Option<&[f64]>,
-) {
+) -> Due {
     match frame {
         None => {
-            sh.stale_run[j] += 1;
+            c.stale_run += 1;
             obs.gaps_imputed.inc();
         }
         Some(raw) => {
-            let replaced = sh.frame.sanitize_from(j, raw);
+            let replaced = c.frame.sanitize_from(raw);
             if replaced > 0 {
                 obs.values_sanitized.add(replaced);
             }
             // A real frame ends any stale run.
-            if sh.stale_run[j] > 0 {
-                obs.gap_runs.observe(sh.stale_run[j] as f64);
-                sh.stale_run[j] = 0;
+            if c.stale_run > 0 {
+                obs.gap_runs.observe(c.stale_run as f64);
+                c.stale_run = 0;
             }
         }
     }
-    let k = &net.k;
-    for t in 0..TIMESCALES {
-        let due = !sh.pooled[t] || {
-            sh.partial[t].accumulate(j, &sh.frame);
-            sh.count[t][j] += 1;
-            let due = sh.count[t][j] == k.gran[t];
-            if due {
-                sh.partial[t].scale(j, 1.0 / k.gran[t] as f64);
-                sh.count[t][j] = 0;
-            }
-            due
+    let gran = net.k.gran;
+    std::array::from_fn(|t| {
+        let Some(b) = &mut c.buckets[t] else {
+            return true;
         };
-        sh.flags[t][j] = match (due, k.used[t]) {
-            (false, _) => RAN,
-            (true, false) => RAN | DUE,
-            (true, true) => RAN | DUE | DENSE,
-        };
-    }
+        b.sum.accumulate(&c.frame);
+        b.count += 1;
+        let due = b.count == gran[t];
+        if due {
+            b.sum.scale(1.0 / gran[t] as f64);
+            b.count = 0;
+        }
+        due
+    })
 }
 
 /// The aged hidden states through the combiner head, softplus hazard,
 /// survival ring and staleness blend: `(hazard, reported survival)`.
-fn survival_tail(net: &Net<'_>, sh: &mut Shard<'_>, j: usize, input: &mut Vec<f64>) -> (f64, f64) {
+fn survival_tail(net: &Net<'_>, c: &mut Customer, input: &mut Vec<f64>) -> (f64, f64) {
     let k = &net.k;
     let h = k.hidden;
     input.clear();
     input.resize(TIMESCALES * h, 0.0);
     for t in (0..TIMESCALES).filter(|&t| k.used[t]) {
-        let d = &sh.dual[t];
-        input[t * h..(t + 1) * h].copy_from_slice(&d.aged_h[d.row(j)]);
+        input[t * h..(t + 1) * h].copy_from_slice(c.halves(t)[0]);
     }
     let mut logit = [0.0f64; 1];
     net.head.forward_into(input, &mut logit);
     let hazard = softplus(logit[0]);
-    let raw = sh.ring_push(j, hazard);
+    let raw = c.ring_push(hazard);
     // With no fresh evidence the reported survival decays toward 1.0
     // ("nothing observable is wrong") as the stale run approaches the
     // survival window. The clean path reports `raw` untouched.
-    let reported = if sh.stale_run[j] == 0 {
+    let reported = if c.stale_run == 0 {
         raw
     } else {
-        let w = sh.stale_run[j].min(k.stale_limit) as f64 / k.stale_limit as f64;
+        let w = c.stale_run.min(k.stale_limit) as f64 / k.stale_limit as f64;
         raw + (1.0 - raw) * w
     };
     (hazard, reported)
@@ -1015,34 +902,32 @@ fn survival_tail(net: &Net<'_>, sh: &mut Shard<'_>, j: usize, input: &mut Vec<f6
 
 /// Records the reported survival, applies the warm-up gate and walks the
 /// alert lifecycle: raise, quiet end, force end at the cap.
-#[allow(clippy::too_many_arguments)]
 fn lifecycle_tail(
     k: &Knobs,
     obs: &mut DetectorObs,
-    sh: &mut Shard<'_>,
-    j: usize,
+    c: &mut Customer,
     addr: Ipv4,
     minute: u32,
     reported: f64,
     out: &mut Emitted,
 ) {
-    sh.last_survival[j] = reported;
-    sh.observed[j] += 1;
+    c.last_survival = reported;
+    c.observed += 1;
     if xatu_obs::enabled() {
         out.survivals.push(reported);
     }
-    if sh.observed[j] <= k.warmup {
+    if c.observed <= k.warmup {
         obs.warmup_suppressed.inc();
         return;
     }
-    match sh.active_since[j] {
+    match c.active_since {
         None => {
             // Stale input can never *raise*: a new alert needs fresh
             // evidence, and an imputed minute only replays old evidence.
             // (Open alerts may still *end* on stale input, below.)
-            if reported < k.threshold && sh.stale_run[j] == 0 {
-                sh.active_since[j] = Some(minute);
-                sh.quiet_run[j] = 0;
+            if reported < k.threshold && c.stale_run == 0 {
+                c.active_since = Some(minute);
+                c.quiet_run = 0;
                 obs.raised.inc();
                 out.events.push(DetectorEvent::Raised(Alert {
                     customer: addr,
@@ -1055,13 +940,13 @@ fn lifecycle_tail(
         Some(detected_at) => {
             let over_cap = minute.saturating_sub(detected_at) >= k.max_alert_minutes;
             if reported < k.threshold && !over_cap {
-                sh.quiet_run[j] = 0;
+                c.quiet_run = 0;
                 return;
             }
-            sh.quiet_run[j] += 1;
-            if sh.quiet_run[j] >= k.quiet || over_cap {
-                sh.active_since[j] = None;
-                sh.quiet_run[j] = 0;
+            c.quiet_run += 1;
+            if c.quiet_run >= k.quiet || over_cap {
+                c.active_since = None;
+                c.quiet_run = 0;
                 obs.ended.inc();
                 if over_cap {
                     obs.force_ended.inc();
@@ -1077,16 +962,16 @@ fn lifecycle_tail(
     }
 }
 
-/// Everything after row `j`'s LSTM states have advanced: retire the
-/// buckets this minute consumed, survival tail, the companion's fusion (if
-/// `hook` has one), lifecycle tail, clock. Returns `(hazard, reported
-/// survival)`.
+/// Everything after the record's LSTM states have advanced: retire the
+/// buckets this minute consumed (`due`), survival tail, the companion's
+/// fusion (if `hook` has one), lifecycle tail, clock. Returns `(hazard,
+/// reported survival)`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn finish_row(
     net: &Net<'_>,
     obs: &mut DetectorObs,
-    sh: &mut Shard<'_>,
-    j: usize,
+    c: &mut Customer,
+    due: Due,
     addr: Ipv4,
     minute: u32,
     input: &mut Vec<f64>,
@@ -1095,55 +980,53 @@ pub(crate) fn finish_row(
 ) -> (f64, f64) {
     // A bucket's tail box outlives its reset while the frame's tail is
     // set, so a steady tail allocates nothing from bucket to bucket.
-    let keep_tail = sh.frame.tail[j].is_some();
-    for t in (0..TIMESCALES).filter(|&t| sh.pooled[t]) {
-        if sh.flags[t][j] & DUE != 0 {
-            sh.partial[t].reset(j, keep_tail);
+    let keep_tail = c.frame.tail.is_some();
+    for (b, due) in c.buckets.iter_mut().zip(due) {
+        if let (Some(b), true) = (b, due) {
+            b.sum.reset(keep_tail);
         }
     }
-    let (hazard, reported) = survival_tail(net, sh, j, input);
-    let reported = match hook {
-        Some(hook) => hook.fuse(obs, sh.frame.head(j), reported),
-        None => reported,
+    let (hazard, reported) = survival_tail(net, c, input);
+    let reported = match (hook, &mut c.companion) {
+        (Some(hook), Some(ring)) => hook.fuse(obs, ring, &c.frame.head, reported),
+        _ => reported,
     };
-    lifecycle_tail(&net.k, obs, sh, j, addr, minute, reported, out);
-    sh.last_minute[j] = Some(minute);
+    lifecycle_tail(&net.k, obs, c, addr, minute, reported, out);
+    c.last_minute = Some(minute);
     (hazard, reported)
 }
 
-/// Steps timescale `t` of row `j` if this minute planned it [`DENSE`]:
-/// the row's input, its averaged bucket or for a granularity-1 timescale
-/// the held frame, is read back densely into `row` and both halves of the
-/// dual state advance on it.
+/// Steps timescale `t` of the record if this minute completed its bucket
+/// and the model's mode uses it: the record's input, its averaged bucket
+/// or for a granularity-1 timescale the held frame, is read back densely
+/// into `row` and both halves of the dual state advance on it.
 pub(crate) fn step_dense(
     net: &Net<'_>,
-    sh: &mut Shard<'_>,
+    c: &mut Customer,
     t: usize,
-    j: usize,
+    due: Due,
     row: &mut RowScratch,
 ) {
-    if sh.flags[t][j] & DENSE == 0 {
+    if !(due[t] && net.k.used[t]) {
         return;
     }
-    let rows = if sh.pooled[t] {
-        &sh.partial[t]
-    } else {
-        &sh.frame
+    let input = match &c.buckets[t] {
+        Some(b) => &b.sum,
+        None => &c.frame,
     };
     row.x.resize(NUM_FEATURES, 0.0);
-    rows.read(j, &mut row.x);
-    sh.dual[t].step(net.layers[t], j, &row.x, &mut row.step);
+    input.read(&mut row.x);
+    c.step(t, net.k.period[t], net.layers[t], &row.x, &mut row.step);
 }
 
 /// One customer through one minute on the row path: `ingest`, the LSTM
-/// step of every timescale planned [`DENSE`], `finish_row`. `frame` is
-/// `None` for an imputed minute.
+/// step of every timescale it plans, `finish_row`. `frame` is `None` for
+/// an imputed minute.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn row_minute(
     net: &Net<'_>,
     obs: &mut DetectorObs,
-    sh: &mut Shard<'_>,
-    j: usize,
+    c: &mut Customer,
     addr: Ipv4,
     minute: u32,
     frame: Option<&[f64]>,
@@ -1151,15 +1034,15 @@ pub(crate) fn row_minute(
     hook: &mut Option<Fused<'_>>,
     out: &mut Emitted,
 ) -> (f64, f64) {
-    ingest(net, obs, sh, j, frame);
+    let due = ingest(net, obs, c, frame);
     for t in 0..TIMESCALES {
-        step_dense(net, sh, t, j, row);
+        step_dense(net, c, t, due, row);
     }
-    finish_row(net, obs, sh, j, addr, minute, &mut row.input, hook, out)
+    finish_row(net, obs, c, due, addr, minute, &mut row.input, hook, out)
 }
 
-/// What the detector owns besides its rows: the served model, the serving
-/// configuration, the address interner and the telemetry.
+/// What the detector owns besides its records: the served model, the
+/// serving configuration, the address interner and the telemetry.
 #[derive(Clone)]
 pub(crate) struct Common {
     pub model: ServedModel,
@@ -1188,12 +1071,20 @@ pub(crate) struct Common {
 impl Common {
     /// The one place a model meets a configuration, for every front-end:
     /// [`XatuConfig::no_simd`] beats the environment and auto-detection.
+    ///
+    /// # Panics
+    /// Panics, naming the field, if `cfg.window` is outside
+    /// `1..=MAX_WINDOW` or one of the model's timescale granularities is
+    /// zero: the shapes a checkpoint of them would be refused for.
     pub(crate) fn new(
         model: XatuModel,
         attack_type: AttackType,
         threshold: f64,
         cfg: &XatuConfig,
     ) -> Self {
+        if let Err(e) = check_shape(cfg.window as u64, model.cfg.gran()) {
+            panic!("invalid detector configuration: {e}");
+        }
         let simd = if cfg.no_simd {
             SimdLevel::Scalar
         } else {
@@ -1218,6 +1109,7 @@ impl Common {
     }
 
     pub(crate) fn knobs(&self) -> Knobs {
+        let (s, m, l) = self.ctx_lens;
         Knobs {
             attack_type: self.attack_type,
             threshold: self.threshold,
@@ -1226,6 +1118,7 @@ impl Common {
             warmup: self.warmup,
             max_alert_minutes: self.max_alert_minutes,
             gran: self.model.cfg.gran(),
+            period: [s, m, l].map(|p| (p as u32).max(1)),
             stale_limit: (self.window as u32).max(1),
             max_imputed_gap: 3 * self.window as u32,
             hidden: self.model.cfg.hidden,
@@ -1250,62 +1143,23 @@ impl Common {
     }
 
     /// Snapshots configuration, model parameters (the served layers
-    /// transposed back) and every customer's streaming state (sorted by
-    /// address). Telemetry is excluded: counters restart at zero on resume.
-    pub(crate) fn checkpoint(&self, ledger: &Ledger, numeric: &Numeric) -> DetectorCheckpoint {
+    /// transposed back) and every customer's record (sorted by address).
+    /// Telemetry is excluded: counters restart at zero on resume.
+    pub(crate) fn checkpoint(&self, customers: &[Customer]) -> DetectorCheckpoint {
         let mut model = self.model.to_model();
         let mut params = vec![0.0; model.param_count()];
         model.export_params_into(&mut params);
-        let w = self.window;
+        let period = self.knobs().period;
         let mut order: Vec<usize> = (0..self.addrs.len()).collect();
         order.sort_unstable_by_key(|&i| self.addrs[i].0);
         let customers = order
             .into_iter()
-            .map(|i| {
-                let dual = std::array::from_fn(|t| {
-                    let d = &numeric.dual[t];
-                    let [aged_h, aged_c, fresh_h, fresh_c] = d.state(i).map(<[f64]>::to_vec);
-                    DualStateCheckpoint {
-                        aged_h,
-                        aged_c,
-                        fresh_h,
-                        fresh_c,
-                        aged_age: d.aged_age[i],
-                        fresh_age: d.fresh_age[i],
-                        period: d.period,
-                    }
-                });
-                CustomerCheckpoint {
-                    addr: self.addrs[i].0,
-                    dual,
-                    survival: (
-                        w as u64,
-                        ledger.ring_buf[i * w..(i + 1) * w].to_vec(),
-                        ledger.ring_head[i] as u64,
-                        ledger.ring_filled[i] as u64,
-                        ledger.ring_sum[i],
-                    ),
-                    partial: std::array::from_fn(|t| {
-                        if numeric.pooled[t] {
-                            (numeric.partial[t].to_dense(i), ledger.count[t][i])
-                        } else {
-                            (Vec::new(), 0)
-                        }
-                    }),
-                    active_since: ledger.active_since[i],
-                    quiet_run: ledger.quiet_run[i],
-                    last_survival: ledger.last_survival[i],
-                    observed: ledger.observed[i],
-                    last_frame: numeric.frame.to_dense(i),
-                    stale_run: ledger.stale_run[i],
-                    last_minute: ledger.last_minute[i],
-                }
-            })
+            .map(|i| customers[i].to_checkpoint(self.addrs[i], period))
             .collect();
         DetectorCheckpoint {
             attack_type: self.attack_type,
             threshold: self.threshold,
-            window: w as u64,
+            window: self.window as u64,
             quiet: self.quiet,
             warmup: self.warmup,
             ctx_lens: (
@@ -1331,17 +1185,10 @@ impl Common {
 /// detector writes the same bytes again). Dense ids are assigned in that
 /// order. Nothing is allocated at a size the record's own data does not
 /// bound. Failures surface as [`XatuError::InvalidCheckpoint`].
-pub(crate) fn restore(ck: &DetectorCheckpoint) -> Result<(Common, Ledger, Numeric), XatuError> {
+pub(crate) fn restore(ck: &DetectorCheckpoint) -> Result<(Common, Vec<Customer>), XatuError> {
     let bad = |reason: String| XatuError::invalid_checkpoint(reason);
-    if ck.timescales.0 == 0 || ck.timescales.1 == 0 || ck.timescales.2 == 0 {
-        return Err(bad("timescale granularities must be >= 1".into()));
-    }
-    if ck.window == 0 || ck.window > MAX_WINDOW {
-        return Err(bad(format!(
-            "survival window {} outside 1..={MAX_WINDOW}",
-            ck.window
-        )));
-    }
+    let (s, m, l) = ck.timescales;
+    check_shape(ck.window, [s, m, l]).map_err(bad)?;
     // Each LSTM alone holds 4·hidden·NUM_FEATURES input weights: a hidden
     // size the parameters cannot cover is refused before a model of that
     // size is built.
@@ -1358,7 +1205,6 @@ pub(crate) fn restore(ck: &DetectorCheckpoint) -> Result<(Common, Ledger, Numeri
         hidden: ck.hidden as usize,
         mode: ck.mode,
     });
-    let model_gran = model.cfg.gran();
     if ck.params.len() != model.param_count() {
         return Err(bad(format!(
             "checkpoint has {} parameters, model shape needs {}",
@@ -1375,11 +1221,6 @@ pub(crate) fn restore(ck: &DetectorCheckpoint) -> Result<(Common, Ledger, Numeri
     let simd = simd::detect();
     let mut model = ServedModel::new(model);
     model.set_simd(simd);
-    let ctx_lens = (
-        ck.ctx_lens.0 as usize,
-        ck.ctx_lens.1 as usize,
-        ck.ctx_lens.2 as usize,
-    );
     let mut common = Common {
         model,
         attack_type: ck.attack_type,
@@ -1387,22 +1228,22 @@ pub(crate) fn restore(ck: &DetectorCheckpoint) -> Result<(Common, Ledger, Numeri
         window: ck.window as usize,
         quiet: ck.quiet,
         warmup: ck.warmup,
-        ctx_lens,
+        ctx_lens: (
+            ck.ctx_lens.0 as usize,
+            ck.ctx_lens.1 as usize,
+            ck.ctx_lens.2 as usize,
+        ),
         max_alert_minutes: ck.max_alert_minutes,
         addrs: Vec::new(),
         index: HashMap::with_capacity(ck.customers.len()),
         obs: DetectorObs::default(),
         simd,
     };
-    let mut ledger = Ledger::default();
-    let mut numeric = Numeric::new(
-        ck.hidden as usize,
-        [ctx_lens.0, ctx_lens.1, ctx_lens.2],
-        model_gran,
-    );
+    let k = common.knobs();
+    let mut customers = Vec::with_capacity(ck.customers.len());
     let mut prev = None;
     for c in &ck.customers {
-        let (i, new) = common.intern(Ipv4(c.addr));
+        let (_, new) = common.intern(Ipv4(c.addr));
         if !new {
             return Err(bad(format!("customer {} appears twice", c.addr)));
         }
@@ -1410,134 +1251,24 @@ pub(crate) fn restore(ck: &DetectorCheckpoint) -> Result<(Common, Ledger, Numeri
             return Err(bad(format!("customer {} out of address order", c.addr)));
         }
         prev = Some(c.addr);
-        restore_customer(&common, &mut ledger, &mut numeric, i, c)
+        let record = Customer::from_checkpoint(&k, c)
             .map_err(|e| bad(format!("customer {}: {e}", c.addr)))?;
+        customers.push(record);
     }
-    Ok((common, ledger, numeric))
-}
-
-/// Validates one customer's record, then appends row `i` and loads the
-/// record into it. Every check runs before the row exists: a state the
-/// stepping logic can never reach (mismatched sizes, an age at or past
-/// the promotion point, a poisoned ring) is rejected, not served.
-fn restore_customer(
-    common: &Common,
-    ledger: &mut Ledger,
-    numeric: &mut Numeric,
-    i: usize,
-    c: &CustomerCheckpoint,
-) -> Result<(), String> {
-    let hidden = common.model.cfg.hidden;
-    for (d, arena) in c.dual.iter().zip(&numeric.dual) {
-        if d.period == 0 {
-            return Err("dual-state period must be >= 1".into());
-        }
-        let halves = [&d.aged_h, &d.aged_c, &d.fresh_h, &d.fresh_c];
-        let h = d.aged_h.len();
-        if halves.iter().any(|v| v.len() != h) {
-            return Err("dual-state hidden sizes disagree".into());
-        }
-        if u64::from(d.aged_age) >= 2 * u64::from(d.period) || d.fresh_age > d.aged_age {
-            return Err("dual-state ages out of range".into());
-        }
-        if halves.iter().any(|v| v.iter().any(|x| !x.is_finite())) {
-            return Err("non-finite dual-state values".into());
-        }
-        if h != hidden {
-            return Err(format!(
-                "dual-state hidden size {h} does not match model hidden {hidden}"
-            ));
-        }
-        if d.period != arena.period {
-            return Err(format!(
-                "dual-state period {} does not match the detector's context length {}",
-                d.period, arena.period
-            ));
-        }
-    }
-
-    let w = common.window;
-    let (cw, buf, head, filled, sum) = &c.survival;
-    if *cw as usize != w {
-        return Err(format!(
-            "survival window {cw} does not match detector window {w}"
-        ));
-    }
-    if buf.len() != w {
-        return Err("ring buffer length != window".into());
-    }
-    if *head as usize >= w || *filled as usize > w {
-        return Err("ring cursor out of range".into());
-    }
-    if !sum.is_finite() || *sum < 0.0 || buf.iter().any(|v| !v.is_finite() || *v < 0.0) {
-        return Err("non-finite or negative hazard state".into());
-    }
-
-    for (((name, gran), pooled), (sum, count)) in NAMES
-        .into_iter()
-        .zip(common.model.cfg.gran())
-        .zip(numeric.pooled)
-        .zip(&c.partial)
-    {
-        if sum.len() != usize::from(pooled) * NUM_FEATURES {
-            return Err(format!("{name} partial bucket has width {}", sum.len()));
-        }
-        if sum.iter().any(|v| !v.is_finite()) {
-            return Err(format!("non-finite value in {name} partial bucket"));
-        }
-        if *count >= gran {
-            return Err(format!(
-                "{name} partial bucket count at or past its granularity"
-            ));
-        }
-    }
-    if c.last_frame.len() != NUM_FEATURES {
-        return Err(format!("last frame has width {}", c.last_frame.len()));
-    }
-    if c.last_frame.iter().any(|v| !v.is_finite()) || !c.last_survival.is_finite() {
-        return Err("non-finite value in customer scalars".into());
-    }
-
-    push_row(ledger, numeric, w);
-
-    for (d, arena) in c.dual.iter().zip(&mut numeric.dual) {
-        let r = i * hidden..(i + 1) * hidden;
-        arena.aged_h[r.clone()].copy_from_slice(&d.aged_h);
-        arena.aged_c[r.clone()].copy_from_slice(&d.aged_c);
-        arena.fresh_h[r.clone()].copy_from_slice(&d.fresh_h);
-        arena.fresh_c[r].copy_from_slice(&d.fresh_c);
-        arena.aged_age[i] = d.aged_age;
-        arena.fresh_age[i] = d.fresh_age;
-    }
-    ledger.ring_buf[i * w..(i + 1) * w].copy_from_slice(buf);
-    ledger.ring_head[i] = *head as u32;
-    ledger.ring_filled[i] = *filled as u32;
-    ledger.ring_sum[i] = *sum;
-    for (t, (sum, count)) in c.partial.iter().enumerate() {
-        if numeric.pooled[t] {
-            numeric.partial[t].load(i, sum);
-            ledger.count[t][i] = *count;
-        }
-    }
-    numeric.frame.load(i, &c.last_frame);
-    ledger.active_since[i] = c.active_since;
-    ledger.quiet_run[i] = c.quiet_run;
-    ledger.last_survival[i] = c.last_survival;
-    ledger.observed[i] = c.observed;
-    ledger.stale_run[i] = c.stale_run;
-    ledger.last_minute[i] = c.last_minute;
-    Ok(())
+    Ok((common, customers))
 }
 
 /// The frame-side rows as they were before the auxiliary-signal tail was
 /// carved off: every zero-order-hold frame and pooling bucket a dense
 /// `NUM_FEATURES`-wide row, and `ingest`, `finish_row` and `cold_restart`
-/// over them. The ledger-side columns and the dual states are the live
-/// ones, driven through a live [`Shard`]; only the frame-side rows live
-/// here. Kept as the reference the live rows are pinned to.
+/// over them. The dual states, the ring, the bucket counts and the
+/// lifecycle scalars are a live [`Customer`] record's; its own frame and
+/// bucket rows stay zero, and only the dense rows here are read. Kept as
+/// the reference the live rows are pinned to.
 #[cfg(test)]
 mod before_sparse {
     use super::*;
+    use std::ops::Range;
 
     /// Row `j` of an `n × NUM_FEATURES` column.
     fn features(j: usize) -> Range<usize> {
@@ -1572,14 +1303,14 @@ mod before_sparse {
     fn cold_restart(
         k: &Knobs,
         obs: &mut DetectorObs,
-        sh: &mut Shard<'_>,
+        c: &mut Customer,
         d: &mut Dense,
         j: usize,
         addr: Ipv4,
         minute: u32,
         out: &mut Emitted,
     ) {
-        if let Some(detected_at) = sh.active_since[j].take() {
+        if let Some(detected_at) = c.active_since.take() {
             obs.ended.inc();
             out.events.push(DetectorEvent::Ended(Alert {
                 customer: addr,
@@ -1588,22 +1319,23 @@ mod before_sparse {
                 mitigation_end: Some(minute),
             }));
         }
-        sh.dual.iter_mut().for_each(|d| d.reset_row(j));
-        let w = sh.window;
-        sh.ring_buf[j * w..(j + 1) * w].fill(0.0);
-        sh.ring_head[j] = 0;
-        sh.ring_filled[j] = 0;
-        sh.ring_sum[j] = 0.0;
+        c.dual.fill(0.0);
+        c.aged_age = k.period;
+        c.fresh_age = [0; TIMESCALES];
+        c.ring.fill(0.0);
+        c.ring_head = 0;
+        c.ring_filled = 0;
+        c.ring_sum = 0.0;
         let r = features(j);
-        for t in (0..TIMESCALES).filter(|&t| sh.pooled[t]) {
+        for t in (0..TIMESCALES).filter(|&t| d.pooled[t]) {
             d.partial[t][r.clone()].fill(0.0);
-            sh.count[t][j] = 0;
+            c.buckets[t].as_mut().expect("pooled").count = 0;
         }
         d.frame[r].fill(0.0);
-        sh.quiet_run[j] = 0;
-        sh.last_survival[j] = 1.0;
-        sh.observed[j] = 0;
-        sh.stale_run[j] = 0;
+        c.quiet_run = 0;
+        c.last_survival = 1.0;
+        c.observed = 0;
+        c.stale_run = 0;
         obs.cold_restarts.inc();
     }
 
@@ -1611,7 +1343,7 @@ mod before_sparse {
     pub(super) fn catch_up(
         net: &Net<'_>,
         obs: &mut DetectorObs,
-        sh: &mut Shard<'_>,
+        c: &mut Customer,
         d: &mut Dense,
         j: usize,
         addr: Ipv4,
@@ -1620,19 +1352,19 @@ mod before_sparse {
         hook: &mut Option<Fused<'_>>,
         out: &mut Emitted,
     ) {
-        let Some(last) = sh.last_minute[j] else {
+        let Some(last) = c.last_minute else {
             return;
         };
         let gap = minute - last - 1;
         if gap > net.k.max_imputed_gap {
             obs.gap_runs.observe(gap as f64);
-            cold_restart(&net.k, obs, sh, d, j, addr, minute, out);
-            if let Some(hook) = hook {
-                hook.cold_restart();
+            cold_restart(&net.k, obs, c, d, j, addr, minute, out);
+            if let (Some(hook), Some(ring)) = (hook, &mut c.companion) {
+                **ring = crate::fusion::Ring::new(hook.comp.window);
             }
         } else {
             for m in last + 1..minute {
-                row_minute(net, obs, sh, d, j, addr, m, None, row, hook, out);
+                row_minute(net, obs, c, d, j, addr, m, None, row, hook, out);
             }
         }
     }
@@ -1640,15 +1372,15 @@ mod before_sparse {
     fn ingest(
         net: &Net<'_>,
         obs: &mut DetectorObs,
-        sh: &mut Shard<'_>,
+        c: &mut Customer,
         d: &mut Dense,
         j: usize,
         frame: Option<&[f64]>,
-    ) {
+    ) -> Due {
         let r = features(j);
         match frame {
             None => {
-                sh.stale_run[j] += 1;
+                c.stale_run += 1;
                 obs.gaps_imputed.inc();
             }
             Some(raw) => {
@@ -1664,43 +1396,40 @@ mod before_sparse {
                 if replaced > 0 {
                     obs.values_sanitized.add(replaced);
                 }
-                if sh.stale_run[j] > 0 {
-                    obs.gap_runs.observe(sh.stale_run[j] as f64);
-                    sh.stale_run[j] = 0;
+                if c.stale_run > 0 {
+                    obs.gap_runs.observe(c.stale_run as f64);
+                    c.stale_run = 0;
                 }
             }
         }
         let k = &net.k;
-        for t in 0..TIMESCALES {
-            let due = !sh.pooled[t] || {
+        std::array::from_fn(|t| {
+            !d.pooled[t] || {
                 let bucket = &mut d.partial[t][r.clone()];
                 for (b, &v) in bucket.iter_mut().zip(&d.frame[r.clone()]) {
                     *b += v;
                 }
-                sh.count[t][j] += 1;
-                let due = sh.count[t][j] == k.gran[t];
+                let count = &mut c.buckets[t].as_mut().expect("pooled").count;
+                *count += 1;
+                let due = *count == k.gran[t];
                 if due {
                     let inv = 1.0 / k.gran[t] as f64;
                     bucket.iter_mut().for_each(|v| *v *= inv);
-                    sh.count[t][j] = 0;
+                    *count = 0;
                 }
                 due
-            };
-            sh.flags[t][j] = match (due, k.used[t]) {
-                (false, _) => RAN,
-                (true, false) => RAN | DUE,
-                (true, true) => RAN | DUE | DENSE,
-            };
-        }
+            }
+        })
     }
 
     #[allow(clippy::too_many_arguments)]
     fn finish_row(
         net: &Net<'_>,
         obs: &mut DetectorObs,
-        sh: &mut Shard<'_>,
+        c: &mut Customer,
         d: &mut Dense,
         j: usize,
+        due: Due,
         addr: Ipv4,
         minute: u32,
         input: &mut Vec<f64>,
@@ -1708,18 +1437,18 @@ mod before_sparse {
         out: &mut Emitted,
     ) -> (f64, f64) {
         let r = features(j);
-        for t in (0..TIMESCALES).filter(|&t| sh.pooled[t]) {
-            if sh.flags[t][j] & DUE != 0 {
+        for t in (0..TIMESCALES).filter(|&t| d.pooled[t]) {
+            if due[t] {
                 d.partial[t][r.clone()].fill(0.0);
             }
         }
-        let (hazard, reported) = survival_tail(net, sh, j, input);
-        let reported = match hook {
-            Some(hook) => hook.fuse(obs, &d.frame[r], reported),
-            None => reported,
+        let (hazard, reported) = survival_tail(net, c, input);
+        let reported = match (hook, &mut c.companion) {
+            (Some(hook), Some(ring)) => hook.fuse(obs, ring, &d.frame[r], reported),
+            _ => reported,
         };
-        lifecycle_tail(&net.k, obs, sh, j, addr, minute, reported, out);
-        sh.last_minute[j] = Some(minute);
+        lifecycle_tail(&net.k, obs, c, addr, minute, reported, out);
+        c.last_minute = Some(minute);
         (hazard, reported)
     }
 
@@ -1727,7 +1456,7 @@ mod before_sparse {
     pub(super) fn row_minute(
         net: &Net<'_>,
         obs: &mut DetectorObs,
-        sh: &mut Shard<'_>,
+        c: &mut Customer,
         d: &mut Dense,
         j: usize,
         addr: Ipv4,
@@ -1737,29 +1466,29 @@ mod before_sparse {
         hook: &mut Option<Fused<'_>>,
         out: &mut Emitted,
     ) -> (f64, f64) {
-        ingest(net, obs, sh, d, j, frame);
+        let due = ingest(net, obs, c, d, j, frame);
         let r = features(j);
-        for t in 0..TIMESCALES {
-            if sh.flags[t][j] & DENSE != 0 {
-                let x = if sh.pooled[t] {
+        for (t, due) in due.into_iter().enumerate() {
+            if due && net.k.used[t] {
+                let x = if d.pooled[t] {
                     &d.partial[t][r.clone()]
                 } else {
                     &d.frame[r.clone()]
                 };
-                sh.dual[t].step(net.layers[t], j, x, &mut row.step);
+                c.step(t, net.k.period[t], net.layers[t], x, &mut row.step);
             }
         }
-        finish_row(net, obs, sh, d, j, addr, minute, &mut row.input, hook, out)
+        let input = &mut row.input;
+        finish_row(net, obs, c, d, j, due, addr, minute, input, hook, out)
     }
 
     /// The live checkpoint with the dense frame-side rows written in.
     pub(super) fn checkpoint(
         common: &Common,
-        ledger: &Ledger,
-        numeric: &Numeric,
+        customers: &[Customer],
         d: &Dense,
     ) -> DetectorCheckpoint {
-        let mut ck = common.checkpoint(ledger, numeric);
+        let mut ck = common.checkpoint(customers);
         for c in &mut ck.customers {
             let r = features(common.id_of(Ipv4(c.addr)).expect("registered"));
             c.last_frame = d.frame[r.clone()].to_vec();
@@ -1793,15 +1522,11 @@ mod tests {
         }
     }
 
-    /// A detector core with one cold customer in row 0.
-    fn one_row(c: &XatuConfig) -> (Common, Ledger, Numeric) {
+    /// A detector core and one cold customer's record.
+    fn one_row(c: &XatuConfig) -> (Common, Customer) {
         let common = Common::new(XatuModel::new(c), AttackType::UdpFlood, 0.5, c);
-        let mut ledger = Ledger::default();
-        let (s, m, l) = c.timescales;
-        let mut numeric =
-            Numeric::new(c.hidden, [c.short_len, c.medium_len, c.long_len], [s, m, l]);
-        push_row(&mut ledger, &mut numeric, c.window);
-        (common, ledger, numeric)
+        let record = Customer::new(&common.knobs());
+        (common, record)
     }
 
     /// A sparse frame with a NaN now and then (sanitized to zero on ingest).
@@ -1820,7 +1545,7 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Each half of each timescale's dual row is `Lstm::forward` over the
+    /// Each half of each timescale's dual state is `Lstm::forward` over the
     /// inputs that timescale consumed since the half was last zeroed.
     /// After `n` inputs at period `p`, the aged half started at input
     /// `p·(n/p − 1)` and the fresh one at `p·(n/p)` (both at 0 while
@@ -1830,7 +1555,7 @@ mod tests {
     #[test]
     fn dual_rows_equal_forward_since_each_half_was_zeroed() {
         let c = cfg();
-        let (mut common, mut ledger, mut numeric) = one_row(&c);
+        let (mut common, mut record) = one_row(&c);
         let net = Net::new(&common.model, common.knobs());
         // The trained layers the served ones were built from.
         let trained = XatuModel::new(&c);
@@ -1858,14 +1583,11 @@ mod tests {
             if skipped {
                 continue;
             }
-            let mut sh = Shard::new(&mut ledger, &mut numeric, c.window);
-            let (obs, addr) = (&mut common.obs, Ipv4(1));
-            catch_up(
-                &net, obs, &mut sh, 0, addr, m, &mut row, &mut None, &mut out,
-            );
+            let (obs, addr, rec) = (&mut common.obs, Ipv4(1), &mut record);
+            catch_up(&net, obs, rec, addr, m, &mut row, &mut None, &mut out);
             let frame = raw.as_deref();
             row_minute(
-                &net, obs, &mut sh, 0, addr, m, frame, &mut row, &mut None, &mut out,
+                &net, obs, rec, addr, m, frame, &mut row, &mut None, &mut out,
             );
 
             for t in 0..TIMESCALES {
@@ -1875,8 +1597,7 @@ mod tests {
                     let trace = trained.layers()[t].forward(&inputs[t][from..]);
                     (bits(trace.final_h()), bits(trace.final_c()))
                 };
-                let d = &numeric.dual[t];
-                let [aged_h, aged_c, fresh_h, fresh_c] = d.state(0);
+                let [aged_h, aged_c, fresh_h, fresh_c] = record.halves(t);
                 let what = format!("timescale {t}, minute {m}, {n} inputs");
                 assert_eq!(
                     (bits(aged_h), bits(aged_c)),
@@ -1889,8 +1610,12 @@ mod tests {
                     "{what}: fresh"
                 );
                 let aged_age = if n < p { p + n } else { n - aged_from };
-                assert_eq!(d.aged_age[0] as usize, aged_age, "{what}: aged age");
-                assert_eq!(d.fresh_age[0] as usize, n - fresh_from, "{what}: fresh age");
+                assert_eq!(record.aged_age[t] as usize, aged_age, "{what}: aged age");
+                assert_eq!(
+                    record.fresh_age[t] as usize,
+                    n - fresh_from,
+                    "{what}: fresh age"
+                );
             }
         }
         for t in 0..TIMESCALES {
@@ -1908,27 +1633,25 @@ mod tests {
     #[test]
     fn survival_ring_equals_rolling_survival() {
         let c = cfg();
-        let (_, mut ledger, mut numeric) = one_row(&c);
-        let mut sh = Shard::new(&mut ledger, &mut numeric, c.window);
+        let (_, mut record) = one_row(&c);
         let hazards: Vec<f64> = (0..40)
             .map(|t| 0.3 * ((t as f64 * 0.7).sin() + 1.0) + if t % 9 == 0 { 2.0 } else { 0.0 })
             .collect();
         let want = rolling_survival(&hazards, c.window);
         for (t, (&h, &w)) in hazards.iter().zip(&want).enumerate() {
-            let got = sh.ring_push(0, h);
+            let got = record.ring_push(h);
             assert!((got - w).abs() < 1e-12, "t={t}: ring {got} vs batch {w}");
         }
 
-        let (_, mut ledger, mut numeric) = one_row(&c);
-        let mut sh = Shard::new(&mut ledger, &mut numeric, c.window);
-        sh.ring_push(0, 0.5);
+        let (_, mut record) = one_row(&c);
+        record.ring_push(0.5);
         for bad in [f64::NAN, f64::INFINITY, -1.0] {
-            let s = sh.ring_push(0, bad);
+            let s = record.ring_push(bad);
             assert!(s.is_finite(), "hazard {bad} leaked into survival: {s}");
         }
         let mut s = 0.0;
         for _ in 0..c.window {
-            s = sh.ring_push(0, 0.0);
+            s = record.ring_push(0.0);
         }
         assert_eq!(s, 1.0);
     }
@@ -1936,7 +1659,7 @@ mod tests {
     /// Serving runs one pooling schedule at every timescale triple, the
     /// short timescale included: bucket `k` of a timescale of granularity
     /// `g` is the mean of minutes `[k·g, (k+1)·g)` from the row's first
-    /// minute, and each half of that timescale's dual row is
+    /// minute, and each half of that timescale's dual state is
     /// `Lstm::forward` over the bucket means since the half was last
     /// zeroed. Checked on the row path at every minute that completes a
     /// long bucket, across at least two promotions of every timescale.
@@ -2001,11 +1724,9 @@ mod tests {
     /// `FleetDetector::observe`, with an optional companion.
     struct Reference {
         common: Common,
-        ledger: Ledger,
-        numeric: Numeric,
+        customers: Vec<Customer>,
         dense: before_sparse::Dense,
         companion: Option<crate::fusion::Companion>,
-        rings: Vec<crate::fusion::Ring>,
         row: RowScratch,
         ae_ws: xatu_nn::AeWorkspace,
         ae_window: xatu_nn::FrameArena,
@@ -2014,14 +1735,11 @@ mod tests {
     impl Reference {
         fn new(model: XatuModel, c: &XatuConfig) -> Self {
             let gran = model.cfg.gran();
-            let hidden = model.cfg.hidden;
             Reference {
                 common: Common::new(model, AttackType::UdpFlood, DIFF_THRESHOLD, c),
-                ledger: Ledger::default(),
-                numeric: Numeric::new(hidden, [c.short_len, c.medium_len, c.long_len], gran),
+                customers: Vec::new(),
                 dense: before_sparse::Dense::new(gran),
                 companion: None,
-                rings: Vec::new(),
                 row: RowScratch::default(),
                 ae_ws: xatu_nn::AeWorkspace::new(),
                 ae_window: xatu_nn::FrameArena::new(VOLUMETRIC_WIDTH),
@@ -2030,20 +1748,20 @@ mod tests {
 
         fn observe(&mut self, addr: Ipv4, minute: u32, frame: Option<&[f64]>) -> Emitted {
             let (j, new) = self.common.intern(addr);
-            if new {
-                push_row(&mut self.ledger, &mut self.numeric, self.common.window);
-                self.dense.push();
-                if let Some(comp) = &self.companion {
-                    self.rings.push(crate::fusion::Ring::new(comp.window));
-                }
-            }
             let net = Net::new(&self.common.model, self.common.knobs());
-            let sh = &mut Shard::new(&mut self.ledger, &mut self.numeric, net.k.window);
+            if new {
+                let mut record = Customer::new(&net.k);
+                if let Some(comp) = &self.companion {
+                    record.companion = Some(Box::new(crate::fusion::Ring::new(comp.window)));
+                }
+                self.customers.push(record);
+                self.dense.push();
+            }
+            let c = &mut self.customers[j];
             let obs = &mut self.common.obs;
-            check_order(obs, sh.last_minute[j], addr, minute).expect("in-order minute");
+            check_order(obs, c.last_minute, addr, minute).expect("in-order minute");
             let hook = &mut self.companion.as_ref().map(|comp| Fused {
                 comp,
-                ring: &mut self.rings[j],
                 ws: &mut self.ae_ws,
                 scratch: &mut self.ae_window,
                 ae_weight: 0.0,
@@ -2051,16 +1769,14 @@ mod tests {
             let mut out = Emitted::default();
             let d = &mut self.dense;
             let row = &mut self.row;
-            before_sparse::catch_up(&net, obs, sh, d, j, addr, minute, row, hook, &mut out);
-            before_sparse::row_minute(
-                &net, obs, sh, d, j, addr, minute, frame, row, hook, &mut out,
-            );
+            before_sparse::catch_up(&net, obs, c, d, j, addr, minute, row, hook, &mut out);
+            before_sparse::row_minute(&net, obs, c, d, j, addr, minute, frame, row, hook, &mut out);
             out.record(obs);
             out
         }
 
         fn checkpoint(&self) -> DetectorCheckpoint {
-            before_sparse::checkpoint(&self.common, &self.ledger, &self.numeric, &self.dense)
+            before_sparse::checkpoint(&self.common, &self.customers, &self.dense)
         }
     }
 
@@ -2287,7 +2003,7 @@ mod tests {
                     let survivals: Vec<u64> = (0..DIFF_CUSTOMERS)
                         .map(|i| {
                             let id = reference.common.id_of(diff_addr(i)).expect("registered");
-                            reference.ledger.last_survival[id].to_bits()
+                            reference.customers[id].last_survival.to_bits()
                         })
                         .collect();
                     for (det, threads) in live.iter_mut().chain(&mut resumed) {

@@ -1,8 +1,9 @@
 //! The streaming detector for one attack type: every customer of a fleet,
 //! a whole minute at a time, or one customer-minute at a time.
 //!
-//! [`FleetDetector`] drives the detector core (`crate::detector`) — its
-//! rows, ladder, lifecycle and checkpoint — two ways:
+//! [`FleetDetector`] keeps one record per customer and drives the detector
+//! core (`crate::detector`) — its records, ladder, lifecycle and
+//! checkpoint — two ways:
 //!
 //! * **Batch path.** [`FleetDetector::step_minute_batch`] advances every
 //!   registered customer through one minute, one shard of customers per
@@ -13,20 +14,22 @@
 //!   paths, and every imputed catch-up minute, advance the LSTM states
 //!   through the same one step.
 //! * **Sharding.** The id space is partitioned into contiguous blocks
-//!   ([`xatu_par::block_ranges_into`]), each worker gets disjoint mutable
-//!   views of every column, and events, survivals and telemetry are
-//!   stitched back in block order — so all three are bit-identical for
-//!   every thread count.
+//!   ([`xatu_par::block_ranges_into`]), each worker owns its block of
+//!   records (a `&mut [Customer]` cut with `split_at_mut`), and events,
+//!   survivals and telemetry are stitched back in block order — so all
+//!   three are bit-identical for every thread count.
 //! * **Companion.** An optional unsupervised [`Companion`] is fused into
 //!   the reported survival before the alert lifecycle acts on it, on both
 //!   paths, weighted by the degradation ladder
 //!   [`FleetDetector::set_feed_degraded`] ticks.
 //!
-//! Per minute a worker runs three phases over its shard: **A** per row
+//! Per minute a worker runs three phases over its block: **A** per record
 //! (ordering, gap bridging, input, plan), **B** per timescale (the LSTM
-//! step of every row planned to step), **C** per row (survival and
-//! lifecycle tails). Customers are independent, so the regrouping changes
-//! no value, only the documented event order within a minute.
+//! step of every record planned to step), **C** per record (survival and
+//! lifecycle tails). The plan lives in the worker's scratch for the
+//! minute, not in the records. Customers are independent, so the
+//! regrouping changes no value, only the documented event order within a
+//! minute.
 //!
 //! # Degraded input
 //!
@@ -55,8 +58,8 @@ use crate::checkpoint::DetectorCheckpoint;
 use crate::config::XatuConfig;
 pub use crate::detector::DetectorObs;
 use crate::detector::{
-    catch_up, check_order, finish_row, ingest, push_row, restore, row_minute, step_dense,
-    take_rows, Common, Emitted, Ledger, Net, Numeric, RowScratch, Shard, RAN,
+    catch_up, check_order, finish_row, ingest, restore, row_minute, step_dense, Common, Customer,
+    Due, Emitted, Net, RowScratch,
 };
 use crate::error::XatuError;
 use crate::fusion::{Companion, Fused, Ring};
@@ -95,6 +98,9 @@ pub enum FleetInput {
 struct Worker {
     frame: Vec<f64>,
     row: RowScratch,
+    /// This minute's plan for each record of the block: the [`Due`]
+    /// timescales, or `None` for a record not driven.
+    plan: Vec<Option<Due>>,
     /// What catch-up (imputed or cold-restarted) minutes emitted.
     impute: Emitted,
     /// What the current minute emitted.
@@ -111,6 +117,7 @@ impl Worker {
         Worker {
             frame: vec![0.0; NUM_FEATURES],
             row: RowScratch::default(),
+            plan: Vec::new(),
             impute: Emitted::default(),
             life: Emitted::default(),
             obs: DetectorObs::default(),
@@ -125,29 +132,26 @@ impl Worker {
 /// the ladder's weight.
 type Vote<'a> = Option<(&'a Companion, f64)>;
 
-/// Row `j`'s fusion hook: the companion over that row's ring, or none.
+/// A worker's fusion hook: the companion with its scratch, or none.
 fn hook<'a>(
     vote: Vote<'a>,
-    rings: &'a mut [Ring],
-    j: usize,
     ws: &'a mut AeWorkspace,
     scratch: &'a mut FrameArena,
 ) -> Option<Fused<'a>> {
     let (comp, ae_weight) = vote?;
     Some(Fused {
         comp,
-        ring: &mut rings[j],
         ws,
         scratch,
         ae_weight,
     })
 }
 
-/// One shard's share of a minute: its rows, their companion rings (empty
-/// without a companion) and the worker that runs them.
+/// One shard's share of a minute: its block of records, the dense id of
+/// the first, and the worker that runs them.
 struct Task<'a> {
-    sh: Shard<'a>,
-    rings: &'a mut [Ring],
+    start: usize,
+    records: &'a mut [Customer],
     w: &'a mut Worker,
 }
 
@@ -162,64 +166,55 @@ fn run_shard<F>(
 ) where
     F: Fn(usize, Ipv4, &mut [f64]) -> FleetInput,
 {
-    let Task { mut sh, rings, w } = task;
+    let Task { start, records, w } = task;
+    let addrs = &addrs[start..start + records.len()];
     w.impute.clear();
     w.life.clear();
     w.err = None;
-    let len = sh.len();
+    w.plan.clear();
+    w.plan.resize(records.len(), None);
 
     // Phase A: ordering, gap bridging (imputed catch-up minutes run the
     // whole row path here), this minute's input and plan.
-    for j in 0..len {
-        sh.flags.iter_mut().for_each(|f| f[j] = 0);
-        let addr = addrs[sh.start + j];
-        let frame = match fill(sh.start + j, addr, &mut w.frame) {
+    for (j, c) in records.iter_mut().enumerate() {
+        let addr = addrs[j];
+        let frame = match fill(start + j, addr, &mut w.frame) {
             FleetInput::Skip => continue,
             FleetInput::Gap => None,
             FleetInput::Frame => Some(&w.frame[..]),
         };
-        if let Err(e) = check_order(&mut w.obs, sh.last_minute[j], addr, minute) {
+        if let Err(e) = check_order(&mut w.obs, c.last_minute, addr, minute) {
             w.err.get_or_insert(e);
             continue;
         }
-        catch_up(
-            net,
-            &mut w.obs,
-            &mut sh,
-            j,
-            addr,
-            minute,
-            &mut w.row,
-            &mut hook(vote, rings, j, &mut w.ae_ws, &mut w.ae_window),
-            &mut w.impute,
-        );
-        ingest(net, &mut w.obs, &mut sh, j, frame);
+        let hook = &mut hook(vote, &mut w.ae_ws, &mut w.ae_window);
+        let (obs, row) = (&mut w.obs, &mut w.row);
+        catch_up(net, obs, c, addr, minute, row, hook, &mut w.impute);
+        w.plan[j] = Some(ingest(net, obs, c, frame));
     }
 
-    // Phase B: the LSTM steps, timescale by timescale, of every row
-    // planned DENSE. Rows are independent, so shard boundaries cannot move
-    // a bit.
+    // Phase B: the LSTM steps, timescale by timescale, of every record
+    // planned to step. Records are independent, so shard boundaries cannot
+    // move a bit. The loop stays timescale-major because fusing the three
+    // phases into one pass per record measured slower: 3–4 % fewer
+    // customer-minutes per second on fleet_wide and attack_storm (DESIGN
+    // §13), and, rerun under `bench_e2e --trace 1`, 37.3 → 40.5 µs of step
+    // time per customer-minute on fleet_wide (the split loop faster in 7
+    // of 8 pairs) and 40.6 → 43.0 µs on attack_storm (5 of 8).
     for t in 0..TIMESCALES {
-        for j in 0..len {
-            step_dense(net, &mut sh, t, j, &mut w.row);
+        for (c, due) in records.iter_mut().zip(&w.plan) {
+            if let Some(due) = *due {
+                step_dense(net, c, t, due, &mut w.row);
+            }
         }
     }
 
     // Phase C: survival and lifecycle tails, clock advance.
-    for j in 0..len {
-        if sh.flags[0][j] & RAN != 0 {
-            let addr = addrs[sh.start + j];
-            finish_row(
-                net,
-                &mut w.obs,
-                &mut sh,
-                j,
-                addr,
-                minute,
-                &mut w.row.input,
-                &mut hook(vote, rings, j, &mut w.ae_ws, &mut w.ae_window),
-                &mut w.life,
-            );
+    for ((c, due), &addr) in records.iter_mut().zip(&w.plan).zip(addrs) {
+        if let Some(due) = *due {
+            let hook = &mut hook(vote, &mut w.ae_ws, &mut w.ae_window);
+            let (input, out) = (&mut w.row.input, &mut w.life);
+            finish_row(net, &mut w.obs, c, due, addr, minute, input, hook, out);
         }
     }
 }
@@ -229,21 +224,19 @@ fn run_shard<F>(
 /// Customers are registered with [`FleetDetector::add_customer`] (or on
 /// their first [`FleetDetector::observe`]) and driven either a whole
 /// minute at a time ([`FleetDetector::step_minute_batch`]) or one
-/// customer-minute at a time; both paths drive the same rows through the
-/// same core, and the differential tests compare every survival bit and
+/// customer-minute at a time; both paths drive the same records through
+/// the same core, and the differential tests compare every survival bit and
 /// every lifecycle event.
 #[derive(Clone)]
 pub struct FleetDetector {
     common: Common,
-    ledger: Ledger,
-    numeric: Numeric,
+    /// One record per customer, in dense-id order.
+    customers: Vec<Customer>,
     scratch: Scratch,
     /// Optional unsupervised companion; `None` leaves every observation
-    /// bit-identical to a companion-free detector.
+    /// bit-identical to a companion-free detector. While one is attached,
+    /// every record holds its companion window.
     companion: Option<Companion>,
-    /// One ring per customer, by dense id; kept only while a companion is
-    /// attached.
-    rings: Vec<Ring>,
     /// Ladder state: is the CDet feed currently considered dark?
     feed_degraded: bool,
     /// Re-warm-up minutes left on the companion-weight ramp (counts down
@@ -273,32 +266,27 @@ impl Clone for Scratch {
 
 impl FleetDetector {
     /// Wraps a trained model with a calibrated threshold.
+    ///
+    /// # Panics
+    /// Panics, naming the field, if `cfg.window` is 0 or above 2^15, or
+    /// one of the model's timescale granularities is 0: shapes
+    /// [`FleetDetector::from_checkpoint`] refuses too.
     pub fn new(
         model: XatuModel,
         attack_type: AttackType,
         threshold: f64,
         cfg: &XatuConfig,
     ) -> Self {
-        let numeric = Numeric::new(
-            model.cfg.hidden,
-            [cfg.short_len, cfg.medium_len, cfg.long_len],
-            model.cfg.gran(),
-        );
-        Self::assemble(
-            Common::new(model, attack_type, threshold, cfg),
-            Ledger::default(),
-            numeric,
-        )
+        let common = Common::new(model, attack_type, threshold, cfg);
+        Self::assemble(common, Vec::new())
     }
 
-    fn assemble(common: Common, ledger: Ledger, numeric: Numeric) -> Self {
+    fn assemble(common: Common, customers: Vec<Customer>) -> Self {
         FleetDetector {
             common,
-            ledger,
-            numeric,
+            customers,
             scratch: Scratch::default(),
             companion: None,
-            rings: Vec::new(),
             feed_degraded: false,
             rewarm_left: 0,
         }
@@ -329,10 +317,9 @@ impl FleetDetector {
     pub fn add_customer(&mut self, addr: Ipv4) -> usize {
         let (i, new) = self.common.intern(addr);
         if new {
-            push_row(&mut self.ledger, &mut self.numeric, self.common.window);
-            if let Some(comp) = &self.companion {
-                self.rings.push(Ring::new(comp.window));
-            }
+            let mut c = Customer::new(&self.common.knobs());
+            c.companion = (self.companion.as_ref()).map(|comp| Box::new(Ring::new(comp.window)));
+            self.customers.push(c);
         }
         i
     }
@@ -394,16 +381,25 @@ impl FleetDetector {
     /// The current rolling survival for a customer (1.0 if unseen).
     pub fn survival_of(&self, addr: Ipv4) -> f64 {
         let id = self.common.id_of(addr);
-        id.map_or(1.0, |i| self.ledger.last_survival[i])
+        id.map_or(1.0, |i| self.customers[i].last_survival)
     }
 
-    /// Measured per-customer arena footprint in bytes (excludes the
-    /// interner, which adds roughly 16 bytes per customer, per-worker
-    /// scratch, which is fleet-size-independent, and companion rings).
+    /// Measured per-customer footprint in bytes: the records (their `Vec`'s
+    /// capacity) with everything they own — live tail boxes and companion
+    /// windows included — and the address list. Excludes the interner's
+    /// map, which adds roughly 16 bytes per customer, and per-worker
+    /// scratch, which is fleet-size-independent.
     pub fn bytes_per_customer(&self) -> usize {
-        let addrs = &self.common.addrs;
-        let bytes = self.ledger.bytes() + self.numeric.bytes();
-        (bytes + addrs.capacity() * std::mem::size_of::<Ipv4>()) / addrs.len().max(1)
+        self.bytes() / self.len().max(1)
+    }
+
+    /// The footprint [`FleetDetector::bytes_per_customer`] divides.
+    fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        let (records, addrs) = (&self.customers, &self.common.addrs);
+        records.capacity() * size_of::<Customer>()
+            + records.iter().map(Customer::heap_bytes).sum::<usize>()
+            + addrs.capacity() * size_of::<Ipv4>()
     }
 
     /// Attaches the unsupervised companion. Every customer's companion ring
@@ -420,9 +416,9 @@ impl FleetDetector {
             "companion autoencoder must score the volumetric block"
         );
         assert!(companion.window >= 1, "companion window must be >= 1");
-        self.rings.clear();
-        self.rings
-            .resize_with(self.len(), || Ring::new(companion.window));
+        for c in &mut self.customers {
+            c.companion = Some(Box::new(Ring::new(companion.window)));
+        }
         self.companion = Some(companion);
     }
 
@@ -524,14 +520,14 @@ impl FleetDetector {
         let ae_weight = self.companion_weight();
         let vote = self.companion.as_ref().map(|comp| (comp, ae_weight));
         let net = Net::new(&self.common.model, self.common.knobs());
-        let sh = &mut Shard::new(&mut self.ledger, &mut self.numeric, net.k.window);
+        let c = &mut self.customers[j];
         let (obs, w) = (&mut self.common.obs, &mut self.scratch.workers[0]);
-        check_order(obs, sh.last_minute[j], customer, minute)?;
-        let hook = &mut hook(vote, &mut self.rings, j, &mut w.ae_ws, &mut w.ae_window);
+        check_order(obs, c.last_minute, customer, minute)?;
+        let hook = &mut hook(vote, &mut w.ae_ws, &mut w.ae_window);
         let (row, out) = (&mut w.row, &mut w.life);
         out.clear();
-        catch_up(&net, obs, sh, j, customer, minute, row, hook, out);
-        let (h, s) = row_minute(&net, obs, sh, j, customer, minute, frame, row, hook, out);
+        catch_up(&net, obs, c, customer, minute, row, hook, out);
+        let (h, s) = row_minute(&net, obs, c, customer, minute, frame, row, hook, out);
         out.record(obs);
         Ok((h, s, std::mem::take(&mut out.events)))
     }
@@ -580,15 +576,18 @@ impl FleetDetector {
         while s.workers.len() < threads {
             s.workers.push(Worker::new());
         }
-        let mut whole = Shard::new(&mut self.ledger, &mut self.numeric, net.k.window);
-        let mut rings = &mut self.rings[..];
-        // The ranges live in reusable scratch, the shard views are carved
-        // by borrow splitting, the task slots sit on the stack and the
-        // worker threads are a persistent parked pool: zero allocations
-        // per minute at any thread count once the pool has spun up.
+        let mut rest = &mut self.customers[..];
+        // The ranges live in reusable scratch, the blocks are carved by
+        // borrow splitting, the task slots sit on the stack and the worker
+        // threads are a persistent parked pool: zero allocations per
+        // minute at any thread count once the pool has spun up.
         let active = if threads == 1 {
-            let (sh, w) = (whole, &mut s.workers[0]);
-            run_shard(&net, addrs, minute, &fill, vote, Task { sh, rings, w });
+            let task = Task {
+                start: 0,
+                records: rest,
+                w: &mut s.workers[0],
+            };
+            run_shard(&net, addrs, minute, &fill, vote, task);
             1
         } else {
             block_ranges_into(addrs.len(), threads, &mut s.ranges);
@@ -597,13 +596,10 @@ impl FleetDetector {
             pool.ensure_workers(parts - 1);
             let mut slots: [Option<Task<'_>>; MAX_SHARDS] = std::array::from_fn(|_| None);
             let shards = s.ranges.iter().zip(&mut s.workers).zip(&mut slots);
-            for ((&(s, e), w), slot) in shards {
-                let n = if vote.is_some() { e - s } else { 0 };
-                *slot = Some(Task {
-                    sh: whole.take_front(e - s),
-                    rings: take_rows(&mut rings, n, 1),
-                    w,
-                });
+            for ((&(start, end), w), slot) in shards {
+                let (records, tail) = std::mem::take(&mut rest).split_at_mut(end - start);
+                rest = tail;
+                *slot = Some(Task { start, records, w });
             }
             pool.run_tasks(&mut slots[..parts], &|slot| {
                 if let Some(task) = slot.take() {
@@ -613,7 +609,7 @@ impl FleetDetector {
             parts
         };
 
-        // Catch-up rows, then this minute's rows, then telemetry and the
+        // Catch-up events, then this minute's, then telemetry and the
         // first ordering violation — all in block order.
         let obs = &mut self.common.obs;
         let workers = &mut s.workers[..active];
@@ -640,8 +636,8 @@ impl FleetDetector {
     /// customer-id order.
     pub fn close_all(&mut self, minute: u32) -> Vec<DetectorEvent> {
         let mut events = Vec::new();
-        for (slot, &customer) in self.ledger.active_since.iter_mut().zip(&self.common.addrs) {
-            if let Some(detected_at) = slot.take() {
+        for (c, &customer) in self.customers.iter_mut().zip(&self.common.addrs) {
+            if let Some(detected_at) = c.active_since.take() {
                 self.common.obs.ended.inc();
                 events.push(DetectorEvent::Ended(Alert {
                     customer,
@@ -662,7 +658,7 @@ impl FleetDetector {
     /// re-attached after restore via [`FleetDetector::set_companion`],
     /// which re-warms the rings.
     pub fn to_checkpoint(&mut self) -> DetectorCheckpoint {
-        self.common.checkpoint(&self.ledger, &self.numeric)
+        self.common.checkpoint(&self.customers)
     }
 
     /// Rebuilds a detector from a checkpoint, validating every invariant
@@ -672,8 +668,8 @@ impl FleetDetector {
     /// [`FleetDetector::set_simd`] to resume under a configuration.
     /// Validation failures surface as [`XatuError::InvalidCheckpoint`].
     pub fn from_checkpoint(ck: &DetectorCheckpoint) -> Result<Self, XatuError> {
-        let (common, ledger, numeric) = restore(ck)?;
-        Ok(Self::assemble(common, ledger, numeric))
+        let (common, customers) = restore(ck)?;
+        Ok(Self::assemble(common, customers))
     }
 }
 
@@ -1267,7 +1263,11 @@ mod tests {
         let Front::Fleet(mut fleet, _) = front else {
             unreachable!()
         };
-        let open = fleet.ledger.active_since.iter().flatten().count();
+        let open = fleet
+            .customers
+            .iter()
+            .filter(|c| c.active_since.is_some())
+            .count();
         assert!(open > 0, "no alert open at close time");
         let events = fleet.close_all(60);
         assert_eq!(events.len(), open);
@@ -1277,8 +1277,56 @@ mod tests {
         assert!(fleet.close_all(61).is_empty());
     }
 
+    /// `new` refuses a survival window of 0 or past 2^15 and a zero
+    /// granularity with a panic that names the field, and a checkpoint of
+    /// the same shape is refused by the same check.
+    #[test]
+    fn new_refuses_the_shapes_restore_refuses() {
+        let good = FleetDetector::new(
+            XatuModel::new(&cfg()),
+            AttackType::UdpFlood,
+            THRESHOLD,
+            &cfg(),
+        )
+        .to_checkpoint();
+        for (c, field) in [
+            (XatuConfig { window: 0, ..cfg() }, "survival window 0 "),
+            (
+                XatuConfig {
+                    window: (1 << 15) + 1,
+                    ..cfg()
+                },
+                "survival window 32769 ",
+            ),
+            (
+                XatuConfig {
+                    timescales: (1, 0, 6),
+                    ..cfg()
+                },
+                "timescale granularities [1, 0, 6]",
+            ),
+        ] {
+            let model = XatuModel::new(&c);
+            let new = std::panic::AssertUnwindSafe(|| {
+                FleetDetector::new(model, AttackType::UdpFlood, THRESHOLD, &c)
+            });
+            let err = std::panic::catch_unwind(new).map(drop).expect_err(field);
+            let msg = err.downcast_ref::<String>().expect("a formatted message");
+            assert!(msg.contains(field), "{field}: {msg}");
+
+            let mut ck = good.clone();
+            ck.window = c.window as u64;
+            ck.timescales = c.timescales;
+            let err = FleetDetector::from_checkpoint(&ck)
+                .map(drop)
+                .expect_err(field);
+            assert!(err.to_string().contains(field), "{field}: {err}");
+        }
+    }
+
     #[test]
     fn interner_and_budget_are_reported() {
+        use std::mem::size_of;
         let Front::Fleet(mut fleet, _) = Front::new(Kind::Exact(1)) else {
             unreachable!()
         };
@@ -1287,24 +1335,24 @@ mod tests {
         assert_eq!(fleet.customer_index(addr(6)), Some(6));
         assert_eq!(fleet.customer_index(Ipv4(99)), None);
         assert_eq!(fleet.survival_of(Ipv4(99)), 1.0);
-        // Seven customers pushed one at a time, capacities as `Vec` grows
-        // them: ledger 888 B (ring 48 f64, every per-row column 8 slots,
-        // no count column for the granularity-1 timescale); duals
-        // 3 × (4 halves × 40 f64 + 2 × 8 ages) = 4,032 B; three tail-free
-        // frame-side columns (frame, medium, long) of 504 head f64 and 8
-        // tail slots = 12,288 B; 8 addresses = 32 B. 17,240 B in all.
-        let arena = |f: &FleetDetector| f.ledger.bytes() + f.numeric.bytes();
-        assert_eq!(arena(&fleet) + 8 * std::mem::size_of::<Ipv4>(), 17_240);
-        assert_eq!(fleet.bytes_per_customer(), 17_240 / N_CUST);
+        // Seven customers pushed one at a time, capacity as `Vec` grows it:
+        // 8 records of 656 B (the frame's 63-f64 head inline) = 5,248 B.
+        // Each record owns its dual states (3 timescales × 4 halves × 5
+        // f64 = 480 B), its ring (6 f64 = 48 B) and two tail-free buckets
+        // (medium and long, 520 B each; none for the granularity-1
+        // timescale): 1,568 B, 10,976 B for seven. 8 addresses = 32 B.
+        // 16,256 B in all.
+        assert_eq!(size_of::<Customer>(), 656);
+        assert_eq!(fleet.bytes(), 16_256);
+        assert_eq!(fleet.bytes_per_customer(), 16_256 / N_CUST);
 
         // Customer 2's tail is set at minute 1 only: that adds a box to its
         // frame and to both open buckets. Turning off frees the frame's at
         // once and each bucket's at its reset (medium at minute 2, long at
         // minute 5).
-        let tail = (NUM_FEATURES - VOLUMETRIC_WIDTH) * std::mem::size_of::<f64>();
-        let base = arena(&fleet);
-        for (m, boxes) in [0, 3, 1, 1, 1, 0].into_iter().enumerate() {
-            let m = m as u32;
+        let tail = (NUM_FEATURES - VOLUMETRIC_WIDTH) * size_of::<f64>();
+        let base = fleet.bytes();
+        let step = |fleet: &mut FleetDetector, m: u32| {
             fleet
                 .step_minute_batch(m, 1, |i, _, out| {
                     out.fill(0.0);
@@ -1315,7 +1363,28 @@ mod tests {
                     FleetInput::Frame
                 })
                 .expect("in-order minute");
-            assert_eq!(arena(&fleet), base + boxes * tail, "minute {m}");
+        };
+        for (m, boxes) in [0, 3, 1, 1, 1, 0].into_iter().enumerate() {
+            step(&mut fleet, m as u32);
+            assert_eq!(fleet.bytes(), base + boxes * tail, "minute {m}");
         }
+
+        // A companion adds every record's window: a 40-B ring and its
+        // 6 × 63 f64 (3,024 B), 3,064 B per customer, which stepping
+        // leaves as it is.
+        let mut init = xatu_nn::init::Initializer::new(3);
+        fleet.set_companion(Companion {
+            ae: xatu_nn::LstmAutoencoder::new(VOLUMETRIC_WIDTH, 3, &mut init),
+            norm: crate::fusion::ErrorNormalizer::new(0.0, 1.0),
+            window: 6,
+        });
+        let with = base + N_CUST * 3_064;
+        assert_eq!(size_of::<Ring>(), 40);
+        assert_eq!(fleet.bytes(), with);
+        assert_eq!(fleet.bytes_per_customer(), with / N_CUST);
+        for m in 6..14 {
+            step(&mut fleet, m);
+        }
+        assert_eq!(fleet.bytes(), with);
     }
 }

@@ -11,10 +11,11 @@
 //! companion needs no labels, so it keeps its full signal exactly when the
 //! survival model loses its auxiliary features.
 //!
-//! A [`Companion`] attaches to a [`crate::fleet::FleetDetector`]; on every
-//! driven row, on the row and the batch path alike, the detector core
-//! calls the companion's hook (`Fused`) between the survival tail and the
-//! alert lifecycle.
+//! A [`Companion`] attaches to a [`crate::fleet::FleetDetector`], and each
+//! customer's record gets a window of its own (`Ring`); on every driven
+//! record, on the row and the batch path alike, the detector core calls
+//! the companion's hook (`Fused`) between the survival tail and the alert
+//! lifecycle.
 
 use crate::detector::DetectorObs;
 use xatu_features::frame::VOLUMETRIC_WIDTH;
@@ -58,13 +59,24 @@ impl Ring {
             filled: 0,
         }
     }
+
+    /// Empties the window: the record was cold-restarted.
+    pub(crate) fn clear(&mut self) {
+        self.buf.fill(0.0);
+        self.head = 0;
+        self.filled = 0;
+    }
+
+    /// Heap bytes: the window's buffer.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.buf.capacity() * std::mem::size_of::<f64>()
+    }
 }
 
-/// The fusion hook for one row: the trained companion, that customer's
-/// ring and the driving worker's scoring scratch.
+/// The fusion hook of one worker's minute: the trained companion and the
+/// worker's scoring scratch.
 pub(crate) struct Fused<'a> {
     pub comp: &'a Companion,
-    pub ring: &'a mut Ring,
     pub ws: &'a mut AeWorkspace,
     pub scratch: &'a mut FrameArena,
     /// Degradation shift for this minute (1 = score purely from the
@@ -74,12 +86,19 @@ pub(crate) struct Fused<'a> {
 
 impl Fused<'_> {
     /// Sees the frame the LSTMs just consumed: pushes its volumetric slice
-    /// and, once the ring holds a full window, blends the reported survival
-    /// with the autoencoder's reconstruction score into the survival the
-    /// lifecycle acts on. Until then (cold start, post-restore re-warm) the
-    /// solo score passes through untouched.
-    pub(crate) fn fuse(&mut self, obs: &mut DetectorObs, frame: &[f64], reported: f64) -> f64 {
-        let (w, ring) = (self.comp.window, &mut *self.ring);
+    /// into the customer's `ring` and, once that holds a full window,
+    /// blends the reported survival with the autoencoder's reconstruction
+    /// score into the survival the lifecycle acts on. Until then (cold
+    /// start, post-restore re-warm) the solo score passes through
+    /// untouched.
+    pub(crate) fn fuse(
+        &mut self,
+        obs: &mut DetectorObs,
+        ring: &mut Ring,
+        frame: &[f64],
+        reported: f64,
+    ) -> f64 {
+        let w = self.comp.window;
         let slot = |t: usize| t * VOLUMETRIC_WIDTH..(t + 1) * VOLUMETRIC_WIDTH;
         ring.buf[slot(ring.head)].copy_from_slice(&frame[..VOLUMETRIC_WIDTH]);
         ring.head = (ring.head + 1) % w;
@@ -94,11 +113,6 @@ impl Fused<'_> {
         let err = self.comp.ae.reconstruction_error(self.scratch, self.ws);
         obs.fusion_ae_minutes.inc();
         fuse(reported, self.comp.norm.score(err), self.ae_weight)
-    }
-
-    /// The row was cold-restarted: the window starts over.
-    pub(crate) fn cold_restart(&mut self) {
-        *self.ring = Ring::new(self.comp.window);
     }
 }
 

@@ -732,7 +732,8 @@ impl ServingLstm {
     /// The online (auto-regressive) step: advances both halves of one dual
     /// state, the aged `(h, c)` and the fresh one, by one input, in place,
     /// against caller-held scratch. The state is four slices because
-    /// callers keep per-customer rows in flat structure-of-arrays arenas.
+    /// callers keep the four halves side by side in one buffer per
+    /// customer.
     ///
     /// The input contribution `b + Wx·x` is computed once, over `x`'s
     /// non-zero inputs, and serves both halves. Both halves' `Wh·h` come

@@ -1,7 +1,7 @@
 //! Hazard → survival transforms, as batch functions. The streaming form
-//! — one ring of the last `window` hazards per customer — is a column of
-//! the detector core's arena in `xatu-core`, pinned to [`rolling_survival`]
-//! by a test there.
+//! — one ring of the last `window` hazards per customer — lives in each
+//! customer's record in `xatu-core`'s detector core, pinned to
+//! [`rolling_survival`] by a test there.
 
 /// Turns a hazard sequence `λ_1..λ_n` into the survival curve
 /// `S_t = exp(−Σ_{k≤t} λ_k)`.
