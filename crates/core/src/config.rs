@@ -82,18 +82,6 @@ pub struct XatuConfig {
     /// variable if set, else all available cores. Results are bit-identical
     /// for every value — parallelism only changes wall-clock time.
     pub threads: usize,
-    /// Force the scalar instantiation of every dispatched detector kernel
-    /// — the gate loop and the lane kernel, on a `FleetDetector`'s row and
-    /// batch paths alike — mirroring
-    /// `threads`: `false` = auto (the `XATU_NO_SIMD` environment variable
-    /// if set, else the widest SIMD level the host supports), `true` =
-    /// always scalar. Results are bit-identical either way — SIMD only
-    /// changes wall-clock time. Applied once, where a detector takes its
-    /// model and this configuration. A checkpoint does not carry it: a
-    /// resumed detector follows the environment (after
-    /// `FleetDetector::from_checkpoint`, `FleetDetector::set_simd` pins
-    /// it). Training dispatches nothing, so it has nothing to apply.
-    pub no_simd: bool,
 }
 
 impl Default for XatuConfig {
@@ -115,7 +103,6 @@ impl Default for XatuConfig {
             loss: LossKind::Survival,
             min_positives: 8,
             threads: 0,
-            no_simd: false,
         }
     }
 }

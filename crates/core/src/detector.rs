@@ -105,14 +105,14 @@ pub struct DetectorObs {
     pub cold_restarts: Counter,
     /// Distribution of gap-run lengths (imputed or skipped minutes).
     pub gap_runs: FixedHistogram,
-    /// Degradation-ladder transitions into companion-weighted fusion
-    /// (the CDet feed went dark with a companion attached).
+    /// Dark onsets of the CDet feed with a companion attached: the
+    /// companion starts voting.
     pub fusion_engaged: Counter,
-    /// Transitions back out of full companion weight (feed recovery
-    /// started a re-warm-up ramp).
+    /// Recoveries of the CDet feed with a companion attached: the solo
+    /// survival is reported again.
     pub fusion_recovered: Counter,
-    /// Minutes whose reported survival actually included the companion's
-    /// reconstruction score (ring full, companion attached).
+    /// Customer-minutes whose reported survival was the companion's
+    /// (feed dark, ring full).
     pub fusion_ae_minutes: Counter,
 }
 
@@ -1069,8 +1069,9 @@ pub(crate) struct Common {
 }
 
 impl Common {
-    /// The one place a model meets a configuration, for every front-end:
-    /// [`XatuConfig::no_simd`] beats the environment and auto-detection.
+    /// The one place a model meets a configuration, for every front-end.
+    /// The kernels dispatch at the level the environment asks for
+    /// ([`simd::detect`]).
     ///
     /// # Panics
     /// Panics, naming the field, if `cfg.window` is outside
@@ -1085,11 +1086,7 @@ impl Common {
         if let Err(e) = check_shape(cfg.window as u64, model.cfg.gran()) {
             panic!("invalid detector configuration: {e}");
         }
-        let simd = if cfg.no_simd {
-            SimdLevel::Scalar
-        } else {
-            simd::detect()
-        };
+        let simd = simd::detect();
         let mut model = ServedModel::new(model);
         model.set_simd(simd);
         Common {
@@ -1721,12 +1718,14 @@ mod tests {
 
     /// The parent's row path over [`before_sparse::Dense`] rows, for the
     /// differential test: one customer-minute at a time, like
-    /// `FleetDetector::observe`, with an optional companion.
+    /// `FleetDetector::observe`, with an optional companion that votes
+    /// while `dark` is set.
     struct Reference {
         common: Common,
         customers: Vec<Customer>,
         dense: before_sparse::Dense,
         companion: Option<crate::fusion::Companion>,
+        dark: bool,
         row: RowScratch,
         ae_ws: xatu_nn::AeWorkspace,
         ae_window: xatu_nn::FrameArena,
@@ -1740,6 +1739,7 @@ mod tests {
                 customers: Vec::new(),
                 dense: before_sparse::Dense::new(gran),
                 companion: None,
+                dark: false,
                 row: RowScratch::default(),
                 ae_ws: xatu_nn::AeWorkspace::new(),
                 ae_window: xatu_nn::FrameArena::new(VOLUMETRIC_WIDTH),
@@ -1764,7 +1764,7 @@ mod tests {
                 comp,
                 ws: &mut self.ae_ws,
                 scratch: &mut self.ae_window,
-                ae_weight: 0.0,
+                dark: self.dark,
             });
             let mut out = Emitted::default();
             let d = &mut self.dense;
@@ -1892,9 +1892,10 @@ mod tests {
 
     /// The live frame-side rows against [`before_sparse`]'s dense ones, on
     /// the row path and the batch path at 1 and 4 threads, at (1, 3, 6)
-    /// and (2, 4, 8), with and without a companion: every survival bit
-    /// after every minute, every event, the sanitized and imputed counts,
-    /// and the checkpoint bytes. Without a companion, each live path is
+    /// and (2, 4, 8), with and without a companion (which votes while the
+    /// feed is dark, over minutes `DARK`): every survival bit after every
+    /// minute, every event, the sanitized and imputed counts, and the
+    /// checkpoint bytes. Without a companion, each live path is
     /// also killed at minute 68, while tails are set in frames and open
     /// buckets, and resumed from its checkpoint on the row path and on the
     /// batch path at 4 threads.
@@ -1903,6 +1904,7 @@ mod tests {
         use crate::fleet::FleetDetector;
         const KILL: u32 = 68;
         const TOTAL: u32 = 130;
+        const DARK: std::ops::Range<u32> = 50..90;
         for timescales in [(1, 3, 6), (2, 4, 8)] {
             for with_companion in [false, true] {
                 let c = XatuConfig {
@@ -1981,6 +1983,11 @@ mod tests {
                             }
                         }
                     }
+                    let dark = DARK.contains(&m);
+                    reference.dark = dark;
+                    for (det, _) in live.iter_mut().chain(&mut resumed) {
+                        det.set_feed_degraded(dark);
+                    }
                     let mut want = Emitted::default();
                     for i in 0..DIFF_CUSTOMERS {
                         let frame = diff_frame(i, m);
@@ -2035,6 +2042,7 @@ mod tests {
                 if xatu_obs::enabled() {
                     let a = &reference.common.obs;
                     assert!(a.values_sanitized.get() > 0 && a.cold_restarts.get() > 0);
+                    assert_eq!(a.fusion_ae_minutes.get() > 0, with_companion, "{what}");
                     for (det, threads) in &live {
                         let b = det.obs();
                         for (name, x, y) in [
@@ -2043,6 +2051,7 @@ mod tests {
                             ("cold restarts", &a.cold_restarts, &b.cold_restarts),
                             ("raised", &a.raised, &b.raised),
                             ("ended", &a.ended, &b.ended),
+                            ("companion", &a.fusion_ae_minutes, &b.fusion_ae_minutes),
                         ] {
                             assert_eq!(x.get(), y.get(), "{what}: {threads:?} {name}");
                         }

@@ -16,9 +16,11 @@
 //!   every period of the offline [`crate::pipeline`] does.
 //!
 //! Inside a close: CDet events, then tracker writes, then extraction, then
-//! the heads (and, self-fed, their events), then expiry — each step reads
-//! what the one before settled (DESIGN.md §19 gives the reasons). `present`
-//! and `cdet_up` are facts of the minute only the source knows — a lost export is the same bytes as a
+//! the heads — each told first whether the feed is dark
+//! (`FleetDetector::set_feed_degraded`) — and, self-fed, their events,
+//! then expiry. Each step reads what the one before settled (DESIGN.md
+//! §19 gives the reasons). `present` and `cdet_up` are facts of the
+//! minute only the source knows — a lost export is the same bytes as a
 //! silent customer, a dead alert feed the same events as a quiet one — so
 //! the engine is told, and does not guess.
 
@@ -192,7 +194,7 @@ impl AuxFeed {
 /// customer, a gap for an absent one, a skip for an address not in
 /// `customers`. Heads are looked up by address, not by position, so one
 /// that arrived with customers of its own still reads the right frame.
-pub(crate) fn fill_from<'a>(
+fn fill_from<'a>(
     customers: &'a [Ipv4],
     frames: &'a [Option<FeatureFrame>],
 ) -> impl Fn(usize, Ipv4, &mut [f64]) -> FleetInput + Sync + Copy + 'a {
@@ -261,24 +263,19 @@ impl Engine {
     /// dropped), whose `cdet` feeds `aux`, stepping `heads` — any number of
     /// per-type detectors, none included — on `threads` workers
     /// ([`crate::XatuConfig::threads`]: 0 means the environment's choice).
-    /// Every customer is registered with every head; thresholds and warm-up
-    /// are whatever the heads were given. The feed starts CDet-fed.
+    /// Every head is attached with [`Engine::add_head`]. The feed starts
+    /// CDet-fed.
     pub fn new(
         customers: &[Ipv4],
         cdet: Box<dyn Detector>,
         aux: AuxFeed,
-        mut heads: Vec<FleetDetector>,
+        heads: Vec<FleetDetector>,
         threads: usize,
     ) -> Self {
         let mut customers = customers.to_vec();
         customers.sort_unstable();
         customers.dedup();
-        for head in &mut heads {
-            for &c in &customers {
-                head.add_customer(c);
-            }
-        }
-        Engine {
+        let mut engine = Engine {
             customers,
             threads: resolve_threads(threads),
             binner: MinuteBinner::new(),
@@ -288,9 +285,24 @@ impl Engine {
             aux,
             self_fed_from: None,
             cdet_silence: u32::MAX,
-            heads,
+            heads: Vec::with_capacity(heads.len()),
             closed: None,
+        };
+        for head in heads {
+            engine.add_head(head);
         }
+        engine
+    }
+
+    /// Attaches a per-type head, which steps from the next close on. Every
+    /// customer is registered with it (a head restored from a checkpoint
+    /// of this engine's customers already holds them); its threshold and
+    /// warm-up are whatever it was given.
+    pub fn add_head(&mut self, mut head: FleetDetector) {
+        for &c in &self.customers {
+            head.add_customer(c);
+        }
+        self.heads.push(head);
     }
 
     /// The registered customers, ascending by address: the index space of
@@ -529,6 +541,7 @@ impl Engine {
         let mut first_err = None;
         for head in &mut self.heads {
             let ty = head.attack_type();
+            head.set_feed_degraded(degraded);
             match head.step_minute_batch(minute, self.threads, fill) {
                 Ok(events) => fleet_events.extend(events.iter().map(|e| (ty, *e))),
                 Err(e) => {

@@ -19,21 +19,22 @@
 //!   checksummed — see [`crate::checkpoint`]), simulate a crash, and
 //!   resume bit-identically: the world and the whole [`Engine`] (volume
 //!   store, CDet, trackers) are deterministic functions of the seed and
-//!   are fast-forwarded by closing the same minutes again with the frames
-//!   ignored; only the detector state is restored from disk.
+//!   are fast-forwarded by closing the same minutes again without a head;
+//!   only the detector state is restored from disk.
 //!
-//! The driver is a source → [`Engine`] adaptor: a head-less engine closes
-//! each [`xatu_simnet::MinuteDelivery`], and one [`FleetDetector`] head,
-//! outside the engine so the fast-forward can leave it alone, steps over
-//! [`crate::engine::MinuteClose::frames`]. To keep resume exact the
-//! engine's trackers are fed CDet events only — Xatu's own alerts are not
+//! The driver is a source → [`Engine`] adaptor, like
+//! [`crate::scenarios::run_scenario`]: the engine closes each
+//! [`xatu_simnet::MinuteDelivery`] with one [`FleetDetector`] head, which
+//! rides in it from the start — or, on resume, from the minute after the
+//! checkpoint ([`Engine::add_head`]). To keep resume exact the engine's
+//! trackers are fed CDet events only — Xatu's own alerts are not
 //! auto-regressed (the clean pipeline's test phase does that): the
 //! extractor's evolution must depend only on the seeded world and CDet,
 //! never on the detector being fast-forwarded past.
 
 use crate::checkpoint::{load_detector, save_detector};
 use crate::config::XatuConfig;
-use crate::engine::{fill_from, AuxFeed, Engine};
+use crate::engine::{AuxFeed, Engine};
 use crate::error::XatuError;
 use crate::fleet::FleetDetector;
 use crate::fusion::Companion;
@@ -44,8 +45,6 @@ use xatu_detectors::alert::{Alert, AlertLog};
 use xatu_detectors::netscout::NetScout;
 use xatu_netflow::addr::Ipv4;
 use xatu_netflow::attack::AttackType;
-use xatu_nn::simd::SimdLevel;
-use xatu_par::resolve_threads;
 use xatu_simnet::{FaultSchedule, FaultedWorld, World, WorldConfig};
 
 /// Configuration of one fault-injected run.
@@ -58,9 +57,9 @@ pub struct FaultedRunConfig {
     /// The fault schedule layered over the world's flow stream.
     pub schedule: FaultSchedule,
     /// Optional unsupervised companion attached to the detector. While the
-    /// feed is degraded the fused score shifts onto the companion instead
-    /// of dropping to volumetric-only survival alone; `None` reproduces
-    /// the companion-free run bit for bit.
+    /// feed is degraded the companion scores the customers instead of the
+    /// volumetric-only survival; while it is lit, and with `None`, the run
+    /// is the companion-free run bit for bit.
     pub companion: Option<Companion>,
 }
 
@@ -98,7 +97,9 @@ pub enum RunControl<'a> {
     },
     /// Load the detector from `path` and fast-forward the deterministic
     /// world/extractor/CDet state past the checkpointed minute; scores are
-    /// recorded only for the resumed tail.
+    /// recorded only for the resumed tail. A checkpoint whose newest
+    /// minute is at or past the world's last minute leaves no tail and is
+    /// refused with [`XatuError::CheckpointMismatch`].
     ResumeFrom {
         /// Checkpoint file written by a previous `CheckpointAt`.
         path: &'a Path,
@@ -131,13 +132,12 @@ pub struct FaultCounts {
     pub cold_restarts: u64,
     /// Minutes served volumetric-only because the CDet feed was silent.
     pub degraded_feature_minutes: u64,
-    /// Ladder transitions into full companion weight (feed went dark with
-    /// a companion attached).
+    /// Dark onsets with a companion attached: the companion starts voting.
     pub fusion_engaged: u64,
-    /// Ladder transitions back out of full companion weight (feed
-    /// recovery started a re-warm-up ramp).
+    /// Recoveries with a companion attached: the solo survival is reported
+    /// again.
     pub fusion_recovered: u64,
-    /// Minutes whose reported survival included the companion's score.
+    /// Customer-minutes whose reported survival was the companion's.
     pub fusion_ae_minutes: u64,
 }
 
@@ -184,11 +184,54 @@ pub fn run_faulted(
 ) -> Result<FaultReport, XatuError> {
     let world = World::new(cfg.world);
     let total_minutes = world.total_minutes();
+
+    // Resume: restore the detector; the engine replays the deterministic
+    // parts of the stream (world, volumes, CDet, trackers) up to and
+    // including the checkpointed minute without it.
+    let (mut det, resume_after) = match control {
+        RunControl::ResumeFrom { path } => {
+            let ck = load_detector(path)?;
+            let det = FleetDetector::from_checkpoint(&ck)
+                .map_err(|e| XatuError::corrupt(path, e.to_string()))?;
+            let minute = ck
+                .customers
+                .iter()
+                .filter_map(|c| c.last_minute)
+                .max()
+                .ok_or_else(|| {
+                    XatuError::corrupt(path, "checkpoint has no driven customers to resume from")
+                })?;
+            let last = total_minutes.saturating_sub(1);
+            if minute >= last {
+                return Err(XatuError::CheckpointMismatch {
+                    path: path.display().to_string(),
+                    reason: format!(
+                        "its newest minute {minute} is at or past the world's last minute {last}"
+                    ),
+                });
+            }
+            (det, Some(minute))
+        }
+        _ => {
+            let mut det = FleetDetector::new(model, attack_type, threshold, &cfg.xatu);
+            det.set_warmup(2 * cfg.xatu.window as u32);
+            (det, None)
+        }
+    };
+    if let Some(comp) = &cfg.companion {
+        // Companion state is not checkpointed: a resumed head's rings
+        // re-warm over the resumed tail.
+        det.set_companion(comp.clone());
+    }
+    let (heads, mut parked) = match resume_after {
+        None => (vec![det], None),
+        Some(_) => (Vec::new(), Some(det)),
+    };
     let mut engine = Engine::new(
         world.customers(),
         Box::new(NetScout::new()),
         AuxFeed::new(world_extractor(&world, &cfg.xatu)),
-        Vec::new(),
+        heads,
         cfg.xatu.threads,
     );
     let customers: Vec<Ipv4> = engine.customers().to_vec();
@@ -200,50 +243,6 @@ pub fn run_faulted(
         "customer addresses ascend with the index"
     );
     let mut cdet_alerts = AlertLog::default();
-
-    // Resume: restore the detector, then replay the deterministic parts of
-    // the stream (world, volumes, CDet, trackers) up to and including the
-    // checkpointed minute without touching the detector.
-    let (mut det, resume_after) = match control {
-        RunControl::ResumeFrom { path } => {
-            let ck = load_detector(path)?;
-            let mut det = FleetDetector::from_checkpoint(&ck)
-                .map_err(|e| XatuError::corrupt(path, e.to_string()))?;
-            // The checkpoint does not carry the dispatch level.
-            if cfg.xatu.no_simd {
-                det.set_simd(SimdLevel::Scalar);
-            }
-            if let Some(comp) = &cfg.companion {
-                // Companion state is not checkpointed: re-attach and let
-                // the rings re-warm over the resumed tail.
-                det.set_companion(comp.clone());
-            }
-            let minute = ck
-                .customers
-                .iter()
-                .filter_map(|c| c.last_minute)
-                .max()
-                .ok_or_else(|| {
-                    XatuError::corrupt(path, "checkpoint has no driven customers to resume from")
-                })?;
-            (det, Some(minute))
-        }
-        _ => {
-            let mut det = FleetDetector::new(model.clone(), attack_type, threshold, &cfg.xatu);
-            det.set_warmup(2 * cfg.xatu.window as u32);
-            if let Some(comp) = &cfg.companion {
-                det.set_companion(comp.clone());
-            }
-            (det, None)
-        }
-    };
-
-    // Registration is idempotent: a restored head already holds every
-    // customer, in the same (address) order.
-    for &c in &customers {
-        det.add_customer(c);
-    }
-    let threads = resolve_threads(cfg.xatu.threads);
     let mut fw = FaultedWorld::new(world, cfg.schedule.clone());
     let first_minute = resume_after.map_or(0, |m| m + 1);
     let rows = (total_minutes - first_minute) as usize;
@@ -261,20 +260,19 @@ pub fn run_faulted(
         for ev in &closed.cdet_events {
             cdet_alerts.apply(ev);
         }
-        if resume_after.is_some_and(|m| minute <= m) {
+        if minute < first_minute {
+            if minute + 1 == first_minute {
+                // The fast-forward has closed the checkpointed minute.
+                engine.add_head(parked.take().expect("one restored head"));
+            }
             continue;
         }
 
         degraded_feature_minutes += u64::from(closed.degraded);
-        // Ladder tick: with a companion attached, a dark feed shifts the
-        // fused score onto the companion; recovery starts the re-warm-up
-        // ramp. Without one, this only records the flag.
-        det.set_feed_degraded(closed.degraded);
-        // Absent customers are explicit gaps, not fake empty frames.
-        let fill = fill_from(&customers, &closed.frames);
-        for ev in det.step_minute_batch(minute, threads, fill)? {
+        for (_, ev) in &closed.fleet_events {
             alerts.apply(ev);
         }
+        let det = &mut engine.heads_mut()[0];
         survivals.extend(customers.iter().map(|&c| det.survival_of(c)));
         minutes_recorded += 1;
 
@@ -297,12 +295,12 @@ pub fn run_faulted(
     }
 
     if !killed {
-        for ev in det.close_all(total_minutes) {
+        for (_, ev) in engine.close_all(total_minutes) {
             alerts.apply(&ev);
         }
     }
     let f = fw.obs();
-    let d = det.obs();
+    let d = engine.heads()[0].obs();
     Ok(FaultReport {
         customers,
         first_minute,

@@ -18,10 +18,10 @@
 //!   records (a `&mut [Customer]` cut with `split_at_mut`), and events,
 //!   survivals and telemetry are stitched back in block order — so all
 //!   three are bit-identical for every thread count.
-//! * **Companion.** An optional unsupervised [`Companion`] is fused into
-//!   the reported survival before the alert lifecycle acts on it, on both
-//!   paths, weighted by the degradation ladder
-//!   [`FleetDetector::set_feed_degraded`] ticks.
+//! * **Companion.** An optional unsupervised [`Companion`] scores the
+//!   customer instead of the survival model while the CDet feed is dark
+//!   (`FleetDetector::set_feed_degraded`), before the alert lifecycle
+//!   acts on the reported survival, on both paths.
 //!
 //! Per minute a worker runs three phases over its block: **A** per record
 //! (ordering, gap bridging, input, plan), **B** per timescale (the LSTM
@@ -128,9 +128,9 @@ impl Worker {
     }
 }
 
-/// This minute's companion vote, if one is attached: the companion and
-/// the ladder's weight.
-type Vote<'a> = Option<(&'a Companion, f64)>;
+/// This minute's companion, if one is attached, and whether the feed is
+/// dark (the companion votes).
+type Vote<'a> = Option<(&'a Companion, bool)>;
 
 /// A worker's fusion hook: the companion with its scratch, or none.
 fn hook<'a>(
@@ -138,12 +138,12 @@ fn hook<'a>(
     ws: &'a mut AeWorkspace,
     scratch: &'a mut FrameArena,
 ) -> Option<Fused<'a>> {
-    let (comp, ae_weight) = vote?;
+    let (comp, dark) = vote?;
     Some(Fused {
         comp,
         ws,
         scratch,
-        ae_weight,
+        dark,
     })
 }
 
@@ -237,11 +237,8 @@ pub struct FleetDetector {
     /// bit-identical to a companion-free detector. While one is attached,
     /// every record holds its companion window.
     companion: Option<Companion>,
-    /// Ladder state: is the CDet feed currently considered dark?
+    /// Is the CDet feed currently dark?
     feed_degraded: bool,
-    /// Re-warm-up minutes left on the companion-weight ramp (counts down
-    /// after feed recovery).
-    rewarm_left: u32,
 }
 
 /// What a detector reuses from minute to minute but no customer owns.
@@ -288,7 +285,6 @@ impl FleetDetector {
             scratch: Scratch::default(),
             companion: None,
             feed_degraded: false,
-            rewarm_left: 0,
         }
     }
 
@@ -301,11 +297,9 @@ impl FleetDetector {
     /// host supports. [`SimdLevel::Scalar`] pins the reference path;
     /// results are bit-identical at every level.
     ///
-    /// [`FleetDetector::new`] starts at the level [`XatuConfig::no_simd`]
-    /// asks for. A checkpoint does not record the level, so a caller that
-    /// resumes under a configuration calls this after
-    /// [`FleetDetector::from_checkpoint`], which by itself follows the
-    /// environment.
+    /// [`FleetDetector::new`] and [`FleetDetector::from_checkpoint`] start
+    /// at the level the environment asks for (`XATU_NO_SIMD`, else the
+    /// widest the host supports); this pins another.
     pub fn set_simd(&mut self, level: SimdLevel) {
         self.common.simd = level.min(simd::supported());
         self.common.model.set_simd(self.common.simd);
@@ -403,8 +397,9 @@ impl FleetDetector {
     }
 
     /// Attaches the unsupervised companion. Every customer's companion ring
-    /// is (re)built empty, so scoring re-warms over the next `window`
-    /// minutes; the survival path itself is untouched until a ring fills.
+    /// is (re)built empty and re-warms over the next `window` minutes; the
+    /// companion scores nobody before its ring fills, nor while the feed
+    /// is lit.
     ///
     /// # Panics
     /// Panics if the autoencoder's input width is not [`VOLUMETRIC_WIDTH`]
@@ -427,43 +422,22 @@ impl FleetDetector {
         self.companion.as_ref()
     }
 
-    /// The re-warm-up ramp's length after feed recovery: one window.
-    fn rewarm_len(&self) -> u32 {
-        (self.common.window as u32).max(1)
-    }
-
-    /// Once-per-minute ladder tick from the driving loop: `true` while the
-    /// CDet feed is dark. With a companion attached, going dark shifts the
-    /// fused score fully onto the companion ([`DetectorObs::fusion_engaged`]);
-    /// recovery starts a linear re-warm-up ramp back to the configured
-    /// combine ([`DetectorObs::fusion_recovered`]). Without a companion this
-    /// only records the flag, changing nothing else.
-    pub fn set_feed_degraded(&mut self, degraded: bool) {
+    /// The once-per-minute rung tick, which the engine gives every head
+    /// before it steps: `true` while the CDet feed is dark. With a
+    /// companion attached, the companion scores every customer whose
+    /// window is full while the feed is dark, and the solo survival is
+    /// reported while it is lit; [`DetectorObs::fusion_engaged`] counts
+    /// the dark onsets and [`DetectorObs::fusion_recovered`] the
+    /// recoveries. Without a companion this only records the flag.
+    pub(crate) fn set_feed_degraded(&mut self, degraded: bool) {
         let was = std::mem::replace(&mut self.feed_degraded, degraded);
-        if self.companion.is_none() {
+        if self.companion.is_none() || degraded == was {
             return;
         }
-        if degraded && !was {
+        if degraded {
             self.common.obs.fusion_engaged.inc();
-            self.rewarm_left = 0;
-        } else if !degraded && was {
-            self.common.obs.fusion_recovered.inc();
-            self.rewarm_left = self.rewarm_len();
-        } else if !degraded && self.rewarm_left > 0 {
-            self.rewarm_left -= 1;
-        }
-    }
-
-    /// The current companion weight in `[0, 1]`: 1 while the feed is dark,
-    /// ramping linearly back to 0 over the re-warm-up after recovery.
-    /// Always 0 without a companion.
-    pub fn companion_weight(&self) -> f64 {
-        if self.companion.is_none() {
-            0.0
-        } else if self.feed_degraded {
-            1.0
         } else {
-            (self.rewarm_left as f64 / self.rewarm_len() as f64).clamp(0.0, 1.0)
+            self.common.obs.fusion_recovered.inc();
         }
     }
 
@@ -517,8 +491,8 @@ impl FleetDetector {
         if workers.is_empty() {
             workers.push(Worker::new());
         }
-        let ae_weight = self.companion_weight();
-        let vote = self.companion.as_ref().map(|comp| (comp, ae_weight));
+        let dark = self.feed_degraded;
+        let vote = self.companion.as_ref().map(|comp| (comp, dark));
         let net = Net::new(&self.common.model, self.common.knobs());
         let c = &mut self.customers[j];
         let (obs, w) = (&mut self.common.obs, &mut self.scratch.workers[0]);
@@ -563,8 +537,8 @@ impl FleetDetector {
     where
         F: Fn(usize, Ipv4, &mut [f64]) -> FleetInput + Sync,
     {
-        let ae_weight = self.companion_weight();
-        let vote = self.companion.as_ref().map(|comp| (comp, ae_weight));
+        let dark = self.feed_degraded;
+        let vote = self.companion.as_ref().map(|comp| (comp, dark));
         let s = &mut self.scratch;
         s.events.clear();
         let addrs = &self.common.addrs;
@@ -665,7 +639,7 @@ impl FleetDetector {
     /// the streaming logic depends on; it resumes bit-identically to the
     /// detector that was snapshotted. Dense ids are assigned in checkpoint
     /// (address) order. The kernels dispatch as the environment says; see
-    /// [`FleetDetector::set_simd`] to resume under a configuration.
+    /// [`FleetDetector::set_simd`].
     /// Validation failures surface as [`XatuError::InvalidCheckpoint`].
     pub fn from_checkpoint(ck: &DetectorCheckpoint) -> Result<Self, XatuError> {
         let (common, customers) = restore(ck)?;

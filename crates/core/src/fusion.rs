@@ -1,21 +1,25 @@
-//! Score fusion: combining the survival booster with the unsupervised
-//! reconstruction companion.
+//! Score fusion: the unsupervised reconstruction companion that votes
+//! while the CDet feed is dark.
 //!
-//! Two scores arrive each minute, in opposite orientations: the survival
-//! score (lower = more attack-like) and the autoencoder's normalized
-//! reconstruction score (higher = more attack-like). The fusion layer
-//! maps reconstruction error into `[0, 1]` against *benign* error
-//! quantiles ([`ErrorNormalizer`]), keeps the more anomalous of the two
-//! signals ([`fuse`]), and applies a degradation weight that shifts the
-//! fused score toward the autoencoder while the CDet feed is down — the
-//! companion needs no labels, so it keeps its full signal exactly when the
-//! survival model loses its auxiliary features.
+//! The survival score (lower = more attack-like) leans on auxiliary
+//! signals the CDet alert feed keeps alive; while that feed is dark the
+//! frames are served volumetric-only and the survival model loses them.
+//! The autoencoder needs no labels and never sees auxiliary features, so
+//! it keeps its full signal exactly then. The ladder has two rungs:
+//!
+//! * **Lit.** The reported survival is the solo survival, untouched.
+//! * **Dark.** Once the customer's window is full, the reported survival
+//!   is the autoencoder's pseudo-survival `1 − score`, its reconstruction
+//!   error mapped into `[0, 1]` against *benign* error quantiles
+//!   ([`ErrorNormalizer`]).
 //!
 //! A [`Companion`] attaches to a [`crate::fleet::FleetDetector`], and each
-//! customer's record gets a window of its own (`Ring`); on every driven
-//! record, on the row and the batch path alike, the detector core calls
-//! the companion's hook (`Fused`) between the survival tail and the alert
-//! lifecycle.
+//! customer's record gets a window of its own (`Ring`), fed every minute
+//! so it is full when the feed goes dark. On every driven record, on the
+//! row and the batch path alike, the detector core calls the companion's
+//! hook (`Fused`) between the survival tail and the alert lifecycle; the
+//! engine ticks the rung (`FleetDetector::set_feed_degraded`) before its
+//! heads step.
 
 use crate::detector::DetectorObs;
 use xatu_features::frame::VOLUMETRIC_WIDTH;
@@ -24,11 +28,10 @@ use xatu_nn::{AeWorkspace, FrameArena, LstmAutoencoder};
 /// The unsupervised reconstruction companion attached to a detector.
 ///
 /// A trained [`LstmAutoencoder`] over the volumetric feature block (width
-/// [`VOLUMETRIC_WIDTH`]) plus its benign-error calibration; [`fuse`]
-/// combines its score with the survival score. The companion never sees
-/// auxiliary features, so its score is unaffected when the CDet feed drops
-/// — the degradation ladder shifts weight onto it instead of falling back
-/// to volumetric-only thresholds.
+/// [`VOLUMETRIC_WIDTH`]) plus its benign-error calibration. The
+/// companion never sees auxiliary features, so its score is unaffected
+/// when the CDet feed drops: while the feed is dark it scores the customer
+/// instead of the survival model's volumetric-only fallback.
 #[derive(Clone, Debug)]
 pub struct Companion {
     /// The trained autoencoder (`input_dim` must be [`VOLUMETRIC_WIDTH`]).
@@ -79,18 +82,17 @@ pub(crate) struct Fused<'a> {
     pub comp: &'a Companion,
     pub ws: &'a mut AeWorkspace,
     pub scratch: &'a mut FrameArena,
-    /// Degradation shift for this minute (1 = score purely from the
-    /// companion, 0 = the min of the two scores).
-    pub ae_weight: f64,
+    /// The CDet feed is dark this minute: the companion votes.
+    pub dark: bool,
 }
 
 impl Fused<'_> {
     /// Sees the frame the LSTMs just consumed: pushes its volumetric slice
-    /// into the customer's `ring` and, once that holds a full window,
-    /// blends the reported survival with the autoencoder's reconstruction
-    /// score into the survival the lifecycle acts on. Until then (cold
-    /// start, post-restore re-warm) the solo score passes through
-    /// untouched.
+    /// into the customer's `ring` and, while the feed is dark and the ring
+    /// holds a full window, replaces the reported survival with the
+    /// autoencoder's pseudo-survival `1 − score`. Otherwise (a lit feed,
+    /// a cold start, a post-restore re-warm) the solo survival passes
+    /// through untouched, and the autoencoder does not run.
     pub(crate) fn fuse(
         &mut self,
         obs: &mut DetectorObs,
@@ -103,7 +105,7 @@ impl Fused<'_> {
         ring.buf[slot(ring.head)].copy_from_slice(&frame[..VOLUMETRIC_WIDTH]);
         ring.head = (ring.head + 1) % w;
         ring.filled = (ring.filled + 1).min(w);
-        if ring.filled < w {
+        if !self.dark || ring.filled < w {
             return reported;
         }
         self.scratch.reset(VOLUMETRIC_WIDTH);
@@ -112,7 +114,7 @@ impl Fused<'_> {
         }
         let err = self.comp.ae.reconstruction_error(self.scratch, self.ws);
         obs.fusion_ae_minutes.inc();
-        fuse(reported, self.comp.norm.score(err), self.ae_weight)
+        1.0 - self.comp.norm.score(err)
     }
 }
 
@@ -169,23 +171,6 @@ impl ErrorNormalizer {
     }
 }
 
-/// Fuses one minute's scores into a fused survival (lower = more
-/// attack-like, same orientation and thresholding rule as the solo
-/// survival score): most-anomalous-wins, the minimum of the survival score
-/// and the autoencoder's pseudo-survival `1 − ae_score`.
-///
-/// `ae_weight` in `[0, 1]` is the degradation shift: 0 uses that minimum,
-/// 1 scores purely from the autoencoder. The detector ramps it while the
-/// CDet feed is down and back during re-warm-up after recovery.
-pub fn fuse(survival: f64, ae_score: f64, ae_weight: f64) -> f64 {
-    let survival = survival.clamp(0.0, 1.0);
-    let ae_score = ae_score.clamp(0.0, 1.0);
-    let s_ae = 1.0 - ae_score;
-    let combined = survival.min(s_ae);
-    let w = ae_weight.clamp(0.0, 1.0);
-    (1.0 - w) * combined + w * s_ae
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,27 +201,5 @@ mod tests {
         assert_eq!(flat.score(0.5), 1.0);
         // NaN at score time is benign, never a poison value.
         assert_eq!(flat.score(f64::NAN), 0.0);
-    }
-
-    #[test]
-    fn max_combine_takes_the_most_anomalous_signal() {
-        assert_eq!(fuse(0.9, 0.0, 0.0), 0.9);
-        assert!((fuse(0.9, 0.8, 0.0) - 0.2).abs() < 1e-12); // AE wins
-        assert_eq!(fuse(0.1, 0.0, 0.0), 0.1); // survival wins
-
-        // Full degradation weight ignores survival entirely.
-        assert_eq!(fuse(0.0, 0.0, 1.0), 1.0);
-        assert_eq!(fuse(1.0, 1.0, 1.0), 0.0);
-    }
-
-    #[test]
-    fn degradation_weight_interpolates_continuously() {
-        // survival says attack (0.1), AE says benign (score 0 → s_ae 1).
-        let w0 = fuse(0.1, 0.0, 0.0);
-        let w_half = fuse(0.1, 0.0, 0.5);
-        let w1 = fuse(0.1, 0.0, 1.0);
-        assert_eq!(w0, 0.1);
-        assert_eq!(w1, 1.0);
-        assert!((w_half - 0.55).abs() < 1e-12);
     }
 }

@@ -440,15 +440,15 @@ mod tests {
         }
     }
 
-    /// `XatuConfig::no_simd` reaches this front-end too: the detector
-    /// reports the scalar level and scores the same bits as the auto one.
+    /// `FleetDetector::set_simd` pins the scalar level on this front-end:
+    /// the detector reports it and scores the same bits as the auto one.
     #[test]
     fn no_simd_config_pins_scalar_and_matches_auto_bitwise() {
         let c = cfg();
         let model = trained_model(&c);
-        let forced_cfg = XatuConfig { no_simd: true, ..c };
         let mut auto = FleetDetector::new(model.clone(), AttackType::UdpFlood, 0.5, &c);
-        let mut forced = FleetDetector::new(model, AttackType::UdpFlood, 0.5, &forced_cfg);
+        let mut forced = FleetDetector::new(model, AttackType::UdpFlood, 0.5, &c);
+        forced.set_simd(SimdLevel::Scalar);
         assert_eq!(auto.simd_level(), xatu_nn::simd::detect());
         assert_eq!(forced.simd_level(), SimdLevel::Scalar);
         for m in 0..160u32 {
@@ -561,7 +561,7 @@ mod tests {
     fn companion_scores_attacks_while_the_feed_is_dark() {
         let c = cfg();
         // Untrained survival model: any alert below must come from the
-        // companion, via the full-degradation weight.
+        // companion, which votes on every dark minute.
         let mut det = FleetDetector::new(XatuModel::new(&c), AttackType::UdpFlood, 0.5, &c);
         det.set_companion(companion_for(&c));
         let start = det.clone();
@@ -602,45 +602,45 @@ mod tests {
         assert_batch_matches_row(&start, 0..160, surge, |_| true);
     }
 
+    /// On a lit minute the reported survival is the solo one, bit for bit
+    /// — before, between and after dark stretches — and the companion
+    /// scores every dark minute; without a companion the flag changes
+    /// nothing.
     #[test]
-    fn companion_weight_ramps_down_over_the_rewarm_window() {
+    fn companion_votes_only_while_the_feed_is_dark() {
         let c = cfg();
-        let mut det = FleetDetector::new(XatuModel::new(&c), AttackType::UdpFlood, 0.5, &c);
-        // Without a companion the ladder flag changes nothing.
-        det.set_feed_degraded(true);
-        assert_eq!(det.companion_weight(), 0.0);
+        let dark = |m: u32| (30..62).contains(&m) || (100..104).contains(&m);
+        let mut solo = FleetDetector::new(XatuModel::new(&c), AttackType::UdpFlood, 0.5, &c);
+        let mut flagged = solo.clone();
+        let mut fused = solo.clone();
+        fused.set_companion(companion_for(&c));
+        let start = fused.clone();
+        let mut companion_moved = 0;
+        for m in 0..160u32 {
+            flagged.set_feed_degraded(dark(m));
+            fused.set_feed_degraded(dark(m));
+            let (_, want, want_ev) = obs(&mut solo, Ipv4(1), m, surge(m));
+            let (_, flag, flag_ev) = obs(&mut flagged, Ipv4(1), m, surge(m));
+            assert_eq!(flag.to_bits(), want.to_bits(), "flag only, minute {m}");
+            assert_eq!(flag_ev, want_ev, "flag only, minute {m}");
+            let (_, got, _) = obs(&mut fused, Ipv4(1), m, surge(m));
+            if !dark(m) {
+                assert_eq!(got.to_bits(), want.to_bits(), "lit minute {m}");
+            } else if got.to_bits() != want.to_bits() {
+                companion_moved += 1;
+            }
+        }
+        assert!(companion_moved > 0, "the companion never voted");
         if xatu_obs::enabled() {
-            assert_eq!(det.obs().fusion_engaged.get(), 0);
+            assert_eq!(flagged.obs().fusion_engaged.get(), 0);
+            assert_eq!(flagged.obs().fusion_ae_minutes.get(), 0);
+            assert_eq!(fused.obs().fusion_engaged.get(), 2);
+            assert_eq!(fused.obs().fusion_recovered.get(), 2);
+            // The ring is full long before minute 30: every dark minute
+            // is the companion's, and no lit one.
+            assert_eq!(fused.obs().fusion_ae_minutes.get(), 32 + 4);
         }
-        det.set_feed_degraded(false);
-
-        det.set_companion(companion_for(&c));
-        assert_eq!(det.companion_weight(), 0.0);
-        det.set_feed_degraded(true);
-        assert_eq!(det.companion_weight(), 1.0);
-        det.set_feed_degraded(true);
-        assert_eq!(det.companion_weight(), 1.0);
-        // Recovery: full weight at the transition, then a strictly
-        // decreasing ramp that reaches 0 and stays there.
-        det.set_feed_degraded(false);
-        let mut last = det.companion_weight();
-        assert_eq!(last, 1.0);
-        for _ in 0..2 * c.window {
-            det.set_feed_degraded(false);
-            let w = det.companion_weight();
-            assert!(w <= last, "rewarm weight rose {last} -> {w}");
-            last = w;
-        }
-        assert_eq!(last, 0.0);
-        if xatu_obs::enabled() {
-            assert_eq!(det.obs().fusion_engaged.get(), 1);
-            assert_eq!(det.obs().fusion_recovered.get(), 1);
-        }
-        // The same ladder over a stream: dark up to the surge, ramping back
-        // during it.
-        let mut fresh = FleetDetector::new(XatuModel::new(&c), AttackType::UdpFlood, 0.5, &c);
-        fresh.set_companion(companion_for(&c));
-        assert_batch_matches_row(&fresh, 0..160, surge, |m| (30..62).contains(&m));
+        assert_batch_matches_row(&start, 0..160, surge, dark);
     }
 
     #[test]
@@ -659,18 +659,19 @@ mod tests {
         );
         resumed.set_companion(companion_for(&c));
         let start = resumed.clone();
+        resumed.set_feed_degraded(true);
         for m in 40..80u32 {
             let (_, s, _) = resumed.observe(Ipv4(1), m, &frame(0.05)).expect("in-order");
             assert!(s.is_finite());
         }
         if xatu_obs::enabled() {
             // The restored ring starts empty: the first `window - 1`
-            // resumed minutes pass through solo, then scoring resumes.
+            // resumed dark minutes pass through solo, then scoring resumes.
             assert_eq!(
                 resumed.obs().fusion_ae_minutes.get(),
                 40 - c.window as u64 + 1
             );
         }
-        assert_batch_matches_row(&start, 40..80, |_| 0.05, |_| false);
+        assert_batch_matches_row(&start, 40..80, |_| 0.05, |_| true);
     }
 }

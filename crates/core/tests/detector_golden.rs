@@ -318,10 +318,11 @@ fn fleet_digest(
     d.finish()
 }
 
-/// A companion that wins the fused min on some minutes and not on others:
-/// an untrained autoencoder, whose errors on these worlds run 0.72–1.68,
-/// scored against a fixed (1, 2) band. Across the eight fused rows it
-/// scores 34,344 minutes and is the lower survival on 20,769 of them.
+/// A companion whose score moves with its input: an untrained autoencoder,
+/// whose errors on these worlds run 0.72–1.68, scored against a fixed
+/// (1, 2) band. It votes on the dark minutes of `cdet_dropout`,
+/// `cdet_flap` and `everything`; on the five lit schedules the fused row
+/// is the solo row.
 fn companion(window: usize) -> Companion {
     Companion {
         ae: LstmAutoencoder::new(VOLUMETRIC_WIDTH, 4, &mut Initializer::new(5)),
@@ -481,6 +482,11 @@ impl Moved {
 // exact-fleet and `run_faulted` rows) was re-captured once for checkpoint
 // version 2 (a new version field, and an empty short-timescale bucket
 // record per customer); no `events` side moved.
+// When the companion came to vote only while the CDet feed is dark, the
+// five fused rows of lit schedules (clean, outage, gaps, dup_late,
+// sampling_drift) became their solo constants, and the three dark ones
+// (cdet_dropout, cdet_flap, everything) were re-captured, both sides; no
+// solo row and no other table moved.
 
 /// `g(events, full)`.
 const fn g(events: u64, full: u64) -> Golden {
@@ -538,35 +544,35 @@ const BUILTIN_GAPS: [[Golden; 2]; 8] = [
 const FAULTED: [[Golden; 2]; 8] = [
     [
         g(0x4d25_767f_9dce_13f5, 0x4e22_4a2d_4372_2dcf),
-        g(0xf155_4525_88bb_dd7b, 0x5886_1337_c96e_f0a6),
+        g(0x4d25_767f_9dce_13f5, 0x4e22_4a2d_4372_2dcf),
     ], // clean
     [
         g(0x4d25_767f_9dce_13f5, 0x2316_aae4_5e43_0e8a),
-        g(0x54b0_d610_f00d_21aa, 0x4cb9_b0f1_0450_fd8c),
+        g(0x4d25_767f_9dce_13f5, 0x2316_aae4_5e43_0e8a),
     ], // outage
     [
         g(0x4d25_767f_9dce_13f5, 0xb0e8_8c8e_5adc_5aa3),
-        g(0xdae4_df9c_76b2_49c0, 0x0c82_0e2a_65e9_6a10),
+        g(0x4d25_767f_9dce_13f5, 0xb0e8_8c8e_5adc_5aa3),
     ], // gaps
     [
         g(0x4d25_767f_9dce_13f5, 0xc84a_cfcf_450f_eafe),
-        g(0xf116_f02f_90b0_f912, 0xcc61_90b5_a78f_feb6),
+        g(0x4d25_767f_9dce_13f5, 0xc84a_cfcf_450f_eafe),
     ], // dup_late
     [
         g(0x4d25_767f_9dce_13f5, 0xa398_e624_8ceb_514a),
-        g(0xf155_4525_88bb_dd7b, 0x7a2c_d8a0_450f_7cc0),
+        g(0x4d25_767f_9dce_13f5, 0xa398_e624_8ceb_514a),
     ], // sampling_drift
     [
         g(0x4d25_767f_9dce_13f5, 0xb796_2e7f_35f4_6113),
-        g(0xf155_4525_88bb_dd7b, 0x654c_91b3_0476_d51a),
+        g(0xd700_beb8_69f6_58fe, 0x4a47_293e_4205_ac1d),
     ], // cdet_dropout
     [
         g(0x4d25_767f_9dce_13f5, 0x31c2_399d_6f83_ca4e),
-        g(0xf155_4525_88bb_dd7b, 0xc13f_7015_f81d_2c4d),
+        g(0xc107_a1c8_fc9f_265a, 0x5806_dfc0_9356_72f7),
     ], // cdet_flap
     [
         g(0x4d25_767f_9dce_13f5, 0x7802_3096_3193_59c9),
-        g(0xde31_afd8_9d00_8763, 0x213e_922e_05fe_eda4),
+        g(0x82ff_b366_7714_0123, 0xa3eb_f59e_c3f3_6478),
     ], // everything
 ];
 

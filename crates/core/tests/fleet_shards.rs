@@ -136,25 +136,30 @@ fn more_threads_than_customers_clamps_cleanly() {
     }
 }
 
-/// `smoke_test` with `hidden` units and the scalar knob.
-fn cfg_with(hidden: usize, no_simd: bool) -> XatuConfig {
+/// `smoke_test` with `hidden` units.
+fn cfg_with(hidden: usize) -> XatuConfig {
     XatuConfig {
         hidden,
-        no_simd,
         ..XatuConfig::smoke_test()
     }
+}
+
+/// `det`, its kernels pinned to the scalar instantiation if `scalar`.
+fn pinned(mut det: FleetDetector, scalar: bool) -> FleetDetector {
+    if scalar {
+        det.set_simd(SimdLevel::Scalar);
+    }
+    det
 }
 
 /// A fleet of `n` at `XatuConfig::default()` geometry (hidden 24, window
 /// 30). With the untrained model's survival under the 0.9 threshold by the
 /// end of an 8-minute warm-up, every customer raises as soon as it may, and
 /// a stream past the 45-minute cap force-ends and raises again.
-fn build_default(n: usize, no_simd: bool) -> FleetDetector {
-    let cfg = XatuConfig {
-        no_simd,
-        ..XatuConfig::default()
-    };
-    let mut det = FleetDetector::new(XatuModel::new(&cfg), AttackType::UdpFlood, 0.9, &cfg);
+fn build_default(n: usize, scalar: bool) -> FleetDetector {
+    let cfg = XatuConfig::default();
+    let det = FleetDetector::new(XatuModel::new(&cfg), AttackType::UdpFlood, 0.9, &cfg);
+    let mut det = pinned(det, scalar);
     det.set_warmup(8);
     for i in 0..n {
         det.add_customer(addr(i));
@@ -182,9 +187,9 @@ fn default_geometry_is_thread_invariant_and_resumes_from_a_checkpoint_file() {
     );
     // The forced-scalar run is the plain kernel instantiation at 96 outputs
     // per matvec (four whole 24-wide chunks).
-    for (threads, no_simd) in [(2usize, false), (4, false), (16, false), (4, true)] {
-        let got = run_span(&mut build_default(N, no_simd), N, threads, 0..END);
-        let what = format!("threads = {threads}, no_simd = {no_simd}");
+    for (threads, scalar) in [(2usize, false), (4, false), (16, false), (4, true)] {
+        let got = run_span(&mut build_default(N, scalar), N, threads, 0..END);
+        let what = format!("threads = {threads}, scalar = {scalar}");
         assert_eq!(reference.0, got.0, "events diverged, {what}");
         assert_eq!(reference.1, got.1, "survival bits diverged, {what}");
     }
@@ -220,8 +225,8 @@ fn exact_forced_scalar_matches_auto_simd_dispatch_bitwise() {
     for hidden in [7usize, 9] {
         for n in [1usize, 3, 4, 7, 8, 9, 15, 16, 17] {
             for threads in [1usize, 4] {
-                let auto = run(build_with(n, &cfg_with(hidden, false)), n, threads);
-                let scalar = run(build_with(n, &cfg_with(hidden, true)), n, threads);
+                let auto = run(build_with(n, &cfg_with(hidden)), n, threads);
+                let scalar = run(pinned(build_with(n, &cfg_with(hidden)), true), n, threads);
                 assert_eq!(
                     auto.0, scalar.0,
                     "events diverged at hidden = {hidden}, n = {n}, threads = {threads}"
@@ -241,7 +246,7 @@ fn forced_scalar_matches_auto_across_a_mid_run_checkpoint() {
     // detector follows the environment until `set_simd` pins it, and
     // pinned, auto and never-interrupted runs agree to the bit.
     let (n, threads, cut) = (9usize, 4usize, 37u32);
-    let start = || build_with(n, &cfg_with(12, false));
+    let start = || build_with(n, &cfg_with(12));
     let whole = run(start(), n, threads);
     let mut first = start();
     let head = run_span(&mut first, n, threads, 0..cut);

@@ -18,11 +18,11 @@
 //! # Dispatch
 //!
 //! [`detect`] picks the widest level the host supports unless the
-//! `XATU_NO_SIMD` environment variable forces scalar; `XatuConfig`'s
-//! `no_simd` knob overrides both (config > env > auto, mirroring
-//! `XATU_THREADS`). The level is captured at layer construction
-//! ([`crate::ServingLstm::new`]) and consulted per call; the plain instantiation
-//! is the reference and the permanent fallback for non-x86_64 targets.
+//! `XATU_NO_SIMD` environment variable forces scalar; a detector's
+//! `set_simd` pins a level of its own. The level is captured at layer
+//! construction ([`crate::ServingLstm::new`]) and consulted per call; the
+//! plain instantiation is the reference and the permanent fallback for
+//! non-x86_64 targets.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 /// Which instantiation of the online kernels runs, ordered by width so

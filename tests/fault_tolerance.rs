@@ -6,10 +6,12 @@
 //!    gaps, duplicated/late flows, sampling renegotiation, CDet feed
 //!    dropouts, and all of them at once — streams end to end through
 //!    [`run_faulted`] producing a finite score for every customer-minute.
-//!    No panic, no NaN, no silently skipped minute.
+//!    No panic, no NaN, no silently skipped minute. While the CDet feed
+//!    is lit, an attached companion changes nothing.
 //! 2. Checkpoint → kill → resume reproduces the uninterrupted run's
 //!    scores bit for bit (0 ULP), at 1 and 4 threads, in any
-//!    crash/resume thread-count combination.
+//!    crash/resume thread-count combination; a checkpoint that leaves
+//!    nothing to resume is a typed error.
 //! 3. A property test drives the online detector directly with arbitrary
 //!    seeded presence patterns and adversarial frame values (spikes,
 //!    zeros, NaN, ±∞): outputs stay finite, out-of-order input is a typed
@@ -215,6 +217,85 @@ fn fused_runs_are_bit_identical_across_thread_counts() {
         bits(&four.survivals),
         "fused survivals diverged across thread counts"
     );
+}
+
+/// A companion that scores every window as an attack: its normalizer
+/// maps any reconstruction error above `1e-9` to 1, so wherever it votes
+/// the reported survival is 0.
+fn alarmed_companion(window: usize) -> Companion {
+    Companion {
+        ae: LstmAutoencoder::new(VOLUMETRIC_WIDTH, 4, &mut Initializer::new(5)),
+        norm: ErrorNormalizer::new(0.0, 1e-9),
+        window,
+    }
+}
+
+#[test]
+fn a_lit_feed_leaves_the_fused_run_equal_to_the_solo_run() {
+    let total = World::new(world_cfg(17)).total_minutes();
+    for name in ["clean", "outage", "gaps", "dup_late", "sampling_drift"] {
+        let schedule = FaultSchedule::builtin(name, total, 4).expect("builtin resolves");
+        let solo_cfg = run_cfg(17, 1, schedule);
+        let solo = run(&solo_cfg, RunControl::Full);
+        assert_eq!(solo.counts.degraded_feature_minutes, 0, "{name} is lit");
+        let mut fused_cfg = solo_cfg.clone();
+        fused_cfg.companion = Some(alarmed_companion(fused_cfg.xatu.window));
+        let fused = run(&fused_cfg, RunControl::Full);
+        assert_eq!(
+            bits(&fused.survivals),
+            bits(&solo.survivals),
+            "{name}: survivals"
+        );
+        assert_eq!(fused.alerts, solo.alerts, "{name}: alerts");
+        assert_eq!(fused.cdet_alerts, solo.cdet_alerts, "{name}: CDet alerts");
+        assert_eq!(fused.counts, solo.counts, "{name}: counts");
+        assert_eq!(fused.counts.fusion_ae_minutes, 0, "{name}");
+    }
+}
+
+#[test]
+fn resume_at_or_past_the_worlds_end_is_refused() {
+    let total = World::new(world_cfg(19)).total_minutes();
+    let mut path = std::env::temp_dir();
+    path.push(format!("xatu_ft_past_end_{}", std::process::id()));
+    // A checkpoint at the world's last minute, and one taken on a world a
+    // day longer, past this one's end.
+    let mut longer = run_cfg(19, 1, FaultSchedule::clean());
+    longer.world.days += 1;
+    let cases = [
+        (run_cfg(19, 1, FaultSchedule::clean()), total - 1),
+        (longer, total + 30),
+    ];
+    for (cfg, at) in cases {
+        let killed = run(
+            &cfg,
+            RunControl::CheckpointAt {
+                minute: at,
+                path: &path,
+                kill: true,
+            },
+        );
+        assert_eq!(killed.minutes_recorded, at + 1);
+        let cfg = run_cfg(19, 1, FaultSchedule::clean());
+        let model = XatuModel::new(&cfg.xatu);
+        let err = run_faulted(
+            model,
+            AttackType::UdpFlood,
+            0.5,
+            &cfg,
+            RunControl::ResumeFrom { path: &path },
+        )
+        .expect_err("a checkpoint with no tail to resume");
+        let XatuError::CheckpointMismatch { reason, .. } = &err else {
+            panic!("checkpoint at {at}: {err}");
+        };
+        let last = (total - 1).to_string();
+        assert!(
+            reason.contains(&at.to_string()) && reason.contains(&last),
+            "checkpoint at {at}: {reason}"
+        );
+    }
+    std::fs::remove_file(&path).unwrap();
 }
 
 fn bits(xs: &[f64]) -> Vec<u64> {
