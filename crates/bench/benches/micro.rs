@@ -23,7 +23,7 @@ use xatu_features::table1::FeatureExtractor;
 use xatu_features::volumetric::{distinct_sources, source_key};
 use xatu_netflow::addr::{Ipv4, Prefix, Slash24Set, Subnet24};
 use xatu_netflow::attack::AttackType;
-use xatu_netflow::binning::MinuteFlows;
+use xatu_netflow::binning::{MinuteBinner, MinuteFlows};
 use xatu_netflow::record::{FlowRecord, Protocol, TcpFlags};
 use xatu_netflow::sampler::{PacketSampler, SamplingMode};
 use xatu_nn::init::Initializer;
@@ -54,6 +54,61 @@ fn bin_with_flows(n: usize) -> MinuteFlows {
         minute: 0,
         customer,
         flows,
+    }
+}
+
+/// One minute of `per_customer` flows to each of `customers` customers,
+/// grouped by customer or interleaved round-robin (the order exporters
+/// send a mixed link in).
+fn minute_of_flows(per_customer: usize, customers: u32, interleaved: bool) -> Vec<FlowRecord> {
+    let flow = |c: u32, k: usize| FlowRecord {
+        minute: 0,
+        src: Ipv4(0x1E00_0000 + k as u32 * 977),
+        dst: Ipv4(0x1400_0001 + (c << 8)),
+        proto: Protocol::Udp,
+        src_port: (k % 7) as u16 * 443,
+        dst_port: 80,
+        tcp_flags: TcpFlags::default(),
+        bytes: 1000 + k as u64,
+        packets: 3,
+        sampling: 10,
+    };
+    if interleaved {
+        (0..per_customer)
+            .flat_map(|k| (0..customers).map(move |c| flow(c, k)))
+            .collect()
+    } else {
+        (0..customers)
+            .flat_map(|c| (0..per_customer).map(move |k| flow(c, k)))
+            .collect()
+    }
+}
+
+/// `MinuteBinner` over one minute per iteration: every flow pushed, then
+/// the minute released (`isp_dense`'s 2,400 flows x 32 customers and a
+/// `fleet_wide`-like 20 x 450). Divide by the row's flow count (76,800 or
+/// 9,000) for ns per flow; interleaved should read within 1.3x of grouped.
+fn bench_binner(c: &mut Criterion) {
+    for (per_customer, customers) in [(2400, 32), (20, 450)] {
+        for interleaved in [false, true] {
+            let flows = minute_of_flows(per_customer, customers, interleaved);
+            let order = if interleaved {
+                "interleaved"
+            } else {
+                "grouped"
+            };
+            let mut binner = MinuteBinner::new();
+            let mut minute = 0u32;
+            c.bench_function(&format!("binner_{per_customer}x{customers}_{order}"), |b| {
+                b.iter(|| {
+                    for &f in &flows {
+                        binner.push(FlowRecord { minute, ..f });
+                    }
+                    minute += 1;
+                    black_box(binner.advance_watermark(minute))
+                })
+            });
+        }
     }
 }
 
@@ -596,7 +651,7 @@ fn bench_prepare_by_threads(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_feature_extraction, bench_source_tests,
+    targets = bench_binner, bench_feature_extraction, bench_source_tests,
               bench_clustering_coefficients, bench_clustering_writes,
               bench_detection_step,
               bench_cusum, bench_rf_inference, bench_sampler, bench_warm_fwd_bwd,

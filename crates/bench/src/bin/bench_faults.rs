@@ -10,8 +10,10 @@
 //! unsupervised autoencoder companion attached, which scores the customers
 //! instead while the feed is dark). For each schedule it reports
 //! ground-truth detection coverage and mean detection delay for both
-//! detectors against the clean baseline, plus the fault, degradation and
-//! fusion counters, as `BENCH_faults_<label>.json`.
+//! detectors against the clean baseline, how many of the detected events
+//! were detected within `XatuConfig::window` minutes of their onset, plus
+//! the fault, degradation and fusion counters, as
+//! `BENCH_faults_<label>.json`.
 //!
 //! ```text
 //! cargo run --release -p xatu-bench --bin bench_faults -- [label] [seed] [customers]
@@ -55,15 +57,21 @@ use xatu_netflow::attack::AttackType;
 use xatu_simnet::{FaultSchedule, World, BUILTIN_SCHEDULES};
 
 /// Detection stats for one schedule: how many ground-truth events of the
-/// benched attack type got an overlapping Xatu alert, and how late.
+/// benched attack type got an overlapping Xatu alert, how late, and how
+/// many of those alerts came within the detection window of the onset.
 struct Coverage {
     detected: usize,
+    /// Events whose first alert came at most `window` minutes after
+    /// `anomaly_start`; an alert raised hours into a long event counts
+    /// in `detected` but not here.
+    within_window: usize,
     total: usize,
     mean_delay: f64,
 }
 
-fn coverage(report: &FaultReport, gt: &[GtEvent], ty: AttackType) -> Coverage {
+fn coverage(report: &FaultReport, gt: &[GtEvent], ty: AttackType, window: u32) -> Coverage {
     let mut detected = 0usize;
+    let mut within_window = 0usize;
     let mut total = 0usize;
     let mut delay_sum = 0.0;
     for ev in gt.iter().filter(|e| e.attack_type == ty) {
@@ -79,12 +87,15 @@ fn coverage(report: &FaultReport, gt: &[GtEvent], ty: AttackType) -> Coverage {
             .map(|a| a.detected_at)
             .min();
         if let Some(at) = hit {
+            let delay = at - ev.anomaly_start;
             detected += 1;
-            delay_sum += (at - ev.anomaly_start) as f64;
+            within_window += usize::from(delay <= window);
+            delay_sum += delay as f64;
         }
     }
     Coverage {
         detected,
+        within_window,
         total,
         mean_delay: if detected > 0 {
             delay_sum / detected as f64
@@ -174,11 +185,16 @@ fn main() {
         seeds.push(STRICT_SEED);
     }
 
+    // `cdet_dropout` events detected, and detected within the window,
+    // summed over the seeds.
     let (mut solo, mut fused) = (0, 0);
+    let (mut solo_timely, mut fused_timely) = (0, 0);
     for &seed in &seeds {
         let (s, f) = bench_seed(seed, smoke, &label, customers);
-        solo += s;
-        fused += f;
+        solo += s.detected;
+        fused += f.detected;
+        solo_timely += s.within_window;
+        fused_timely += f.within_window;
     }
     // Summed over the seeds, the companion must buy back coverage while
     // the CDet feed is down.
@@ -190,14 +206,20 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!(
-        "[bench_faults] fusion gate passed over seeds {seeds:?}: cdet_dropout solo {solo} -> fused {fused}"
+        "[bench_faults] fusion gate passed over seeds {seeds:?}: cdet_dropout solo {solo} -> fused {fused} \
+         (within the window: solo {solo_timely} -> fused {fused_timely})"
     );
 }
 
 /// Benches one seed — every schedule solo and fused, the JSON file unless
 /// `smoke`, and the seed's gates (exiting 1 on a failed one) — and
-/// returns the `cdet_dropout` events solo and fused detect.
-fn bench_seed(seed: u64, smoke: bool, label: &str, customers: Option<usize>) -> (usize, usize) {
+/// returns the `cdet_dropout` coverage of solo and fused.
+fn bench_seed(
+    seed: u64,
+    smoke: bool,
+    label: &str,
+    customers: Option<usize>,
+) -> (Coverage, Coverage) {
     let mut cfg = PipelineConfig::smoke_test(seed);
     if let Some(n) = customers {
         cfg.world.n_customers = n;
@@ -231,6 +253,7 @@ fn bench_seed(seed: u64, smoke: bool, label: &str, customers: Option<usize>) -> 
         std::process::exit(2);
     };
     let threshold = 0.5;
+    let window = u32::try_from(cfg.xatu.window).expect("a detection window fits in u32 minutes");
     let total_minutes = World::new(cfg.world).total_minutes();
     let n_customers = cfg.world.n_customers;
 
@@ -281,8 +304,8 @@ fn bench_seed(seed: u64, smoke: bool, label: &str, customers: Option<usize>) -> 
             fused.all_finite(),
             "schedule {name}: non-finite fused survival"
         );
-        let cov = coverage(&solo, &prepared.ground_truth, *ty);
-        let fcov = coverage(&fused, &prepared.ground_truth, *ty);
+        let cov = coverage(&solo, &prepared.ground_truth, *ty, window);
+        let fcov = coverage(&fused, &prepared.ground_truth, *ty, window);
         if *name == "clean" {
             clean_delay = cov.mean_delay;
         }
@@ -292,11 +315,16 @@ fn bench_seed(seed: u64, smoke: bool, label: &str, customers: Option<usize>) -> 
         rows.push(Value::Row(vec![
             ("schedule", Value::str(*name)),
             ("detected", Value::num(cov.detected)),
+            ("detected_within_window", Value::num(cov.within_window)),
             ("gt_events", Value::num(cov.total)),
             ("mean_delay_min", Value::fixed(cov.mean_delay, 2)),
             ("delay_delta_vs_clean", Value::fixed(delta, 2)),
             ("alerts", Value::num(solo.alerts.len())),
             ("detected_fused", Value::num(fcov.detected)),
+            (
+                "detected_within_window_fused",
+                Value::num(fcov.within_window),
+            ),
             ("mean_delay_fused_min", Value::fixed(fcov.mean_delay, 2)),
             ("alerts_fused", Value::num(fused.alerts.len())),
             ("fusion_engaged", Value::num(fc.fusion_engaged)),
@@ -312,14 +340,16 @@ fn bench_seed(seed: u64, smoke: bool, label: &str, customers: Option<usize>) -> 
             ),
         ]));
         eprintln!(
-            "[bench_faults] {name:>14}: solo {}/{} @ {:.2} min (Δ {:+.2}), \
-             fused {}/{} @ {:.2} min, {} fusion transitions",
+            "[bench_faults] {name:>14}: solo {}/{} ({} within {window} min) @ {:.2} min (Δ {:+.2}), \
+             fused {}/{} ({} within {window} min) @ {:.2} min, {} fusion transitions",
             cov.detected,
             cov.total,
+            cov.within_window,
             cov.mean_delay,
             delta,
             fcov.detected,
             fcov.total,
+            fcov.within_window,
             fcov.mean_delay,
             fc.fusion_engaged + fc.fusion_recovered,
         );
@@ -338,6 +368,7 @@ fn bench_seed(seed: u64, smoke: bool, label: &str, customers: Option<usize>) -> 
             ("seed", Value::num(seed)),
             ("attack_type", Value::str(format!("{ty:?}"))),
             ("threshold", Value::num(threshold)),
+            ("window", Value::num(window)),
             ("total_minutes", Value::num(total_minutes)),
             ("customers", Value::num(n_customers)),
             ("fusion_mode", Value::str("dark_only")),
@@ -398,5 +429,5 @@ fn bench_seed(seed: u64, smoke: bool, label: &str, customers: Option<usize>) -> 
     );
     let f4 = run(model, *ty, threshold, &cfg, schedule, 4, Some(&companion));
     bit_gate(&f1, &f4, &format!("fused {gate_schedule}"));
-    (solo.detected, fused.detected)
+    (solo, fused)
 }
