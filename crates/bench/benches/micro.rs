@@ -84,6 +84,45 @@ fn minute_of_flows(per_customer: usize, customers: u32, interleaved: bool) -> Ve
     }
 }
 
+/// A minute whose auxiliary-signal tail is absent, as the detector core
+/// serves it: the online step handed the 63-wide volumetric head
+/// (`dual_step_prefix63`) against the same head zero-padded to the layer's
+/// 273 inputs (`dual_step_dense273`), 39 nonzero inputs, both halves of one
+/// dual row at the fleet geometry (273 -> 4 x 24) and the host's widest
+/// level; and the sanitizer on a raw frame whose 210-wide tail is `+0.0`
+/// throughout (`sanitize_absent_tail`). The two step rows compute the same
+/// bits.
+fn bench_absent_tail(c: &mut Criterion) {
+    use xatu_nn::OnlineWorkspace;
+    let layer = Lstm::new(273, 24, &mut Initializer::new(5));
+    let lstm = ServingLstm::new(&layer);
+    let mut head = vec![0.0f64; 63];
+    // 16 is prime to 63: the first 39 of its multiples are distinct.
+    for k in 0..39 {
+        head[k * 16 % 63] = (k % 7 + 1) as f64 * 0.2;
+    }
+    let mut padded = head.clone();
+    padded.resize(273, 0.0);
+    let mut state = [(); 4].map(|_| vec![0.0f64; 24]);
+    let mut ws = OnlineWorkspace::default();
+    for (name, x) in [
+        ("dual_step_prefix63", &head),
+        ("dual_step_dense273", &padded),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let [ah, ac, fh, fc] = &mut state;
+                lstm.step_online_dual(black_box(x), ah, ac, fh, fc, &mut ws);
+                black_box(&ah);
+            })
+        });
+    }
+    let mut row = xatu_core::FrameRow::default();
+    c.bench_function("sanitize_absent_tail", |b| {
+        b.iter(|| black_box(row.sanitize_from(black_box(&padded))))
+    });
+}
+
 /// `MinuteBinner` over one minute per iteration: every flow pushed, then
 /// the minute released (`isp_dense`'s 2,400 flows x 32 customers and a
 /// `fleet_wide`-like 20 x 450). Divide by the row's flow count (76,800 or
@@ -540,7 +579,7 @@ fn bench_exact_lane_kernel(c: &mut Criterion) {
         .collect();
     let hid: Vec<f64> = (0..h).map(|i| (i as f64 * 0.37).sin()).collect();
     let (mut nz, mut all) = (LaneIndices::default(), LaneIndices::default());
-    nz.set_nonzero(&x);
+    nz.set_nonzero(&x, 273);
     all.set_all(h);
     assert_eq!(nz.count(), 39);
     let mut y = vec![0.0f64; 4 * h];
@@ -651,7 +690,7 @@ fn bench_prepare_by_threads(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_binner, bench_feature_extraction, bench_source_tests,
+    targets = bench_absent_tail, bench_binner, bench_feature_extraction, bench_source_tests,
               bench_clustering_coefficients, bench_clustering_writes,
               bench_detection_step,
               bench_cusum, bench_rf_inference, bench_sampler, bench_warm_fwd_bwd,

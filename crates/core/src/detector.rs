@@ -282,8 +282,11 @@ fn sanitize(dst: &mut [f64], raw: &[f64]) -> u64 {
 /// tail in a box that exists only while some bit of it is set. An absent
 /// tail reads as `+0.0` throughout, so a row's values are the dense row's,
 /// bit for bit; only where its zeros are stored differs.
+///
+/// Re-exported, hidden, as `xatu_core::FrameRow` for the micro-benchmarks
+/// of its sanitizer; nothing else outside this module reaches it.
 #[derive(Clone)]
-struct Row {
+pub struct Row {
     head: [f64; VOLUMETRIC_WIDTH],
     tail: Option<Tail>,
 }
@@ -307,6 +310,18 @@ impl Row {
             Some(b) => t.copy_from_slice(&b[..]),
             None => t.fill(0.0),
         }
+    }
+
+    /// The row as a step input: the head alone while the tail is absent,
+    /// a prefix whose rest is zero (what [`ServingLstm::step_online_dual`]
+    /// takes), or the whole row densified into `dense` while it is live.
+    fn input<'a>(&'a self, dense: &'a mut Vec<f64>) -> &'a [f64] {
+        if self.tail.is_none() {
+            return &self.head;
+        }
+        dense.resize(NUM_FEATURES, 0.0);
+        self.read(dense);
+        dense
     }
 
     /// The row, dense.
@@ -333,10 +348,17 @@ impl Row {
     /// non-finite. The tail goes into the live box if there is one, which
     /// is freed if nothing in it is left set; otherwise a box is made only
     /// if some sanitized tail value has a set bit.
-    fn sanitize_from(&mut self, raw: &[f64]) -> u64 {
+    ///
+    /// Most raw tails are `+0.0` throughout: with no box live, one OR over
+    /// their bits shows that nothing is to be boxed or replaced, and the
+    /// row is done.
+    pub fn sanitize_from(&mut self, raw: &[f64]) -> u64 {
         let (head, tail) = raw.split_at(VOLUMETRIC_WIDTH);
         let replaced = sanitize(&mut self.head, head);
         let slot = &mut self.tail;
+        if slot.is_none() && tail.iter().fold(0, |acc, x| acc | x.to_bits()) == 0 {
+            return replaced;
+        }
         if slot.is_none() && tail.iter().any(|x| x.is_finite() && x.to_bits() != 0) {
             *slot = Some(zero_tail());
         }
@@ -490,40 +512,32 @@ impl Customer {
         std::array::from_fn(|i| &s[i * h..(i + 1) * h])
     }
 
-    fn halves_mut(&mut self, t: usize) -> [&mut [f64]; 4] {
-        let h = self.dual.len() / (4 * TIMESCALES);
-        let s = &mut self.dual[4 * t * h..4 * (t + 1) * h];
-        let (aged_h, s) = s.split_at_mut(h);
-        let (aged_c, s) = s.split_at_mut(h);
-        let (fresh_h, fresh_c) = s.split_at_mut(h);
-        [aged_h, aged_c, fresh_h, fresh_c]
-    }
-
-    /// Steps both halves of timescale `t` on input `x` through the layer's
-    /// one online step, then ticks the ages: both advance, and at
-    /// `2·period` the fresh half is promoted and a zeroed one takes its
-    /// place.
+    /// Steps timescale `t` on the record's input, its averaged bucket or
+    /// for a granularity-1 timescale the held frame: the row's head alone
+    /// while its tail is absent, and the row densified into `dense`
+    /// otherwise ([`Row::input`]).
     fn step(
         &mut self,
         t: usize,
         period: u32,
         lstm: &ServingLstm,
-        x: &[f64],
+        dense: &mut Vec<f64>,
         ws: &mut OnlineWorkspace,
     ) {
-        let [aged_h, aged_c, fresh_h, fresh_c] = self.halves_mut(t);
-        lstm.step_online_dual(x, aged_h, aged_c, fresh_h, fresh_c, ws);
-        self.aged_age[t] += 1;
-        self.fresh_age[t] += 1;
-        if self.aged_age[t] >= 2 * period {
-            let [aged_h, aged_c, fresh_h, fresh_c] = self.halves_mut(t);
-            aged_h.copy_from_slice(fresh_h);
-            aged_c.copy_from_slice(fresh_c);
-            fresh_h.fill(0.0);
-            fresh_c.fill(0.0);
-            self.aged_age[t] = self.fresh_age[t];
-            self.fresh_age[t] = 0;
-        }
+        let Customer {
+            dual,
+            aged_age,
+            fresh_age,
+            buckets,
+            frame,
+            ..
+        } = self;
+        let x = match &buckets[t] {
+            Some(b) => b.sum.input(dense),
+            None => frame.input(dense),
+        };
+        let ages = [&mut aged_age[t], &mut fresh_age[t]];
+        step_dual(split_halves(dual, t), ages, period, lstm, x, ws);
     }
 
     /// Pushes `hazard` into the ring of the last `window` hazards and
@@ -705,6 +719,44 @@ impl Customer {
     }
 }
 
+/// Timescale `t`'s `[aged_h, aged_c, fresh_h, fresh_c]` of a record's
+/// dual states.
+fn split_halves(dual: &mut [f64], t: usize) -> [&mut [f64]; 4] {
+    let h = dual.len() / (4 * TIMESCALES);
+    let s = &mut dual[4 * t * h..4 * (t + 1) * h];
+    let (aged_h, s) = s.split_at_mut(h);
+    let (aged_c, s) = s.split_at_mut(h);
+    let (fresh_h, fresh_c) = s.split_at_mut(h);
+    [aged_h, aged_c, fresh_h, fresh_c]
+}
+
+/// Steps both halves of one timescale's dual state (`halves`, from
+/// [`split_halves`]) on `x` through the layer's one online step, then ticks
+/// their ages `[aged, fresh]`: both advance, and at `2·period` the fresh
+/// half is promoted and a zeroed one takes its place.
+fn step_dual(
+    halves: [&mut [f64]; 4],
+    ages: [&mut u32; 2],
+    period: u32,
+    lstm: &ServingLstm,
+    x: &[f64],
+    ws: &mut OnlineWorkspace,
+) {
+    let [aged_h, aged_c, fresh_h, fresh_c] = halves;
+    let [aged_age, fresh_age] = ages;
+    lstm.step_online_dual(x, aged_h, aged_c, fresh_h, fresh_c, ws);
+    *aged_age += 1;
+    *fresh_age += 1;
+    if *aged_age >= 2 * period {
+        aged_h.copy_from_slice(fresh_h);
+        aged_c.copy_from_slice(fresh_c);
+        fresh_h.fill(0.0);
+        fresh_c.fill(0.0);
+        *aged_age = *fresh_age;
+        *fresh_age = 0;
+    }
+}
+
 /// Scalar knobs of one detector, copied out so workers share them freely.
 #[derive(Clone, Copy)]
 pub(crate) struct Knobs {
@@ -734,7 +786,8 @@ pub(crate) struct RowScratch {
     step: OnlineWorkspace,
     /// Combiner input (`3·hidden`).
     pub input: Vec<f64>,
-    /// The dense input row of one step (`NUM_FEATURES`).
+    /// The dense input row of a step whose row has a live tail
+    /// (`NUM_FEATURES`).
     x: Vec<f64>,
 }
 
@@ -997,9 +1050,10 @@ pub(crate) fn finish_row(
 }
 
 /// Steps timescale `t` of the record if this minute completed its bucket
-/// and the model's mode uses it: the record's input, its averaged bucket
-/// or for a granularity-1 timescale the held frame, is read back densely
-/// into `row` and both halves of the dual state advance on it.
+/// and the model's mode uses it: both halves of the dual state advance on
+/// the record's input, its averaged bucket or for a granularity-1
+/// timescale the held frame. A row with a live tail is read back densely
+/// into `row`; one without hands over its volumetric head alone.
 pub(crate) fn step_dense(
     net: &Net<'_>,
     c: &mut Customer,
@@ -1010,13 +1064,7 @@ pub(crate) fn step_dense(
     if !(due[t] && net.k.used[t]) {
         return;
     }
-    let input = match &c.buckets[t] {
-        Some(b) => &b.sum,
-        None => &c.frame,
-    };
-    row.x.resize(NUM_FEATURES, 0.0);
-    input.read(&mut row.x);
-    c.step(t, net.k.period[t], net.layers[t], &row.x, &mut row.step);
+    c.step(t, net.k.period[t], net.layers[t], &mut row.x, &mut row.step);
 }
 
 /// One customer through one minute on the row path: `ingest`, the LSTM
@@ -1472,7 +1520,16 @@ mod before_sparse {
                 } else {
                     &d.frame[r.clone()]
                 };
-                c.step(t, net.k.period[t], net.layers[t], x, &mut row.step);
+                let ages = [&mut c.aged_age[t], &mut c.fresh_age[t]];
+                let (period, layer) = (net.k.period[t], net.layers[t]);
+                step_dual(
+                    split_halves(&mut c.dual, t),
+                    ages,
+                    period,
+                    layer,
+                    x,
+                    &mut row.step,
+                );
             }
         }
         let input = &mut row.input;
@@ -1888,6 +1945,104 @@ mod tests {
             a.customer.0
         });
         events
+    }
+
+    /// Raw tails the sanitizer's one-OR exit must tell apart: all `+0.0`
+    /// (the exit), and a lone `−0.0`, NaN, `+∞` or subnormal of either sign
+    /// at the first, a middle or the last tail position (the full scan).
+    /// Each comes after a frame whose tail was absent, after one whose tail
+    /// was live, and after one holding a lone `−0.0`, so it meets both an
+    /// absent and a live box. After every minute the live record equals
+    /// [`before_sparse`]'s dense one: the held frame and every open bucket
+    /// bit for bit, the tail boxed exactly while some bit of it is set,
+    /// the sanitized count, the dual states and the survival.
+    #[test]
+    fn absent_and_lone_value_tails_sanitize_like_the_dense_rows() {
+        const TAIL: usize = NUM_FEATURES - VOLUMETRIC_WIDTH;
+        let c = cfg();
+        let model = XatuModel::new(&c);
+        let addr = Ipv4(7);
+        let lone = [-0.0, f64::NAN, f64::INFINITY, 5e-324, -2.0e-310];
+        let mut tails: Vec<Option<(usize, f64)>> = vec![None];
+        for at in [0, 1, TAIL / 2, TAIL - 1] {
+            tails.extend(lone.iter().map(|&v| Some((at, v))));
+        }
+        let head = |m: u32| -> Vec<f64> {
+            let mut f = vec![0.0; NUM_FEATURES];
+            f[m as usize % VOLUMETRIC_WIDTH] = 0.5 + m as f64 * 0.01;
+            f[(m as usize * 7 + 3) % VOLUMETRIC_WIDTH] = -1.25;
+            f
+        };
+        let before: [fn(&mut [f64]); 3] = [
+            |_| {},
+            |f| f[VOLUMETRIC_WIDTH + 40..VOLUMETRIC_WIDTH + 44].fill(0.75),
+            |f| f[VOLUMETRIC_WIDTH + 3] = -0.0,
+        ];
+        let mut reference = Reference::new(model.clone(), &c);
+        let common = Common::new(model, AttackType::UdpFlood, DIFF_THRESHOLD, &c);
+        let net = Net::new(&common.model, common.knobs());
+        let mut obs = DetectorObs::default();
+        let mut live = Customer::new(&net.k);
+        let mut row = RowScratch::default();
+        let mut m = 0u32;
+        for tail in &tails {
+            for set_before in &before {
+                for step in 0..2 {
+                    let mut f = head(m);
+                    if step == 0 {
+                        set_before(&mut f);
+                    } else if let Some((at, v)) = *tail {
+                        f[VOLUMETRIC_WIDTH + at] = v;
+                    }
+                    reference.observe(addr, m, Some(&f));
+                    let mut out = Emitted::default();
+                    row_minute(
+                        &net,
+                        &mut obs,
+                        &mut live,
+                        addr,
+                        m,
+                        Some(&f),
+                        &mut row,
+                        &mut None,
+                        &mut out,
+                    );
+                    let what = format!("tail {tail:?}, minute {m}");
+                    let (d, rc) = (&reference.dense, &reference.customers[0]);
+                    let want_frame = &d.frame[..NUM_FEATURES];
+                    assert_eq!(
+                        bits(&live.frame.to_dense()),
+                        bits(want_frame),
+                        "{what}: frame"
+                    );
+                    let set = want_frame[VOLUMETRIC_WIDTH..]
+                        .iter()
+                        .any(|v| v.to_bits() != 0);
+                    assert_eq!(live.frame.tail.is_some(), set, "{what}: frame box");
+                    for (t, b) in live.buckets.iter().enumerate() {
+                        if let Some(b) = b {
+                            let want = &d.partial[t][..NUM_FEATURES];
+                            assert_eq!(bits(&b.sum.to_dense()), bits(want), "{what}: bucket {t}");
+                        }
+                    }
+                    assert_eq!(bits(&live.dual), bits(&rc.dual), "{what}: dual states");
+                    assert_eq!(
+                        live.last_survival.to_bits(),
+                        rc.last_survival.to_bits(),
+                        "{what}"
+                    );
+                    if xatu_obs::enabled() {
+                        let (got, want) = (
+                            &obs.values_sanitized,
+                            &reference.common.obs.values_sanitized,
+                        );
+                        assert_eq!(got.get(), want.get(), "{what}: sanitized");
+                    }
+                    m += 1;
+                }
+            }
+        }
+        assert!(!xatu_obs::enabled() || obs.values_sanitized.get() == 3 * 4 * 2);
     }
 
     /// The live frame-side rows against [`before_sparse`]'s dense ones, on

@@ -360,13 +360,15 @@ pub fn evaluate_system(
                     .collect()
             })
             .unwrap_or_default();
-        // Detection time: earliest scrub window overlapping the credited
-        // span of this event.
+        // Detection time: the earliest minute of the credited span that a
+        // scrub window covers. A window opened before the span detects at
+        // the span's start: an alert open for weeks does not detect the
+        // event weeks early.
         let credit_start = e.anomaly_start.saturating_sub(EARLY_CREDIT);
         let det = windows
             .iter()
             .filter(|w| w.start < e.mitigation_end && w.end > credit_start)
-            .map(|w| w.start)
+            .map(|w| w.start.max(credit_start))
             .min();
         match det {
             Some(d) => {
@@ -868,6 +870,31 @@ mod tests {
         assert_eq!(eval.effectiveness_values(), vec![1.0]);
         // Pre-onset scrubbing is the C area: 5×100 / 10×1000.
         assert!((eval.overhead.ratios()[0] - 0.05).abs() < 1e-9);
+    }
+
+    /// An alert open long before the credited span detects the event at
+    /// the span's start, `EARLY_CREDIT` minutes before onset, not when it
+    /// was raised.
+    #[test]
+    fn alert_open_before_the_credited_span_detects_at_its_start() {
+        let mut vs = VolumeStore::new(100);
+        let c = Ipv4(1);
+        for m in 0..50 {
+            vs.record(&udp_bin(m, c, if m < 40 { 100 } else { 1000 }));
+        }
+        let gt = vec![GtEvent {
+            customer: c,
+            attack_type: AttackType::UdpFlood,
+            anomaly_start: 40,
+            cdet_detected: 45,
+            mitigation_end: 50,
+        }];
+        let mut alerts: SystemAlerts = HashMap::new();
+        alerts.insert((c, AttackType::UdpFlood), vec![(2, 50)]);
+        let eval = evaluate_system("x", &alerts, &gt, &vs, 0, 100);
+        assert_eq!(eval.detected, 1);
+        assert_eq!(eval.delay.summary().median, -f64::from(EARLY_CREDIT));
+        assert_eq!(eval.effectiveness_values(), vec![1.0]);
     }
 
     #[test]

@@ -95,3 +95,8 @@ pub use fleet::{FleetDetector, FleetInput};
 pub use model::XatuModel;
 pub use pipeline::{Pipeline, PipelineConfig};
 pub use scenarios::{run_scenario, DetectorScore, ScenarioReport, ScenarioRunConfig};
+
+/// The detector core's frame-side row, reachable only so the
+/// micro-benchmarks can time its sanitizer.
+#[doc(hidden)]
+pub use detector::Row as FrameRow;

@@ -65,6 +65,9 @@ impl FeatureExtractor {
     /// concurrently. The spoof classifier must be finalised first
     /// ([`SpoofClassifier::ensure_built`]); [`Self::extract`] does that
     /// automatically.
+    ///
+    /// # Panics
+    /// Panics if the spoof classifier is not built.
     pub fn extract_shared(&self, bin: &MinuteFlows) -> FeatureFrame {
         let mut frame = FeatureFrame::zeros();
         let now = bin.minute;

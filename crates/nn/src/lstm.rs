@@ -735,6 +735,13 @@ impl ServingLstm {
     /// callers keep the four halves side by side in one buffer per
     /// customer.
     ///
+    /// `x` may be a prefix of the input: `x.len() <= input`, and the
+    /// inputs past it are zero. The step on a prefix equals the step on the
+    /// zero-padded row bit for bit, because the lane lists of `Wx·x` are
+    /// assigned by the layer's full width, not by `x.len()`
+    /// ([`LaneIndices`]); a detector hands over only a row's volumetric
+    /// head while its auxiliary-signal tail is absent.
+    ///
     /// The input contribution `b + Wx·x` is computed once, over `x`'s
     /// non-zero inputs, and serves both halves. Both halves' `Wh·h` come
     /// before either gate loop: the halves share nothing but that
@@ -746,7 +753,8 @@ impl ServingLstm {
     /// bit for bit at every SIMD level, pinned by property tests.
     ///
     /// # Panics
-    /// Panics if `x` or a state slice disagrees with the layer shape.
+    /// Panics if `x` is longer than the input or a state slice disagrees
+    /// with the layer shape.
     pub fn step_online_dual(
         &self,
         x: &[f64],
@@ -756,14 +764,14 @@ impl ServingLstm {
         fresh_c: &mut [f64],
         ws: &mut OnlineWorkspace,
     ) {
-        assert_eq!(x.len(), self.input, "lstm: input dim");
+        assert!(x.len() <= self.input, "lstm: input dim");
         for state in [&*aged_h, &*aged_c, &*fresh_h, &*fresh_c] {
             assert_eq!(state.len(), self.hidden, "lstm: state dim");
         }
         let OnlineWorkspace { zx, z, nz } = ws;
         zx.clear();
         zx.extend_from_slice(&self.b);
-        nz.set_nonzero(x);
+        nz.set_nonzero(x, self.input);
         self.wxt.matvec_acc_t_lanes(x, nz, zx, self.simd);
         z.clear();
         z.extend_from_slice(zx);
@@ -1036,7 +1044,7 @@ pub(crate) mod before_serving {
             let row = c * h..(c + 1) * h;
             zx.clear();
             zx.extend_from_slice(&lstm.b);
-            nz.set_nonzero(x);
+            nz.set_nonzero(x, lstm.input);
             wxt.matvec_acc_t_lanes(x, nz, zx, level);
             z.clear();
             z.extend_from_slice(zx);
@@ -1243,6 +1251,15 @@ mod tests {
         }
         assert_eq!(aged.h, trace.final_h());
         assert_eq!(aged.c, trace.final_c());
+    }
+
+    #[test]
+    #[should_panic(expected = "lstm: input dim")]
+    fn a_row_longer_than_the_input_panics() {
+        let lstm = ServingLstm::new(&Lstm::new(3, 2, &mut Initializer::new(1)));
+        let [mut ah, mut ac, mut fh, mut fc] = [(); 4].map(|_| vec![0.0; 2]);
+        let mut ws = OnlineWorkspace::default();
+        lstm.step_online_dual(&[1.0; 4], &mut ah, &mut ac, &mut fh, &mut fc, &mut ws);
     }
 
     /// One workspace serves every layer of a detector, so it must carry
@@ -1700,6 +1717,72 @@ mod tests {
                 let old = reference::forward_from(&lstm, &xs[from..], &zero).final_state;
                 for (a, b) in state.h.iter().chain(&state.c).zip(old.h.iter().chain(&old.c)) {
                     prop_assert_eq!(a.to_bits(), b.to_bits());
+                }
+            }
+        }
+
+        /// A prefix of the input is the zero-padded input: the step on
+        /// `x[..k]` equals the step on `x[..k]` padded with `+0.0` to the
+        /// layer's width, bit for bit, at the plain and the AVX2 level, for
+        /// `k` in {0, 1, 4, 63, 64, 271, 272, 273} (the fleet's 273 inputs:
+        /// empty, inside the first block of four, the volumetric head, the
+        /// last lane input, the `% 4` tail input) and at random, over
+        /// values with `±0.0` and subnormals among them. Three steps with a
+        /// fresh prefix each move both halves off zero; the halves start
+        /// apart.
+        #[test]
+        fn prefix_step_equals_the_zero_padded_step_bitwise(
+            seed in 0u64..5_000,
+            k_sel in 0usize..10,
+            k_any in 0usize..=273,
+            hidden_sel in 0usize..3,
+        ) {
+            const INPUT: usize = 273;
+            let hidden = [5usize, 9, 24][hidden_sel];
+            let layer = Lstm::new(INPUT, hidden, &mut Initializer::new(seed));
+            let mut lstm = ServingLstm::new(&layer);
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = move || {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng
+            };
+            let prefixes: Vec<Vec<f64>> = (0..3)
+                .map(|step| {
+                    let k = [0usize, 1, 4, 63, 64, 271, 272, 273]
+                        .get(k_sel)
+                        .copied()
+                        .unwrap_or((k_any + step * 61) % (INPUT + 1));
+                    (0..k)
+                        .map(|_| {
+                            let r = next();
+                            match r % 8 {
+                                0..=2 => 0.0,
+                                3 => -0.0,
+                                4 => f64::from_bits(r >> 12) * if r & 1 == 0 { 1.0 } else { -1.0 },
+                                _ => ((r >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 4.0,
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let bits = |v: &[Vec<f64>; 4]| -> Vec<u64> { v.iter().flatten().map(|x| x.to_bits()).collect() };
+            for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+                lstm.set_simd(level);
+                let start = [0.1, -0.2, 0.0, 0.3].map(|v| vec![v; hidden]);
+                let (mut got, mut want) = (start.clone(), start);
+                let mut ws = OnlineWorkspace::default();
+                let mut padded = Vec::with_capacity(INPUT);
+                for x in &prefixes {
+                    let [ah, ac, fh, fc] = &mut got;
+                    lstm.step_online_dual(x, ah, ac, fh, fc, &mut ws);
+                    padded.clear();
+                    padded.extend_from_slice(x);
+                    padded.resize(INPUT, 0.0);
+                    let [ah, ac, fh, fc] = &mut want;
+                    lstm.step_online_dual(&padded, ah, ac, fh, fc, &mut ws);
+                    prop_assert_eq!(bits(&got), bits(&want), "k {} {:?}", x.len(), level);
                 }
             }
         }

@@ -149,6 +149,12 @@ impl Matrix {
     /// — touching only the inputs listed in `idx`: the one online matvec
     /// kernel, for `Wx·x` on a row's non-zero inputs and `Wh·h` on all.
     ///
+    /// `x` may be a prefix of the input: `x.len() <= in`, and the inputs
+    /// past it are zero. `idx` is built for the full width `in`
+    /// ([`LaneIndices::set_nonzero`]), so a prefix walks the same lists, in
+    /// the same lanes, as the zero-padded vector, and the result is the
+    /// padded vector's bit for bit.
+    ///
     /// Bit-identical to `A.matvec_acc(x, y)`. Outputs go in chunks of 24
     /// (then 8, then 1). For a chunk the kernel holds **one `dot4` lane's
     /// partial sums in registers**, walks that lane's ascending inputs
@@ -167,7 +173,9 @@ impl Matrix {
     /// into an FMA, so `level` cannot move a bit.
     ///
     /// # Panics
-    /// Panics if dimensions disagree or `idx` was built for another length.
+    /// Panics if `x` is longer than the input, `y` disagrees with the
+    /// output, `idx` was built for another width or lists an input past
+    /// `x`.
     pub fn matvec_acc_t_lanes(
         &self,
         x: &[f64],
@@ -175,9 +183,9 @@ impl Matrix {
         y: &mut [f64],
         level: SimdLevel,
     ) {
-        assert_eq!(x.len(), self.rows, "matvec_t_lanes: x length");
+        assert!(x.len() <= self.rows, "matvec_t_lanes: x length");
         assert_eq!(y.len(), self.cols, "matvec_t_lanes: y length");
-        assert_eq!(idx.len, x.len(), "matvec_t_lanes: index list length");
+        assert_eq!(idx.len, self.rows, "matvec_t_lanes: index list length");
         #[cfg(target_arch = "x86_64")]
         if level.min(crate::simd::supported()) == SimdLevel::Avx2 {
             // SAFETY: `supported()` verified AVX2 on this CPU just above.
@@ -328,23 +336,35 @@ pub fn nonzero_indices_into(x: &[f64], out: &mut Vec<u32>) -> usize {
 /// Ascending input indices split the way `dot4` sums them — the four
 /// lanes `j ≡ l (mod 4)` below `len − len % 4`, then the tail — for
 /// [`Matrix::matvec_acc_t_lanes`]. Refilling keeps the allocations.
+///
+/// Lanes are assigned by the input's full width `len`, never by the length
+/// of a prefix: at 273 inputs, indices below 272 go to the lanes and 272
+/// to the tail, whether the row is passed whole or as its first 63 values.
+/// Assigning by the prefix would move its last `len % 4` indices from
+/// their lanes into the tail and change the order `dot4` adds them in.
 #[derive(Clone, Debug, Default)]
 pub struct LaneIndices {
     lanes: [Vec<u32>; 4],
     tail: Vec<u32>,
-    /// Length of the input vector the lists were built for.
+    /// Width of the input the lists were built for.
     len: usize,
 }
 
 impl LaneIndices {
-    /// The indices of `x`'s exact-nonzero entries (`-0.0` counts as zero).
-    pub fn set_nonzero(&mut self, x: &[f64]) {
-        self.fill(x.len(), |j| x[j] != 0.0);
+    /// The indices of the exact-nonzero entries (`-0.0` counts as zero) of
+    /// the `len`-wide input whose first `x.len()` values are `x` and whose
+    /// rest is zero. Only `x` is scanned.
+    ///
+    /// # Panics
+    /// Panics if `x` is longer than `len`.
+    pub fn set_nonzero(&mut self, x: &[f64], len: usize) {
+        assert!(x.len() <= len, "set_nonzero: x longer than the input");
+        self.fill(len, x.len(), |j| x[j] != 0.0);
     }
 
     /// Every index below `len`.
     pub fn set_all(&mut self, len: usize) {
-        self.fill(len, |_| true);
+        self.fill(len, len, |_| true);
     }
 
     /// How many indices are listed.
@@ -352,30 +372,42 @@ impl LaneIndices {
         self.lanes.iter().map(Vec::len).sum::<usize>() + self.tail.len()
     }
 
+    /// Lists the indices below `upto` (`<= len`) that `keep` admits, in
+    /// the lanes and tail of a `len`-wide input; `keep` is asked about
+    /// indices below `upto` only.
+    ///
     /// Branch-free on `keep` — an index is stored at its lane's fill mark,
     /// which moves on only for a kept one — because at ~14 % density a branch
     /// per input mispredicts its way to the cost of the matvec it prepares.
     /// Sizing the lanes in full first means a later input never allocates.
     #[inline]
-    fn fill(&mut self, len: usize, keep: impl Fn(usize) -> bool) {
+    fn fill(&mut self, len: usize, upto: usize, keep: impl Fn(usize) -> bool) {
+        debug_assert!(upto <= len);
         self.len = len;
         let lanes_end = len - len % 4;
+        let walked = upto.min(lanes_end);
+        let whole = walked - walked % 4;
         let mut kept = [0usize; 4];
         self.lanes
             .iter_mut()
-            .for_each(|lane| lane.resize(len / 4, 0));
-        for base in (0..lanes_end).step_by(4) {
+            .for_each(|lane| lane.resize(walked.div_ceil(4), 0));
+        for base in (0..whole).step_by(4) {
             for (l, lane) in self.lanes.iter_mut().enumerate() {
                 lane[kept[l]] = (base + l) as u32;
                 kept[l] += usize::from(keep(base + l));
             }
+        }
+        // A prefix that ends inside a block of four: its first lanes only.
+        for (l, lane) in self.lanes[..walked - whole].iter_mut().enumerate() {
+            lane[kept[l]] = (whole + l) as u32;
+            kept[l] += usize::from(keep(whole + l));
         }
         for (lane, n) in self.lanes.iter_mut().zip(kept) {
             lane.truncate(n);
         }
         self.tail.clear();
         self.tail
-            .extend((lanes_end..len).filter(|&j| keep(j)).map(|j| j as u32));
+            .extend((lanes_end..upto).filter(|&j| keep(j)).map(|j| j as u32));
     }
 }
 
@@ -388,14 +420,15 @@ impl LaneIndices {
 const CHUNK: usize = 24;
 
 /// The one body of [`Matrix::matvec_acc_t_lanes`]: `wt` is `Aᵀ`, row-major
-/// `x.len() × y.len()`. `#[inline(always)]` so that each caller — the plain
-/// entry and the AVX2 wrapper in [`crate::simd`] — compiles its own copy
-/// at its own vector width.
+/// `idx.len × y.len()`, and `x` the input or a prefix of it.
+/// `#[inline(always)]` so that each caller — the plain entry and the AVX2
+/// wrapper in [`crate::simd`] — compiles its own copy at its own vector
+/// width.
 #[inline(always)]
 pub(crate) fn t_lanes(wt: &[f64], x: &[f64], idx: &LaneIndices, y: &mut [f64]) {
     let out = y.len();
-    debug_assert_eq!(wt.len(), x.len() * out);
-    debug_assert_eq!(idx.len, x.len());
+    debug_assert_eq!(wt.len(), idx.len * out);
+    debug_assert!(x.len() <= idx.len);
     let mut o = 0;
     while o + CHUNK <= out {
         t_lanes_chunk::<CHUNK>(wt, out, o, x, idx, y);
@@ -438,8 +471,9 @@ fn t_lanes_chunk<const W: usize>(
 /// `acc += Aᵀ[j][o..o + W] · x[j]` for every `j` of `list`, in order, with
 /// the sums in a fixed-size local so they live in registers.
 ///
-/// An index past the matrix cannot come out of [`LaneIndices`]; should one
-/// appear, the walk stops there and reports `false`, and the caller panics
+/// An index past the matrix or past a prefix `x` cannot come out of
+/// [`LaneIndices`] built for them; should one appear, the walk stops there
+/// and reports `false`, and the caller panics
 /// once the chunk is done. Leaving the loop instead of panicking inside it
 /// is what lets LLVM vectorize the sums: a panicking exit in the loop body
 /// keeps them scalar.
@@ -653,7 +687,7 @@ mod tests {
                     a.matvec_acc(&x, &mut want);
                     // The lists still hold the previous case: refilling
                     // must replace it.
-                    nz.set_nonzero(&x);
+                    nz.set_nonzero(&x, n_in);
                     all.set_all(n_in);
                     assert_eq!(nz.count(), x.iter().filter(|v| **v != 0.0).count());
                     assert_eq!(all.count(), n_in);
@@ -670,6 +704,80 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A prefix of a `len`-wide input lists what the zero-padded input
+    /// lists: the same lanes, the same tail, assigned by `len`. Every
+    /// prefix of widths around each `% 4` remainder, 63, 64 and 272–275,
+    /// over values with `+0.0`, `-0.0`, subnormals and infinities among
+    /// them; one pair of lists is refilled throughout, so each case also
+    /// replaces the previous one. The kernel on the prefix equals the
+    /// kernel on the padded input bit for bit.
+    #[test]
+    fn prefix_lists_equal_the_zero_padded_lists() {
+        let special = [0.0, -0.0, 5e-324, -2.2e-308, f64::INFINITY, 1.5, -0.25];
+        let (mut prefix, mut padded) = (LaneIndices::default(), LaneIndices::default());
+        for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 63, 64, 272, 273, 274, 275] {
+            let wt = Matrix::from_vec(
+                len,
+                5,
+                (0..len * 5).map(|i| (i as f64 * 0.37).sin()).collect(),
+            );
+            for k in 0..=len {
+                let x: Vec<f64> = (0..k)
+                    .map(|j| special[(j * 5 + k) % special.len()])
+                    .collect();
+                let mut full = x.clone();
+                full.resize(len, 0.0);
+                prefix.set_nonzero(&x, len);
+                padded.set_nonzero(&full, len);
+                assert_eq!(prefix.lanes, padded.lanes, "len {len} k {k}");
+                assert_eq!(prefix.tail, padded.tail, "len {len} k {k}");
+                assert_eq!(prefix.len, len);
+                assert_eq!(padded.len, len);
+                let x = x
+                    .iter()
+                    .map(|v| if v.is_finite() { *v } else { 2.0 })
+                    .collect::<Vec<_>>();
+                let mut full = x.clone();
+                full.resize(len, 0.0);
+                prefix.set_nonzero(&x, len);
+                padded.set_nonzero(&full, len);
+                for level in [SimdLevel::Scalar, crate::simd::supported()] {
+                    let (mut got, mut want) = (vec![0.5; 5], vec![0.5; 5]);
+                    wt.matvec_acc_t_lanes(&x, &prefix, &mut got, level);
+                    wt.matvec_acc_t_lanes(&full, &padded, &mut want, level);
+                    let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|f| f.to_bits()).collect() };
+                    assert_eq!(bits(&got), bits(&want), "len {len} k {k} {level:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "set_nonzero: x longer than the input")]
+    fn a_row_longer_than_the_input_panics_in_the_lists() {
+        LaneIndices::default().set_nonzero(&[1.0; 274], 273);
+    }
+
+    #[test]
+    #[should_panic(expected = "matvec_t_lanes: x length")]
+    fn a_row_longer_than_the_input_panics_in_the_kernel() {
+        let wt = Matrix::zeros(4, 2);
+        let mut idx = LaneIndices::default();
+        idx.set_all(4);
+        wt.matvec_acc_t_lanes(&[1.0; 5], &idx, &mut [0.0; 2], SimdLevel::Scalar);
+    }
+
+    /// Lists built on a longer prefix than the one the kernel is handed
+    /// name inputs past it: a panic, not a read past `x`.
+    #[test]
+    #[should_panic(expected = "matvec_t_lanes: index out of range")]
+    fn lists_of_a_longer_prefix_panic_in_the_kernel() {
+        let wt = Matrix::zeros(8, 2);
+        let mut idx = LaneIndices::default();
+        idx.set_nonzero(&[1.0; 6], 8);
+        wt.matvec_acc_t_lanes(&[1.0; 3], &idx, &mut [0.0; 2], SimdLevel::Scalar);
     }
 
     use proptest::prelude::*;
