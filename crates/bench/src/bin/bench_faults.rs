@@ -8,12 +8,13 @@
 //! survival booster alone, falling back to volumetric-only features while
 //! the CDet feed is silent) and **fused** (the same booster with the
 //! unsupervised autoencoder companion attached, which scores the customers
-//! instead while the feed is dark). For each schedule it reports
-//! ground-truth detection coverage and mean detection delay for both
-//! detectors against the clean baseline, how many of the detected events
-//! were detected within `XatuConfig::window` minutes of their onset, plus
-//! the fault, degradation and fusion counters, as
-//! `BENCH_faults_<label>.json`.
+//! instead while the feed is dark). Both are scored by the headline's
+//! `eval::evaluate_system` against the benched type's ground truth and
+//! the clean world's volumes: events detected, detected within
+//! `XatuConfig::window` minutes of onset (`timely`), median delay (and its
+//! change against the clean schedule), median mitigation effectiveness
+//! and p75 per-customer overhead. With the fault, degradation and fusion
+//! counters they are written to `BENCH_faults_<label>.json`.
 //!
 //! ```text
 //! cargo run --release -p xatu-bench --bin bench_faults -- [label] [seed] [customers]
@@ -38,16 +39,18 @@
 //! contract, seed by seed: on a schedule whose feed never goes dark the
 //! fused run equals the solo run (survivals and alerts); on
 //! `cdet_dropout` the fused detector detects at least as many events as
-//! the solo one, and at seed 9 it strictly improves coverage or delay.
+//! the solo one, and as many timely ones; at seed 9 it strictly improves
+//! detection or median delay, and strictly improves the timely count.
 //! Summed over the seeds run, fused must detect strictly more
-//! `cdet_dropout` events than solo.
+//! `cdet_dropout` events than solo, and strictly more timely ones.
 
 use xatu_bench::json::Value;
+use xatu_bench::score::{fields, require_bit_identical};
 use xatu_core::ae_trainer::{
     new_autoencoder, reconstruction_errors, train_autoencoder, volumetric_windows_from_samples,
     AeTrainConfig,
 };
-use xatu_core::eval::GtEvent;
+use xatu_core::eval::{evaluate_system, intervals_of, GtEvent, SystemEval};
 use xatu_core::faulted::{run_faulted, FaultReport, FaultedRunConfig, RunControl};
 use xatu_core::fusion::{Companion, ErrorNormalizer};
 use xatu_core::model::XatuModel;
@@ -55,55 +58,6 @@ use xatu_core::pipeline::{Pipeline, PipelineConfig};
 use xatu_features::frame::VOLUMETRIC_WIDTH;
 use xatu_netflow::attack::AttackType;
 use xatu_simnet::{FaultSchedule, World, BUILTIN_SCHEDULES};
-
-/// Detection stats for one schedule: how many ground-truth events of the
-/// benched attack type got an overlapping Xatu alert, how late, and how
-/// many of those alerts came within the detection window of the onset.
-struct Coverage {
-    detected: usize,
-    /// Events whose first alert came at most `window` minutes after
-    /// `anomaly_start`; an alert raised hours into a long event counts
-    /// in `detected` but not here.
-    within_window: usize,
-    total: usize,
-    mean_delay: f64,
-}
-
-fn coverage(report: &FaultReport, gt: &[GtEvent], ty: AttackType, window: u32) -> Coverage {
-    let mut detected = 0usize;
-    let mut within_window = 0usize;
-    let mut total = 0usize;
-    let mut delay_sum = 0.0;
-    for ev in gt.iter().filter(|e| e.attack_type == ty) {
-        total += 1;
-        let hit = report
-            .alerts
-            .iter()
-            .filter(|a| {
-                a.customer == ev.customer
-                    && a.detected_at >= ev.anomaly_start
-                    && a.detected_at <= ev.mitigation_end
-            })
-            .map(|a| a.detected_at)
-            .min();
-        if let Some(at) = hit {
-            let delay = at - ev.anomaly_start;
-            detected += 1;
-            within_window += usize::from(delay <= window);
-            delay_sum += delay as f64;
-        }
-    }
-    Coverage {
-        detected,
-        within_window,
-        total,
-        mean_delay: if detected > 0 {
-            delay_sum / detected as f64
-        } else {
-            f64::NAN
-        },
-    }
-}
 
 fn run(
     model: &XatuModel,
@@ -125,43 +79,33 @@ fn run(
     run_faulted(model.clone(), ty, threshold, &fcfg, RunControl::Full).expect("faulted run")
 }
 
-/// True when the two reports' survivals match bit for bit.
-fn same_bits(r1: &FaultReport, r4: &FaultReport) -> bool {
-    r1.survivals.len() == r4.survivals.len()
-        && r1
-            .survivals
-            .iter()
-            .zip(&r4.survivals)
-            .all(|(a, b)| a.to_bits() == b.to_bits())
-}
-
-/// Exits non-zero unless the two reports' survivals match bit for bit.
+/// Exits 1 unless the two reports' survivals match bit for bit.
 fn bit_gate(r1: &FaultReport, r4: &FaultReport, what: &str) {
-    if !same_bits(r1, r4) {
-        if let Some(i) = r1
-            .survivals
-            .iter()
-            .zip(&r4.survivals)
-            .position(|(a, b)| a.to_bits() != b.to_bits())
-        {
-            let n = r1.customers.len();
-            eprintln!(
-                "[bench_faults] first divergence ({what}): minute {} customer {:?}: {} vs {}",
-                r1.first_minute + (i / n) as u32,
-                r1.customers[i % n],
-                r1.survivals[i],
-                r4.survivals[i],
-            );
-        }
-        eprintln!("[bench_faults] SURVIVAL MISMATCH ({what}) between threads=1 and threads=4");
-        std::process::exit(1);
-    }
-    eprintln!("[bench_faults] {what} stream bit-identical at threads=1 and threads=4");
+    require_bit_identical(
+        "bench_faults",
+        what,
+        &r1.customers,
+        r1.first_minute,
+        &r1.survivals,
+        &r4.survivals,
+    );
 }
 
 /// The seed whose `cdet_dropout` run must strictly improve on solo in
-/// coverage or delay: the committed baseline's.
+/// detection or median delay, and in the timely count: the committed
+/// baseline's.
 const STRICT_SEED: u64 = 9;
+
+/// `detected/events (timely within window) @ median delay`.
+fn brief(e: &SystemEval, window: u32) -> String {
+    format!(
+        "{}/{} ({} within {window} min) @ {:.2} min",
+        e.detected,
+        e.records.len(),
+        e.timely(window),
+        e.median_delay(),
+    )
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -185,41 +129,44 @@ fn main() {
         seeds.push(STRICT_SEED);
     }
 
-    // `cdet_dropout` events detected, and detected within the window,
-    // summed over the seeds.
-    let (mut solo, mut fused) = (0, 0);
-    let (mut solo_timely, mut fused_timely) = (0, 0);
+    // `cdet_dropout` events detected and detected timely, solo then
+    // fused, summed over the seeds.
+    let mut sums = [(0, 0); 2];
     for &seed in &seeds {
-        let (s, f) = bench_seed(seed, smoke, &label, customers);
-        solo += s.detected;
-        fused += f.detected;
-        solo_timely += s.within_window;
-        fused_timely += f.within_window;
+        for (sum, (detected, timely)) in sums
+            .iter_mut()
+            .zip(bench_seed(seed, smoke, &label, customers))
+        {
+            sum.0 += detected;
+            sum.1 += timely;
+        }
     }
-    // Summed over the seeds, the companion must buy back coverage while
-    // the CDet feed is down.
-    if fused <= solo {
+    let [(solo, solo_timely), (fused, fused_timely)] = sums;
+    // Summed over the seeds, the companion must buy back detections, and
+    // timely ones, while the CDet feed is down.
+    if fused <= solo || fused_timely <= solo_timely {
         eprintln!(
             "[bench_faults] FUSION REGRESSION on cdet_dropout over seeds {seeds:?}: \
-             solo detects {solo}, fused {fused}"
+             solo detects {solo} ({solo_timely} timely), fused {fused} ({fused_timely} timely)"
         );
         std::process::exit(1);
     }
     eprintln!(
         "[bench_faults] fusion gate passed over seeds {seeds:?}: cdet_dropout solo {solo} -> fused {fused} \
-         (within the window: solo {solo_timely} -> fused {fused_timely})"
+         (timely: solo {solo_timely} -> fused {fused_timely})"
     );
 }
 
 /// Benches one seed — every schedule solo and fused, the JSON file unless
 /// `smoke`, and the seed's gates (exiting 1 on a failed one) — and
-/// returns the `cdet_dropout` coverage of solo and fused.
+/// returns the `cdet_dropout` events detected and detected timely, solo
+/// then fused.
 fn bench_seed(
     seed: u64,
     smoke: bool,
     label: &str,
     customers: Option<usize>,
-) -> (Coverage, Coverage) {
+) -> [(usize, usize); 2] {
     let mut cfg = PipelineConfig::smoke_test(seed);
     if let Some(n) = customers {
         cfg.world.n_customers = n;
@@ -287,9 +234,22 @@ fn bench_seed(
         BUILTIN_SCHEDULES.to_vec()
     };
 
+    // The benched type's events, scored on the clean world's volumes: a
+    // fault changes what the detector sees, not what the attack was.
+    let gt: Vec<GtEvent> = prepared
+        .ground_truth
+        .iter()
+        .filter(|e| e.attack_type == *ty)
+        .copied()
+        .collect();
+    let score = |name: &str, r: &FaultReport| {
+        let alerts = intervals_of(&r.alerts, total_minutes);
+        evaluate_system(name, &alerts, &gt, prepared.volumes(), 0, total_minutes)
+    };
+
     let mut rows = Vec::new();
     let mut clean_delay = f64::NAN;
-    let mut dropout_gate: Option<(Coverage, Coverage)> = None;
+    let mut dropout_gate: Option<(SystemEval, SystemEval)> = None;
     let mut lit_diverged = Vec::new();
     for name in &schedules {
         let schedule =
@@ -304,28 +264,19 @@ fn bench_seed(
             fused.all_finite(),
             "schedule {name}: non-finite fused survival"
         );
-        let cov = coverage(&solo, &prepared.ground_truth, *ty, window);
-        let fcov = coverage(&fused, &prepared.ground_truth, *ty, window);
+        let (s, f) = (score("solo", &solo), score("fused", &fused));
         if *name == "clean" {
-            clean_delay = cov.mean_delay;
+            clean_delay = s.median_delay();
         }
-        let delta = cov.mean_delay - clean_delay;
+        let delta = s.median_delay() - clean_delay;
         let c = &solo.counts;
         let fc = &fused.counts;
         rows.push(Value::Row(vec![
             ("schedule", Value::str(*name)),
-            ("detected", Value::num(cov.detected)),
-            ("detected_within_window", Value::num(cov.within_window)),
-            ("gt_events", Value::num(cov.total)),
-            ("mean_delay_min", Value::fixed(cov.mean_delay, 2)),
+            ("solo", Value::Row(fields(&s, window))),
             ("delay_delta_vs_clean", Value::fixed(delta, 2)),
             ("alerts", Value::num(solo.alerts.len())),
-            ("detected_fused", Value::num(fcov.detected)),
-            (
-                "detected_within_window_fused",
-                Value::num(fcov.within_window),
-            ),
-            ("mean_delay_fused_min", Value::fixed(fcov.mean_delay, 2)),
+            ("fused", Value::Row(fields(&f, window))),
             ("alerts_fused", Value::num(fused.alerts.len())),
             ("fusion_engaged", Value::num(fc.fusion_engaged)),
             ("fusion_recovered", Value::num(fc.fusion_recovered)),
@@ -340,25 +291,22 @@ fn bench_seed(
             ),
         ]));
         eprintln!(
-            "[bench_faults] {name:>14}: solo {}/{} ({} within {window} min) @ {:.2} min (Δ {:+.2}), \
-             fused {}/{} ({} within {window} min) @ {:.2} min, {} fusion transitions",
-            cov.detected,
-            cov.total,
-            cov.within_window,
-            cov.mean_delay,
-            delta,
-            fcov.detected,
-            fcov.total,
-            fcov.within_window,
-            fcov.mean_delay,
+            "[bench_faults] {name:>14}: solo {} (Δ {delta:+.2}), fused {}, {} fusion transitions",
+            brief(&s, window),
+            brief(&f, window),
             fc.fusion_engaged + fc.fusion_recovered,
         );
         let lit = c.degraded_feature_minutes == 0;
-        if lit && !(same_bits(&solo, &fused) && solo.alerts == fused.alerts) {
+        let same_bits = solo
+            .survivals
+            .iter()
+            .map(|v| v.to_bits())
+            .eq(fused.survivals.iter().map(|v| v.to_bits()));
+        if lit && !(same_bits && solo.alerts == fused.alerts) {
             lit_diverged.push(*name);
         }
         if *name == "cdet_dropout" {
-            dropout_gate = Some((cov, fcov));
+            dropout_gate = Some((s, f));
         }
     }
 
@@ -382,32 +330,30 @@ fn bench_seed(
     }
 
     // Fusion contract: a lit feed leaves the fused run the solo run, and
-    // while the CDet feed is down the companion must not lose coverage
-    // against the volumetric-only fallback (at STRICT_SEED it must buy
-    // back coverage or delay).
+    // while the CDet feed is down the companion must not lose detections,
+    // nor timely ones, against the volumetric-only fallback (at
+    // STRICT_SEED it must buy back detections or delay, and timely ones).
     if !lit_diverged.is_empty() {
         eprintln!("[bench_faults] seed {seed}: fused != solo on lit schedules {lit_diverged:?}");
         std::process::exit(1);
     }
     let (solo, fused) = dropout_gate.expect("cdet_dropout ran");
+    let (solo_timely, fused_timely) = (solo.timely(window), fused.timely(window));
     let improved = fused.detected > solo.detected
-        || (fused.detected >= solo.detected && fused.mean_delay < solo.mean_delay);
-    if fused.detected < solo.detected || (seed == STRICT_SEED && !improved) {
+        || (fused.detected >= solo.detected && fused.median_delay() < solo.median_delay());
+    let strict = seed == STRICT_SEED && !(improved && fused_timely > solo_timely);
+    if fused.detected < solo.detected || fused_timely < solo_timely || strict {
         eprintln!(
-            "[bench_faults] FUSION REGRESSION on cdet_dropout, seed {seed}: solo {}/{} @ {:.2}, \
-             fused {}/{} @ {:.2}",
-            solo.detected,
-            solo.total,
-            solo.mean_delay,
-            fused.detected,
-            fused.total,
-            fused.mean_delay,
+            "[bench_faults] FUSION REGRESSION on cdet_dropout, seed {seed}: solo {}, fused {}",
+            brief(&solo, window),
+            brief(&fused, window),
         );
         std::process::exit(1);
     }
     eprintln!(
-        "[bench_faults] seed {seed}: fusion gates passed: cdet_dropout solo {}/{} @ {:.2} -> fused {}/{} @ {:.2}",
-        solo.detected, solo.total, solo.mean_delay, fused.detected, fused.total, fused.mean_delay,
+        "[bench_faults] seed {seed}: fusion gates passed: cdet_dropout solo {} -> fused {}",
+        brief(&solo, window),
+        brief(&fused, window),
     );
 
     // Thread-count determinism under fault load, solo and fused: every
@@ -429,5 +375,5 @@ fn bench_seed(
     );
     let f4 = run(model, *ty, threshold, &cfg, schedule, 4, Some(&companion));
     bit_gate(&f1, &f4, &format!("fused {gate_schedule}"));
-    (solo, fused)
+    [(solo.detected, solo_timely), (fused.detected, fused_timely)]
 }

@@ -3,10 +3,12 @@
 //! Trains the smoke-scale pipeline once, then replays every composed
 //! scenario family — multi-vector, pulse-wave, low-and-slow, carpet-bomb —
 //! through the full detector matrix: the NetScout-style and
-//! FastNetMon-style volumetric CDets and the Xatu survival booster. For
-//! each (family, detector) cell it reports
-//! detection rate, median detection delay and overhead alert-minutes, as
-//! `BENCH_scenarios.json`.
+//! FastNetMon-style volumetric CDets and the Xatu survival booster. Every
+//! (family, detector) cell is scored by the headline's
+//! `eval::evaluate_system`, one typed event per injected vector, and
+//! reports events detected, detected within `XatuConfig::window` minutes
+//! of onset (`timely`), median delay, median mitigation effectiveness and
+//! p75 per-customer overhead, as `BENCH_scenarios.json`.
 //!
 //! ```text
 //! cargo run --release -p xatu-bench --bin bench_scenarios -- [seed]
@@ -14,8 +16,9 @@
 //! ```
 //!
 //! The full run exits non-zero unless at least one family has the
-//! auxiliary-signal booster strictly beating both volumetric baselines —
-//! the tentpole claim the committed baseline pins. It also replays one
+//! auxiliary-signal booster strictly beating both volumetric baselines
+//! (more events detected, or as many at a lower median delay) — the
+//! tentpole claim the committed baseline pins. It also replays one
 //! family at 1 and 4 worker threads and requires every recorded survival
 //! to match bit for bit.
 //!
@@ -24,6 +27,7 @@
 //! NetScout invariant.
 
 use xatu_bench::json::Value;
+use xatu_bench::score::{fields, require_bit_identical};
 use xatu_core::model::XatuModel;
 use xatu_core::pipeline::{Pipeline, PipelineConfig};
 use xatu_core::scenarios::{run_scenario, ScenarioReport, ScenarioRunConfig};
@@ -31,18 +35,16 @@ use xatu_netflow::attack::AttackType;
 use xatu_simnet::ScenarioFamily;
 
 /// Does the survival booster strictly beat both
-/// volumetric detectors on this family? More spans detected wins; on a
-/// tie, detecting the same spans strictly earlier (lower median) wins.
+/// volumetric detectors on this family? More events detected wins; on a
+/// tie, detecting the same events strictly earlier (lower median) wins.
 fn booster_beats_volumetric(report: &ScenarioReport) -> bool {
     let det = |name: &str| report.score(name).map_or(0, |s| s.detected);
     let delay = |name: &str| {
-        report.score(name).map_or(f64::INFINITY, |s| {
-            if s.median_delay.is_finite() {
-                s.median_delay
-            } else {
-                f64::INFINITY
-            }
-        })
+        report
+            .score(name)
+            .map(|s| s.median_delay())
+            .filter(|d| d.is_finite())
+            .unwrap_or(f64::INFINITY)
     };
     let vol_det = det("netscout").max(det("fastnetmon"));
     let vol_delay = delay("netscout").min(delay("fastnetmon"));
@@ -51,25 +53,11 @@ fn booster_beats_volumetric(report: &ScenarioReport) -> bool {
     boost_det > vol_det || (boost_det == vol_det && boost_det > 0 && boost_delay < vol_delay)
 }
 
-fn family_json(report: &ScenarioReport) -> Value {
+fn family_json(report: &ScenarioReport, window: u32) -> Value {
     let detectors = report
         .scores
         .iter()
-        .map(|s| {
-            let rate = if s.total > 0 {
-                s.detected as f64 / s.total as f64
-            } else {
-                0.0
-            };
-            Value::Row(vec![
-                ("detector", Value::str(s.detector)),
-                ("detected", Value::num(s.detected)),
-                ("spans", Value::num(s.total)),
-                ("detection_rate", Value::fixed(rate, 3)),
-                ("median_delay_min", Value::fixed(s.median_delay, 2)),
-                ("overhead_minutes", Value::num(s.overhead_minutes)),
-            ])
-        })
+        .map(|s| Value::Row([vec![("detector", Value::str(&s.name))], fields(s, window)].concat()))
         .collect();
     Value::Obj(vec![
         ("family", Value::str(report.family.name())),
@@ -82,30 +70,16 @@ fn family_json(report: &ScenarioReport) -> Value {
     ])
 }
 
-/// Bit-compares two runs' recorded survivals; exits non-zero on mismatch.
-fn require_bit_identical(tag: &str, r1: &ScenarioReport, r4: &ScenarioReport) {
-    let same = r1.survivals.len() == r4.survivals.len()
-        && r1
-            .survivals
-            .iter()
-            .zip(&r4.survivals)
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-    if !same {
-        if let Some(i) = r1
-            .survivals
-            .iter()
-            .zip(&r4.survivals)
-            .position(|(a, b)| a.to_bits() != b.to_bits())
-        {
-            eprintln!(
-                "[bench_scenarios] {tag}: first divergence at sample {i}: {} vs {}",
-                r1.survivals[i], r4.survivals[i],
-            );
-        }
-        eprintln!("[bench_scenarios] SURVIVAL MISMATCH between threads=1 and threads=4");
-        std::process::exit(1);
-    }
-    eprintln!("[bench_scenarios] {tag}: bit-identical at threads=1 and threads=4");
+/// Exits 1 unless the two runs' recorded survivals match bit for bit.
+fn bit_gate(what: &str, r1: &ScenarioReport, r4: &ScenarioReport) {
+    require_bit_identical(
+        "bench_scenarios",
+        what,
+        &r1.customers,
+        0,
+        &r1.survivals,
+        &r4.survivals,
+    );
 }
 
 fn scenario_cfg(base: &PipelineConfig, threads: usize) -> ScenarioRunConfig {
@@ -134,20 +108,21 @@ fn smoke(seed: u64) {
         eprintln!("[bench_scenarios] smoke: non-finite survival recorded");
         std::process::exit(1);
     }
-    require_bit_identical("smoke pulse_wave", &r1, &r4);
+    bit_gate("smoke pulse_wave", &r1, &r4);
     let ns = r1.score("netscout").expect("netscout row");
     if ns.detected != 0 {
         eprintln!(
             "[bench_scenarios] smoke: pulse train no longer evades the \
              NetScout sustain ({}/{} detected)",
-            ns.detected, ns.total,
+            ns.detected,
+            ns.records.len(),
         );
         std::process::exit(1);
     }
     eprintln!(
         "[bench_scenarios] smoke OK: pulse train evades NetScout (0/{} spans), \
          {} survivals recorded",
-        ns.total,
+        ns.records.len(),
         r1.survivals.len(),
     );
 }
@@ -173,6 +148,7 @@ fn main() {
     );
 
     let cfg = scenario_cfg(&base, 1);
+    let window = u32::try_from(cfg.xatu.window).expect("a detection window fits in u32 minutes");
     let mut families = Vec::new();
     let mut wins: Vec<&'static str> = Vec::new();
     for family in ScenarioFamily::ALL {
@@ -187,22 +163,24 @@ fn main() {
         }
         for s in &report.scores {
             eprintln!(
-                "[bench_scenarios] {:>12} | {:>12}: {}/{} detected, median delay {:.2} min, \
-                 overhead {} min",
+                "[bench_scenarios] {:>12} | {:>12}: {}/{} detected ({} within {window} min), \
+                 median delay {:.2} min, p75 overhead {:.4}",
                 family.name(),
-                s.detector,
+                s.name,
                 s.detected,
-                s.total,
-                s.median_delay,
-                s.overhead_minutes,
+                s.records.len(),
+                s.timely(window),
+                s.median_delay(),
+                s.overhead.p75(),
             );
         }
-        families.push(family_json(&report));
+        families.push(family_json(&report, window));
     }
 
     let json = Value::Obj(vec![
         ("seed", Value::num(seed)),
         ("threshold", Value::num(0.5)),
+        ("window", Value::num(window)),
         ("customers", Value::num(base.world.n_customers)),
         (
             "booster_wins_families",
@@ -227,5 +205,5 @@ fn main() {
     let r1 = run_scenario(&prepared.models, &cfg, ScenarioFamily::MultiVector).expect("run");
     let cfg4 = scenario_cfg(&base, 4);
     let r4 = run_scenario(&prepared.models, &cfg4, ScenarioFamily::MultiVector).expect("run");
-    require_bit_identical("multi_vector", &r1, &r4);
+    bit_gate("multi_vector", &r1, &r4);
 }

@@ -176,7 +176,7 @@ pub fn run(seed: u64) -> String {
             "detector",
             "detected",
             "delay med",
-            "overhead min",
+            "p75 overhead",
         ],
     );
     let base = PipelineConfig::smoke_test(seed);
@@ -195,16 +195,17 @@ pub fn run(seed: u64) -> String {
     for family in [ScenarioFamily::PulseWave, ScenarioFamily::LowAndSlow] {
         let report = run_scenario(&prepared.models, &cfg, family).expect("scenario run");
         for s in &report.scores {
+            let delay = s.median_delay();
             g.row(&[
                 family.name().into(),
-                s.detector.into(),
-                format!("{}/{}", s.detected, s.total),
-                if s.median_delay.is_finite() {
-                    format!("{:.1}", s.median_delay)
+                s.name.clone(),
+                format!("{}/{}", s.detected, s.records.len()),
+                if delay.is_finite() {
+                    format!("{delay:.1}")
                 } else {
                     "—".into()
                 },
-                format!("{}", s.overhead_minutes),
+                format!("{:.4}", s.overhead.p75()),
             ]);
         }
     }

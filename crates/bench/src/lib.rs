@@ -16,6 +16,7 @@
 
 pub mod experiments;
 pub mod json;
+pub mod score;
 
 pub use experiments::run_experiment;
 pub use experiments::EXPERIMENT_IDS;

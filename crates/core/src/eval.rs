@@ -10,6 +10,7 @@ use xatu_metrics::areas::{integrate_areas, ScrubWindow};
 use xatu_metrics::delay::{DelayObs, DelayStats};
 use xatu_metrics::effectiveness::EffectivenessRecord;
 use xatu_metrics::overhead::CustomerOverhead;
+use xatu_metrics::percentile::percentile;
 use xatu_netflow::addr::Ipv4;
 use xatu_netflow::attack::AttackType;
 use xatu_netflow::binning::MinuteFlows;
@@ -315,6 +316,7 @@ pub fn intervals_of(alerts: &[Alert], close_at: u32) -> SystemAlerts {
 
 /// Full evaluation of one system against ground truth over
 /// `[eval_start, eval_end)`.
+#[derive(Clone, Debug)]
 pub struct SystemEval {
     /// System display name.
     pub name: String,
@@ -431,6 +433,23 @@ impl SystemEval {
             .iter()
             .map(|r| r.areas.effectiveness())
             .collect()
+    }
+
+    /// Events first detected at most `window` minutes after their onset.
+    /// A detection inside the early credit (a negative delay) counts.
+    pub fn timely(&self, window: u32) -> usize {
+        let window = f64::from(window);
+        self.delay
+            .detected_values()
+            .into_iter()
+            .filter(|&d| d <= window)
+            .count()
+    }
+
+    /// Median delay over the detected events (nearest rank); NaN when
+    /// none was detected.
+    pub fn median_delay(&self) -> f64 {
+        percentile(&self.delay.detected_values(), 50.0).unwrap_or(f64::NAN)
     }
 }
 
@@ -895,6 +914,62 @@ mod tests {
         assert_eq!(eval.detected, 1);
         assert_eq!(eval.delay.summary().median, -f64::from(EARLY_CREDIT));
         assert_eq!(eval.effectiveness_values(), vec![1.0]);
+    }
+
+    /// The event is typed: a scrub window of another type on the same
+    /// victim, open across the whole span, does not detect it.
+    #[test]
+    fn another_types_alert_on_the_same_victim_does_not_detect() {
+        let mut vs = VolumeStore::new(100);
+        let c = Ipv4(1);
+        for m in 40..50 {
+            vs.record(&udp_bin(m, c, 1000));
+        }
+        let gt = vec![GtEvent {
+            customer: c,
+            attack_type: AttackType::UdpFlood,
+            anomaly_start: 40,
+            cdet_detected: 40,
+            mitigation_end: 50,
+        }];
+        let mut alerts: SystemAlerts = HashMap::new();
+        alerts.insert((c, AttackType::TcpSyn), vec![(38, 50)]);
+        let eval = evaluate_system("x", &alerts, &gt, &vs, 0, 100);
+        assert_eq!(eval.detected, 0);
+        assert_eq!(eval.delay.misses(), 1);
+        assert_eq!(eval.timely(15), 0);
+        assert!(eval.median_delay().is_nan());
+        alerts.insert((c, AttackType::UdpFlood), vec![(44, 50)]);
+        let eval = evaluate_system("x", &alerts, &gt, &vs, 0, 100);
+        assert_eq!((eval.detected, eval.median_delay()), (1, 4.0));
+    }
+
+    /// `timely(window)` counts a first detection `window` minutes after
+    /// onset, not one a minute later, and counts a detection inside the
+    /// early credit.
+    #[test]
+    fn timely_counts_detections_within_the_window_of_onset() {
+        let c = |k: u32| Ipv4(k);
+        let mut gt = Vec::new();
+        let mut alerts: SystemAlerts = HashMap::new();
+        // Delays 15 (== window), 16 (window + 1) and -10 (early credit).
+        for (k, raised) in [(1, 115), (2, 116), (3, 90)] {
+            gt.push(GtEvent {
+                customer: c(k),
+                attack_type: AttackType::UdpFlood,
+                anomaly_start: 100,
+                cdet_detected: 105,
+                mitigation_end: 200,
+            });
+            alerts.insert((c(k), AttackType::UdpFlood), vec![(raised, 200)]);
+        }
+        let eval = evaluate_system("x", &alerts, &gt, &VolumeStore::new(300), 0, 300);
+        assert_eq!(eval.detected, 3);
+        assert_eq!(eval.delay.detected_values(), [15.0, 16.0, -10.0]);
+        assert_eq!(eval.timely(15), 2);
+        assert_eq!(eval.timely(16), 3);
+        assert_eq!(eval.timely(0), 1);
+        assert_eq!(eval.median_delay(), 15.0);
     }
 
     #[test]

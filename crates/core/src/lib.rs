@@ -94,7 +94,7 @@ pub use error::XatuError;
 pub use fleet::{FleetDetector, FleetInput};
 pub use model::XatuModel;
 pub use pipeline::{Pipeline, PipelineConfig};
-pub use scenarios::{run_scenario, DetectorScore, ScenarioReport, ScenarioRunConfig};
+pub use scenarios::{run_scenario, ScenarioReport, ScenarioRunConfig};
 
 /// The detector core's frame-side row, reachable only so the
 /// micro-benchmarks can time its sanitizer.

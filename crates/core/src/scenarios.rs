@@ -14,17 +14,22 @@
 //!   model, stepped by the engine on the shared feature frames
 //!   (volumetric + auxiliary signals).
 //!
-//! Each detector is scored against the scenario's ground-truth spans:
-//! detection rate, median detection delay (with the evaluation module's
-//! early credit), and overhead (alert-minutes outside any span). The
+//! Each detector is scored by the headline's scorer,
+//! [`evaluate_system`], with every ground-truth span as one typed
+//! [`GtEvent`] (onset as `anomaly_start` and CDet minute, span end as
+//! mitigation end): only an alert of the span's type on its victim
+//! detects it, delay runs from the onset with the early credit, and
+//! overhead is scrubbed volume on the engine's [`VolumeStore`]. The
 //! recorded survival series is bit-comparable across thread counts — the
 //! determinism gate in `bench_scenarios` replays a family at 1 and 4
 //! workers and requires identical bits.
+//!
+//! [`VolumeStore`]: crate::eval::VolumeStore
 
 use crate::config::XatuConfig;
 use crate::engine::{AuxFeed, Engine};
 use crate::error::XatuError;
-use crate::eval::EARLY_CREDIT;
+use crate::eval::{evaluate_system, intervals_of, GtEvent, SystemEval};
 use crate::fleet::FleetDetector;
 use crate::model::XatuModel;
 use crate::pipeline::world_extractor;
@@ -47,32 +52,17 @@ pub struct ScenarioRunConfig {
     pub threshold: f64,
 }
 
-/// One detector's score against a scenario's ground-truth spans.
-#[derive(Clone, Debug)]
-pub struct DetectorScore {
-    /// Stable detector name for reports.
-    pub detector: &'static str,
-    /// Spans with at least one matching alert in the detection window.
-    pub detected: usize,
-    /// Total ground-truth spans.
-    pub total: usize,
-    /// Median minutes from span onset to first alert (negative with early
-    /// credit; NaN when nothing was detected).
-    pub median_delay: f64,
-    /// Alert-minutes outside every span's detection window.
-    pub overhead_minutes: u64,
-}
-
 /// What one scenario run produced.
 #[derive(Clone, Debug)]
 pub struct ScenarioReport {
     /// The scenario family that ran.
     pub family: ScenarioFamily,
-    /// Ground-truth spans the detectors were scored against.
+    /// Ground-truth spans the detectors were scored against, one per
+    /// injected vector.
     pub spans: Vec<ScenarioSpan>,
-    /// Per-detector scores, in matrix order (NetScout, FastNetMon,
-    /// booster).
-    pub scores: Vec<DetectorScore>,
+    /// Per-detector scores, in matrix order (`netscout`, `fastnetmon`,
+    /// `xatu_booster`).
+    pub scores: Vec<SystemEval>,
     /// The alert log each score was computed from, in the order of
     /// `scores`.
     pub alerts: Vec<Vec<Alert>>,
@@ -91,61 +81,8 @@ impl ScenarioReport {
     }
 
     /// The score row for `detector`, if present.
-    pub fn score(&self, detector: &str) -> Option<&DetectorScore> {
-        self.scores.iter().find(|s| s.detector == detector)
-    }
-}
-
-/// Scores one detector's alert log against the ground-truth spans.
-fn score_alerts(
-    detector: &'static str,
-    alerts: &[Alert],
-    spans: &[ScenarioSpan],
-    total_minutes: u32,
-) -> DetectorScore {
-    let mut delays: Vec<f64> = Vec::new();
-    for span in spans {
-        let window_start = span.onset.saturating_sub(EARLY_CREDIT);
-        let hit = alerts
-            .iter()
-            .filter(|a| {
-                a.customer == span.victim
-                    && a.detected_at >= window_start
-                    && a.detected_at < span.end
-            })
-            .map(|a| a.detected_at)
-            .min();
-        if let Some(at) = hit {
-            delays.push(at as f64 - span.onset as f64);
-        }
-    }
-    let detected = delays.len();
-    delays.sort_by(|a, b| a.partial_cmp(b).expect("delays are finite"));
-    let median_delay = if delays.is_empty() {
-        f64::NAN
-    } else if delays.len() % 2 == 1 {
-        delays[delays.len() / 2]
-    } else {
-        0.5 * (delays[delays.len() / 2 - 1] + delays[delays.len() / 2])
-    };
-    let mut overhead_minutes = 0u64;
-    for a in alerts {
-        let end = a.mitigation_end.unwrap_or(total_minutes).min(total_minutes);
-        for m in a.detected_at..end {
-            let covered = spans
-                .iter()
-                .any(|s| s.victim == a.customer && m + EARLY_CREDIT >= s.onset && m < s.end);
-            if !covered {
-                overhead_minutes += 1;
-            }
-        }
-    }
-    DetectorScore {
-        detector,
-        detected,
-        total: spans.len(),
-        median_delay,
-        overhead_minutes,
+    pub fn score(&self, detector: &str) -> Option<&SystemEval> {
+        self.scores.iter().find(|s| s.name == detector)
     }
 }
 
@@ -210,10 +147,30 @@ pub fn run_scenario(
     }
 
     let alerts: Vec<Vec<Alert>> = logs.into_iter().map(|log| log.0).collect();
+    let events: Vec<GtEvent> = spans
+        .iter()
+        .map(|s| GtEvent {
+            customer: s.victim,
+            attack_type: s.attack_type,
+            anomaly_start: s.onset,
+            cdet_detected: s.onset,
+            mitigation_end: s.end,
+        })
+        .collect();
     let scores = ["netscout", "fastnetmon", "xatu_booster"]
         .into_iter()
         .zip(&alerts)
-        .map(|(name, log)| score_alerts(name, log, &spans, total_minutes))
+        .map(|(name, log)| {
+            let intervals = intervals_of(log, total_minutes);
+            evaluate_system(
+                name,
+                &intervals,
+                &events,
+                engine.volumes(),
+                0,
+                total_minutes,
+            )
+        })
         .collect();
     Ok(ScenarioReport {
         family,

@@ -68,6 +68,11 @@ pub fn block_ranges_into(n: usize, parts: usize, ranges: &mut Vec<(usize, usize)
 /// (or one item) this is a plain sequential map; otherwise items are
 /// processed in `threads` contiguous blocks. Output order — and every
 /// output bit — is identical for all thread counts.
+///
+/// # Panics
+/// Re-raises a panic of `f` once every block has finished, and panics if
+/// the OS refuses to start a block's thread (as [`std::thread::scope`]'s
+/// `spawn` does).
 pub fn par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -162,6 +167,9 @@ impl Default for WorkerPool {
 impl WorkerPool {
     /// Creates a pool with `workers` parked worker threads. The pool can
     /// run `workers + 1` tasks per dispatch (the caller participates).
+    ///
+    /// # Panics
+    /// As [`WorkerPool::ensure_workers`].
     pub fn new(workers: usize) -> Self {
         let mut pool = WorkerPool {
             shared: std::sync::Arc::new(PoolShared {
@@ -189,6 +197,12 @@ impl WorkerPool {
     /// Grows the pool to at least `workers` worker threads. Shrinking is
     /// not supported; extra workers simply idle through epochs without a
     /// task. Cold path: spawning allocates.
+    ///
+    /// # Panics
+    /// Panics if the OS refuses to start a worker thread. The callers on
+    /// the serving path (the fleet step, the engine's extraction) have no
+    /// error to return it through; the workers spawned before the refusal
+    /// stay parked and are joined on drop.
     pub fn ensure_workers(&mut self, workers: usize) {
         while self.handles.len() < workers {
             let index = self.handles.len();
@@ -213,8 +227,10 @@ impl WorkerPool {
     /// task `i > 0` on worker `i - 1`. Blocks until **all** workers have
     /// checked in for this epoch, then re-raises any panic.
     ///
+    /// # Panics
     /// Panics if `tasks.len()` exceeds `workers() + 1` — grow first with
-    /// [`WorkerPool::ensure_workers`].
+    /// [`WorkerPool::ensure_workers`] — and re-raises the first panic of a
+    /// task (the leader's own wins) once every task has finished.
     pub fn run_tasks<T, F>(&self, tasks: &mut [T], body: &F)
     where
         T: Send,
@@ -301,6 +317,10 @@ impl WorkerPool {
     /// the same output for every thread count, without spawning a thread
     /// per call. The pool grows to `threads − 1` workers on first use;
     /// after that a call costs one wake of the parked workers.
+    ///
+    /// # Panics
+    /// As [`WorkerPool::ensure_workers`] and [`WorkerPool::run_tasks`]: a
+    /// refused worker thread, or a panic of `f`, re-raised.
     pub fn map<T, R, F>(&mut self, threads: usize, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -314,6 +334,7 @@ impl WorkerPool {
             .into_iter()
             .map(|range| (range, Vec::new()))
             .collect();
+        // Two or more items make at least one block.
         self.ensure_workers(blocks.len() - 1);
         self.run_tasks(&mut blocks, &|block: &mut ((usize, usize), Vec<R>)| {
             let ((start, end), out) = block;
@@ -364,6 +385,8 @@ fn worker_loop(shared: &PoolShared, index: usize, mut seen: u64) {
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
             }
             seen = g.epoch;
+            // A new epoch is published with its job, and the job is taken
+            // back only after every worker has checked in for that epoch.
             g.job
                 .expect("dispatch always publishes a job with its epoch")
         };
@@ -389,6 +412,7 @@ fn worker_loop(shared: &PoolShared, index: usize, mut seen: u64) {
                 g.panic = Some(p);
             }
         }
+        // `remaining` counts every worker once per epoch, this one included.
         g.remaining -= 1;
         if g.remaining == 0 {
             shared.done.notify_one();

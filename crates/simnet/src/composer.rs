@@ -7,8 +7,9 @@
 //! time constants* in [`DetectorTimeConstants`]:
 //!
 //! * [`ScenarioFamily::MultiVector`] — three flood components (SYN + UDP +
-//!   ICMP) overlapping on one victim with staggered onsets. The control
-//!   family: loud enough that volumetric detectors should fire.
+//!   ICMP) overlapping on one victim with staggered onsets, one typed
+//!   span each. The control family: loud enough that volumetric detectors
+//!   should fire.
 //! * [`ScenarioFamily::PulseWave`] — an on/off train whose on-run is one
 //!   minute shorter than the CDet fast-path sustain, so every off minute
 //!   resets the consecutive-anomaly counter and the volumetric detector
@@ -121,11 +122,13 @@ impl ScenarioFamily {
     }
 }
 
-/// Ground truth for one attacked victim in a composed scenario.
+/// Ground truth for one injected vector in a composed scenario.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ScenarioSpan {
     /// Attacked customer.
     pub victim: Ipv4,
+    /// The vector's attack type: only an alert of this type detects it.
+    pub attack_type: AttackType,
     /// First anomalous minute.
     pub onset: u32,
     /// Exclusive end of the anomalous window.
@@ -138,7 +141,8 @@ pub struct ComposedScenario {
     pub family: ScenarioFamily,
     /// The benign-only world with the family's vectors injected.
     pub world: World,
-    /// Per-victim ground-truth spans (sorted by victim then onset).
+    /// One ground-truth span per injected vector (sorted by victim, then
+    /// onset).
     pub spans: Vec<ScenarioSpan>,
 }
 
@@ -231,12 +235,13 @@ pub fn compose(family: ScenarioFamily, base: &WorldConfig) -> ComposedScenario {
                         shape: VectorShape::Constant,
                     })
                     .expect("composed multi-vector carrier is valid");
+                spans.push(ScenarioSpan {
+                    victim: v,
+                    attack_type: ty,
+                    onset: o,
+                    end,
+                });
             }
-            spans.push(ScenarioSpan {
-                victim: v,
-                onset,
-                end,
-            });
         }
         ScenarioFamily::PulseWave => {
             // On-run one short of the fast-path sustain: the CDet
@@ -263,6 +268,7 @@ pub fn compose(family: ScenarioFamily, base: &WorldConfig) -> ComposedScenario {
                 .expect("composed pulse carrier is valid");
             spans.push(ScenarioSpan {
                 victim: v,
+                attack_type: AttackType::UdpFlood,
                 onset,
                 end,
             });
@@ -292,6 +298,7 @@ pub fn compose(family: ScenarioFamily, base: &WorldConfig) -> ComposedScenario {
                 .expect("composed low-and-slow carrier is valid");
             spans.push(ScenarioSpan {
                 victim: v,
+                attack_type: AttackType::UdpFlood,
                 onset,
                 end,
             });
@@ -321,6 +328,7 @@ pub fn compose(family: ScenarioFamily, base: &WorldConfig) -> ComposedScenario {
                     .expect("composed carpet carrier is valid");
                 spans.push(ScenarioSpan {
                     victim: v,
+                    attack_type: AttackType::UdpFlood,
                     onset: o,
                     end,
                 });
@@ -382,6 +390,39 @@ mod tests {
         assert_eq!(s.spans.len(), s.world.customers().len());
         let victims: std::collections::HashSet<_> = s.spans.iter().map(|x| x.victim).collect();
         assert_eq!(victims.len(), s.spans.len(), "one span per victim");
+        assert!(s
+            .spans
+            .iter()
+            .all(|x| x.attack_type == AttackType::UdpFlood));
+    }
+
+    #[test]
+    fn multi_vector_yields_one_typed_span_per_component() {
+        let base = WorldConfig::smoke_test(7);
+        let s = compose(ScenarioFamily::MultiVector, &base);
+        let types: Vec<AttackType> = s.spans.iter().map(|x| x.attack_type).collect();
+        assert_eq!(
+            types,
+            [
+                AttackType::TcpSyn,
+                AttackType::UdpFlood,
+                AttackType::IcmpFlood
+            ]
+        );
+        let onset = s.spans[0].onset;
+        let onsets: Vec<u32> = s.spans.iter().map(|x| x.onset).collect();
+        assert_eq!(onsets, [onset, onset + 6, onset + 12], "staggered onsets");
+        assert!(s.spans.iter().all(|x| x.end == s.spans[0].end), "one end");
+        assert!(s.spans.iter().all(|x| x.victim == s.spans[0].victim));
+        // Each span is its vector's attack window.
+        for (span, v) in s.spans.iter().zip(s.world.vectors()) {
+            assert_eq!(
+                (v.victim(), v.attack_type()),
+                (span.victim, span.attack_type)
+            );
+            assert_eq!(v.bpm_at(span.onset - 1), 0.0, "{span:?}");
+            assert!(v.bpm_at(span.end - 1) > 0.0, "{span:?}");
+        }
     }
 
     #[test]

@@ -79,6 +79,13 @@ impl FaultWindow {
     }
 }
 
+/// `t · num / den` without overflow, for `num <= den`: the product is
+/// taken in `u64`, and the quotient is at most `t`, so it fits back.
+fn fraction(t: u32, num: u32, den: u32) -> u32 {
+    debug_assert!(num <= den && den > 0);
+    (u64::from(t) * u64::from(num) / u64::from(den)) as u32
+}
+
 /// A full fault plan for one run: a set of [`FaultWindow`]s plus the seed
 /// that drives the per-flow coin flips (duplication, lateness, delays).
 #[derive(Clone, Debug, PartialEq)]
@@ -129,7 +136,7 @@ impl FaultSchedule {
                 4 => FaultKind::SamplingRenegotiation,
                 _ => FaultKind::CdetDropout,
             };
-            let start = rng.random_range(0..(total_minutes * 3 / 4).max(1));
+            let start = rng.random_range(0..fraction(total_minutes, 3, 4).max(1));
             let span = 1 + rng.random_range(0..max_span);
             let customer = if kind == FaultKind::CustomerGap {
                 Some(rng.random_range(0..n_customers.max(1)))
@@ -162,7 +169,7 @@ impl FaultSchedule {
         let w = |kind, start: u32, len: u32, customer, magnitude| FaultWindow {
             kind,
             start,
-            end: (start + len).min(t),
+            end: start.saturating_add(len).min(t),
             customer,
             magnitude,
         };
@@ -186,13 +193,13 @@ impl FaultSchedule {
             "dup_late" => vec![
                 w(FaultKind::DuplicateFlows, t / 6, span, None, 0.5),
                 w(FaultKind::LateFlows, t / 3, span, None, 0.4),
-                w(FaultKind::LateFlows, (t * 2) / 3, span, None, 0.3),
+                w(FaultKind::LateFlows, fraction(t, 2, 3), span, None, 0.3),
             ],
             "sampling_drift" => vec![
                 w(FaultKind::SamplingRenegotiation, t / 4, span * 2, None, 4.0),
                 w(
                     FaultKind::SamplingRenegotiation,
-                    (t * 3) / 5,
+                    fraction(t, 3, 5),
                     span,
                     None,
                     8.0,
@@ -200,7 +207,7 @@ impl FaultSchedule {
             ],
             "cdet_dropout" => vec![
                 w(FaultKind::CdetDropout, t / 5, span * 2, None, 1.0),
-                w(FaultKind::CdetDropout, (t * 3) / 5, span, None, 1.0),
+                w(FaultKind::CdetDropout, fraction(t, 3, 5), span, None, 1.0),
             ],
             "cdet_flap" => {
                 // Rapid feed up/down cycles across the middle of the run:
@@ -211,7 +218,7 @@ impl FaultSchedule {
                 let (down, up) = (14u32, 4u32);
                 let mut windows = Vec::new();
                 let mut start = t / 5;
-                while start + down <= (t * 4) / 5 {
+                while start + down <= fraction(t, 4, 5) {
                     windows.push(w(FaultKind::CdetDropout, start, down, None, 1.0));
                     start += down + up;
                 }
@@ -221,9 +228,9 @@ impl FaultSchedule {
                 w(FaultKind::CollectorOutage, t / 6, 3, None, 1.0),
                 w(FaultKind::CustomerGap, t / 4, span, Some(0), 1.0),
                 w(FaultKind::DuplicateFlows, t / 3, span, None, 0.5),
-                w(FaultKind::LateFlows, (t * 2) / 5, span, None, 0.4),
+                w(FaultKind::LateFlows, fraction(t, 2, 5), span, None, 0.4),
                 w(FaultKind::SamplingRenegotiation, t / 2, span, None, 4.0),
-                w(FaultKind::CdetDropout, (t * 3) / 5, span, None, 1.0),
+                w(FaultKind::CdetDropout, fraction(t, 3, 5), span, None, 1.0),
             ],
             _ => return None,
         };
@@ -268,6 +275,8 @@ impl FaultSchedule {
     }
 
     fn thin_factor(&self, minute: u32) -> u32 {
+        // At least 1: `max` maps NaN and anything below 1 to 1.0, and the
+        // cast saturates (+inf reads `u32::MAX`).
         self.windows
             .iter()
             .filter(|w| w.kind == FaultKind::SamplingRenegotiation && w.covers(minute))
@@ -369,6 +378,12 @@ impl FaultedWorld {
     }
 
     /// Advances one minute through the fault layer.
+    ///
+    /// # Panics
+    /// Panics when the world is [`FaultedWorld::finished`], as
+    /// [`World::step`] does. In a debug build it also panics when a late
+    /// window holds a flow at a minute within 3 of `u32::MAX`: the
+    /// delivery minute overflows (a period of over 8,000 years).
     pub fn step(&mut self) -> MinuteDelivery {
         let minute = self.world.minute();
         let mut bins = self.world.step();
@@ -429,7 +444,9 @@ impl FaultedWorld {
 
         // Late arrivals land in the bin of their *delivery* minute, keeping
         // their original `minute` field — downstream sees genuinely stale
-        // records. Arrivals into a suppressed bin are lost with it.
+        // records. Arrivals into a suppressed bin are lost with it. `ci`
+        // indexes `bins` and `present`: it was a customer index of an
+        // earlier minute, and the world's customer list never changes.
         if let Some(arrivals) = self.late.remove(&minute) {
             for (ci, f) in arrivals {
                 if present[ci] {
@@ -667,6 +684,28 @@ mod tests {
             }
         }
         assert!(FaultSchedule::builtin("nonsense", 240, 4).is_none());
+    }
+
+    /// Periods past `u32::MAX / 5` used to overflow the window arithmetic
+    /// (a debug build panicked); below that the windows are unchanged.
+    #[test]
+    fn schedules_over_the_longest_period_do_not_overflow() {
+        let t = u32::MAX;
+        // `cdet_flap` is left out: it lays a window every 18 minutes.
+        for name in BUILTIN_SCHEDULES.iter().filter(|&&n| n != "cdet_flap") {
+            let s = FaultSchedule::builtin(name, t, 4).expect("builtin resolves");
+            assert!(s.windows.iter().all(|w| w.start < w.end), "{name}");
+        }
+        let s = FaultSchedule::builtin("everything", t, 4).expect("builtin resolves");
+        let starts: Vec<u32> = s.windows.iter().map(|w| w.start).collect();
+        assert_eq!(starts[4..], [t / 2, (u64::from(t) * 3 / 5) as u32]);
+        let s = FaultSchedule::generate(3, t, 4);
+        assert!(s.windows.iter().all(|w| w.start < w.end && w.end <= t));
+        for t in [240, 5760, 1 << 20] {
+            let s = FaultSchedule::builtin("everything", t, 4).expect("builtin resolves");
+            let starts: Vec<u32> = s.windows.iter().map(|w| w.start).collect();
+            assert_eq!(starts, [t / 6, t / 4, t / 3, t * 2 / 5, t / 2, t * 3 / 5]);
+        }
     }
 
     #[test]
