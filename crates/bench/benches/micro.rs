@@ -457,11 +457,11 @@ fn bench_obs_primitives(c: &mut Criterion) {
 
 /// The exact gate kernel (`ServingLstm::gate_block`: in-tree `sigmoid`/`tanh`
 /// across the hidden lanes) on one `fleet_wide` block, and the two
-/// activations alone over one row's lanes, each at the plain and the AVX2
-/// instantiation of the same body.
+/// activations alone over one row's lanes, each at every instantiation of
+/// the same body the host has (`simd::levels()`).
 fn bench_gate_kernel(c: &mut Criterion) {
     use xatu_nn::activations::{sigmoid, tanh};
-    use xatu_nn::simd::{supported, SimdLevel};
+    use xatu_nn::simd::{levels, SimdLevel};
     const BATCH: usize = 450;
     let h = 24;
     let zs: Vec<f64> = (0..BATCH * 4 * h)
@@ -470,7 +470,7 @@ fn bench_gate_kernel(c: &mut Criterion) {
     let mut hs = vec![0.0f64; BATCH * h];
     let mut cs = vec![0.0f64; BATCH * h];
     let mut lstm = ServingLstm::new(&Lstm::new(273, h, &mut Initializer::new(3)));
-    for level in [SimdLevel::Scalar, supported()] {
+    for level in levels() {
         lstm.set_simd(level);
         c.bench_function(
             &format!("gate_block_exact_{}_b450_h24", level.name()),
@@ -494,21 +494,31 @@ fn bench_gate_kernel(c: &mut Criterion) {
     fn map_row_avx2(f: impl Fn(f64) -> f64, xs: &[f64], out: &mut [f64]) {
         map_row(f, xs, out);
     }
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    fn map_row_avx512(f: impl Fn(f64) -> f64, xs: &[f64], out: &mut [f64]) {
+        map_row(f, xs, out);
+    }
     // Generic over the activation's zero-sized fn type, so it inlines into
     // the lane loop (a `fn` pointer would not).
     #[inline(always)]
     fn map_row_at(level: SimdLevel, f: impl Fn(f64) -> f64, xs: &[f64], out: &mut [f64]) {
-        #[cfg(target_arch = "x86_64")]
-        if level == SimdLevel::Avx2 {
-            // SAFETY: the only `Avx2` passed in comes from `supported()`.
-            unsafe { map_row_avx2(f, xs, out) };
-            return;
+        match level {
+            SimdLevel::Scalar => map_row(f, xs, out),
+            // SAFETY: every level passed in comes from `levels()`, so the
+            // host has it.
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx2 => unsafe { map_row_avx2(f, xs, out) },
+            // SAFETY: as above.
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx512 => unsafe { map_row_avx512(f, xs, out) },
+            #[cfg(not(target_arch = "x86_64"))]
+            SimdLevel::Avx2 | SimdLevel::Avx512 => map_row(f, xs, out),
         }
-        map_row(f, xs, out);
     }
     fn row(c: &mut Criterion, name: &str, f: impl Fn(f64) -> f64 + Copy, xs: &[f64]) {
         let mut out = vec![0.0f64; xs.len()];
-        for level in [SimdLevel::Scalar, supported()] {
+        for level in levels() {
             c.bench_function(&format!("{name}_{}_{}", xs.len(), level.name()), |b| {
                 b.iter(|| {
                     map_row_at(level, f, black_box(xs), &mut out);
@@ -523,15 +533,13 @@ fn bench_gate_kernel(c: &mut Criterion) {
 
 /// The lane kernel where it lives: the online step, both halves of one
 /// dual row at the fleet geometry (273 -> 4 x 24), on a 14 %-dense minute
-/// frame (39 nonzeros of 273) and on a pooled bucket's ~33 % (91), forced
-/// scalar next to the host's widest level — and the bare kernel on the two
+/// frame (39 nonzeros of 273) and on a pooled bucket's ~33 % (91), at every
+/// level the host has, scalar first — and the bare kernel on the two
 /// products of one row, `Wx·x` over 39 nonzero inputs and `Wh·h` over all
 /// 24. Bit-identical at every level, so a pure throughput comparison.
 fn bench_exact_lane_kernel(c: &mut Criterion) {
-    use xatu_nn::simd::{self, SimdLevel};
     use xatu_nn::{LaneIndices, Matrix, OnlineWorkspace};
-    let mut levels = vec![SimdLevel::Scalar, simd::supported()];
-    levels.dedup();
+    let levels = xatu_nn::simd::levels();
     let mut init = Initializer::new(5);
     let layer = Lstm::new(273, 24, &mut init);
     let mut lstm = ServingLstm::new(&layer);

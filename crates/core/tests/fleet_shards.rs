@@ -215,26 +215,41 @@ fn default_geometry_is_thread_invariant_and_resumes_from_a_checkpoint_file() {
     );
 }
 
+/// Every dispatch level this host has, scalar first, after a line for each
+/// level it lacks.
+fn levels() -> Vec<SimdLevel> {
+    let levels = xatu_nn::simd::levels();
+    for lacking in [SimdLevel::Avx2, SimdLevel::Avx512] {
+        if !levels.contains(&lacking) {
+            eprintln!("skipping {}: host lacks it", lacking.name());
+        }
+    }
+    levels
+}
+
 #[test]
 fn exact_forced_scalar_matches_auto_simd_dispatch_bitwise() {
     // The exact lane kernel widens across one customer's outputs, so the
     // fleet size only moves block boundaries; what matters is the output
-    // count `4·hidden`, walked in 24-wide chunks, then 8-wide ones, then
-    // one at a time (`matrix::t_lanes`). Hidden 7 gives 28 = 24 + 4×1 and
-    // hidden 9 gives 36 = 24 + 8 + 4×1, so both tails run.
-    for hidden in [7usize, 9] {
+    // count `4·hidden`, walked in 24-wide chunks (48-wide at AVX-512), then
+    // 8-wide ones, then one at a time (`matrix::t_lanes`). Hidden 7 gives
+    // 28 = 24 + 4×1 and hidden 9 gives 36 = 24 + 8 + 4×1, so both tails
+    // run; hidden 13 gives 52 = 48 + 4×1 at AVX-512 (24 + 24 + 4×1 below).
+    // The auto run is pinned to each level in turn, so a CI rerun under
+    // `XATU_NO_SIMD=1` still reaches the wide ones.
+    let levels = levels();
+    for hidden in [7usize, 9, 13] {
         for n in [1usize, 3, 4, 7, 8, 9, 15, 16, 17] {
             for threads in [1usize, 4] {
-                let auto = run(build_with(n, &cfg_with(hidden)), n, threads);
                 let scalar = run(pinned(build_with(n, &cfg_with(hidden)), true), n, threads);
-                assert_eq!(
-                    auto.0, scalar.0,
-                    "events diverged at hidden = {hidden}, n = {n}, threads = {threads}"
-                );
-                assert_eq!(
-                    auto.1, scalar.1,
-                    "survival bits diverged at hidden = {hidden}, n = {n}, threads = {threads}"
-                );
+                for &level in &levels[1..] {
+                    let mut wide = build_with(n, &cfg_with(hidden));
+                    wide.set_simd(level);
+                    let wide = run(wide, n, threads);
+                    let at = format!("hidden = {hidden}, n = {n}, threads = {threads}, {level:?}");
+                    assert_eq!(wide.0, scalar.0, "events diverged at {at}");
+                    assert_eq!(wide.1, scalar.1, "survival bits diverged at {at}");
+                }
             }
         }
     }
@@ -251,7 +266,7 @@ fn forced_scalar_matches_auto_across_a_mid_run_checkpoint() {
     let mut first = start();
     let head = run_span(&mut first, n, threads, 0..cut);
     let ck = first.to_checkpoint();
-    for level in [SimdLevel::Scalar, xatu_nn::simd::supported()] {
+    for level in levels() {
         let mut resumed = FleetDetector::from_checkpoint(&ck).expect("restore");
         resumed.set_simd(level);
         assert_eq!(resumed.simd_level(), level);

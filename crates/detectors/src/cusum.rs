@@ -103,6 +103,8 @@ pub fn mark_anomaly_start(
     let mut cusum = Cusum::new(mean, std, numstd_for(ty));
     for (i, &x) in volume[scan_start..alert_idx].iter().enumerate() {
         if cusum.push(x) > ONSET_THRESHOLD {
+            // `scan_start + i < alert_idx <= alert_minute - base_minute`:
+            // the cast is lossless and the sum stays below `alert_minute`.
             return base_minute + (scan_start + i) as u32;
         }
     }
@@ -196,6 +198,21 @@ mod tests {
         let volume = vec![5.0; 30];
         let onset = mark_anomaly_start(&volume, 0, 30, AttackType::IcmpFlood);
         assert!(onset <= 30);
+    }
+
+    /// At the top of the minute range the onset is still the minute it
+    /// crossed at, below the alert: nothing wraps or overflows.
+    #[test]
+    fn onsets_at_the_last_minutes_do_not_overflow() {
+        let mut volume = vec![10.0; 180];
+        for v in &mut volume[171..] {
+            *v = 40.0;
+        }
+        let base = u32::MAX - 179;
+        let onset = mark_anomaly_start(&volume, base, u32::MAX, AttackType::UdpFlood);
+        assert!((base + 171..u32::MAX).contains(&onset), "onset={onset}");
+        let onset = mark_anomaly_start(&volume, u32::MAX, 5, AttackType::UdpFlood);
+        assert_eq!(onset, 5);
     }
 
     #[test]

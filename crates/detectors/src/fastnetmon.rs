@@ -16,7 +16,8 @@ use xatu_netflow::attack::AttackType;
 /// Tunables for the FastNetMon-style detector.
 #[derive(Clone, Copy, Debug)]
 pub struct FastNetMonConfig {
-    /// Sliding statistics window length (minutes).
+    /// Sliding statistics window length (minutes); `0` keeps no
+    /// statistics, and the absolute floors alone decide.
     pub window: usize,
     /// Threshold = mean + `k_sigma`·σ over the window.
     pub k_sigma: f64,
@@ -68,11 +69,13 @@ impl CellState {
         (mean, var.sqrt())
     }
 
+    /// Adds a benign minute to the ring. A zero `window` keeps no history,
+    /// so only the absolute floors decide.
     fn learn(&mut self, window: usize, bytes: f64) {
         if self.history.len() < window {
             self.history.push(bytes);
-        } else {
-            self.history[self.head] = bytes;
+        } else if let Some(slot) = self.history.get_mut(self.head) {
+            *slot = bytes;
             self.head = (self.head + 1) % window;
         }
     }
@@ -255,5 +258,23 @@ mod tests {
             .collect();
         let events = run(&mut det, &series);
         assert!(events.is_empty(), "noisy-but-stable traffic must not alert");
+    }
+
+    /// A zero statistics window keeps no history and does not panic: quiet
+    /// traffic stays quiet, and a flood over the floors still raises and
+    /// ends.
+    #[test]
+    fn a_zero_window_runs_on_the_floors() {
+        let mut det = FastNetMon::with_config(FastNetMonConfig {
+            window: 0,
+            ..FastNetMonConfig::default()
+        });
+        let mut series = vec![1e5; 60];
+        series.extend(vec![1e8; 8]);
+        series.extend(vec![1e5; 20]);
+        let events = run(&mut det, &series);
+        assert_eq!(events.len(), 2);
+        assert!(matches!(events[0], DetectorEvent::Raised(_)));
+        assert!(matches!(events[1], DetectorEvent::Ended(_)));
     }
 }

@@ -47,8 +47,7 @@ enum Node {
     Split {
         feature: usize,
         threshold: f64,
-        /// Index of the left child; right child is `left + 1`… no — both
-        /// stored explicitly for clarity.
+        /// Indices of the two children in the tree's node list.
         left: usize,
         right: usize,
     },
@@ -131,9 +130,14 @@ impl<'a> TreeBuilder<'a> {
         let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, impurity)
         for _ in 0..self.max_features {
             let f = rng.random_range(0..self.n_features);
-            // Candidate thresholds: midpoints of sorted unique values.
+            // Candidate thresholds: midpoints of sorted unique values. The
+            // total order puts a NaN at an end, where its midpoints are NaN:
+            // `x <= NaN` holds for no row, so those candidates split nothing
+            // and are skipped, and a NaN row goes right at every split. On
+            // finite values it sorts as `partial_cmp` does, `-0.0` beside
+            // `0.0`, which `dedup` merges, so the midpoints are unchanged.
             let mut vals: Vec<f64> = indices.iter().map(|&i| self.xs[i][f]).collect();
-            vals.sort_by(|a, b| a.partial_cmp(b).expect("NaN feature"));
+            vals.sort_by(f64::total_cmp);
             vals.dedup();
             if vals.len() < 2 {
                 continue;
@@ -197,7 +201,8 @@ pub struct RandomForest {
 }
 
 impl RandomForest {
-    /// Trains a forest on `(xs, ys)`.
+    /// Trains a forest on `(xs, ys)`. A NaN feature value never decides a
+    /// split: the row goes right wherever that feature is tested.
     ///
     /// # Panics
     /// Panics on empty or ragged input.
@@ -241,6 +246,9 @@ impl RandomForest {
     }
 
     /// Hard prediction at a 0.5 cut.
+    ///
+    /// # Panics
+    /// Panics if `x` has the wrong dimensionality.
     pub fn predict(&self, x: &[f64]) -> bool {
         self.predict_proba(x) >= 0.5
     }
@@ -399,6 +407,31 @@ mod tests {
         assert_eq!(cfg.n_trees, 10);
         assert_eq!(cfg.max_depth, 4);
         assert_eq!(score, 14.0);
+    }
+
+    /// A NaN among the training features neither panics nor leaks into a
+    /// score: its candidate thresholds split nothing, the finite values
+    /// still separate the classes, and a NaN query goes right.
+    #[test]
+    fn nan_features_train_and_predict() {
+        let (mut xs, ys) = blobs(100, 6);
+        for x in xs.iter_mut().step_by(7) {
+            x[0] = f64::NAN;
+        }
+        let cfg = RfConfig {
+            n_trees: 10,
+            seed: 6,
+            ..RfConfig::default()
+        };
+        let rf = RandomForest::train(&xs, &ys, cfg);
+        let correct = xs
+            .iter()
+            .zip(&ys)
+            .filter(|(x, &y)| rf.predict(x) == y)
+            .count();
+        assert!(correct >= 90, "{correct}/100");
+        let p = rf.predict_proba(&[f64::NAN, f64::NAN]);
+        assert!((0.0..=1.0).contains(&p));
     }
 
     #[test]

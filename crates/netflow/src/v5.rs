@@ -137,62 +137,131 @@ pub fn parse_datagram(bytes: &[u8]) -> Result<Vec<FlowRecord>, V5Error> {
 /// was, so a collector can decode a whole feed into one reused buffer. One
 /// record no exporter can mean — a flow that ends before it starts, or
 /// octets carried in no packets — rejects the whole datagram.
+///
+/// The header and each record are read as fixed-size arrays, so every
+/// field offset is checked when this compiles, not per byte.
 pub fn parse_datagram_into(bytes: &[u8], out: &mut Vec<FlowRecord>) -> Result<usize, V5Error> {
-    if bytes.len() < HEADER_LEN {
+    let Some((header, body)) = bytes.split_first_chunk::<HEADER_LEN>() else {
         return Err(V5Error::TooShort);
-    }
-    let be16 = |o: usize| u16::from_be_bytes([bytes[o], bytes[o + 1]]);
-    let be32 = |o: usize| u32::from_be_bytes([bytes[o], bytes[o + 1], bytes[o + 2], bytes[o + 3]]);
-    let version = be16(0);
+    };
+    let version = be16(header, 0);
     if version != 5 {
         return Err(V5Error::BadVersion(version));
     }
-    let count = be16(2) as usize;
-    let available = (bytes.len() - HEADER_LEN) / RECORD_LEN;
-    if count > available {
+    let declared = be16(header, 2);
+    let (records, _) = body.as_chunks::<RECORD_LEN>();
+    let Some(records) = records.get(..usize::from(declared)) else {
         return Err(V5Error::CountMismatch {
-            declared: count as u16,
-            available,
+            declared,
+            available: records.len(),
         });
-    }
-    let sampling = (be16(22) & 0x3FFF).max(1) as u32;
-    for i in 0..count {
-        let o = HEADER_LEN + i * RECORD_LEN;
+    };
+    let sampling = u32::from((be16(header, 22) & 0x3FFF).max(1));
+    for (i, r) in records.iter().enumerate() {
+        // `i` < `declared`, a `u16`.
         let record = i as u16;
-        if be32(o + 28) < be32(o + 24) {
+        if be32(r, 28) < be32(r, 24) {
             return Err(V5Error::LastBeforeFirst { record });
         }
-        if be32(o + 16) == 0 && be32(o + 20) > 0 {
+        if be32(r, 16) == 0 && be32(r, 20) > 0 {
             return Err(V5Error::OctetsWithoutPackets { record });
         }
     }
 
     // Every check is above: from here on nothing fails, so `out` only
-    // ever grows by whole datagrams. `count` is bounded by the input's
+    // ever grows by whole datagrams. `records` is bounded by the input's
     // own length.
-    out.reserve(count);
-    for i in 0..count {
-        let o = HEADER_LEN + i * RECORD_LEN;
-        let first_ms = be32(o + 24);
-        out.push(FlowRecord {
-            minute: first_ms / 60_000,
-            src: Ipv4(be32(o)),
-            dst: Ipv4(be32(o + 4)),
-            proto: Protocol::from_number(bytes[o + 38]),
-            src_port: be16(o + 32),
-            dst_port: be16(o + 34),
-            tcp_flags: TcpFlags(bytes[o + 37]),
-            bytes: be32(o + 20) as u64,
-            packets: be32(o + 16) as u64,
-            sampling,
-        });
-    }
-    Ok(count)
+    out.reserve(records.len());
+    out.extend(records.iter().map(|r| FlowRecord {
+        minute: be32(r, 24) / 60_000,
+        src: Ipv4(be32(r, 0)),
+        dst: Ipv4(be32(r, 4)),
+        proto: Protocol::from_number(r[38]),
+        src_port: be16(r, 32),
+        dst_port: be16(r, 34),
+        tcp_flags: TcpFlags(r[37]),
+        bytes: u64::from(be32(r, 20)),
+        packets: u64::from(be32(r, 16)),
+        sampling,
+    }));
+    Ok(records.len())
+}
+
+/// The big-endian `u16` at `o` of a fixed-size block; `o` is a constant at
+/// every call, so the bounds check folds away.
+#[inline(always)]
+fn be16<const N: usize>(b: &[u8; N], o: usize) -> u16 {
+    u16::from_be_bytes([b[o], b[o + 1]])
+}
+
+/// The big-endian `u32` at `o` of a fixed-size block, as [`be16`].
+#[inline(always)]
+fn be32<const N: usize>(b: &[u8; N], o: usize) -> u32 {
+    u32::from_be_bytes([b[o], b[o + 1], b[o + 2], b[o + 3]])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The decoder before it read fixed-size records, kept verbatim as the
+    /// reference the current one must equal on every input.
+    fn reference_parse_datagram_into(
+        bytes: &[u8],
+        out: &mut Vec<FlowRecord>,
+    ) -> Result<usize, V5Error> {
+        if bytes.len() < HEADER_LEN {
+            return Err(V5Error::TooShort);
+        }
+        let be16 = |o: usize| u16::from_be_bytes([bytes[o], bytes[o + 1]]);
+        let be32 =
+            |o: usize| u32::from_be_bytes([bytes[o], bytes[o + 1], bytes[o + 2], bytes[o + 3]]);
+        let version = be16(0);
+        if version != 5 {
+            return Err(V5Error::BadVersion(version));
+        }
+        let count = be16(2) as usize;
+        let available = (bytes.len() - HEADER_LEN) / RECORD_LEN;
+        if count > available {
+            return Err(V5Error::CountMismatch {
+                declared: count as u16,
+                available,
+            });
+        }
+        let sampling = (be16(22) & 0x3FFF).max(1) as u32;
+        for i in 0..count {
+            let o = HEADER_LEN + i * RECORD_LEN;
+            let record = i as u16;
+            if be32(o + 28) < be32(o + 24) {
+                return Err(V5Error::LastBeforeFirst { record });
+            }
+            if be32(o + 16) == 0 && be32(o + 20) > 0 {
+                return Err(V5Error::OctetsWithoutPackets { record });
+            }
+        }
+
+        // Every check is above: from here on nothing fails, so `out` only
+        // ever grows by whole datagrams. `count` is bounded by the input's
+        // own length.
+        out.reserve(count);
+        for i in 0..count {
+            let o = HEADER_LEN + i * RECORD_LEN;
+            let first_ms = be32(o + 24);
+            out.push(FlowRecord {
+                minute: first_ms / 60_000,
+                src: Ipv4(be32(o)),
+                dst: Ipv4(be32(o + 4)),
+                proto: Protocol::from_number(bytes[o + 38]),
+                src_port: be16(o + 32),
+                dst_port: be16(o + 34),
+                tcp_flags: TcpFlags(bytes[o + 37]),
+                bytes: be32(o + 20) as u64,
+                packets: be32(o + 16) as u64,
+                sampling,
+            });
+        }
+        Ok(count)
+    }
 
     fn flows(n: usize) -> Vec<FlowRecord> {
         (0..n)
@@ -331,6 +400,9 @@ mod tests {
             parse_datagram(bytes),
             result.map(|n| out[out.len() - n..].to_vec())
         );
+        let mut frozen = before;
+        assert_eq!(reference_parse_datagram_into(bytes, &mut frozen), result);
+        assert_eq!(frozen, *out);
         result
     }
 
@@ -358,6 +430,58 @@ mod tests {
     }
 
     proptest::proptest! {
+        /// The decoder equals the frozen per-byte one — the same result,
+        /// the same records appended — on random bytes under a v5 header,
+        /// and on valid datagrams with their header, their timestamps and
+        /// counters, or their length mutated.
+        #[test]
+        fn fixed_size_records_decode_like_the_frozen_reference(
+            bytes in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..1600),
+            count in 0u16..40,
+            words in proptest::collection::vec(proptest::arbitrary::any::<u64>(), 0..=2 * MAX_RECORDS),
+            sampling in 0u16..=u16::MAX,
+            edits in proptest::collection::vec(proptest::arbitrary::any::<u32>(), 0..8),
+        ) {
+            let check = |bytes: &[u8]| {
+                let (mut got, mut want) = (flows(3), flows(3));
+                let result = parse_datagram_into(bytes, &mut got);
+                assert_eq!(result, reference_parse_datagram_into(bytes, &mut want));
+                assert_eq!(got, want);
+            };
+            let mut random = bytes;
+            check(&random);
+            if random.len() >= 4 {
+                random[..2].copy_from_slice(&5u16.to_be_bytes());
+                random[2..4].copy_from_slice(&count.to_be_bytes());
+            }
+            check(&random);
+
+            let sent: Vec<FlowRecord> = words
+                .chunks_exact(2)
+                .map(|w| wire_flow(w[0], w[1], sampling.max(1)))
+                .collect();
+            let mut dgram = encode_datagram(&sent, 3, sampling);
+            check(&dgram);
+            for edit in edits {
+                let at = (edit >> 8) as usize % (dgram.len() + 1);
+                match edit % 4 {
+                    0 => dgram.truncate(at),
+                    1 => dgram.extend(std::iter::repeat_n(edit as u8, at % 60)),
+                    // A record's counters and timestamps, bytes 16..32.
+                    2 if dgram.len() > HEADER_LEN => {
+                        let k = at % ((dgram.len() - HEADER_LEN) / RECORD_LEN).max(1);
+                        let o = HEADER_LEN + k * RECORD_LEN + 16 + (edit >> 16) as usize % 16;
+                        if o < dgram.len() {
+                            dgram[o] = (edit >> 20) as u8;
+                        }
+                    }
+                    _ if at < dgram.len() => dgram[at] ^= 1 << (edit >> 16 & 7),
+                    _ => {}
+                }
+                check(&dgram);
+            }
+        }
+
         #[test]
         fn arbitrary_bytes_never_panic_and_never_half_append(
             bytes in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..2000),

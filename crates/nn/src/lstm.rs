@@ -253,14 +253,16 @@ pub struct OnlineWorkspace {
     nz: LaneIndices,
 }
 
-/// Hidden units per pass of [`gate_rows`]: two `ymm` of lanes per loop.
+/// Hidden units per pass of [`gate_rows`]: two `ymm` (one `zmm`) of lanes
+/// per loop.
 /// Measured on the `gate_block_exact_*` bench rows against 4, 12 and 24.
 const GATE_LANES: usize = 8;
 
-/// The one body of [`ServingLstm::gate_block`], compiled at the baseline here and
-/// again inside [`simd::x86::gate_rows_avx2`]. The lanes are a row's hidden
-/// units, each an independent chain of IEEE `+ − × ÷`, so both copies return
-/// the bits of calling [`sigmoid`]/[`tanh`] one element at a time. Zipped
+/// The one body of [`ServingLstm::gate_block`], compiled at the baseline and
+/// again inside [`simd::x86::gate_rows_avx2`] and
+/// [`simd::x86::gate_rows_avx512`]. The lanes are a row's hidden units, each
+/// an independent chain of IEEE `+ − × ÷`, so every copy returns the bits of
+/// calling [`sigmoid`]/[`tanh`] one element at a time. Zipped
 /// slices, no index: a panicking exit would stop LLVM vectorizing the loop.
 ///
 /// A row goes [`GATE_LANES`] units at a time through [`gate_lanes`]; the
@@ -680,8 +682,7 @@ pub struct ServingLstm {
     all: LaneIndices,
     /// SIMD level of the kernels: [`simd::detect`] at construction (so
     /// `XATU_NO_SIMD` is honored), overridable with
-    /// [`ServingLstm::set_simd`]. Never above [`simd::supported`] —
-    /// [`ServingLstm::gate_block`] relies on it.
+    /// [`ServingLstm::set_simd`]. Never above [`simd::supported`].
     simd: SimdLevel,
 }
 
@@ -794,15 +795,7 @@ impl ServingLstm {
         assert_eq!(zs.len(), batch * 4 * h, "lstm: gate zs length");
         assert_eq!(hs.len(), batch * h, "lstm: gate hs length");
         assert_eq!(cs.len(), batch * h, "lstm: gate cs length");
-        #[cfg(target_arch = "x86_64")]
-        if self.simd == SimdLevel::Avx2 {
-            // SAFETY: `simd` is private and only ever holds a level clamped
-            // to `simd::supported()` (`new`, `set_simd`), so AVX2 was
-            // detected at runtime.
-            unsafe { simd::x86::gate_rows_avx2(zs, h, hs, cs) };
-            return;
-        }
-        gate_rows(zs, h, hs, cs);
+        simd::gate_rows(self.simd, zs, h, hs, cs);
     }
 }
 
@@ -986,17 +979,6 @@ pub(crate) mod before_serving {
         }
     }
 
-    fn gate_block(level: SimdLevel, h: usize, zs: &[f64], hs: &mut [f64], cs: &mut [f64]) {
-        #[cfg(target_arch = "x86_64")]
-        if level.min(simd::supported()) == SimdLevel::Avx2 {
-            // SAFETY: `supported()` verified AVX2 on this CPU just above.
-            unsafe { simd::x86::gate_rows_avx2(zs, h, hs, cs) };
-            return;
-        }
-        let _ = level;
-        gate_rows(zs, h, hs, cs);
-    }
-
     pub fn step_online_slices(
         lstm: &Lstm,
         level: SimdLevel,
@@ -1012,7 +994,7 @@ pub(crate) mod before_serving {
         nonzero_indices_into(x, nz);
         wx_acc(lstm, x, nz, z);
         lstm.wh.matvec_acc(h_state, z);
-        gate_block(level, lstm.hidden, z, h_state, c_state);
+        simd::gate_rows(level, z, lstm.hidden, h_state, c_state);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1050,14 +1032,14 @@ pub(crate) mod before_serving {
             z.extend_from_slice(zx);
             wht.matvec_acc_t_lanes(&aged_hs[row.clone()], all, z, level);
             wht.matvec_acc_t_lanes(&fresh_hs[row.clone()], all, zx, level);
-            gate_block(
+            simd::gate_rows(
                 level,
-                h,
                 z,
+                h,
                 &mut aged_hs[row.clone()],
                 &mut aged_cs[row.clone()],
             );
-            gate_block(level, h, zx, &mut fresh_hs[row.clone()], &mut fresh_cs[row]);
+            simd::gate_rows(level, zx, h, &mut fresh_hs[row.clone()], &mut fresh_cs[row]);
         }
     }
 }
@@ -1320,8 +1302,9 @@ mod tests {
             .collect()
     }
 
-    /// The gate kernel's two instantiations and the element-at-a-time loop
-    /// agree to the bit at every vector remainder, edge inputs included.
+    /// Every instantiation of the gate kernel and the element-at-a-time
+    /// loop agree to the bit at every vector remainder, edge inputs
+    /// included.
     #[test]
     fn gate_block_levels_match_scalar_elements_bitwise() {
         let edges = [
@@ -1335,11 +1318,9 @@ mod tests {
             -745.0,
             0.875,
         ];
+        let levels = simd::levels_noting_skips();
         for hidden in (1..=9).chain([12, 24, 31, 32, 33]) {
-            let mut plain = ServingLstm::new(&Lstm::new(1, hidden, &mut Initializer::new(3)));
-            let mut wide = plain.clone();
-            plain.set_simd(SimdLevel::Scalar);
-            wide.set_simd(simd::supported());
+            let mut layer = ServingLstm::new(&Lstm::new(1, hidden, &mut Initializer::new(3)));
             for batch in [1usize, 2, 7, 450] {
                 let n = batch * hidden;
                 let mut zs: Vec<f64> = (0..4 * n)
@@ -1358,7 +1339,8 @@ mod tests {
                     gate_row_by_element(z, h, c);
                 }
                 let bits = nan_blind_bits;
-                for layer in [&plain, &wide] {
+                for &level in &levels {
+                    layer.set_simd(level);
                     let mut got = (vec![0.0; n], cs0.clone());
                     layer.gate_block(&zs, batch, &mut got.0, &mut got.1);
                     let at = format!("hidden {hidden} batch {batch} {:?}", layer.simd);
@@ -1393,6 +1375,7 @@ mod tests {
             -TANH_CUT + f64::EPSILON,
         ];
         let bits = nan_blind_bits;
+        let levels = simd::levels_noting_skips();
         for hidden in [
             1,
             GATE_LANES - 1,
@@ -1417,7 +1400,7 @@ mod tests {
                         }
                         let mut want = (vec![0.0; hidden], cs0.clone());
                         gate_row_by_element(&zs, &mut want.0, &mut want.1);
-                        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+                        for &level in &levels {
                             layer.set_simd(level);
                             let mut got = (vec![0.0; hidden], cs0.clone());
                             layer.gate_block(&zs, 1, &mut got.0, &mut got.1);
@@ -1620,16 +1603,17 @@ mod tests {
         /// identical value. The hidden sizes cover `Wh` inputs with and
         /// without a `% 4` tail, outputs short of a 24-wide chunk (1–5),
         /// exactly one (6), chunk + 8-wide (8), whole chunks only (12,
-        /// 24), chunks + 1-wide (25), and gate rows below, at and past
-        /// `GATE_LANES`.
+        /// 24; one and two 48-wide ones at AVX-512), a 48-wide chunk +
+        /// 8-wide (14), chunks + 1-wide (25), and gate rows below, at and
+        /// past `GATE_LANES`.
         #[test]
         fn online_dual_step_matches_per_half_bitwise(
             seed in 0u64..5_000,
             input in 1usize..6,
-            hidden_sel in 0usize..10,
+            hidden_sel in 0usize..11,
             rows_sel in 0usize..3,
         ) {
-            let hidden = [1usize, 2, 3, 4, 5, 6, 8, 12, 24, 25][hidden_sel];
+            let hidden = [1usize, 2, 3, 4, 5, 6, 8, 12, 14, 24, 25][hidden_sel];
             let rows = [1usize, 3, 64][rows_sel];
             let mut init = Initializer::new(seed.wrapping_add(77));
             let layer = Lstm::new(input, hidden, &mut init);
@@ -1651,7 +1635,7 @@ mod tests {
                 }
             }
 
-            for level in [SimdLevel::Scalar, simd::supported()] {
+            for level in simd::levels() {
                 lstm.set_simd(level);
                 let (mut want_aged, mut want_fresh) = (aged.clone(), fresh.clone());
                 let (mut got_aged, mut got_fresh) = (aged.clone(), fresh.clone());
@@ -1723,7 +1707,7 @@ mod tests {
 
         /// A prefix of the input is the zero-padded input: the step on
         /// `x[..k]` equals the step on `x[..k]` padded with `+0.0` to the
-        /// layer's width, bit for bit, at the plain and the AVX2 level, for
+        /// layer's width, bit for bit, at every level the host has, for
         /// `k` in {0, 1, 4, 63, 64, 271, 272, 273} (the fleet's 273 inputs:
         /// empty, inside the first block of four, the volumetric head, the
         /// last lane input, the `% 4` tail input) and at random, over
@@ -1735,10 +1719,10 @@ mod tests {
             seed in 0u64..5_000,
             k_sel in 0usize..10,
             k_any in 0usize..=273,
-            hidden_sel in 0usize..3,
+            hidden_sel in 0usize..4,
         ) {
             const INPUT: usize = 273;
-            let hidden = [5usize, 9, 24][hidden_sel];
+            let hidden = [5usize, 9, 13, 24][hidden_sel];
             let layer = Lstm::new(INPUT, hidden, &mut Initializer::new(seed));
             let mut lstm = ServingLstm::new(&layer);
             let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -1768,7 +1752,7 @@ mod tests {
                 })
                 .collect();
             let bits = |v: &[Vec<f64>; 4]| -> Vec<u64> { v.iter().flatten().map(|x| x.to_bits()).collect() };
-            for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+            for level in simd::levels() {
                 lstm.set_simd(level);
                 let start = [0.1, -0.2, 0.0, 0.3].map(|v| vec![v; hidden]);
                 let (mut got, mut want) = (start.clone(), start);
@@ -1791,7 +1775,7 @@ mod tests {
         /// `Lstm::forward`, bit for bit: hidden 7, 9 and 24, fleets of 1, 2,
         /// 7 and 450 rows stepped in ragged runs (rows sit out steps at
         /// random, as fleet rows mid-gap do), inputs from no zeros to all
-        /// zeros with `-0.0` among them, at both levels. The serving step
+        /// zeros with `-0.0` among them, at every level. The serving step
         /// (row by row through one workspace), the frozen block step (one
         /// call per run) and the frozen row step advance separate copies of
         /// every state; each half must also equal `Lstm::forward` over the
@@ -1837,7 +1821,7 @@ mod tests {
                 })
                 .collect();
             let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
-            for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+            for level in simd::levels() {
                 serving.set_simd(level);
                 let n = batch * hidden;
                 // [aged_h, aged_c, fresh_h, fresh_c] per implementation:

@@ -155,8 +155,8 @@ impl Matrix {
     /// the same lanes, as the zero-padded vector, and the result is the
     /// padded vector's bit for bit.
     ///
-    /// Bit-identical to `A.matvec_acc(x, y)`. Outputs go in chunks of 24
-    /// (then 8, then 1). For a chunk the kernel holds **one `dot4` lane's
+    /// Bit-identical to `A.matvec_acc(x, y)`. Outputs go in chunks of 24,
+    /// 48 at AVX-512 (then 8, then 1). For a chunk the kernel holds **one `dot4` lane's
     /// partial sums in registers**, walks that lane's ascending inputs
     /// `j ≡ l (mod 4)` doing `acc += Aᵀ[j][chunk] · x[j]` — a separate
     /// multiply and add — parks the lane, folds `(s0+s1)+(s2+s3)`, adds the
@@ -167,10 +167,11 @@ impl Matrix {
     /// weight is one contiguous load per multiply-add and no output needs a
     /// horizontal fold.
     ///
-    /// The body is safe Rust, written once and compiled twice: plain, and
-    /// inside an AVX2 `#[target_feature]` wrapper taken when `level` allows
-    /// it and the CPU has it. rustc never contracts a multiply and an add
-    /// into an FMA, so `level` cannot move a bit.
+    /// The body is safe Rust, written once and compiled three times:
+    /// plain, and inside an AVX2 and an AVX-512 `#[target_feature]` wrapper,
+    /// each taken when `level` allows it and the CPU has it. rustc never
+    /// contracts a multiply and an add into an FMA, so `level` cannot move
+    /// a bit.
     ///
     /// # Panics
     /// Panics if `x` is longer than the input, `y` disagrees with the
@@ -186,14 +187,7 @@ impl Matrix {
         assert!(x.len() <= self.rows, "matvec_t_lanes: x length");
         assert_eq!(y.len(), self.cols, "matvec_t_lanes: y length");
         assert_eq!(idx.len, self.rows, "matvec_t_lanes: index list length");
-        #[cfg(target_arch = "x86_64")]
-        if level.min(crate::simd::supported()) == SimdLevel::Avx2 {
-            // SAFETY: `supported()` verified AVX2 on this CPU just above.
-            unsafe { crate::simd::x86::t_lanes_avx2(&self.data, x, idx, y) };
-            return;
-        }
-        let _ = level; // only read on x86_64
-        t_lanes(&self.data, x, idx, y);
+        crate::simd::t_lanes(level, &self.data, x, idx, y);
     }
 
     /// `y += Aᵀ·x` — transposed matrix-vector multiply-accumulate.
@@ -411,28 +405,34 @@ impl LaneIndices {
     }
 }
 
-/// First chunk width of [`t_lanes`], by measurement: 24 doubles are six `ymm`
-/// sums. With 32 — eight `ymm`, every register spoken for once the broadcast
-/// and a product are counted — LLVM gives five of the second lane's eight sums
-/// a stack slot for their whole life, its own walk included, and that loop
-/// does load-add-store on five of its chains. DESIGN.md §17 has the
-/// disassembly and the numbers for 16, 24, 32 and 48.
-const CHUNK: usize = 24;
+/// First chunk width of the plain and AVX2 [`t_lanes`], by measurement: 24
+/// doubles are six `ymm` sums. With 32 — eight `ymm`, every register spoken
+/// for once the broadcast and a product are counted — LLVM gives five of the
+/// second lane's eight sums a stack slot for their whole life, its own walk
+/// included, and that loop does load-add-store on five of its chains.
+/// DESIGN.md §17 has the disassembly and the numbers for 16, 24, 32 and 48.
+pub(crate) const CHUNK: usize = 24;
+
+/// First chunk width of the AVX-512 [`t_lanes`]: six `zmm` sums per lane,
+/// and the four lanes' 24 fit the 32 registers. DESIGN.md §17 has the
+/// numbers for 24, 48 and 96.
+pub(crate) const CHUNK_AVX512: usize = 48;
 
 /// The one body of [`Matrix::matvec_acc_t_lanes`]: `wt` is `Aᵀ`, row-major
-/// `idx.len × y.len()`, and `x` the input or a prefix of it.
-/// `#[inline(always)]` so that each caller — the plain entry and the AVX2
-/// wrapper in [`crate::simd`] — compiles its own copy at its own vector
-/// width.
+/// `idx.len × y.len()`, and `x` the input or a prefix of it. Outputs go
+/// `FIRST` at a time, then 8, then 1; per output the arithmetic does not
+/// depend on the chunk. `#[inline(always)]` so that each caller — the plain
+/// entry and the wrappers in [`crate::simd`] — compiles its own copy at its
+/// own vector width.
 #[inline(always)]
-pub(crate) fn t_lanes(wt: &[f64], x: &[f64], idx: &LaneIndices, y: &mut [f64]) {
+pub(crate) fn t_lanes<const FIRST: usize>(wt: &[f64], x: &[f64], idx: &LaneIndices, y: &mut [f64]) {
     let out = y.len();
     debug_assert_eq!(wt.len(), idx.len * out);
     debug_assert!(x.len() <= idx.len);
     let mut o = 0;
-    while o + CHUNK <= out {
-        t_lanes_chunk::<CHUNK>(wt, out, o, x, idx, y);
-        o += CHUNK;
+    while o + FIRST <= out {
+        t_lanes_chunk::<FIRST>(wt, out, o, x, idx, y);
+        o += FIRST;
     }
     while o + 8 <= out {
         t_lanes_chunk::<8>(wt, out, o, x, idx, y);
@@ -648,10 +648,11 @@ mod tests {
 
     /// The register-blocked kernel on the transpose must be bit-identical
     /// to the row-major `matvec_acc`. The whole grid, not a sample: every
-    /// input tail (0–3), every output chunk remainder (24-, 8- and 1-wide,
-    /// up to the paper's hidden 200), zeros planted from none to all of `x`
-    /// (half of them `-0.0`), the non-zero and the all-indices lists, and
-    /// the plain and AVX2 instantiations where the host has both.
+    /// input tail (0–3), every output width to two 48-wide chunks and a
+    /// remainder (so every remainder of the 48-, 24-, 8- and 1-wide chunks),
+    /// then the paper's hidden 200 and 800, zeros planted from none to all
+    /// of `x` (half of them `-0.0`), the non-zero and the all-indices
+    /// lists, and every instantiation the host has.
     #[test]
     fn t_lanes_matches_matvec_acc_bitwise() {
         let mut state = 0x5EED_u64;
@@ -666,8 +667,9 @@ mod tests {
         let mut value = |scale: f64| ((next() >> 11) as f64 / (1u64 << 52) as f64 - 1.0) * scale;
         let (mut nz, mut all) = (LaneIndices::default(), LaneIndices::default());
         let mut at = Matrix::zeros(0, 0);
+        let levels = crate::simd::levels_noting_skips();
         for n_in in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 24, 273] {
-            for n_out in [1usize, 7, 8, 23, 24, 25, 31, 32, 33, 48, 96, 100, 800] {
+            for n_out in (1usize..=104).chain([200, 800]) {
                 let weights = (0..n_out * n_in).map(|_| value(1.0e6)).collect();
                 let a = Matrix::from_vec(n_out, n_in, weights);
                 a.transpose_into(&mut at);
@@ -692,7 +694,7 @@ mod tests {
                     assert_eq!(nz.count(), x.iter().filter(|v| **v != 0.0).count());
                     assert_eq!(all.count(), n_in);
                     for idx in [&nz, &all] {
-                        for level in [SimdLevel::Scalar, crate::simd::supported()] {
+                        for &level in &levels {
                             let mut got = vec![init; n_out];
                             at.matvec_acc_t_lanes(&x, idx, &mut got, level);
                             let bits =
@@ -712,16 +714,20 @@ mod tests {
     /// over values with `+0.0`, `-0.0`, subnormals and infinities among
     /// them; one pair of lists is refilled throughout, so each case also
     /// replaces the previous one. The kernel on the prefix equals the
-    /// kernel on the padded input bit for bit.
+    /// kernel on the padded input bit for bit, over every chunk width at
+    /// every level.
     #[test]
     fn prefix_lists_equal_the_zero_padded_lists() {
         let special = [0.0, -0.0, 5e-324, -2.2e-308, f64::INFINITY, 1.5, -0.25];
         let (mut prefix, mut padded) = (LaneIndices::default(), LaneIndices::default());
+        let levels = crate::simd::levels_noting_skips();
         for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 63, 64, 272, 273, 274, 275] {
+            // 61 outputs: a 48-wide chunk, an 8 and five 1-wide ones at
+            // AVX-512; two 24s, an 8 and five 1s below it.
             let wt = Matrix::from_vec(
                 len,
-                5,
-                (0..len * 5).map(|i| (i as f64 * 0.37).sin()).collect(),
+                61,
+                (0..len * 61).map(|i| (i as f64 * 0.37).sin()).collect(),
             );
             for k in 0..=len {
                 let x: Vec<f64> = (0..k)
@@ -743,8 +749,8 @@ mod tests {
                 full.resize(len, 0.0);
                 prefix.set_nonzero(&x, len);
                 padded.set_nonzero(&full, len);
-                for level in [SimdLevel::Scalar, crate::simd::supported()] {
-                    let (mut got, mut want) = (vec![0.5; 5], vec![0.5; 5]);
+                for &level in &levels {
+                    let (mut got, mut want) = (vec![0.5; 61], vec![0.5; 61]);
                     wt.matvec_acc_t_lanes(&x, &prefix, &mut got, level);
                     wt.matvec_acc_t_lanes(&full, &padded, &mut want, level);
                     let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|f| f.to_bits()).collect() };
