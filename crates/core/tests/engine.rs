@@ -455,3 +455,64 @@ fn self_feeding_forgets_the_cdet_alerts_open_when_it_starts() {
     );
     assert_eq!(filed(&self_fed), None, "the self-fed feed forgot it");
 }
+
+/// A known fault, pinned: the served path never prunes the A2 sets.
+/// `FeatureExtractor::new` builds `PrevAttackerTracker` without a
+/// retention horizon and nothing on the engine's path calls `prune`, so
+/// every /24 that matched an alert's signature stays a previous attacker
+/// of that customer for as long as the engine runs. Bounding it moves
+/// frames; when it is bounded, this test is the one to change.
+#[test]
+fn an_alerted_customers_a2_set_never_shrinks_after_the_alert_ends() {
+    let mut world = compose(ScenarioFamily::CarpetBomb, &WorldConfig::smoke_test(9)).world;
+    let mut e = engine(&world, &[], 1);
+    let customers = e.customers().to_vec();
+    let present = vec![true; customers.len()];
+    let a2 = |e: &Engine| -> Vec<usize> {
+        let tracker = &e.aux().extractor().prev_attackers;
+        customers
+            .iter()
+            .map(|&c| tracker.attacker_count(c))
+            .collect()
+    };
+    let mut last = a2(&e);
+    let mut ended: Vec<(Ipv4, u32, usize)> = Vec::new();
+    let mut minute = 0;
+    while !world.finished() {
+        minute = world.minute();
+        let closed = e
+            .close_bins(minute, &world.step(), &present, true)
+            .expect("close");
+        let now = a2(&e);
+        for (c, (&before, &after)) in customers.iter().zip(last.iter().zip(&now)) {
+            assert!(after >= before, "{c}'s A2 set shrank at minute {minute}");
+        }
+        for ev in &closed.cdet_events {
+            if let DetectorEvent::Ended(a) = ev {
+                let at = customers.iter().position(|&c| c == a.customer);
+                ended.push((a.customer, minute, at.map_or(0, |i| now[i])));
+            }
+        }
+        last = now;
+    }
+    // The alert that ended first: its set was non-empty then and is at
+    // least that size at the end of the run, days after the window of any
+    // other tracker has slid past it.
+    let &(customer, at, size) = ended.first().expect("a CDet alert ended");
+    let end = customers
+        .iter()
+        .position(|&c| c == customer)
+        .map(|i| last[i]);
+    assert!(
+        size > 0,
+        "{customer}'s alert ended at {at} with an empty set"
+    );
+    assert!(
+        end >= Some(size),
+        "{customer}: {size} at minute {at}, {end:?} at {minute}"
+    );
+    assert!(
+        minute >= at + 24 * 60,
+        "the run ends a day after the alert ({at} -> {minute})"
+    );
+}

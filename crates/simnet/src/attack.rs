@@ -70,6 +70,16 @@ pub enum InvalidEvent {
     BadRampRate(f64),
     /// `peak_bpm` is non-finite or negative.
     BadPeak(f64),
+    /// `spoofed_frac` or `spoof_detectable_frac` is not a probability in
+    /// `[0, 1]`.
+    BadFraction(f64),
+    /// `botnet_id` names no botnet of the world it is injected into.
+    UnknownBotnet {
+        /// The event's botnet id.
+        botnet_id: usize,
+        /// Botnets in the world's ecosystem.
+        botnets: usize,
+    },
 }
 
 impl std::fmt::Display for InvalidEvent {
@@ -87,6 +97,10 @@ impl std::fmt::Display for InvalidEvent {
             } => write!(f, "ramp of {ramp_minutes} min exceeds duration {duration}"),
             InvalidEvent::BadRampRate(dr) => write!(f, "invalid ramp rate dR = {dr}"),
             InvalidEvent::BadPeak(p) => write!(f, "invalid peak volume {p}"),
+            InvalidEvent::BadFraction(p) => write!(f, "spoofed fraction {p} is not in [0, 1]"),
+            InvalidEvent::UnknownBotnet { botnet_id, botnets } => {
+                write!(f, "botnet {botnet_id} does not exist ({botnets} botnets)")
+            }
         }
     }
 }
@@ -171,6 +185,13 @@ impl AttackEvent {
         if self.ramp_minutes > 0 && !(self.ramp_dr.is_finite() && self.ramp_dr > 0.0) {
             return Err(InvalidEvent::BadRampRate(self.ramp_dr));
         }
+        // Emission draws a Bernoulli trial on each; outside `[0, 1]` (NaN
+        // included) the draw panics.
+        for p in [self.spoofed_frac, self.spoof_detectable_frac] {
+            if !(0.0..=1.0).contains(&p) {
+                return Err(InvalidEvent::BadFraction(p));
+            }
+        }
         Ok(())
     }
 
@@ -194,7 +215,7 @@ impl AttackEvent {
             AttackPhase::Inactive
         } else if minute < self.onset {
             AttackPhase::Preparation
-        } else if minute < self.onset + self.ramp_minutes {
+        } else if minute < self.onset.saturating_add(self.ramp_minutes) {
             AttackPhase::RampUp
         } else {
             AttackPhase::Plateau
@@ -235,6 +256,11 @@ impl AttackEvent {
     }
 
     /// Emits the event's flows for one minute.
+    ///
+    /// # Panics
+    /// Panics if a DNS amplification event is given no `resolvers`, if
+    /// `botnet` has no subnets, or if the event's spoofed fractions are not
+    /// in `[0, 1]` ([`AttackEvent::validate`] rejects those).
     pub fn emit(
         &self,
         minute: u32,

@@ -183,6 +183,11 @@ fn carrier(
 /// The returned world keeps `base`'s seed (same customers, benign
 /// profiles, botnet ecosystem and blocklists) but drops the background
 /// attack chains, so the matrix measures exactly the injected vectors.
+///
+/// # Panics
+/// Panics if `base` has no customers or no botnets (every carrier rides
+/// botnet 0), if its benign volumes are infinite (a carrier's peak is a
+/// multiple of its victim's), or as [`World::new`] does.
 pub fn compose(family: ScenarioFamily, base: &WorldConfig) -> ComposedScenario {
     let cfg = WorldConfig {
         n_chains: 0,
@@ -196,18 +201,14 @@ pub fn compose(family: ScenarioFamily, base: &WorldConfig) -> ComposedScenario {
 
     // Onset late enough for detector warmup and prep history, with head
     // room for the longest family (low-and-slow runs 150 minutes).
-    let onset = (total * 3 / 5).min(total.saturating_sub(240));
+    // Three fifths of a `u32` fits a `u32`; the product may not.
+    let three_fifths = u32::try_from(u64::from(total) * 3 / 5).unwrap_or(total);
+    let onset = three_fifths.min(total.saturating_sub(240));
     let prep_start = onset.saturating_sub(2 * MINUTES_PER_DAY);
     // Baselines up front: the injection loop needs `world` mutably.
-    let baselines: Vec<f64> = world
-        .customers()
-        .iter()
-        .map(|&c| {
-            world
-                .baseline_bpm(c)
-                .expect("every customer has a baseline")
-        })
-        .collect();
+    let baselines = world.baselines();
+    // Below `n`, the length of `baselines`, so the narrowing is exact and
+    // `baselines[victim_of(..)]` is in bounds.
     let victim_of = |k: u64| -> usize { (splitmix64(base.seed ^ k) % n as u64) as usize };
 
     let mut spans = Vec::new();
@@ -347,6 +348,25 @@ pub fn compose(family: ScenarioFamily, base: &WorldConfig) -> ComposedScenario {
 mod tests {
     use super::*;
     use crate::config::WorldConfig;
+
+    /// A period whose minutes overflow `u32` arithmetic at three fifths:
+    /// the onset is still placed exactly, and the carpet covers everyone.
+    #[test]
+    fn onsets_on_a_period_past_u32_overflow_are_exact() {
+        let base = WorldConfig {
+            n_customers: 2,
+            days: 2_000_000,
+            ..WorldConfig::smoke_test(3)
+        };
+        let total = base.total_minutes();
+        assert!(total.checked_mul(3).is_none());
+        let composed = compose(ScenarioFamily::CarpetBomb, &base);
+        let onset = (u64::from(total) * 3 / 5) as u32;
+        assert_eq!(composed.spans.len(), 2);
+        for span in &composed.spans {
+            assert!((onset..onset + 3).contains(&span.onset), "{span:?}");
+        }
+    }
 
     #[test]
     fn evasive_tuning_sits_under_detector_constants() {

@@ -94,9 +94,10 @@ impl Default for WorldConfig {
 }
 
 impl WorldConfig {
-    /// Total simulated minutes.
+    /// Total simulated minutes, saturating at `u32::MAX` (a period of
+    /// over 8,000 years).
     pub fn total_minutes(&self) -> u32 {
-        self.days * MINUTES_PER_DAY
+        self.days.saturating_mul(MINUTES_PER_DAY)
     }
 
     /// A tiny world for unit tests and smoke runs (seconds, not minutes).

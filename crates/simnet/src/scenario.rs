@@ -100,9 +100,11 @@ pub fn single_udp_attack(seed: u64) -> (World, AttackEvent) {
 impl World {
     /// Injects a scripted event into the schedule (test/scenario support).
     /// Invalid events — zero-length, inverted, prep after onset, degenerate
-    /// ramp rates — are rejected instead of silently scheduled.
+    /// ramp rates, spoofed fractions outside `[0, 1]`, a botnet the world
+    /// does not have — are rejected instead of silently scheduled.
     pub fn inject_event(&mut self, event: AttackEvent) -> Result<(), crate::attack::InvalidEvent> {
         event.validate()?;
+        self.check_botnet(&event)?;
         let idx = self.events().len();
         self.push_event_internal(event, idx);
         Ok(())

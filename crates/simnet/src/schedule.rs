@@ -105,6 +105,12 @@ pub fn sample_ramp_dr(ty: AttackType, rng: &mut StdRng) -> f64 {
 }
 
 /// Builds the full attack schedule for a world.
+///
+/// # Panics
+/// With `cfg.n_chains > 0`: panics if `n_botnets` is zero, if a wave draws
+/// its customers from none (`n_customers` zero), if `wave_frac` or
+/// `same_type_prob` is not in `[0, 1]`, or if `chain_len_mean` is negative
+/// or NaN.
 pub fn build_schedule(cfg: &WorldConfig) -> Vec<AttackEvent> {
     let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_mul(0xC2B2_AE35).wrapping_add(99));
     let total = cfg.total_minutes();
@@ -162,10 +168,12 @@ pub fn build_schedule(cfg: &WorldConfig) -> Vec<AttackEvent> {
         // Chains begin in the first third of the period and run forward;
         // their length (below) is sized so serial attacks keep arriving
         // throughout the train/validation/test timeline.
-        let start_region_end = (total * 35 / 100).max(earliest + 1);
+        // 35 % of a `u32` fits a `u32`; the product may not.
+        let start_region = u32::try_from(u64::from(total) * 35 / 100).unwrap_or(total);
+        let start_region_end = start_region.max(earliest + 1);
         let mut onset = rng.random_range(earliest..start_region_end);
         for _ in 0..n_attacks {
-            if onset + 10 >= total {
+            if onset.saturating_add(10) >= total {
                 break;
             }
             let duration = sample_duration(&mut rng);
@@ -182,7 +190,7 @@ pub fn build_schedule(cfg: &WorldConfig) -> Vec<AttackEvent> {
                             wave_id: Option<usize>,
                             events: &mut Vec<AttackEvent>,
                             next_id: &mut usize| {
-                let end = (onset + duration).min(total);
+                let end = onset.saturating_add(duration).min(total);
                 events.push(AttackEvent {
                     id: *next_id,
                     victim: customer_addr(victim_idx),
@@ -216,8 +224,9 @@ pub fn build_schedule(cfg: &WorldConfig) -> Vec<AttackEvent> {
             );
             if let Some((wave_id, extras)) = &wave {
                 for (j, &extra) in extras.iter().enumerate() {
-                    let staggered = onset + 5 * (j as u32 + 1);
-                    if staggered + 10 < total {
+                    // At most three extras: `j` is below 3.
+                    let staggered = onset.saturating_add(5 * (j as u32 + 1));
+                    if staggered.saturating_add(10) < total {
                         emit_for(extra, staggered, Some(*wave_id), &mut events, &mut next_id);
                     }
                 }

@@ -72,7 +72,7 @@ impl AttackVector {
                     // always-off (no attack); both are misconfigurations.
                     Err(InvalidEvent::EmptyAttack {
                         onset: self.carrier.onset,
-                        end: self.carrier.onset + on,
+                        end: self.carrier.onset.saturating_add(on),
                     })
                 } else {
                     Ok(())
@@ -139,6 +139,9 @@ impl AttackVector {
 
     /// Emits the vector's flows for one minute. Preparation probing is the
     /// carrier's; attack minutes emit at the shape-modulated volume.
+    ///
+    /// # Panics
+    /// As [`AttackEvent::emit`].
     pub fn emit(
         &self,
         minute: u32,

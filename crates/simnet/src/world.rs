@@ -81,6 +81,12 @@ pub struct World {
 
 impl World {
     /// Builds a world from a configuration. Deterministic in `cfg.seed`.
+    ///
+    /// # Panics
+    /// Panics if `cfg.sampling_rate` is zero, if `blocklisted_frac` is not
+    /// in `[0, 1]`, or, when `n_chains > 0`, as [`build_schedule`] does.
+    ///
+    /// [`build_schedule`]: crate::schedule::build_schedule
     pub fn new(cfg: WorldConfig) -> Self {
         let customers: Vec<Ipv4> = (0..cfg.n_customers).map(customer_addr).collect();
         let benign: Vec<BenignProfile> = customers
@@ -219,17 +225,39 @@ impl World {
     pub fn baseline_bpm(&self, customer: Ipv4) -> Option<f64> {
         self.customers
             .iter()
-            .position(|&c| c == customer)
-            .map(|i| self.benign[i].base_bpm())
+            .zip(&self.benign)
+            .find(|(&c, _)| c == customer)
+            .map(|(_, profile)| profile.base_bpm())
+    }
+
+    /// Every customer's benign baseline volume, in customer order.
+    pub(crate) fn baselines(&self) -> Vec<f64> {
+        self.benign.iter().map(BenignProfile::base_bpm).collect()
+    }
+
+    /// Rejects an event whose botnet this world's ecosystem does not have:
+    /// stepping would index past the botnets.
+    pub(crate) fn check_botnet(&self, event: &AttackEvent) -> Result<(), InvalidEvent> {
+        let botnets = self.ecosystem.botnets.len();
+        if event.botnet_id < botnets {
+            Ok(())
+        } else {
+            Err(InvalidEvent::UnknownBotnet {
+                botnet_id: event.botnet_id,
+                botnets,
+            })
+        }
     }
 
     /// Injects a composable attack vector. The carrier id is reassigned
     /// into the vector id namespace (unique per injection, disjoint from
     /// scheduled event ids), so each vector's emission RNG is independent
-    /// of every co-resident event and vector. Rejects invalid vectors.
+    /// of every co-resident event and vector. Rejects invalid vectors and
+    /// carriers naming a botnet the world does not have.
     pub fn inject_vector(&mut self, mut vector: AttackVector) -> Result<(), InvalidEvent> {
         vector.carrier.id = VECTOR_ID_BASE + self.vectors.len();
         vector.validate()?;
+        self.check_botnet(&vector.carrier)?;
         let idx = self.vectors.len();
         self.vec_by_victim
             .entry(vector.victim())
@@ -241,6 +269,13 @@ impl World {
 
     /// Advances one minute: returns one [`MinuteFlows`] bin per customer,
     /// post-sampling, in customer order.
+    ///
+    /// # Panics
+    /// Panics when the world is [`World::finished`]. Injected events and
+    /// vectors are validated on the way in; the scheduled ones come from the
+    /// config, so stepping also panics if an attack emits while
+    /// `cfg.botnet_subnets` is zero, or if `flash_crowd_prob`,
+    /// `spoofed_frac` or `spoof_detectable_frac` is not in `[0, 1]`.
     pub fn step(&mut self) -> Vec<MinuteFlows> {
         let minute = self.minute;
         assert!(
@@ -252,10 +287,13 @@ impl World {
 
         let mut out = Vec::with_capacity(self.customers.len());
         let mut scratch: Vec<FlowRecord> = Vec::with_capacity(128);
-        for (i, &customer) in self.customers.iter().enumerate() {
+        for (&customer, benign) in self.customers.iter().zip(&mut self.benign) {
             scratch.clear();
-            self.benign[i].emit(minute, &mut scratch);
+            benign.emit(minute, &mut scratch);
             let benign_flows = scratch.len();
+            // The per-victim lists index `schedule` and `vectors`, pushed
+            // beside the entries they name; botnet ids were checked when
+            // their events entered (or drawn below `n_botnets`).
             if let Some(event_ids) = self.by_victim.get(&customer) {
                 for &ei in event_ids {
                     let e = &self.schedule[ei];
@@ -508,6 +546,74 @@ mod tests {
             on_vol > 4.0 * off_vol.max(1.0),
             "pulse on {on_vol} vs off {off_vol}"
         );
+    }
+
+    /// Stepping indexes the ecosystem by botnet id and draws Bernoulli
+    /// trials on the spoofed fractions, so an event that would panic there
+    /// is refused on the way in, as a typed error, and the world steps on.
+    #[test]
+    fn events_stepping_could_not_emit_are_refused() {
+        use crate::vectors::{AttackVector, VectorShape};
+        let cfg = WorldConfig {
+            n_chains: 0,
+            ..WorldConfig::smoke_test(12)
+        };
+        let mut w = World::new(cfg);
+        let event = AttackEvent {
+            id: 0,
+            victim: w.customers()[0],
+            attack_type: AttackType::UdpFlood,
+            botnet_id: cfg.n_botnets,
+            prep_start: 0,
+            onset: 2,
+            ramp_minutes: 1,
+            end: 20,
+            peak_bpm: 1e8,
+            ramp_dr: 1.0,
+            wave_id: None,
+            spoofed_frac: 0.2,
+            spoof_detectable_frac: 0.5,
+            ramp_volume_scale: 1.0,
+            prep_intensity: 1.0,
+        };
+        let unknown = Err(InvalidEvent::UnknownBotnet {
+            botnet_id: cfg.n_botnets,
+            botnets: cfg.n_botnets,
+        });
+        assert_eq!(w.inject_event(event.clone()), unknown);
+        let vector = |carrier: AttackEvent| AttackVector {
+            carrier,
+            shape: VectorShape::Constant,
+        };
+        assert_eq!(w.inject_vector(vector(event.clone())), unknown);
+        for (spoofed, detectable) in [(1.5, 0.5), (-0.1, 0.5), (0.2, f64::NAN)] {
+            let bad = AttackEvent {
+                botnet_id: 0,
+                spoofed_frac: spoofed,
+                spoof_detectable_frac: detectable,
+                ..event.clone()
+            };
+            let refused = w.inject_vector(vector(bad.clone()));
+            assert!(
+                matches!(refused, Err(InvalidEvent::BadFraction(_))),
+                "{refused:?}"
+            );
+            assert!(matches!(
+                w.inject_event(bad),
+                Err(InvalidEvent::BadFraction(_))
+            ));
+        }
+        assert_eq!((w.attacks_scheduled(), w.vectors().len()), (0, 0));
+        let good = AttackEvent {
+            botnet_id: cfg.n_botnets - 1,
+            ..event
+        };
+        w.inject_vector(vector(good.clone())).expect("last botnet");
+        w.inject_event(good).expect("last botnet");
+        for _ in 0..20 {
+            w.step();
+        }
+        assert!(w.obs().attack_flows_generated.get() > 0);
     }
 
     #[test]
