@@ -74,6 +74,24 @@ pub enum Period {
 /// starts, so the window contains pre-onset context the model can alert in.
 pub const WINDOW_LEAD: u32 = 10;
 
+/// How near a CDet alert must come to a negative candidate's window start,
+/// in minutes (exclusive), for [`DatasetBuilder::finish`] to drop the
+/// candidate: its detection window plus an hour.
+fn alert_margin(window: usize) -> u32 {
+    window as u32 + 60
+}
+
+/// The minute from which a stream can no longer change a training set whose
+/// candidates are drawn before `train_end`. The last candidate starts at
+/// `train_end - 1`, and the last alert that can drop it is detected
+/// `alert_margin - 1` minutes later. Every pending window has closed by
+/// then, since a window is shorter than the margin. Streaming minutes
+/// `0..training_horizon` therefore builds the same bundle as streaming the
+/// whole world.
+pub fn training_horizon(cfg: &XatuConfig, train_end: u32) -> u32 {
+    train_end.saturating_add(alert_margin(cfg.window) - 1)
+}
+
 /// A positive sample waiting for its window frames to stream past.
 #[derive(Clone, Debug)]
 struct PendingPositive {
@@ -216,11 +234,11 @@ impl DatasetBuilder {
     ///
     /// `alert_minutes` lists every CDet alert as `(customer, minute)`.
     pub fn finish(mut self, alert_minutes: &[(Ipv4, u32)]) -> DatasetBundle {
-        let window = self.cfg.window as u32;
+        let margin = i64::from(alert_margin(self.cfg.window));
         self.negatives.retain(|n| {
             !alert_minutes.iter().any(|&(c, m)| {
                 c == n.meta.customer
-                    && (m as i64 - n.meta.window_start as i64).abs() < (window + 60) as i64
+                    && (i64::from(m) - i64::from(n.meta.window_start)).abs() < margin
             })
         });
         DatasetBundle {
@@ -455,6 +473,30 @@ mod tests {
         // The 300-minute candidate is within ±(window+60) of the alert.
         assert_eq!(bundle.negatives.len(), 1);
         assert_eq!(bundle.negatives[0].meta.window_start, 450);
+    }
+
+    /// The horizon is tight and sufficient: an alert at `horizon - 1` still
+    /// drops the last negative candidate, one at `horizon` cannot, and the
+    /// last positive's window has closed before the horizon.
+    #[test]
+    fn the_training_horizon_is_the_last_minute_that_shapes_the_set() {
+        let c = cfg();
+        let train_end = 400;
+        let horizon = training_horizon(&c, train_end);
+        assert_eq!(horizon, train_end + c.window as u32 + 59);
+        let h = histories(&c, horizon + 10);
+        let build = |alert: u32| {
+            let mut b = DatasetBuilder::new(&c, 1.0);
+            b.maybe_negative(Ipv4(1), train_end - 1, false);
+            b.on_alert(Ipv4(1), AttackType::UdpFlood, train_end - 1, train_end - 1);
+            b.collect_ready(horizon - 1, &h);
+            assert_eq!(b.positive_count(), 1, "the last positive is collected");
+            b.finish(&[(Ipv4(2), train_end), (Ipv4(1), alert)])
+        };
+        assert!(build(horizon - 1).negatives.is_empty());
+        let kept = build(horizon);
+        assert_eq!(kept.negatives.len(), 1);
+        assert_eq!(kept.negatives[0].meta.window_start, train_end - 1);
     }
 
     #[test]

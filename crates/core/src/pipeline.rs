@@ -3,30 +3,33 @@
 //! Timeline (§5/§6 of the paper, scaled). Every period is a run of
 //! [`Engine::close_bins`], the minute-close the engine serves:
 //!
-//! 1. **Phase A** — stream the whole simulated world once through a
-//!    head-less engine: its live CDet (NetScout-style, or FastNetMon-style
-//!    for [`PipelineConfig::label_with_fnm`]) labels the world, its
-//!    CDet-fed frames feed negative sampling and the training histories,
-//!    and its signature volumes are kept for evaluation.
+//! 1. **Phase A** — stream the simulated world through a head-less engine
+//!    until the training set is complete ([`training_horizon`]): its live
+//!    CDet (NetScout-style, or FastNetMon-style for
+//!    [`PipelineConfig::label_with_fnm`]) schedules the positives, and its
+//!    CDet-fed frames feed negative sampling and the training histories.
 //! 2. **Train** — one multi-timescale survival model per attack type with
 //!    enough positives, plus the Random-Forest baseline.
-//! 3. **Phase B** — re-stream the identical world through one engine with
-//!    a head per trained type (alerts off) and the same live CDet, which
-//!    reproduces phase A's events: warm the online LSTM states, record
-//!    per-minute Xatu and RF detection scores over the validation period,
-//!    and keep the engine at the validation/test boundary.
+//! 3. **Phase B** — the one CDet-fed pass over the whole world: one
+//!    engine with a head per trained type (alerts off) and the same live
+//!    CDet. Its alerts label the world (ground truth, Table 2), its
+//!    signature volumes are kept for evaluation and the FastNetMon replay,
+//!    and it scores the RF baseline once, from the end of training to the
+//!    end of the world. Up to the validation/test boundary it warms the
+//!    online LSTM states and records per-minute Xatu scores; there the
+//!    engine is cloned for the test runs and its heads dropped.
 //! 4. **Calibrate** — pick the score threshold that maximizes median
 //!    validation effectiveness subject to the 75th-percentile per-customer
 //!    overhead bound (§5.3).
 //! 5. **Test** — from a clone of that engine, self-fed from the end of
 //!    stabilization ([`Engine::self_feed_from`]), run the stabilization +
 //!    test periods with Xatu auto-regressively feeding its own alerts into
-//!    its A2/A4/A5 trackers (a second, CDet-fed clone serves the RF
-//!    baseline), then evaluate every system on the post-stabilization
-//!    window.
+//!    its A2/A4/A5 trackers, then evaluate every system on the
+//!    post-stabilization window. The RF baseline's alerts come from the
+//!    scores phase B stored.
 
 use crate::config::XatuConfig;
-use crate::dataset::{DatasetBuilder, DatasetBundle, SplitBoundaries};
+use crate::dataset::{training_horizon, DatasetBuilder, DatasetBundle, SplitBoundaries};
 use crate::engine::{AuxFeed, Engine, MinuteClose};
 use crate::eval::{
     alerts_from_score_series, build_ground_truth, evaluate_system, intervals_of, GtEvent,
@@ -183,8 +186,8 @@ impl PipelineConfig {
     }
 }
 
-/// Everything phase A + training + validation produced; test evaluations
-/// for different overhead bounds reuse it.
+/// Everything phase A, training and phase B produced; test evaluations for
+/// different overhead bounds reuse it.
 pub struct Prepared {
     cfg: PipelineConfig,
     split: SplitBoundaries,
@@ -204,8 +207,10 @@ pub struct Prepared {
     /// The balanced training bundle (kept for attribution case studies).
     pub bundle: DatasetBundle,
     /// Validation-period score series per system.
-    val_scores_xatu: HashMap<(Ipv4, AttackType), Vec<f32>>,
-    val_scores_rf: HashMap<(Ipv4, AttackType), Vec<f32>>,
+    val_scores_xatu: Scores,
+    val_scores_rf: Scores,
+    /// Test-period RF scores: CDet-fed, so the same at every bound.
+    test_scores_rf: Scores,
     /// Checkpoint of the stream at the validation/test boundary.
     checkpoint: Checkpoint,
     /// Telemetry frozen at the end of preparation (phases A + train + B).
@@ -221,13 +226,15 @@ pub struct Table2 {
     pub counts: [[usize; 3]; 6],
 }
 
+/// Per-minute detection scores, one series per (customer, attack type).
+type Scores = HashMap<(Ipv4, AttackType), Vec<f32>>;
+
 /// Stream state frozen at the validation/test boundary.
 struct Checkpoint {
     world: World,
     /// The CDet-fed phase-B engine, one head per trained type in model
     /// order.
     engine: Engine,
-    rf_histories: HashMap<Ipv4, PooledHistory>,
 }
 
 /// The pipeline driver.
@@ -248,119 +255,16 @@ impl Pipeline {
         prepared.evaluate(bound)
     }
 
-    /// Phases A + training + phase-B validation. The result can evaluate
-    /// multiple overhead bounds cheaply.
+    /// Phase A, training, and phase B over the whole world. The result can
+    /// evaluate multiple overhead bounds cheaply.
     pub fn prepare(self) -> Prepared {
         let cfg = self.cfg;
         let threads = resolve_threads(cfg.xatu.threads);
         let split = SplitBoundaries::from_days(cfg.world.days);
         let mut obs = pipeline_registry(cfg.verbose);
 
-        // ---------------- Phase A ----------------
-        obs.trace(
-            "phase",
-            &[("name", "A: streaming world with live CDet".into())],
-        );
-        let phase_a_start = Instant::now();
-        let mut world = World::new(cfg.world);
-        let mut engine = world_engine(&world, &cfg, Vec::new());
-        let mut histories: HashMap<Ipv4, PooledHistory> = HashMap::new();
-        let mut dataset = DatasetBuilder::new(&cfg.xatu, cfg.neg_prob);
-        let mut cdet_alerts = AlertLog::default();
-        let mut alert_minutes: Vec<(Ipv4, u32)> = Vec::new();
-
-        let raw_retain = cfg.xatu.raw_history_minutes() + 32;
-        // Trailing per-customer volume EWMA for surge detection (negative
-        // sampling must cover benign flash crowds — the volumetric
-        // surges *without* auxiliary signals that the model has to learn
-        // to ignore).
-        let mut volume_ewma: HashMap<Ipv4, f64> = HashMap::new();
-        let gran = ModelConfig::from(&cfg.xatu).gran();
-
-        while !world.finished() {
-            let bins = world.step();
-            let minute = bins[0].minute;
-            let closed = close(&mut engine, &bins);
-            // The CDet's alerts label the world; the dataset reads each
-            // onset off the volumes as they stand at detection.
-            for ev in &closed.cdet_events {
-                cdet_alerts.apply(ev);
-                if let DetectorEvent::Raised(a) = ev {
-                    alert_minutes.push((a.customer, a.detected_at));
-                    if minute < split.train_end {
-                        let onset = onset_of(engine.volumes(), a);
-                        dataset.on_alert(a.customer, a.attack_type, onset, a.detected_at);
-                    }
-                }
-            }
-            obs.add("features.frames_phase_a", closed.frames.len() as u64);
-            for (bin, frame) in bins.iter().zip(closed.frames) {
-                let frame = frame.expect("every customer is present");
-                let total = bin.total_bytes() as f64;
-                let ewma = volume_ewma.entry(bin.customer).or_insert(total);
-                let surge = total > 4.0 * *ewma + 1e5;
-                if !surge {
-                    *ewma = 0.98 * *ewma + 0.02 * total;
-                }
-                if minute < split.train_end {
-                    // Hard negatives of two kinds: minutes with live A1/A2
-                    // signal (prep probing) and benign volumetric surges
-                    // (flash crowds). Both patterns must be abundantly
-                    // represented as non-attacks or the model fires on
-                    // them; candidates too close to real alerts are
-                    // dropped later by the alert-proximity filter.
-                    let aux_active = frame.aux_block(1).iter().any(|&v| v > 0.0)
-                        || frame.aux_block(2).iter().any(|&v| v > 0.0);
-                    dataset.maybe_negative_weighted(
-                        bin.customer,
-                        minute,
-                        if surge {
-                            24.0
-                        } else if aux_active {
-                            8.0
-                        } else {
-                            1.0
-                        },
-                    );
-                }
-                histories
-                    .entry(bin.customer)
-                    .or_insert_with(|| PooledHistory::new(gran, raw_retain, cfg.xatu.long_len + 8))
-                    .push(frame);
-            }
-            dataset.collect_ready(minute, &histories);
-        }
-        let volumes = engine.into_volumes();
-        let cdet_alerts = cdet_alerts.0;
-        let bundle = dataset.finish(&alert_minutes);
-        let ground_truth = build_ground_truth(&cdet_alerts, &volumes);
-        let table2 = table2_of(&cdet_alerts, &split);
-        record_world_obs(&mut obs, &world);
-        obs.record_wall(
-            "pipeline.phase_a_seconds",
-            phase_a_start.elapsed().as_secs_f64(),
-        );
-        obs.event(
-            "pipeline.phase_a_done",
-            vec![
-                ("cdet_alerts", cdet_alerts.len().into()),
-                ("gt_events", ground_truth.len().into()),
-                ("train_positives", bundle.positives.len().into()),
-                ("train_negatives", bundle.negatives.len().into()),
-            ],
-        );
-
-        // ---------------- FastNetMon (offline over stored volumes) -------
-        let fnm_alerts = if cfg.with_fnm {
-            obs.trace("phase", &[("name", "FastNetMon offline replay".into())]);
-            let fnm_start = Instant::now();
-            let alerts = run_fnm(&volumes, &world, split.total, threads);
-            obs.record_wall("pipeline.fnm_seconds", fnm_start.elapsed().as_secs_f64());
-            obs.add("fnm.alerts", alerts.len() as u64);
-            alerts
-        } else {
-            Vec::new()
-        };
+        let horizon = training_horizon(&cfg.xatu, split.train_end);
+        let bundle = phase_a(&cfg, &split, horizon, &mut obs);
 
         // ---------------- Training ----------------
         obs.trace(
@@ -386,16 +290,16 @@ impl Pipeline {
             Vec::new()
         };
 
-        // ---------------- Phase B: warm + validation ----------------
+        // ---------------- Phase B: the one CDet-fed pass ----------------
         obs.trace(
             "phase",
             &[(
                 "name",
-                "B: warming online states and scoring validation".into(),
+                "B: streaming world with live CDet, warming and scoring validation".into(),
             )],
         );
         let phase_b_start = Instant::now();
-        let mut world_b = World::new(cfg.world);
+        let mut world = World::new(cfg.world);
         let heads = models
             .iter()
             .map(|(ty, m)| {
@@ -404,41 +308,65 @@ impl Pipeline {
                 head
             })
             .collect();
-        let mut engine_b = world_engine(&world_b, &cfg, heads);
+        let mut engine = world_engine(&world, &cfg, heads);
+        let gran = ModelConfig::from(&cfg.xatu).gran();
+        let mut cdet_alerts = AlertLog::default();
         let mut rf_histories: HashMap<Ipv4, PooledHistory> = HashMap::new();
         let mut rf_feats: Vec<f64> = Vec::new();
-        let mut val_scores_xatu: HashMap<(Ipv4, AttackType), Vec<f32>> = HashMap::new();
-        let mut val_scores_rf: HashMap<(Ipv4, AttackType), Vec<f32>> = HashMap::new();
+        let mut val_scores_xatu = Scores::new();
+        let mut val_scores_rf = Scores::new();
+        let mut test_scores_rf = Scores::new();
+        let mut checkpoint = None;
 
-        while world_b.minute() < split.val_end {
-            let bins = world_b.step();
-            let minute = bins[0].minute;
-            let closed = close(&mut engine_b, &bins);
-            obs.add("features.frames_phase_b", closed.frames.len() as u64);
-            let validating = minute >= split.train_end;
-            if validating {
-                for head in engine_b.heads() {
-                    for &c in engine_b.customers() {
-                        val_scores_xatu
-                            .entry((c, head.attack_type()))
-                            .or_default()
-                            .push(head.survival_of(c) as f32);
-                    }
+        while !world.finished() {
+            if world.minute() == split.val_end {
+                // Warm-up/validation detector telemetry (alerts are
+                // disabled here, so only suppression counts and the
+                // survival distribution move).
+                for head in engine.heads() {
+                    obs.add(
+                        "online.warmup_suppressed",
+                        head.obs().warmup_suppressed.get(),
+                    );
+                    obs.merge_histogram("online.survival", &head.obs().survival);
                 }
+                checkpoint = Some(Checkpoint {
+                    world: world.clone(),
+                    engine: engine.clone(),
+                });
+                // The test runs step the heads; the rest of this pass
+                // only labels the world and scores the RF.
+                engine = engine.without_heads();
+            }
+            let bins = world.step();
+            let minute = bins[0].minute;
+            let closed = close(&mut engine, &bins);
+            obs.add("features.frames_phase_b", closed.frames.len() as u64);
+            for ev in &closed.cdet_events {
+                cdet_alerts.apply(ev);
+            }
+            let scoring = minute >= split.train_end;
+            if scoring {
+                push_survivals(&engine, &mut val_scores_xatu);
             }
             if cfg.with_rf {
-                for (&customer, frame) in engine_b.customers().iter().zip(closed.frames) {
+                let rf_scores = if minute < split.val_end {
+                    &mut val_scores_rf
+                } else {
+                    &mut test_scores_rf
+                };
+                for (&customer, frame) in engine.customers().iter().zip(closed.frames) {
                     let h = rf_histories
                         .entry(customer)
                         .or_insert_with(|| PooledHistory::new(gran, 64, 8));
                     h.push(frame.expect("every customer is present"));
-                    if validating {
+                    if scoring {
                         // One feature vector serves every per-type RF: the
                         // features depend only on the history, not the type.
                         rf_online_features_into(h, &mut rf_feats);
                         for (ty, rf) in &rf_models {
                             let score = 1.0 - rf.predict_proba(&rf_feats);
-                            val_scores_rf
+                            rf_scores
                                 .entry((customer, *ty))
                                 .or_default()
                                 .push(score as f32);
@@ -447,25 +375,34 @@ impl Pipeline {
                 }
             }
         }
-
+        let checkpoint = checkpoint.expect("the test period is not empty");
+        let volumes = engine.into_volumes();
+        let cdet_alerts = cdet_alerts.0;
+        let ground_truth = build_ground_truth(&cdet_alerts, &volumes);
+        let table2 = table2_of(&cdet_alerts, &split);
+        record_world_obs(&mut obs, &world);
         obs.record_wall(
             "pipeline.phase_b_seconds",
             phase_b_start.elapsed().as_secs_f64(),
         );
-        // Warm-up/validation detector telemetry (alerts are disabled here,
-        // so only suppression counts and the survival distribution move).
-        for head in engine_b.heads() {
-            obs.add(
-                "online.warmup_suppressed",
-                head.obs().warmup_suppressed.get(),
-            );
-            obs.merge_histogram("online.survival", &head.obs().survival);
-        }
+        obs.event(
+            "pipeline.phase_b_done",
+            vec![
+                ("cdet_alerts", cdet_alerts.len().into()),
+                ("gt_events", ground_truth.len().into()),
+            ],
+        );
 
-        let checkpoint = Checkpoint {
-            world: world_b,
-            engine: engine_b,
-            rf_histories,
+        // ---------------- FastNetMon (offline over stored volumes) -------
+        let fnm_alerts = if cfg.with_fnm {
+            obs.trace("phase", &[("name", "FastNetMon offline replay".into())]);
+            let fnm_start = Instant::now();
+            let alerts = run_fnm(&volumes, &world, split.total, threads);
+            obs.record_wall("pipeline.fnm_seconds", fnm_start.elapsed().as_secs_f64());
+            obs.add("fnm.alerts", alerts.len() as u64);
+            alerts
+        } else {
+            Vec::new()
         };
 
         Prepared {
@@ -481,10 +418,108 @@ impl Pipeline {
             bundle,
             val_scores_xatu,
             val_scores_rf,
+            test_scores_rf,
             checkpoint,
             obs: obs.snapshot(),
         }
     }
+}
+
+/// Phase A: streams `cfg`'s world through a head-less, CDet-fed engine from
+/// minute 0 until `stop` (or the world's end) and returns the training set.
+/// The CDet's alerts before `split.train_end` schedule the positives, each
+/// onset read off the volumes as they stand at detection; frames before it
+/// draw the negatives; every alert seen feeds the alert-proximity filter.
+fn phase_a(
+    cfg: &PipelineConfig,
+    split: &SplitBoundaries,
+    stop: u32,
+    obs: &mut Registry,
+) -> DatasetBundle {
+    obs.trace(
+        "phase",
+        &[(
+            "name",
+            "A: streaming the training period with live CDet".into(),
+        )],
+    );
+    let phase_a_start = Instant::now();
+    let mut world = World::new(cfg.world);
+    let mut engine = world_engine(&world, cfg, Vec::new());
+    let mut histories: HashMap<Ipv4, PooledHistory> = HashMap::new();
+    let mut dataset = DatasetBuilder::new(&cfg.xatu, cfg.neg_prob);
+    let mut alert_minutes: Vec<(Ipv4, u32)> = Vec::new();
+
+    let raw_retain = cfg.xatu.raw_history_minutes() + 32;
+    // Trailing per-customer volume EWMA for surge detection (negative
+    // sampling must cover benign flash crowds — the volumetric surges
+    // *without* auxiliary signals that the model has to learn to ignore).
+    let mut volume_ewma: HashMap<Ipv4, f64> = HashMap::new();
+    let gran = ModelConfig::from(&cfg.xatu).gran();
+
+    while !world.finished() && world.minute() < stop {
+        let bins = world.step();
+        let minute = bins[0].minute;
+        let closed = close(&mut engine, &bins);
+        for ev in &closed.cdet_events {
+            if let DetectorEvent::Raised(a) = ev {
+                alert_minutes.push((a.customer, a.detected_at));
+                if minute < split.train_end {
+                    let onset = onset_of(engine.volumes(), a);
+                    dataset.on_alert(a.customer, a.attack_type, onset, a.detected_at);
+                }
+            }
+        }
+        obs.add("features.frames_phase_a", closed.frames.len() as u64);
+        for (bin, frame) in bins.iter().zip(closed.frames) {
+            let frame = frame.expect("every customer is present");
+            let total = bin.total_bytes() as f64;
+            let ewma = volume_ewma.entry(bin.customer).or_insert(total);
+            let surge = total > 4.0 * *ewma + 1e5;
+            if !surge {
+                *ewma = 0.98 * *ewma + 0.02 * total;
+            }
+            if minute < split.train_end {
+                // Hard negatives of two kinds: minutes with live A1/A2
+                // signal (prep probing) and benign volumetric surges (flash
+                // crowds). Both patterns must be abundantly represented as
+                // non-attacks or the model fires on them; candidates too
+                // close to real alerts are dropped later by the
+                // alert-proximity filter.
+                let aux_active = frame.aux_block(1).iter().any(|&v| v > 0.0)
+                    || frame.aux_block(2).iter().any(|&v| v > 0.0);
+                dataset.maybe_negative_weighted(
+                    bin.customer,
+                    minute,
+                    if surge {
+                        24.0
+                    } else if aux_active {
+                        8.0
+                    } else {
+                        1.0
+                    },
+                );
+            }
+            histories
+                .entry(bin.customer)
+                .or_insert_with(|| PooledHistory::new(gran, raw_retain, cfg.xatu.long_len + 8))
+                .push(frame);
+        }
+        dataset.collect_ready(minute, &histories);
+    }
+    let bundle = dataset.finish(&alert_minutes);
+    obs.record_wall(
+        "pipeline.phase_a_seconds",
+        phase_a_start.elapsed().as_secs_f64(),
+    );
+    obs.event(
+        "pipeline.phase_a_done",
+        vec![
+            ("train_positives", bundle.positives.len().into()),
+            ("train_negatives", bundle.negatives.len().into()),
+        ],
+    );
+    bundle
 }
 
 impl Prepared {
@@ -563,9 +598,15 @@ impl Prepared {
 
         // ---------------- Test run (auto-regressive Xatu) ----------------
         let test_start = Instant::now();
-        let (xatu_alerts, rf_alerts, test_scores_xatu, test_scores_rf) =
-            self.run_test(&xatu_thresholds, &rf_thresholds, quiet, &mut obs);
+        let (xatu_alerts, test_scores_xatu) = self.run_test(&xatu_thresholds, &mut obs);
         obs.record_wall("pipeline.test_seconds", test_start.elapsed().as_secs_f64());
+        // The RF's test scores are CDet-fed, stored by phase B.
+        let rf_alerts = self.score_alerts(
+            &self.test_scores_rf,
+            self.split.val_end,
+            &rf_thresholds,
+            quiet,
+        );
 
         // ---------------- Evaluate all systems ----------------
         let eval_start = self.split.stabilization_end;
@@ -620,7 +661,7 @@ impl Prepared {
         if self.cfg.with_rf {
             roc.push((
                 "RF".to_string(),
-                self.minute_roc(&test_scores_rf, eval_start),
+                self.minute_roc(&self.test_scores_rf, eval_start),
             ));
         }
 
@@ -676,7 +717,7 @@ impl Prepared {
     /// threshold it is served at, and how that was reached ([`settle`]).
     fn calibrate(
         &self,
-        scores: &HashMap<(Ipv4, AttackType), Vec<f32>>,
+        scores: &Scores,
         gt_val: &[GtEvent],
         q: QuantileBound,
         quiet: u32,
@@ -700,19 +741,9 @@ impl Prepared {
             resolve_threads(self.cfg.xatu.threads),
             &grid,
             |_, &threshold| {
-                let mut alerts: SystemAlerts = HashMap::new();
-                for (&key, series) in scores {
-                    if key.1 != ty {
-                        continue;
-                    }
-                    let intervals = alerts_from_score_series(series, base, threshold, quiet);
-                    if !intervals.is_empty() {
-                        alerts.insert(key, intervals);
-                    }
-                }
                 // The scrubbing centre releases clean traffic during
                 // validation exactly as it will during testing.
-                self.apply_scrub_release(&mut alerts);
+                let alerts = self.score_alerts(scores, base, &[(ty, threshold)], quiet);
                 let eval = evaluate_system(
                     "cand",
                     &alerts,
@@ -733,21 +764,13 @@ impl Prepared {
     }
 
     /// Streams the stabilization + test periods from the checkpoint with
-    /// live thresholds; returns alert intervals and per-minute scores.
-    #[allow(clippy::type_complexity)]
+    /// live thresholds; returns Xatu's alert intervals and per-minute
+    /// survivals.
     fn run_test(
         &self,
         xatu_thresholds: &[(AttackType, f64)],
-        rf_thresholds: &[(AttackType, f64)],
-        quiet: u32,
         obs: &mut Registry,
-    ) -> (
-        SystemAlerts,
-        SystemAlerts,
-        HashMap<(Ipv4, AttackType), Vec<f32>>,
-        HashMap<(Ipv4, AttackType), Vec<f32>>,
-    ) {
-        let cfg = &self.cfg;
+    ) -> (SystemAlerts, Scores) {
         // These checkpoint clones are load-bearing, not waste:
         // [`Prepared::evaluate`] runs once per overhead bound over the same
         // `Prepared`, and the test run is auto-regressive, so every run
@@ -768,77 +791,17 @@ impl Prepared {
             // folded into the prepare-time snapshot.
             head.reset_obs();
         }
-        // The CDet-fed fork serves the RF baseline and steps no head.
-        let mut rf_engine = cfg
-            .with_rf
-            .then(|| self.checkpoint.engine.clone().without_heads());
-        let mut rf_histories = self.checkpoint.rf_histories.clone();
 
-        let gran = ModelConfig::from(&cfg.xatu).gran();
         let mut xatu_alert_list = AlertLog::default();
-        let mut test_scores_xatu: HashMap<(Ipv4, AttackType), Vec<f32>> = HashMap::new();
-        let mut test_scores_rf: HashMap<(Ipv4, AttackType), Vec<f32>> = HashMap::new();
-        let mut rf_feats: Vec<f64> = Vec::new();
+        let mut test_scores_xatu = Scores::new();
 
         while !world.finished() {
             let bins = world.step();
-            let minute = bins[0].minute;
             let closed = close(&mut engine, &bins);
-            if let Some(rf_engine) = &mut rf_engine {
-                let rf_closed = close(rf_engine, &bins);
-                for (&customer, frame) in rf_engine.customers().iter().zip(rf_closed.frames) {
-                    let h = rf_histories
-                        .entry(customer)
-                        .or_insert_with(|| PooledHistory::new(gran, 64, 8));
-                    h.push(frame.expect("every customer is present"));
-                    // One feature vector serves every per-type RF.
-                    rf_online_features_into(h, &mut rf_feats);
-                    for (ty, rf) in &self.rf_models {
-                        let score = 1.0 - rf.predict_proba(&rf_feats);
-                        test_scores_rf
-                            .entry((customer, *ty))
-                            .or_default()
-                            .push(score as f32);
-                    }
-                }
-            }
-            if cfg.verbose && cfg.with_rf {
-                // Frame-divergence diagnostic during ground-truth attacks,
-                // beside the CDet-fed close.
-                for (&customer, frame) in engine.customers().iter().zip(&closed.frames) {
-                    let in_attack = self.ground_truth.iter().any(|e| {
-                        e.customer == customer
-                            && minute >= e.anomaly_start
-                            && minute < e.mitigation_end
-                            && e.cdet_detected >= self.split.stabilization_end
-                    });
-                    if let Some(frame) = frame.as_ref().filter(|_| in_attack) {
-                        let sum = |v: &[f64]| v.iter().sum::<f64>();
-                        obs.trace(
-                            "frame.divergence",
-                            &[
-                                ("customer", customer.to_string().into()),
-                                ("minute", minute.into()),
-                                ("volumetric", sum(frame.volumetric()).into()),
-                                ("a1", sum(frame.aux_block(1)).into()),
-                                ("a2", sum(frame.aux_block(2)).into()),
-                                ("a4", sum(frame.aux_block(4)).into()),
-                            ],
-                        );
-                    }
-                }
-            }
             for (_, ev) in &closed.fleet_events {
                 xatu_alert_list.apply(ev);
             }
-            for head in engine.heads() {
-                for &c in engine.customers() {
-                    test_scores_xatu
-                        .entry((c, head.attack_type()))
-                        .or_default()
-                        .push(head.survival_of(c) as f32);
-                }
-            }
+            push_survivals(&engine, &mut test_scores_xatu);
         }
         for (_, ev) in engine.close_all(self.split.total) {
             xatu_alert_list.apply(&ev);
@@ -855,7 +818,7 @@ impl Prepared {
             obs.merge_histogram("online.survival", &d.survival);
         }
 
-        if cfg.verbose {
+        if self.cfg.verbose {
             let min_s = test_scores_xatu
                 .values()
                 .flat_map(|v| v.iter())
@@ -910,21 +873,30 @@ impl Prepared {
         }
         let mut xatu_alerts = intervals_of(&xatu_alert_list, self.split.total);
         self.apply_scrub_release(&mut xatu_alerts);
-        // RF alerts from its score series.
-        let mut rf_alerts: SystemAlerts = HashMap::new();
-        if cfg.with_rf {
-            for &(ty, th) in rf_thresholds {
-                for &c in engine.customers() {
-                    let series = &test_scores_rf[&(c, ty)];
-                    let intervals = alerts_from_score_series(series, self.split.val_end, th, quiet);
-                    if !intervals.is_empty() {
-                        rf_alerts.insert((c, ty), intervals);
-                    }
+        (xatu_alerts, test_scores_xatu)
+    }
+
+    /// Alert intervals of every series in `scores` whose type has a
+    /// threshold in `thresholds`, each series starting at minute `base`,
+    /// released by the scrubbing centre ([`Self::apply_scrub_release`]).
+    fn score_alerts(
+        &self,
+        scores: &Scores,
+        base: u32,
+        thresholds: &[(AttackType, f64)],
+        quiet: u32,
+    ) -> SystemAlerts {
+        let mut alerts = SystemAlerts::new();
+        for (&key, series) in scores {
+            if let Some(&(_, th)) = thresholds.iter().find(|(ty, _)| *ty == key.1) {
+                let intervals = alerts_from_score_series(series, base, th, quiet);
+                if !intervals.is_empty() {
+                    alerts.insert(key, intervals);
                 }
             }
-            self.apply_scrub_release(&mut rf_alerts);
         }
-        (xatu_alerts, rf_alerts, test_scores_xatu, test_scores_rf)
+        self.apply_scrub_release(&mut alerts);
+        alerts
     }
 
     /// The scrubbing centre's release behaviour (§2.1: once traffic runs
@@ -966,11 +938,7 @@ impl Prepared {
     }
 
     /// Minute-level ROC over the post-stabilization test period.
-    fn minute_roc(
-        &self,
-        scores: &HashMap<(Ipv4, AttackType), Vec<f32>>,
-        eval_start: u32,
-    ) -> Vec<RocPoint> {
+    fn minute_roc(&self, scores: &Scores, eval_start: u32) -> Vec<RocPoint> {
         let base = self.split.val_end;
         let mut samples: Vec<(f64, bool)> = Vec::new();
         for (&(cust, ty), series) in scores {
@@ -1210,6 +1178,19 @@ fn close(engine: &mut Engine, bins: &[MinuteFlows]) -> MinuteClose {
         // Every customer is driven every minute, each minute once, so a
         // rejected minute can only be a pipeline bug.
         .expect("pipeline feeds monotone minutes")
+}
+
+/// Appends each head's survival of each customer, as of the minute just
+/// closed, to its (customer, type) series.
+fn push_survivals(engine: &Engine, scores: &mut Scores) {
+    for head in engine.heads() {
+        for &c in engine.customers() {
+            scores
+                .entry((c, head.attack_type()))
+                .or_default()
+                .push(head.survival_of(c) as f32);
+        }
+    }
 }
 
 /// CUSUM onset for an alert from the stored volumes.
@@ -1469,6 +1450,57 @@ mod tests {
         }
     }
 
+    /// Every sample of `bundle`, in order, bit for bit.
+    fn bundle_digest(bundle: &DatasetBundle) -> u64 {
+        let mut h = Fnv::new();
+        for s in bundle.positives.iter().chain(&bundle.negatives) {
+            h.key((s.meta.customer, s.meta.attack_type));
+            h.bytes(&s.meta.window_start.to_le_bytes());
+            h.bytes(&[u8::from(s.label)]);
+            h.bytes(&(s.event_step as u64).to_le_bytes());
+            h.bytes(&(s.anomaly_step.map_or(u64::MAX, |a| a as u64)).to_le_bytes());
+            let rows = s.ctx.iter().flatten().chain(&s.lead).chain(&s.window);
+            for row in rows {
+                h.bytes(&(row.len() as u64).to_le_bytes());
+                for v in row {
+                    h.bytes(&v.to_bits().to_le_bytes());
+                }
+            }
+        }
+        h.0
+    }
+
+    /// Phase A stopped at the training horizon builds the bundle phase A
+    /// run to the world's end builds, sample for sample and bit for bit.
+    #[test]
+    fn phase_a_stopped_at_the_horizon_builds_the_same_training_set() {
+        for seed in [5, 9] {
+            let cfg = PipelineConfig::smoke_test(seed);
+            let split = SplitBoundaries::from_days(cfg.world.days);
+            let horizon = training_horizon(&cfg.xatu, split.train_end);
+            assert!(
+                horizon < split.val_end,
+                "seed {seed}: the horizon saves minutes"
+            );
+            let stopped = phase_a(&cfg, &split, horizon, &mut Registry::new());
+            let whole = phase_a(&cfg, &split, split.total, &mut Registry::new());
+            assert!(
+                !whole.positives.is_empty(),
+                "seed {seed}: a positive is drawn"
+            );
+            assert_eq!(
+                (stopped.positives.len(), stopped.negatives.len()),
+                (whole.positives.len(), whole.negatives.len()),
+                "seed {seed}"
+            );
+            assert_eq!(
+                bundle_digest(&stopped),
+                bundle_digest(&whole),
+                "seed {seed}"
+            );
+        }
+    }
+
     #[test]
     fn table2_counts_sum_to_alert_count() {
         let prepared = Pipeline::new(PipelineConfig::smoke_test(6)).prepare();
@@ -1497,7 +1529,7 @@ mod tests {
         }
 
         /// Per-(customer, type) score series, sorted by key.
-        fn scores(&mut self, scores: &HashMap<(Ipv4, AttackType), Vec<f32>>) {
+        fn scores(&mut self, scores: &Scores) {
             for key in sorted(scores.keys().copied().collect()) {
                 self.key(key);
                 for s in &scores[&key] {
@@ -1539,12 +1571,7 @@ mod tests {
         let mut h = Fnv::new();
         h.scores(&prepared.val_scores_xatu);
         for r in reports {
-            let (alerts, ..) = prepared.run_test(
-                &r.xatu_thresholds,
-                &r.rf_thresholds,
-                5,
-                &mut Registry::new(),
-            );
+            let (alerts, _) = prepared.run_test(&r.xatu_thresholds, &mut Registry::new());
             h.intervals(&alerts);
         }
         h.0
@@ -1665,16 +1692,13 @@ mod tests {
         h.scores(&prepared.val_scores_rf);
         for bound in [0.05, 0.0005] {
             let r = prepared.evaluate(bound);
-            let (xatu, rf, xatu_scores, rf_scores) = prepared.run_test(
-                &r.xatu_thresholds,
-                &r.rf_thresholds,
-                5,
-                &mut Registry::new(),
-            );
+            let (xatu, xatu_scores) = prepared.run_test(&r.xatu_thresholds, &mut Registry::new());
+            let (rf_scores, base) = (&prepared.test_scores_rf, prepared.split.val_end);
+            let rf = prepared.score_alerts(rf_scores, base, &r.rf_thresholds, 5);
             h.intervals(&xatu);
             h.intervals(&rf);
             h.scores(&xatu_scores);
-            h.scores(&rf_scores);
+            h.scores(rf_scores);
         }
         assert_eq!(
             h.0, RF_FNM_DIGEST,

@@ -3,17 +3,17 @@
 /// Percentile of a sample using the nearest-rank method the paper's error
 /// bars imply (exact order statistics, no interpolation).
 ///
-/// `p` is in [0, 100]. Returns `None` for empty input.
+/// `p` is in [0, 100]. NaN values are ignored. Returns `None` for empty or
+/// all-NaN input, and for a `p` outside [0, 100] or NaN.
 pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
-    if values.is_empty() {
+    if !(0.0..=100.0).contains(&p) {
         return None;
     }
-    assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
     let mut sorted: Vec<f64> = values.iter().copied().filter(|v| !v.is_nan()).collect();
     if sorted.is_empty() {
         return None;
     }
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN filtered"));
+    sorted.sort_by(f64::total_cmp);
     let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
     Some(sorted[rank.clamp(1, sorted.len()) - 1])
 }
@@ -85,6 +85,18 @@ mod tests {
     fn empty_is_none() {
         assert_eq!(percentile(&[], 50.0), None);
         assert_eq!(mean(&[]), None);
+    }
+
+    /// A percentile outside [0, 100] is no percentile: `None`, and a NaN
+    /// marker in a summary, where it used to panic.
+    #[test]
+    fn an_out_of_range_percentile_is_none() {
+        for p in [-1.0, 100.5, f64::NAN, f64::INFINITY] {
+            assert_eq!(percentile(&[1.0, 2.0], p), None, "p = {p}");
+        }
+        let s = Summary::of(&[1.0, 2.0, 3.0], f64::NAN, 101.0);
+        assert!(s.lo.is_nan() && s.hi.is_nan());
+        assert_eq!((s.median, s.n), (2.0, 3));
     }
 
     #[test]

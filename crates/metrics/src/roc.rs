@@ -37,7 +37,7 @@ pub fn roc_curve(samples: &[(f64, bool)]) -> Vec<RocPoint> {
         return Vec::new();
     }
     // Descending by score: sweep threshold from the top.
-    sorted.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("NaN filtered above"));
+    sorted.sort_by(|a, b| b.0.total_cmp(&a.0));
 
     let mut out = Vec::new();
     let mut tp = 0usize;
@@ -150,6 +150,13 @@ mod tests {
         }
         let last = curve.last().unwrap();
         assert_eq!((last.fpr, last.tpr), (1.0, 1.0));
+    }
+
+    #[test]
+    fn signed_zeros_are_one_threshold() {
+        let curve = roc_curve(&[(0.0, true), (-0.0, false), (1.0, true), (-1.0, false)]);
+        let points: Vec<(f64, f64)> = curve.iter().map(|p| (p.fpr, p.tpr)).collect();
+        assert_eq!(points, [(0.0, 0.0), (0.0, 0.5), (0.5, 1.0), (1.0, 1.0)]);
     }
 
     #[test]

@@ -57,8 +57,11 @@ impl FixedHistogram {
         self.sum += v;
     }
 
-    /// Adds another histogram's counts into this one. Panics if the bucket
-    /// bounds differ.
+    /// Adds another histogram's counts into this one.
+    ///
+    /// # Panics
+    /// If the bucket bounds differ. Bounds are `'static` constants chosen
+    /// in code, so a mismatch is two call sites disagreeing, not an input.
     pub fn merge(&mut self, other: &FixedHistogram) {
         assert_eq!(
             self.bounds, other.bounds,

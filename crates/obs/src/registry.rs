@@ -97,6 +97,10 @@ impl Snapshot {
     /// deterministic given the operand order — stitch per-worker or
     /// per-phase snapshots in a fixed order, exactly like `xatu-par`
     /// stitches block results.
+    ///
+    /// # Panics
+    /// If a histogram of the same name has other bounds in `other`: the
+    /// two snapshots named different histograms alike.
     pub fn absorb(&mut self, other: &Snapshot) {
         merge_sum_u64(&mut self.counters, &other.counters);
         merge_last_f64(&mut self.gauges, &other.gauges);
@@ -365,6 +369,10 @@ impl Registry {
 
     /// Merges a pre-aggregated histogram (e.g. a per-worker or per-detector
     /// one) into the named histogram.
+    ///
+    /// # Panics
+    /// If the named histogram exists with other bounds
+    /// ([`FixedHistogram::merge`]).
     pub fn merge_histogram(&mut self, name: &'static str, h: &FixedHistogram) {
         if crate::enabled() {
             self.hists

@@ -93,7 +93,78 @@ impl Default for WorldConfig {
     }
 }
 
+/// A [`WorldConfig`] setting the simulator cannot run with
+/// ([`WorldConfig::validate`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum InvalidConfig {
+    /// A probability or fraction outside `[0, 1]`, or NaN.
+    NotAFraction {
+        /// The field's name.
+        field: &'static str,
+        /// Its value.
+        value: f64,
+    },
+    /// A count the simulator divides by or draws from is zero.
+    Zero {
+        /// The field's name.
+        field: &'static str,
+    },
+}
+
+impl InvalidConfig {
+    /// The name of the offending field.
+    pub fn field(&self) -> &'static str {
+        match self {
+            InvalidConfig::NotAFraction { field, .. } | InvalidConfig::Zero { field } => field,
+        }
+    }
+}
+
+impl std::fmt::Display for InvalidConfig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            InvalidConfig::NotAFraction { field, value } => {
+                write!(f, "WorldConfig::{field} = {value} is not in [0, 1]")
+            }
+            InvalidConfig::Zero { field } => write!(f, "WorldConfig::{field} must not be 0"),
+        }
+    }
+}
+
+impl std::error::Error for InvalidConfig {}
+
 impl WorldConfig {
+    /// Checks the settings the simulator would otherwise panic on deep
+    /// inside a run, and names the first bad field: every probability or
+    /// fraction must lie in `[0, 1]`, the sampling rate and the subnets per
+    /// botnet must be positive, and a schedule with attack chains needs a
+    /// botnet to draw their sources from.
+    pub fn validate(&self) -> Result<(), InvalidConfig> {
+        let fractions = [
+            ("flash_crowd_prob", self.flash_crowd_prob),
+            ("blocklisted_frac", self.blocklisted_frac),
+            ("spoofed_frac", self.spoofed_frac),
+            ("spoof_detectable_frac", self.spoof_detectable_frac),
+            ("same_type_prob", self.same_type_prob),
+            ("wave_frac", self.wave_frac),
+        ];
+        for (field, value) in fractions {
+            if !(0.0..=1.0).contains(&value) {
+                return Err(InvalidConfig::NotAFraction { field, value });
+            }
+        }
+        let zero = if self.sampling_rate == 0 {
+            Some("sampling_rate")
+        } else if self.botnet_subnets == 0 {
+            Some("botnet_subnets")
+        } else if self.n_chains > 0 && self.n_botnets == 0 {
+            Some("n_botnets")
+        } else {
+            None
+        };
+        zero.map_or(Ok(()), |field| Err(InvalidConfig::Zero { field }))
+    }
+
     /// Total simulated minutes, saturating at `u32::MAX` (a period of
     /// over 8,000 years).
     pub fn total_minutes(&self) -> u32 {
@@ -143,5 +214,117 @@ impl WorldConfig {
             prep_days: 6.0,
             ..WorldConfig::default()
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `cfg` with one field changed fails validation naming that field.
+    fn rejects(field: &str, change: impl FnOnce(&mut WorldConfig)) {
+        let mut cfg = WorldConfig::smoke_test(1);
+        change(&mut cfg);
+        let err = cfg.validate().expect_err(field);
+        assert_eq!(err.field(), field);
+        assert!(err.to_string().contains(field), "{err}");
+    }
+
+    #[test]
+    fn the_presets_are_valid() {
+        for cfg in [
+            WorldConfig::default(),
+            WorldConfig::smoke_test(1),
+            WorldConfig::mini(1),
+            WorldConfig::small(1),
+        ] {
+            assert_eq!(cfg.validate(), Ok(()));
+        }
+    }
+
+    #[test]
+    fn flash_crowd_prob_must_be_a_probability() {
+        rejects("flash_crowd_prob", |c| c.flash_crowd_prob = -1e-9);
+        rejects("flash_crowd_prob", |c| c.flash_crowd_prob = f64::NAN);
+    }
+
+    #[test]
+    fn blocklisted_frac_must_be_a_fraction() {
+        rejects("blocklisted_frac", |c| c.blocklisted_frac = 1.5);
+        rejects("blocklisted_frac", |c| c.blocklisted_frac = f64::NAN);
+    }
+
+    #[test]
+    fn spoofed_frac_must_be_a_fraction() {
+        rejects("spoofed_frac", |c| c.spoofed_frac = -0.1);
+        rejects("spoofed_frac", |c| c.spoofed_frac = f64::INFINITY);
+    }
+
+    #[test]
+    fn spoof_detectable_frac_must_be_a_fraction() {
+        rejects("spoof_detectable_frac", |c| c.spoof_detectable_frac = 2.0);
+        rejects("spoof_detectable_frac", |c| {
+            c.spoof_detectable_frac = f64::NAN
+        });
+    }
+
+    #[test]
+    fn same_type_prob_must_be_a_probability() {
+        rejects("same_type_prob", |c| c.same_type_prob = 1.0 + f64::EPSILON);
+        rejects("same_type_prob", |c| c.same_type_prob = f64::NAN);
+    }
+
+    #[test]
+    fn wave_frac_must_be_a_fraction() {
+        rejects("wave_frac", |c| c.wave_frac = -1.0);
+        rejects("wave_frac", |c| c.wave_frac = f64::NAN);
+    }
+
+    #[test]
+    fn sampling_rate_must_be_positive() {
+        rejects("sampling_rate", |c| c.sampling_rate = 0);
+    }
+
+    #[test]
+    fn botnet_subnets_must_be_positive() {
+        rejects("botnet_subnets", |c| c.botnet_subnets = 0);
+    }
+
+    /// Attack chains draw their sources from a botnet; a world without
+    /// chains needs none.
+    #[test]
+    fn attack_chains_need_a_botnet() {
+        rejects("n_botnets", |c| c.n_botnets = 0);
+        let quiet = WorldConfig {
+            n_botnets: 0,
+            n_chains: 0,
+            ..WorldConfig::smoke_test(1)
+        };
+        assert_eq!(quiet.validate(), Ok(()));
+    }
+
+    /// The bounds are inclusive.
+    #[test]
+    fn zero_and_one_are_fractions() {
+        let edges = WorldConfig {
+            flash_crowd_prob: 0.0,
+            blocklisted_frac: 1.0,
+            spoofed_frac: 0.0,
+            spoof_detectable_frac: 1.0,
+            same_type_prob: 1.0,
+            wave_frac: 0.0,
+            ..WorldConfig::smoke_test(1)
+        };
+        assert_eq!(edges.validate(), Ok(()));
+    }
+
+    /// The first bad field is the one named.
+    #[test]
+    fn the_first_bad_field_is_named() {
+        let mut cfg = WorldConfig::smoke_test(1);
+        cfg.wave_frac = 2.0;
+        cfg.botnet_subnets = 0;
+        cfg.flash_crowd_prob = f64::NAN;
+        assert_eq!(cfg.validate().unwrap_err().field(), "flash_crowd_prob");
     }
 }

@@ -39,7 +39,7 @@ pub use botnet::{Botnet, Ecosystem};
 pub use composer::{
     compose, ComposedScenario, DetectorTimeConstants, ScenarioFamily, ScenarioSpan,
 };
-pub use config::WorldConfig;
+pub use config::{InvalidConfig, WorldConfig};
 pub use faults::{
     FaultKind, FaultObs, FaultSchedule, FaultWindow, FaultedWorld, MinuteDelivery,
     BUILTIN_SCHEDULES,

@@ -83,11 +83,16 @@ impl World {
     /// Builds a world from a configuration. Deterministic in `cfg.seed`.
     ///
     /// # Panics
-    /// Panics if `cfg.sampling_rate` is zero, if `blocklisted_frac` is not
-    /// in `[0, 1]`, or, when `n_chains > 0`, as [`build_schedule`] does.
+    /// Panics with [`WorldConfig::validate`]'s message if `cfg` fails it,
+    /// or, when `n_chains > 0`, as [`build_schedule`] does on the settings
+    /// `validate` does not cover (no customers for a wave, a negative or
+    /// NaN `chain_len_mean`).
     ///
     /// [`build_schedule`]: crate::schedule::build_schedule
     pub fn new(cfg: WorldConfig) -> Self {
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
         let customers: Vec<Ipv4> = (0..cfg.n_customers).map(customer_addr).collect();
         let benign: Vec<BenignProfile> = customers
             .iter()
@@ -272,10 +277,8 @@ impl World {
     ///
     /// # Panics
     /// Panics when the world is [`World::finished`]. Injected events and
-    /// vectors are validated on the way in; the scheduled ones come from the
-    /// config, so stepping also panics if an attack emits while
-    /// `cfg.botnet_subnets` is zero, or if `flash_crowd_prob`,
-    /// `spoofed_frac` or `spoof_detectable_frac` is not in `[0, 1]`.
+    /// vectors are validated on the way in, and the config when the world
+    /// is built.
     pub fn step(&mut self) -> Vec<MinuteFlows> {
         let minute = self.minute;
         assert!(
@@ -424,6 +427,17 @@ mod tests {
                 assert_eq!(f.sampling, w.cfg.sampling_rate);
             }
         }
+    }
+
+    /// An out-of-range setting stops the build, naming the field, instead
+    /// of panicking inside a later step.
+    #[test]
+    #[should_panic(expected = "WorldConfig::spoofed_frac = 1.5 is not in [0, 1]")]
+    fn an_invalid_config_panics_at_construction() {
+        World::new(WorldConfig {
+            spoofed_frac: 1.5,
+            ..WorldConfig::smoke_test(1)
+        });
     }
 
     #[test]
