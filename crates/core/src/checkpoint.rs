@@ -1499,6 +1499,48 @@ mod tests {
         assert_eq!(back.to_checkpoint().customers[0].survival.1.len(), 1 << 15);
     }
 
+    /// A detector record written under another lifecycle, with `edit`
+    /// applied, encoded and decoded: `from_checkpoint` refuses it, naming
+    /// `field`. The record as written restores.
+    fn refuses_a_foreign_lifecycle(field: &str, edit: fn(&mut DetectorCheckpoint)) {
+        use crate::fleet::FleetDetector;
+        use crate::model::XatuModel;
+        use xatu_netflow::addr::Ipv4;
+        let cfg = crate::XatuConfig {
+            hidden: 2,
+            ..crate::XatuConfig::smoke_test()
+        };
+        let mut det = FleetDetector::new(XatuModel::new(&cfg), AttackType::UdpFlood, 0.9, &cfg);
+        det.add_customer(Ipv4(7));
+        let mut ck = det.to_checkpoint();
+        assert!(FleetDetector::from_checkpoint(&ck).is_ok());
+        edit(&mut ck);
+        let bytes = ck.encode();
+        let decoded = DetectorCheckpoint::decode(&mut Dec::new(&bytes)).expect("well formed");
+        match FleetDetector::from_checkpoint(&decoded) {
+            Err(XatuError::InvalidCheckpoint { reason }) => {
+                assert!(reason.starts_with(&format!("{field} is ")), "{reason}")
+            }
+            other => panic!("{field}: {:?}", other.map(|_| ())),
+        }
+    }
+
+    /// The record keeps its `quiet` field, byte for byte; a value other
+    /// than the one lifecycle's is refused.
+    #[test]
+    fn detector_record_refuses_a_foreign_quiet_run() {
+        refuses_a_foreign_lifecycle("quiet", |ck| ck.quiet = 3);
+        refuses_a_foreign_lifecycle("quiet", |ck| ck.quiet = 0);
+    }
+
+    /// The record keeps its `max_alert_minutes` field, byte for byte; a
+    /// value other than the one lifecycle's cap is refused.
+    #[test]
+    fn detector_record_refuses_a_foreign_alert_cap() {
+        refuses_a_foreign_lifecycle("max_alert_minutes", |ck| ck.max_alert_minutes = 60);
+        refuses_a_foreign_lifecycle("max_alert_minutes", |ck| ck.max_alert_minutes = u32::MAX);
+    }
+
     #[test]
     fn enum_tags_roundtrip() {
         for t in AttackType::ALL {

@@ -1,6 +1,7 @@
 //! The detector core: one definition of the streaming detector's state,
-//! degradation ladder, alert lifecycle, telemetry and checkpoint, which
-//! [`crate::fleet::FleetDetector`] drives on its row and batch paths.
+//! degradation ladder, telemetry and checkpoint, which
+//! [`crate::fleet::FleetDetector`] drives on its row and batch paths. Its
+//! lifecycle tail steps the crate's one alert lifecycle ([`lifecycle`]).
 //!
 //! # State
 //!
@@ -62,6 +63,7 @@ use crate::checkpoint::{CustomerCheckpoint, DetectorCheckpoint, DualStateCheckpo
 use crate::config::XatuConfig;
 use crate::error::XatuError;
 use crate::fusion::{Fused, Ring};
+use crate::lifecycle::{self, Step, MAX_ALERT_MINUTES, QUIET_MINUTES};
 use crate::model::{ModelConfig, ServedModel, XatuModel, TIMESCALES};
 use std::collections::HashMap;
 use xatu_detectors::alert::Alert;
@@ -89,7 +91,7 @@ pub struct DetectorObs {
     pub raised: Counter,
     /// Alerts ended for any reason, force-ends and `close_all` included.
     pub ended: Counter,
-    /// Alerts ended *because* they hit `max_alert_minutes`.
+    /// Alerts ended *because* they hit [`MAX_ALERT_MINUTES`].
     pub force_ended: Counter,
     /// Observations swallowed by per-customer warm-up suppression.
     pub warmup_suppressed: Counter,
@@ -763,9 +765,7 @@ pub(crate) struct Knobs {
     attack_type: AttackType,
     threshold: f64,
     window: usize,
-    quiet: u32,
     warmup: u32,
-    max_alert_minutes: u32,
     /// Pooling granularity of each timescale, in minutes.
     gran: [u32; TIMESCALES],
     /// Each timescale's dual-state period: its training context length.
@@ -953,9 +953,10 @@ fn survival_tail(net: &Net<'_>, c: &mut Customer, input: &mut Vec<f64>) -> (f64,
     (hazard, reported)
 }
 
-/// Records the reported survival, applies the warm-up gate and walks the
-/// alert lifecycle: raise, quiet end, force end at the cap.
-fn lifecycle_tail(
+/// Records the reported survival, applies the warm-up gate and steps the
+/// alert lifecycle ([`lifecycle::step`]), counting and emitting what it
+/// raised or ended.
+pub(crate) fn lifecycle_tail(
     k: &Knobs,
     obs: &mut DetectorObs,
     c: &mut Customer,
@@ -973,46 +974,34 @@ fn lifecycle_tail(
         obs.warmup_suppressed.inc();
         return;
     }
-    match c.active_since {
-        None => {
-            // Stale input can never *raise*: a new alert needs fresh
-            // evidence, and an imputed minute only replays old evidence.
-            // (Open alerts may still *end* on stale input, below.)
-            if reported < k.threshold && c.stale_run == 0 {
-                c.active_since = Some(minute);
-                c.quiet_run = 0;
+    let firing = reported < k.threshold;
+    let fresh = c.stale_run == 0;
+    let (detected_at, end) =
+        match lifecycle::step(&mut c.active_since, &mut c.quiet_run, minute, firing, fresh) {
+            Step::Hold => return,
+            Step::Raised => {
                 obs.raised.inc();
-                out.events.push(DetectorEvent::Raised(Alert {
-                    customer: addr,
-                    attack_type: k.attack_type,
-                    detected_at: minute,
-                    mitigation_end: None,
-                }));
+                (minute, None)
             }
-        }
-        Some(detected_at) => {
-            let over_cap = minute.saturating_sub(detected_at) >= k.max_alert_minutes;
-            if reported < k.threshold && !over_cap {
-                c.quiet_run = 0;
-                return;
-            }
-            c.quiet_run += 1;
-            if c.quiet_run >= k.quiet || over_cap {
-                c.active_since = None;
-                c.quiet_run = 0;
+            Step::Ended {
+                detected_at,
+                forced,
+            } => {
                 obs.ended.inc();
-                if over_cap {
-                    obs.force_ended.inc();
-                }
-                out.events.push(DetectorEvent::Ended(Alert {
-                    customer: addr,
-                    attack_type: k.attack_type,
-                    detected_at,
-                    mitigation_end: Some(minute),
-                }));
+                obs.force_ended.add(u64::from(forced));
+                (detected_at, Some(minute))
             }
-        }
-    }
+        };
+    let alert = Alert {
+        customer: addr,
+        attack_type: k.attack_type,
+        detected_at,
+        mitigation_end: end,
+    };
+    out.events.push(match end {
+        None => DetectorEvent::Raised(alert),
+        Some(_) => DetectorEvent::Ended(alert),
+    });
 }
 
 /// Everything after the record's LSTM states have advanced: retire the
@@ -1097,17 +1086,12 @@ pub(crate) struct Common {
     pub attack_type: AttackType,
     pub threshold: f64,
     pub window: usize,
-    quiet: u32,
     /// Per-customer observations to ignore before alerting: LSTM states
     /// need to settle from their cold start.
     pub warmup: u32,
     /// Training context lengths: the dual states reset on these periods so
     /// serving matches the training distribution.
     pub ctx_lens: (usize, usize, usize),
-    /// The scrubbing centre stops diverting a customer's traffic once it
-    /// runs clean (§2.1), so a stuck alert is force-ended after this many
-    /// minutes and must re-trigger.
-    pub max_alert_minutes: u32,
     /// Registered addresses in dense-id order.
     pub addrs: Vec<Ipv4>,
     index: HashMap<Ipv4, u32>,
@@ -1142,10 +1126,8 @@ impl Common {
             attack_type,
             threshold,
             window: cfg.window,
-            quiet: 5,
             warmup: 2 * cfg.window as u32,
             ctx_lens: (cfg.short_len, cfg.medium_len, cfg.long_len),
-            max_alert_minutes: 45,
             addrs: Vec::new(),
             index: HashMap::new(),
             obs: DetectorObs::default(),
@@ -1159,9 +1141,7 @@ impl Common {
             attack_type: self.attack_type,
             threshold: self.threshold,
             window: self.window,
-            quiet: self.quiet,
             warmup: self.warmup,
-            max_alert_minutes: self.max_alert_minutes,
             gran: self.model.cfg.gran(),
             period: [s, m, l].map(|p| (p as u32).max(1)),
             stale_limit: (self.window as u32).max(1),
@@ -1205,14 +1185,14 @@ impl Common {
             attack_type: self.attack_type,
             threshold: self.threshold,
             window: self.window as u64,
-            quiet: self.quiet,
+            quiet: QUIET_MINUTES,
             warmup: self.warmup,
             ctx_lens: (
                 self.ctx_lens.0 as u64,
                 self.ctx_lens.1 as u64,
                 self.ctx_lens.2 as u64,
             ),
-            max_alert_minutes: self.max_alert_minutes,
+            max_alert_minutes: MAX_ALERT_MINUTES,
             timescales: self.model.cfg.timescales,
             hidden: self.model.cfg.hidden as u64,
             mode: self.model.cfg.mode,
@@ -1234,6 +1214,16 @@ pub(crate) fn restore(ck: &DetectorCheckpoint) -> Result<(Common, Vec<Customer>)
     let bad = |reason: String| XatuError::invalid_checkpoint(reason);
     let (s, m, l) = ck.timescales;
     check_shape(ck.window, [s, m, l]).map_err(bad)?;
+    // The record keeps the lifecycle it was written under; this build
+    // serves one, so a record of another is refused rather than re-read.
+    for (field, got, want) in [
+        ("quiet", ck.quiet, QUIET_MINUTES),
+        ("max_alert_minutes", ck.max_alert_minutes, MAX_ALERT_MINUTES),
+    ] {
+        if got != want {
+            return Err(bad(format!("{field} is {got}, this build serves {want}")));
+        }
+    }
     // Each LSTM alone holds 4·hidden·NUM_FEATURES input weights: a hidden
     // size the parameters cannot cover is refused before a model of that
     // size is built.
@@ -1271,14 +1261,12 @@ pub(crate) fn restore(ck: &DetectorCheckpoint) -> Result<(Common, Vec<Customer>)
         attack_type: ck.attack_type,
         threshold: ck.threshold,
         window: ck.window as usize,
-        quiet: ck.quiet,
         warmup: ck.warmup,
         ctx_lens: (
             ck.ctx_lens.0 as usize,
             ck.ctx_lens.1 as usize,
             ck.ctx_lens.2 as usize,
         ),
-        max_alert_minutes: ck.max_alert_minutes,
         addrs: Vec::new(),
         index: HashMap::with_capacity(ck.customers.len()),
         obs: DetectorObs::default(),

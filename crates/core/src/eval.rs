@@ -1,6 +1,6 @@
 //! Evaluation plumbing: signature-volume bookkeeping, ground-truth event
-//! construction (CDet alert + CUSUM onset), survival-series → alert
-//! conversion, and per-system metric computation.
+//! construction (CDet alert + CUSUM onset), and per-system metric
+//! computation. Survival series become alerts in [`crate::lifecycle`].
 
 use std::collections::HashMap;
 use xatu_detectors::alert::Alert;
@@ -253,47 +253,6 @@ pub fn build_ground_truth(alerts: &[Alert], volumes: &VolumeStore) -> Vec<GtEven
             })
         })
         .collect()
-}
-
-/// Converts a per-minute survival (or `1 − p`) series into alert intervals:
-/// raise when the score drops below `threshold`, end after `quiet`
-/// consecutive recovered minutes.
-pub fn alerts_from_score_series(
-    scores: &[f32],
-    base_minute: u32,
-    threshold: f64,
-    quiet: u32,
-) -> Vec<(u32, u32)> {
-    let mut out = Vec::new();
-    let mut open: Option<u32> = None;
-    let mut quiet_run = 0u32;
-    for (i, &s) in scores.iter().enumerate() {
-        let m = base_minute + i as u32;
-        let firing = (s as f64) < threshold;
-        match open {
-            None => {
-                if firing {
-                    open = Some(m);
-                    quiet_run = 0;
-                }
-            }
-            Some(start) => {
-                if firing {
-                    quiet_run = 0;
-                } else {
-                    quiet_run += 1;
-                    if quiet_run >= quiet {
-                        out.push((start, m));
-                        open = None;
-                    }
-                }
-            }
-        }
-    }
-    if let Some(start) = open {
-        out.push((start, base_minute + scores.len() as u32));
-    }
-    out
 }
 
 /// One detection system's alert intervals keyed by (customer, type).
@@ -754,31 +713,6 @@ mod tests {
         // No history to judge by, and no volume at all.
         assert!(vs.is_anomalous(c, AttackType::UdpFlood, 30));
         assert!(!vs.is_anomalous(c, AttackType::DnsAmplification, 220));
-    }
-
-    #[test]
-    fn score_series_to_alerts_lifecycle() {
-        // Scores: quiet(1.0) then firing(0.1) then quiet again.
-        let mut scores = vec![1.0f32; 10];
-        scores.extend(vec![0.1f32; 5]);
-        scores.extend(vec![1.0f32; 10]);
-        let alerts = alerts_from_score_series(&scores, 100, 0.5, 3);
-        assert_eq!(alerts, vec![(110, 117)]);
-    }
-
-    #[test]
-    fn open_alert_is_closed_at_series_end() {
-        let mut scores = vec![1.0f32; 3];
-        scores.extend(vec![0.0f32; 4]);
-        let alerts = alerts_from_score_series(&scores, 0, 0.5, 5);
-        assert_eq!(alerts, vec![(3, 7)]);
-    }
-
-    #[test]
-    fn flapping_within_quiet_stays_one_alert() {
-        let scores = vec![1.0, 0.1, 1.0, 0.1, 1.0, 0.1, 1.0, 1.0, 1.0, 1.0f32];
-        let alerts = alerts_from_score_series(&scores, 0, 0.5, 3);
-        assert_eq!(alerts.len(), 1);
     }
 
     #[test]

@@ -367,11 +367,6 @@ impl FleetDetector {
         self.common.attack_type
     }
 
-    /// The force-end cap, in minutes from `detected_at`.
-    pub fn max_alert_minutes(&self) -> u32 {
-        self.common.max_alert_minutes
-    }
-
     /// The current rolling survival for a customer (1.0 if unseen).
     pub fn survival_of(&self, addr: Ipv4) -> f64 {
         let id = self.common.id_of(addr);

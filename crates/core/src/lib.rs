@@ -21,14 +21,17 @@
 //!   buckets, rolling survival, alert lifecycle), all `f64`, stepped by
 //!   the head's served layers ([`xatu_nn::ServingLstm`], the trained
 //!   weights transposed once) through one online step, with one
-//!   definition each of the degradation ladder, the alert lifecycle, the
-//!   telemetry and the checkpoint encoder/validator.
+//!   definition each of the degradation ladder, the telemetry and the
+//!   checkpoint encoder/validator; its lifecycle tail steps [`lifecycle`].
 //! * [`fleet`] — [`FleetDetector`], the one streaming detector over that
 //!   core: every customer of a minute per call, sharded across workers
 //!   with thread-invariant results, or one customer-minute per call (the
 //!   batch path's reference), with thresholded alerts and the optional
 //!   companion fusion. The pipeline, the engine, the scenario matrix and the fault
 //!   runs all serve through it.
+//! * [`lifecycle`] — the one alert lifecycle (raise, quiet end, force
+//!   end) every head and the offline calibration scorer step through,
+//!   and the scrubbing centre's release rule, with their four constants.
 //! * [`online`] — the detector's former name, an alias of
 //!   [`FleetDetector`] kept for the benchmark harness.
 //! * [`engine`] — the one definition of a minute close: NetFlow v5 bytes
@@ -81,6 +84,7 @@ pub mod faulted;
 pub mod fleet;
 pub mod fusion;
 pub mod gradients;
+pub mod lifecycle;
 pub mod model;
 pub mod online;
 pub mod pipeline;

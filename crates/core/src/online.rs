@@ -193,7 +193,7 @@ mod tests {
         let model = trained_model(&c);
         let mut det = FleetDetector::new(model, AttackType::UdpFlood, 0.5, &c);
         // Quiet lead-in, then a surge that never recovers: the scrubbing
-        // centre's cap must cut the alert loose at max_alert_minutes.
+        // centre's cap must cut the alert loose at MAX_ALERT_MINUTES.
         let mut spans = Vec::new();
         for m in 0..300u32 {
             let v = if m >= 100 { 2.0 } else { 0.05 };
@@ -208,7 +208,7 @@ mod tests {
         for (start, end) in &spans {
             assert_eq!(
                 end - start,
-                det.max_alert_minutes(),
+                crate::lifecycle::MAX_ALERT_MINUTES,
                 "span {start}..{end} not cut at the cap"
             );
         }

@@ -32,10 +32,11 @@ use crate::config::XatuConfig;
 use crate::dataset::{training_horizon, DatasetBuilder, DatasetBundle, SplitBoundaries};
 use crate::engine::{AuxFeed, Engine, MinuteClose};
 use crate::eval::{
-    alerts_from_score_series, build_ground_truth, evaluate_system, intervals_of, GtEvent,
-    SystemAlerts, SystemEval, VolumeStore,
+    build_ground_truth, evaluate_system, intervals_of, GtEvent, SystemAlerts, SystemEval,
+    VolumeStore,
 };
 use crate::fleet::FleetDetector;
+use crate::lifecycle::{alerts_from_score_series, scrub_release};
 use crate::model::{pool_completed_into, read_pos, ModelConfig, XatuModel, TIMESCALES};
 use crate::sample::WideSample;
 use crate::trainer::train_with_obs;
@@ -537,7 +538,6 @@ impl Prepared {
     /// `bound` for every system.
     pub fn evaluate(&self, bound: f64) -> EvalReport {
         let mut obs = pipeline_registry(self.cfg.verbose);
-        let quiet = 5u32;
         let q = QuantileBound {
             quantile: 0.75,
             bound,
@@ -555,26 +555,21 @@ impl Prepared {
         // Per-type calibration: each attack type's model has its own score
         // distribution (UDP survival collapses harder than TCP ACK's), so
         // each gets its own threshold — the paper trains and evaluates the
-        // six models independently.
+        // six models independently. Without the RF there are no RF models.
+        let calibrate = |scores, &ty| {
+            let (th, outcome) = self.calibrate(scores, &gt_val, q, ty);
+            ((ty, th), (ty, outcome))
+        };
         let (xatu_thresholds, xatu_calibration): (Vec<_>, Vec<_>) = self
             .models
             .iter()
-            .map(|(ty, _)| {
-                let (th, outcome) = self.calibrate(&self.val_scores_xatu, &gt_val, q, quiet, *ty);
-                ((*ty, th), (*ty, outcome))
-            })
+            .map(|(ty, _)| calibrate(&self.val_scores_xatu, ty))
             .unzip();
-        let (rf_thresholds, rf_calibration): (Vec<_>, Vec<_>) = if self.cfg.with_rf {
-            self.rf_models
-                .iter()
-                .map(|(ty, _)| {
-                    let (th, outcome) = self.calibrate(&self.val_scores_rf, &gt_val, q, quiet, *ty);
-                    ((*ty, th), (*ty, outcome))
-                })
-                .unzip()
-        } else {
-            (Vec::new(), Vec::new())
-        };
+        let (rf_thresholds, rf_calibration): (Vec<_>, Vec<_>) = self
+            .rf_models
+            .iter()
+            .map(|(ty, _)| calibrate(&self.val_scores_rf, ty))
+            .unzip();
         obs.record_wall(
             "pipeline.calibrate_seconds",
             calibrate_start.elapsed().as_secs_f64(),
@@ -598,59 +593,29 @@ impl Prepared {
 
         // ---------------- Test run (auto-regressive Xatu) ----------------
         let test_start = Instant::now();
-        let (xatu_alerts, test_scores_xatu) = self.run_test(&xatu_thresholds, &mut obs);
+        let (mut xatu_alerts, test_scores_xatu, _) = self.run_test(&xatu_thresholds, &mut obs);
         obs.record_wall("pipeline.test_seconds", test_start.elapsed().as_secs_f64());
+        scrub_release(&mut xatu_alerts, &self.volumes);
         // The RF's test scores are CDet-fed, stored by phase B.
-        let rf_alerts = self.score_alerts(
-            &self.test_scores_rf,
-            self.split.val_end,
-            &rf_thresholds,
-            quiet,
-        );
+        let rf_alerts = self.score_alerts(&self.test_scores_rf, self.split.val_end, &rf_thresholds);
 
         // ---------------- Evaluate all systems ----------------
-        let eval_start = self.split.stabilization_end;
-        let eval_end = self.split.total;
-        let mut systems = Vec::new();
-
-        let cdet_intervals = intervals_of(&self.cdet_alerts, eval_end);
-        systems.push(evaluate_system(
-            "NetScout",
-            &cdet_intervals,
-            &self.ground_truth,
-            &self.volumes,
-            eval_start,
-            eval_end,
-        ));
+        // Xatu and the RF are released by the scrubbing centre; NetScout and
+        // FastNetMon are scored as they alert ([`crate::lifecycle`] says why).
+        let (eval_start, eval_end) = (self.split.stabilization_end, self.split.total);
+        let mut scored = vec![("NetScout", intervals_of(&self.cdet_alerts, eval_end))];
         if self.cfg.with_fnm {
-            let fnm_intervals = intervals_of(&self.fnm_alerts, eval_end);
-            systems.push(evaluate_system(
-                "FastNetMon",
-                &fnm_intervals,
-                &self.ground_truth,
-                &self.volumes,
-                eval_start,
-                eval_end,
-            ));
+            scored.push(("FastNetMon", intervals_of(&self.fnm_alerts, eval_end)));
         }
         if self.cfg.with_rf {
-            systems.push(evaluate_system(
-                "RF",
-                &rf_alerts,
-                &self.ground_truth,
-                &self.volumes,
-                eval_start,
-                eval_end,
-            ));
+            scored.push(("RF", rf_alerts));
         }
-        systems.push(evaluate_system(
-            "Xatu",
-            &xatu_alerts,
-            &self.ground_truth,
-            &self.volumes,
-            eval_start,
-            eval_end,
-        ));
+        scored.push(("Xatu", xatu_alerts));
+        let (gt, volumes) = (&self.ground_truth, &self.volumes);
+        let systems = scored
+            .iter()
+            .map(|(name, alerts)| evaluate_system(name, alerts, gt, volumes, eval_start, eval_end))
+            .collect();
 
         // ---------------- ROC over test minutes ----------------
         let mut roc = Vec::new();
@@ -720,7 +685,6 @@ impl Prepared {
         scores: &Scores,
         gt_val: &[GtEvent],
         q: QuantileBound,
-        quiet: u32,
         ty: AttackType,
     ) -> (f64, Calibration) {
         let base = self.split.train_end;
@@ -743,7 +707,7 @@ impl Prepared {
             |_, &threshold| {
                 // The scrubbing centre releases clean traffic during
                 // validation exactly as it will during testing.
-                let alerts = self.score_alerts(scores, base, &[(ty, threshold)], quiet);
+                let alerts = self.score_alerts(scores, base, &[(ty, threshold)]);
                 let eval = evaluate_system(
                     "cand",
                     &alerts,
@@ -764,13 +728,14 @@ impl Prepared {
     }
 
     /// Streams the stabilization + test periods from the checkpoint with
-    /// live thresholds; returns Xatu's alert intervals and per-minute
-    /// survivals.
+    /// live thresholds; returns Xatu's alert intervals as the heads served
+    /// them (before the scrubbing centre's release), its per-minute
+    /// survivals, and the engine as the run left it.
     fn run_test(
         &self,
         xatu_thresholds: &[(AttackType, f64)],
         obs: &mut Registry,
-    ) -> (SystemAlerts, Scores) {
+    ) -> (SystemAlerts, Scores, Engine) {
         // These checkpoint clones are load-bearing, not waste:
         // [`Prepared::evaluate`] runs once per overhead bound over the same
         // `Prepared`, and the test run is auto-regressive, so every run
@@ -806,7 +771,6 @@ impl Prepared {
         for (_, ev) in engine.close_all(self.split.total) {
             xatu_alert_list.apply(&ev);
         }
-        let xatu_alert_list = xatu_alert_list.0;
         // Detector lifecycle telemetry from this run, stitched in head
         // (model) order. `close_all` ends are included in `alerts_ended`.
         for head in engine.heads() {
@@ -818,123 +782,30 @@ impl Prepared {
             obs.merge_histogram("online.survival", &d.survival);
         }
 
-        if self.cfg.verbose {
-            let min_s = test_scores_xatu
-                .values()
-                .flat_map(|v| v.iter())
-                .fold(1.0f32, |a, &b| a.min(b));
-            obs.trace(
-                "test.summary",
-                &[
-                    ("xatu_alerts", xatu_alert_list.len().into()),
-                    ("min_survival", f64::from(min_s).into()),
-                ],
-            );
-            for a in xatu_alert_list.iter().take(60) {
-                obs.trace(
-                    "test.alert",
-                    &[
-                        ("attack_type", format!("{:?}", a.attack_type).into()),
-                        ("customer", a.customer.to_string().into()),
-                        ("detected_at", a.detected_at.into()),
-                        ("mitigation_end", format!("{:?}", a.mitigation_end).into()),
-                    ],
-                );
-            }
-            for e in self
-                .ground_truth
-                .iter()
-                .filter(|e| e.cdet_detected >= self.split.stabilization_end)
-            {
-                // Min survival of the matching model around this event.
-                let min_s = test_scores_xatu
-                    .get(&(e.customer, e.attack_type))
-                    .map(|series| {
-                        let base = self.split.val_end;
-                        let from = e.anomaly_start.saturating_sub(15).saturating_sub(base) as usize;
-                        let to = ((e.mitigation_end - base) as usize).min(series.len());
-                        series[from.min(to)..to]
-                            .iter()
-                            .fold(1.0f32, |a, &b| a.min(b))
-                    })
-                    .unwrap_or(9.9);
-                obs.trace(
-                    "test.gt_event",
-                    &[
-                        ("attack_type", format!("{:?}", e.attack_type).into()),
-                        ("customer", e.customer.to_string().into()),
-                        ("onset", e.anomaly_start.into()),
-                        ("detected", e.cdet_detected.into()),
-                        ("mitigation_end", e.mitigation_end.into()),
-                        ("min_survival", f64::from(min_s).into()),
-                    ],
-                );
-            }
-        }
-        let mut xatu_alerts = intervals_of(&xatu_alert_list, self.split.total);
-        self.apply_scrub_release(&mut xatu_alerts);
-        (xatu_alerts, test_scores_xatu)
+        let xatu_alerts = intervals_of(&xatu_alert_list.0, self.split.total);
+        (xatu_alerts, test_scores_xatu, engine)
     }
 
     /// Alert intervals of every series in `scores` whose type has a
     /// threshold in `thresholds`, each series starting at minute `base`,
-    /// released by the scrubbing centre ([`Self::apply_scrub_release`]).
+    /// released by the scrubbing centre ([`scrub_release`]).
     fn score_alerts(
         &self,
         scores: &Scores,
         base: u32,
         thresholds: &[(AttackType, f64)],
-        quiet: u32,
     ) -> SystemAlerts {
         let mut alerts = SystemAlerts::new();
         for (&key, series) in scores {
             if let Some(&(_, th)) = thresholds.iter().find(|(ty, _)| *ty == key.1) {
-                let intervals = alerts_from_score_series(series, base, th, quiet);
+                let intervals = alerts_from_score_series(series, base, th);
                 if !intervals.is_empty() {
                     alerts.insert(key, intervals);
                 }
             }
         }
-        self.apply_scrub_release(&mut alerts);
+        scrub_release(&mut alerts, &self.volumes);
         alerts
-    }
-
-    /// The scrubbing centre's release behaviour (§2.1: once traffic runs
-    /// clean, customers are told to stop diverting): each scrub interval
-    /// is truncated after `SCRUB_QUIET` consecutive minutes without
-    /// anomalous signature volume once any anomalous minute was scrubbed,
-    /// or after `SCRUB_GRACE` minutes if none ever appears. This bounds
-    /// the cost of false and too-early alerts exactly the way a real
-    /// CScrub deployment does.
-    fn apply_scrub_release(&self, alerts: &mut SystemAlerts) {
-        const SCRUB_QUIET: u32 = 5;
-        const SCRUB_GRACE: u32 = 15;
-        for (&(customer, ty), intervals) in alerts.iter_mut() {
-            for iv in intervals.iter_mut() {
-                let (start, end) = *iv;
-                let mut saw_anomalous = false;
-                let mut quiet_run = 0u32;
-                let mut release = end;
-                for m in start..end {
-                    if self.volumes.is_anomalous(customer, ty, m) {
-                        saw_anomalous = true;
-                        quiet_run = 0;
-                    } else {
-                        quiet_run += 1;
-                    }
-                    if saw_anomalous && quiet_run >= SCRUB_QUIET {
-                        release = m + 1;
-                        break;
-                    }
-                    if !saw_anomalous && m - start + 1 >= SCRUB_GRACE {
-                        release = m + 1;
-                        break;
-                    }
-                }
-                iv.1 = release;
-            }
-            intervals.retain(|&(s, t)| t > s);
-        }
     }
 
     /// Minute-level ROC over the post-stabilization test period.
@@ -1064,6 +935,11 @@ pub enum Calibration {
     /// No validation event of the type to score a threshold by: served at
     /// the tightest threshold of the grid.
     Unscored,
+    /// The best feasible threshold mitigates no validation event
+    /// (objective 0), or has no customer to cost it: validation cannot
+    /// tell the thresholds apart, so the type is served at the tightest
+    /// threshold of the grid.
+    Degenerate,
 }
 
 impl Calibration {
@@ -1073,14 +949,16 @@ impl Calibration {
             Calibration::Calibrated => "calibrated",
             Calibration::Infeasible => "infeasible",
             Calibration::Unscored => "unscored",
+            Calibration::Degenerate => "degenerate",
         }
     }
 }
 
 /// The threshold one type is served at, from its validation sweep over
 /// `grid` (ascending) against `events` validation events: the best
-/// feasible candidate, or — when there is none, or nothing to score by —
-/// the grid's tightest threshold, which alerts least.
+/// feasible candidate, or — when there is none, nothing to score by, or
+/// nothing that tells the candidates apart — the grid's tightest
+/// threshold, which alerts least.
 fn settle(
     events: usize,
     grid: &[f64],
@@ -1090,9 +968,16 @@ fn settle(
     if events == 0 {
         return (grid[0], Calibration::Unscored);
     }
-    match pick_threshold(candidates, q) {
-        Some(th) => (th, Calibration::Calibrated),
-        None => (grid[0], Calibration::Infeasible),
+    let Some(th) = pick_threshold(candidates, q) else {
+        return (grid[0], Calibration::Infeasible);
+    };
+    let informative = candidates
+        .iter()
+        .any(|c| c.threshold == th && c.objective != 0.0 && !c.per_customer_cost.is_empty());
+    if informative {
+        (th, Calibration::Calibrated)
+    } else {
+        (grid[0], Calibration::Degenerate)
     }
 }
 
@@ -1571,7 +1456,8 @@ mod tests {
         let mut h = Fnv::new();
         h.scores(&prepared.val_scores_xatu);
         for r in reports {
-            let (alerts, _) = prepared.run_test(&r.xatu_thresholds, &mut Registry::new());
+            let (mut alerts, _, _) = prepared.run_test(&r.xatu_thresholds, &mut Registry::new());
+            scrub_release(&mut alerts, &prepared.volumes);
             h.intervals(&alerts);
         }
         h.0
@@ -1642,6 +1528,44 @@ mod tests {
         );
     }
 
+    /// The seed-13 shape: a UDP threshold above the quiet survival level
+    /// fired on every validation minute, and the lifecycle without a cap
+    /// made one interval that the release cut after its grace, so the 9
+    /// loosest candidates detected nothing at almost no cost. They tied at
+    /// objective 0, and the tie settled at 0.9999, "calibrated".
+    #[test]
+    fn an_always_firing_type_whose_feasible_candidates_tie_at_zero_is_degenerate() {
+        let (grid, mut candidates) = sweep(0.02, 0.3);
+        for c in &mut candidates[grid.len() - 9..] {
+            c.objective = 0.0;
+            c.per_customer_cost = vec![0.0002; 4];
+        }
+        assert_eq!(
+            settle(39, &grid, &candidates, BOUND),
+            (grid[0], Calibration::Degenerate)
+        );
+    }
+
+    /// `CustomerOverhead::ratios` drops customers without attack volume, so
+    /// a type with validation events can cost every candidate over no
+    /// customer at all. An empty cost vector meets any bound; it is not a
+    /// calibration.
+    #[test]
+    fn a_type_with_events_but_no_customer_cost_is_degenerate() {
+        let (grid, candidates) = sweep(0.0, 0.5);
+        let candidates: Vec<CandidateEval> = candidates
+            .into_iter()
+            .map(|c| CandidateEval {
+                per_customer_cost: Vec::new(),
+                ..c
+            })
+            .collect();
+        assert_eq!(
+            settle(2, &grid, &candidates, BOUND),
+            (grid[0], Calibration::Degenerate)
+        );
+    }
+
     /// Seed 9 trains a model and raises test-period alerts, so the
     /// detections digest covers real survivals and real alerts.
     #[test]
@@ -1672,6 +1596,69 @@ mod tests {
         );
     }
 
+    /// What a system's evaluation reads, comparable whatever the order of
+    /// the overhead's customer map.
+    fn eval_key(e: &SystemEval) -> String {
+        let mut ratios = e.overhead.ratios();
+        ratios.sort_by(f64::total_cmp);
+        let delays = e.delay.values_with_miss_penalty();
+        format!("{} {:?} {delays:?} {ratios:?}", e.detected, e.records)
+    }
+
+    /// Offline ≡ served on the seed-9 smoke headline, at bounds 0.05 and
+    /// 0.0005 and at a loose 0.9 that alerts on every type. The test run's
+    /// Xatu intervals, before the scrubbing centre's release, are the
+    /// offline scorer's over the survivals that run recorded. No head
+    /// imputes a minute in phase B or in the test run, which is why the
+    /// offline scorer calls every minute fresh. And the headline scores
+    /// NetScout unreleased: its row is `evaluate_system` over its alerts.
+    #[test]
+    fn the_test_run_serves_the_lifecycle_calibration_scores() {
+        let prepared = Pipeline::new(PipelineConfig::smoke_test(9)).prepare();
+        let imputed = |engine: &Engine| -> u64 {
+            let heads = engine.heads();
+            heads.iter().map(|h| h.obs().gaps_imputed.get()).sum()
+        };
+        assert_eq!(imputed(&prepared.checkpoint.engine), 0, "phase B");
+        let loose: Vec<(AttackType, f64)> =
+            prepared.models.iter().map(|(ty, _)| (*ty, 0.9)).collect();
+        let (base, total) = (prepared.split.val_end, prepared.split.total);
+        let mut raised = 0;
+        for bound in [Some(0.05), Some(0.0005), None] {
+            let report = bound.map(|b| prepared.evaluate(b));
+            let thresholds = report.as_ref().map_or(&loose, |r| &r.xatu_thresholds);
+            let (served, scores, engine) = prepared.run_test(thresholds, &mut Registry::new());
+            assert_eq!(imputed(&engine), 0, "test run at {bound:?}");
+            let mut offline = SystemAlerts::new();
+            for (&key, series) in &scores {
+                let th = thresholds
+                    .iter()
+                    .find(|(ty, _)| *ty == key.1)
+                    .expect("a head")
+                    .1;
+                let intervals = alerts_from_score_series(series, base, th);
+                if !intervals.is_empty() {
+                    offline.insert(key, intervals);
+                }
+            }
+            assert_eq!(served, offline, "at {bound:?}");
+            raised += served.values().map(Vec::len).sum::<usize>();
+            if let (Some(report), Some(0.05)) = (&report, bound) {
+                let netscout = evaluate_system(
+                    "NetScout",
+                    &intervals_of(&prepared.cdet_alerts, total),
+                    &prepared.ground_truth,
+                    &prepared.volumes,
+                    prepared.split.stabilization_end,
+                    total,
+                );
+                let row = report.system("NetScout").expect("NetScout is scored");
+                assert_eq!(eval_key(row), eval_key(&netscout));
+            }
+        }
+        assert!(raised > 0, "the test runs raise alerts to compare");
+    }
+
     /// What the RF and FastNetMon baselines produced on the seed-9 smoke
     /// pipeline: the FastNetMon alerts, the validation RF scores, then at
     /// bounds 0.05 and 0.0005 the test-period Xatu and RF alert intervals
@@ -1692,9 +1679,11 @@ mod tests {
         h.scores(&prepared.val_scores_rf);
         for bound in [0.05, 0.0005] {
             let r = prepared.evaluate(bound);
-            let (xatu, xatu_scores) = prepared.run_test(&r.xatu_thresholds, &mut Registry::new());
+            let (mut xatu, xatu_scores, _) =
+                prepared.run_test(&r.xatu_thresholds, &mut Registry::new());
+            scrub_release(&mut xatu, &prepared.volumes);
             let (rf_scores, base) = (&prepared.test_scores_rf, prepared.split.val_end);
-            let rf = prepared.score_alerts(rf_scores, base, &r.rf_thresholds, 5);
+            let rf = prepared.score_alerts(rf_scores, base, &r.rf_thresholds);
             h.intervals(&xatu);
             h.intervals(&rf);
             h.scores(&xatu_scores);

@@ -29,61 +29,72 @@ pub struct QuantileBound {
 }
 
 impl QuantileBound {
-    /// True if `costs` satisfies the constraint. Empty cost vectors are
-    /// trivially feasible (no customers had attacks).
+    /// The cost at the checked quantile of `costs` (nearest rank); 0 for
+    /// an empty vector (no customer had attacks, so none paid).
     ///
     /// NaN costs sort *last* (worst), so a NaN landing at or below the
-    /// checked quantile makes the candidate infeasible (`NaN <= bound` is
-    /// false) rather than panicking — an unmeasurable overhead must never
-    /// be treated as a cheap one.
-    pub fn is_satisfied(&self, costs: &[f64]) -> bool {
+    /// checked quantile is the quantile's cost rather than a panic — an
+    /// unmeasurable overhead must never be treated as a cheap one.
+    pub fn quantile_cost(&self, costs: &[f64]) -> f64 {
         if costs.is_empty() {
-            return true;
+            return 0.0;
         }
         let mut sorted = costs.to_vec();
         sorted.sort_by(|a, b| match (a.is_nan(), b.is_nan()) {
             (true, true) => std::cmp::Ordering::Equal,
             (true, false) => std::cmp::Ordering::Greater,
             (false, true) => std::cmp::Ordering::Less,
-            (false, false) => a.partial_cmp(b).unwrap(),
+            (false, false) => a.total_cmp(b),
         });
         let idx =
             ((self.quantile * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
-        sorted[idx] <= self.bound
+        sorted[idx]
+    }
+
+    /// True if `costs` satisfies the constraint. Empty cost vectors are
+    /// trivially feasible (no customers had attacks); a NaN at or below
+    /// the checked quantile is infeasible (`NaN <= bound` is false).
+    pub fn is_satisfied(&self, costs: &[f64]) -> bool {
+        self.quantile_cost(costs) <= self.bound
     }
 }
 
 /// Picks the feasible candidate with the highest objective. Ties are broken
-/// toward the *higher* threshold (less aggressive detection). Returns `None`
-/// if no candidate is feasible.
+/// toward the *lower* cost at the checked quantile ([`QuantileBound::quantile_cost`]),
+/// then toward the *higher* threshold (less aggressive detection). Returns
+/// `None` if no candidate is feasible.
 ///
 /// Candidates with a NaN objective are skipped outright: every comparison
 /// against NaN is false, so such a candidate could otherwise win by being
 /// compared first and then never displaced.
 pub fn pick_threshold(candidates: &[CandidateEval], bound: QuantileBound) -> Option<f64> {
-    let mut best: Option<&CandidateEval> = None;
+    let mut best: Option<(&CandidateEval, f64)> = None;
     for c in candidates {
-        if c.objective.is_nan() || !bound.is_satisfied(&c.per_customer_cost) {
+        let cost = bound.quantile_cost(&c.per_customer_cost);
+        // A NaN cost is not feasible either.
+        let feasible = cost <= bound.bound;
+        if c.objective.is_nan() || !feasible {
             continue;
         }
-        best = match best {
-            None => Some(c),
-            Some(b)
-                if c.objective > b.objective
-                    || (c.objective == b.objective && c.threshold > b.threshold) =>
-            {
-                Some(c)
-            }
-            Some(b) => Some(b),
-        };
+        let better = best.is_none_or(|(b, b_cost)| {
+            c.objective > b.objective
+                || (c.objective == b.objective
+                    && (cost < b_cost || (cost == b_cost && c.threshold > b.threshold)))
+        });
+        if better {
+            best = Some((c, cost));
+        }
     }
-    best.map(|c| c.threshold)
+    best.map(|(c, _)| c.threshold)
 }
 
 /// A grid of thresholds in (0, 1) that is logarithmically dense at *both*
 /// ends: near 0, because a sharp survival model collapses to ~1e-4 during
 /// attacks so tight overhead bounds calibrate to tiny thresholds; and near
 /// 1, because loose bounds calibrate just below the quiet-traffic level.
+///
+/// # Panics
+/// Panics if `n < 4`: each half needs two points to span its range.
 pub fn threshold_grid(n: usize) -> Vec<f64> {
     assert!(n >= 4, "need at least 4 candidate thresholds");
     let half = n / 2;
@@ -99,7 +110,7 @@ pub fn threshold_grid(n: usize) -> Vec<f64> {
         let expo = -0.301 - (4.0 - 0.301) * i as f64 / (rest - 1) as f64;
         out.push(1.0 - 10f64.powf(-(-expo)));
     }
-    out.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    out.sort_by(f64::total_cmp);
     out.dedup();
     out
 }
@@ -221,25 +232,40 @@ mod tests {
         assert_eq!(pick_threshold(&all_nan, bound), None);
     }
 
+    /// Equal objectives go to the lower p75 cost, and at equal cost too to
+    /// the higher threshold.
     #[test]
     fn tie_breaks_toward_higher_threshold() {
         let bound = QuantileBound {
-            quantile: 1.0,
+            quantile: 0.75,
             bound: 10.0,
         };
-        let cands = vec![
-            CandidateEval {
-                threshold: 0.3,
-                objective: 0.8,
-                per_customer_cost: vec![],
-            },
-            CandidateEval {
-                threshold: 0.7,
-                objective: 0.8,
-                per_customer_cost: vec![],
-            },
+        let cand = |threshold, per_customer_cost| CandidateEval {
+            threshold,
+            objective: 0.8,
+            per_customer_cost,
+        };
+        let equal_cost = vec![cand(0.3, vec![]), cand(0.7, vec![])];
+        assert_eq!(pick_threshold(&equal_cost, bound), Some(0.7));
+        // p75 costs 2, 1, 1 and 3 (the 4 sits above the quantile): the
+        // cheaper pair ties, and the higher of its thresholds wins.
+        let costs = vec![
+            cand(0.9, vec![2.0, 2.0, 2.0, 0.0]),
+            cand(0.2, vec![1.0, 1.0, 1.0, 4.0]),
+            cand(0.5, vec![1.0, 1.0, 1.0, 0.0]),
+            cand(0.1, vec![3.0; 4]),
         ];
-        assert_eq!(pick_threshold(&cands, bound), Some(0.7));
+        assert_eq!(pick_threshold(&costs, bound), Some(0.5));
+    }
+
+    /// The smallest grid: two points a half, finite, sorted by a total
+    /// order; below it the halves cannot span their ranges.
+    #[test]
+    fn the_smallest_grid_has_both_ends() {
+        let g = threshold_grid(4);
+        assert_eq!(g.len(), 4);
+        assert!(g.iter().all(|t| t.is_finite()) && g.windows(2).all(|w| w[0] < w[1]));
+        assert!(std::panic::catch_unwind(|| threshold_grid(3)).is_err());
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub fn kaplan_meier(observations: &[KmObservation]) -> Vec<KmStep> {
         .copied()
         .filter(|o| o.time.is_finite() && o.time >= 0.0)
         .collect();
-    obs.sort_by(|a, b| a.time.partial_cmp(&b.time).expect("finite"));
+    obs.sort_by(|a, b| a.time.total_cmp(&b.time));
 
     let mut steps = Vec::new();
     let mut survival = 1.0;
@@ -153,5 +153,17 @@ mod tests {
         let steps = kaplan_meier(&[ev(f64::NAN), ev(-1.0), ev(2.0)]);
         assert_eq!(steps.len(), 1);
         assert_eq!(steps[0].time, 2.0);
+        let steps = kaplan_meier(&[ev(f64::INFINITY), ev(-f64::NAN), ev(2.0)]);
+        assert_eq!(steps.len(), 1);
+    }
+
+    /// The sort is a total order (no `partial_cmp` to fail), and it puts
+    /// `-0.0` before `0.0`; the two are still one time, one step.
+    #[test]
+    fn signed_zero_times_are_one_step() {
+        let steps = kaplan_meier(&[ev(0.0), cens(1.0), ev(-0.0), ev(0.0)]);
+        assert_eq!(steps.len(), 1);
+        assert_eq!((steps[0].events, steps[0].at_risk), (3, 4));
+        assert_eq!(steps[0].survival, 0.25);
     }
 }

@@ -94,6 +94,10 @@ pub fn safe_loss_and_grad(hazards: &[f64], attack: bool, event_step: usize) -> S
 }
 
 /// Mean SAFE loss over a batch (diagnostic helper for training logs).
+///
+/// # Panics
+/// Panics as [`safe_loss_and_grad`] does, on a sample whose event step is
+/// zero or past its series.
 pub fn batch_loss(samples: &[(&[f64], bool, usize)]) -> f64 {
     if samples.is_empty() {
         return 0.0;

@@ -31,8 +31,8 @@ struct Pins {
 /// calibration) contributes to the snapshot being compared.
 const SEED_9: Pins = Pins {
     seed: 9,
-    digest: 0x0dc6_f59b_4def_2da5,
-    xatu_thresholds: &[(AttackType::UdpFlood, 0x3fe0_0048_6cd3_1816)],
+    digest: 0x7c0c_8eae_397d_6773,
+    xatu_thresholds: &[(AttackType::UdpFlood, 0x3ee4_f8b5_88e3_68f1)],
     detected: &[("NetScout", 2, 2), ("FastNetMon", 1, 2), ("Xatu", 0, 2)],
 };
 
@@ -40,12 +40,17 @@ const SEED_9: Pins = Pins {
 /// alerts, so the alert path feeds the snapshot too. (Seed 4's heads
 /// raised alerts only at the 0.9999 threshold a type with no validation
 /// event used to calibrate to; it is now served unscored at the grid's
-/// tightest threshold and raises none.)
-const SEED_8: Pins = Pins {
-    seed: 8,
-    digest: 0x62ce_83a5_878d_2325,
-    xatu_thresholds: &[(AttackType::UdpFlood, 0x3fb1_e6a5_553e_adb9)],
-    detected: &[("NetScout", 1, 1), ("FastNetMon", 0, 1), ("Xatu", 1, 1)],
+/// tightest threshold and raises none. Seed 8's UDP threshold was picked
+/// at a validation objective of 0; it is now served degenerate at that
+/// threshold and raises none.)
+const SEED_17: Pins = Pins {
+    seed: 17,
+    digest: 0x2519_989b_54ed_7c51,
+    xatu_thresholds: &[
+        (AttackType::UdpFlood, 0x3ee4_f8b5_88e3_68f1),
+        (AttackType::TcpAck, 0x3fe0_0048_6cd3_1816),
+    ],
+    detected: &[("NetScout", 1, 1), ("FastNetMon", 1, 1), ("Xatu", 1, 1)],
 };
 
 /// (telemetry digest, threshold bits per type, detected / total per system).
@@ -129,7 +134,7 @@ fn pipeline_telemetry_digest_is_identical_across_thread_counts() {
 
 #[test]
 fn alerting_pipeline_telemetry_is_identical_across_thread_counts() {
-    let s1 = identical_across_thread_counts(&SEED_8);
+    let s1 = identical_across_thread_counts(&SEED_17);
     assert!(
         s1.counter("online.alerts_raised") > 0,
         "counter online.alerts_raised not recorded"
